@@ -14,11 +14,10 @@ from .book import (
     LobEvent,
     MidQuote,
     Side,
-    apply_event,
     level_snapshot,
     mid_and_spread,
 )
-from .imbalance import FlowDelta, MlofiSample, accumulate_interval, flow_delta
+from .imbalance import FlowDelta, MlofiSample, flow_delta
 from .inference import (
     CollinearityDiagnostics,
     LambdaSearch,
@@ -54,8 +53,6 @@ __all__ = [
     "SessionConfig",
     "Side",
     "ZiParams",
-    "accumulate_interval",
-    "apply_event",
     "assemble_problems",
     "build_grid",
     "diagnose_collinearity",

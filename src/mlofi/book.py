@@ -96,17 +96,9 @@ class MidQuote:
     mid_x2: int
     spread: int
 
-    @property
-    def mid_dollars(self) -> float:
-        return self.mid_x2 / 2e4
-
-    @property
-    def spread_dollars(self) -> float:
-        return self.spread / 1e4
-
 
 class BookState:
-    """Mutable book; ``apply_event`` advances it one event at a time."""
+    """Mutable book; ``apply`` advances it one event at a time."""
 
     __slots__ = (
         "_bid_depth",
@@ -200,9 +192,6 @@ class BookState:
         """All populated ask levels, best first."""
         return [LevelQuote(p, self._ask_depth[p]) for p in self._ask_prices]
 
-    def live_order(self, order_id: int) -> tuple[Side, int, int] | None:
-        return self._orders.get(order_id)
-
     # -- event application -------------------------------------------------
 
     def apply(self, ev: LobEvent) -> "BookState":
@@ -295,11 +284,6 @@ class BookState:
         if execution:
             self.seeded_executions += 1
         self._remove(ev.side, ev.price, ev.size)
-
-
-def apply_event(state: BookState, ev: LobEvent) -> BookState:
-    """Apply one event and return the post-event book (same object)."""
-    return state.apply(ev)
 
 
 def level_snapshot(state: BookState, levels: int) -> DepthSnapshot:

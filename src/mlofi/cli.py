@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import glob
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +33,9 @@ from .errors import (
     NumericalError,
     TooFewRows,
 )
-from .evaluation import EvaluationReport, run_evaluation
+from .evaluation import EvaluationReport, assemble_windows, fit_tables, run_evaluation
 from .imbalance import compute_day_samples, sample_csv_header, sample_csv_row
-from .inference import (
-    LAMBDA_GRID_HI,
-    LAMBDA_GRID_LO,
-    LAMBDA_GRID_SIZE,
-    SignificanceSummary,
-    fit_ridge,
-    select_lambda,
-)
+from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary, default_lambda_grid
 from .lobster import (
     DaySlice,
     SessionConfig,
@@ -53,7 +46,7 @@ from .lobster import (
     write_message_file,
     write_orderbook_file,
 )
-from .sampling import AssemblyStats, GridSpec, assemble_problems, build_grid
+from .sampling import GridSpec, build_grid
 from .synth import ZiParams, generate_zi_day
 
 SCHEMA_VERSION = 1
@@ -83,12 +76,10 @@ _CONFIG_KEYS = {
     "zi_cancel_rate",
     "zi_band",
     "zi_mean_size",
-    "zi_initial_mid",
-    "zi_seed_depth",
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Fully resolved run parameters for any subcommand."""
 
@@ -122,6 +113,16 @@ class RunConfig:
             raise ConfigError("lambda_mode must be pooled or per-window")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        rows = self.grid.window_seconds // self.grid.subwindow_seconds
+        if (
+            self.lambda_mode == "per-window"
+            and evaluation.RIDGE in self.methods
+            and rows < MIN_ROWS_PER_FOLD * self.folds
+        ):
+            raise ConfigError(
+                f"per-window lambda needs DT/dt >= {MIN_ROWS_PER_FOLD * self.folds} "
+                f"rows per window with {self.folds} folds, got {rows}"
+            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,7 +234,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     lambda_text = pick(args.lambda_grid, "lambda_grid", None)
     if lambda_text is None:
-        lam_grid = np.geomspace(LAMBDA_GRID_LO, LAMBDA_GRID_HI, LAMBDA_GRID_SIZE)
+        lam_grid = default_lambda_grid()
     else:
         try:
             lo_s, hi_s, count_s = str(lambda_text).split(",")
@@ -268,8 +269,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         price_band=int(pick(args.zi_band, "zi_band", 8)),
         mean_size=float(pick(args.zi_mean_size, "zi_mean_size", 8.0)),
         seed=seed,
-        initial_mid=int(file_vals.get("zi_initial_mid", 1_000_000)),
-        seed_depth=int(file_vals.get("zi_seed_depth", 50)),
     )
     config = RunConfig(
         messages=pick(args.messages, "messages", None),
@@ -298,24 +297,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def load_days(config: RunConfig) -> list[DaySlice]:
     """Parse input files or generate deterministic synthetic days."""
     if config.synth_days is not None:
-        days = []
-        for i in range(config.synth_days):
-            params = ZiParams(
-                limit_rate=config.zi.limit_rate,
-                market_rate=config.zi.market_rate,
-                cancel_rate=config.zi.cancel_rate,
-                price_band=config.zi.price_band,
-                mean_size=config.zi.mean_size,
-                seed=config.seed + i,  # per-day stream
-                initial_mid=config.zi.initial_mid,
-                seed_depth=config.zi.seed_depth,
+        return [
+            generate_zi_day(
+                dataclasses.replace(config.zi, seed=config.seed + i),  # per-day stream
+                config.session,
+                config.start_date + dt.timedelta(days=i),
             )
-            days.append(
-                generate_zi_day(
-                    params, config.session, config.start_date + dt.timedelta(days=i)
-                )
-            )
-        return days
+            for i in range(config.synth_days)
+        ]
 
     paths = sorted(glob.glob(config.messages))
     if not paths:
@@ -365,139 +354,48 @@ def _coef_names(levels: int) -> list[str]:
 
 
 def _significance_rows(summary: SignificanceSummary, levels: int) -> list[list[str]]:
-    names = _coef_names(levels)
-    rows = []
-    for j, name in enumerate(names):
-        rows.append(
-            [
-                name,
-                _fmt(summary.mean_coeff[j]),
-                _fmt(summary.mean_se[j]),
-                _fmt(summary.mean_t[j]),
-                _fmt(summary.mean_p[j]),
-                _fmt(summary.pct_significant[j]),
-            ]
-        )
-    return rows
+    columns = (
+        summary.mean_coeff,
+        summary.mean_se,
+        summary.mean_t,
+        summary.mean_p,
+        summary.pct_significant_95,
+    )
+    return [
+        [name] + [_fmt(c[j]) for c in columns]
+        for j, name in enumerate(_coef_names(levels))
+    ]
 
 
-_SIG_HEADER = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
+def _write_significance(
+    out: Path, prefix: str, tables: dict[str, SignificanceSummary], levels: int
+) -> None:
+    header = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
+    for name, summary in tables.items():
+        _write_csv(out / f"{prefix}_{name}.csv", header, _significance_rows(summary, levels))
 
 
-def _summary_to_dict(summary: SignificanceSummary) -> dict:
-    return {
-        "mean_coeff": [float(v) for v in summary.mean_coeff],
-        "mean_se": [float(v) for v in summary.mean_se],
-        "mean_t": [float(v) for v in summary.mean_t],
-        "mean_p": [float(v) for v in summary.mean_p],
-        "pct_significant_95": [float(v) for v in summary.pct_significant],
-        "n_fits": summary.n_fits,
-    }
+def _to_json(obj):
+    """Dataclasses, dicts, sequences and numpy values as plain JSON values."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_to_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    d: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "levels": report.levels,
-        "methods": report.methods,
-        "folds": report.folds,
-        "n_days": report.n_days,
-        "n_problems": report.n_problems,
-        "discarded_intervals": report.discarded_intervals,
-        "dropped_windows": report.dropped_windows,
-        "rank_deficient_windows": report.rank_deficient_windows,
-        "significance": {
-            m: _summary_to_dict(s) for m, s in report.significance.items()
-        },
-        "ofi_significance": (
-            _summary_to_dict(report.ofi_significance)
-            if report.ofi_significance
-            else None
-        ),
-        "r2_curves": {m: [float(v) for v in c] for m, c in report.r2_curves.items()},
-        "rmse_curves": {
-            m: [
-                {
-                    "levels": p.levels,
-                    "in_sample": float(p.in_sample),
-                    "out_sample": float(p.out_sample),
-                }
-                for p in c
-            ]
-            for m, c in report.rmse_curves.items()
-        },
-        "improvement": {
-            "ofi_rmse": float(report.improvement.ofi_rmse),
-            "mlofi_ols_rmse": (
-                None
-                if report.improvement.mlofi_ols_rmse is None
-                else float(report.improvement.mlofi_ols_rmse)
-            ),
-            "mlofi_ridge_rmse": (
-                None
-                if report.improvement.mlofi_ridge_rmse is None
-                else float(report.improvement.mlofi_ridge_rmse)
-            ),
-            "improvement_ols": (
-                None
-                if report.improvement.improvement_ols is None
-                else float(report.improvement.improvement_ols)
-            ),
-            "improvement_ridge": (
-                None
-                if report.improvement.improvement_ridge is None
-                else float(report.improvement.improvement_ridge)
-            ),
-        },
-        "seasonality": {
-            m: [[float(v) for v in row] for row in arr]
-            for m, arr in report.seasonality.items()
-        },
-        "book_summary": {
-            "weighting": report.book_summary.weighting,
-            "mean_mid_dollars": float(report.book_summary.mean_mid_dollars),
-            "mean_spread_dollars": float(report.book_summary.mean_spread_dollars),
-            "mean_bid_depth": [float(v) for v in report.book_summary.mean_bid_depth],
-            "mean_ask_depth": [float(v) for v in report.book_summary.mean_ask_depth],
-        },
-        "book_summary_event_weighted": {
-            "weighting": report.book_summary_event_weighted.weighting,
-            "mean_mid_dollars": float(
-                report.book_summary_event_weighted.mean_mid_dollars
-            ),
-            "mean_spread_dollars": float(
-                report.book_summary_event_weighted.mean_spread_dollars
-            ),
-            "mean_bid_depth": [
-                float(v) for v in report.book_summary_event_weighted.mean_bid_depth
-            ],
-            "mean_ask_depth": [
-                float(v) for v in report.book_summary_event_weighted.mean_ask_depth
-            ],
-        },
-        "flow_concentration": {
-            "count_pct": [float(v) for v in report.flow_concentration.count_pct],
-            "volume_pct": [float(v) for v in report.flow_concentration.volume_pct],
-            "n_events": report.flow_concentration.n_events,
-        },
-    }
-    if report.lambda_search is not None:
-        d["lambda_search"] = {
-            "grid": [float(v) for v in report.lambda_search.grid],
-            "cv_errors": [float(v) for v in report.lambda_search.cv_errors],
-            "lambda_hat": float(report.lambda_search.lambda_hat),
-        }
-    else:
-        d["lambda_search"] = None
-    if report.diagnostics is not None:
-        d["diagnostics"] = {
-            "corr": [[float(v) for v in row] for row in report.diagnostics.corr],
-            "eigenvalues": [float(v) for v in report.diagnostics.eigenvalues],
-            "degenerate_columns": report.diagnostics.degenerate_columns,
-        }
-    else:
-        d["diagnostics"] = None
-    return d
+    return {"schema_version": SCHEMA_VERSION, **_to_json(report)}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -540,81 +438,33 @@ def cmd_compute(config: RunConfig) -> int:
     return 0
 
 
-def _problems_from_days(config: RunConfig, days: list[DaySlice]):
-    grid = build_grid(config.session, config.grid)
-    stats = AssemblyStats()
-    problems = []
-    for day in sorted(days, key=lambda d: d.trading_date):
-        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, config.levels)
-        problems.extend(
-            assemble_problems(
-                comp.samples,
-                grid,
-                config.levels,
-                config.session.tick_size,
-                day.trading_date,
-                on_underdetermined="drop",
-                stats=stats,
-            )
-        )
-    problems.sort(key=lambda p: (p.date, p.window_index))
-    return problems, stats
-
-
 def cmd_fit(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     days = load_days(config)
     if not days:
         raise TooFewRows("no input days")
-    problems, _ = _problems_from_days(config, days)
-    if not problems:
-        raise TooFewRows("no usable regression windows")
-
-    lam = 0.0
-    if evaluation.RIDGE in config.methods:
-        X, y = evaluation.pool_rows(problems, config.levels)
-        lam = select_lambda(
-            X, y, config.folds, config.lambda_grid, config.penalize_intercept
-        ).lambda_hat
-
-    tables: dict[str, SignificanceSummary] = {}
-    for method in config.methods:
-        if method == evaluation.RIDGE and config.lambda_mode == "per-window":
-            fits = []
-            for p in problems:
-                lam_w = select_lambda(
-                    p.X, p.y, config.folds, config.lambda_grid,
-                    config.penalize_intercept,
-                ).lambda_hat
-                fits.append(fit_ridge(p, lam_w, config.penalize_intercept))
-        else:
-            fits, _ = evaluation.fit_all_windows(
-                problems,
-                method,
-                config.levels,
-                lam if method == evaluation.RIDGE else 0.0,
-                config.penalize_intercept,
-            )
-        if not fits:
-            raise TooFewRows(f"no usable {method} fits")
-        summary = evaluation.significance_summary(fits)
-        tables[method] = summary
-        _write_csv(
-            config.out_dir / f"fits_{method}.csv",
-            _SIG_HEADER,
-            _significance_rows(summary, config.levels),
-        )
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "levels": config.levels,
-        "n_problems": len(problems),
-        "lambda_hat": lam if evaluation.RIDGE in config.methods else None,
-        "tables": {m: _summary_to_dict(s) for m, s in tables.items()},
-    }
-    with open(config.out_dir / "fits.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    grid = build_grid(config.session, config.grid)
+    problems, _ = assemble_windows(days, grid, config.levels, config.session.tick_size)
+    tables = fit_tables(
+        problems,
+        config.levels,
+        config.methods,
+        config.folds,
+        config.lambda_grid,
+        config.penalize_intercept,
+        config.lambda_mode,
+    )
+    _write_significance(config.out_dir, "fits", tables.significance, config.levels)
+    _write_json(
+        config.out_dir / "fits.json",
+        {
+            "schema_version": SCHEMA_VERSION,
+            "levels": config.levels,
+            "n_problems": len(problems),
+            "lambda_hat": tables.search.lambda_hat if tables.search else None,
+            "tables": _to_json(tables.significance),
+        },
+    )
     print(f"wrote fit tables for {len(problems)} windows to {config.out_dir}")
     return 0
 
@@ -642,9 +492,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def _write_report_files(report: EvaluationReport, config: RunConfig) -> None:
     out = config.out_dir
-    with open(out / "report.json", "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report_to_dict(report))
 
     rows = []
     for method, curve in sorted(report.r2_curves.items()):
@@ -704,18 +552,9 @@ def _write_report_files(report: EvaluationReport, config: RunConfig) -> None:
             ],
         )
 
-    for method, sig in sorted(report.significance.items()):
-        _write_csv(
-            out / f"significance_{method}.csv",
-            _SIG_HEADER,
-            _significance_rows(sig, report.levels),
-        )
+    _write_significance(out, "significance", report.significance, report.levels)
     if report.ofi_significance is not None:
-        _write_csv(
-            out / "significance_ofi_ols.csv",
-            _SIG_HEADER,
-            _significance_rows(report.ofi_significance, 1),
-        )
+        _write_significance(out, "significance", {"ofi_ols": report.ofi_significance}, 1)
 
     for method, arr in sorted(report.seasonality.items()):
         header = ["window_i"] + _coef_names(report.levels)

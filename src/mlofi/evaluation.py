@@ -1,4 +1,13 @@
-"""Goodness-of-fit protocols, book summary statistics and report assembly.
+"""Window fits, goodness-of-fit protocols, book summary and report assembly.
+
+``fit`` and ``evaluate`` share one pipeline: ``assemble_windows`` turns the
+days into sorted per-window problems and ``fit_tables`` selects the pooled
+penalty and builds the significance tables, which ``fit`` writes as they
+are. ``run_evaluation`` fits each window once per (method, depth) and takes
+the R^2 curve, the seasonality profile (depth M) and the level-1 OFI
+baseline from those fits; ``summarize_book`` replays each day once more.
+In ``per-window`` mode, windows that discarded intervals shrank below
+``MIN_ROWS_PER_FOLD`` rows per fold are left out of the ridge table.
 
 The RMSE protocol mirrors 5-fold cross-validation: for each fold, fit on
 the other four folds' pooled rows, record the RMSE on those same rows
@@ -17,6 +26,7 @@ from .book import BookState, EventKind, Side, level_snapshot, mid_and_spread
 from .errors import OneSidedBook, RankDeficient, TooFewRows
 from .imbalance import compute_day_samples
 from .inference import (
+    MIN_ROWS_PER_FOLD,
     CollinearityDiagnostics,
     LambdaSearch,
     RegressionFit,
@@ -32,6 +42,7 @@ from .inference import (
 from .lobster import DaySlice, SessionConfig
 from .sampling import (
     AssemblyStats,
+    Grid,
     GridSpec,
     RegressionProblem,
     assemble_problems,
@@ -40,6 +51,36 @@ from .sampling import (
 
 OLS = "ols"
 RIDGE = "ridge"
+
+
+def assemble_windows(
+    days: list[DaySlice], grid: Grid, levels: int, tick_size: int
+) -> tuple[list[RegressionProblem], AssemblyStats]:
+    """Replay the days and group their intervals into per-window problems.
+
+    Underdetermined windows are dropped and counted. The problems come back
+    in (date, window) order; an input without any usable window raises
+    TooFewRows.
+    """
+    stats = AssemblyStats()
+    problems: list[RegressionProblem] = []
+    for day in sorted(days, key=lambda d: d.trading_date):
+        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        problems.extend(
+            assemble_problems(
+                comp.samples,
+                grid,
+                levels,
+                tick_size,
+                day.trading_date,
+                on_underdetermined="drop",
+                stats=stats,
+            )
+        )
+    if not problems:
+        raise TooFewRows("no usable regression windows in the input")
+    problems.sort(key=lambda p: (p.date, p.window_index))
+    return problems, stats
 
 
 def pool_rows(
@@ -63,7 +104,6 @@ def _ols_coefficients(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 class RmsePoint:
     """Mean in/out-of-sample RMSE (ticks) at one depth."""
 
-    method: str
     levels: int
     in_sample: float
     out_sample: float
@@ -100,7 +140,6 @@ def rmse_protocol(
         in_total += float(np.sqrt(np.mean(in_resid**2)))
         out_total += float(np.sqrt(np.mean(out_resid**2)))
     return RmsePoint(
-        method=method,
         levels=levels,
         in_sample=in_total / folds,
         out_sample=out_total / folds,
@@ -140,32 +179,26 @@ def fit_all_windows(
     levels: int,
     lam: float = 0.0,
     penalize_intercept: bool = True,
-) -> tuple[list[RegressionFit], int]:
+) -> tuple[list[RegressionFit], list[int]]:
     """Per-window fits at one depth; rank-deficient windows are skipped.
 
-    Returns (fits, n_skipped).
+    Returns (fits, window index of each fit). ``lam`` is ignored by OLS.
     """
     fits: list[RegressionFit] = []
-    skipped = 0
+    windows: list[int] = []
     for p in problems:
         try:
             fits.append(fit_problem(p.truncated(levels), method, lam, penalize_intercept))
         except RankDeficient:
-            skipped += 1
-    return fits, skipped
+            continue
+        windows.append(p.window_index)
+    return fits, windows
 
 
-def adjusted_r2_curve(
-    problems: list[RegressionProblem],
-    method: str,
-    max_levels: int,
-    lam: float = 0.0,
-    penalize_intercept: bool = True,
-) -> list[float]:
-    """Mean adjusted R^2 across window fits for each depth 1..max_levels."""
+def adjusted_r2_curve(fits_by_depth: list[list[RegressionFit]]) -> list[float]:
+    """Mean adjusted R^2 across window fits for each depth 1..M, in order."""
     curve = []
-    for m in range(1, max_levels + 1):
-        fits, _ = fit_all_windows(problems, method, m, lam, penalize_intercept)
+    for m, fits in enumerate(fits_by_depth, start=1):
         if not fits:
             raise TooFewRows(f"no usable windows at {m} levels")
         curve.append(float(np.mean([f.adj_r2 for f in fits])))
@@ -208,27 +241,19 @@ def improvement_table(
 
 
 def seasonality_profile(
-    problems: list[RegressionProblem],
-    method: str,
-    levels: int,
-    n_windows: int,
-    lam: float = 0.0,
-    penalize_intercept: bool = True,
+    fits: list[RegressionFit], windows: list[int], levels: int, n_windows: int
 ) -> np.ndarray:
     """Mean fitted coefficients per intra-day window index.
 
-    Returns an (n_windows, levels + 1) array; window indices with no
-    usable fits hold NaN.
+    ``fits`` and ``windows`` are as returned by ``fit_all_windows`` at
+    depth ``levels``. Returns an (n_windows, levels + 1) array; window
+    indices with no usable fits hold NaN.
     """
     sums = np.zeros((n_windows, levels + 1))
     counts = np.zeros(n_windows, dtype=int)
-    for p in problems:
-        try:
-            f = fit_problem(p.truncated(levels), method, lam, penalize_intercept)
-        except RankDeficient:
-            continue
-        sums[p.window_index] += f.coeffs
-        counts[p.window_index] += 1
+    for f, i in zip(fits, windows):
+        sums[i] += f.coeffs
+        counts[i] += 1
     out = np.full((n_windows, levels + 1), np.nan)
     for i in range(n_windows):
         if counts[i] > 0:
@@ -286,22 +311,21 @@ def summarize_book(
     days: list[DaySlice],
     session: SessionConfig,
     depth_levels: int = 5,
-    weighting: str = "duration",
-) -> tuple[BookSummary, FlowConcentration]:
-    """Replay the days to get depth/mid means and flow concentration.
+) -> tuple[BookSummary, BookSummary, FlowConcentration]:
+    """Replay each day once for depth/mid means and flow concentration.
 
-    ``duration`` weighting holds each post-event state for the time until
-    the next event (last event until session end); ``event`` weighting
-    counts each event once. Instants with a one-sided book are skipped.
-    Absent levels contribute zero depth.
+    Returns the duration-weighted summary, the event-weighted summary and
+    the flow concentration. Duration weighting holds each post-event state
+    for the time until the next event (last event until session end);
+    event weighting counts each event once. Instants with a one-sided book
+    are skipped. Absent levels contribute zero depth.
     """
-    if weighting not in ("duration", "event"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    w_total = 0.0
-    mid_acc = 0.0
-    spread_acc = 0.0
-    bid_acc = np.zeros(depth_levels)
-    ask_acc = np.zeros(depth_levels)
+    # Index 0 accumulates duration weights, index 1 event weights.
+    w_total = [0.0, 0.0]
+    mid_acc = [0.0, 0.0]
+    spread_acc = [0.0, 0.0]
+    bid_acc = [[0.0] * depth_levels, [0.0] * depth_levels]
+    ask_acc = [[0.0] * depth_levels, [0.0] * depth_levels]
     counts = np.zeros(3, dtype=np.int64)
     volumes = np.zeros(3, dtype=np.int64)
     for day in days:
@@ -318,42 +342,95 @@ def summarize_book(
                 mq = mid_and_spread(state)
             except OneSidedBook:
                 continue
-            if weighting == "duration":
-                nxt = events[i + 1].timestamp_ns if i + 1 < n else session.end_ns
-                w = (nxt - ev.timestamp_ns) / 1e9
+            nxt = events[i + 1].timestamp_ns if i + 1 < n else session.end_ns
+            snap = level_snapshot(state, depth_levels)
+            for k, w in enumerate(((nxt - ev.timestamp_ns) / 1e9, 1.0)):
                 if w <= 0.0:
                     continue
-            else:
-                w = 1.0
-            snap = level_snapshot(state, depth_levels)
-            w_total += w
-            mid_acc += w * mq.mid_x2 / 2e4
-            spread_acc += w * mq.spread / 1e4
-            for m in range(depth_levels):
-                if snap.bids[m] is not None:
-                    bid_acc[m] += w * snap.bids[m].depth
-                if snap.asks[m] is not None:
-                    ask_acc[m] += w * snap.asks[m].depth
-    if w_total == 0.0:
+                w_total[k] += w
+                mid_acc[k] += w * mq.mid_x2 / 2e4
+                spread_acc[k] += w * mq.spread / 1e4
+                for m in range(depth_levels):
+                    if snap.bids[m] is not None:
+                        bid_acc[k][m] += w * snap.bids[m].depth
+                    if snap.asks[m] is not None:
+                        ask_acc[k][m] += w * snap.asks[m].depth
+    if 0.0 in w_total:
         raise TooFewRows("no two-sided book states observed")
+    summaries = [
+        BookSummary(
+            mean_mid_dollars=mid_acc[k] / w_total[k],
+            mean_spread_dollars=spread_acc[k] / w_total[k],
+            mean_bid_depth=tuple(v / w_total[k] for v in bid_acc[k]),
+            mean_ask_depth=tuple(v / w_total[k] for v in ask_acc[k]),
+            weighting=weighting,
+        )
+        for k, weighting in enumerate(("duration", "event"))
+    ]
     n_flow = int(counts.sum())
     v_flow = int(volumes.sum())
-    summary = BookSummary(
-        mean_mid_dollars=mid_acc / w_total,
-        mean_spread_dollars=spread_acc / w_total,
-        mean_bid_depth=tuple(bid_acc / w_total),
-        mean_ask_depth=tuple(ask_acc / w_total),
-        weighting=weighting,
-    )
     concentration = FlowConcentration(
         count_pct=tuple(100.0 * counts / n_flow) if n_flow else (0.0, 0.0, 0.0),
         volume_pct=tuple(100.0 * volumes / v_flow) if v_flow else (0.0, 0.0, 0.0),
         n_events=n_flow,
     )
-    return summary, concentration
+    return summaries[0], summaries[1], concentration
 
 
-# -- full report ---------------------------------------------------------------
+# -- shared fit pipeline and full report -----------------------------------------
+
+
+@dataclass
+class FitTables:
+    """Pooled penalty search and per-method significance tables."""
+
+    search: LambdaSearch | None  # pooled penalty search; None without ridge
+    significance: dict[str, SignificanceSummary]
+    # Depth-M fits with their window indices, for each method whose table
+    # uses the pooled penalty (every method but per-window ridge).
+    pooled_fits: dict[str, tuple[list[RegressionFit], list[int]]]
+
+
+def fit_tables(
+    problems: list[RegressionProblem],
+    levels: int,
+    methods: list[str],
+    folds: int = 5,
+    lambda_grid: np.ndarray | None = None,
+    penalize_intercept: bool = True,
+    lambda_mode: str = "pooled",
+) -> FitTables:
+    """Select the pooled penalty and summarize the per-window fits per method.
+
+    ``lambda_mode`` 'pooled' fits every window with the penalty selected on
+    all pooled rows; 'per-window' re-selects it within each window for the
+    ridge table, leaving out windows with fewer than MIN_ROWS_PER_FOLD rows
+    per fold.
+    """
+    search: LambdaSearch | None = None
+    lam = 0.0
+    if RIDGE in methods:
+        X, y = pool_rows(problems, levels)
+        search = select_lambda(X, y, folds, lambda_grid, penalize_intercept)
+        lam = search.lambda_hat
+    tables = FitTables(search, {}, {})
+    for method in methods:
+        if method == RIDGE and lambda_mode == "per-window":
+            fits = []
+            for p in problems:
+                if p.n_rows < MIN_ROWS_PER_FOLD * folds:
+                    continue
+                w_search = select_lambda(p.X, p.y, folds, lambda_grid, penalize_intercept)
+                fits.append(fit_ridge(p, w_search.lambda_hat, penalize_intercept))
+        else:
+            fits, windows = fit_all_windows(
+                problems, method, levels, lam, penalize_intercept
+            )
+            tables.pooled_fits[method] = (fits, windows)
+        if not fits:
+            raise TooFewRows(f"no usable {method} window fits")
+        tables.significance[method] = significance_summary(fits)
+    return tables
 
 
 @dataclass
@@ -394,95 +471,52 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Ingest -> imbalance -> fits -> report, for one instrument.
 
-    ``lambda_mode`` 'pooled' selects one penalty from all pooled rows;
-    'per-window' re-selects per window for the significance tables (the
-    RMSE protocol always uses the pooled penalty since it pools rows).
+    The significance tables come from ``fit_tables``. The R^2 curves and
+    the seasonality profiles always use the pooled penalty, as does the
+    RMSE protocol since it pools rows.
     """
     grid = build_grid(session, grid_spec)
-    stats = AssemblyStats()
-    problems: list[RegressionProblem] = []
-    for day in sorted(days, key=lambda d: d.trading_date):
-        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-        problems.extend(
-            assemble_problems(
-                comp.samples,
-                grid,
-                levels,
-                session.tick_size,
-                day.trading_date,
-                on_underdetermined="drop",
-                stats=stats,
-            )
-        )
-    if not problems:
-        raise TooFewRows("no usable regression windows in the input")
-    problems.sort(key=lambda p: (p.date, p.window_index))
+    problems, stats = assemble_windows(days, grid, levels, session.tick_size)
+    tables = fit_tables(
+        problems, levels, methods, folds, lambda_grid, penalize_intercept, lambda_mode
+    )
+    lam = tables.search.lambda_hat if tables.search else 0.0
 
-    search: LambdaSearch | None = None
-    lam = 0.0
-    if RIDGE in methods:
-        X, y = pool_rows(problems, levels)
-        search = select_lambda(X, y, folds, lambda_grid, penalize_intercept)
-        lam = search.lambda_hat
-
-    significance: dict[str, SignificanceSummary] = {}
-    rank_skipped = 0
+    # Each (method, depth) is fit once; depth M reuses the tables' fits.
+    fits_by_depth: dict[str, list[tuple[list[RegressionFit], list[int]]]] = {}
     for method in methods:
-        if method == RIDGE and lambda_mode == "per-window":
-            fits = []
-            for p in problems:
-                w_search = select_lambda(
-                    p.X, p.y, folds, lambda_grid, penalize_intercept
-                )
-                fits.append(fit_ridge(p, w_search.lambda_hat, penalize_intercept))
-        else:
-            fits, skipped = fit_all_windows(
-                problems, method, levels, lam, penalize_intercept
-            )
-            rank_skipped = max(rank_skipped, skipped)
-        if not fits:
-            raise TooFewRows(f"no usable {method} window fits")
-        significance[method] = significance_summary(fits)
+        fits = [
+            fit_all_windows(problems, method, m, lam, penalize_intercept)
+            for m in range(1, levels)
+        ]
+        fits.append(
+            tables.pooled_fits.get(method)
+            or fit_all_windows(problems, method, levels, lam, penalize_intercept)
+        )
+        fits_by_depth[method] = fits
 
-    ofi_sig: SignificanceSummary | None = None
-    ofi_fits, _ = fit_all_windows(problems, OLS, 1)
-    if ofi_fits:
-        ofi_sig = significance_summary(ofi_fits)
+    ofi_fits, _ = (
+        fits_by_depth[OLS][0] if OLS in fits_by_depth else fit_all_windows(problems, OLS, 1)
+    )
+    ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
 
     X_full, _ = pool_rows(problems, levels)
     diagnostics = diagnose_collinearity(X_full[:, 1:]) if levels >= 2 else None
 
     r2_curves = {
-        method: adjusted_r2_curve(
-            problems, method, levels, lam if method == RIDGE else 0.0, penalize_intercept
-        )
+        method: adjusted_r2_curve([f for f, _ in fits_by_depth[method]])
         for method in methods
     }
     rmse_curves = {
-        method: rmse_curve(
-            problems,
-            method,
-            levels,
-            folds,
-            lam if method == RIDGE else 0.0,
-            penalize_intercept,
-        )
+        method: rmse_curve(problems, method, levels, folds, lam, penalize_intercept)
         for method in methods
     }
     improvement = improvement_table(rmse_curves.get(OLS), rmse_curves.get(RIDGE))
     seasonality = {
-        method: seasonality_profile(
-            problems,
-            method,
-            levels,
-            grid.n_windows,
-            lam if method == RIDGE else 0.0,
-            penalize_intercept,
-        )
+        method: seasonality_profile(*fits_by_depth[method][-1], levels, grid.n_windows)
         for method in methods
     }
-    book_dur, concentration = summarize_book(days, session, weighting="duration")
-    book_evt, _ = summarize_book(days, session, weighting="event")
+    book_dur, book_evt, concentration = summarize_book(days, session)
     return EvaluationReport(
         levels=levels,
         methods=list(methods),
@@ -491,9 +525,11 @@ def run_evaluation(
         n_problems=len(problems),
         discarded_intervals=stats.discarded_intervals,
         dropped_windows=stats.dropped_windows,
-        rank_deficient_windows=rank_skipped,
-        lambda_search=search,
-        significance=significance,
+        rank_deficient_windows=max(
+            (len(problems) - len(f) for f, _ in tables.pooled_fits.values()), default=0
+        ),
+        lambda_search=tables.search,
+        significance=tables.significance,
         ofi_significance=ofi_sig,
         diagnostics=diagnostics,
         r2_curves=r2_curves,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .book import (
     BookState,
@@ -129,65 +129,6 @@ class MlofiSample:
     @property
     def trade_imbalance(self) -> int:
         return self.buy_volume - self.sell_volume
-
-
-def zero_sample(
-    date: dt.date, window_index: int, sub_index: int, start_ns: int, end_ns: int, levels: int
-) -> MlofiSample:
-    return MlofiSample(
-        date=date,
-        window_index=window_index,
-        sub_index=sub_index,
-        start_ns=start_ns,
-        end_ns=end_ns,
-        mlofi=(0,) * levels,
-        buy_volume=0,
-        sell_volume=0,
-        delta_p=0,
-    )
-
-
-def accumulate_interval(
-    deltas: Iterable[FlowDelta],
-    trade_volumes: Iterable[int],
-    mid_before: MidQuote,
-    mid_after: MidQuote,
-    levels: int,
-    date: dt.date = dt.date(1970, 1, 1),
-    window_index: int = 0,
-    sub_index: int = 1,
-    start_ns: int = 0,
-    end_ns: int = 0,
-) -> MlofiSample:
-    """Sum per-event deltas and signed trade volumes over one interval.
-
-    ``trade_volumes`` are signed executed sizes (+ for buy market orders,
-    - for sell). Both mid quotes must be measured after all events at the
-    respective boundary instant.
-    """
-    totals = [0] * levels
-    for d in deltas:
-        net = d.net
-        for m in range(levels):
-            totals[m] += net[m]
-    buy = 0
-    sell = 0
-    for v in trade_volumes:
-        if v >= 0:
-            buy += v
-        else:
-            sell += -v
-    return MlofiSample(
-        date=date,
-        window_index=window_index,
-        sub_index=sub_index,
-        start_ns=start_ns,
-        end_ns=end_ns,
-        mlofi=tuple(totals),
-        buy_volume=buy,
-        sell_volume=sell,
-        delta_p=mid_after.mid_x2 - mid_before.mid_x2,
-    )
 
 
 @dataclass

@@ -32,6 +32,9 @@ LAMBDA_GRID_SIZE = 50
 LAMBDA_GRID_LO = 1e-5
 LAMBDA_GRID_HI = 1e5
 
+#: Penalty selection needs at least this many rows in every CV fold.
+MIN_ROWS_PER_FOLD = 10
+
 
 def default_lambda_grid() -> np.ndarray:
     # geomspace pins both endpoints exactly to the stated bounds.
@@ -194,8 +197,10 @@ def select_lambda(
     if grid is None:
         grid = default_lambda_grid()
     n = X.shape[0]
-    if n < 10 * folds:
-        raise TooFewRows(f"{n} rows give fewer than 10 per fold with {folds} folds")
+    if n < MIN_ROWS_PER_FOLD * folds:
+        raise TooFewRows(
+            f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
+        )
     fold_idx = contiguous_folds(n, folds)
     masks = []
     for idx in fold_idx:
@@ -263,7 +268,7 @@ class SignificanceSummary:
     mean_se: np.ndarray
     mean_t: np.ndarray
     mean_p: np.ndarray
-    pct_significant: np.ndarray  # percent of fits with two-sided p < 0.05
+    pct_significant_95: np.ndarray  # percent of fits with two-sided p < 0.05
     n_fits: int
 
 
@@ -279,6 +284,6 @@ def significance_summary(fits: list[RegressionFit]) -> SignificanceSummary:
         mean_se=ses.mean(axis=0),
         mean_t=ts.mean(axis=0),
         mean_p=ps.mean(axis=0),
-        pct_significant=100.0 * (ps < 0.05).mean(axis=0),
+        pct_significant_95=100.0 * (ps < 0.05).mean(axis=0),
         n_fits=len(fits),
     )

@@ -48,11 +48,6 @@ class Grid:
         total = self.n_windows * self.n_sub
         return [self.start_ns + j * self.subwindow_ns for j in range(total + 1)]
 
-    def window_boundaries_ns(self, i: int) -> list[int]:
-        """Boundaries t_{i,0}..t_{i,K} of window i (0-based)."""
-        base = self.start_ns + i * self.n_sub * self.subwindow_ns
-        return [base + k * self.subwindow_ns for k in range(self.n_sub + 1)]
-
 
 def build_grid(config: SessionConfig, spec: GridSpec) -> Grid:
     """Validate divisibility and lay out the session grid."""

@@ -9,7 +9,6 @@ from mlofi.book import (
     LevelQuote,
     LobEvent,
     Side,
-    apply_event,
     level_snapshot,
     mid_and_spread,
 )
@@ -29,7 +28,7 @@ def arrival(oid, size, price, side=Side.BUY, ts=36_000 * NS):
 
 
 def test_first_order_into_empty_book():
-    state = apply_event(BookState(), arrival(1, 10, 140000))
+    state = BookState().apply(arrival(1, 10, 140000))
     assert state.bid_levels() == [LevelQuote(140000, 10)]
     assert state.ask_levels() == []
     assert state.event_seq == 1

@@ -260,3 +260,33 @@ def parse_config_file_bad(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
     parse_config_file(bad)
+
+
+def test_per_window_grid_too_short_exits_1(tmp_path):
+    # 1800 s windows of 60 s intervals hold 30 rows, fewer than 10 per fold.
+    for command in ("fit", "evaluate"):
+        code = run_cli(
+            command, "--synth-days", "1", "--seed", "3", "--levels", "5",
+            "--dt", "60", "--lambda-mode", "per-window",
+            "--out", str(tmp_path / command),
+        )
+        assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["pooled", "per-window"])
+def test_fit_tables_equal_evaluate_significance(tmp_path, mode):
+    args = [
+        "--synth-days", "1", "--seed", "8", "--levels", "3",
+        "--session-start", "10:00", "--session-end", "11:00",
+        "--DT", "600", "--dt", "10", "--lambda-mode", mode,
+    ]
+    assert run_cli("fit", *args, "--out", str(tmp_path / "fit")) == 0
+    assert run_cli("evaluate", *args, "--out", str(tmp_path / "eval")) == 0
+    fits = json.loads((tmp_path / "fit" / "fits.json").read_text())
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert fits["tables"] == report["significance"]
+    assert set(fits["tables"]) == {"ols", "ridge"}
+    for method in ("ols", "ridge"):
+        assert (tmp_path / "fit" / f"fits_{method}.csv").read_bytes() == (
+            tmp_path / "eval" / f"significance_{method}.csv"
+        ).read_bytes()

@@ -95,7 +95,7 @@ def test_adjusted_r2_perfect_fit():
     problems = [
         planted(s, noise=0.0, beta=(1.0, 2.0, 0.0, 0.0, 0.0)) for s in range(2)
     ]
-    curve = adjusted_r2_curve(problems, OLS, 4)
+    curve = adjusted_r2_curve([fit_all_windows(problems, OLS, m)[0] for m in range(1, 5)])
     assert all(abs(v - 1.0) < 1e-10 for v in curve)
 
 
@@ -104,7 +104,7 @@ def test_adjusted_r2_null_is_near_zero():
         planted(s, rows=30, levels=3, beta=(0.0,) * 4, noise=1.0)
         for s in range(1000)
     ]
-    curve = adjusted_r2_curve(problems, OLS, 3)
+    curve = adjusted_r2_curve([fit_all_windows(problems, OLS, m)[0] for m in range(1, 4)])
     assert curve[-1] <= 0.05
 
 
@@ -121,8 +121,8 @@ def test_plain_r2_non_decreasing_in_levels_nested():
 def test_improvement_table_arithmetic():
     from mlofi.evaluation import RmsePoint
 
-    ols = [RmsePoint(OLS, 1, 1.9, 2.0), RmsePoint(OLS, 10, 1.3, 1.4)]
-    ridge = [RmsePoint(RIDGE, 1, 1.9, 2.0), RmsePoint(RIDGE, 10, 1.2, 1.3)]
+    ols = [RmsePoint(1, 1.9, 2.0), RmsePoint(10, 1.3, 1.4)]
+    ridge = [RmsePoint(1, 1.9, 2.0), RmsePoint(10, 1.2, 1.3)]
     table = improvement_table(ols, ridge)
     assert table.ofi_rmse == 2.0
     assert table.improvement_ols == pytest.approx(0.30)
@@ -130,7 +130,7 @@ def test_improvement_table_arithmetic():
     same = improvement_table(ols, [ols[0], ols[1]])
     assert same.improvement_ridge == pytest.approx(same.improvement_ols)
     flat = improvement_table(
-        [RmsePoint(OLS, 1, 2.0, 2.0), RmsePoint(OLS, 10, 2.0, 2.0)], None
+        [RmsePoint(1, 2.0, 2.0), RmsePoint(10, 2.0, 2.0)], None
     )
     assert flat.improvement_ols == pytest.approx(0.0)
     # Derived column recomputes from the stored primitives.
@@ -143,7 +143,7 @@ def test_seasonality_single_date_equals_window_fits():
     problems = [
         planted(100 + i, rows=60, levels=3, window=i, noise=0.5) for i in range(4)
     ]
-    prof = seasonality_profile(problems, OLS, 3, n_windows=4)
+    prof = seasonality_profile(*fit_all_windows(problems, OLS, 3), 3, n_windows=4)
     for i, p in enumerate(problems):
         np.testing.assert_allclose(prof[i], fit_ols(p).coeffs, atol=1e-12)
 
@@ -167,7 +167,7 @@ def test_seasonality_recovers_planted_trend():
                     window=i,
                 )
             )
-    prof = seasonality_profile(problems, OLS, 3, n_windows=n_windows)
+    prof = seasonality_profile(*fit_all_windows(problems, OLS, 3), 3, n_windows=n_windows)
     rho = st.spearmanr(np.arange(n_windows), prof[:, 1]).statistic
     assert rho < -0.8
 
@@ -181,8 +181,8 @@ def test_seasonality_stationary_within_noise():
                 planted(seed=7000 + d * 50 + i, rows=120, levels=2,
                         beta=(0.0, 1.0, 0.5), noise=1.0, window=i)
             )
-    prof = seasonality_profile(problems, OLS, 2, n_windows=n_windows)
-    fits, _ = fit_all_windows(problems, OLS, 2)
+    fits, windows = fit_all_windows(problems, OLS, 2)
+    prof = seasonality_profile(fits, windows, 2, n_windows=n_windows)
     se = np.std([f.coeffs[1] for f in fits], ddof=1) / np.sqrt(n_dates)
     spread = prof[:, 1].max() - prof[:, 1].min()
     assert spread < 6 * se  # pairwise within ~3 SE of each other
@@ -199,8 +199,8 @@ def test_summarize_constant_book():
         _arrival(2, 20, 140200, Side.SELL, T0),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    for weighting in ("duration", "event"):
-        summary, _ = summarize_book([day], session, weighting=weighting)
+    by_duration, by_event, _ = summarize_book([day], session)
+    for summary in (by_duration, by_event):
         assert summary.mean_mid_dollars == pytest.approx(14.01)
         assert summary.mean_spread_dollars == pytest.approx(0.02)
         assert summary.mean_bid_depth[0] == pytest.approx(10.0)
@@ -218,7 +218,7 @@ def test_concentration_all_at_best():
         LobEvent(T0 + 3 * NS, EventKind.CANCEL_PARTIAL, 3, 2, 140000, Side.BUY),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    _, conc = summarize_book([day], session)
+    _, _, conc = summarize_book([day], session)
     # First two arrivals improve empty sides (within spread); the rest sit
     # at the best quotes.
     assert conc.count_pct == pytest.approx((40.0, 60.0, 0.0))
@@ -237,7 +237,7 @@ def test_concentration_all_at_best_with_seeded_book():
         LobEvent(T0 + 4 * NS, EventKind.CANCEL_PARTIAL, 0, 10, 140000, Side.BUY),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events, seed=seed)
-    _, conc = summarize_book([day], session)
+    _, _, conc = summarize_book([day], session)
     assert conc.count_pct == pytest.approx((0.0, 100.0, 0.0))
     assert conc.volume_pct == pytest.approx((0.0, 100.0, 0.0))
 
@@ -252,7 +252,7 @@ def test_concentration_buckets_and_volume():
         _arrival(5, 10, 140400, Side.SELL, T0 + 3 * NS),  # at best ask
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    _, conc = summarize_book([day], session)
+    _, _, conc = summarize_book([day], session)
     counts = np.array(conc.count_pct) * conc.n_events / 100.0
     assert counts == pytest.approx([3.0, 1.0, 1.0])
     assert conc.volume_pct == pytest.approx(
@@ -261,7 +261,7 @@ def test_concentration_buckets_and_volume():
 
 
 def test_summarize_matches_bruteforce_oracle():
-    from mlofi.book import BookState, level_snapshot, mid_and_spread
+    from mlofi.book import BookState, mid_and_spread
     from mlofi.errors import OneSidedBook
 
     from conftest import fuzz_stream
@@ -271,28 +271,36 @@ def test_summarize_matches_bruteforce_oracle():
     session = SessionConfig(session_start=36000, session_end=57600 - 2 * 3600)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    summary, _ = summarize_book([day], session, weighting="duration")
+    by_duration, by_event, _ = summarize_book([day], session)
 
-    # Naive pass: accumulate every (state, holding time) pair explicitly.
+    # Naive pass: record every two-sided post-event state and its holding time.
     state = BookState()
-    mids, weights, spreads = [], [], []
+    rows, holds = [], []
     for i, ev in enumerate(events):
         state.apply(ev)
-        nxt = events[i + 1].timestamp_ns if i + 1 < len(events) else session.end_ns
-        w = (nxt - ev.timestamp_ns) / 1e9
-        if w <= 0:
-            continue
         try:
             mq = mid_and_spread(state)
         except OneSidedBook:
             continue
-        mids.append(mq.mid_x2 / 2e4)
-        spreads.append(mq.spread / 1e4)
-        weights.append(w)
-    expected_mid = np.average(mids, weights=weights)
-    expected_spread = np.average(spreads, weights=weights)
-    assert summary.mean_mid_dollars == pytest.approx(expected_mid, rel=1e-12)
-    assert summary.mean_spread_dollars == pytest.approx(expected_spread, rel=1e-12)
+        bids = [q.depth for q in state.bid_levels()[:5]]
+        asks = [q.depth for q in state.ask_levels()[:5]]
+        rows.append(
+            [mq.mid_x2 / 2e4, mq.spread / 1e4]
+            + bids + [0] * (5 - len(bids))
+            + asks + [0] * (5 - len(asks))
+        )
+        nxt = events[i + 1].timestamp_ns if i + 1 < len(events) else session.end_ns
+        holds.append((nxt - ev.timestamp_ns) / 1e9)
+    rows = np.array(rows, dtype=float)
+    holds = np.array(holds)
+    assert (holds <= 0).any()  # zero-hold instants count for events only
+    for summary, weights in ((by_duration, holds.clip(min=0.0)), (by_event, None)):
+        expected = np.average(rows, axis=0, weights=weights)
+        got = [summary.mean_mid_dollars, summary.mean_spread_dollars]
+        got += list(summary.mean_bid_depth) + list(summary.mean_ask_depth)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+    assert by_duration.weighting == "duration"
+    assert by_event.weighting == "event"
 
 
 def test_adj_r2_recomputes_from_residuals():
@@ -320,3 +328,31 @@ def test_fold_partition_exact():
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not (sets[i] & sets[j])
+
+
+def test_per_window_ridge_skips_window_shrunk_by_discards():
+    from mlofi.evaluation import run_evaluation
+    from mlofi.sampling import GridSpec
+
+    from conftest import fuzz_stream
+
+    # Two one-minute windows of 1 s intervals. The ask side first appears at
+    # 10:00:15, so window 0 keeps 45 rows: enough for a fit, too few for a
+    # 5-fold penalty search. Far-away resting orders keep both sides
+    # populated afterwards; the fuzzer never touches them.
+    session = SessionConfig(session_start=36000, session_end=36120)
+    events = [
+        _arrival(10**9, 100, 40000, Side.BUY, T0),
+        _arrival(10**9 + 1, 100, 60000, Side.SELL, T0 + 15 * NS),
+    ]
+    events += fuzz_stream(np.random.default_rng(5), 300, start_ts=T0 + 15 * NS)
+    events = [e for e in events if e.timestamp_ns <= session.end_ns]
+    day = DaySlice(dt.date(2016, 1, 4), events)
+    report = run_evaluation(
+        [day], session, GridSpec(window_seconds=60, subwindow_seconds=1),
+        levels=2, methods=[OLS, RIDGE], lambda_mode="per-window",
+    )
+    assert report.discarded_intervals == 15
+    assert report.n_problems == 2
+    assert report.significance[RIDGE].n_fits == report.n_problems - 1
+    assert report.significance[OLS].n_fits == report.n_problems

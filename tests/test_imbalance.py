@@ -4,13 +4,8 @@ import datetime as dt
 
 import numpy as np
 
-from mlofi.book import BookState, EventKind, LobEvent, MidQuote, Side, level_snapshot
-from mlofi.imbalance import (
-    accumulate_interval,
-    compute_day_samples,
-    flow_delta,
-    zero_sample,
-)
+from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
+from mlofi.imbalance import MlofiSample, compute_day_samples, flow_delta
 from mlofi.lobster import DaySlice, SessionConfig
 from mlofi.sampling import GridSpec, build_grid
 
@@ -164,48 +159,61 @@ def test_level1_standalone_rule_matches_vector_head():
         assert flow_delta(before, after, 1).net == (w - v,)
 
 
-def _mk_mid(mid_x2):
-    return MidQuote(mid_x2=mid_x2, spread=100)
+def _day_samples(events, levels):
+    """Replay a hand-built day over six 10 s intervals from 10:00:00."""
+    session = SessionConfig(session_start=36000, session_end=36060)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
+    day = DaySlice(dt.date(2016, 1, 4), events)
+    return compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels).samples
+
+
+# Baseline book at the session open: bids 1.40 x10 / 1.39 x10, ask 1.45 x5.
+_BASELINE = [
+    arrival(1, 10, 140000),
+    arrival(2, 10, 139000),
+    arrival(3, 5, 145000, Side.SELL),
+]
 
 
 def test_accumulate_single_event_interval():
-    state = build_book([arrival(1, 10, 140000), arrival(2, 10, 139000)])
-    before = level_snapshot(state, 3)
-    state.apply(arrival(3, 7, 141000))
-    after = level_snapshot(state, 3)
-    sample = accumulate_interval(
-        [flow_delta(before, after, 3)], [], _mk_mid(280000), _mk_mid(282000), 3
-    )
+    samples = _day_samples(_BASELINE + [arrival(4, 7, 141000, ts=T0 + 5 * NS)], 3)
+    sample = samples[0]
     assert sample.mlofi == (7, 10, 10)
     assert sample.ofi == 7
-    assert sample.delta_p == 2000
+    assert sample.delta_p == (145000 + 141000) - (145000 + 140000)
 
 
 def test_accumulate_empty_interval_zero():
-    sample = accumulate_interval([], [], _mk_mid(280000), _mk_mid(280000), 3)
+    sample = _day_samples(_BASELINE, 3)[0]
     assert sample.mlofi == (0, 0, 0)
     assert sample.ofi == 0
     assert sample.trade_imbalance == 0
     assert sample.delta_p == 0
-    assert sample == zero_sample(dt.date(1970, 1, 1), 0, 1, 0, 0, 3)
+    assert sample == MlofiSample(
+        date=dt.date(2016, 1, 4), window_index=0, sub_index=1,
+        start_ns=T0, end_ns=T0 + 10 * NS, mlofi=(0, 0, 0),
+        buy_volume=0, sell_volume=0, delta_p=0,
+    )
 
 
 def test_accumulate_offsetting_events_telescope():
-    state = build_book([arrival(1, 10, 140000)])
-    deltas = []
-    before = level_snapshot(state, 2)
-    state.apply(arrival(5, 5, 140000))
-    mid = level_snapshot(state, 2)
-    deltas.append(flow_delta(before, mid, 2))
-    state.apply(LobEvent(T0, EventKind.CANCEL_FULL, 5, 5, 140000, Side.BUY))
-    after = level_snapshot(state, 2)
-    deltas.append(flow_delta(mid, after, 2))
-    sample = accumulate_interval(deltas, [], _mk_mid(1), _mk_mid(1), 2)
-    assert sample.mlofi == (0, 0)
+    events = _BASELINE + [
+        arrival(5, 5, 140000, ts=T0 + NS),
+        LobEvent(T0 + 2 * NS, EventKind.CANCEL_FULL, 5, 5, 140000, Side.BUY),
+    ]
+    assert _day_samples(events, 2)[0].mlofi == (0, 0)
 
 
 def test_trade_imbalance_signs():
-    sample = accumulate_interval([], [30, -12, 5], _mk_mid(1), _mk_mid(1), 1)
+    # Executions against the resting sell are buy market orders, and vice versa.
+    events = _BASELINE + [
+        arrival(6, 40, 145000, Side.SELL),
+        arrival(7, 20, 140000),
+        LobEvent(T0 + NS, EventKind.EXECUTION_VISIBLE, 6, 30, 145000, Side.SELL),
+        LobEvent(T0 + 2 * NS, EventKind.EXECUTION_VISIBLE, 7, 12, 140000, Side.BUY),
+        LobEvent(T0 + 3 * NS, EventKind.EXECUTION_VISIBLE, 6, 5, 145000, Side.SELL),
+    ]
+    sample = _day_samples(events, 1)[0]
     assert sample.buy_volume == 35
     assert sample.sell_volume == 12
     assert sample.trade_imbalance == 23

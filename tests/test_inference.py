@@ -283,4 +283,4 @@ def test_significance_summary_counts_at_95():
                 fits.append(fit)
                 break
     summary = significance_summary(fits)
-    assert summary.pct_significant[1] == pytest.approx(50.0)
+    assert summary.pct_significant_95[1] == pytest.approx(50.0)

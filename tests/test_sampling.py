@@ -28,10 +28,12 @@ def test_grid_boundaries_partition_session_exactly():
     grid = build_grid(SessionConfig(), GridSpec())
     b = grid.boundaries_ns
     assert sum(b[j] - b[j - 1] for j in range(1, len(b))) == 19_800 * NS
+    K = grid.n_sub
     for i in range(grid.n_windows):
-        w = grid.window_boundaries_ns(i)
-        assert w[0] == b[i * grid.n_sub]
-        assert w[-1] == b[(i + 1) * grid.n_sub]
+        w = b[i * K : (i + 1) * K + 1]
+        assert len(w) == K + 1
+        assert w[0] == 36_000 * NS + i * 1800 * NS
+        assert w[-1] - w[0] == 1800 * NS
 
 
 def test_single_window_single_interval():
