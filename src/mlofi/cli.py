@@ -325,7 +325,7 @@ def load_days(config: RunConfig) -> list[DaySlice]:
             print(f"warning: skipping {exc}", file=sys.stderr)
             continue
         if seed_paths:
-            day.seed = seed_from_orderbook_file(seed_paths[i], config.levels)
+            day.seed = seed_from_orderbook_file(seed_paths[i])
         days.append(day)
     return days
 
@@ -373,6 +373,23 @@ def _write_significance(
     header = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
     for name, summary in tables.items():
         _write_csv(out / f"{prefix}_{name}.csv", header, _significance_rows(summary, levels))
+
+
+def _warn_left_out(
+    tables: dict[str, SignificanceSummary], n_problems: int, config: RunConfig
+) -> None:
+    """One stderr line per method whose table covers fewer than all windows."""
+    for method, summary in tables.items():
+        if summary.n_fits == n_problems:
+            continue
+        reason = "rank-deficient"
+        if method == evaluation.RIDGE and config.lambda_mode == "per-window":
+            reason = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
+        print(
+            f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
+            f"windows {reason}, left out of the table",
+            file=sys.stderr,
+        )
 
 
 def _to_json(obj):
@@ -444,7 +461,9 @@ def cmd_fit(config: RunConfig) -> int:
     if not days:
         raise TooFewRows("no input days")
     grid = build_grid(config.session, config.grid)
-    problems, _ = assemble_windows(days, grid, config.levels, config.session.tick_size)
+    problems, _, _ = assemble_windows(
+        days, grid, config.levels, config.session.tick_size
+    )
     tables = fit_tables(
         problems,
         config.levels,
@@ -454,6 +473,7 @@ def cmd_fit(config: RunConfig) -> int:
         config.penalize_intercept,
         config.lambda_mode,
     )
+    _warn_left_out(tables.significance, len(problems), config)
     _write_significance(config.out_dir, "fits", tables.significance, config.levels)
     _write_json(
         config.out_dir / "fits.json",
@@ -485,6 +505,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         config.penalize_intercept,
         config.lambda_mode,
     )
+    _warn_left_out(report.significance, report.n_problems, config)
     _write_report_files(report, config)
     print(f"wrote evaluation report to {config.out_dir}")
     return 0

@@ -5,9 +5,11 @@ days into sorted per-window problems and ``fit_tables`` selects the pooled
 penalty and builds the significance tables, which ``fit`` writes as they
 are. ``run_evaluation`` fits each window once per (method, depth) and takes
 the R^2 curve, the seasonality profile (depth M) and the level-1 OFI
-baseline from those fits; ``summarize_book`` replays each day once more.
-In ``per-window`` mode, windows that discarded intervals shrank below
-``MIN_ROWS_PER_FOLD`` rows per fold are left out of the ridge table.
+baseline from those fits. Each day is replayed once: the replay that
+yields the imbalance samples also tallies the book, and ``book_summaries``
+reduces the days' tallies. In ``per-window`` mode, windows that discarded
+intervals shrank below ``MIN_ROWS_PER_FOLD`` rows per fold are left out of
+the ridge table.
 
 The RMSE protocol mirrors 5-fold cross-validation: for each fold, fit on
 the other four folds' pooled rows, record the RMSE on those same rows
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import BookState, EventKind, Side, level_snapshot, mid_and_spread
-from .errors import OneSidedBook, RankDeficient, TooFewRows
-from .imbalance import compute_day_samples
+from .errors import RankDeficient, TooFewRows
+from .imbalance import SUMMARY_LEVELS, BookTally, compute_day_samples
 from .inference import (
     MIN_ROWS_PER_FOLD,
     CollinearityDiagnostics,
@@ -55,32 +56,28 @@ RIDGE = "ridge"
 
 def assemble_windows(
     days: list[DaySlice], grid: Grid, levels: int, tick_size: int
-) -> tuple[list[RegressionProblem], AssemblyStats]:
+) -> tuple[list[RegressionProblem], AssemblyStats, list[BookTally]]:
     """Replay the days and group their intervals into per-window problems.
 
     Underdetermined windows are dropped and counted. The problems come back
-    in (date, window) order; an input without any usable window raises
-    TooFewRows.
+    in (date, window) order, with the days' book tallies in date order; an
+    input without any usable window raises TooFewRows.
     """
     stats = AssemblyStats()
     problems: list[RegressionProblem] = []
+    tallies: list[BookTally] = []
     for day in sorted(days, key=lambda d: d.trading_date):
         comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         problems.extend(
             assemble_problems(
-                comp.samples,
-                grid,
-                levels,
-                tick_size,
-                day.trading_date,
-                on_underdetermined="drop",
-                stats=stats,
+                comp.samples, grid, levels, tick_size, day.trading_date, stats
             )
         )
+        tallies.append(comp.book)
     if not problems:
         raise TooFewRows("no usable regression windows in the input")
     problems.sort(key=lambda p: (p.date, p.window_index))
-    return problems, stats
+    return problems, stats, tallies
 
 
 def pool_rows(
@@ -284,89 +281,24 @@ class FlowConcentration:
     n_events: int
 
 
-_FLOW_KINDS = frozenset(
-    {
-        EventKind.LIMIT_ARRIVAL,
-        EventKind.CANCEL_PARTIAL,
-        EventKind.CANCEL_FULL,
-        EventKind.EXECUTION_VISIBLE,
-    }
-)
-
-
-def _classify_flow(ev, state: BookState) -> int:
-    """0 = within spread, 1 = at best, 2 = deeper; judged pre-event."""
-    if ev.kind is EventKind.EXECUTION_VISIBLE:
-        return 1  # executions always hit the front of the queue
-    own_best = state.best_bid if ev.side is Side.BUY else state.best_ask
-    if own_best is None:
-        return 0  # improving an empty side
-    if ev.price == own_best:
-        return 1
-    better = ev.price > own_best if ev.side is Side.BUY else ev.price < own_best
-    return 0 if better else 2
-
-
-def summarize_book(
-    days: list[DaySlice],
-    session: SessionConfig,
-    depth_levels: int = 5,
+def book_summaries(
+    tallies: list[BookTally],
 ) -> tuple[BookSummary, BookSummary, FlowConcentration]:
-    """Replay each day once for depth/mid means and flow concentration.
+    """Reduce the days' book tallies to the report's book statistics.
 
     Returns the duration-weighted summary, the event-weighted summary and
-    the flow concentration. Duration weighting holds each post-event state
-    for the time until the next event (last event until session end);
-    event weighting counts each event once. Instants with a one-sided book
-    are skipped. Absent levels contribute zero depth.
+    the flow concentration; see ``BookTally`` for what each state adds.
     """
-    # Index 0 accumulates duration weights, index 1 event weights.
-    w_total = [0.0, 0.0]
-    mid_acc = [0.0, 0.0]
-    spread_acc = [0.0, 0.0]
-    bid_acc = [[0.0] * depth_levels, [0.0] * depth_levels]
-    ask_acc = [[0.0] * depth_levels, [0.0] * depth_levels]
-    counts = np.zeros(3, dtype=np.int64)
-    volumes = np.zeros(3, dtype=np.int64)
-    for day in days:
-        state = day.seed.build_book() if day.seed else BookState()
-        events = day.events
-        n = len(events)
-        for i, ev in enumerate(events):
-            if ev.kind in _FLOW_KINDS:
-                bucket = _classify_flow(ev, state)
-                counts[bucket] += 1
-                volumes[bucket] += ev.size
-            state.apply(ev)
-            try:
-                mq = mid_and_spread(state)
-            except OneSidedBook:
-                continue
-            nxt = events[i + 1].timestamp_ns if i + 1 < n else session.end_ns
-            snap = level_snapshot(state, depth_levels)
-            for k, w in enumerate(((nxt - ev.timestamp_ns) / 1e9, 1.0)):
-                if w <= 0.0:
-                    continue
-                w_total[k] += w
-                mid_acc[k] += w * mq.mid_x2 / 2e4
-                spread_acc[k] += w * mq.spread / 1e4
-                for m in range(depth_levels):
-                    if snap.bids[m] is not None:
-                        bid_acc[k][m] += w * snap.bids[m].depth
-                    if snap.asks[m] is not None:
-                        ask_acc[k][m] += w * snap.asks[m].depth
-    if 0.0 in w_total:
+    sums = np.sum([t.sums for t in tallies], axis=0)  # [duration, event] x columns
+    if not sums[:, 0].all():
         raise TooFewRows("no two-sided book states observed")
-    summaries = [
-        BookSummary(
-            mean_mid_dollars=mid_acc[k] / w_total[k],
-            mean_spread_dollars=spread_acc[k] / w_total[k],
-            mean_bid_depth=tuple(v / w_total[k] for v in bid_acc[k]),
-            mean_ask_depth=tuple(v / w_total[k] for v in ask_acc[k]),
-            weighting=weighting,
-        )
-        for k, weighting in enumerate(("duration", "event"))
-    ]
+    L = SUMMARY_LEVELS
+    by_duration, by_event = (
+        BookSummary(m[0], m[1], tuple(m[2 : 2 + L]), tuple(m[2 + L :]), weighting)
+        for m, weighting in zip((sums[:, 1:] / sums[:, :1]).tolist(), ("duration", "event"))
+    )
+    counts = np.sum([t.flow_counts for t in tallies], axis=0)
+    volumes = np.sum([t.flow_volumes for t in tallies], axis=0)
     n_flow = int(counts.sum())
     v_flow = int(volumes.sum())
     concentration = FlowConcentration(
@@ -374,7 +306,7 @@ def summarize_book(
         volume_pct=tuple(100.0 * volumes / v_flow) if v_flow else (0.0, 0.0, 0.0),
         n_events=n_flow,
     )
-    return summaries[0], summaries[1], concentration
+    return by_duration, by_event, concentration
 
 
 # -- shared fit pipeline and full report -----------------------------------------
@@ -476,7 +408,7 @@ def run_evaluation(
     RMSE protocol since it pools rows.
     """
     grid = build_grid(session, grid_spec)
-    problems, stats = assemble_windows(days, grid, levels, session.tick_size)
+    problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
     tables = fit_tables(
         problems, levels, methods, folds, lambda_grid, penalize_intercept, lambda_mode
     )
@@ -516,7 +448,7 @@ def run_evaluation(
         method: seasonality_profile(*fits_by_depth[method][-1], levels, grid.n_windows)
         for method in methods
     }
-    book_dur, book_evt, concentration = summarize_book(days, session)
+    book_dur, book_evt, concentration = book_summaries(tallies)
     return EvaluationReport(
         levels=levels,
         methods=list(methods),

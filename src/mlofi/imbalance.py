@@ -21,6 +21,11 @@ order-flow imbalance.
 
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
+
+The same replay tallies what the book summary needs: the mid, spread and
+level 1-5 depths of every post-event state, and where each order-flow
+event landed relative to the best quotes. It is the only loop that
+applies a day's events to a book.
 """
 
 from __future__ import annotations
@@ -29,29 +34,28 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
 
-from .book import (
-    BookState,
-    DepthSnapshot,
-    EventKind,
-    MidQuote,
-    Side,
-    level_snapshot,
-    mid_and_spread,
-)
-from .errors import OneSidedBook
+from .book import BookState, DepthSnapshot, EventKind, LobEvent, Side, level_snapshot
 from .lobster import DaySlice
 
-#: Event kinds that never move the visible book; skip the snapshot diff.
-_BOOK_NEUTRAL = frozenset(
-    {EventKind.EXECUTION_HIDDEN, EventKind.CROSS_TRADE, EventKind.HALT}
+#: The kinds that move the visible book; hidden executions, cross trades
+#: and halts leave it as it is. The flow-concentration buckets count these.
+_FLOW_KINDS = frozenset(
+    {
+        EventKind.LIMIT_ARRIVAL,
+        EventKind.CANCEL_PARTIAL,
+        EventKind.CANCEL_FULL,
+        EventKind.EXECUTION_VISIBLE,
+    }
 )
+
+#: Depth of the book summary's per-level means.
+SUMMARY_LEVELS = 5
 
 
 @dataclass(frozen=True)
 class FlowDelta:
     """Per-event, per-level flow decomposition (shares, signed)."""
 
-    event_index: int
     bid_flow: tuple[int, ...]  # level m bid-side contribution, m=1..M
     ask_flow: tuple[int, ...]  # level m ask-side contribution, m=1..M
 
@@ -61,9 +65,7 @@ class FlowDelta:
         return tuple(w - v for w, v in zip(self.bid_flow, self.ask_flow))
 
 
-def flow_delta(
-    before: DepthSnapshot, after: DepthSnapshot, levels: int, event_index: int = 0
-) -> FlowDelta:
+def flow_delta(before: DepthSnapshot, after: DepthSnapshot, levels: int) -> FlowDelta:
     """Apply the per-level case rules to one before/after snapshot pair."""
     bid_flow = []
     ask_flow = []
@@ -97,9 +99,7 @@ def flow_delta(
         else:
             v = a1.depth
         ask_flow.append(v)
-    return FlowDelta(
-        event_index=event_index, bid_flow=tuple(bid_flow), ask_flow=tuple(ask_flow)
-    )
+    return FlowDelta(bid_flow=tuple(bid_flow), ask_flow=tuple(ask_flow))
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,44 @@ class MlofiSample:
 
 
 @dataclass
+class BookTally:
+    """One day's sums over its post-event book states and its order flow.
+
+    ``sums[0]`` weights each two-sided state by the seconds it was held
+    (until the next event, or the session end after the last event) and
+    ``sums[1]`` counts it once per event; each is [weight, mid dollars,
+    spread dollars, bid depth at levels 1-5, ask depth at levels 1-5].
+    One-sided states and zero holding times add nothing; absent levels add
+    zero depth. ``flow_counts``/``flow_volumes`` bucket the order-flow
+    events as within the spread, at the best quote or deeper, judged on
+    the book before the event.
+    """
+
+    sums: tuple[list[float], list[float]]
+    flow_counts: list[int]
+    flow_volumes: list[int]
+
+
+@dataclass
 class DayComputation:
     """All interval samples for one day; discarded slots are None."""
 
-    date: dt.date
     samples: list[MlofiSample | None]
     discarded_intervals: int
-    events_applied: int
+    book: BookTally
+
+
+def _classify_flow(ev: LobEvent, before: DepthSnapshot) -> int:
+    """0 = within spread, 1 = at best, 2 = deeper; judged pre-event."""
+    if ev.kind is EventKind.EXECUTION_VISIBLE:
+        return 1  # executions always hit the front of the queue
+    own_best = before.bids[0] if ev.side is Side.BUY else before.asks[0]
+    if own_best is None:
+        return 0  # improving an empty side
+    if ev.price == own_best.price:
+        return 1
+    better = ev.price > own_best.price if ev.side is Side.BUY else ev.price < own_best.price
+    return 0 if better else 2
 
 
 def compute_day_samples(
@@ -150,40 +181,45 @@ def compute_day_samples(
     """Replay one day against a flat grid of interval boundaries.
 
     ``boundaries_ns`` is the full ascending boundary list t_0..t_N covering
-    the session; interval j (1-based) is (t_{j-1}, t_j]. Events at exactly
-    t_0 belong to the pre-grid baseline. Intervals whose start or end
-    mid-price is undefined (one-sided book) are discarded, not zeroed.
+    the session; interval j (1-based) is (t_{j-1}, t_j]. Events at or
+    before t_0 form the pre-grid baseline: they move the book and enter
+    the book tally but no interval. Intervals whose start or end mid-price
+    is undefined (one-sided book) are discarded, not zeroed. Events after
+    t_N are not replayed.
     """
     state = day.seed.build_book() if day.seed else BookState()
     events = day.events
     n_events = len(events)
-    pos = 0
-
-    # Baseline: everything at or before the first boundary.
-    t0 = boundaries_ns[0]
-    while pos < n_events and events[pos].timestamp_ns <= t0:
-        state.apply(events[pos])
-        pos += 1
-    prev_mid = _mid_or_none(state)
+    # One snapshot per book-moving event, deep enough for the flow vector
+    # and the book summary; it is the next event's before-snapshot.
+    depth = max(levels, SUMMARY_LEVELS)
+    snap = level_snapshot(state, depth)
+    L = SUMMARY_LEVELS
+    by_duration = [0.0] * (3 + 2 * L)
+    by_event = [0.0] * (3 + 2 * L)
+    flow_counts = [0, 0, 0]
+    flow_volumes = [0, 0, 0]
 
     samples: list[MlofiSample | None] = []
     discarded = 0
+    prev_mid = None
+    pos = 0
     K = subwindows_per_window
-    for j in range(1, len(boundaries_ns)):
-        t_start, t_end = boundaries_ns[j - 1], boundaries_ns[j]
+    # j = 0 is the baseline, whose flow belongs to no interval.
+    for j, t_end in enumerate(boundaries_ns):
         totals = [0] * levels
         buy = 0
         sell = 0
         while pos < n_events and events[pos].timestamp_ns <= t_end:
             ev = events[pos]
-            if ev.kind in _BOOK_NEUTRAL:
+            pos += 1
+            if ev.kind in _FLOW_KINDS:
+                bucket = _classify_flow(ev, snap)
+                flow_counts[bucket] += 1
+                flow_volumes[bucket] += ev.size
                 state.apply(ev)
-            else:
-                before = level_snapshot(state, levels)
-                state.apply(ev)
-                after = level_snapshot(state, levels)
-                d = flow_delta(before, after, levels)
-                net = d.net
+                before, snap = snap, level_snapshot(state, depth)
+                net = flow_delta(before, snap, levels).net
                 for m in range(levels):
                     totals[m] += net[m]
                 if ev.kind is EventKind.EXECUTION_VISIBLE:
@@ -192,40 +228,53 @@ def compute_day_samples(
                         buy += ev.size
                     else:
                         sell += ev.size
-            pos += 1
-        end_mid = _mid_or_none(state)
-        window_index, sub_index = (j - 1) // K, (j - 1) % K + 1
-        if prev_mid is None or end_mid is None:
-            samples.append(None)
-            discarded += 1
-        else:
-            samples.append(
-                MlofiSample(
-                    date=day.trading_date,
-                    window_index=window_index,
-                    sub_index=sub_index,
-                    start_ns=t_start,
-                    end_ns=t_end,
-                    mlofi=tuple(totals),
-                    buy_volume=buy,
-                    sell_volume=sell,
-                    delta_p=end_mid.mid_x2 - prev_mid.mid_x2,
+            else:
+                state.apply(ev)
+
+            bids, asks = snap.bids, snap.asks
+            if bids[0] is None or asks[0] is None:
+                continue
+            mid_x2 = asks[0].price + bids[0].price
+            spread = asks[0].price - bids[0].price
+            nxt = events[pos].timestamp_ns if pos < n_events else boundaries_ns[-1]
+            for sums, w in ((by_duration, (nxt - ev.timestamp_ns) / 1e9), (by_event, 1.0)):
+                if w <= 0.0:
+                    continue
+                sums[0] += w
+                sums[1] += w * mid_x2 / 2e4
+                sums[2] += w * spread / 1e4
+                for m in range(L):
+                    if bids[m] is not None:
+                        sums[3 + m] += w * bids[m].depth
+                    if asks[m] is not None:
+                        sums[3 + L + m] += w * asks[m].depth
+
+        bid, ask = snap.bids[0], snap.asks[0]
+        end_mid = None if bid is None or ask is None else ask.price + bid.price
+        if j > 0:
+            if prev_mid is None or end_mid is None:
+                samples.append(None)
+                discarded += 1
+            else:
+                samples.append(
+                    MlofiSample(
+                        date=day.trading_date,
+                        window_index=(j - 1) // K,
+                        sub_index=(j - 1) % K + 1,
+                        start_ns=boundaries_ns[j - 1],
+                        end_ns=t_end,
+                        mlofi=tuple(totals),
+                        buy_volume=buy,
+                        sell_volume=sell,
+                        delta_p=end_mid - prev_mid,
+                    )
                 )
-            )
         prev_mid = end_mid
     return DayComputation(
-        date=day.trading_date,
         samples=samples,
         discarded_intervals=discarded,
-        events_applied=state.event_seq,
+        book=BookTally((by_duration, by_event), flow_counts, flow_volumes),
     )
-
-
-def _mid_or_none(state: BookState) -> MidQuote | None:
-    try:
-        return mid_and_spread(state)
-    except OneSidedBook:
-        return None
 
 
 def sample_csv_header(levels: int) -> list[str]:

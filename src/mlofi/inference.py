@@ -176,10 +176,6 @@ class LambdaSearch:
     cv_errors: np.ndarray  # mean validation MSE per grid point
     lambda_hat: float  # argmin; ties resolve to the smaller penalty
 
-    @property
-    def argmin_index(self) -> int:
-        return int(np.argmin(self.cv_errors))
-
 
 def select_lambda(
     X: np.ndarray,

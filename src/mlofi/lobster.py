@@ -194,15 +194,20 @@ def date_from_filename(name: str) -> dt.date | None:
 
 
 def parse_orderbook_row(
-    line: str, levels: int, line_no: int = 1
+    line: str, line_no: int = 1
 ) -> tuple[tuple[LevelQuote | None, ...], tuple[LevelQuote | None, ...]]:
-    """One orderbook row -> (asks, bids) to the requested depth.
+    """One orderbook row -> (asks, bids), as deep as the row is wide.
 
-    Sentinel prices and zero sizes both mark a level as absent.
+    Each level takes four fields, so the field count must be a positive
+    multiple of 4. Sentinel prices and zero sizes both mark a level as
+    absent.
     """
     fields = line.rstrip("\n").rstrip("\r").split(",")
-    if len(fields) != 4 * levels:
-        raise MalformedRow(line_no, f"expected {4 * levels} fields, got {len(fields)}")
+    levels, rest = divmod(len(fields), 4)
+    if levels == 0 or rest:
+        raise MalformedRow(
+            line_no, f"expected a positive multiple of 4 fields, got {len(fields)}"
+        )
     asks: list[LevelQuote | None] = []
     bids: list[LevelQuote | None] = []
     for m in range(levels):
@@ -215,13 +220,13 @@ def parse_orderbook_row(
     return tuple(asks), tuple(bids)
 
 
-def seed_from_orderbook_file(path: str | Path, levels: int) -> SeedSnapshot:
-    """Read the first orderbook row as the pre-stream seed snapshot."""
+def seed_from_orderbook_file(path: str | Path) -> SeedSnapshot:
+    """Read the first orderbook row, at its full depth, as the pre-stream seed."""
     with open(path, "r", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            asks, bids = parse_orderbook_row(line, levels, line_no)
+            asks, bids = parse_orderbook_row(line, line_no)
             return SeedSnapshot(
                 bids=tuple((q.price, q.depth) for q in bids if q is not None),
                 asks=tuple((q.price, q.depth) for q in asks if q is not None),

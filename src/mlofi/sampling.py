@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
-from .errors import IndivisibleGrid, TooFewRows
+from .errors import IndivisibleGrid
 from .imbalance import MlofiSample
 from .lobster import NS, SessionConfig
 
@@ -113,15 +113,13 @@ def assemble_problems(
     levels: int,
     tick_size: int,
     date: dt.date,
-    on_underdetermined: Literal["raise", "drop"] = "raise",
     stats: AssemblyStats | None = None,
 ) -> list[RegressionProblem]:
     """Group one day's interval samples into per-window problems.
 
     Discarded intervals (None entries) shrink the window's row count; a
     window with fewer than levels + 2 usable rows is underdetermined and
-    either raises TooFewRows or is dropped and counted, per
-    ``on_underdetermined``.
+    is dropped. Both are counted in ``stats``.
     """
     if stats is None:
         stats = AssemblyStats()
@@ -136,10 +134,6 @@ def assemble_problems(
     y_scale = 2.0 * tick_size  # delta_p is twice the mid change in price units
     for i, rows in enumerate(by_window):
         if len(rows) < levels + 2:
-            if on_underdetermined == "raise":
-                raise TooFewRows(
-                    f"{date} window {i}: {len(rows)} usable rows < {levels + 2}"
-                )
             stats.dropped_windows += 1
             continue
         X = np.ones((len(rows), levels + 1), dtype=float)

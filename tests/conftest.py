@@ -8,11 +8,27 @@ event kinds, including book-neutral ones and same-timestamp bursts.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
-from mlofi.book import BookState, DepthSnapshot, EventKind, LobEvent, Side
+from mlofi.book import (
+    BookState,
+    DepthSnapshot,
+    EventKind,
+    LobEvent,
+    Side,
+    level_snapshot,
+    mid_and_spread,
+)
+from mlofi.errors import OneSidedBook
+from mlofi.imbalance import MlofiSample, flow_delta
 
 TICK = 100
 NS = 1_000_000_000
+
+# Property tests draw the same examples on every run, so a failure always
+# reproduces, and no per-example deadline trips on a slow host.
+settings.register_profile("mlofi", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("mlofi")
 
 
 class FuzzMirror:
@@ -120,8 +136,6 @@ def fuzz_stream(
 
 def replay(events, levels: int, seed: BookState | None = None):
     """Replay a stream, yielding (event, before_snapshot, after_snapshot)."""
-    from mlofi.book import level_snapshot
-
     state = seed if seed is not None else BookState()
     for ev in events:
         before = level_snapshot(state, levels)
@@ -164,6 +178,113 @@ def oracle_flow_net(before: DepthSnapshot, after: DepthSnapshot, levels: int):
             v = ad1
         net.append(w - v)
     return tuple(net)
+
+
+def oracle_day_samples(day, boundaries_ns, subwindows_per_window: int, levels: int):
+    """Interval samples from a before and an after snapshot of every event.
+
+    Returns (samples, discarded) as ``compute_day_samples`` should, built
+    from ``level_snapshot`` + ``flow_delta`` one event at a time.
+    """
+
+    def mid_x2(state):
+        try:
+            return mid_and_spread(state).mid_x2
+        except OneSidedBook:
+            return None
+
+    state = day.seed.build_book() if day.seed else BookState()
+    events = [e for e in day.events if e.timestamp_ns <= boundaries_ns[-1]]
+    baseline = [e for e in events if e.timestamp_ns <= boundaries_ns[0]]
+    for ev in baseline:
+        state.apply(ev)
+    pending = events[len(baseline):]
+    prev_mid = mid_x2(state)
+    samples, discarded = [], 0
+    for j in range(1, len(boundaries_ns)):
+        inside = [e for e in pending if e.timestamp_ns <= boundaries_ns[j]]
+        pending = pending[len(inside):]
+        net = (0,) * levels
+        buy = sell = 0
+        for ev, before, after in replay(inside, levels, state):
+            d = flow_delta(before, after, levels).net
+            net = tuple(a + b for a, b in zip(net, d))
+            if ev.kind is EventKind.EXECUTION_VISIBLE:
+                if ev.side is Side.SELL:
+                    buy += ev.size
+                else:
+                    sell += ev.size
+        end_mid = mid_x2(state)
+        if prev_mid is None or end_mid is None:
+            samples.append(None)
+            discarded += 1
+        else:
+            samples.append(MlofiSample(
+                date=day.trading_date,
+                window_index=(j - 1) // subwindows_per_window,
+                sub_index=(j - 1) % subwindows_per_window + 1,
+                start_ns=boundaries_ns[j - 1],
+                end_ns=boundaries_ns[j],
+                mlofi=net,
+                buy_volume=buy,
+                sell_volume=sell,
+                delta_p=end_mid - prev_mid,
+            ))
+        prev_mid = end_mid
+    return samples, discarded
+
+
+def oracle_book_summary(days, session, depth_levels: int = 5):
+    """Book summary and flow buckets from a separate replay of each day.
+
+    Sums run across all days in one accumulator. Returns (duration-weighted
+    means, event-weighted means, bucket counts, bucket volumes); each means
+    list is [mid, spread, bid depth 1..5, ask depth 1..5], or None when no
+    state carried that weight. The buckets are within the spread, at the
+    best quote and deeper, judged on the book before each event.
+    """
+    w_total = [0.0, 0.0]
+    acc = [[0.0] * (2 + 2 * depth_levels), [0.0] * (2 + 2 * depth_levels)]
+    counts = [0, 0, 0]
+    volumes = [0, 0, 0]
+    for day in days:
+        state = day.seed.build_book() if day.seed else BookState()
+        events = day.events
+        for i, ev in enumerate(events):
+            if ev.kind in (EventKind.LIMIT_ARRIVAL, EventKind.CANCEL_PARTIAL,
+                           EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE):
+                if ev.kind is EventKind.EXECUTION_VISIBLE:
+                    bucket = 1
+                else:
+                    own = state.best_bid if ev.side is Side.BUY else state.best_ask
+                    if own is None:
+                        bucket = 0
+                    elif ev.price == own:
+                        bucket = 1
+                    elif (ev.price > own) == (ev.side is Side.BUY):
+                        bucket = 0
+                    else:
+                        bucket = 2
+                counts[bucket] += 1
+                volumes[bucket] += ev.size
+            state.apply(ev)
+            try:
+                mq = mid_and_spread(state)
+            except OneSidedBook:
+                continue
+            nxt = events[i + 1].timestamp_ns if i + 1 < len(events) else session.end_ns
+            snap = level_snapshot(state, depth_levels)
+            row = [mq.mid_x2 / 2e4, mq.spread / 1e4]
+            row += [0 if q is None else q.depth for q in snap.bids]
+            row += [0 if q is None else q.depth for q in snap.asks]
+            for k, w in enumerate(((nxt - ev.timestamp_ns) / 1e9, 1.0)):
+                if w <= 0.0:
+                    continue
+                w_total[k] += w
+                for c, v in enumerate(row):
+                    acc[k][c] += w * v
+    means = [[v / w_total[k] for v in acc[k]] if w_total[k] else None for k in (0, 1)]
+    return means[0], means[1], counts, volumes
 
 
 def mp_regression_oracle(X, y, lam=0.0, penalize_intercept=True):

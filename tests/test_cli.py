@@ -290,3 +290,60 @@ def test_fit_tables_equal_evaluate_significance(tmp_path, mode):
         assert (tmp_path / "fit" / f"fits_{method}.csv").read_bytes() == (
             tmp_path / "eval" / f"significance_{method}.csv"
         ).read_bytes()
+
+
+SPARSE_BOOK = [
+    "--synth-days", "2", "--seed", "3", "--session-end", "11:00", "--DT", "600",
+    "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
+]
+
+
+def test_windows_left_out_of_a_table_are_reported(tmp_path, capsys):
+    assert run_cli("fit", *SPARSE_BOOK, "--levels", "5", "--out", str(tmp_path / "fit")) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: ols: 8 of 12 windows rank-deficient, left out of the table\n"
+    fits = json.loads((tmp_path / "fit" / "fits.json").read_text())
+    assert (fits["n_problems"], fits["tables"]["ols"]["n_fits"]) == (12, 4)
+    assert fits["tables"]["ridge"]["n_fits"] == 12
+
+    code = run_cli(
+        "evaluate", *SPARSE_BOOK, "--levels", "3", "--lambda-mode", "per-window",
+        "--out", str(tmp_path / "eval"),
+    )
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    left_out = report["n_problems"] - report["significance"]["ridge"]["n_fits"]
+    assert left_out > 0
+    assert (
+        f"warning: ridge: {left_out} of {report['n_problems']} windows with fewer "
+        "than 10 rows per fold, left out of the table"
+    ) in lines
+
+
+def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
+    from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
+    from mlofi.cli import _build_parser, load_days, resolve_config
+    from mlofi.lobster import format_orderbook_row
+
+    # A 10-level row on each side, written as the first orderbook row.
+    state = BookState()
+    for m in range(10):
+        for oid, side, price in ((2 * m, Side.BUY, 140000 - 100 * m),
+                                 (2 * m + 1, Side.SELL, 140200 + 100 * m)):
+            state.apply(LobEvent(36_000 * 10**9, EventKind.LIMIT_ARRIVAL,
+                                 oid, m + 1, price, side))
+    messages = tmp_path / "SYN_2016-01-05_message_10.csv"
+    messages.write_text(WORKED_EXAMPLE)
+    orderbook = tmp_path / "SYN_2016-01-05_orderbook_10.csv"
+    orderbook.write_text(format_orderbook_row(level_snapshot(state, 10), 10) + "\n")
+    seeds = []
+    for levels in ("1", "5", "10"):
+        args = _build_parser().parse_args([
+            "compute", "--messages", str(messages), "--orderbooks", str(orderbook),
+            "--levels", levels,
+        ])
+        seeds.append(load_days(resolve_config(args))[0].seed)
+    assert seeds[0] == seeds[1] == seeds[2]
+    assert seeds[0].bids == tuple((140000 - 100 * m, m + 1) for m in range(10))
+    assert seeds[0].asks == tuple((140200 + 100 * m, m + 1) for m in range(10))

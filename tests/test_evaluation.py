@@ -11,16 +11,18 @@ from mlofi.evaluation import (
     OLS,
     RIDGE,
     adjusted_r2_curve,
+    book_summaries,
     fit_all_windows,
     improvement_table,
     pool_rows,
     rmse_curve,
     rmse_protocol,
     seasonality_profile,
-    summarize_book,
 )
+from mlofi.imbalance import compute_day_samples
 from mlofi.inference import contiguous_folds, fit_ols, select_lambda
 from mlofi.lobster import DaySlice, SessionConfig
+from mlofi.sampling import GridSpec, build_grid
 from mlofi.synth import PlantedParams, generate_planted_regression
 
 NS = 1_000_000_000
@@ -192,6 +194,14 @@ def _arrival(oid, size, price, side, ts):
     return LobEvent(ts, EventKind.LIMIT_ARRIVAL, oid, size, price, side)
 
 
+def summarize_day(day, session, levels=1):
+    """The book statistics of one day, replayed over one session-long interval."""
+    span = session.length_seconds
+    grid = build_grid(session, GridSpec(window_seconds=span, subwindow_seconds=span))
+    comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+    return book_summaries([comp.book])
+
+
 def test_summarize_constant_book():
     session = SessionConfig(session_start=36000, session_end=36600)
     events = [
@@ -199,7 +209,7 @@ def test_summarize_constant_book():
         _arrival(2, 20, 140200, Side.SELL, T0),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    by_duration, by_event, _ = summarize_book([day], session)
+    by_duration, by_event, _ = summarize_day(day, session)
     for summary in (by_duration, by_event):
         assert summary.mean_mid_dollars == pytest.approx(14.01)
         assert summary.mean_spread_dollars == pytest.approx(0.02)
@@ -218,7 +228,7 @@ def test_concentration_all_at_best():
         LobEvent(T0 + 3 * NS, EventKind.CANCEL_PARTIAL, 3, 2, 140000, Side.BUY),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    _, _, conc = summarize_book([day], session)
+    _, _, conc = summarize_day(day, session)
     # First two arrivals improve empty sides (within spread); the rest sit
     # at the best quotes.
     assert conc.count_pct == pytest.approx((40.0, 60.0, 0.0))
@@ -237,7 +247,7 @@ def test_concentration_all_at_best_with_seeded_book():
         LobEvent(T0 + 4 * NS, EventKind.CANCEL_PARTIAL, 0, 10, 140000, Side.BUY),
     ]
     day = DaySlice(dt.date(2016, 1, 4), events, seed=seed)
-    _, _, conc = summarize_book([day], session)
+    _, _, conc = summarize_day(day, session)
     assert conc.count_pct == pytest.approx((0.0, 100.0, 0.0))
     assert conc.volume_pct == pytest.approx((0.0, 100.0, 0.0))
 
@@ -252,7 +262,7 @@ def test_concentration_buckets_and_volume():
         _arrival(5, 10, 140400, Side.SELL, T0 + 3 * NS),  # at best ask
     ]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    _, _, conc = summarize_book([day], session)
+    _, _, conc = summarize_day(day, session)
     counts = np.array(conc.count_pct) * conc.n_events / 100.0
     assert counts == pytest.approx([3.0, 1.0, 1.0])
     assert conc.volume_pct == pytest.approx(
@@ -271,7 +281,7 @@ def test_summarize_matches_bruteforce_oracle():
     session = SessionConfig(session_start=36000, session_end=57600 - 2 * 3600)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
     day = DaySlice(dt.date(2016, 1, 4), events)
-    by_duration, by_event, _ = summarize_book([day], session)
+    by_duration, by_event, _ = summarize_day(day, session)
 
     # Naive pass: record every two-sided post-event state and its holding time.
     state = BookState()

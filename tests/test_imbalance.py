@@ -3,13 +3,24 @@
 import datetime as dt
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
+from mlofi.errors import TooFewRows
+from mlofi.evaluation import book_summaries
 from mlofi.imbalance import MlofiSample, compute_day_samples, flow_delta
-from mlofi.lobster import DaySlice, SessionConfig
+from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
 from mlofi.sampling import GridSpec, build_grid
 
-from conftest import fuzz_stream, oracle_flow_net, replay
+from conftest import (
+    fuzz_stream,
+    oracle_book_summary,
+    oracle_day_samples,
+    oracle_flow_net,
+    replay,
+)
 
 NS = 1_000_000_000
 T0 = 36_000 * NS
@@ -264,3 +275,65 @@ def test_day_replay_discards_one_sided_intervals():
     assert comp.samples[2] is None  # start mid undefined (carried none)
     assert comp.samples[3] is not None
     assert comp.discarded_intervals == 3
+
+
+@hst.composite
+def fuzzed_days(draw):
+    """1-3 days of fuzzed events, each on an empty or a seeded book.
+
+    A seeded day replays the first part of its stream into a book, takes
+    that book as the anonymous seed and keeps the rest of the stream, whose
+    cancellations and executions of seeded orders then draw on the seed.
+    """
+    days = []
+    for d in range(draw(hst.integers(1, 3))):
+        rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+        events = fuzz_stream(rng, draw(hst.integers(0, 400)))
+        seed = None
+        if draw(hst.booleans()):
+            cut = draw(hst.integers(0, len(events)))
+            state = BookState()
+            for ev in events[:cut]:
+                state.apply(ev)
+            seed = SeedSnapshot(
+                bids=tuple((q.price, q.depth) for q in state.bid_levels()),
+                asks=tuple((q.price, q.depth) for q in state.ask_levels()),
+            )
+            events = events[cut:]
+        days.append(DaySlice(dt.date(2016, 1, 4 + d), events, seed=seed))
+    return days
+
+
+@given(
+    days=fuzzed_days(),
+    levels=hst.integers(1, 10),
+    subwindow=hst.sampled_from([1, 5, 10, 30]),
+)
+def test_one_replay_matches_per_event_oracles(days, levels, subwindow):
+    # Five minutes of session; the longest fuzzed streams run past its end.
+    session = SessionConfig(session_start=36000, session_end=36300)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
+    for day in days:
+        day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
+    tallies = []
+    for day in days:
+        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        assert comp.samples == samples
+        assert comp.discarded_intervals == discarded
+        tallies.append(comp.book)
+
+    by_duration, by_event, counts, volumes = oracle_book_summary(days, session)
+    if by_duration is None or by_event is None:
+        with pytest.raises(TooFewRows):
+            book_summaries(tallies)
+        return
+    got_duration, got_event, conc = book_summaries(tallies)
+    for got, expected in ((got_duration, by_duration), (got_event, by_event)):
+        values = [got.mean_mid_dollars, got.mean_spread_dollars]
+        values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+    assert conc.n_events == sum(counts)
+    for got, raw in ((conc.count_pct, counts), (conc.volume_pct, volumes)):
+        expected = [100.0 * v / sum(raw) for v in raw] if sum(raw) else [0.0] * 3
+        np.testing.assert_allclose(got, expected, rtol=1e-12)

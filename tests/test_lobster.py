@@ -97,25 +97,32 @@ def test_decreasing_timestamps_are_malformed(tmp_path):
 
 
 def test_orderbook_row_single_level():
-    asks, bids = parse_orderbook_row("2239500,100,2231800,100", 1)
+    asks, bids = parse_orderbook_row("2239500,100,2231800,100")
     assert asks == (LevelQuote(2239500, 100),)
     assert bids == (LevelQuote(2231800, 100),)
 
 
 def test_orderbook_row_sentinels_absent():
-    asks, bids = parse_orderbook_row("9999999999,0,-9999999999,0", 1)
+    asks, bids = parse_orderbook_row("9999999999,0,-9999999999,0")
     assert asks == (None,)
     assert bids == (None,)
     asks, bids = parse_orderbook_row(
-        "2239500,100,2231800,100,9999999999,0,-9999999999,0", 2
+        "2239500,100,2231800,100,9999999999,0,-9999999999,0"
     )
     assert asks == (LevelQuote(2239500, 100), None)
     assert bids == (LevelQuote(2231800, 100), None)
 
 
-def test_orderbook_row_field_count_checked():
-    with pytest.raises(MalformedRow):
-        parse_orderbook_row("2239500,100,2231800", 1)
+def test_orderbook_row_field_count_checked(tmp_path):
+    for ragged in ("2239500,100,2231800", "", "2239500,100,2231800,100,2239600"):
+        with pytest.raises(MalformedRow):
+            parse_orderbook_row(ragged)
+    path = tmp_path / "orderbook.csv"
+    path.write_text("\n2239500,100,2231800,100,2239600\n")
+    with pytest.raises(MalformedRow) as exc:
+        seed_from_orderbook_file(path)
+    assert exc.value.line_no == 2
+    assert "got 5" in str(exc.value)
 
 
 def test_round_trip_write_parse_write_is_byte_identical(tmp_path):
@@ -148,7 +155,7 @@ def test_orderbook_writer_and_seed_reader(tmp_path):
     path = tmp_path / "orderbook.csv"
     write_orderbook_file(path, events, levels=3)
     assert len(path.read_text().splitlines()) == len(events)
-    seed = seed_from_orderbook_file(path, 3)  # first row = post-first-event book
+    seed = seed_from_orderbook_file(path)  # first row = post-first-event book
     assert len(seed.bids) + len(seed.asks) >= 1
     book = seed.build_book()
     assert book.event_seq == 0

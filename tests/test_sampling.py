@@ -5,7 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from mlofi.errors import IndivisibleGrid, TooFewRows
+from mlofi.errors import IndivisibleGrid
 from mlofi.imbalance import MlofiSample
 from mlofi.lobster import NS, SessionConfig
 from mlofi.sampling import AssemblyStats, GridSpec, assemble_problems, build_grid
@@ -137,15 +137,15 @@ def test_underdetermined_window_raise_or_drop():
     samples += [_sample(1, k, (1, 2, 3), 0) for k in range(1, 7)]
     samples[1] = None
     samples[2] = None  # window 0 left with 4 < 3 + 2 usable rows
-    with pytest.raises(TooFewRows):
-        assemble_problems(samples, grid, 3, 100, DATE)
     stats = AssemblyStats()
-    problems = assemble_problems(
-        samples, grid, 3, 100, DATE, on_underdetermined="drop", stats=stats
-    )
+    problems = assemble_problems(samples, grid, 3, 100, DATE, stats)
     assert len(problems) == 1
     assert problems[0].window_index == 1
+    assert problems[0].n_rows == 6
     assert stats.dropped_windows == 1
+    assert stats.discarded_intervals == 2
+    # Without a stats object the window is still dropped.
+    assert [p.window_index for p in assemble_problems(samples, grid, 3, 100, DATE)] == [1]
 
 
 def test_252_dates_yield_2772_problems():
