@@ -19,6 +19,7 @@ import dataclasses
 import datetime as dt
 import glob
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,7 +43,7 @@ from .lobster import (
     date_from_filename,
     hms_to_seconds,
     parse_message_file,
-    seed_from_orderbook_file,
+    session_seed,
     write_message_file,
     write_orderbook_file,
 )
@@ -309,11 +310,14 @@ def load_days(config: RunConfig) -> list[DaySlice]:
     paths = sorted(glob.glob(config.messages))
     if not paths:
         return []
-    seed_paths = sorted(glob.glob(config.orderbooks)) if config.orderbooks else []
-    if seed_paths and len(seed_paths) != len(paths):
-        raise ConfigError(
-            f"{len(paths)} message files but {len(seed_paths)} orderbook files"
-        )
+    seed_paths = {}
+    if config.orderbooks:
+        by_name = {Path(p).name: p for p in glob.glob(config.orderbooks)}
+        for path in paths:
+            name = Path(path).name.replace("_message_", "_orderbook_")
+            if name not in by_name:
+                raise ConfigError(f"message file {path} has no orderbook file {name}")
+            seed_paths[path] = by_name[name]
     days = []
     for i, path in enumerate(paths):
         date = date_from_filename(Path(path).name)
@@ -325,7 +329,7 @@ def load_days(config: RunConfig) -> list[DaySlice]:
             print(f"warning: skipping {exc}", file=sys.stderr)
             continue
         if seed_paths:
-            day.seed = seed_from_orderbook_file(seed_paths[i])
+            day.seed = session_seed(seed_paths[path], path, config.session)
         days.append(day)
     return days
 
@@ -393,7 +397,10 @@ def _warn_left_out(
 
 
 def _to_json(obj):
-    """Dataclasses, dicts, sequences and numpy values as plain JSON values."""
+    """Dataclasses, dicts, sequences and numpy values as plain JSON values.
+
+    Non-finite floats become null: strict JSON has no NaN or Infinity.
+    """
     if dataclasses.is_dataclass(obj):
         return {f.name: _to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -401,13 +408,15 @@ def _to_json(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_to_json(v) for v in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

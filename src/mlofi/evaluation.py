@@ -14,8 +14,10 @@ the ridge table.
 The RMSE protocol mirrors 5-fold cross-validation: for each fold, fit on
 the other four folds' pooled rows, record the RMSE on those same rows
 (in-sample) and on the held-out fold (out-of-sample), then average both
-across folds. Folds are contiguous time-ordered blocks. All RMSEs are in
-ticks because the regression response is in ticks.
+across folds. Folds are contiguous time-ordered blocks from the same
+``inference.fold_rows`` loop as the penalty search, and a curve pools its
+rows once at full depth and reads each depth as a column prefix. All RMSEs
+are in ticks because the regression response is in ticks.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .inference import (
     LambdaSearch,
     RegressionFit,
     SignificanceSummary,
-    contiguous_folds,
     diagnose_collinearity,
     fit_ols,
     fit_ridge,
+    fold_rows,
     ridge_coefficients,
     select_lambda,
     significance_summary,
@@ -90,13 +92,6 @@ def pool_rows(
     return X, y
 
 
-def _ols_coefficients(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Minimum-norm least squares; the protocol tolerates ill-conditioning
-    # because blown-up out-of-sample error is exactly the effect under study.
-    coeffs, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    return coeffs
-
-
 @dataclass
 class RmsePoint:
     """Mean in/out-of-sample RMSE (ticks) at one depth."""
@@ -104,6 +99,32 @@ class RmsePoint:
     levels: int
     in_sample: float
     out_sample: float
+
+
+def _rmse_point(
+    X: np.ndarray, y: np.ndarray, method: str, folds: int, lam: float, penalize: bool
+) -> RmsePoint:
+    """The RMSE protocol on pooled rows; the depth is X's width less the intercept."""
+    in_total = 0.0
+    out_total = 0.0
+    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
+        if method == OLS:
+            # Minimum-norm least squares; the protocol tolerates ill-conditioning
+            # because blown-up out-of-sample error is exactly the effect under study.
+            coeffs = np.linalg.lstsq(X_train, y_train, rcond=None)[0]
+        elif method == RIDGE:
+            coeffs = ridge_coefficients(X_train, y_train, [lam], penalize)[0]
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        in_resid = y_train - X_train @ coeffs
+        out_resid = y_val - X_val @ coeffs
+        in_total += float(np.sqrt(np.mean(in_resid**2)))
+        out_total += float(np.sqrt(np.mean(out_resid**2)))
+    return RmsePoint(
+        levels=X.shape[1] - 1,
+        in_sample=in_total / folds,
+        out_sample=out_total / folds,
+    )
 
 
 def rmse_protocol(
@@ -115,32 +136,7 @@ def rmse_protocol(
     penalize_intercept: bool = True,
 ) -> RmsePoint:
     """One point of the in/out-of-sample RMSE curve."""
-    X, y = pool_rows(problems, levels)
-    n = X.shape[0]
-    fold_idx = contiguous_folds(n, folds)
-    if min(len(i) for i in fold_idx) < 1:
-        raise TooFewRows(f"{n} rows cannot fill {folds} folds")
-    in_total = 0.0
-    out_total = 0.0
-    for idx in fold_idx:
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        Xtr, ytr = X[~mask], y[~mask]
-        if method == OLS:
-            coeffs = _ols_coefficients(Xtr, ytr)
-        elif method == RIDGE:
-            coeffs = ridge_coefficients(Xtr, ytr, lam, penalize_intercept)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        in_resid = ytr - Xtr @ coeffs
-        out_resid = y[mask] - X[mask] @ coeffs
-        in_total += float(np.sqrt(np.mean(in_resid**2)))
-        out_total += float(np.sqrt(np.mean(out_resid**2)))
-    return RmsePoint(
-        levels=levels,
-        in_sample=in_total / folds,
-        out_sample=out_total / folds,
-    )
+    return _rmse_point(*pool_rows(problems, levels), method, folds, lam, penalize_intercept)
 
 
 def rmse_curve(
@@ -151,8 +147,10 @@ def rmse_curve(
     lam: float = 0.0,
     penalize_intercept: bool = True,
 ) -> list[RmsePoint]:
+    """RMSE points at depths 1..max_levels, from rows pooled once at full depth."""
+    X, y = pool_rows(problems, max_levels)
     return [
-        rmse_protocol(problems, method, m, folds, lam, penalize_intercept)
+        _rmse_point(X[:, : m + 1], y, method, folds, lam, penalize_intercept)
         for m in range(1, max_levels + 1)
     ]
 
@@ -251,11 +249,8 @@ def seasonality_profile(
     for f, i in zip(fits, windows):
         sums[i] += f.coeffs
         counts[i] += 1
-    out = np.full((n_windows, levels + 1), np.nan)
-    for i in range(n_windows):
-        if counts[i] > 0:
-            out[i] = sums[i] / counts[i]
-    return out
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None]  # 0/0 is the NaN of an unfit window index
 
 
 # -- book summary statistics --------------------------------------------------

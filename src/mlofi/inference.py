@@ -10,11 +10,14 @@ rows - n_coeffs degrees of freedom.
 
 Cross-validation folds are contiguous, time-ordered blocks: shuffling
 serially correlated intervals into random folds would leak information
-between fit and validation sets.
+between fit and validation sets. ``fold_rows`` is the one fold loop of the
+penalty search and the RMSE protocol. Each training fold forms X'X and X'y
+once and solves the whole penalty grid in one batched ``ridge_coefficients``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,17 +83,7 @@ def _finish_fit(
     else:
         r2 = 1.0 if sse <= 1e-300 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
-    return RegressionFit(
-        coeffs=coeffs,
-        std_errors=se,
-        t_stats=t,
-        p_values=pvals,
-        sigma2_hat=sigma2,
-        r2=r2,
-        adj_r2=adj_r2,
-        lambda_=lam,
-        dof=dof,
-    )
+    return RegressionFit(coeffs, se, t, pvals, sigma2, r2, adj_r2, lam, dof)
 
 
 def fit_ols(problem: RegressionProblem) -> RegressionFit:
@@ -144,14 +137,14 @@ def fit_ridge(
 
 
 def ridge_coefficients(
-    X: np.ndarray, y: np.ndarray, lam: float, penalize_intercept: bool = True
+    X: np.ndarray, y: np.ndarray, lambdas, penalize_intercept: bool = True
 ) -> np.ndarray:
-    """Coefficients only; fast path for cross-validation loops."""
+    """One coefficient row per penalty in ``lambdas``, from one batched solve."""
     p = X.shape[1]
     penalty = np.eye(p)
     if not penalize_intercept:
         penalty[0, 0] = 0.0
-    A = X.T @ X + lam * penalty
+    A = X.T @ X + np.asarray(lambdas, dtype=float)[:, None, None] * penalty
     try:
         coeffs = np.linalg.solve(A, X.T @ y)
     except np.linalg.LinAlgError as exc:
@@ -165,7 +158,21 @@ def contiguous_folds(n_rows: int, folds: int) -> list[np.ndarray]:
     """Split row indices 0..n-1 into time-ordered contiguous blocks."""
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    return [idx for idx in np.array_split(np.arange(n_rows), folds)]
+    return list(np.array_split(np.arange(n_rows), folds))
+
+
+def fold_rows(
+    X: np.ndarray, y: np.ndarray, folds: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (X_train, y_train, X_val, y_val) for each contiguous fold, in order."""
+    n = X.shape[0]
+    blocks = contiguous_folds(n, folds)
+    if n < folds:
+        raise TooFewRows(f"{n} rows cannot fill {folds} folds")
+    for idx in blocks:
+        val = np.zeros(n, dtype=bool)
+        val[idx] = True
+        yield X[~val], y[~val], X[val], y[val]
 
 
 @dataclass
@@ -197,20 +204,14 @@ def select_lambda(
         raise TooFewRows(
             f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
         )
-    fold_idx = contiguous_folds(n, folds)
-    masks = []
-    for idx in fold_idx:
-        m = np.zeros(n, dtype=bool)
-        m[idx] = True
-        masks.append(m)
+    # Summed per penalty in fold order, as a per-(lambda, fold) loop would.
     cv_errors = np.zeros(len(grid))
-    for gi, lam in enumerate(grid):
-        total = 0.0
-        for m in masks:
-            coeffs = ridge_coefficients(X[~m], y[~m], lam, penalize_intercept)
-            resid = y[m] - X[m] @ coeffs
-            total += float(resid @ resid) / len(resid)
-        cv_errors[gi] = total / folds
+    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
+        coeffs = ridge_coefficients(X_train, y_train, grid, penalize_intercept)
+        for gi, c in enumerate(coeffs):
+            resid = y_val - X_val @ c
+            cv_errors[gi] += float(resid @ resid) / len(resid)
+    cv_errors /= folds
     if not np.all(np.isfinite(cv_errors)):
         raise NumericalFailure("non-finite cross-validation error encountered")
     return LambdaSearch(

@@ -14,12 +14,13 @@ Timestamps are handled as exact integer nanoseconds throughout.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .book import BookState, EventKind, LevelQuote, LobEvent, Side, level_snapshot
-from .errors import ConfigError, EmptySession, MalformedRow
+from .errors import ConfigError, EmptySession, InconsistentEvent, MalformedRow
 
 NS = 1_000_000_000
 ASK_ABSENT = 9_999_999_999
@@ -220,18 +221,70 @@ def parse_orderbook_row(
     return tuple(asks), tuple(bids)
 
 
-def seed_from_orderbook_file(path: str | Path) -> SeedSnapshot:
-    """Read the first orderbook row, at its full depth, as the pre-stream seed."""
+def seed_from_orderbook_file(
+    path: str | Path, row: int = 1, undo: LobEvent | None = None
+) -> SeedSnapshot:
+    """Orderbook row ``row`` (1-based), the book after message ``row``, at full depth.
+
+    With ``undo`` (message ``row``) the seed is the book before that message:
+    an arrival's size comes off its level; a cancellation's or visible
+    execution's size goes back on; other kinds change nothing. Levels pushed
+    beyond the row's depth are dropped.
+    """
     with open(path, "r", newline="") as fh:
+        rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        found = next(itertools.islice(rows, row - 1, None), None)
+    if found is None:
+        raise EmptySession(f"{path}: no orderbook row {row}")
+    asks, bids = parse_orderbook_row(found[1], found[0])
+    sides = {
+        Side.BUY: {q.price: q.depth for q in bids if q is not None},
+        Side.SELL: {q.price: q.depth for q in asks if q is not None},
+    }
+    if undo is not None:
+        level = sides[undo.side]
+        if undo.kind is EventKind.LIMIT_ARRIVAL and undo.price in level:
+            level[undo.price] -= undo.size
+            if level[undo.price] < 0:
+                raise InconsistentEvent(
+                    row, f"{path}: row {row} holds less at {undo.price} than the "
+                    f"{undo.size} shares message {row} added"
+                )
+        elif undo.kind in (
+            EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
+        ):
+            level[undo.price] = level.get(undo.price, 0) + undo.size
+    depth = len(asks)
+    bids_best_first = sorted(sides[Side.BUY].items(), reverse=True)
+    asks_best_first = sorted(sides[Side.SELL].items())
+    return SeedSnapshot(
+        bids=tuple((p, d) for p, d in bids_best_first if d)[:depth],
+        asks=tuple((p, d) for p, d in asks_best_first if d)[:depth],
+    )
+
+
+def session_seed(
+    orderbook_path: str | Path, message_path: str | Path, config: SessionConfig
+) -> SeedSnapshot:
+    """The book at session start, from a message file and its orderbook file.
+
+    Orderbook row k is the book after message k, so the seed is the row of
+    the last message before session start. When the session starts at the
+    file's first message, it is row 1 with message 1 undone.
+    """
+    before, first = 0, None
+    with open(message_path, "r", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            asks, bids = parse_orderbook_row(line, line_no)
-            return SeedSnapshot(
-                bids=tuple((q.price, q.depth) for q in bids if q is not None),
-                asks=tuple((q.price, q.depth) for q in asks if q is not None),
-            )
-    raise EmptySession(f"{path}: empty orderbook file")
+            if before == 0:
+                first = parse_message_row(line, line_no)
+            if parse_timestamp_ns(line.split(",", 1)[0].strip(), line_no) >= config.start_ns:
+                break
+            before += 1
+    if before:
+        return seed_from_orderbook_file(orderbook_path, before)
+    return seed_from_orderbook_file(orderbook_path, 1, undo=first)
 
 
 # -- fixture writer ---------------------------------------------------------

@@ -317,3 +317,27 @@ def mp_regression_oracle(X, y, lam=0.0, penalize_intercept=True):
         np.array([float(c) for c in coeffs]),
         np.array([float(s) for s in ses]),
     )
+
+
+def oracle_select_lambda(X, y, folds, grid, penalize_intercept=True):
+    """Penalty search with one float64 solve per (lambda, fold) pair.
+
+    Each pair solves X_tr'X_tr + lam*D against X_tr'y_tr on its own; a
+    penalty's validation MSEs add up in fold order and are averaged. Returns
+    (cv_errors, lambda_hat), the argmin taking the first (smallest) penalty.
+    """
+    p = X.shape[1]
+    D = np.eye(p)
+    if not penalize_intercept:
+        D[0, 0] = 0.0
+    blocks = np.array_split(np.arange(X.shape[0]), folds)
+    cv_errors = np.zeros(len(grid))
+    for gi, lam in enumerate(grid):
+        total = 0.0
+        for idx in blocks:
+            X_tr, y_tr = np.delete(X, idx, axis=0), np.delete(y, idx)
+            coeffs = np.linalg.solve(X_tr.T @ X_tr + lam * D, X_tr.T @ y_tr)
+            resid = y[idx] - X[idx] @ coeffs
+            total += float(resid @ resid) / len(idx)
+        cv_errors[gi] = total / folds
+    return cv_errors, float(grid[int(np.argmin(cv_errors))])

@@ -333,8 +333,9 @@ def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
                                  (2 * m + 1, Side.SELL, 140200 + 100 * m)):
             state.apply(LobEvent(36_000 * 10**9, EventKind.LIMIT_ARRIVAL,
                                  oid, m + 1, price, side))
+    # A pre-session message makes the first row the session-start book as is.
     messages = tmp_path / "SYN_2016-01-05_message_10.csv"
-    messages.write_text(WORKED_EXAMPLE)
+    messages.write_text("35999.000000000,5,0,1,140000,1\n" + WORKED_EXAMPLE)
     orderbook = tmp_path / "SYN_2016-01-05_orderbook_10.csv"
     orderbook.write_text(format_orderbook_row(level_snapshot(state, 10), 10) + "\n")
     seeds = []
@@ -347,3 +348,50 @@ def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
     assert seeds[0] == seeds[1] == seeds[2]
     assert seeds[0].bids == tuple((140000 - 100 * m, m + 1) for m in range(10))
     assert seeds[0].asks == tuple((140200 + 100 * m, m + 1) for m in range(10))
+
+
+def test_report_json_is_strict_with_null_for_nan(tmp_path):
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", *SPARSE_BOOK, "--levels", "5", "--out", str(out)) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    rows = report["seasonality"]["ols"]
+    unfit = [row for row in rows if row[0] is None]
+    assert sum(v is None for row in rows for v in row) == 18
+    assert all(all(v is None for v in row) for row in unfit)
+    assert (out / "report.json").read_text().count("null") == 18
+
+
+def test_orderbook_paired_by_name_not_by_index(tmp_path, capsys):
+    # Messages for one date and an orderbook only for the next: no pair.
+    messages = tmp_path / "SYN_2016-01-04_message_1.csv"
+    messages.write_text(WORKED_EXAMPLE)
+    (tmp_path / "SYN_2016-01-05_orderbook_1.csv").write_text("140100,5,140000,10\n")
+    code = run_cli(
+        "compute", "--messages", str(messages),
+        "--orderbooks", str(tmp_path / "*_orderbook_*.csv"),
+        "--levels", "1", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert str(messages) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+def test_synth_then_compute_with_orderbooks_matches_without(tmp_path):
+    fixtures = tmp_path / "fx"
+    assert run_cli(
+        "synth", "--synth-days", "2", "--seed", "1", "--levels", "10",
+        "--out", str(fixtures),
+    ) == 0
+    common = ["--messages", str(fixtures / "*_message_*"), "--levels", "10"]
+    assert run_cli(
+        "compute", *common, "--orderbooks", str(fixtures / "*_orderbook_*"),
+        "--out", str(tmp_path / "seeded"),
+    ) == 0
+    assert run_cli("compute", *common, "--out", str(tmp_path / "plain")) == 0
+    seeded = (tmp_path / "seeded" / "samples.csv").read_bytes()
+    assert seeded == (tmp_path / "plain" / "samples.csv").read_bytes()
+    assert seeded.count(b"\n") > 1000

@@ -92,6 +92,24 @@ def test_overfit_pattern_on_collinear_fixture():
     assert ridge_wins >= 0.9 * trials
 
 
+@pytest.mark.parametrize("method, lam, penalize_intercept", [
+    (OLS, 0.0, True), (RIDGE, 0.37, True), (RIDGE, 0.37, False), (RIDGE, 0.0, True),
+])
+def test_rmse_curve_equals_per_depth_protocol(method, lam, penalize_intercept):
+    # Rows pooled once at full depth and read as column prefixes must give
+    # exactly the points of pooling each depth on its own; the problems come
+    # out of (date, window) order and include a collinear, rank-poor design.
+    beta = (0.0, 1.0, 0.8, 0.6) + (0.0,) * 5
+    problems = [
+        planted(40 + s, rows=57 + 5 * s, levels=8, beta=beta, rho=0.95, window=2 - s)
+        for s in range(3)
+    ]
+    problems[1].X[:, 6] = problems[1].X[:, 5]
+    curve = rmse_curve(problems, method, 8, 5, lam, penalize_intercept)
+    for m, point in enumerate(curve, start=1):
+        assert point == rmse_protocol(problems, method, m, 5, lam, penalize_intercept)
+
+
 def test_adjusted_r2_perfect_fit():
     # Signal confined to level 1 keeps every nested design exact.
     problems = [

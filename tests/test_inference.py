@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from mlofi.errors import DegenerateColumn, RankDeficient
 from mlofi.inference import (
@@ -18,7 +20,7 @@ from mlofi.inference import (
 from mlofi.sampling import RegressionProblem
 from mlofi.synth import PlantedParams, generate_planted_regression
 
-from conftest import mp_regression_oracle
+from conftest import mp_regression_oracle, oracle_select_lambda
 
 DATE = dt.date(2016, 1, 4)
 
@@ -197,6 +199,29 @@ def test_select_lambda_prefers_no_penalty_when_noiseless():
     y = X @ np.array([1.0, 2.0, -1.0, 0.5])
     search = select_lambda(X, y)
     assert search.lambda_hat == search.grid[0]
+
+
+@given(
+    n=hst.integers(50, 200),
+    p=hst.integers(2, 11),
+    seed=hst.integers(0, 2**32 - 1),
+    duplicate=hst.booleans(),
+    zero=hst.booleans(),
+    penalize_intercept=hst.booleans(),
+)
+def test_select_lambda_matches_per_pair_oracle(n, p, seed, duplicate, zero, penalize_intercept):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    if duplicate and p >= 3:
+        X[:, 2] = X[:, 1]
+    if zero:
+        X[:, p - 1] = 0.0
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    grid = default_lambda_grid()
+    search = select_lambda(X, y, 5, grid, penalize_intercept)
+    cv_errors, lambda_hat = oracle_select_lambda(X, y, 5, grid, penalize_intercept)
+    assert np.array_equal(search.cv_errors, cv_errors)
+    assert search.lambda_hat == lambda_hat
 
 
 def test_contiguous_folds_partition():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlofi.book import EventKind, LevelQuote, Side
-from mlofi.errors import EmptySession, MalformedRow
+from mlofi.errors import EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
     SessionConfig,
     format_timestamp_ns,
@@ -14,6 +14,7 @@ from mlofi.lobster import (
     parse_orderbook_row,
     parse_timestamp_ns,
     seed_from_orderbook_file,
+    session_seed,
     write_message_file,
     write_orderbook_file,
 )
@@ -159,3 +160,59 @@ def test_orderbook_writer_and_seed_reader(tmp_path):
     assert len(seed.bids) + len(seed.asks) >= 1
     book = seed.build_book()
     assert book.event_seq == 0
+
+
+def test_session_seed_is_row_of_last_message_before_session(tmp_path):
+    # Orderbook row k is the book after message k; the session (10:00) starts
+    # after message 2, so the seed is row 2.
+    messages = tmp_path / "messages.csv"
+    messages.write_text(
+        "35990.000000000,1,1,10,140000,1\n"
+        "35995.000000000,1,2,5,140200,-1\n"
+        "36000.000000000,1,3,7,140100,1\n"
+    )
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(
+        "9999999999,0,140000,10\n"
+        "140200,5,140000,10\n"
+        "140200,5,140100,7\n"
+    )
+    seed = session_seed(orderbook, messages, SessionConfig())
+    assert seed.bids == ((140000, 10),)
+    assert seed.asks == ((140200, 5),)
+
+
+# Row 1 is the book after message 1, two levels deep:
+# asks 140200x5, 140300x8; bids 140000x10, 139900x4.
+ROW_1 = "140200,5,140000,10,140300,8,139900,4\n"
+
+
+@pytest.mark.parametrize("message, bids, asks", [
+    # An arrival's size comes off; an arrival that opened a level removes it.
+    ("1,9,6,140000,1", ((140000, 4), (139900, 4)), ((140200, 5), (140300, 8))),
+    ("1,9,5,140200,-1", ((140000, 10), (139900, 4)), ((140300, 8),)),
+    # Cancellations and visible executions put their size back; a level they
+    # emptied returns and pushes the row's deepest level out.
+    ("2,9,3,140300,-1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 11))),
+    ("3,9,2,140050,1", ((140050, 2), (140000, 10)), ((140200, 5), (140300, 8))),
+    ("4,9,6,140100,-1", ((140000, 10), (139900, 4)), ((140100, 6), (140200, 5))),
+    # Hidden executions, cross trades and halts leave the visible book alone.
+    ("5,9,6,140100,-1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
+    ("7,0,1,1,1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
+])
+def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
+    messages = tmp_path / "messages.csv"
+    messages.write_text(f"36000.000000000,{message}\n36001.000000000,1,7,1,139800,1\n")
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(ROW_1 + "140200,5,140000,10,140300,8,139900,4\n")
+    seed = session_seed(orderbook, messages, SessionConfig())
+    assert (seed.bids, seed.asks) == (bids, asks)
+
+
+def test_session_seed_rejects_row_contradicting_first_message(tmp_path):
+    messages = tmp_path / "messages.csv"
+    messages.write_text("36000.000000000,1,9,20,140000,1\n")
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(ROW_1)
+    with pytest.raises(InconsistentEvent):
+        session_seed(orderbook, messages, SessionConfig())
