@@ -8,14 +8,10 @@ via OLS and Ridge regression.
 
 from .book import (
     BookState,
-    DepthSnapshot,
     EventKind,
-    LevelQuote,
     LobEvent,
-    MidQuote,
     Side,
     level_snapshot,
-    mid_and_spread,
 )
 from .imbalance import FlowDelta, MlofiSample, flow_delta
 from .inference import (
@@ -38,14 +34,11 @@ __all__ = [
     "BookState",
     "CollinearityDiagnostics",
     "DaySlice",
-    "DepthSnapshot",
     "EventKind",
     "FlowDelta",
     "GridSpec",
     "LambdaSearch",
-    "LevelQuote",
     "LobEvent",
-    "MidQuote",
     "MlofiSample",
     "PlantedParams",
     "RegressionFit",
@@ -62,7 +55,6 @@ __all__ = [
     "generate_planted_regression",
     "generate_zi_day",
     "level_snapshot",
-    "mid_and_spread",
     "select_lambda",
     "significance_summary",
 ]

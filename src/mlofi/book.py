@@ -8,7 +8,15 @@ event reflects that event's effect.
 Depth can come from two pools: live orders seen arriving in the stream,
 and anonymous depth seeded from a start-of-session snapshot. Cancellations
 and executions that reference an order id we never saw are charged against
-the anonymous pool at that price, provided it suffices.
+the anonymous pool at that price, provided it suffices. A seed side that
+fills every level of its orderbook row ends at a horizon, its deepest
+price: removing an unseen order beyond it leaves the book unchanged, as the
+row could not show that order.
+
+``level_snapshot`` views the book as one LOBSTER orderbook row of ints,
+``ask1p, ask1s, bid1p, bid1s, ...``, an absent level being the sentinel
+price ``ASK_ABSENT``/``BID_ABSENT`` (+/-infinity to every real price) with
+size 0.
 """
 
 from __future__ import annotations
@@ -17,7 +25,11 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InconsistentEvent, OneSidedBook
+from .errors import InconsistentEvent
+
+#: Orderbook-row prices of an absent level; every real price lies between.
+ASK_ABSENT = 9_999_999_999
+BID_ABSENT = -9_999_999_999
 
 
 class EventKind(Enum):
@@ -68,35 +80,6 @@ class LobEvent:
             raise ValueError(f"size must be >= 1 for {self.kind.name}, got {self.size}")
 
 
-@dataclass(frozen=True)
-class LevelQuote:
-    """Price and total resting size of one populated level."""
-
-    price: int
-    depth: int
-
-
-@dataclass(frozen=True)
-class DepthSnapshot:
-    """Top-M view of both sides; absent levels are None, never zeros."""
-
-    bids: tuple[LevelQuote | None, ...]
-    asks: tuple[LevelQuote | None, ...]
-
-
-@dataclass(frozen=True)
-class MidQuote:
-    """Mid-price and spread at an instant.
-
-    ``mid_x2`` is best_ask + best_bid, i.e. twice the mid-price, kept as an
-    exact integer so mid arithmetic never touches floating point. One tick
-    ($0.01 = 100 price units) equals 200 mid_x2 units.
-    """
-
-    mid_x2: int
-    spread: int
-
-
 class BookState:
     """Mutable book; ``apply`` advances it one event at a time."""
 
@@ -108,6 +91,7 @@ class BookState:
         "_anon_bid",
         "_anon_ask",
         "_orders",
+        "_horizon",
         "event_seq",
         "seeded_executions",
     )
@@ -120,6 +104,8 @@ class BookState:
         self._anon_bid: dict[int, int] = {}
         self._anon_ask: dict[int, int] = {}
         self._orders: dict[int, tuple[Side, int, int]] = {}
+        # Deepest price a seed row showed per side; a sentinel means no limit.
+        self._horizon = {Side.BUY: BID_ABSENT, Side.SELL: ASK_ABSENT}
         self.event_seq = 0
         self.seeded_executions = 0
 
@@ -128,19 +114,23 @@ class BookState:
         cls,
         bids: list[tuple[int, int]],
         asks: list[tuple[int, int]],
+        row_levels: int | None = None,
     ) -> "BookState":
-        """Seed anonymous depth from a start-of-session snapshot."""
+        """Seed anonymous depth from a start-of-session snapshot.
+
+        A side seeded at all ``row_levels`` levels of the orderbook row the
+        snapshot came from gets its deepest price as horizon.
+        """
         state = cls()
-        for price, depth in bids:
-            if price <= 0 or depth <= 0:
-                raise ValueError(f"bad seed bid level ({price}, {depth})")
-            state._add(Side.BUY, price, depth)
-            state._anon_bid[price] = state._anon_bid.get(price, 0) + depth
-        for price, depth in asks:
-            if price <= 0 or depth <= 0:
-                raise ValueError(f"bad seed ask level ({price}, {depth})")
-            state._add(Side.SELL, price, depth)
-            state._anon_ask[price] = state._anon_ask.get(price, 0) + depth
+        for side, levels in ((Side.BUY, bids), (Side.SELL, asks)):
+            _, prices, anon = state._books(side)
+            for price, depth in levels:
+                if price <= 0 or depth <= 0:
+                    raise ValueError(f"bad seed {side.name} level ({price}, {depth})")
+                state._add(side, price, depth)
+                anon[price] = anon.get(price, 0) + depth
+            if row_levels is not None and len(prices) >= row_levels:
+                state._horizon[side] = prices[0] if side is Side.BUY else prices[-1]
         if state._bid_prices and state._ask_prices:
             if state._bid_prices[-1] >= state._ask_prices[0]:
                 raise ValueError("seed snapshot is crossed")
@@ -184,13 +174,10 @@ class BookState:
         depth, _, _ = self._books(side)
         return depth.get(price, 0)
 
-    def bid_levels(self) -> list[LevelQuote]:
-        """All populated bid levels, best first."""
-        return [LevelQuote(p, self._bid_depth[p]) for p in reversed(self._bid_prices)]
-
-    def ask_levels(self) -> list[LevelQuote]:
-        """All populated ask levels, best first."""
-        return [LevelQuote(p, self._ask_depth[p]) for p in self._ask_prices]
+    @staticmethod
+    def _deeper(side: Side, price: int, than: int) -> bool:
+        """Whether ``price`` lies deeper in the ``side`` book than ``than``."""
+        return price < than if side is Side.BUY else price > than
 
     # -- event application -------------------------------------------------
 
@@ -224,9 +211,14 @@ class BookState:
             self._reduce(ev, idx, full=True)
 
         elif kind is EventKind.EXECUTION_VISIBLE:
-            # Executions must hit the front of the resting queue.
+            # Executions must hit the front of the resting queue. Beyond the
+            # horizon the front may be a level the seed row could not show,
+            # unless a better level rests on the book.
             front = self.best_bid if ev.side is Side.BUY else self.best_ask
-            if front != ev.price:
+            if front != ev.price and (
+                not self._deeper(ev.side, ev.price, self._horizon[ev.side])
+                or (front is not None and self._deeper(ev.side, ev.price, front))
+            ):
                 raise InconsistentEvent(
                     idx, f"execution at {ev.price} but best {ev.side.name} is {front}"
                 )
@@ -267,7 +259,10 @@ class BookState:
             self._remove(ev.side, ev.price, ev.size)
             return
 
-        # Unseen order id: charge the anonymous (seeded) pool at that price.
+        # Unseen order id: charge the anonymous (seeded) pool at that price,
+        # unless the order rests beyond what the seed row could show.
+        if self._deeper(ev.side, ev.price, self._horizon[ev.side]):
+            return
         _, _, anon = self._books(ev.side)
         pool = anon.get(ev.price, 0)
         if ev.size > pool:
@@ -286,29 +281,16 @@ class BookState:
         self._remove(ev.side, ev.price, ev.size)
 
 
-def level_snapshot(state: BookState, levels: int) -> DepthSnapshot:
-    """Top-``levels`` quotes per side, padded with None beyond populated depth."""
+def level_snapshot(state: BookState, levels: int) -> tuple[int, ...]:
+    """Top-``levels`` book as one orderbook row, absent levels as sentinels."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    bid_prices = state._bid_prices
-    ask_prices = state._ask_prices
-    nb, na = len(bid_prices), len(ask_prices)
-    bids = tuple(
-        LevelQuote(bid_prices[nb - 1 - m], state._bid_depth[bid_prices[nb - 1 - m]])
-        if m < nb
-        else None
-        for m in range(levels)
-    )
-    asks = tuple(
-        LevelQuote(ask_prices[m], state._ask_depth[ask_prices[m]]) if m < na else None
-        for m in range(levels)
-    )
-    return DepthSnapshot(bids=bids, asks=asks)
-
-
-def mid_and_spread(state: BookState) -> MidQuote:
-    """Exact mid and spread; raises OneSidedBook if either side is empty."""
-    bb, ba = state.best_bid, state.best_ask
-    if bb is None or ba is None:
-        raise OneSidedBook("book has an empty side; mid-price undefined")
-    return MidQuote(mid_x2=ba + bb, spread=ba - bb)
+    row = [ASK_ABSENT, 0, BID_ABSENT, 0] * levels
+    asks = state._ask_prices[:levels]
+    bids = state._bid_prices[: -levels - 1 : -1]
+    na, nb = 4 * len(asks), 4 * len(bids)
+    row[0:na:4] = asks
+    row[1:na:4] = [state._ask_depth[p] for p in asks]
+    row[2:nb:4] = bids
+    row[3:nb:4] = [state._bid_depth[p] for p in bids]
+    return tuple(row)

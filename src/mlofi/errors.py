@@ -43,10 +43,6 @@ class InconsistentEvent(DataError):
         self.reason = reason
 
 
-class OneSidedBook(DataError):
-    """Mid-price undefined: one or both sides of the book are empty."""
-
-
 class TooFewRows(DataError):
     """A regression window retains fewer usable rows than required."""
 

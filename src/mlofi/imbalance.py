@@ -1,8 +1,8 @@
 """Per-event order-flow deltas and interval-level imbalance vectors.
 
 For each event the book is snapshotted immediately before and immediately
-after, and each level m = 1..M yields a signed per-side flow based on how
-the level-m price moved:
+after as an orderbook row (``book.level_snapshot``), and each level m =
+1..M yields a signed per-side flow based on how the level-m price moved:
 
   bid flow: price up   -> +depth_after          (new, stronger queue)
             unchanged  -> depth_after - depth_before
@@ -11,13 +11,13 @@ the level-m price moved:
             unchanged  -> depth_after - depth_before
             price down -> +depth_after          (new sell queue)
 
-A level absent on one side of the comparison is treated as having price
--inf (bids) or +inf (asks), so a level coming into existence counts as a
-price move in the direction that favors that side. The per-level net is
-bid flow minus ask flow (positive = buying pressure); summing nets over
-all events in a left-open right-closed time interval gives the interval's
-imbalance vector, whose first component is the classic level-1
-order-flow imbalance.
+A level absent on one side of the comparison has price -inf (bids) or
++inf (asks), the row's sentinel price with size 0, so a level coming into
+existence counts as a price move in the direction that favors that side.
+The per-level net is bid flow minus ask flow (positive = buying pressure);
+summing nets over all events in a left-open right-closed time interval
+gives the interval's imbalance vector, whose first component is the
+classic level-1 order-flow imbalance.
 
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
@@ -34,7 +34,7 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
 
-from .book import BookState, DepthSnapshot, EventKind, LobEvent, Side, level_snapshot
+from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from .lobster import DaySlice
 
 #: The kinds that move the visible book; hidden executions, cross trades
@@ -65,40 +65,26 @@ class FlowDelta:
         return tuple(w - v for w, v in zip(self.bid_flow, self.ask_flow))
 
 
-def flow_delta(before: DepthSnapshot, after: DepthSnapshot, levels: int) -> FlowDelta:
-    """Apply the per-level case rules to one before/after snapshot pair."""
+def flow_delta(before: tuple[int, ...], after: tuple[int, ...], levels: int) -> FlowDelta:
+    """Apply the per-level case rules to one before/after orderbook-row pair."""
     bid_flow = []
     ask_flow = []
-    for m in range(levels):
-        b0, b1 = before.bids[m], after.bids[m]
-        if b0 is None and b1 is None:
-            w = 0
-        elif b0 is None:  # level appeared: price rose from -inf
-            w = b1.depth
-        elif b1 is None:  # level vanished: price fell to -inf
-            w = -b0.depth
-        elif b1.price > b0.price:
-            w = b1.depth
-        elif b1.price == b0.price:
-            w = b1.depth - b0.depth
+    for k in range(0, 4 * levels, 4):
+        bp0, bp1 = before[k + 2], after[k + 2]
+        if bp1 > bp0:
+            bid_flow.append(after[k + 3])
+        elif bp1 == bp0:
+            bid_flow.append(after[k + 3] - before[k + 3])
         else:
-            w = -b0.depth
-        bid_flow.append(w)
+            bid_flow.append(-before[k + 3])
 
-        a0, a1 = before.asks[m], after.asks[m]
-        if a0 is None and a1 is None:
-            v = 0
-        elif a0 is None:  # level appeared: price fell from +inf
-            v = a1.depth
-        elif a1 is None:  # level vanished: price rose to +inf
-            v = -a0.depth
-        elif a1.price > a0.price:
-            v = -a0.depth
-        elif a1.price == a0.price:
-            v = a1.depth - a0.depth
+        ap0, ap1 = before[k], after[k]
+        if ap1 > ap0:
+            ask_flow.append(-before[k + 1])
+        elif ap1 == ap0:
+            ask_flow.append(after[k + 1] - before[k + 1])
         else:
-            v = a1.depth
-        ask_flow.append(v)
+            ask_flow.append(after[k + 1])
     return FlowDelta(bid_flow=tuple(bid_flow), ask_flow=tuple(ask_flow))
 
 
@@ -159,16 +145,14 @@ class DayComputation:
     book: BookTally
 
 
-def _classify_flow(ev: LobEvent, before: DepthSnapshot) -> int:
+def _classify_flow(ev: LobEvent, before: tuple[int, ...]) -> int:
     """0 = within spread, 1 = at best, 2 = deeper; judged pre-event."""
     if ev.kind is EventKind.EXECUTION_VISIBLE:
         return 1  # executions always hit the front of the queue
-    own_best = before.bids[0] if ev.side is Side.BUY else before.asks[0]
-    if own_best is None:
-        return 0  # improving an empty side
-    if ev.price == own_best.price:
+    own_best = before[2] if ev.side is Side.BUY else before[0]  # maybe a sentinel
+    if ev.price == own_best:
         return 1
-    better = ev.price > own_best.price if ev.side is Side.BUY else ev.price < own_best.price
+    better = ev.price > own_best if ev.side is Side.BUY else ev.price < own_best
     return 0 if better else 2
 
 
@@ -231,26 +215,22 @@ def compute_day_samples(
             else:
                 state.apply(ev)
 
-            bids, asks = snap.bids, snap.asks
-            if bids[0] is None or asks[0] is None:
+            ask, bid = snap[0], snap[2]
+            if bid == BID_ABSENT or ask == ASK_ABSENT:
                 continue
-            mid_x2 = asks[0].price + bids[0].price
-            spread = asks[0].price - bids[0].price
             nxt = events[pos].timestamp_ns if pos < n_events else boundaries_ns[-1]
             for sums, w in ((by_duration, (nxt - ev.timestamp_ns) / 1e9), (by_event, 1.0)):
                 if w <= 0.0:
                     continue
                 sums[0] += w
-                sums[1] += w * mid_x2 / 2e4
-                sums[2] += w * spread / 1e4
+                sums[1] += w * (ask + bid) / 2e4
+                sums[2] += w * (ask - bid) / 1e4
                 for m in range(L):
-                    if bids[m] is not None:
-                        sums[3 + m] += w * bids[m].depth
-                    if asks[m] is not None:
-                        sums[3 + L + m] += w * asks[m].depth
+                    sums[3 + m] += w * snap[4 * m + 3]
+                    sums[3 + L + m] += w * snap[4 * m + 1]
 
-        bid, ask = snap.bids[0], snap.asks[0]
-        end_mid = None if bid is None or ask is None else ask.price + bid.price
+        ask, bid = snap[0], snap[2]
+        end_mid = None if bid == BID_ABSENT or ask == ASK_ABSENT else ask + bid
         if j > 0:
             if prev_mid is None or end_mid is None:
                 samples.append(None)

@@ -4,8 +4,10 @@ Message rows are ``time,type,orderid,size,price,direction`` with time in
 seconds after midnight (nanosecond decimals), price in integer 1e-4 dollars
 and direction +1 = buy, -1 = sell. Type codes: 1 arrival, 2 partial cancel,
 3 full cancel, 4 visible execution, 5 hidden execution, 6 cross trade,
-7 halt. Orderbook rows are ``ask1p,ask1s,bid1p,bid1s,...`` with sentinel
-prices +/-9999999999 (or size 0) marking absent levels.
+7 halt; a price must lie below 9999999999. Orderbook rows are
+``ask1p,ask1s,bid1p,bid1s,...`` with sentinel prices +/-9999999999 (or size
+0) marking absent levels: the form of ``book.level_snapshot``, which the
+parser returns and the fixture writer writes.
 
 Parsing is strict: the first malformed row aborts with its line number.
 Timestamps are handled as exact integer nanoseconds throughout.
@@ -19,12 +21,10 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .book import BookState, EventKind, LevelQuote, LobEvent, Side, level_snapshot
+from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from .errors import ConfigError, EmptySession, InconsistentEvent, MalformedRow
 
 NS = 1_000_000_000
-ASK_ABSENT = 9_999_999_999
-BID_ABSENT = -9_999_999_999
 
 _KIND_BY_CODE = {k.value: k for k in EventKind}
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
@@ -90,13 +90,15 @@ class DaySlice:
 
 @dataclass(frozen=True)
 class SeedSnapshot:
-    """Anonymous start-of-session depth (no order identities)."""
+    """Anonymous start-of-session depth (no order identities), and the level
+    count of the orderbook row it was read from (None: it is the whole book)."""
 
     bids: tuple[tuple[int, int], ...]  # (price, depth), best first
     asks: tuple[tuple[int, int], ...]
+    row_levels: int | None = None
 
     def build_book(self) -> BookState:
-        return BookState.from_snapshot(list(self.bids), list(self.asks))
+        return BookState.from_snapshot(list(self.bids), list(self.asks), self.row_levels)
 
 
 def parse_timestamp_ns(text: str, line_no: int) -> int:
@@ -148,8 +150,8 @@ def parse_message_row(line: str, line_no: int) -> LobEvent:
         return LobEvent(ts, kind, order_id, max(size, 1), max(price, 1), side)
     if size < 1:
         raise MalformedRow(line_no, f"size must be >= 1, got {size}")
-    if price <= 0:
-        raise MalformedRow(line_no, f"price must be positive, got {price}")
+    if not 0 < price < ASK_ABSENT:
+        raise MalformedRow(line_no, f"price must be in 1..{ASK_ABSENT - 1}, got {price}")
     return LobEvent(ts, kind, order_id, size, price, side)
 
 
@@ -194,14 +196,12 @@ def date_from_filename(name: str) -> dt.date | None:
     return dt.date.fromisoformat(m.group(1))
 
 
-def parse_orderbook_row(
-    line: str, line_no: int = 1
-) -> tuple[tuple[LevelQuote | None, ...], tuple[LevelQuote | None, ...]]:
-    """One orderbook row -> (asks, bids), as deep as the row is wide.
+def parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
+    """One orderbook row, as deep as it is wide, in ``level_snapshot`` form.
 
     Each level takes four fields, so the field count must be a positive
-    multiple of 4. Sentinel prices and zero sizes both mark a level as
-    absent.
+    multiple of 4. A level with a sentinel price or a zero size comes back
+    as the sentinel price and size 0.
     """
     fields = line.rstrip("\n").rstrip("\r").split(",")
     levels, rest = divmod(len(fields), 4)
@@ -209,16 +209,15 @@ def parse_orderbook_row(
         raise MalformedRow(
             line_no, f"expected a positive multiple of 4 fields, got {len(fields)}"
         )
-    asks: list[LevelQuote | None] = []
-    bids: list[LevelQuote | None] = []
+    row: list[int] = []
     for m in range(levels):
         ap = _parse_int(fields[4 * m + 0], line_no, "ask price")
         asz = _parse_int(fields[4 * m + 1], line_no, "ask size")
         bp = _parse_int(fields[4 * m + 2], line_no, "bid price")
         bsz = _parse_int(fields[4 * m + 3], line_no, "bid size")
-        asks.append(None if ap >= ASK_ABSENT or asz <= 0 else LevelQuote(ap, asz))
-        bids.append(None if bp <= BID_ABSENT or bsz <= 0 else LevelQuote(bp, bsz))
-    return tuple(asks), tuple(bids)
+        row += (ASK_ABSENT, 0) if ap >= ASK_ABSENT or asz <= 0 else (ap, asz)
+        row += (BID_ABSENT, 0) if bp <= BID_ABSENT or bsz <= 0 else (bp, bsz)
+    return tuple(row)
 
 
 def seed_from_orderbook_file(
@@ -236,10 +235,10 @@ def seed_from_orderbook_file(
         found = next(itertools.islice(rows, row - 1, None), None)
     if found is None:
         raise EmptySession(f"{path}: no orderbook row {row}")
-    asks, bids = parse_orderbook_row(found[1], found[0])
+    book = parse_orderbook_row(found[1], found[0])
     sides = {
-        Side.BUY: {q.price: q.depth for q in bids if q is not None},
-        Side.SELL: {q.price: q.depth for q in asks if q is not None},
+        Side.SELL: {p: d for p, d in zip(book[0::4], book[1::4]) if d},
+        Side.BUY: {p: d for p, d in zip(book[2::4], book[3::4]) if d},
     }
     if undo is not None:
         level = sides[undo.side]
@@ -254,12 +253,13 @@ def seed_from_orderbook_file(
             EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
         ):
             level[undo.price] = level.get(undo.price, 0) + undo.size
-    depth = len(asks)
+    row_levels = len(book) // 4
     bids_best_first = sorted(sides[Side.BUY].items(), reverse=True)
     asks_best_first = sorted(sides[Side.SELL].items())
     return SeedSnapshot(
-        bids=tuple((p, d) for p, d in bids_best_first if d)[:depth],
-        asks=tuple((p, d) for p, d in asks_best_first if d)[:depth],
+        bids=tuple((p, d) for p, d in bids_best_first if d)[:row_levels],
+        asks=tuple((p, d) for p, d in asks_best_first if d)[:row_levels],
+        row_levels=row_levels,
     )
 
 
@@ -304,27 +304,10 @@ def write_message_file(path: str | Path, events: list[LobEvent]) -> None:
             fh.write(format_message_row(ev) + "\n")
 
 
-def format_orderbook_row(snap, levels: int) -> str:
-    cells: list[str] = []
-    for m in range(levels):
-        ask = snap.asks[m]
-        bid = snap.bids[m]
-        cells.append(str(ask.price) if ask else str(ASK_ABSENT))
-        cells.append(str(ask.depth) if ask else "0")
-        cells.append(str(bid.price) if bid else str(BID_ABSENT))
-        cells.append(str(bid.depth) if bid else "0")
-    return ",".join(cells)
-
-
-def write_orderbook_file(
-    path: str | Path,
-    events: list[LobEvent],
-    levels: int,
-    seed: SeedSnapshot | None = None,
-) -> None:
+def write_orderbook_file(path: str | Path, events: list[LobEvent], levels: int) -> None:
     """Replay the events and write the post-event book row per message."""
-    state = seed.build_book() if seed else BookState()
+    state = BookState()
     with open(path, "w", newline="") as fh:
         for ev in events:
             state.apply(ev)
-            fh.write(format_orderbook_row(level_snapshot(state, levels), levels) + "\n")
+            fh.write(",".join(map(str, level_snapshot(state, levels))) + "\n")

@@ -11,15 +11,14 @@ import numpy as np
 from hypothesis import settings
 
 from mlofi.book import (
+    ASK_ABSENT,
+    BID_ABSENT,
     BookState,
-    DepthSnapshot,
     EventKind,
     LobEvent,
     Side,
     level_snapshot,
-    mid_and_spread,
 )
-from mlofi.errors import OneSidedBook
 from mlofi.imbalance import MlofiSample, flow_delta
 
 TICK = 100
@@ -135,7 +134,10 @@ def fuzz_stream(
 
 
 def replay(events, levels: int, seed: BookState | None = None):
-    """Replay a stream, yielding (event, before_snapshot, after_snapshot)."""
+    """Replay a stream, yielding (event, before row, after row).
+
+    The rows are ``level_snapshot`` orderbook rows.
+    """
     state = seed if seed is not None else BookState()
     for ev in events:
         before = level_snapshot(state, levels)
@@ -144,38 +146,73 @@ def replay(events, levels: int, seed: BookState | None = None):
         yield ev, before, after
 
 
+def decode_row(row):
+    """(bids, asks) of an orderbook row: (price, depth) per level, None if absent."""
+    asks = tuple(None if row[k] == ASK_ABSENT else (row[k], row[k + 1])
+                 for k in range(0, len(row), 4))
+    bids = tuple(None if row[k + 2] == BID_ABSENT else (row[k + 2], row[k + 3])
+                 for k in range(0, len(row), 4))
+    return bids, asks
+
+
+def book_levels(state: BookState):
+    """(bids, asks): every populated (price, depth) level, best first."""
+    levels = 8
+    while True:
+        bids, asks = decode_row(level_snapshot(state, levels))
+        if bids[-1] is None and asks[-1] is None:
+            return [q for q in bids if q], [q for q in asks if q]
+        levels *= 2
+
+
+def mid_x2(state: BookState):
+    """best ask + best bid, or None when a side is empty."""
+    if state.best_bid is None or state.best_ask is None:
+        return None
+    return state.best_ask + state.best_bid
+
+
 # -- independent oracles ----------------------------------------------------
 
 
-def oracle_flow_net(before: DepthSnapshot, after: DepthSnapshot, levels: int):
-    """Sentinel re-implementation of the per-level case table.
+def oracle_flow_net(before, after, levels: int):
+    """The per-level case table, with explicit branches for absent levels.
 
-    Absent bid levels price at -inf and absent ask levels at +inf, which
-    collapses all absence cases into the ordinary three-way comparison.
+    Decodes both orderbook rows into (price, depth) or None per level. A
+    level that appears counts as a price move from -inf (bids) or +inf
+    (asks), one that vanishes as a move to it.
     """
-    inf = float("inf")
+    bids0, asks0 = decode_row(before)
+    bids1, asks1 = decode_row(after)
     net = []
     for m in range(levels):
-        bp0, bd0 = (-inf, 0) if before.bids[m] is None else (
-            before.bids[m].price, before.bids[m].depth)
-        bp1, bd1 = (-inf, 0) if after.bids[m] is None else (
-            after.bids[m].price, after.bids[m].depth)
-        if bp1 > bp0:
-            w = bd1
-        elif bp1 == bp0:
-            w = bd1 - bd0
+        b0, b1 = bids0[m], bids1[m]
+        if b0 is None and b1 is None:
+            w = 0
+        elif b0 is None:  # level appeared: price rose from -inf
+            w = b1[1]
+        elif b1 is None:  # level vanished: price fell to -inf
+            w = -b0[1]
+        elif b1[0] > b0[0]:
+            w = b1[1]
+        elif b1[0] == b0[0]:
+            w = b1[1] - b0[1]
         else:
-            w = -bd0
-        ap0, ad0 = (inf, 0) if before.asks[m] is None else (
-            before.asks[m].price, before.asks[m].depth)
-        ap1, ad1 = (inf, 0) if after.asks[m] is None else (
-            after.asks[m].price, after.asks[m].depth)
-        if ap1 > ap0:
-            v = -ad0
-        elif ap1 == ap0:
-            v = ad1 - ad0
+            w = -b0[1]
+
+        a0, a1 = asks0[m], asks1[m]
+        if a0 is None and a1 is None:
+            v = 0
+        elif a0 is None:  # level appeared: price fell from +inf
+            v = a1[1]
+        elif a1 is None:  # level vanished: price rose to +inf
+            v = -a0[1]
+        elif a1[0] > a0[0]:
+            v = -a0[1]
+        elif a1[0] == a0[0]:
+            v = a1[1] - a0[1]
         else:
-            v = ad1
+            v = a1[1]
         net.append(w - v)
     return tuple(net)
 
@@ -186,13 +223,6 @@ def oracle_day_samples(day, boundaries_ns, subwindows_per_window: int, levels: i
     Returns (samples, discarded) as ``compute_day_samples`` should, built
     from ``level_snapshot`` + ``flow_delta`` one event at a time.
     """
-
-    def mid_x2(state):
-        try:
-            return mid_and_spread(state).mid_x2
-        except OneSidedBook:
-            return None
-
     state = day.seed.build_book() if day.seed else BookState()
     events = [e for e in day.events if e.timestamp_ns <= boundaries_ns[-1]]
     baseline = [e for e in events if e.timestamp_ns <= boundaries_ns[0]]
@@ -268,15 +298,13 @@ def oracle_book_summary(days, session, depth_levels: int = 5):
                 counts[bucket] += 1
                 volumes[bucket] += ev.size
             state.apply(ev)
-            try:
-                mq = mid_and_spread(state)
-            except OneSidedBook:
+            if mid_x2(state) is None:
                 continue
             nxt = events[i + 1].timestamp_ns if i + 1 < len(events) else session.end_ns
-            snap = level_snapshot(state, depth_levels)
-            row = [mq.mid_x2 / 2e4, mq.spread / 1e4]
-            row += [0 if q is None else q.depth for q in snap.bids]
-            row += [0 if q is None else q.depth for q in snap.asks]
+            bids, asks = decode_row(level_snapshot(state, depth_levels))
+            row = [mid_x2(state) / 2e4, (state.best_ask - state.best_bid) / 1e4]
+            row += [0 if q is None else q[1] for q in bids]
+            row += [0 if q is None else q[1] for q in asks]
             for k, w in enumerate(((nxt - ev.timestamp_ns) / 1e9, 1.0)):
                 if w <= 0.0:
                     continue

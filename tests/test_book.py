@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from mlofi.book import (
+    ASK_ABSENT,
+    BID_ABSENT,
     BookState,
     EventKind,
-    LevelQuote,
     LobEvent,
     Side,
     level_snapshot,
-    mid_and_spread,
 )
-from mlofi.errors import InconsistentEvent, OneSidedBook
+from mlofi.errors import InconsistentEvent
 
-from conftest import fuzz_stream
+from conftest import book_levels, fuzz_stream
 
 NS = 1_000_000_000
 
@@ -29,8 +29,7 @@ def arrival(oid, size, price, side=Side.BUY, ts=36_000 * NS):
 
 def test_first_order_into_empty_book():
     state = BookState().apply(arrival(1, 10, 140000))
-    assert state.bid_levels() == [LevelQuote(140000, 10)]
-    assert state.ask_levels() == []
+    assert book_levels(state) == ([(140000, 10)], [])
     assert state.event_seq == 1
 
 
@@ -40,11 +39,7 @@ def test_worked_example_arrival_above_best():
     state.apply(arrival(1, 10, 140000))
     state.apply(arrival(2, 10, 139000))
     state.apply(arrival(3, 7, 141000))
-    assert state.bid_levels() == [
-        LevelQuote(141000, 7),
-        LevelQuote(140000, 10),
-        LevelQuote(139000, 10),
-    ]
+    assert book_levels(state)[0] == [(141000, 7), (140000, 10), (139000, 10)]
 
 
 def test_execution_consumes_whole_level():
@@ -52,61 +47,24 @@ def test_execution_consumes_whole_level():
     state.apply(arrival(1, 10, 140000))
     state.apply(arrival(2, 5, 141000, Side.SELL))
     state.apply(ev(EventKind.EXECUTION_VISIBLE, 2, 5, 141000, Side.SELL))
-    assert state.ask_levels() == []
-    assert state.bid_levels() == [LevelQuote(140000, 10)]
+    assert book_levels(state) == ([(140000, 10)], [])
 
 
 def test_level_snapshot_padding_and_order():
     state = BookState()
     for i, price in enumerate((140000, 139000, 138000, 137000), start=1):
         state.apply(arrival(i, i, price))
-    snap = level_snapshot(state, 10)
-    assert snap.bids[0] == LevelQuote(140000, 1)
-    assert snap.bids[3] == LevelQuote(137000, 4)
-    assert all(q is None for q in snap.bids[4:])
-    assert all(q is None for q in snap.asks)
-    prices = [q.price for q in snap.bids if q is not None]
-    assert prices == sorted(prices, reverse=True)
+    state.apply(arrival(5, 9, 141000, Side.SELL))
+    row = level_snapshot(state, 10)
+    # ask1p, ask1s, bid1p, bid1s, ... with sentinels for absent levels.
+    assert row[:8] == (141000, 9, 140000, 1, ASK_ABSENT, 0, 139000, 2)
+    assert row[12:16] == (ASK_ABSENT, 0, 137000, 4)
+    assert row[16:] == (ASK_ABSENT, 0, BID_ABSENT, 0) * 6
+    assert len(row) == 40
 
 
 def test_empty_book_snapshot_all_absent():
-    snap = level_snapshot(BookState(), 2)
-    assert snap.bids == (None, None)
-    assert snap.asks == (None, None)
-
-
-def test_mid_and_spread_exact():
-    state = BookState()
-    state.apply(arrival(1, 10, 139000))
-    state.apply(arrival(2, 10, 141000, Side.SELL))
-    mq = mid_and_spread(state)
-    assert mq.mid_x2 == 280000  # mid 140000, held exactly as 2x
-    assert mq.spread == 2000
-
-
-def test_mid_one_tick_spread_half_tick_mid():
-    state = BookState()
-    state.apply(arrival(1, 10, 140000))
-    state.apply(arrival(2, 10, 140100, Side.SELL))
-    mq = mid_and_spread(state)
-    assert mq.mid_x2 == 280100  # mid 140050: not representable in whole units
-    assert mq.spread == 100
-
-
-def test_mid_after_worked_example_with_ask():
-    state = BookState()
-    state.apply(arrival(1, 10, 140000))
-    state.apply(arrival(2, 10, 139000))
-    state.apply(arrival(3, 7, 141000))
-    state.apply(arrival(4, 5, 142000, Side.SELL))
-    assert mid_and_spread(state).mid_x2 == 2 * 141500
-
-
-def test_one_sided_book_raises():
-    state = BookState()
-    state.apply(arrival(1, 10, 140000))
-    with pytest.raises(OneSidedBook):
-        mid_and_spread(state)
+    assert level_snapshot(BookState(), 2) == (ASK_ABSENT, 0, BID_ABSENT, 0) * 2
 
 
 def test_cancel_exceeding_depth_is_inconsistent():
@@ -147,9 +105,9 @@ def test_hidden_execution_and_halt_leave_book_but_advance_seq():
 def test_seeded_book_absorbs_unseen_cancellations():
     state = BookState.from_snapshot(bids=[(140000, 30)], asks=[(140200, 25)])
     state.apply(ev(EventKind.CANCEL_PARTIAL, 777, 10, 140000, Side.BUY))
-    assert state.bid_levels() == [LevelQuote(140000, 20)]
+    assert book_levels(state) == ([(140000, 20)], [(140200, 25)])
     state.apply(ev(EventKind.EXECUTION_VISIBLE, 778, 25, 140200, Side.SELL))
-    assert state.ask_levels() == []
+    assert book_levels(state) == ([(140000, 20)], [])
     assert state.seeded_executions == 1
     with pytest.raises(InconsistentEvent):
         state.apply(ev(EventKind.CANCEL_FULL, 779, 21, 140000, Side.BUY))
@@ -177,15 +135,14 @@ def test_fuzzed_streams_keep_invariants():
         state = BookState()
         for e in events:
             state.apply(e)
-            bids = state.bid_levels()
-            asks = state.ask_levels()
-            assert all(q.depth >= 1 for q in bids + asks)
-            bp = [q.price for q in bids]
-            ap = [q.price for q in asks]
+            bids, asks = book_levels(state)
+            assert all(depth >= 1 for _, depth in bids + asks)
+            bp = [price for price, _ in bids]
+            ap = [price for price, _ in asks]
             assert bp == sorted(bp, reverse=True)
             assert ap == sorted(ap)
             if bids and asks:
-                assert bids[0].price < asks[0].price
+                assert bids[0][0] < asks[0][0]
 
 
 def test_replay_is_deterministic():

@@ -324,7 +324,6 @@ def test_windows_left_out_of_a_table_are_reported(tmp_path, capsys):
 def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
     from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
     from mlofi.cli import _build_parser, load_days, resolve_config
-    from mlofi.lobster import format_orderbook_row
 
     # A 10-level row on each side, written as the first orderbook row.
     state = BookState()
@@ -337,7 +336,7 @@ def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
     messages = tmp_path / "SYN_2016-01-05_message_10.csv"
     messages.write_text("35999.000000000,5,0,1,140000,1\n" + WORKED_EXAMPLE)
     orderbook = tmp_path / "SYN_2016-01-05_orderbook_10.csv"
-    orderbook.write_text(format_orderbook_row(level_snapshot(state, 10), 10) + "\n")
+    orderbook.write_text(",".join(map(str, level_snapshot(state, 10))) + "\n")
     seeds = []
     for levels in ("1", "5", "10"):
         args = _build_parser().parse_args([
@@ -380,18 +379,51 @@ def test_orderbook_paired_by_name_not_by_index(tmp_path, capsys):
     assert not (tmp_path / "out" / "samples.csv").exists()
 
 
-def test_synth_then_compute_with_orderbooks_matches_without(tmp_path):
-    fixtures = tmp_path / "fx"
+@pytest.fixture(scope="module")
+def synth_orderbooks(tmp_path_factory):
+    """Two synthetic days with 10-level orderbooks, and their samples without them."""
+    root = tmp_path_factory.mktemp("synth")
     assert run_cli(
         "synth", "--synth-days", "2", "--seed", "1", "--levels", "10",
-        "--out", str(fixtures),
+        "--out", str(root / "fx"),
     ) == 0
-    common = ["--messages", str(fixtures / "*_message_*"), "--levels", "10"]
     assert run_cli(
-        "compute", *common, "--orderbooks", str(fixtures / "*_orderbook_*"),
-        "--out", str(tmp_path / "seeded"),
+        "compute", "--messages", str(root / "fx" / "*_message_*"), "--levels", "10",
+        "--out", str(root / "plain"),
     ) == 0
-    assert run_cli("compute", *common, "--out", str(tmp_path / "plain")) == 0
+    return root
+
+
+def compute_seeded(fixtures, out, *args):
+    return run_cli(
+        "compute", "--messages", str(fixtures / "*_message_*"),
+        "--orderbooks", str(fixtures / "*_orderbook_*"), "--levels", "10",
+        "--out", str(out), *args,
+    )
+
+
+def test_synth_then_compute_with_orderbooks_matches_without(tmp_path, synth_orderbooks):
+    assert compute_seeded(synth_orderbooks / "fx", tmp_path / "seeded") == 0
     seeded = (tmp_path / "seeded" / "samples.csv").read_bytes()
-    assert seeded == (tmp_path / "plain" / "samples.csv").read_bytes()
+    assert seeded == (synth_orderbooks / "plain" / "samples.csv").read_bytes()
     assert seeded.count(b"\n") > 1000
+
+
+def test_orderbook_seed_from_a_later_row_skips_orders_beyond_it(tmp_path, synth_orderbooks):
+    # From 10:30 the seed is the 10-level row of the last earlier message.
+    # Orders resting beyond it are cancelled later; the row could not show
+    # them, so their removal leaves the book as it is. Every level the row
+    # keeps exact agrees with the replay from 10:00; levels 7-10 may not.
+    assert compute_seeded(
+        synth_orderbooks / "fx", tmp_path / "late", "--session-start", "10:30"
+    ) == 0
+    late = read_csv(tmp_path / "late" / "samples.csv")
+    plain = read_csv(synth_orderbooks / "plain" / "samples.csv")
+    header = plain[0]
+    keep = [header.index(c) for c in header[3:9] + ["ofi", "ti", "delta_p_halfticks"]]
+    by_interval = {(row[0], int(row[1]), row[2]): row for row in plain[1:]}
+    assert len(late) - 1 == 2 * 10 * 180
+    for row in late[1:]:
+        # 10:30 opens the second 30-minute window of the 10:00 session.
+        twin = by_interval[(row[0], int(row[1]) + 1, row[2])]
+        assert [row[i] for i in keep] == [twin[i] for i in keep]

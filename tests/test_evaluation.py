@@ -289,10 +289,9 @@ def test_concentration_buckets_and_volume():
 
 
 def test_summarize_matches_bruteforce_oracle():
-    from mlofi.book import BookState, mid_and_spread
-    from mlofi.errors import OneSidedBook
+    from mlofi.book import BookState
 
-    from conftest import fuzz_stream
+    from conftest import book_levels, fuzz_stream
 
     rng = np.random.default_rng(77)
     events = fuzz_stream(rng, 800)
@@ -306,14 +305,12 @@ def test_summarize_matches_bruteforce_oracle():
     rows, holds = [], []
     for i, ev in enumerate(events):
         state.apply(ev)
-        try:
-            mq = mid_and_spread(state)
-        except OneSidedBook:
+        bb, ba = state.best_bid, state.best_ask
+        if bb is None or ba is None:
             continue
-        bids = [q.depth for q in state.bid_levels()[:5]]
-        asks = [q.depth for q in state.ask_levels()[:5]]
+        bids, asks = ([depth for _, depth in side[:5]] for side in book_levels(state))
         rows.append(
-            [mq.mid_x2 / 2e4, mq.spread / 1e4]
+            [(ba + bb) / 2e4, (ba - bb) / 1e4]
             + bids + [0] * (5 - len(bids))
             + asks + [0] * (5 - len(asks))
         )

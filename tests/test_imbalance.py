@@ -15,6 +15,7 @@ from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
 from mlofi.sampling import GridSpec, build_grid
 
 from conftest import (
+    book_levels,
     fuzz_stream,
     oracle_book_summary,
     oracle_day_samples,
@@ -295,10 +296,8 @@ def fuzzed_days(draw):
             state = BookState()
             for ev in events[:cut]:
                 state.apply(ev)
-            seed = SeedSnapshot(
-                bids=tuple((q.price, q.depth) for q in state.bid_levels()),
-                asks=tuple((q.price, q.depth) for q in state.ask_levels()),
-            )
+            bids, asks = book_levels(state)
+            seed = SeedSnapshot(bids=tuple(bids), asks=tuple(asks))
             events = events[cut:]
         days.append(DaySlice(dt.date(2016, 1, 4 + d), events, seed=seed))
     return days

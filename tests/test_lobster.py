@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlofi.book import EventKind, LevelQuote, Side
+from mlofi.book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
     SessionConfig,
@@ -89,6 +89,21 @@ def test_malformed_row_reports_first_offending_line(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_price_at_the_orderbook_sentinel_is_malformed(tmp_path):
+    # An orderbook row writes an absent ask as 9999999999, so no real price
+    # may reach it; a halt row's status fields are not a price.
+    path = tmp_path / "messages.csv"
+    path.write_text(
+        "36001.0,1,1,10,140000,1\n"
+        "36002.0,1,2,10,9999999999,-1\n"
+    )
+    with pytest.raises(MalformedRow) as exc:
+        parse_message_file(path, SessionConfig())
+    assert exc.value.line_no == 2
+    assert parse_message_row("36002.0,1,2,10,9999999998,-1", 1).price == 9999999998
+    assert parse_message_row("36002.0,7,0,-1,9999999999,1", 1).kind is EventKind.HALT
+
+
 def test_decreasing_timestamps_are_malformed(tmp_path):
     path = tmp_path / "messages.csv"
     path.write_text("36002.0,1,1,10,140000,1\n36001.0,1,2,10,139000,1\n")
@@ -98,20 +113,17 @@ def test_decreasing_timestamps_are_malformed(tmp_path):
 
 
 def test_orderbook_row_single_level():
-    asks, bids = parse_orderbook_row("2239500,100,2231800,100")
-    assert asks == (LevelQuote(2239500, 100),)
-    assert bids == (LevelQuote(2231800, 100),)
+    assert parse_orderbook_row("2239500,100,2231800,100") == (2239500, 100, 2231800, 100)
 
 
 def test_orderbook_row_sentinels_absent():
-    asks, bids = parse_orderbook_row("9999999999,0,-9999999999,0")
-    assert asks == (None,)
-    assert bids == (None,)
-    asks, bids = parse_orderbook_row(
+    absent = (ASK_ABSENT, 0, BID_ABSENT, 0)
+    assert parse_orderbook_row("9999999999,0,-9999999999,0") == absent
+    assert parse_orderbook_row(
         "2239500,100,2231800,100,9999999999,0,-9999999999,0"
-    )
-    assert asks == (LevelQuote(2239500, 100), None)
-    assert bids == (LevelQuote(2231800, 100), None)
+    ) == (2239500, 100, 2231800, 100) + absent
+    # A zero size marks a level absent whatever its price says.
+    assert parse_orderbook_row("2239500,0,2231800,0") == absent
 
 
 def test_orderbook_row_field_count_checked(tmp_path):
@@ -151,15 +163,24 @@ def test_parse_recovers_fuzzed_events_exactly(tmp_path):
 
 
 def test_orderbook_writer_and_seed_reader(tmp_path):
+    # Row k is the book after event k; it parses back to that snapshot, and
+    # the seed read from it snapshots back to the same row.
     rng = np.random.default_rng(4)
-    events = fuzz_stream(rng, 100)
     path = tmp_path / "orderbook.csv"
-    write_orderbook_file(path, events, levels=3)
-    assert len(path.read_text().splitlines()) == len(events)
-    seed = seed_from_orderbook_file(path)  # first row = post-first-event book
-    assert len(seed.bids) + len(seed.asks) >= 1
-    book = seed.build_book()
-    assert book.event_seq == 0
+    for levels in (1, 3, 10):
+        events = fuzz_stream(rng, 300)
+        write_orderbook_file(path, events, levels=levels)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(events)
+        state = BookState()
+        for k, ev in enumerate(events, start=1):
+            state.apply(ev)
+            row = level_snapshot(state, levels)
+            assert parse_orderbook_row(lines[k - 1], k) == row
+            if k % 10 == 1 or k == len(events):
+                book = seed_from_orderbook_file(path, k).build_book()
+                assert level_snapshot(book, levels) == row
+                assert book.event_seq == 0
 
 
 def test_session_seed_is_row_of_last_message_before_session(tmp_path):
@@ -216,3 +237,52 @@ def test_session_seed_rejects_row_contradicting_first_message(tmp_path):
     orderbook.write_text(ROW_1)
     with pytest.raises(InconsistentEvent):
         session_seed(orderbook, messages, SessionConfig())
+
+
+def seeded_book(tmp_path, row):
+    path = tmp_path / "orderbook.csv"
+    path.write_text(row)
+    return seed_from_orderbook_file(path).build_book()
+
+
+def removal(kind, oid, size, price, side):
+    return LobEvent(36_000 * NS, kind, oid, size, price, side)
+
+
+def test_seed_horizon_skips_unseen_orders_beyond_a_full_row(tmp_path):
+    # ROW_1 fills both sides' two levels: it shows bids down to 139900 and
+    # asks up to 140300, so an unseen order beyond those is one it could not
+    # show, and taking it off leaves the book as it is.
+    book = seeded_book(tmp_path, ROW_1)
+    row = level_snapshot(book, 3)
+    book.apply(removal(EventKind.CANCEL_FULL, 526, 7, 139800, Side.BUY))
+    book.apply(removal(EventKind.CANCEL_PARTIAL, 527, 3, 140400, Side.SELL))
+    assert level_snapshot(book, 3) == row
+    # Once the row's asks are gone, an unseen level beyond them is the front.
+    book.apply(removal(EventKind.EXECUTION_VISIBLE, 0, 5, 140200, Side.SELL))
+    book.apply(removal(EventKind.EXECUTION_VISIBLE, 0, 8, 140300, Side.SELL))
+    book.apply(removal(EventKind.EXECUTION_VISIBLE, 528, 2, 140500, Side.SELL))
+    assert level_snapshot(book, 1) == (ASK_ABSENT, 0, 140000, 10)
+    assert book.seeded_executions == 2
+
+
+def test_seed_horizon_needs_every_row_level_on_the_side(tmp_path):
+    # The row shows the second ask absent, so it shows every ask there is.
+    book = seeded_book(tmp_path, "140200,5,140000,10,9999999999,0,139900,4\n")
+    book.apply(removal(EventKind.CANCEL_FULL, 526, 7, 139800, Side.BUY))
+    with pytest.raises(InconsistentEvent):
+        book.apply(removal(EventKind.CANCEL_FULL, 527, 3, 140400, Side.SELL))
+    # A snapshot that is the whole book, and an unseeded book, have no horizon.
+    for book in (BookState.from_snapshot([(140000, 10)], [(140200, 5)]), BookState()):
+        with pytest.raises(InconsistentEvent):
+            book.apply(removal(EventKind.CANCEL_FULL, 526, 7, 139800, Side.BUY))
+
+
+def test_seed_horizon_keeps_the_checks_inside_the_row(tmp_path):
+    book = seeded_book(tmp_path, ROW_1)
+    # The row's deepest bid holds 4 shares: a cancel of 5 there is an error.
+    with pytest.raises(InconsistentEvent):
+        book.apply(removal(EventKind.CANCEL_FULL, 526, 5, 139900, Side.BUY))
+    # An execution beyond the row while the row's best ask still rests.
+    with pytest.raises(InconsistentEvent):
+        book.apply(removal(EventKind.EXECUTION_VISIBLE, 527, 2, 140500, Side.SELL))

@@ -33,9 +33,8 @@ def test_small_session_replays_cleanly():
     state = BookState()
     for ev in day.events:
         state.apply(ev)  # raises InconsistentEvent on any defect
-        bids, asks = state.bid_levels(), state.ask_levels()
-        if bids and asks:
-            assert bids[0].price < asks[0].price
+        if state.best_bid is not None and state.best_ask is not None:
+            assert state.best_bid < state.best_ask
     assert state.event_seq == len(day.events)
 
 

@@ -1,0 +1,126 @@
+"""Compare the CLI's outputs at a git revision with the working tree's.
+
+Usage: python tools/byte_compare.py REV
+
+Extracts ``git archive REV`` into a temporary directory, then runs one
+matrix of ``python -m mlofi`` commands in that tree and in the working tree,
+each with ``PYTHONPATH=<tree>/src`` and its own scratch directory as working
+directory. It compares the exit code, stdout and stderr of every run and
+every file the runs write (``filecmp``, byte for byte), prints each
+difference and exits 1 if there is any, 0 otherwise.
+
+The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
+and 10 with each method set, without a penalized intercept, and with the
+per-window penalty on one-second sub-windows; a sparse book that discards
+intervals and leaves rank-deficient windows out; ``compute`` at levels 1, 3
+and 10; a one-day ``evaluate``; and ``synth`` fixtures fed back to
+``compute --orderbooks`` with the session starting at 10:00 and at 10:30.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+TWO_DAYS = ["--synth-days", "2", "--seed", "7", "--session-end", "13:00"]
+SPARSE_BOOK = [
+    "--synth-days", "2", "--seed", "3", "--session-end", "11:00", "--DT", "600",
+    "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
+]
+ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
+
+
+def matrix() -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments); each run writes to the directory of its name."""
+    runs = []
+    for cmd in ("evaluate", "fit"):
+        for levels in ("1", "3", "10"):
+            for methods in ("ols", "ridge", "ols,ridge"):
+                runs.append((f"{cmd}-{levels}-{methods}",
+                             [cmd, *TWO_DAYS, "--levels", levels, "--methods", methods]))
+        runs.append((f"{cmd}-free-intercept",
+                     [cmd, *TWO_DAYS, "--levels", "3", "--no-penalize-intercept"]))
+        runs.append((f"{cmd}-per-window", [cmd, *TWO_DAYS, "--levels", "3",
+                                           "--lambda-mode", "per-window", "--DT", "60",
+                                           "--dt", "1"]))
+        runs.append((f"{cmd}-sparse", [cmd, *SPARSE_BOOK, "--levels", "5"]))
+        runs.append((f"{cmd}-sparse-per-window", [cmd, *SPARSE_BOOK, "--levels", "3",
+                                                  "--lambda-mode", "per-window"]))
+    for levels in ("1", "3", "10"):
+        runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
+    runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",
+                                      "--session-end", "12:00", "--levels", "10"]))
+    # The synth run writes the fixtures the orderbook runs read.
+    runs.append(("fx", ["synth", "--synth-days", "2", "--seed", "1", "--levels", "10"]))
+    runs.append(("orderbooks-1000", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10"]))
+    runs.append(("orderbooks-1030", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10",
+                                     "--session-start", "10:30"]))
+    return runs
+
+
+def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]:
+    """Run every command in order with ``tree``'s sources; (code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("MLOFI_OUTPUT_DIR", None)
+    results = {}
+    for name, args in matrix():
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlofi", *args, "--out", name],
+            cwd=workdir, env=env, capture_output=True,
+        )
+        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+    return results
+
+
+def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
+    diffs = []
+    for name, _ in matrix():
+        for what, a, b in zip(("exit code", "stdout", "stderr"), old[name], new[name]):
+            if a != b:
+                diffs.append(f"{name}: {what} differs: {a!r} -> {b!r}")
+        old_files = {p.relative_to(old_dir) for p in (old_dir / name).rglob("*") if p.is_file()}
+        new_files = {p.relative_to(new_dir) for p in (new_dir / name).rglob("*") if p.is_file()}
+        for rel in sorted(old_files ^ new_files):
+            diffs.append(f"{rel}: only in {'REV' if rel in old_files else 'working tree'}")
+        for rel in sorted(old_files & new_files):
+            if not filecmp.cmp(old_dir / rel, new_dir / rel, shallow=False):
+                diffs.append(f"{rel}: contents differ")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        old_tree, old_dir, new_dir = tmp / "tree", tmp / "rev", tmp / "work"
+        for d in (old_tree, old_dir, new_dir):
+            d.mkdir()
+        archive = subprocess.run(["git", "archive", argv[0]], cwd=REPO,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(old_tree)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            old = pool.submit(run_matrix, old_tree, old_dir)
+            new = pool.submit(run_matrix, REPO, new_dir)
+            diffs = compare(old_dir, new_dir, old.result(), new.result())
+        n_files = sum(1 for p in new_dir.rglob("*") if p.is_file())
+    for line in diffs:
+        print(line)
+    print(f"{len(matrix())} runs, {n_files} output files in the working tree, "
+          f"{len(diffs)} differences against {argv[0]}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
