@@ -114,23 +114,23 @@ class BookState:
         cls,
         bids: list[tuple[int, int]],
         asks: list[tuple[int, int]],
-        row_levels: int | None = None,
+        bid_horizon: int = BID_ABSENT,
+        ask_horizon: int = ASK_ABSENT,
     ) -> "BookState":
         """Seed anonymous depth from a start-of-session snapshot.
 
-        A side seeded at all ``row_levels`` levels of the orderbook row the
-        snapshot came from gets its deepest price as horizon.
+        A side's horizon is the deepest price of a seed row that fills the
+        side; the sentinel sets none.
         """
         state = cls()
         for side, levels in ((Side.BUY, bids), (Side.SELL, asks)):
-            _, prices, anon = state._books(side)
+            _, _, anon = state._books(side)
             for price, depth in levels:
                 if price <= 0 or depth <= 0:
                     raise ValueError(f"bad seed {side.name} level ({price}, {depth})")
                 state._add(side, price, depth)
                 anon[price] = anon.get(price, 0) + depth
-            if row_levels is not None and len(prices) >= row_levels:
-                state._horizon[side] = prices[0] if side is Side.BUY else prices[-1]
+        state._horizon = {Side.BUY: bid_horizon, Side.SELL: ask_horizon}
         if state._bid_prices and state._ask_prices:
             if state._bid_prices[-1] >= state._ask_prices[0]:
                 raise ValueError("seed snapshot is crossed")

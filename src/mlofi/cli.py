@@ -6,9 +6,12 @@ summary tables, ``evaluate`` writes the full report (JSON + CSVs).
 
 Configuration comes from ``key = value`` lines in a config file, overridden
 by command-line flags; the output directory may additionally be overridden
-by the MLOFI_OUTPUT_DIR environment variable. All randomness derives from
-the single ``seed`` value. Exit codes: 0 success, 1 configuration error,
-2 data error, 3 numerical failure.
+by the MLOFI_OUTPUT_DIR environment variable, which a ``--out`` flag beats.
+Each flag's config key is its name with ``_`` for ``-`` (``--lambda-mode``
+is ``lambda_mode``); ``--no-penalize-intercept`` is ``penalize_intercept =
+false``. A value of the wrong type is a configuration error naming the key.
+All randomness derives from the single ``seed`` value. Exit codes: 0
+success, 1 configuration error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -53,31 +56,38 @@ from .synth import ZiParams, generate_zi_day
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "MLOFI_OUTPUT_DIR"
 
-_CONFIG_KEYS = {
-    "messages",
-    "orderbooks",
-    "synth_days",
-    "start_date",
-    "session_start",
-    "session_end",
-    "include_hidden",
-    "tick",
-    "dt",
-    "DT",
-    "levels",
-    "methods",
-    "lambda_grid",
-    "lambda_mode",
-    "folds",
-    "penalize_intercept",
-    "out",
-    "seed",
-    "zi_limit_rate",
-    "zi_market_rate",
-    "zi_cancel_rate",
-    "zi_band",
-    "zi_mean_size",
-}
+#: Every run option, once: (config key, flags, type, default, help). The
+#: parser, the config-file key check and ``resolve_config`` all read it. A
+#: bool option is a flag that flips its default.
+_OPTIONS: tuple[tuple[str, tuple[str, ...], type, object, str], ...] = (
+    ("messages", ("--messages",), str, None, "glob of LOBSTER message CSV files"),
+    ("orderbooks", ("--orderbooks",), str, None, "glob of orderbook CSVs used as seeds"),
+    ("synth_days", ("--synth-days",), int, None,
+     "generate this many synthetic days instead of reading files"),
+    ("start_date", ("--start-date",), str, "2016-01-04",
+     "date of the first (synthetic) day, YYYY-MM-DD"),
+    ("session_start", ("--session-start",), str, "10:00", "e.g. 10:00"),
+    ("session_end", ("--session-end",), str, "15:30", "e.g. 15:30"),
+    ("include_hidden", ("--include-hidden",), bool, False,
+     "keep hidden executions (excluded by default)"),
+    ("tick", ("--tick",), int, SessionConfig.tick_size, "tick size in 1e-4 dollar units"),
+    ("dt", ("--dt",), int, GridSpec.subwindow_seconds, "sub-window length in seconds"),
+    ("DT", ("--DT",), int, GridSpec.window_seconds, "window length in seconds"),
+    ("levels", ("--levels", "-M"), int, 10, "imbalance depth M"),
+    ("methods", ("--methods",), str, "ols,ridge", "comma list from {ols,ridge}"),
+    ("lambda_grid", ("--lambda-grid",), str, None, "LO,HI,COUNT for the log-spaced penalty grid"),
+    ("lambda_mode", ("--lambda-mode",), str, "pooled", "pooled or per-window"),
+    ("folds", ("--folds",), int, 5, "cross-validation folds"),
+    ("penalize_intercept", ("--no-penalize-intercept",), bool, True,
+     "leave the intercept out of the ridge penalty"),
+    ("out", ("--out",), str, "mlofi_out", "output directory"),
+    ("seed", ("--seed",), int, 0, "master seed for all randomness"),
+    ("zi_limit_rate", ("--zi-limit-rate",), float, ZiParams.limit_rate, "limits/s per level"),
+    ("zi_market_rate", ("--zi-market-rate",), float, ZiParams.market_rate, "markets/s per side"),
+    ("zi_cancel_rate", ("--zi-cancel-rate",), float, ZiParams.cancel_rate, "cancels/s per order"),
+    ("zi_band", ("--zi-band",), int, ZiParams.price_band, "limit price band in ticks"),
+    ("zi_mean_size", ("--zi-mean-size",), float, ZiParams.mean_size, "mean order size"),
+)
 
 
 @dataclasses.dataclass
@@ -142,41 +152,17 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--messages", help="glob of LOBSTER message CSV files")
-        p.add_argument("--orderbooks", help="glob of orderbook CSVs used as seeds")
-        p.add_argument("--synth-days", type=int, dest="synth_days",
-                       help="generate this many synthetic days instead of reading files")
-        p.add_argument("--start-date", dest="start_date",
-                       help="date of the first (synthetic) day, YYYY-MM-DD")
-        p.add_argument("--session-start", dest="session_start", help="e.g. 10:00")
-        p.add_argument("--session-end", dest="session_end", help="e.g. 15:30")
-        p.add_argument("--include-hidden", action="store_true", default=None,
-                       dest="include_hidden",
-                       help="keep hidden executions (excluded by default)")
-        p.add_argument("--tick", type=int, help="tick size in 1e-4 dollar units")
-        p.add_argument("--dt", type=int, help="sub-window length in seconds")
-        p.add_argument("--DT", type=int, help="window length in seconds")
-        p.add_argument("--levels", "-M", type=int, help="imbalance depth M")
-        p.add_argument("--methods", help="comma list from {ols,ridge}")
-        p.add_argument("--lambda-grid", dest="lambda_grid",
-                       help="LO,HI,COUNT for the log-spaced penalty grid")
-        p.add_argument("--lambda-mode", dest="lambda_mode",
-                       choices=["pooled", "per-window"])
-        p.add_argument("--folds", type=int)
-        p.add_argument("--no-penalize-intercept", action="store_true", default=None,
-                       dest="no_penalize_intercept",
-                       help="leave the intercept out of the ridge penalty")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed for all randomness")
-        p.add_argument("--zi-limit-rate", type=float, dest="zi_limit_rate")
-        p.add_argument("--zi-market-rate", type=float, dest="zi_market_rate")
-        p.add_argument("--zi-cancel-rate", type=float, dest="zi_cancel_rate")
-        p.add_argument("--zi-band", type=int, dest="zi_band")
-        p.add_argument("--zi-mean-size", type=float, dest="zi_mean_size")
+        for key, flags, kind, default, doc in _OPTIONS:
+            if kind is bool:
+                action = "store_false" if default else "store_true"
+                p.add_argument(*flags, dest=key, action=action, default=None, help=doc)
+            else:
+                p.add_argument(*flags, dest=key, type=kind, default=None, help=doc)
     return parser
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    keys = {key for key, *_ in _OPTIONS}
     values: dict[str, str] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -187,7 +173,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             values[key] = val
     return values
@@ -201,92 +187,73 @@ def _to_bool(text: str, key: str) -> bool:
     raise ConfigError(f"{key} must be true/false, got {text!r}")
 
 
+def _from_text(key: str, kind: type, text: str):
+    """A config-file value cast to its option's type."""
+    if kind is bool:
+        return _to_bool(text, key)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < environment (out dir) < flags."""
     file_vals = parse_config_file(args.config) if args.config else {}
+    opts = {}
+    for key, _, kind, default, _ in _OPTIONS:
+        value = getattr(args, key)
+        if value is None and key == "out":
+            value = os.environ.get(OUTPUT_DIR_ENV)
+        if value is None and key in file_vals:
+            value = _from_text(key, kind, file_vals[key])
+        opts[key] = default if value is None else value
 
-    def pick(flag_val, key: str, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return file_vals[key]
-        return default
-
-    out_dir = pick(args.out, "out", "mlofi_out")
-    if args.out is None and OUTPUT_DIR_ENV in os.environ:
-        out_dir = os.environ[OUTPUT_DIR_ENV]
-
-    session_start = pick(args.session_start, "session_start", "10:00")
-    session_end = pick(args.session_end, "session_end", "15:30")
-    include_hidden = args.include_hidden
-    if include_hidden is None:
-        include_hidden = _to_bool(file_vals["include_hidden"], "include_hidden") \
-            if "include_hidden" in file_vals else False
-    tick = int(pick(args.tick, "tick", 100))
     session = SessionConfig(
-        session_start=hms_to_seconds(str(session_start)),
-        session_end=hms_to_seconds(str(session_end)),
-        exclude_hidden=not include_hidden,
-        tick_size=tick,
+        session_start=hms_to_seconds(opts["session_start"]),
+        session_end=hms_to_seconds(opts["session_end"]),
+        exclude_hidden=not opts["include_hidden"],
+        tick_size=opts["tick"],
     )
-    grid = GridSpec(
-        window_seconds=int(pick(args.DT, "DT", 1800)),
-        subwindow_seconds=int(pick(args.dt, "dt", 10)),
-    )
-    lambda_text = pick(args.lambda_grid, "lambda_grid", None)
-    if lambda_text is None:
+    if opts["lambda_grid"] is None:
         lam_grid = default_lambda_grid()
     else:
         try:
-            lo_s, hi_s, count_s = str(lambda_text).split(",")
+            lo_s, hi_s, count_s = opts["lambda_grid"].split(",")
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
         except ValueError as exc:
             raise ConfigError(f"lambda_grid must be LO,HI,COUNT: {exc}")
         if not (0 < lo < hi and count >= 2):
             raise ConfigError("lambda_grid needs 0 < LO < HI and COUNT >= 2")
         lam_grid = np.geomspace(lo, hi, count)
-
-    penalize = True
-    if args.no_penalize_intercept:
-        penalize = False
-    elif "penalize_intercept" in file_vals:
-        penalize = _to_bool(file_vals["penalize_intercept"], "penalize_intercept")
-
-    methods_text = str(pick(args.methods, "methods", "ols,ridge"))
-    methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-
-    start_date_text = str(pick(args.start_date, "start_date", "2016-01-04"))
     try:
-        start_date = dt.date.fromisoformat(start_date_text)
+        start_date = dt.date.fromisoformat(opts["start_date"])
     except ValueError as exc:
         raise ConfigError(f"bad start_date: {exc}")
 
-    synth_days = pick(args.synth_days, "synth_days", None)
-    seed = int(pick(args.seed, "seed", 0))
-    zi = ZiParams(
-        limit_rate=float(pick(args.zi_limit_rate, "zi_limit_rate", 0.05)),
-        market_rate=float(pick(args.zi_market_rate, "zi_market_rate", 0.1)),
-        cancel_rate=float(pick(args.zi_cancel_rate, "zi_cancel_rate", 0.002)),
-        price_band=int(pick(args.zi_band, "zi_band", 8)),
-        mean_size=float(pick(args.zi_mean_size, "zi_mean_size", 8.0)),
-        seed=seed,
-    )
     config = RunConfig(
-        messages=pick(args.messages, "messages", None),
-        orderbooks=pick(args.orderbooks, "orderbooks", None),
-        synth_days=None if synth_days is None else int(synth_days),
+        messages=opts["messages"],
+        orderbooks=opts["orderbooks"],
+        synth_days=opts["synth_days"],
         start_date=start_date,
         session=session,
-        grid=grid,
-        levels=int(pick(args.levels, "levels", 10)),
-        methods=methods,
+        grid=GridSpec(window_seconds=opts["DT"], subwindow_seconds=opts["dt"]),
+        levels=opts["levels"],
+        methods=[m.strip() for m in opts["methods"].split(",") if m.strip()],
         lambda_grid=lam_grid,
-        lambda_mode=str(pick(args.lambda_mode, "lambda_mode", "pooled")),
-        folds=int(pick(args.folds, "folds", 5)),
-        penalize_intercept=penalize,
-        out_dir=Path(out_dir),
-        seed=seed,
-        zi=zi,
+        lambda_mode=opts["lambda_mode"],
+        folds=opts["folds"],
+        penalize_intercept=opts["penalize_intercept"],
+        out_dir=Path(opts["out"]),
+        seed=opts["seed"],
+        zi=ZiParams(
+            limit_rate=opts["zi_limit_rate"],
+            market_rate=opts["zi_market_rate"],
+            cancel_rate=opts["zi_cancel_rate"],
+            price_band=opts["zi_band"],
+            mean_size=opts["zi_mean_size"],
+            seed=opts["seed"],
+        ),
     )
     config.validate()
     return config

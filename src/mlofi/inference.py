@@ -6,7 +6,7 @@ for the conventional variant that leaves the intercept free). Standard
 errors use the sandwich s2 * A^-1 X'X A^-1 with A = X'X + lam*D, which
 reduces to the familiar s2 * (X'X)^-1 at lam = 0. Both methods report
 t statistics and two-sided p-values against a t distribution with
-rows - n_coeffs degrees of freedom.
+rows - n_coeffs degrees of freedom, read off its CDF ``scipy.special.stdtr``.
 
 Cross-validation folds are contiguous, time-ordered blocks: shuffling
 serially correlated intervals into random folds would leak information
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as st
+from scipy import special
 
 from .errors import DegenerateColumn, NumericalFailure, RankDeficient, TooFewRows
 from .sampling import RegressionProblem
@@ -76,7 +76,7 @@ def _finish_fit(
     se = np.sqrt(np.maximum(var, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coeffs / se, 0.0)
-    pvals = 2.0 * st.t.sf(np.abs(t), dof)
+    pvals = 2.0 * special.stdtr(dof, -np.abs(t))
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst > 0.0:
         r2 = 1.0 - sse / sst

@@ -90,15 +90,19 @@ class DaySlice:
 
 @dataclass(frozen=True)
 class SeedSnapshot:
-    """Anonymous start-of-session depth (no order identities), and the level
-    count of the orderbook row it was read from (None: it is the whole book)."""
+    """Anonymous start-of-session depth (no order identities), and per side
+    the deepest price of the orderbook row it was read from, where the row
+    fills that side (the sentinel: no horizon, the seed is the whole side)."""
 
     bids: tuple[tuple[int, int], ...]  # (price, depth), best first
     asks: tuple[tuple[int, int], ...]
-    row_levels: int | None = None
+    bid_horizon: int = BID_ABSENT
+    ask_horizon: int = ASK_ABSENT
 
     def build_book(self) -> BookState:
-        return BookState.from_snapshot(list(self.bids), list(self.asks), self.row_levels)
+        return BookState.from_snapshot(
+            list(self.bids), list(self.asks), self.bid_horizon, self.ask_horizon
+        )
 
 
 def parse_timestamp_ns(text: str, line_no: int) -> int:
@@ -227,8 +231,10 @@ def seed_from_orderbook_file(
 
     With ``undo`` (message ``row``) the seed is the book before that message:
     an arrival's size comes off its level; a cancellation's or visible
-    execution's size goes back on; other kinds change nothing. Levels pushed
-    beyond the row's depth are dropped.
+    execution's size goes back on unless it lies beyond the row's horizon
+    (its deepest price on the side, the sentinel if the row shows a gap),
+    which the replay skips too; other kinds change nothing. The seed can
+    thus be one level deeper than the row.
     """
     with open(path, "r", newline="") as fh:
         rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
@@ -236,6 +242,7 @@ def seed_from_orderbook_file(
     if found is None:
         raise EmptySession(f"{path}: no orderbook row {row}")
     book = parse_orderbook_row(found[1], found[0])
+    horizon = {Side.BUY: min(book[2::4]), Side.SELL: max(book[0::4])}
     sides = {
         Side.SELL: {p: d for p, d in zip(book[0::4], book[1::4]) if d},
         Side.BUY: {p: d for p, d in zip(book[2::4], book[3::4]) if d},
@@ -251,15 +258,14 @@ def seed_from_orderbook_file(
                 )
         elif undo.kind in (
             EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
-        ):
+        ) and not BookState._deeper(undo.side, undo.price, horizon[undo.side]):
             level[undo.price] = level.get(undo.price, 0) + undo.size
-    row_levels = len(book) // 4
     bids_best_first = sorted(sides[Side.BUY].items(), reverse=True)
     asks_best_first = sorted(sides[Side.SELL].items())
     return SeedSnapshot(
-        bids=tuple((p, d) for p, d in bids_best_first if d)[:row_levels],
-        asks=tuple((p, d) for p, d in asks_best_first if d)[:row_levels],
-        row_levels=row_levels,
+        bids=tuple((p, d) for p, d in bids_best_first if d),
+        asks=tuple((p, d) for p, d in asks_best_first if d),
+        bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL],
     )
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, config handling, determinism."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -260,6 +261,78 @@ def parse_config_file_bad(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
     parse_config_file(bad)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("levels = abc", "levels"),
+    ("seed = x", "seed"),
+    ("zi_band = 2.5", "zi_band"),
+    ("zi_mean_size = big", "zi_mean_size"),
+    ("include_hidden = maybe", "include_hidden"),
+])
+def test_bad_config_value_exit_1_names_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli("evaluate", "--config", str(cfg), "--synth-days", "1",
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {key} must be ")
+    assert "Traceback" not in err
+
+
+# A value other than the default for every run option but the two bools and
+# the exclusive pair messages / synth_days.
+CONFIG_VALUES = {
+    "orderbooks": "data/*_orderbook_*.csv",
+    "start_date": "2017-02-01",
+    "session_start": "09:45",
+    "session_end": "15:00",
+    "tick": "50",
+    "dt": "5",
+    "DT": "600",
+    "levels": "4",
+    "methods": "ridge",
+    "lambda_grid": "0.001,100,7",
+    "lambda_mode": "per-window",
+    "folds": "3",
+    "out": "elsewhere",
+    "seed": "17",
+    "zi_limit_rate": "0.07",
+    "zi_market_rate": "0.2",
+    "zi_cancel_rate": "0.003",
+    "zi_band": "5",
+    "zi_mean_size": "6.5",
+}
+
+
+@pytest.mark.parametrize("source", [
+    {"messages": "data/*_message_*.csv"},
+    {"synth_days": "3"},
+])
+def test_config_file_equals_flags(tmp_path, monkeypatch, source):
+    from mlofi.cli import _OPTIONS, _build_parser, resolve_config
+
+    monkeypatch.delenv("MLOFI_OUTPUT_DIR", raising=False)
+    values = {**CONFIG_VALUES, **source}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                   + "include_hidden = true\npenalize_intercept = false\n")
+    flags = [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", v)]
+    flags += ["--include-hidden", "--no-penalize-intercept"]
+    unset = {key for key, *_ in _OPTIONS} - set(values)
+    exclusive = {"messages", "synth_days"} - set(source)
+    assert unset == {"include_hidden", "penalize_intercept", *exclusive}
+
+    parser = _build_parser()
+    from_file = resolve_config(parser.parse_args(["evaluate", "--config", str(cfg)]))
+    from_flags = resolve_config(parser.parse_args(["evaluate", *flags]))
+    assert np.array_equal(from_file.lambda_grid, from_flags.lambda_grid)
+    assert len(from_file.lambda_grid) == 7
+    assert dataclasses.replace(from_file, lambda_grid=None) == dataclasses.replace(
+        from_flags, lambda_grid=None)
+    assert not from_file.session.exclude_hidden and not from_file.penalize_intercept
+    assert (from_file.zi.price_band, from_file.zi.seed, from_file.levels) == (5, 17, 4)
 
 
 def test_per_window_grid_too_short_exits_1(tmp_path):

@@ -213,13 +213,17 @@ ROW_1 = "140200,5,140000,10,140300,8,139900,4\n"
     ("1,9,6,140000,1", ((140000, 4), (139900, 4)), ((140200, 5), (140300, 8))),
     ("1,9,5,140200,-1", ((140000, 10), (139900, 4)), ((140300, 8),)),
     # Cancellations and visible executions put their size back; a level they
-    # emptied returns and pushes the row's deepest level out.
+    # emptied returns in front of the row's levels, which all stay.
     ("2,9,3,140300,-1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 11))),
-    ("3,9,2,140050,1", ((140050, 2), (140000, 10)), ((140200, 5), (140300, 8))),
-    ("4,9,6,140100,-1", ((140000, 10), (139900, 4)), ((140100, 6), (140200, 5))),
+    ("3,9,2,140050,1", ((140050, 2), (140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
+    ("4,9,6,140100,-1", ((140000, 10), (139900, 4)), ((140100, 6), (140200, 5), (140300, 8))),
     # Hidden executions, cross trades and halts leave the visible book alone.
     ("5,9,6,140100,-1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
     ("7,0,1,1,1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
+    # A removal beyond the row's horizon is skipped by the replay, so the
+    # undo leaves the seed alone too.
+    ("2,9,3,139800,1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
+    ("3,9,3,140400,-1", ((140000, 10), (139900, 4)), ((140200, 5), (140300, 8))),
 ])
 def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
     messages = tmp_path / "messages.csv"
@@ -228,6 +232,10 @@ def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
     orderbook.write_text(ROW_1 + "140200,5,140000,10,140300,8,139900,4\n")
     seed = session_seed(orderbook, messages, SessionConfig())
     assert (seed.bids, seed.asks) == (bids, asks)
+    # Replaying message 1 on the seed gives back row 1, and nothing deeper.
+    book = seed.build_book().apply(parse_message_row(f"36000.0,{message}", 1))
+    row_1_deeper = parse_orderbook_row(ROW_1) + (ASK_ABSENT, 0, BID_ABSENT, 0)
+    assert level_snapshot(book, 3) == row_1_deeper
 
 
 def test_session_seed_rejects_row_contradicting_first_message(tmp_path):

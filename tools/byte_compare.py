@@ -13,8 +13,10 @@ The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
 and 10 with each method set, without a penalized intercept, and with the
 per-window penalty on one-second sub-windows; a sparse book that discards
 intervals and leaves rank-deficient windows out; ``compute`` at levels 1, 3
-and 10; a one-day ``evaluate``; and ``synth`` fixtures fed back to
-``compute --orderbooks`` with the session starting at 10:00 and at 10:30.
+and 10; a one-day ``evaluate``; ``evaluate --config run.cfg``, a file that
+sets every run option, with ``--levels`` and ``--out`` flags overriding two
+of its keys; and ``synth`` fixtures fed back to ``compute --orderbooks``
+with the session starting at 10:00 and at 10:30.
 """
 
 from __future__ import annotations
@@ -37,6 +39,31 @@ SPARSE_BOOK = [
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
 ]
 ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
+# Written as run.cfg into each scratch directory. messages and orderbooks are
+# left out: a run takes either them or synth_days.
+CONFIG_FILE = """\
+synth_days = 2
+seed = 7
+start_date = 2016-03-01
+session_start = 10:00
+session_end = 12:00
+include_hidden = true
+tick = 100
+dt = 10
+DT = 900
+levels = 3            # --levels 4 wins
+methods = ols,ridge
+lambda_grid = 1e-4,1e4,25
+lambda_mode = pooled
+folds = 4
+penalize_intercept = false
+out = config-file-out # --out wins
+zi_limit_rate = 0.06
+zi_market_rate = 0.12
+zi_cancel_rate = 0.0025
+zi_band = 6
+zi_mean_size = 7.5
+"""
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -59,6 +86,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
     runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",
                                       "--session-end", "12:00", "--levels", "10"]))
+    runs.append(("evaluate-config", ["evaluate", "--config", "run.cfg", "--levels", "4"]))
     # The synth run writes the fixtures the orderbook runs read.
     runs.append(("fx", ["synth", "--synth-days", "2", "--seed", "1", "--levels", "10"]))
     runs.append(("orderbooks-1000", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10"]))
@@ -71,6 +99,7 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     """Run every command in order with ``tree``'s sources; (code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("MLOFI_OUTPUT_DIR", None)
+    (workdir / "run.cfg").write_text(CONFIG_FILE)
     results = {}
     for name, args in matrix():
         proc = subprocess.run(
