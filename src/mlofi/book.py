@@ -21,7 +21,7 @@ size 0.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -171,8 +171,14 @@ class BookState:
         return self._ask_prices[0] if self._ask_prices else None
 
     def depth_at(self, side: Side, price: int) -> int:
-        depth, _, _ = self._books(side)
+        depth = self._bid_depth if side is Side.BUY else self._ask_depth
         return depth.get(price, 0)
+
+    def level_of(self, side: Side, price: int) -> int:
+        """0-based level of ``price`` on ``side``: how many better prices rest."""
+        if side is Side.BUY:
+            return len(self._bid_prices) - bisect_right(self._bid_prices, price)
+        return bisect_left(self._ask_prices, price)
 
     @staticmethod
     def _deeper(side: Side, price: int, than: int) -> bool:

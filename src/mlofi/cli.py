@@ -115,6 +115,8 @@ class RunConfig:
             raise ConfigError(
                 "exactly one of a messages glob or a synth-days count is required"
             )
+        if self.orderbooks is not None and self.messages is None:
+            raise ConfigError("an orderbooks glob needs a messages glob to pair with")
         if not (1 <= self.levels <= 50):
             raise ConfigError(f"levels must be in [1, 50], got {self.levels}")
         bad = [m for m in self.methods if m not in (evaluation.OLS, evaluation.RIDGE)]
@@ -179,18 +181,15 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _to_bool(text: str, key: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be true/false, got {text!r}")
-
-
 def _from_text(key: str, kind: type, text: str):
     """A config-file value cast to its option's type."""
     if kind is bool:
-        return _to_bool(text, key)
+        word = text.lower()
+        if word in ("true", "1", "yes"):
+            return True
+        if word in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"{key} must be true/false, got {text!r}")
     try:
         return kind(text)
     except ValueError:

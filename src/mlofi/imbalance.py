@@ -1,8 +1,8 @@
 """Per-event order-flow deltas and interval-level imbalance vectors.
 
-For each event the book is snapshotted immediately before and immediately
-after as an orderbook row (``book.level_snapshot``), and each level m =
-1..M yields a signed per-side flow based on how the level-m price moved:
+The book is viewed as an orderbook row (``book.level_snapshot``), and each
+event's flow compares the row before and after it: level m = 1..M yields
+a signed per-side flow based on how the level-m price moved:
 
   bid flow: price up   -> +depth_after          (new, stronger queue)
             unchanged  -> depth_after - depth_before
@@ -19,12 +19,19 @@ summing nets over all events in a left-open right-closed time interval
 gives the interval's imbalance vector, whose first component is the
 classic level-1 order-flow imbalance.
 
+An event touches one price level. When that level rests on the book both
+before and after, no price in the row moves: the replay sets the one size
+cell, and the flow is the size change at that level alone. Only when a
+level appears or vanishes does it take a fresh row and apply the rules
+above to the two rows (``flow_delta``).
+
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
-event landed relative to the best quotes. It is the only loop that
+event landed relative to the best quotes. The tally is kept in integers,
+exactly, and turned into floats once per day. It is the only loop that
 applies a day's events to a book.
 """
 
@@ -34,7 +41,7 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
 
-from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
+from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, Side, level_snapshot
 from .lobster import DaySlice
 
 #: The kinds that move the visible book; hidden executions, cross trades
@@ -126,9 +133,12 @@ class BookTally:
     ``sums[1]`` counts it once per event; each is [weight, mid dollars,
     spread dollars, bid depth at levels 1-5, ask depth at levels 1-5].
     One-sided states and zero holding times add nothing; absent levels add
-    zero depth. ``flow_counts``/``flow_volumes`` bucket the order-flow
-    events as within the spread, at the best quote or deeper, judged on
-    the book before the event.
+    zero depth. The replay keeps each column as an exact integer (value x
+    nanoseconds held, and value x states), moved only when the column's
+    value changes, and divides once at the day's end, so the floats do not
+    depend on the order of summation. ``flow_counts``/``flow_volumes``
+    bucket the order-flow events as within the spread, at the best quote or
+    deeper, judged on the book before the event.
     """
 
     sums: tuple[list[float], list[float]]
@@ -145,15 +155,17 @@ class DayComputation:
     book: BookTally
 
 
-def _classify_flow(ev: LobEvent, before: tuple[int, ...]) -> int:
-    """0 = within spread, 1 = at best, 2 = deeper; judged pre-event."""
-    if ev.kind is EventKind.EXECUTION_VISIBLE:
-        return 1  # executions always hit the front of the queue
-    own_best = before[2] if ev.side is Side.BUY else before[0]  # maybe a sentinel
-    if ev.price == own_best:
-        return 1
-    better = ev.price > own_best if ev.side is Side.BUY else ev.price < own_best
-    return 0 if better else 2
+def _tally_columns(row: list[int]) -> list[int]:
+    """A row's integer tally values, ``BookTally.sums`` before scaling.
+
+    [1, ask + bid, ask - bid, bid depth at levels 1-5, ask depth at levels
+    1-5], or all zeros if the book is one-sided.
+    """
+    ask, bid = row[0], row[2]
+    if bid == BID_ABSENT or ask == ASK_ABSENT:
+        return [0] * (3 + 2 * SUMMARY_LEVELS)
+    L4 = 4 * SUMMARY_LEVELS
+    return [1, ask + bid, ask - bid, *row[3:L4:4], *row[1:L4:4]]
 
 
 def compute_day_samples(
@@ -172,15 +184,27 @@ def compute_day_samples(
     t_N are not replayed.
     """
     state = day.seed.build_book() if day.seed else BookState()
+    apply, depth_at, level_of = state.apply, state.depth_at, state.level_of
+    BUY, EXECUTION = Side.BUY, EventKind.EXECUTION_VISIBLE
     events = day.events
     n_events = len(events)
-    # One snapshot per book-moving event, deep enough for the flow vector
-    # and the book summary; it is the next event's before-snapshot.
+    t_last = boundaries_ns[-1]
+    # The book's top levels as one orderbook row, deep enough for the flow
+    # vector and the book summary. It is kept in place: one cell moves per
+    # event, and the row is taken afresh only when a level appears or
+    # vanishes.
     depth = max(levels, SUMMARY_LEVELS)
-    snap = level_snapshot(state, depth)
+    row = list(level_snapshot(state, depth))
     L = SUMMARY_LEVELS
-    by_duration = [0.0] * (3 + 2 * L)
-    by_event = [0.0] * (3 + 2 * L)
+    # Tally column c holds the value cols[c]. When it changes by d at the
+    # i-th event (0-based), at time t, d * (t_last - t) goes into its time
+    # integral and d * (n_events - i) into its event sum, as if the new
+    # value held to the end; after the replay, the part beyond the last
+    # replayed state comes off again.
+    cols = _tally_columns(row)
+    t_first = events[0].timestamp_ns if events else t_last
+    by_time = [v * (t_last - t_first) for v in cols]
+    by_count = [v * n_events for v in cols]
     flow_counts = [0, 0, 0]
     flow_volumes = [0, 0, 0]
 
@@ -197,39 +221,70 @@ def compute_day_samples(
         while pos < n_events and events[pos].timestamp_ns <= t_end:
             ev = events[pos]
             pos += 1
-            if ev.kind in _FLOW_KINDS:
-                bucket = _classify_flow(ev, snap)
-                flow_counts[bucket] += 1
-                flow_volumes[bucket] += ev.size
-                state.apply(ev)
-                before, snap = snap, level_snapshot(state, depth)
-                net = flow_delta(before, snap, levels).net
-                for m in range(levels):
-                    totals[m] += net[m]
-                if ev.kind is EventKind.EXECUTION_VISIBLE:
-                    # A hit resting sell means an incoming buy market order.
-                    if ev.side is Side.SELL:
-                        buy += ev.size
-                    else:
-                        sell += ev.size
-            else:
-                state.apply(ev)
-
-            ask, bid = snap[0], snap[2]
-            if bid == BID_ABSENT or ask == ASK_ABSENT:
+            if ev.kind not in _FLOW_KINDS:
+                apply(ev)
                 continue
-            nxt = events[pos].timestamp_ns if pos < n_events else boundaries_ns[-1]
-            for sums, w in ((by_duration, (nxt - ev.timestamp_ns) / 1e9), (by_event, 1.0)):
-                if w <= 0.0:
+            side, price, size = ev.side, ev.price, ev.size
+            is_bid = side is BUY
+            # Flow bucket on the book before the event: 0 within the
+            # spread, 1 at the best quote, 2 deeper.
+            if ev.kind is EXECUTION:
+                bucket = 1  # executions always hit the front of the queue
+                # A hit resting sell means an incoming buy market order.
+                if is_bid:
+                    sell += size
+                else:
+                    buy += size
+            else:
+                own_best = row[2] if is_bid else row[0]  # maybe a sentinel
+                if price == own_best:
+                    bucket = 1
+                elif (price > own_best) == is_bid:
+                    bucket = 0
+                else:
+                    bucket = 2
+            flow_counts[bucket] += 1
+            flow_volumes[bucket] += size
+            before = depth_at(side, price)
+            apply(ev)
+            after = depth_at(side, price)
+            if before == after:  # e.g. a removal beyond the seed horizon
+                continue
+            if before and after:
+                # Only this level's size moved: one cell, one flow term.
+                k = level_of(side, price)
+                if k >= depth:
                     continue
-                sums[0] += w
-                sums[1] += w * (ask + bid) / 2e4
-                sums[2] += w * (ask - bid) / 1e4
-                for m in range(L):
-                    sums[3 + m] += w * snap[4 * m + 3]
-                    sums[3 + L + m] += w * snap[4 * m + 1]
+                d = after - before
+                if is_bid:
+                    row[4 * k + 3] = after
+                    if k < levels:
+                        totals[k] += d
+                    c = 3 + k
+                else:
+                    row[4 * k + 1] = after
+                    if k < levels:
+                        totals[k] -= d
+                    c = 3 + L + k
+                if k < L and cols[0]:
+                    cols[c] = after
+                    by_time[c] += d * (t_last - ev.timestamp_ns)
+                    by_count[c] += d * (n_events - pos + 1)
+                continue
+            # A level appeared or vanished: the row's prices shift.
+            new = level_snapshot(state, depth)
+            net = flow_delta(row, new, levels).net
+            for m in range(levels):
+                totals[m] += net[m]
+            row = list(new)
+            for c, v in enumerate(_tally_columns(row)):
+                d = v - cols[c]
+                if d:
+                    cols[c] = v
+                    by_time[c] += d * (t_last - ev.timestamp_ns)
+                    by_count[c] += d * (n_events - pos + 1)
 
-        ask, bid = snap[0], snap[2]
+        ask, bid = row[0], row[2]
         end_mid = None if bid == BID_ABSENT or ask == ASK_ABSENT else ask + bid
         if j > 0:
             if prev_mid is None or end_mid is None:
@@ -250,10 +305,21 @@ def compute_day_samples(
                     )
                 )
         prev_mid = end_mid
+
+    # The last replayed state holds until the next event, or t_N.
+    t_stop = events[pos].timestamp_ns if pos < n_events else t_last
+    for c, v in enumerate(cols):
+        by_time[c] -= v * (t_last - t_stop)
+        by_count[c] -= v * (n_events - pos)
+    scale = [1, 20_000, 10_000] + [1] * (2 * L)  # mid and spread in dollars
+    sums = (
+        [v / (1_000_000_000 * s) for v, s in zip(by_time, scale)],
+        [v / s for v, s in zip(by_count, scale)],
+    )
     return DayComputation(
         samples=samples,
         discarded_intervals=discarded,
-        book=BookTally((by_duration, by_event), flow_counts, flow_volumes),
+        book=BookTally(sums, flow_counts, flow_volumes),
     )
 
 

@@ -93,6 +93,21 @@ def test_config_error_exit_1(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("via_file", [False, True])
+def test_orderbooks_without_messages_exit_1(tmp_path, capsys, via_file):
+    # Synthetic days have no message files to pair orderbook files with.
+    args = ["--synth-days", "1", "--levels", "1", "--session-end", "10:05", "--DT", "300"]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("orderbooks = nothing*\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--orderbooks", "nothing*"]
+    assert run_cli("compute", *args, "--out", str(tmp_path / "o")) == 1
+    assert "orderbooks" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_then_compute_roundtrip(tmp_path):
     out = tmp_path / "fixtures"
     code = run_cli(
@@ -282,9 +297,8 @@ def test_bad_config_value_exit_1_names_key(tmp_path, capsys, line, key):
 
 
 # A value other than the default for every run option but the two bools and
-# the exclusive pair messages / synth_days.
+# the input options: messages and orderbooks, or synth_days.
 CONFIG_VALUES = {
-    "orderbooks": "data/*_orderbook_*.csv",
     "start_date": "2017-02-01",
     "session_start": "09:45",
     "session_end": "15:00",
@@ -307,7 +321,7 @@ CONFIG_VALUES = {
 
 
 @pytest.mark.parametrize("source", [
-    {"messages": "data/*_message_*.csv"},
+    {"messages": "data/*_message_*.csv", "orderbooks": "data/*_orderbook_*.csv"},
     {"synth_days": "3"},
 ])
 def test_config_file_equals_flags(tmp_path, monkeypatch, source):
@@ -321,7 +335,7 @@ def test_config_file_equals_flags(tmp_path, monkeypatch, source):
     flags = [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", v)]
     flags += ["--include-hidden", "--no-penalize-intercept"]
     unset = {key for key, *_ in _OPTIONS} - set(values)
-    exclusive = {"messages", "synth_days"} - set(source)
+    exclusive = {"messages", "orderbooks", "synth_days"} - set(source)
     assert unset == {"include_hidden", "penalize_intercept", *exclusive}
 
     parser = _build_parser()

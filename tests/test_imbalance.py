@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import TooFewRows
 from mlofi.evaluation import book_summaries
-from mlofi.imbalance import MlofiSample, compute_day_samples, flow_delta
+from mlofi.imbalance import SUMMARY_LEVELS, MlofiSample, compute_day_samples, flow_delta
 from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
 from mlofi.sampling import GridSpec, build_grid
 
@@ -25,6 +25,7 @@ from conftest import (
 
 NS = 1_000_000_000
 T0 = 36_000 * NS
+TICK = 100
 
 
 def arrival(oid, size, price, side=Side.BUY, ts=T0):
@@ -336,3 +337,119 @@ def test_one_replay_matches_per_event_oracles(days, levels, subwindow):
     for got, raw in ((conc.count_pct, counts), (conc.volume_pct, volumes)):
         expected = [100.0 * v / sum(raw) for v in raw] if sum(raw) else [0.0] * 3
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+@hst.composite
+def horizon_days(draw):
+    """(day, levels): a seeded day with horizons, its events aimed at the row's edge.
+
+    The seed holds 1 to depth + 2 levels a side, two ticks apart, and each
+    side's deepest seed price is its horizon, as when the orderbook row is
+    full. Most events aim at rank depth - 1 or depth of the replay's row
+    (depth = max(levels, 5)): an arrival one tick better than the level at
+    that rank, or beyond the last level, makes a level appear there unless
+    the price is taken; a removal there takes a live order or draws on the
+    seed, and may make the level vanish. A removal of an unseen order
+    beyond the horizon, a cancellation or an execution at a best quote that
+    lies beyond it, leaves the book as it is.
+    """
+    levels = draw(hst.integers(1, 10))
+    depth = max(levels, SUMMARY_LEVELS)
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    anon = {}  # (side, price) -> seeded depth left
+    for side, best in ((1, 50_000), (-1, 50_200)):
+        for i in range(int(rng.integers(1, depth + 3))):
+            anon[(side, best - side * 2 * i * TICK)] = int(rng.integers(1, 20))
+    horizon = {s: min(p * s for (t, p) in anon if t == s) * s for s in (1, -1)}
+    seed = SeedSnapshot(
+        bids=tuple((p, q) for (s, p), q in sorted(anon.items(), reverse=True) if s == 1),
+        asks=tuple((p, q) for (s, p), q in sorted(anon.items()) if s == -1),
+        bid_horizon=horizon[1],
+        ask_horizon=horizon[-1],
+    )
+    live = {}  # order id -> [side, price, size]
+    next_live, next_unseen = 1, 1_000_000
+
+    def prices(side):
+        """The side's price levels, best first."""
+        held = {p for (s, p), q in anon.items() if s == side and q}
+        held |= {p for s, p, _ in live.values() if s == side}
+        return sorted(held, key=lambda p: -side * p)
+
+    events = []
+    ts = T0
+    for _ in range(draw(hst.integers(0, 300))):
+        if rng.random() < 0.8:
+            ts += int(rng.integers(1, 2 * NS))
+        side = 1 if rng.random() < 0.5 else -1
+        book = prices(side)
+        k = int(rng.choice([0, depth - 1, depth, depth - 1, depth, rng.integers(0, depth + 2)]))
+        if rng.random() < 0.4:
+            if k < len(book):
+                price = book[k] + side * TICK
+            else:
+                base = book[-1] if book else 50_100 - side * 100
+                price = base - side * int(rng.integers(1, 3)) * TICK
+            opp = prices(-side)
+            if opp and side * (price - opp[0]) >= 0:
+                continue  # would cross the other side
+            kind, oid, size = EventKind.LIMIT_ARRIVAL, next_live, int(rng.integers(1, 20))
+            live[oid] = [side, price, size]
+            next_live += 1
+        elif k < len(book):
+            price = book[k]
+            kind = EventKind.EXECUTION_VISIBLE if k == 0 and rng.random() < 0.5 else None
+            here = [oid for oid, (s, p, _) in live.items() if s == side and p == price]
+            pool = anon.get((side, price), 0)
+            beyond = side * (horizon[side] - price) > 0
+            if beyond:  # only live orders rest here
+                take_live = rng.random() < 0.7
+            else:
+                take_live = here and (not pool or rng.random() < 0.5)
+            if take_live:
+                oid = here[int(rng.integers(len(here)))]
+                held = live[oid][2]
+                size = held if rng.random() < 0.6 else int(rng.integers(1, held + 1))
+                kind = kind or (EventKind.CANCEL_FULL if size == held else EventKind.CANCEL_PARTIAL)
+                if size == held:
+                    del live[oid]
+                else:
+                    live[oid][2] -= size
+            else:
+                if beyond:  # the replay skips it: nothing changes
+                    size = int(rng.integers(1, 20))
+                else:
+                    size = pool if rng.random() < 0.6 else int(rng.integers(1, pool + 1))
+                    anon[(side, price)] = pool - size
+                kind, oid = kind or EventKind.CANCEL_PARTIAL, next_unseen
+                next_unseen += 1
+        else:
+            price = horizon[side] - side * int(rng.integers(1, 4)) * TICK
+            kind, oid, size = EventKind.CANCEL_PARTIAL, next_unseen, int(rng.integers(1, 20))
+            next_unseen += 1
+        events.append(LobEvent(ts, kind, oid, size, price, Side.BUY if side == 1 else Side.SELL))
+    return DaySlice(dt.date(2016, 1, 4), events, seed=seed), levels
+
+
+@given(day_levels=horizon_days(), subwindow=hst.sampled_from([1, 10, 30]))
+def test_replay_at_the_row_edge_of_a_seeded_book_matches_oracles(day_levels, subwindow):
+    day, levels = day_levels
+    session = SessionConfig(session_start=36000, session_end=36300)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
+    day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
+    comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+    samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+    assert comp.samples == samples
+    assert comp.discarded_intervals == discarded
+
+    by_duration, by_event, counts, volumes = oracle_book_summary([day], session)
+    assert (comp.book.flow_counts, comp.book.flow_volumes) == (counts, volumes)
+    if by_duration is None or by_event is None:
+        with pytest.raises(TooFewRows):
+            book_summaries([comp.book])
+        return
+    got_duration, got_event, _ = book_summaries([comp.book])
+    for got, expected in ((got_duration, by_duration), (got_event, by_event)):
+        values = [got.mean_mid_dollars, got.mean_spread_dollars]
+        values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)

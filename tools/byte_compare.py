@@ -7,7 +7,9 @@ matrix of ``python -m mlofi`` commands in that tree and in the working tree,
 each with ``PYTHONPATH=<tree>/src`` and its own scratch directory as working
 directory. It compares the exit code, stdout and stderr of every run and
 every file the runs write (``filecmp``, byte for byte), prints each
-difference and exits 1 if there is any, 0 otherwise.
+difference and exits 1 if there is any, 0 otherwise. A ``.json`` or
+``.csv`` file that differs also gets the largest relative difference over
+its numeric fields, when both files hold the same keys, rows and text.
 
 The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
 and 10 with each method set, without a penalized intercept, and with the
@@ -21,8 +23,10 @@ with the session starting at 10:00 and at 10:30.
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import io
+import json
 import os
 import subprocess
 import sys
@@ -110,6 +114,39 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     return results
 
 
+def _numbers(a, b) -> list[tuple[float, float]]:
+    """Pairs of numbers at the same place in two JSON values or CSV fields.
+
+    Raises ValueError where the two differ in anything but a number.
+    """
+    if a == b:
+        return []
+    if isinstance(a, str) and isinstance(b, str):
+        return [(float(a), float(b))]
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)]
+    if all(numbers):
+        return [(float(a), float(b))]
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [pair for k in a for pair in _numbers(a[k], b[k])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [pair for u, v in zip(a, b) for pair in _numbers(u, v)]
+    raise ValueError("the files differ in more than numbers")
+
+
+def largest_relative_difference(old: Path, new: Path) -> str:
+    """How far two differing .json/.csv files are apart, as a message."""
+    try:
+        if old.suffix == ".json":
+            a, b = (json.loads(p.read_text()) for p in (old, new))
+        else:
+            a, b = (list(csv.reader(p.read_text().splitlines())) for p in (old, new))
+        pairs = _numbers(a, b)
+    except ValueError:
+        return "not only in numbers"
+    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+    return f"largest relative difference {rel:.3g}"
+
+
 def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
     diffs = []
     for name, _ in matrix():
@@ -122,7 +159,10 @@ def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
             diffs.append(f"{rel}: only in {'REV' if rel in old_files else 'working tree'}")
         for rel in sorted(old_files & new_files):
             if not filecmp.cmp(old_dir / rel, new_dir / rel, shallow=False):
-                diffs.append(f"{rel}: contents differ")
+                size = ""
+                if rel.suffix in (".json", ".csv"):
+                    size = f" ({largest_relative_difference(old_dir / rel, new_dir / rel)})"
+                diffs.append(f"{rel}: contents differ{size}")
     return diffs
 
 
