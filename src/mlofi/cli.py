@@ -430,15 +430,20 @@ def cmd_compute(config: RunConfig) -> int:
     return 0
 
 
-def cmd_fit(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+def _fit_days(config: RunConfig) -> list[DaySlice]:
+    """``load_days`` for the commands that fit, where no input day is an error."""
     days = load_days(config)
     if not days:
         raise TooFewRows("no input days")
+    return days
+
+
+def cmd_fit(config: RunConfig) -> int:
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    days = _fit_days(config)
     grid = build_grid(config.session, config.grid)
-    problems, _, _ = assemble_windows(
-        days, grid, config.levels, config.session.tick_size
-    )
+    problems, _, _ = assemble_windows(days, grid, config.levels, config.session.tick_size)
+    del days  # frees the parsed events before the fits
     tables = fit_tables(
         problems,
         config.levels,
@@ -466,11 +471,9 @@ def cmd_fit(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    days = load_days(config)
-    if not days:
-        raise TooFewRows("no input days")
+    # No local name holds the days, so run_evaluation can free them.
     report = run_evaluation(
-        days,
+        _fit_days(config),
         config.session,
         config.grid,
         config.levels,

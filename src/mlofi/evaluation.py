@@ -404,6 +404,7 @@ def run_evaluation(
     """
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
+    del days  # the last reference when the caller kept none; frees the events
     tables = fit_tables(
         problems, levels, methods, folds, lambda_grid, penalize_intercept, lambda_mode
     )
@@ -448,7 +449,7 @@ def run_evaluation(
         levels=levels,
         methods=list(methods),
         folds=folds,
-        n_days=len(days),
+        n_days=len(tallies),
         n_problems=len(problems),
         discarded_intervals=stats.discarded_intervals,
         dropped_windows=stats.dropped_windows,

@@ -95,7 +95,7 @@ def flow_delta(before: tuple[int, ...], after: tuple[int, ...], levels: int) -> 
     return FlowDelta(bid_flow=tuple(bid_flow), ask_flow=tuple(ask_flow))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MlofiSample:
     """Aggregated imbalance over one (start, end] interval.
 
@@ -291,19 +291,11 @@ def compute_day_samples(
                 samples.append(None)
                 discarded += 1
             else:
-                samples.append(
-                    MlofiSample(
-                        date=day.trading_date,
-                        window_index=(j - 1) // K,
-                        sub_index=(j - 1) % K + 1,
-                        start_ns=boundaries_ns[j - 1],
-                        end_ns=t_end,
-                        mlofi=tuple(totals),
-                        buy_volume=buy,
-                        sell_volume=sell,
-                        delta_p=end_mid - prev_mid,
-                    )
-                )
+                # In field order: keyword arguments cost more, once per interval.
+                samples.append(MlofiSample(
+                    day.trading_date, (j - 1) // K, (j - 1) % K + 1, boundaries_ns[j - 1],
+                    t_end, tuple(totals), buy, sell, end_mid - prev_mid,
+                ))
         prev_mid = end_mid
 
     # The last replayed state holds until the next event, or t_N.

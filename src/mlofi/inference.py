@@ -12,7 +12,9 @@ Cross-validation folds are contiguous, time-ordered blocks: shuffling
 serially correlated intervals into random folds would leak information
 between fit and validation sets. ``fold_rows`` is the one fold loop of the
 penalty search and the RMSE protocol. Each training fold forms X'X and X'y
-once and solves the whole penalty grid in one batched ``ridge_coefficients``.
+once and solves the whole penalty grid in one batched ``ridge_coefficients``;
+the grid's validation residuals then come from one stacked matrix-vector
+product and their squared sums from one stacked dot.
 """
 
 from __future__ import annotations
@@ -164,15 +166,13 @@ def contiguous_folds(n_rows: int, folds: int) -> list[np.ndarray]:
 def fold_rows(
     X: np.ndarray, y: np.ndarray, folds: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (X_train, y_train, X_val, y_val) for each contiguous fold, in order."""
+    """Yield (X_train, y_train, X_val, y_val) per contiguous fold, in order; val rows are views."""
     n = X.shape[0]
-    blocks = contiguous_folds(n, folds)
     if n < folds:
         raise TooFewRows(f"{n} rows cannot fill {folds} folds")
-    for idx in blocks:
-        val = np.zeros(n, dtype=bool)
-        val[idx] = True
-        yield X[~val], y[~val], X[val], y[val]
+    for idx in contiguous_folds(n, folds):
+        a, b = idx[0], idx[-1] + 1
+        yield np.concatenate((X[:a], X[b:])), np.concatenate((y[:a], y[b:])), X[a:b], y[a:b]
 
 
 @dataclass
@@ -204,13 +204,14 @@ def select_lambda(
         raise TooFewRows(
             f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
         )
-    # Summed per penalty in fold order, as a per-(lambda, fold) loop would.
+    # Summed per penalty in fold order, as a per-(lambda, fold) loop would; the stacked
+    # products run one gemv and one dot per penalty, so each term keeps its bits.
     cv_errors = np.zeros(len(grid))
     for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
         coeffs = ridge_coefficients(X_train, y_train, grid, penalize_intercept)
-        for gi, c in enumerate(coeffs):
-            resid = y_val - X_val @ c
-            cv_errors[gi] += float(resid @ resid) / len(resid)
+        resid = X_val @ coeffs[:, :, None]  # penalties x rows x 1
+        np.subtract(y_val[:, None], resid, out=resid)
+        cv_errors += (resid.mT @ resid)[:, 0, 0] / len(y_val)
     cv_errors /= folds
     if not np.all(np.isfinite(cv_errors)):
         raise NumericalFailure("non-finite cross-validation error encountered")

@@ -9,11 +9,13 @@ from hypothesis import strategies as hst
 
 from mlofi.errors import DegenerateColumn, RankDeficient
 from mlofi.inference import (
+    MIN_ROWS_PER_FOLD,
     contiguous_folds,
     default_lambda_grid,
     diagnose_collinearity,
     fit_ols,
     fit_ridge,
+    fold_rows,
     select_lambda,
     significance_summary,
 )
@@ -222,6 +224,55 @@ def test_select_lambda_matches_per_pair_oracle(n, p, seed, duplicate, zero, pena
     cv_errors, lambda_hat = oracle_select_lambda(X, y, 5, grid, penalize_intercept)
     assert np.array_equal(search.cv_errors, cv_errors)
     assert search.lambda_hat == lambda_hat
+
+
+@given(
+    data=hst.data(),
+    folds=hst.integers(2, 7),
+    p=hst.integers(2, 8),
+    grid=hst.lists(
+        hst.floats(1e-6, 1e6), min_size=1, max_size=60, unique=True
+    ).map(sorted),
+    seed=hst.integers(0, 2**32 - 1),
+    penalize_intercept=hst.booleans(),
+)
+def test_select_lambda_matches_oracle_on_any_grid_and_folds(
+    data, folds, p, grid, seed, penalize_intercept
+):
+    # n need not divide into folds, so the validation blocks differ in length.
+    n = data.draw(hst.integers(MIN_ROWS_PER_FOLD * folds, 400), label="n")
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    grid = np.array(grid)
+    search = select_lambda(X, y, folds, grid, penalize_intercept)
+    cv_errors, lambda_hat = oracle_select_lambda(X, y, folds, grid, penalize_intercept)
+    assert np.array_equal(search.cv_errors, cv_errors)
+    assert search.lambda_hat == lambda_hat
+
+
+@given(
+    data=hst.data(),
+    folds=hst.integers(2, 7),
+    width=hst.integers(1, 4),
+    column_view=hst.booleans(),
+)
+def test_fold_rows_equals_boolean_mask_split(data, folds, width, column_view):
+    n = data.draw(hst.integers(folds, 60), label="n")
+    X = np.arange(n * (width + 1), dtype=float).reshape(n, width + 1)
+    if column_view:
+        X = X[:, :width]  # the RMSE curve's strided sub-design
+    y = np.arange(n, dtype=float) * 0.5
+    splits = list(fold_rows(X, y, folds))
+    assert len(splits) == folds
+    for (X_tr, y_tr, X_val, y_val), idx in zip(splits, contiguous_folds(n, folds)):
+        val = np.zeros(n, dtype=bool)
+        val[idx] = True
+        for got, want in zip((X_tr, y_tr, X_val, y_val), (X[~val], y[~val], X[val], y[val])):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.shares_memory(X_val, X)
+        assert np.shares_memory(y_val, y)
 
 
 def test_contiguous_folds_partition():

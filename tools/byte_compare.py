@@ -13,12 +13,14 @@ its numeric fields, when both files hold the same keys, rows and text.
 
 The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
 and 10 with each method set, without a penalized intercept, and with the
-per-window penalty on one-second sub-windows; a sparse book that discards
-intervals and leaves rank-deficient windows out; ``compute`` at levels 1, 3
-and 10; a one-day ``evaluate``; ``evaluate --config run.cfg``, a file that
-sets every run option, with ``--levels`` and ``--out`` flags overriding two
-of its keys; and ``synth`` fixtures fed back to ``compute --orderbooks``
-with the session starting at 10:00 and at 10:30.
+per-window penalty on one-second sub-windows; a per-window ``fit`` at level
+10 in 7 folds of uneven length, without a penalized intercept; a sparse
+book that discards intervals and leaves rank-deficient windows out;
+``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
+--config run.cfg``, a file that sets every run option, with ``--levels``
+and ``--out`` flags overriding two of its keys; and ``synth`` fixtures fed
+back to ``compute --orderbooks`` with the session starting at 10:00 and at
+10:30.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"{cmd}-sparse", [cmd, *SPARSE_BOOK, "--levels", "5"]))
         runs.append((f"{cmd}-sparse-per-window", [cmd, *SPARSE_BOOK, "--levels", "3",
                                                   "--lambda-mode", "per-window"]))
+    # 120 rows a window in 7 folds: validation blocks of 18 and 17 rows.
+    runs.append(("fit-per-window-uneven-folds",
+                 ["fit", *TWO_DAYS, "--levels", "10", "--lambda-mode", "per-window", "--DT",
+                  "120", "--dt", "1", "--folds", "7", "--no-penalize-intercept"]))
     for levels in ("1", "3", "10"):
         runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
     runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",
