@@ -59,7 +59,7 @@ class Side(Enum):
     SELL = -1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LobEvent:
     """One order-flow event.
 

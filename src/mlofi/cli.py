@@ -46,7 +46,6 @@ from .lobster import (
     date_from_filename,
     hms_to_seconds,
     parse_message_file,
-    session_seed,
     write_message_file,
     write_orderbook_file,
 )
@@ -290,13 +289,9 @@ def load_days(config: RunConfig) -> list[DaySlice]:
         if date is None:
             date = config.start_date + dt.timedelta(days=i)
         try:
-            day = parse_message_file(path, config.session, trading_date=date)
+            days.append(parse_message_file(path, config.session, date, seed_paths.get(path)))
         except EmptySession as exc:
             print(f"warning: skipping {exc}", file=sys.stderr)
-            continue
-        if seed_paths:
-            day.seed = session_seed(seed_paths[path], path, config.session)
-        days.append(day)
     return days
 
 

@@ -9,8 +9,14 @@ and direction +1 = buy, -1 = sell. Type codes: 1 arrival, 2 partial cancel,
 0) marking absent levels: the form of ``book.level_snapshot``, which the
 parser returns and the fixture writer writes.
 
-Parsing is strict: the first malformed row aborts with its line number.
-Timestamps are handled as exact integer nanoseconds throughout.
+Parsing is strict. Every number is ASCII decimal: an integer is an optional
+``-`` and ASCII digits, a time is ASCII digits with at most 9 decimals, and
+a field may carry the ASCII whitespace ``str.strip`` removes around it. A
+message row is one match of that grammar, then the checks on its values;
+the first row that fails aborts with its line number. Each message file is
+read once: the same pass counts the rows before the session, which pick
+the orderbook row that seeds the book. Timestamps are handled as exact
+integer nanoseconds throughout.
 """
 
 from __future__ import annotations
@@ -22,21 +28,29 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
-from .errors import ConfigError, EmptySession, InconsistentEvent, MalformedRow
+from .errors import ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 
 NS = 1_000_000_000
 
 _KIND_BY_CODE = {k.value: k for k in EventKind}
-_DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
+
+# The grammar: ASCII decimal integers and 'seconds.fraction' times, each
+# field padded by the ASCII characters str.strip() removes.
+_PAD = r"[\t\n\x0b\x0c\r\x1c-\x1f ]*"
+_INT = r"(-?\d+)"
+_TIME = r"(\d+)(?:\.(\d{1,9}))?"
+_MESSAGE_RE = re.compile(",".join(_PAD + f + _PAD for f in (_TIME,) + (_INT,) * 5), re.ASCII)
+_ORDERBOOK_RE = re.compile(f"{_PAD}{_INT}{_PAD}(?:,{_PAD}{_INT}{_PAD})*", re.ASCII)
+_HMS_RE = re.compile(r"(\d+):(\d+)(?::(\d+))?", re.ASCII)
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 def hms_to_seconds(text: str) -> int:
     """Parse 'HH:MM' or 'HH:MM:SS' to seconds after midnight."""
-    parts = text.split(":")
-    if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
+    match = _HMS_RE.fullmatch(text)
+    if match is None:
         raise ConfigError(f"bad time of day: {text!r}")
-    h, m = int(parts[0]), int(parts[1])
-    s = int(parts[2]) if len(parts) == 3 else 0
+    h, m, s = (int(part or 0) for part in match.groups())
     if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
         raise ConfigError(f"bad time of day: {text!r}")
     return h * 3600 + m * 60 + s
@@ -105,51 +119,29 @@ class SeedSnapshot:
         )
 
 
-def parse_timestamp_ns(text: str, line_no: int) -> int:
-    """Exact fixed-point parse of 'seconds.fraction' to nanoseconds."""
-    head, dot, frac = text.partition(".")
-    if not head.isdigit():
-        raise MalformedRow(line_no, f"bad timestamp {text!r}")
-    if dot and (not frac.isdigit() or len(frac) > 9):
-        raise MalformedRow(line_no, f"bad timestamp {text!r}")
-    ns = int(head) * NS
-    if dot:
-        ns += int(frac.ljust(9, "0"))
-    return ns
-
-
 def format_timestamp_ns(ns: int) -> str:
     return f"{ns // NS}.{ns % NS:09d}"
 
 
-def _parse_int(text: str, line_no: int, what: str) -> int:
-    t = text.strip()
-    if t.startswith("-"):
-        body = t[1:]
-    else:
-        body = t
-    if not body.isdigit():
-        raise MalformedRow(line_no, f"bad {what}: {text!r}")
-    return int(t)
+def _malformed(line: str, line_no: int) -> MalformedRow:
+    row = line.rstrip("\r\n")
+    return MalformedRow(line_no, f"malformed row {row!r}")
 
 
 def parse_message_row(line: str, line_no: int) -> LobEvent:
-    fields = line.rstrip("\n").rstrip("\r").split(",")
-    if len(fields) != 6:
-        raise MalformedRow(line_no, f"expected 6 fields, got {len(fields)}")
-    ts = parse_timestamp_ns(fields[0].strip(), line_no)
-    code = _parse_int(fields[1], line_no, "type code")
-    if code not in _KIND_BY_CODE:
-        raise MalformedRow(line_no, f"unknown type code {code}")
-    kind = _KIND_BY_CODE[code]
-    order_id = _parse_int(fields[2], line_no, "order id")
-    size = _parse_int(fields[3], line_no, "size")
-    price = _parse_int(fields[4], line_no, "price")
-    direction = _parse_int(fields[5], line_no, "direction")
+    m = _MESSAGE_RE.fullmatch(line)
+    if m is None:
+        raise _malformed(line, line_no)
+    secs, frac, code, order_id, size, price, direction = m.groups()
+    ts = int(secs) * NS + (int(frac.ljust(9, "0")) if frac else 0)
+    kind = _KIND_BY_CODE.get(int(code))
+    if kind is None:
+        raise MalformedRow(line_no, f"unknown type code {int(code)}")
+    order_id, size, price, direction = int(order_id), int(size), int(price), int(direction)
     if direction not in (1, -1):
         raise MalformedRow(line_no, f"direction must be +1/-1, got {direction}")
     side = Side.BUY if direction == 1 else Side.SELL
-    if kind in (EventKind.HALT,):
+    if kind is EventKind.HALT:
         # Halt rows carry status flags, not an order; normalize to neutral values.
         return LobEvent(ts, kind, order_id, max(size, 1), max(price, 1), side)
     if size < 1:
@@ -163,41 +155,61 @@ def parse_message_file(
     path: str | Path,
     config: SessionConfig,
     trading_date: dt.date | None = None,
+    orderbook: str | Path | None = None,
 ) -> DaySlice:
     """Parse one message file, applying session and hidden-order filters.
 
     Rows outside [session_start, session_end] are dropped, as are hidden
     executions when ``config.exclude_hidden``. Raises EmptySession when
-    nothing survives the filters.
+    nothing survives the filters. With an ``orderbook`` file the day is
+    seeded with the book at session start: orderbook row k is the book after
+    message k, so the seed is the row of the last message before session
+    start. When the session starts at the file's first message, it is row 1
+    with message 1 undone.
     """
     path = Path(path)
     if trading_date is None:
         trading_date = date_from_filename(path.name) or dt.date(1970, 1, 1)
     events: list[LobEvent] = []
     last_ts = -1
+    before, first = 0, None
     with open(path, "r", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             ev = parse_message_row(line, line_no)
+            if first is None:
+                first = ev
             if ev.timestamp_ns < last_ts:
                 raise MalformedRow(line_no, "timestamps decrease within the file")
             last_ts = ev.timestamp_ns
-            if not (config.start_ns <= ev.timestamp_ns <= config.end_ns):
+            if ev.timestamp_ns < config.start_ns:
+                before += 1
+                continue
+            if ev.timestamp_ns > config.end_ns:
                 continue
             if config.exclude_hidden and ev.kind is EventKind.EXECUTION_HIDDEN:
                 continue
             events.append(ev)
     if not events:
         raise EmptySession(f"{path}: no rows inside the session window")
-    return DaySlice(trading_date=trading_date, events=events, seed=None)
+    seed = None
+    if orderbook is not None and before:
+        seed = seed_from_orderbook_file(orderbook, before)
+    elif orderbook is not None:
+        seed = seed_from_orderbook_file(orderbook, 1, undo=first)
+    return DaySlice(trading_date=trading_date, events=events, seed=seed)
 
 
 def date_from_filename(name: str) -> dt.date | None:
+    """The first YYYY-MM-DD in a file name; a DataError if it is no date."""
     m = _DATE_RE.search(name)
     if not m:
         return None
-    return dt.date.fromisoformat(m.group(1))
+    try:
+        return dt.date.fromisoformat(m.group())
+    except ValueError as exc:
+        raise DataError(f"{name}: bad date {m.group()!r} in the file name: {exc}") from None
 
 
 def parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
@@ -207,18 +219,18 @@ def parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
     multiple of 4. A level with a sentinel price or a zero size comes back
     as the sentinel price and size 0.
     """
-    fields = line.rstrip("\n").rstrip("\r").split(",")
+    fields = line.split(",")
     levels, rest = divmod(len(fields), 4)
     if levels == 0 or rest:
         raise MalformedRow(
             line_no, f"expected a positive multiple of 4 fields, got {len(fields)}"
         )
+    if _ORDERBOOK_RE.fullmatch(line) is None:
+        raise _malformed(line, line_no)
+    values = [int(f.strip()) for f in fields]
     row: list[int] = []
     for m in range(levels):
-        ap = _parse_int(fields[4 * m + 0], line_no, "ask price")
-        asz = _parse_int(fields[4 * m + 1], line_no, "ask size")
-        bp = _parse_int(fields[4 * m + 2], line_no, "bid price")
-        bsz = _parse_int(fields[4 * m + 3], line_no, "bid size")
+        ap, asz, bp, bsz = values[4 * m:4 * m + 4]
         row += (ASK_ABSENT, 0) if ap >= ASK_ABSENT or asz <= 0 else (ap, asz)
         row += (BID_ABSENT, 0) if bp <= BID_ABSENT or bsz <= 0 else (bp, bsz)
     return tuple(row)
@@ -240,7 +252,7 @@ def seed_from_orderbook_file(
         rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
         found = next(itertools.islice(rows, row - 1, None), None)
     if found is None:
-        raise EmptySession(f"{path}: no orderbook row {row}")
+        raise DataError(f"{path}: no orderbook row {row}")
     book = parse_orderbook_row(found[1], found[0])
     horizon = {Side.BUY: min(book[2::4]), Side.SELL: max(book[0::4])}
     sides = {
@@ -267,30 +279,6 @@ def seed_from_orderbook_file(
         asks=tuple((p, d) for p, d in asks_best_first if d),
         bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL],
     )
-
-
-def session_seed(
-    orderbook_path: str | Path, message_path: str | Path, config: SessionConfig
-) -> SeedSnapshot:
-    """The book at session start, from a message file and its orderbook file.
-
-    Orderbook row k is the book after message k, so the seed is the row of
-    the last message before session start. When the session starts at the
-    file's first message, it is row 1 with message 1 undone.
-    """
-    before, first = 0, None
-    with open(message_path, "r", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if before == 0:
-                first = parse_message_row(line, line_no)
-            if parse_timestamp_ns(line.split(",", 1)[0].strip(), line_no) >= config.start_ns:
-                break
-            before += 1
-    if before:
-        return seed_from_orderbook_file(orderbook_path, before)
-    return seed_from_orderbook_file(orderbook_path, 1, undo=first)
 
 
 # -- fixture writer ---------------------------------------------------------

@@ -18,6 +18,7 @@ byte-exact event stream.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -51,10 +52,12 @@ class ZiParams:
     seed_depth: int = 50
 
     def __post_init__(self):
-        if min(self.limit_rate, self.market_rate, self.cancel_rate) <= 0:
-            raise ConfigError("all rates must be positive")
-        if self.mean_size < 1:
-            raise ConfigError("mean_size must be >= 1")
+        # Written so that NaN fails too; an infinite rate never ends a day.
+        rates = (self.limit_rate, self.market_rate, self.cancel_rate)
+        if not all(0 < r < math.inf for r in rates):
+            raise ConfigError("all rates must be positive and finite")
+        if not 1 <= self.mean_size < math.inf:
+            raise ConfigError("mean_size must be finite and >= 1")
         if self.price_band < 1:
             raise ConfigError("price_band must be >= 1")
 

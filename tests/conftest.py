@@ -19,6 +19,7 @@ from mlofi.book import (
     Side,
     level_snapshot,
 )
+from mlofi.errors import MalformedRow
 from mlofi.imbalance import MlofiSample, flow_delta
 
 TICK = 100
@@ -369,3 +370,75 @@ def oracle_select_lambda(X, y, folds, grid, penalize_intercept=True):
             total += float(resid @ resid) / len(idx)
         cv_errors[gi] = total / folds
     return cv_errors, float(grid[int(np.argmin(cv_errors))])
+
+
+# -- field-wise parsers: the ingest's rules before its grammar ---------------
+
+
+def _oracle_timestamp_ns(text: str, line_no: int) -> int:
+    head, dot, frac = text.partition(".")
+    if not head.isdigit():
+        raise MalformedRow(line_no, f"bad timestamp {text!r}")
+    if dot and (not frac.isdigit() or len(frac) > 9):
+        raise MalformedRow(line_no, f"bad timestamp {text!r}")
+    ns = int(head) * NS
+    if dot:
+        ns += int(frac.ljust(9, "0"))
+    return ns
+
+
+def _oracle_int(text: str, line_no: int, what: str) -> int:
+    t = text.strip()
+    body = t[1:] if t.startswith("-") else t
+    if not body.isdigit():
+        raise MalformedRow(line_no, f"bad {what}: {text!r}")
+    return int(t)
+
+
+def oracle_parse_message_row(line: str, line_no: int) -> LobEvent:
+    """One message row, field by field; right on ASCII input only.
+
+    ``str.isdigit`` passes non-ASCII digits, which ``int`` reads or rejects
+    with a ValueError.
+    """
+    fields = line.rstrip("\n").rstrip("\r").split(",")
+    if len(fields) != 6:
+        raise MalformedRow(line_no, f"expected 6 fields, got {len(fields)}")
+    ts = _oracle_timestamp_ns(fields[0].strip(), line_no)
+    code = _oracle_int(fields[1], line_no, "type code")
+    if code not in {k.value for k in EventKind}:
+        raise MalformedRow(line_no, f"unknown type code {code}")
+    kind = EventKind(code)
+    order_id = _oracle_int(fields[2], line_no, "order id")
+    size = _oracle_int(fields[3], line_no, "size")
+    price = _oracle_int(fields[4], line_no, "price")
+    direction = _oracle_int(fields[5], line_no, "direction")
+    if direction not in (1, -1):
+        raise MalformedRow(line_no, f"direction must be +1/-1, got {direction}")
+    side = Side.BUY if direction == 1 else Side.SELL
+    if kind in (EventKind.HALT,):
+        return LobEvent(ts, kind, order_id, max(size, 1), max(price, 1), side)
+    if size < 1:
+        raise MalformedRow(line_no, f"size must be >= 1, got {size}")
+    if not 0 < price < ASK_ABSENT:
+        raise MalformedRow(line_no, f"price must be in 1..{ASK_ABSENT - 1}, got {price}")
+    return LobEvent(ts, kind, order_id, size, price, side)
+
+
+def oracle_parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
+    """One orderbook row, field by field; right on ASCII input only."""
+    fields = line.rstrip("\n").rstrip("\r").split(",")
+    levels, rest = divmod(len(fields), 4)
+    if levels == 0 or rest:
+        raise MalformedRow(
+            line_no, f"expected a positive multiple of 4 fields, got {len(fields)}"
+        )
+    row: list[int] = []
+    for m in range(levels):
+        ap = _oracle_int(fields[4 * m + 0], line_no, "ask price")
+        asz = _oracle_int(fields[4 * m + 1], line_no, "ask size")
+        bp = _oracle_int(fields[4 * m + 2], line_no, "bid price")
+        bsz = _oracle_int(fields[4 * m + 3], line_no, "bid size")
+        row += (ASK_ABSENT, 0) if ap >= ASK_ABSENT or asz <= 0 else (ap, asz)
+        row += (BID_ABSENT, 0) if bp <= BID_ABSENT or bsz <= 0 else (bp, bsz)
+    return tuple(row)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +515,104 @@ def test_orderbook_seed_from_a_later_row_skips_orders_beyond_it(tmp_path, synth_
         # 10:30 opens the second 30-minute window of the 10:00 session.
         twin = by_interval[(row[0], int(row[1]) + 1, row[2])]
         assert [row[i] for i in keep] == [twin[i] for i in keep]
+
+
+def test_each_message_file_is_read_once(tmp_path, monkeypatch, synth_orderbooks):
+    # The parse that yields a day's events also picks its seed row.
+    import builtins
+
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    for start in ("10:00", "10:30"):
+        opened.clear()
+        assert compute_seeded(synth_orderbooks / "fx", tmp_path / start.replace(":", ""),
+                              "--session-start", start, "--session-end", "11:00") == 0
+        messages = [name for name in opened if "_message_" in name]
+        assert len(messages) == 2 and len(set(messages)) == 2
+        assert len([name for name in opened if "_orderbook_" in name]) == 2
+
+
+def test_orderbook_without_the_seed_row_is_a_data_error(tmp_path, capsys):
+    # Two messages before the session need orderbook row 2; a missing row
+    # stops the run rather than skipping the day as an empty session.
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text("35990.0,1,1,10,140000,1\n35991.0,1,2,10,140200,-1\n"
+                        "36001.0,1,3,10,140100,-1\n")
+    (tmp_path / "SYN_2016-01-05_orderbook_1.csv").write_text("9999999999,0,140000,10\n")
+    code = run_cli("compute", "--messages", str(messages),
+                   "--orderbooks", str(tmp_path / "*_orderbook_*"), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "no orderbook row 2" in capsys.readouterr().err
+
+
+# One row per message field, each with a non-ASCII digit: '٢' and '٠' are
+# Arabic-Indic digits int() reads, the superscripts are digits it rejects.
+NON_ASCII_ROWS = [
+    "3600٢.5,1,2,10,140000,1",
+    "36002.٥,1,2,10,140000,1",
+    "36002.5,¹,2,10,140000,1",
+    "36002.5,1,²,10,140000,1",
+    "36002.5,1,2,1٠,140000,1",
+    "36002.5,1,2,10,14000٠,1",
+    "36002.5,1,2,10,140000,١",
+]
+
+
+@pytest.mark.parametrize("row", NON_ASCII_ROWS)
+def test_non_ascii_digit_in_a_message_is_a_data_error(tmp_path, capsys, row):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text(f"36001.0,1,1,10,140000,1\n{row}\n", encoding="utf-8")
+    code = run_cli("compute", "--messages", str(messages), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"line 2: malformed row {row!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_non_ascii_digit_in_an_orderbook_row_is_a_data_error(tmp_path, capsys, field):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text("35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n")
+    row = ["9999999999", "0", "140000", "10"]
+    row[field] = row[field][:-1] + chr(ord("٠") + int(row[field][-1]))  # the same digit
+    (tmp_path / "SYN_2016-01-05_orderbook_1.csv").write_text(
+        "\n" + ",".join(row) + "\n", encoding="utf-8")
+    code = run_cli("compute", "--messages", str(messages),
+                   "--orderbooks", str(tmp_path / "*_orderbook_*"), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "line 2: malformed row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, end, bad", [
+    ("1²:00", "10:05", "1²:00"),
+    ("١٠:00", "10:05", "١٠:00"),
+    ("10:00", "10:0٥", "10:0٥"),
+])
+def test_non_ascii_digit_in_a_time_of_day_is_a_config_error(tmp_path, capsys, start, end, bad):
+    code = run_cli("compute", "--synth-days", "1", "--session-start", start,
+                   "--session-end", end, "--DT", "300", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"bad time of day: {bad!r}" in capsys.readouterr().err
+
+
+def test_impossible_date_in_a_file_name_is_a_data_error(tmp_path, capsys):
+    messages = tmp_path / "X_2016-13-45_message_1.csv"
+    messages.write_text(WORKED_EXAMPLE)
+    code = run_cli("compute", "--messages", str(messages), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: X_2016-13-45_message_1.csv: bad date '2016-13-45'")
+
+
+@pytest.mark.parametrize("flag", ["--zi-limit-rate", "--zi-market-rate", "--zi-cancel-rate",
+                                  "--zi-mean-size"])
+def test_nan_zi_parameter_exits_1(tmp_path, capsys, flag):
+    code = run_cli("synth", "--synth-days", "1", "--session-end", "10:05", "--DT", "300",
+                   flag, "nan", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

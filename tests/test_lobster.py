@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlofi.book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
-from mlofi.errors import EmptySession, InconsistentEvent, MalformedRow
+from mlofi.errors import ConfigError, EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
     SessionConfig,
     format_timestamp_ns,
@@ -12,14 +14,12 @@ from mlofi.lobster import (
     parse_message_file,
     parse_message_row,
     parse_orderbook_row,
-    parse_timestamp_ns,
     seed_from_orderbook_file,
-    session_seed,
     write_message_file,
     write_orderbook_file,
 )
 
-from conftest import fuzz_stream
+from conftest import fuzz_stream, oracle_parse_message_row, oracle_parse_orderbook_row
 
 NS = 1_000_000_000
 
@@ -34,12 +34,15 @@ def test_hand_decoded_message_row():
 
 
 def test_timestamp_fixed_point_is_exact():
-    assert parse_timestamp_ns("34200.189", 1) == 34200 * NS + 189_000_000
-    assert parse_timestamp_ns("36000", 1) == 36000 * NS
-    assert parse_timestamp_ns("36000.000000001", 1) == 36000 * NS + 1
+    def parse_timestamp_ns(text):
+        return parse_message_row(f"{text},1,1,1,1,1", 1).timestamp_ns
+
+    assert parse_timestamp_ns("34200.189") == 34200 * NS + 189_000_000
+    assert parse_timestamp_ns("36000") == 36000 * NS
+    assert parse_timestamp_ns("36000.000000001") == 36000 * NS + 1
     assert format_timestamp_ns(34200 * NS + 189_000_000) == "34200.189000000"
     with pytest.raises(MalformedRow):
-        parse_timestamp_ns("36000.0000000001", 1)  # sub-ns resolution
+        parse_timestamp_ns("36000.0000000001")  # sub-ns resolution
 
 
 def test_hidden_rows_dropped_when_excluded(tmp_path):
@@ -102,6 +105,20 @@ def test_price_at_the_orderbook_sentinel_is_malformed(tmp_path):
     assert exc.value.line_no == 2
     assert parse_message_row("36002.0,1,2,10,9999999998,-1", 1).price == 9999999998
     assert parse_message_row("36002.0,7,0,-1,9999999999,1", 1).kind is EventKind.HALT
+
+
+def test_arabic_indic_twelve_is_not_twelve():
+    # int() reads '١٢' as 12; the grammar takes ASCII digits only.
+    assert parse_message_row("36002.5,1,2,12,140000,1", 3).size == 12
+    with pytest.raises(MalformedRow) as exc:
+        parse_message_row("36002.5,1,2,١٢,140000,1", 3)
+    assert exc.value.reason == "malformed row '36002.5,1,2,١٢,140000,1'"
+    assert exc.value.line_no == 3
+    assert parse_orderbook_row("2239500,12,2231800,100")[1] == 12
+    with pytest.raises(MalformedRow):
+        parse_orderbook_row("2239500,١٢,2231800,100")
+    with pytest.raises(ConfigError):
+        hms_to_seconds("١٢:00")
 
 
 def test_decreasing_timestamps_are_malformed(tmp_path):
@@ -198,7 +215,7 @@ def test_session_seed_is_row_of_last_message_before_session(tmp_path):
         "140200,5,140000,10\n"
         "140200,5,140100,7\n"
     )
-    seed = session_seed(orderbook, messages, SessionConfig())
+    seed = parse_message_file(messages, SessionConfig(), orderbook=orderbook).seed
     assert seed.bids == ((140000, 10),)
     assert seed.asks == ((140200, 5),)
 
@@ -230,7 +247,7 @@ def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
     messages.write_text(f"36000.000000000,{message}\n36001.000000000,1,7,1,139800,1\n")
     orderbook = tmp_path / "orderbook.csv"
     orderbook.write_text(ROW_1 + "140200,5,140000,10,140300,8,139900,4\n")
-    seed = session_seed(orderbook, messages, SessionConfig())
+    seed = parse_message_file(messages, SessionConfig(), orderbook=orderbook).seed
     assert (seed.bids, seed.asks) == (bids, asks)
     # Replaying message 1 on the seed gives back row 1, and nothing deeper.
     book = seed.build_book().apply(parse_message_row(f"36000.0,{message}", 1))
@@ -244,7 +261,7 @@ def test_session_seed_rejects_row_contradicting_first_message(tmp_path):
     orderbook = tmp_path / "orderbook.csv"
     orderbook.write_text(ROW_1)
     with pytest.raises(InconsistentEvent):
-        session_seed(orderbook, messages, SessionConfig())
+        parse_message_file(messages, SessionConfig(), orderbook=orderbook)
 
 
 def seeded_book(tmp_path, row):
@@ -294,3 +311,79 @@ def test_seed_horizon_keeps_the_checks_inside_the_row(tmp_path):
     # An execution beyond the row while the row's best ask still rests.
     with pytest.raises(InconsistentEvent):
         book.apply(removal(EventKind.EXECUTION_VISIBLE, 527, 2, 140500, Side.SELL))
+
+
+# -- the grammar against the field-wise parser ---------------------------------
+
+# ASCII whitespace as str.strip() sees it; the property draws from it, the
+# digits, '-', '.' and ','.
+PAD_CHARS = " \t\r\n\x0b\x0c\x1c\x1f"
+NOISE = st.text(alphabet="0123456789-.," + PAD_CHARS, max_size=8)
+PADS = st.text(alphabet=PAD_CHARS, max_size=2)
+
+
+def padded(core):
+    return st.tuples(PADS, core, PADS).map("".join)
+
+
+def field(core):
+    """A padded value, or noise one time in twelve."""
+    return st.tuples(st.integers(0, 11), padded(core), NOISE).map(
+        lambda t: t[1] if t[0] else t[2])
+
+
+def ints(lo, hi, *special):
+    """Decimal text of ``special`` values first, else of lo..hi, at times
+    with leading zeros."""
+    value = st.sampled_from(special) | st.integers(lo, hi) if special else st.integers(lo, hi)
+    return st.tuples(value, st.text(alphabet="0", max_size=2)).map(
+        lambda t: ("-" if t[0] < 0 else "") + t[1] + str(abs(t[0])))
+
+
+def digits(lo, hi):
+    return st.text(alphabet="0123456789", min_size=lo, max_size=hi)
+
+
+# Up to 9 decimals is a time; an empty or 10-digit fraction is not.
+TIMES = st.tuples(digits(1, 6), st.none() | digits(1, 9) | digits(0, 11)).map(
+    lambda t: t[0] if t[1] is None else ".".join(t))
+ENDS = st.sampled_from(["", "\n", "\r\n", "\r"])
+MESSAGE_ROWS = st.tuples(
+    st.integers(0, 9),
+    st.tuples(
+        field(TIMES), field(ints(-1, 9, 1, 2, 3, 4, 5, 6, 7)), field(ints(-5, 10**6)),
+        field(ints(-2, 30, 1, 10)), field(ints(-2, 10**10, 140000, 9999999998, 9999999999)),
+        field(ints(-2, 2, 1, -1)),
+    ).map(",".join),
+    st.lists(NOISE, max_size=8).map(",".join),
+).map(lambda t: t[1] if t[0] else t[2])
+
+
+def outcome(parse, line, line_no=7):
+    try:
+        return parse(line, line_no)
+    except MalformedRow as exc:
+        return exc.line_no
+
+
+@settings(max_examples=1500)
+@given(MESSAGE_ROWS, ENDS)
+def test_message_grammar_equals_field_wise_parse(row, end):
+    # The same rows accepted, the same line number, the same events.
+    line = row + end
+    assert outcome(parse_message_row, line) == outcome(oracle_parse_message_row, line)
+
+
+ORDERBOOK_FIELDS = field(ints(-10**10, 10**10, 9999999999, -9999999999, 0, -1))
+ORDERBOOK_ROWS = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: st.lists(ORDERBOOK_FIELDS, min_size=4 * n,
+                                                 max_size=4 * n)).map(",".join),
+    st.lists(ORDERBOOK_FIELDS, min_size=1, max_size=9).map(",".join),
+)
+
+
+@settings(max_examples=800)
+@given(ORDERBOOK_ROWS, ENDS)
+def test_orderbook_grammar_equals_field_wise_parse(row, end):
+    line = row + end
+    assert outcome(parse_orderbook_row, line) == outcome(oracle_parse_orderbook_row, line)

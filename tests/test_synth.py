@@ -1,5 +1,7 @@
 """Zero-intelligence generator and planted-regression fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as st
@@ -91,6 +93,14 @@ def test_zi_param_validation():
         ZiParams(mean_size=0.5)
     with pytest.raises(ConfigError):
         PlantedParams(true_beta=(0.0, 1.0), collinearity=1.0)
+
+
+@pytest.mark.parametrize("name", ["limit_rate", "market_rate", "cancel_rate", "mean_size"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_zi_params_must_be_finite(name, value):
+    # An infinite rate would never end a day; NaN passes every comparison.
+    with pytest.raises(ConfigError, match="finite"):
+        ZiParams(**{name: value})
 
 
 def test_planted_noiseless_recovery():

@@ -18,9 +18,13 @@ per-window penalty on one-second sub-windows; a per-window ``fit`` at level
 book that discards intervals and leaves rank-deficient windows out;
 ``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
 --config run.cfg``, a file that sets every run option, with ``--levels``
-and ``--out`` flags overriding two of its keys; and ``synth`` fixtures fed
+and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
 back to ``compute --orderbooks`` with the session starting at 10:00 and at
-10:30.
+10:30; and a hand-written LOBSTER message file and its 2-level orderbook
+file (CRLF line ends, blank lines, hidden executions, a cross trade, a halt
+and its resume) fed to ``compute --orderbooks`` with the session starting
+at 10:00, which is message 1, and at 10:30, each with and without
+``--include-hidden``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,50 @@ SPARSE_BOOK = [
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
 ]
 ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
+LOBSTER_FILES = ["--messages", "lobster/*_message_*", "--orderbooks", "lobster/*_orderbook_*",
+                 "--levels", "2", "--session-end", "10:40", "--DT", "600", "--dt", "60"]
+# Written with CRLF line ends into each scratch directory's lobster/. Before
+# message 1 the book holds asks 5851500x100, 5851600x200 and bids
+# 5851000x150, 5850900x300; orderbook row k is the book after message k.
+LOBSTER_MESSAGES = """\
+36000.000000000,1,1001,50,5851100,1
+36012.5,1,1002,30,5851400,-1
+36030.25,5,1003,20,5851200,-1
+36100.004512,4,1001,20,5851100,1
+36200.1,6,0,500,5851250,-1
+
+36400.98765,2,1002,10,5851400,-1
+36500.0,7,0,0,-1,-1
+36500.0,7,0,0,1,-1
+37000.123456789,3,1002,20,5851400,-1
+37500.5,1,1003,40,5851000,1
+37850.75,5,1004,15,5851300,1
+38000.0,4,1001,30,5851100,1
+38100.0,1,1005,25,5851300,-1
+38200.333,2,999,40,5851500,-1
+38390.0,4,1005,25,5851300,-1
+38500.0,1,1006,10,5851200,1
+
+"""
+LOBSTER_ORDERBOOK = """\
+5851500,100,5851100,50,5851600,200,5851000,150
+5851400,30,5851100,50,5851500,100,5851000,150
+5851400,30,5851100,50,5851500,100,5851000,150
+
+5851400,30,5851100,30,5851500,100,5851000,150
+5851400,30,5851100,30,5851500,100,5851000,150
+5851400,20,5851100,30,5851500,100,5851000,150
+5851400,20,5851100,30,5851500,100,5851000,150
+5851400,20,5851100,30,5851500,100,5851000,150
+5851500,100,5851100,30,5851600,200,5851000,150
+5851500,100,5851100,30,5851600,200,5851000,190
+5851500,100,5851100,30,5851600,200,5851000,190
+5851500,100,5851000,190,5851600,200,5850900,300
+5851300,25,5851000,190,5851500,100,5850900,300
+5851300,25,5851000,190,5851500,60,5850900,300
+5851500,60,5851000,190,5851600,200,5850900,300
+5851500,60,5851200,10,5851600,200,5851000,190
+"""
 # Written as run.cfg into each scratch directory. messages and orderbooks are
 # left out: a run takes either them or synth_days.
 CONFIG_FILE = """\
@@ -102,6 +150,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("orderbooks-1000", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10"]))
     runs.append(("orderbooks-1030", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10",
                                      "--session-start", "10:30"]))
+    for start in ("10:00", "10:30"):
+        for hidden in ([], ["--include-hidden"]):
+            runs.append((f"lobster-{start.replace(':', '')}{'-hidden' * bool(hidden)}",
+                         ["compute", *LOBSTER_FILES, "--session-start", start, *hidden]))
     return runs
 
 
@@ -110,6 +162,10 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("MLOFI_OUTPUT_DIR", None)
     (workdir / "run.cfg").write_text(CONFIG_FILE)
+    (workdir / "lobster").mkdir()
+    for kind, text in (("message", LOBSTER_MESSAGES), ("orderbook", LOBSTER_ORDERBOOK)):
+        name = f"AAPL_2012-06-21_34200000_57600000_{kind}_2.csv"
+        (workdir / "lobster" / name).write_bytes(text.replace("\n", "\r\n").encode())
     results = {}
     for name, args in matrix():
         proc = subprocess.run(
