@@ -9,7 +9,10 @@ by command-line flags; the output directory may additionally be overridden
 by the MLOFI_OUTPUT_DIR environment variable, which a ``--out`` flag beats.
 Each flag's config key is its name with ``_`` for ``-`` (``--lambda-mode``
 is ``lambda_mode``); ``--no-penalize-intercept`` is ``penalize_intercept =
-false``. A value of the wrong type is a configuration error naming the key.
+false``. Numbers are ASCII decimal: an integer is ``[+-]digits`` and a real
+number a finite decimal literal, either padded by whatever ``str.strip``
+removes. A value of the wrong type, from a flag or a file, is a
+configuration error naming the key.
 All randomness derives from the single ``seed`` value. Exit codes: 0
 success, 1 configuration error, 2 data error, 3 numerical failure.
 """
@@ -24,6 +27,7 @@ import glob
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -37,9 +41,9 @@ from .errors import (
     NumericalError,
     TooFewRows,
 )
-from .evaluation import EvaluationReport, assemble_windows, fit_tables, run_evaluation
+from .evaluation import EvaluationReport, FitSpec, assemble_windows, fit_tables, run_evaluation
 from .imbalance import compute_day_samples, sample_csv_header, sample_csv_row
-from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary, default_lambda_grid
+from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary
 from .lobster import (
     DaySlice,
     SessionConfig,
@@ -73,11 +77,11 @@ _OPTIONS: tuple[tuple[str, tuple[str, ...], type, object, str], ...] = (
     ("dt", ("--dt",), int, GridSpec.subwindow_seconds, "sub-window length in seconds"),
     ("DT", ("--DT",), int, GridSpec.window_seconds, "window length in seconds"),
     ("levels", ("--levels", "-M"), int, 10, "imbalance depth M"),
-    ("methods", ("--methods",), str, "ols,ridge", "comma list from {ols,ridge}"),
+    ("methods", ("--methods",), str, ",".join(FitSpec.methods), "comma list from {ols,ridge}"),
     ("lambda_grid", ("--lambda-grid",), str, None, "LO,HI,COUNT for the log-spaced penalty grid"),
-    ("lambda_mode", ("--lambda-mode",), str, "pooled", "pooled or per-window"),
-    ("folds", ("--folds",), int, 5, "cross-validation folds"),
-    ("penalize_intercept", ("--no-penalize-intercept",), bool, True,
+    ("lambda_mode", ("--lambda-mode",), str, FitSpec.lambda_mode, "pooled or per-window"),
+    ("folds", ("--folds",), int, FitSpec.folds, "cross-validation folds"),
+    ("penalize_intercept", ("--no-penalize-intercept",), bool, FitSpec.penalize_intercept,
      "leave the intercept out of the ridge penalty"),
     ("out", ("--out",), str, "mlofi_out", "output directory"),
     ("seed", ("--seed",), int, 0, "master seed for all randomness"),
@@ -100,11 +104,7 @@ class RunConfig:
     session: SessionConfig
     grid: GridSpec
     levels: int
-    methods: list[str]
-    lambda_grid: np.ndarray
-    lambda_mode: str
-    folds: int
-    penalize_intercept: bool
+    fit: FitSpec
     out_dir: Path
     seed: int
     zi: ZiParams
@@ -118,22 +118,11 @@ class RunConfig:
             raise ConfigError("an orderbooks glob needs a messages glob to pair with")
         if not (1 <= self.levels <= 50):
             raise ConfigError(f"levels must be in [1, 50], got {self.levels}")
-        bad = [m for m in self.methods if m not in (evaluation.OLS, evaluation.RIDGE)]
-        if bad:
-            raise ConfigError(f"unknown methods: {bad}")
-        if self.lambda_mode not in ("pooled", "per-window"):
-            raise ConfigError("lambda_mode must be pooled or per-window")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
         rows = self.grid.window_seconds // self.grid.subwindow_seconds
-        if (
-            self.lambda_mode == "per-window"
-            and evaluation.RIDGE in self.methods
-            and rows < MIN_ROWS_PER_FOLD * self.folds
-        ):
+        if rows < self.fit.min_window_rows:
             raise ConfigError(
-                f"per-window lambda needs DT/dt >= {MIN_ROWS_PER_FOLD * self.folds} "
-                f"rows per window with {self.folds} folds, got {rows}"
+                f"per-window lambda needs DT/dt >= {self.fit.min_window_rows} "
+                f"rows per window with {self.fit.folds} folds, got {rows}"
             )
 
 
@@ -158,7 +147,7 @@ def _build_parser() -> _Parser:
                 action = "store_false" if default else "store_true"
                 p.add_argument(*flags, dest=key, action=action, default=None, help=doc)
             else:
-                p.add_argument(*flags, dest=key, type=kind, default=None, help=doc)
+                p.add_argument(*flags, dest=key, default=None, help=doc)
     return parser
 
 
@@ -180,8 +169,19 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+# int() and float() alone would also read other scripts' digits, '_' and the
+# words inf and nan.
+_NUMBER_TEXT = {
+    int: (re.compile(r"[+-]?[0-9]+"), "an ASCII integer"),
+    float: (re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+            "a finite ASCII decimal number"),
+}
+
+
 def _from_text(key: str, kind: type, text: str):
-    """A config-file value cast to its option's type."""
+    """An option's text, from a flag or a config file, cast to its type."""
+    if kind is str:
+        return text
     if kind is bool:
         word = text.lower()
         if word in ("true", "1", "yes"):
@@ -189,10 +189,27 @@ def _from_text(key: str, kind: type, text: str):
         if word in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key} must be true/false, got {text!r}")
+    grammar, name = _NUMBER_TEXT[kind]
+    word = text.strip()
     try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
+        value = kind(word) if grammar.fullmatch(word) else None
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be {name}, got {text!r}")
+    return value
+
+
+def _lambda_grid(text: str) -> tuple[float, ...]:
+    """The penalty grid of a LO,HI,COUNT text: COUNT log-spaced values from LO to HI."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"lambda_grid must be LO,HI,COUNT, got {text!r}")
+    lo, hi = (_from_text("lambda_grid", float, part) for part in parts[:2])
+    count = _from_text("lambda_grid", int, parts[2])
+    if not (0 < lo < hi and count >= 2):
+        raise ConfigError("lambda_grid needs 0 < LO < HI and COUNT >= 2")
+    return tuple(np.geomspace(lo, hi, count).tolist())
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -203,8 +220,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key)
         if value is None and key == "out":
             value = os.environ.get(OUTPUT_DIR_ENV)
-        if value is None and key in file_vals:
-            value = _from_text(key, kind, file_vals[key])
+        if value is None:
+            value = file_vals.get(key)
+        if isinstance(value, str):  # bool flags arrive as bools
+            value = _from_text(key, kind, value)
         opts[key] = default if value is None else value
 
     session = SessionConfig(
@@ -213,17 +232,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         exclude_hidden=not opts["include_hidden"],
         tick_size=opts["tick"],
     )
-    if opts["lambda_grid"] is None:
-        lam_grid = default_lambda_grid()
-    else:
-        try:
-            lo_s, hi_s, count_s = opts["lambda_grid"].split(",")
-            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-        except ValueError as exc:
-            raise ConfigError(f"lambda_grid must be LO,HI,COUNT: {exc}")
-        if not (0 < lo < hi and count >= 2):
-            raise ConfigError("lambda_grid needs 0 < LO < HI and COUNT >= 2")
-        lam_grid = np.geomspace(lo, hi, count)
     try:
         start_date = dt.date.fromisoformat(opts["start_date"])
     except ValueError as exc:
@@ -237,11 +245,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         session=session,
         grid=GridSpec(window_seconds=opts["DT"], subwindow_seconds=opts["dt"]),
         levels=opts["levels"],
-        methods=[m.strip() for m in opts["methods"].split(",") if m.strip()],
-        lambda_grid=lam_grid,
-        lambda_mode=opts["lambda_mode"],
-        folds=opts["folds"],
-        penalize_intercept=opts["penalize_intercept"],
+        fit=FitSpec(
+            methods=tuple(m.strip() for m in opts["methods"].split(",") if m.strip()),
+            folds=opts["folds"],
+            lambda_grid=(
+                FitSpec.lambda_grid if opts["lambda_grid"] is None
+                else _lambda_grid(opts["lambda_grid"])
+            ),
+            lambda_mode=opts["lambda_mode"],
+            penalize_intercept=opts["penalize_intercept"],
+        ),
         out_dir=Path(opts["out"]),
         seed=opts["seed"],
         zi=ZiParams(
@@ -299,12 +312,7 @@ def load_days(config: RunConfig) -> list[DaySlice]:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    xf = float(x)
-    if np.isnan(xf):
-        return "nan"
-    return repr(xf)
+    return "" if x is None else repr(float(x))  # NaN is written as nan
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -318,37 +326,26 @@ def _coef_names(levels: int) -> list[str]:
     return ["alpha"] + [f"beta_{m}" for m in range(1, levels + 1)]
 
 
-def _significance_rows(summary: SignificanceSummary, levels: int) -> list[list[str]]:
-    columns = (
-        summary.mean_coeff,
-        summary.mean_se,
-        summary.mean_t,
-        summary.mean_p,
-        summary.pct_significant_95,
-    )
-    return [
-        [name] + [_fmt(c[j]) for c in columns]
-        for j, name in enumerate(_coef_names(levels))
-    ]
-
-
 def _write_significance(
     out: Path, prefix: str, tables: dict[str, SignificanceSummary], levels: int
 ) -> None:
     header = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
-    for name, summary in tables.items():
-        _write_csv(out / f"{prefix}_{name}.csv", header, _significance_rows(summary, levels))
+    for name, t in tables.items():
+        columns = (t.mean_coeff, t.mean_se, t.mean_t, t.mean_p, t.pct_significant_95)
+        rows = [[coef] + [_fmt(c[j]) for c in columns]
+                for j, coef in enumerate(_coef_names(levels))]
+        _write_csv(out / f"{prefix}_{name}.csv", header, rows)
 
 
 def _warn_left_out(
-    tables: dict[str, SignificanceSummary], n_problems: int, config: RunConfig
+    tables: dict[str, SignificanceSummary], n_problems: int, spec: FitSpec
 ) -> None:
     """One stderr line per method whose table covers fewer than all windows."""
     for method, summary in tables.items():
         if summary.n_fits == n_problems:
             continue
         reason = "rank-deficient"
-        if method == evaluation.RIDGE and config.lambda_mode == "per-window":
+        if method == evaluation.RIDGE and spec.min_window_rows:
             reason = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
         print(
             f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
@@ -379,10 +376,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def report_to_dict(report: EvaluationReport) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_to_json(report)}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -439,16 +432,8 @@ def cmd_fit(config: RunConfig) -> int:
     grid = build_grid(config.session, config.grid)
     problems, _, _ = assemble_windows(days, grid, config.levels, config.session.tick_size)
     del days  # frees the parsed events before the fits
-    tables = fit_tables(
-        problems,
-        config.levels,
-        config.methods,
-        config.folds,
-        config.lambda_grid,
-        config.penalize_intercept,
-        config.lambda_mode,
-    )
-    _warn_left_out(tables.significance, len(problems), config)
+    tables = fit_tables(problems, config.fit)
+    _warn_left_out(tables.significance, len(problems), config.fit)
     _write_significance(config.out_dir, "fits", tables.significance, config.levels)
     _write_json(
         config.out_dir / "fits.json",
@@ -468,17 +453,9 @@ def cmd_evaluate(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     # No local name holds the days, so run_evaluation can free them.
     report = run_evaluation(
-        _fit_days(config),
-        config.session,
-        config.grid,
-        config.levels,
-        config.methods,
-        config.folds,
-        config.lambda_grid,
-        config.penalize_intercept,
-        config.lambda_mode,
+        _fit_days(config), config.session, config.grid, config.levels, config.fit
     )
-    _warn_left_out(report.significance, report.n_problems, config)
+    _warn_left_out(report.significance, report.n_problems, config.fit)
     _write_report_files(report, config)
     print(f"wrote evaluation report to {config.out_dir}")
     return 0
@@ -486,7 +463,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def _write_report_files(report: EvaluationReport, config: RunConfig) -> None:
     out = config.out_dir
-    _write_json(out / "report.json", report_to_dict(report))
+    _write_json(out / "report.json", {"schema_version": SCHEMA_VERSION, **_to_json(report)})
 
     rows = []
     for method, curve in sorted(report.r2_curves.items()):

@@ -7,9 +7,15 @@ are. ``run_evaluation`` fits each window once per (method, depth) and takes
 the R^2 curve, the seasonality profile (depth M) and the level-1 OFI
 baseline from those fits. Each day is replayed once: the replay that
 yields the imbalance samples also tallies the book, and ``book_summaries``
-reduces the days' tallies. In ``per-window`` mode, windows that discarded
-intervals shrank below ``MIN_ROWS_PER_FOLD`` rows per fold are left out of
-the ridge table.
+reduces the days' tallies.
+
+A ``FitSpec`` carries the five fit settings from the command line to the
+fits: the methods, the cross-validation folds, the penalty grid, the
+penalty mode and whether the intercept is penalized. It checks itself when
+built and raises ConfigError. Its ``min_window_rows`` is the one per-window
+row rule: with ``per-window`` ridge each window runs its own penalty search,
+so a window needs ``MIN_ROWS_PER_FOLD`` rows per fold; windows that
+discarded intervals shrank below that are left out of the ridge table.
 
 The RMSE protocol mirrors 5-fold cross-validation: for each fold, fit on
 the other four folds' pooled rows, record the RMSE on those same rows
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, TooFewRows
+from .errors import ConfigError, RankDeficient, TooFewRows
 from .imbalance import SUMMARY_LEVELS, BookTally, compute_day_samples
 from .inference import (
     MIN_ROWS_PER_FOLD,
@@ -34,6 +40,7 @@ from .inference import (
     LambdaSearch,
     RegressionFit,
     SignificanceSummary,
+    default_lambda_grid,
     diagnose_collinearity,
     fit_ols,
     fit_ridge,
@@ -54,6 +61,41 @@ from .sampling import (
 
 OLS = "ols"
 RIDGE = "ridge"
+
+
+@dataclass(frozen=True)
+class FitSpec:
+    """The settings of the window fits, checked when built.
+
+    ``lambda_grid`` holds the candidate penalties in ascending order.
+    ``lambda_mode`` 'pooled' fits every window with the penalty selected on
+    all pooled rows; 'per-window' re-selects it within each window for the
+    ridge table.
+    """
+
+    methods: tuple[str, ...] = (OLS, RIDGE)
+    folds: int = 5
+    lambda_grid: tuple[float, ...] = tuple(default_lambda_grid().tolist())
+    lambda_mode: str = "pooled"
+    penalize_intercept: bool = True
+
+    def __post_init__(self):
+        if not self.methods:
+            raise ConfigError("methods must name at least one of ols, ridge")
+        bad = [m for m in self.methods if m not in (OLS, RIDGE)]
+        if bad:
+            raise ConfigError(f"unknown methods: {bad}")
+        if self.lambda_mode not in ("pooled", "per-window"):
+            raise ConfigError("lambda_mode must be pooled or per-window")
+        if self.folds < 2:
+            raise ConfigError("folds must be >= 2")
+
+    @property
+    def min_window_rows(self) -> int:
+        """Rows a window needs for its own penalty search; 0 if no window runs one."""
+        if self.lambda_mode == "per-window" and RIDGE in self.methods:
+            return MIN_ROWS_PER_FOLD * self.folds
+        return 0
 
 
 def assemble_windows(
@@ -155,19 +197,6 @@ def rmse_curve(
     ]
 
 
-def fit_problem(
-    problem: RegressionProblem,
-    method: str,
-    lam: float = 0.0,
-    penalize_intercept: bool = True,
-) -> RegressionFit:
-    if method == OLS:
-        return fit_ols(problem)
-    if method == RIDGE:
-        return fit_ridge(problem, lam, penalize_intercept)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def fit_all_windows(
     problems: list[RegressionProblem],
     method: str,
@@ -179,11 +208,14 @@ def fit_all_windows(
 
     Returns (fits, window index of each fit). ``lam`` is ignored by OLS.
     """
+    if method not in (OLS, RIDGE):
+        raise ValueError(f"unknown method {method!r}")
     fits: list[RegressionFit] = []
     windows: list[int] = []
     for p in problems:
+        sub = p.truncated(levels)
         try:
-            fits.append(fit_problem(p.truncated(levels), method, lam, penalize_intercept))
+            fits.append(fit_ols(sub) if method == OLS else fit_ridge(sub, lam, penalize_intercept))
         except RankDeficient:
             continue
         windows.append(p.window_index)
@@ -318,40 +350,32 @@ class FitTables:
     pooled_fits: dict[str, tuple[list[RegressionFit], list[int]]]
 
 
-def fit_tables(
-    problems: list[RegressionProblem],
-    levels: int,
-    methods: list[str],
-    folds: int = 5,
-    lambda_grid: np.ndarray | None = None,
-    penalize_intercept: bool = True,
-    lambda_mode: str = "pooled",
-) -> FitTables:
+def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
     """Select the pooled penalty and summarize the per-window fits per method.
 
-    ``lambda_mode`` 'pooled' fits every window with the penalty selected on
-    all pooled rows; 'per-window' re-selects it within each window for the
-    ridge table, leaving out windows with fewer than MIN_ROWS_PER_FOLD rows
-    per fold.
+    The fits run at the problems' depth. Per-window ridge leaves out the
+    windows with fewer than ``spec.min_window_rows`` rows.
     """
+    levels = problems[0].levels
+    grid = np.array(spec.lambda_grid)
     search: LambdaSearch | None = None
     lam = 0.0
-    if RIDGE in methods:
+    if RIDGE in spec.methods:
         X, y = pool_rows(problems, levels)
-        search = select_lambda(X, y, folds, lambda_grid, penalize_intercept)
+        search = select_lambda(X, y, spec.folds, grid, spec.penalize_intercept)
         lam = search.lambda_hat
     tables = FitTables(search, {}, {})
-    for method in methods:
-        if method == RIDGE and lambda_mode == "per-window":
+    for method in spec.methods:
+        if method == RIDGE and spec.lambda_mode == "per-window":
             fits = []
             for p in problems:
-                if p.n_rows < MIN_ROWS_PER_FOLD * folds:
+                if p.n_rows < spec.min_window_rows:
                     continue
-                w_search = select_lambda(p.X, p.y, folds, lambda_grid, penalize_intercept)
-                fits.append(fit_ridge(p, w_search.lambda_hat, penalize_intercept))
+                w_search = select_lambda(p.X, p.y, spec.folds, grid, spec.penalize_intercept)
+                fits.append(fit_ridge(p, w_search.lambda_hat, spec.penalize_intercept))
         else:
             fits, windows = fit_all_windows(
-                problems, method, levels, lam, penalize_intercept
+                problems, method, levels, lam, spec.penalize_intercept
             )
             tables.pooled_fits[method] = (fits, windows)
         if not fits:
@@ -390,11 +414,7 @@ def run_evaluation(
     session: SessionConfig,
     grid_spec: GridSpec,
     levels: int,
-    methods: list[str],
-    folds: int = 5,
-    lambda_grid: np.ndarray | None = None,
-    penalize_intercept: bool = True,
-    lambda_mode: str = "pooled",
+    spec: FitSpec,
 ) -> EvaluationReport:
     """Ingest -> imbalance -> fits -> report, for one instrument.
 
@@ -405,21 +425,19 @@ def run_evaluation(
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
     del days  # the last reference when the caller kept none; frees the events
-    tables = fit_tables(
-        problems, levels, methods, folds, lambda_grid, penalize_intercept, lambda_mode
-    )
+    tables = fit_tables(problems, spec)
     lam = tables.search.lambda_hat if tables.search else 0.0
 
     # Each (method, depth) is fit once; depth M reuses the tables' fits.
     fits_by_depth: dict[str, list[tuple[list[RegressionFit], list[int]]]] = {}
-    for method in methods:
+    for method in spec.methods:
         fits = [
-            fit_all_windows(problems, method, m, lam, penalize_intercept)
+            fit_all_windows(problems, method, m, lam, spec.penalize_intercept)
             for m in range(1, levels)
         ]
         fits.append(
             tables.pooled_fits.get(method)
-            or fit_all_windows(problems, method, levels, lam, penalize_intercept)
+            or fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
         )
         fits_by_depth[method] = fits
 
@@ -433,22 +451,22 @@ def run_evaluation(
 
     r2_curves = {
         method: adjusted_r2_curve([f for f, _ in fits_by_depth[method]])
-        for method in methods
+        for method in spec.methods
     }
     rmse_curves = {
-        method: rmse_curve(problems, method, levels, folds, lam, penalize_intercept)
-        for method in methods
+        method: rmse_curve(problems, method, levels, spec.folds, lam, spec.penalize_intercept)
+        for method in spec.methods
     }
     improvement = improvement_table(rmse_curves.get(OLS), rmse_curves.get(RIDGE))
     seasonality = {
         method: seasonality_profile(*fits_by_depth[method][-1], levels, grid.n_windows)
-        for method in methods
+        for method in spec.methods
     }
     book_dur, book_evt, concentration = book_summaries(tallies)
     return EvaluationReport(
         levels=levels,
-        methods=list(methods),
-        folds=folds,
+        methods=list(spec.methods),
+        folds=spec.folds,
         n_days=len(tallies),
         n_problems=len(problems),
         discarded_intervals=stats.discarded_intervals,

@@ -106,10 +106,22 @@ def fit_ols(problem: RegressionProblem) -> RegressionFit:
     return _finish_fit(X, y, coeffs, cov_unscaled, lam=0.0)
 
 
+def _penalty(p: int, penalize_intercept: bool) -> np.ndarray:
+    """The penalty matrix D: the identity, less the intercept's 1 when it goes free."""
+    penalty = np.eye(p)
+    if not penalize_intercept:
+        penalty[0, 0] = 0.0
+    return penalty
+
+
 def fit_ridge(
     problem: RegressionProblem, lam: float, penalize_intercept: bool = True
 ) -> RegressionFit:
-    """Closed-form penalized fit b = (X'X + lam*D)^-1 X'y."""
+    """Closed-form penalized fit b = (X'X + lam*D)^-1 X'y.
+
+    A = X'X + lam*D must admit a Cholesky factor; a singular X'X at lam = 0
+    does not, and raises NumericalFailure.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     X, y = problem.X, problem.y
@@ -117,21 +129,12 @@ def fit_ridge(
     if n < p + 1:
         raise TooFewRows(f"{n} rows cannot support {p} coefficients")
     xtx = X.T @ X
-    penalty = np.eye(p)
-    if not penalize_intercept:
-        penalty[0, 0] = 0.0
-    A = xtx + lam * penalty
-    xty = X.T @ y
     try:
-        c, low = sla.cho_factor(A)
-        coeffs = sla.cho_solve((c, low), xty)
-        a_inv = sla.cho_solve((c, low), np.eye(p))
-    except sla.LinAlgError:
-        try:
-            coeffs = np.linalg.solve(A, xty)
-            a_inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"ridge solve failed: {exc}") from exc
+        factor = sla.cho_factor(xtx + lam * _penalty(p, penalize_intercept))
+    except sla.LinAlgError as exc:
+        raise NumericalFailure(f"ridge solve failed: {exc}") from exc
+    coeffs = sla.cho_solve(factor, X.T @ y)
+    a_inv = sla.cho_solve(factor, np.eye(p))
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(a_inv))):
         raise NumericalFailure("ridge solve produced non-finite values")
     cov_unscaled = a_inv @ xtx @ a_inv
@@ -142,10 +145,7 @@ def ridge_coefficients(
     X: np.ndarray, y: np.ndarray, lambdas, penalize_intercept: bool = True
 ) -> np.ndarray:
     """One coefficient row per penalty in ``lambdas``, from one batched solve."""
-    p = X.shape[1]
-    penalty = np.eye(p)
-    if not penalize_intercept:
-        penalty[0, 0] = 0.0
+    penalty = _penalty(X.shape[1], penalize_intercept)
     A = X.T @ X + np.asarray(lambdas, dtype=float)[:, None, None] * penalty
     try:
         coeffs = np.linalg.solve(A, X.T @ y)

@@ -1,14 +1,16 @@
 """CLI subcommands: outputs, exit codes, config handling, determinism."""
 
 import csv
-import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlofi.cli import main, parse_config_file
 from mlofi.errors import ConfigError
@@ -342,11 +344,9 @@ def test_config_file_equals_flags(tmp_path, monkeypatch, source):
     parser = _build_parser()
     from_file = resolve_config(parser.parse_args(["evaluate", "--config", str(cfg)]))
     from_flags = resolve_config(parser.parse_args(["evaluate", *flags]))
-    assert np.array_equal(from_file.lambda_grid, from_flags.lambda_grid)
-    assert len(from_file.lambda_grid) == 7
-    assert dataclasses.replace(from_file, lambda_grid=None) == dataclasses.replace(
-        from_flags, lambda_grid=None)
-    assert not from_file.session.exclude_hidden and not from_file.penalize_intercept
+    assert from_file == from_flags
+    assert len(from_file.fit.lambda_grid) == 7
+    assert not from_file.session.exclude_hidden and not from_file.fit.penalize_intercept
     assert (from_file.zi.price_band, from_file.zi.seed, from_file.levels) == (5, 17, 4)
 
 
@@ -616,3 +616,74 @@ def test_nan_zi_parameter_exits_1(tmp_path, capsys, flag):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# Each was read as a number, or (1,inf,5) failed as a numerical error.
+@pytest.mark.parametrize("key, value", [
+    ("levels", "١٠"),
+    ("levels", "５"),
+    ("levels", "1_0"),
+    ("zi_limit_rate", "０.05"),
+    ("zi_limit_rate", "1e999"),
+    ("lambda_grid", "1,inf,5"),
+    ("lambda_grid", "1e-3,1_0,5"),
+    ("lambda_grid", "1e-3,1e999,5"),
+])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_ascii_or_non_finite_number_exits_1_naming_the_key(
+    tmp_path, capsys, key, value, source
+):
+    args = ["fit", "--synth-days", "1", "--session-end", "10:30", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        args += [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    code = run_cli(*args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_no_method_exits_1(tmp_path, capsys, command, source):
+    args = [command, "--synth-days", "1", "--session-end", "10:30", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        args += ["--methods", ","]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods =\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == "error: methods must name at least one of ols, ridge\n"
+    assert not (tmp_path / "o").exists()
+
+
+NON_ASCII_DIGITS = "١٠５²"
+
+
+@settings(max_examples=1500)
+@given(text=st.text(alphabet="0123456789+-.eE_ " + NON_ASCII_DIGITS, max_size=8),
+       kind=st.sampled_from([int, float]))
+def test_option_number_is_ascii_decimal(text, kind):
+    from mlofi.cli import _from_text
+
+    try:
+        expected = kind(text)
+    except ValueError:
+        expected = None
+    if expected is not None and not (
+        text.isascii() and "_" not in text and math.isfinite(expected)
+    ):
+        expected = None
+    try:
+        value = _from_text("key", kind, text)
+    except ConfigError as exc:
+        assert expected is None
+        assert str(exc).startswith("key must be ")
+        assert kind is int or "finite" in str(exc)
+    else:
+        assert type(value) is kind and value == expected

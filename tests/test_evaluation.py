@@ -1,15 +1,18 @@
 """RMSE protocol, R2 curves, improvement table, seasonality, book summary."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
 from mlofi.book import EventKind, LobEvent, Side
+from mlofi.errors import ConfigError
 from mlofi.evaluation import (
     OLS,
     RIDGE,
+    FitSpec,
     adjusted_r2_curve,
     book_summaries,
     fit_all_windows,
@@ -20,7 +23,7 @@ from mlofi.evaluation import (
     seasonality_profile,
 )
 from mlofi.imbalance import compute_day_samples
-from mlofi.inference import contiguous_folds, fit_ols, select_lambda
+from mlofi.inference import MIN_ROWS_PER_FOLD, contiguous_folds, fit_ols, select_lambda
 from mlofi.lobster import DaySlice, SessionConfig
 from mlofi.sampling import GridSpec, build_grid
 from mlofi.synth import PlantedParams, generate_planted_regression
@@ -375,9 +378,27 @@ def test_per_window_ridge_skips_window_shrunk_by_discards():
     day = DaySlice(dt.date(2016, 1, 4), events)
     report = run_evaluation(
         [day], session, GridSpec(window_seconds=60, subwindow_seconds=1),
-        levels=2, methods=[OLS, RIDGE], lambda_mode="per-window",
+        levels=2, spec=FitSpec(methods=(OLS, RIDGE), lambda_mode="per-window"),
     )
     assert report.discarded_intervals == 15
     assert report.n_problems == 2
     assert report.significance[RIDGE].n_fits == report.n_problems - 1
     assert report.significance[OLS].n_fits == report.n_problems
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"methods": ()}, "methods must name at least one of ols, ridge"),
+    ({"methods": (OLS, "lasso")}, "unknown methods: ['lasso']"),
+    ({"lambda_mode": "daily"}, "lambda_mode must be pooled or per-window"),
+    ({"folds": 1}, "folds must be >= 2"),
+])
+def test_fit_spec_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        FitSpec(**kwargs)
+
+
+def test_fit_spec_min_window_rows_only_for_per_window_ridge():
+    assert FitSpec(folds=7, lambda_mode="per-window").min_window_rows == 7 * MIN_ROWS_PER_FOLD
+    assert FitSpec(methods=(RIDGE,), lambda_mode="per-window").min_window_rows == 50
+    assert FitSpec(methods=(OLS,), lambda_mode="per-window").min_window_rows == 0
+    assert FitSpec(folds=7).min_window_rows == 0

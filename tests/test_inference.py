@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
+from scipy import linalg as sla
 
-from mlofi.errors import DegenerateColumn, RankDeficient
+from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
     contiguous_folds,
@@ -88,6 +89,19 @@ def test_ridge_zero_lambda_equals_ols():
         ridge = fit_ridge(make_problem(X, y), 0.0)
         np.testing.assert_allclose(ridge.coeffs, ols.coeffs, rtol=1e-8)
         np.testing.assert_allclose(ridge.std_errors, ols.std_errors, rtol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_ridge_on_a_singular_gram_matrix_raises(seed):
+    # X = [1, x, 3x] at lam = 0: X'X is singular and admits no Cholesky factor.
+    # An LU solve would not notice and return finite garbage instead.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=40)
+    X = np.column_stack([np.ones(40), x, 3 * x])
+    with pytest.raises(sla.LinAlgError):
+        sla.cho_factor(X.T @ X)
+    with pytest.raises(NumericalFailure):
+        fit_ridge(make_problem(X, rng.normal(size=40)), 0.0)
 
 
 def test_ridge_huge_lambda_shrinks_to_zero():

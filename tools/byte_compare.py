@@ -12,10 +12,13 @@ difference and exits 1 if there is any, 0 otherwise. A ``.json`` or
 its numeric fields, when both files hold the same keys, rows and text.
 
 The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
-and 10 with each method set, without a penalized intercept, and with the
-per-window penalty on one-second sub-windows; a per-window ``fit`` at level
-10 in 7 folds of uneven length, without a penalized intercept; a sparse
-book that discards intervals and leaves rank-deficient windows out;
+and 10 with each method set, without a penalized intercept, with the
+per-window penalty on one-second sub-windows, with per-window ridge alone
+on one-second sub-windows, and with OLS alone in per-window mode on a
+30-row grid (legal, because no window runs its own penalty search); a
+per-window ``fit`` at level 10 in 7 folds of uneven length, without a
+penalized intercept; a sparse book that discards intervals and leaves
+rank-deficient windows out;
 ``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
 --config run.cfg``, a file that sets every run option, with ``--levels``
 and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
@@ -133,6 +136,12 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"{cmd}-per-window", [cmd, *TWO_DAYS, "--levels", "3",
                                            "--lambda-mode", "per-window", "--DT", "60",
                                            "--dt", "1"]))
+        runs.append((f"{cmd}-per-window-ridge-only",
+                     [cmd, *TWO_DAYS, "--methods", "ridge", "--lambda-mode", "per-window",
+                      "--DT", "60", "--dt", "1", "--levels", "3"]))
+        runs.append((f"{cmd}-per-window-ols-only",
+                     [cmd, *TWO_DAYS, "--methods", "ols", "--lambda-mode", "per-window",
+                      "--dt", "60"]))
         runs.append((f"{cmd}-sparse", [cmd, *SPARSE_BOOK, "--levels", "5"]))
         runs.append((f"{cmd}-sparse-per-window", [cmd, *SPARSE_BOOK, "--levels", "3",
                                                   "--lambda-mode", "per-window"]))
