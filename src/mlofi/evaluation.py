@@ -155,7 +155,9 @@ def _rmse_point(
             # because blown-up out-of-sample error is exactly the effect under study.
             coeffs = np.linalg.lstsq(X_train, y_train, rcond=None)[0]
         elif method == RIDGE:
-            coeffs = ridge_coefficients(X_train, y_train, [lam], penalize)[0]
+            coeffs = ridge_coefficients(
+                X_train.T @ X_train, X_train.T @ y_train, [lam], penalize
+            )[0]
         else:
             raise ValueError(f"unknown method {method!r}")
         in_resid = y_train - X_train @ coeffs

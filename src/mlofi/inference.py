@@ -11,10 +11,13 @@ rows - n_coeffs degrees of freedom, read off its CDF ``scipy.special.stdtr``.
 Cross-validation folds are contiguous, time-ordered blocks: shuffling
 serially correlated intervals into random folds would leak information
 between fit and validation sets. ``fold_rows`` is the one fold loop of the
-penalty search and the RMSE protocol. Each training fold forms X'X and X'y
-once and solves the whole penalty grid in one batched ``ridge_coefficients``;
-the grid's validation residuals then come from one stacked matrix-vector
-product and their squared sums from one stacked dot.
+penalty search and the RMSE protocol. The penalty search forms each
+training fold's X'X and X'y in turn, so one training copy is alive at a
+time, and solves every fold and penalty in one stacked ``ridge_coefficients``;
+each fold's validation residuals then come from one stacked matrix-vector
+product and their squared sums from one stacked dot. ``fit_ridge`` calls the
+LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
+and ``cho_solve`` wrap, without the wrappers' per-call overhead.
 """
 
 from __future__ import annotations
@@ -88,18 +91,23 @@ def _finish_fit(
     return RegressionFit(coeffs, se, t, pvals, sigma2, r2, adj_r2, lam, dof)
 
 
+def _check_rank(X: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` when X's smallest singular value is round-off next to its largest."""
+    svals = np.linalg.svd(X, compute_uv=False)
+    if svals[-1] <= RANK_RTOL * svals[0]:
+        raise error(
+            f"design matrix numerically singular (smin/smax = "
+            f"{svals[-1] / svals[0]:.3e})"
+        )
+
+
 def fit_ols(problem: RegressionProblem) -> RegressionFit:
     """Least-squares fit via SVD with an explicit rank check."""
     X, y = problem.X, problem.y
     n, p = X.shape
     if n < p + 1:
         raise TooFewRows(f"{n} rows cannot support {p} coefficients")
-    svals = np.linalg.svd(X, compute_uv=False)
-    if svals[-1] <= RANK_RTOL * svals[0]:
-        raise RankDeficient(
-            f"design matrix numerically singular (smin/smax = "
-            f"{svals[-1] / svals[0]:.3e})"
-        )
+    _check_rank(X, RankDeficient)
     coeffs, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     xtx = X.T @ X
     cov_unscaled = np.linalg.inv(xtx)
@@ -119,8 +127,9 @@ def fit_ridge(
 ) -> RegressionFit:
     """Closed-form penalized fit b = (X'X + lam*D)^-1 X'y.
 
-    A = X'X + lam*D must admit a Cholesky factor; a singular X'X at lam = 0
-    does not, and raises NumericalFailure.
+    A = X'X + lam*D must admit a Cholesky factor. At lam = 0 the design
+    must also pass ``fit_ols``'s rank check: round-off can let a singular
+    X'X factor. Either failure raises NumericalFailure.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -128,13 +137,20 @@ def fit_ridge(
     n, p = X.shape
     if n < p + 1:
         raise TooFewRows(f"{n} rows cannot support {p} coefficients")
+    if lam == 0:
+        _check_rank(X, NumericalFailure)
     xtx = X.T @ X
-    try:
-        factor = sla.cho_factor(xtx + lam * _penalty(p, penalize_intercept))
-    except sla.LinAlgError as exc:
-        raise NumericalFailure(f"ridge solve failed: {exc}") from exc
-    coeffs = sla.cho_solve(factor, X.T @ y)
-    a_inv = sla.cho_solve(factor, np.eye(p))
+    # asarray_chkfinite keeps cho_factor's and cho_solve's ValueError on
+    # non-finite input; clean=0 leaves the lower triangle as cho_factor does.
+    factor, info = sla.lapack.dpotrf(
+        np.asarray_chkfinite(xtx + lam * _penalty(p, penalize_intercept)), clean=0
+    )
+    if info > 0:
+        raise NumericalFailure(
+            f"ridge solve failed: {info}-th leading minor of the array is not positive definite"
+        )
+    coeffs = sla.lapack.dpotrs(factor, np.asarray_chkfinite(X.T @ y))[0]
+    a_inv = sla.lapack.dpotrs(factor, np.eye(p))[0]
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(a_inv))):
         raise NumericalFailure("ridge solve produced non-finite values")
     cov_unscaled = a_inv @ xtx @ a_inv
@@ -142,13 +158,17 @@ def fit_ridge(
 
 
 def ridge_coefficients(
-    X: np.ndarray, y: np.ndarray, lambdas, penalize_intercept: bool = True
+    gram: np.ndarray, xty: np.ndarray, lambdas, penalize_intercept: bool = True
 ) -> np.ndarray:
-    """One coefficient row per penalty in ``lambdas``, from one batched solve."""
-    penalty = _penalty(X.shape[1], penalize_intercept)
-    A = X.T @ X + np.asarray(lambdas, dtype=float)[:, None, None] * penalty
+    """Solve (X'X + lam*D) b = X'y for each penalty in ``lambdas``, in one batched solve.
+
+    ``gram`` is X'X and ``xty`` X'y, or a stack of them (..., p, p) and
+    (..., p); the result holds one coefficient row per penalty, (..., penalties, p).
+    """
+    penalty = _penalty(gram.shape[-1], penalize_intercept)
+    A = gram[..., None, :, :] + np.asarray(lambdas, dtype=float)[:, None, None] * penalty
     try:
-        coeffs = np.linalg.solve(A, X.T @ y)
+        coeffs = np.linalg.solve(A, xty[..., None, :, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"ridge solve failed: {exc}") from exc
     if not np.all(np.isfinite(coeffs)):
@@ -204,12 +224,17 @@ def select_lambda(
         raise TooFewRows(
             f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
         )
+    grams, xtys, val_rows = [], [], []
+    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
+        grams.append(X_train.T @ X_train)
+        xtys.append(X_train.T @ y_train)
+        val_rows.append((X_val, y_val))
+    coeffs = ridge_coefficients(np.stack(grams), np.stack(xtys), grid, penalize_intercept)
     # Summed per penalty in fold order, as a per-(lambda, fold) loop would; the stacked
     # products run one gemv and one dot per penalty, so each term keeps its bits.
     cv_errors = np.zeros(len(grid))
-    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
-        coeffs = ridge_coefficients(X_train, y_train, grid, penalize_intercept)
-        resid = X_val @ coeffs[:, :, None]  # penalties x rows x 1
+    for fold_coeffs, (X_val, y_val) in zip(coeffs, val_rows):
+        resid = X_val @ fold_coeffs[:, :, None]  # penalties x rows x 1
         np.subtract(y_val[:, None], resid, out=resid)
         cv_errors += (resid.mT @ resid)[:, 0, 0] / len(y_val)
     cv_errors /= folds

@@ -137,10 +137,8 @@ def assemble_problems(
             stats.dropped_windows += 1
             continue
         X = np.ones((len(rows), levels + 1), dtype=float)
-        y = np.empty(len(rows), dtype=float)
-        for r, s in enumerate(rows):
-            X[r, 1:] = s.mlofi[:levels]
-            y[r] = s.delta_p / y_scale
+        X[:, 1:] = [s.mlofi[:levels] for s in rows]
+        y = np.array([s.delta_p / y_scale for s in rows])
         problems.append(
             RegressionProblem(date=date, window_index=i, X=X, y=y, levels=levels)
         )

@@ -19,7 +19,7 @@ from mlofi.book import (
     Side,
     level_snapshot,
 )
-from mlofi.errors import MalformedRow
+from mlofi.errors import MalformedRow, NumericalFailure
 from mlofi.imbalance import MlofiSample, flow_delta
 
 TICK = 100
@@ -370,6 +370,56 @@ def oracle_select_lambda(X, y, folds, grid, penalize_intercept=True):
             total += float(resid @ resid) / len(idx)
         cv_errors[gi] = total / folds
     return cv_errors, float(grid[int(np.argmin(cv_errors))])
+
+
+def oracle_fit_ridge(problem, lam, penalize_intercept=True):
+    """``fit_ridge`` through scipy's ``cho_factor``/``cho_solve`` wrappers.
+
+    The direct LAPACK path must match it in every bit and every failure text.
+    """
+    from scipy import linalg as sla
+
+    from mlofi.inference import _finish_fit, _penalty
+
+    X, y = problem.X, problem.y
+    p = X.shape[1]
+    xtx = X.T @ X
+    try:
+        factor = sla.cho_factor(xtx + lam * _penalty(p, penalize_intercept))
+    except sla.LinAlgError as exc:
+        raise NumericalFailure(f"ridge solve failed: {exc}") from exc
+    coeffs = sla.cho_solve(factor, X.T @ y)
+    a_inv = sla.cho_solve(factor, np.eye(p))
+    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(a_inv))):
+        raise NumericalFailure("ridge solve produced non-finite values")
+    return _finish_fit(X, y, coeffs, a_inv @ xtx @ a_inv, lam=lam)
+
+
+def oracle_assemble_problems(samples, grid, levels, tick_size, date):
+    """Problem assembly writing one numpy row per sample.
+
+    Returns (problems, discarded intervals, dropped windows).
+    """
+    from mlofi.sampling import RegressionProblem
+
+    discarded = 0
+    by_window = [[] for _ in range(grid.n_windows)]
+    for sample in samples:
+        if sample is None:
+            discarded += 1
+        else:
+            by_window[sample.window_index].append(sample)
+    problems = []
+    for i, rows in enumerate(by_window):
+        if len(rows) < levels + 2:
+            continue
+        X = np.ones((len(rows), levels + 1), dtype=float)
+        y = np.empty(len(rows), dtype=float)
+        for r, s in enumerate(rows):
+            X[r, 1:] = s.mlofi[:levels]
+            y[r] = s.delta_p / (2.0 * tick_size)
+        problems.append(RegressionProblem(date=date, window_index=i, X=X, y=y, levels=levels))
+    return problems, discarded, grid.n_windows - len(problems)
 
 
 # -- field-wise parsers: the ingest's rules before its grammar ---------------

@@ -1,6 +1,9 @@
 """Regression fits against independent high-precision oracles."""
 
+import dataclasses
 import datetime as dt
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy import linalg as sla
 from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
+    RegressionFit,
     contiguous_folds,
     default_lambda_grid,
     diagnose_collinearity,
@@ -23,7 +27,7 @@ from mlofi.inference import (
 from mlofi.sampling import RegressionProblem
 from mlofi.synth import PlantedParams, generate_planted_regression
 
-from conftest import mp_regression_oracle, oracle_select_lambda
+from conftest import mp_regression_oracle, oracle_fit_ridge, oracle_select_lambda
 
 DATE = dt.date(2016, 1, 4)
 
@@ -102,6 +106,60 @@ def test_ridge_on_a_singular_gram_matrix_raises(seed):
         sla.cho_factor(X.T @ X)
     with pytest.raises(NumericalFailure):
         fit_ridge(make_problem(X, rng.normal(size=40)), 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 8, 11])
+def test_ridge_at_zero_lambda_checks_rank_before_factoring(seed):
+    # For these seeds round-off lets the singular X'X of X = [1, x, 3x] factor,
+    # and the solve returned standard errors of 3.6e6-1.2e7 or exactly 0.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=40)
+    X = np.column_stack([np.ones(40), x, 3 * x])
+    sla.cho_factor(X.T @ X)
+    with pytest.raises(NumericalFailure, match="numerically singular"):
+        fit_ridge(make_problem(X, rng.normal(size=40)), 0.0)
+
+
+@given(
+    n_extra=hst.integers(1, 60),
+    p=hst.integers(2, 12),
+    seed=hst.integers(0, 2**32 - 1),
+    collinear=hst.sampled_from(["none", "duplicate", "near"]),
+    lam=hst.sampled_from(list(default_lambda_grid())),
+    penalize_intercept=hst.booleans(),
+)
+def test_ridge_equals_cho_factor_oracle(n_extra, p, seed, collinear, lam, penalize_intercept):
+    n = p + n_extra
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 50)])
+    if collinear == "duplicate" and p >= 3:
+        X[:, -1] = X[:, 1]
+    elif collinear == "near" and p >= 3:
+        X[:, -1] = X[:, 1] + 1e-7 * rng.standard_normal(n)
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    problem = make_problem(X, y)
+    fit = fit_ridge(problem, lam, penalize_intercept)
+    expected = oracle_fit_ridge(problem, lam, penalize_intercept)
+    for field in dataclasses.fields(RegressionFit):
+        assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name)), field.name
+
+
+@pytest.mark.parametrize(
+    "column, value, error",
+    [(0, 0.0, NumericalFailure), (2, np.nan, ValueError), (1, np.inf, ValueError)],
+)
+def test_ridge_failure_text_equals_cho_factor_oracle(column, value, error):
+    # A zero intercept column left unpenalized has no Cholesky factor; a
+    # non-finite design is refused before factoring, as cho_factor refuses it.
+    rng = np.random.default_rng(9)
+    X = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
+    X[:, column] = value
+    problem = make_problem(X, rng.standard_normal(30))
+    with np.errstate(invalid="ignore"), pytest.raises(error) as expected:
+        oracle_fit_ridge(problem, 1.0, penalize_intercept=False)
+    text = f"^{re.escape(str(expected.value))}$"
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=text):
+        fit_ridge(problem, 1.0, penalize_intercept=False)
 
 
 def test_ridge_huge_lambda_shrinks_to_zero():
@@ -263,6 +321,23 @@ def test_select_lambda_matches_oracle_on_any_grid_and_folds(
     cv_errors, lambda_hat = oracle_select_lambda(X, y, folds, grid, penalize_intercept)
     assert np.array_equal(search.cv_errors, cv_errors)
     assert search.lambda_hat == lambda_hat
+
+
+def test_penalty_search_holds_one_training_fold_at_a_time():
+    # Every training copy of X held at once takes folds x one copy; the search's
+    # own temporaries stay well under that.
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(20_000), rng.standard_normal((20_000, 10))])
+    y = rng.standard_normal(20_000)
+    folds = 5
+    one_copy = X.nbytes * (folds - 1) // folds
+    tracemalloc.start()
+    try:
+        select_lambda(X, y, folds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < folds * one_copy
 
 
 @given(

@@ -4,11 +4,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from mlofi.errors import IndivisibleGrid
 from mlofi.imbalance import MlofiSample
 from mlofi.lobster import NS, SessionConfig
-from mlofi.sampling import AssemblyStats, GridSpec, assemble_problems, build_grid
+from mlofi.sampling import AssemblyStats, Grid, GridSpec, assemble_problems, build_grid
+
+from conftest import oracle_assemble_problems
 
 DATE = dt.date(2016, 1, 4)
 
@@ -158,3 +162,44 @@ def test_252_dates_yield_2772_problems():
         )
         total += len(problems)
     assert total == 2772
+
+
+@given(
+    n_windows=hst.integers(1, 6),
+    n_sub=hst.integers(1, 14),
+    stored=hst.integers(1, 10),
+    data=hst.data(),
+    discard=hst.sampled_from([0.0, 0.2, 0.6]),
+    tick_size=hst.sampled_from([1, 7, 100]),
+    magnitude=hst.sampled_from([50, 10**6, 2**52]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_assembly_equals_per_row_oracle(
+    n_windows, n_sub, stored, data, discard, tick_size, magnitude, seed
+):
+    # Discarded intervals shrink windows; those left with fewer than
+    # levels + 2 rows are dropped. Every array keeps the oracle's bits and layout.
+    levels = data.draw(hst.integers(1, stored), label="levels")
+    rng = np.random.default_rng(seed)
+    grid = Grid(start_ns=0, n_windows=n_windows, n_sub=n_sub, subwindow_ns=NS)
+    samples = []
+    for i in range(n_windows):
+        for k in range(1, n_sub + 1):
+            if rng.random() < discard:
+                samples.append(None)
+                continue
+            mlofi = tuple(int(v) for v in rng.integers(-magnitude, magnitude + 1, size=stored))
+            samples.append(_sample(i, k, mlofi, int(rng.integers(-9, 10))))
+    stats = AssemblyStats()
+    problems = assemble_problems(samples, grid, levels, tick_size, DATE, stats)
+    expected, discarded, dropped = oracle_assemble_problems(
+        samples, grid, levels, tick_size, DATE
+    )
+    assert (stats.discarded_intervals, stats.dropped_windows) == (discarded, dropped)
+    assert len(problems) == len(expected)
+    for got, want in zip(problems, expected):
+        assert (got.date, got.window_index, got.levels) == (want.date, want.window_index, levels)
+        for a, b in ((got.X, want.X), (got.y, want.y)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous
+            assert np.array_equal(a, b)

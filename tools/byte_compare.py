@@ -16,8 +16,8 @@ and 10 with each method set, without a penalized intercept, with the
 per-window penalty on one-second sub-windows, with per-window ridge alone
 on one-second sub-windows, and with OLS alone in per-window mode on a
 30-row grid (legal, because no window runs its own penalty search); a
-per-window ``fit`` at level 10 in 7 folds of uneven length, without a
-penalized intercept; a sparse book that discards intervals and leaves
+per-window ``fit`` at level 10 in 7 folds of uneven length, with and
+without a penalized intercept; a sparse book that discards intervals and leaves
 rank-deficient windows out;
 ``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
 --config run.cfg``, a file that sets every run option, with ``--levels``
@@ -146,9 +146,10 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"{cmd}-sparse-per-window", [cmd, *SPARSE_BOOK, "--levels", "3",
                                                   "--lambda-mode", "per-window"]))
     # 120 rows a window in 7 folds: validation blocks of 18 and 17 rows.
-    runs.append(("fit-per-window-uneven-folds",
-                 ["fit", *TWO_DAYS, "--levels", "10", "--lambda-mode", "per-window", "--DT",
-                  "120", "--dt", "1", "--folds", "7", "--no-penalize-intercept"]))
+    uneven = ["fit", *TWO_DAYS, "--levels", "10", "--lambda-mode", "per-window", "--DT",
+              "120", "--dt", "1", "--folds", "7"]
+    runs.append(("fit-per-window-uneven-folds", [*uneven, "--no-penalize-intercept"]))
+    runs.append(("fit-per-window-uneven-folds-penalized-intercept", uneven))
     for levels in ("1", "3", "10"):
         runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
     runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",
