@@ -29,18 +29,13 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptySession,
-    NumericalError,
-    TooFewRows,
-)
+from .errors import ConfigError, DataError, EmptySession, NumericalError
 from .evaluation import EvaluationReport, FitSpec, assemble_windows, fit_tables, run_evaluation
 from .imbalance import compute_day_samples, sample_csv_header, sample_csv_row
 from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary
@@ -273,21 +268,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- data loading --------------------------------------------------------------
 
 
-def load_days(config: RunConfig) -> list[DaySlice]:
-    """Parse input files or generate deterministic synthetic days."""
+def load_days(config: RunConfig) -> Iterator[DaySlice]:
+    """Parse input files or generate deterministic synthetic days, one at a time.
+
+    A file's date, from its name or else ``start_date`` + its index in path
+    order, is known before any file is read; the days come in date order,
+    ties in path order. Each is parsed only when asked for.
+    """
     if config.synth_days is not None:
-        return [
-            generate_zi_day(
+        for i in range(config.synth_days):
+            yield generate_zi_day(
                 dataclasses.replace(config.zi, seed=config.seed + i),  # per-day stream
                 config.session,
                 config.start_date + dt.timedelta(days=i),
             )
-            for i in range(config.synth_days)
-        ]
+        return
 
     paths = sorted(glob.glob(config.messages))
-    if not paths:
-        return []
     seed_paths = {}
     if config.orderbooks:
         by_name = {Path(p).name: p for p in glob.glob(config.orderbooks)}
@@ -296,16 +293,15 @@ def load_days(config: RunConfig) -> list[DaySlice]:
             if name not in by_name:
                 raise ConfigError(f"message file {path} has no orderbook file {name}")
             seed_paths[path] = by_name[name]
-    days = []
-    for i, path in enumerate(paths):
-        date = date_from_filename(Path(path).name)
-        if date is None:
-            date = config.start_date + dt.timedelta(days=i)
+    dates = [date_from_filename(Path(path).name) or config.start_date + dt.timedelta(days=i)
+             for i, path in enumerate(paths)]
+    for date, path in sorted(zip(dates, paths), key=lambda pair: pair[0]):
         try:
-            days.append(parse_message_file(path, config.session, date, seed_paths.get(path)))
+            day = parse_message_file(path, config.session, date, seed_paths.get(path))
         except EmptySession as exc:
             print(f"warning: skipping {exc}", file=sys.stderr)
-    return days
+        else:
+            yield day
 
 
 # -- output helpers --------------------------------------------------------------
@@ -385,8 +381,7 @@ def cmd_synth(config: RunConfig) -> int:
     if config.synth_days is None:
         raise ConfigError("synth requires --synth-days")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    days = load_days(config)
-    for day in days:
+    for day in load_days(config):
         stem = f"SYN_{day.trading_date.isoformat()}"
         write_message_file(
             config.out_dir / f"{stem}_message_{config.levels}.csv", day.events
@@ -396,16 +391,15 @@ def cmd_synth(config: RunConfig) -> int:
             day.events,
             config.levels,
         )
-    print(f"wrote {len(days)} synthetic days to {config.out_dir}")
+    print(f"wrote {config.synth_days} synthetic days to {config.out_dir}")
     return 0
 
 
 def cmd_compute(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    days = load_days(config)
     grid = build_grid(config.session, config.grid)
     rows: list[list[str]] = []
-    for day in sorted(days, key=lambda d: d.trading_date):
+    for day in load_days(config):
         comp = compute_day_samples(
             day, grid.boundaries_ns, grid.n_sub, config.levels
         )
@@ -418,20 +412,12 @@ def cmd_compute(config: RunConfig) -> int:
     return 0
 
 
-def _fit_days(config: RunConfig) -> list[DaySlice]:
-    """``load_days`` for the commands that fit, where no input day is an error."""
-    days = load_days(config)
-    if not days:
-        raise TooFewRows("no input days")
-    return days
-
-
 def cmd_fit(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    days = _fit_days(config)
     grid = build_grid(config.session, config.grid)
-    problems, _, _ = assemble_windows(days, grid, config.levels, config.session.tick_size)
-    del days  # frees the parsed events before the fits
+    problems, _, _ = assemble_windows(
+        load_days(config), grid, config.levels, config.session.tick_size
+    )
     tables = fit_tables(problems, config.fit)
     _warn_left_out(tables.significance, len(problems), config.fit)
     _write_significance(config.out_dir, "fits", tables.significance, config.levels)
@@ -451,9 +437,8 @@ def cmd_fit(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    # No local name holds the days, so run_evaluation can free them.
     report = run_evaluation(
-        _fit_days(config), config.session, config.grid, config.levels, config.fit
+        load_days(config), config.session, config.grid, config.levels, config.fit
     )
     _warn_left_out(report.significance, report.n_problems, config.fit)
     _write_report_files(report, config)

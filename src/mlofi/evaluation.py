@@ -5,9 +5,10 @@ days into sorted per-window problems and ``fit_tables`` selects the pooled
 penalty and builds the significance tables, which ``fit`` writes as they
 are. ``run_evaluation`` fits each window once per (method, depth) and takes
 the R^2 curve, the seasonality profile (depth M) and the level-1 OFI
-baseline from those fits. Each day is replayed once: the replay that
-yields the imbalance samples also tallies the book, and ``book_summaries``
-reduces the days' tallies.
+baseline from those fits. The days come as any iterable in date order and
+each is replayed once, as it arrives: the replay that yields the imbalance
+samples also tallies the book, only the problems and tallies are kept, and
+``book_summaries`` reduces the tallies.
 
 A ``FitSpec`` carries the five fit settings from the command line to the
 fits: the methods, the cross-validation folds, the penalty grid, the
@@ -28,6 +29,7 @@ are in ticks because the regression response is in ticks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,18 +101,19 @@ class FitSpec:
 
 
 def assemble_windows(
-    days: list[DaySlice], grid: Grid, levels: int, tick_size: int
+    days: Iterable[DaySlice], grid: Grid, levels: int, tick_size: int
 ) -> tuple[list[RegressionProblem], AssemblyStats, list[BookTally]]:
     """Replay the days and group their intervals into per-window problems.
 
-    Underdetermined windows are dropped and counted. The problems come back
-    in (date, window) order, with the days' book tallies in date order; an
-    input without any usable window raises TooFewRows.
+    ``days`` is any iterable in date order; only each day's problems and
+    book tally are kept. Underdetermined windows are dropped and counted.
+    The problems come back in (date, window) order, with the tallies in
+    date order; no day, or no usable window, raises TooFewRows.
     """
     stats = AssemblyStats()
     problems: list[RegressionProblem] = []
     tallies: list[BookTally] = []
-    for day in sorted(days, key=lambda d: d.trading_date):
+    for day in days:
         comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         problems.extend(
             assemble_problems(
@@ -118,6 +121,8 @@ def assemble_windows(
             )
         )
         tallies.append(comp.book)
+    if not tallies:
+        raise TooFewRows("no input days")
     if not problems:
         raise TooFewRows("no usable regression windows in the input")
     problems.sort(key=lambda p: (p.date, p.window_index))
@@ -412,7 +417,7 @@ class EvaluationReport:
 
 
 def run_evaluation(
-    days: list[DaySlice],
+    days: Iterable[DaySlice],
     session: SessionConfig,
     grid_spec: GridSpec,
     levels: int,
@@ -420,13 +425,13 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Ingest -> imbalance -> fits -> report, for one instrument.
 
-    The significance tables come from ``fit_tables``. The R^2 curves and
-    the seasonality profiles always use the pooled penalty, as does the
-    RMSE protocol since it pools rows.
+    ``days`` is any iterable in date order, taken once the grid is built;
+    no day raises TooFewRows("no input days"). The significance tables come
+    from ``fit_tables``. The R^2 curves and the seasonality profiles always
+    use the pooled penalty, as does the RMSE protocol since it pools rows.
     """
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
-    del days  # the last reference when the caller kept none; frees the events
     tables = fit_tables(problems, spec)
     lam = tables.search.lambda_hat if tables.search else 0.0
 

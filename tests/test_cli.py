@@ -431,7 +431,7 @@ def test_orderbook_seed_depth_comes_from_the_row(tmp_path):
             "compute", "--messages", str(messages), "--orderbooks", str(orderbook),
             "--levels", levels,
         ])
-        seeds.append(load_days(resolve_config(args))[0].seed)
+        seeds.append(next(load_days(resolve_config(args))).seed)
     assert seeds[0] == seeds[1] == seeds[2]
     assert seeds[0].bids == tuple((140000 - 100 * m, m + 1) for m in range(10))
     assert seeds[0].asks == tuple((140200 + 100 * m, m + 1) for m in range(10))
@@ -606,6 +606,82 @@ def test_impossible_date_in_a_file_name_is_a_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: X_2016-13-45_message_1.csv: bad date '2016-13-45'")
+
+
+def test_days_come_in_date_order_not_path_order(tmp_path, capsys):
+    # Path order A, B, C, D; date order D, B, A. C and D name no date, so
+    # each takes start_date + its index in path order, and skipping C's
+    # empty session leaves D's date where it was.
+    sizes = {"A_2016-01-05": 5, "B_2016-01-04": 6, "D": 8}
+    for stem, size in sizes.items():
+        (tmp_path / f"{stem}_message_3.csv").write_text(
+            WORKED_EXAMPLE.replace(",4,7,", f",4,{size},"))
+    (tmp_path / "C_message_3.csv").write_text("37000.000000000,1,1,10,140000,1\n")
+    code = run_cli(
+        "compute", "--messages", str(tmp_path / "*_message_3.csv"), "--levels", "3",
+        "--session-end", "10:01", "--DT", "60", "--dt", "10", "--start-date", "2015-12-30",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert "warning: skipping" in capsys.readouterr().err
+    rows = read_csv(tmp_path / "out" / "samples.csv")[1:]
+    assert [r[0] for r in rows] == ["2016-01-02"] * 6 + ["2016-01-04"] * 6 + ["2016-01-05"] * 6
+    # The arrival that sets mlofi_1 in the first sub-window has its file's size.
+    assert {r[0]: r[3] for r in rows if r[2] == "1"} == {
+        "2016-01-02": "8", "2016-01-04": "6", "2016-01-05": "5"}
+
+
+@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
+def test_grid_is_checked_before_any_file_is_read(tmp_path, capsys, command):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text("36001.0,1,1,10,140000,1\nnot a row\n")
+    out = tmp_path / "out"
+    code = run_cli(command, "--messages", str(messages), "--DT", "1000", "--out", str(out))
+    assert code == 1
+    assert "is not divisible by window length 1000s" in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
+def test_one_day_is_alive_at_each_replay(tmp_path, monkeypatch, command):
+    import weakref
+
+    import mlofi.cli
+    import mlofi.evaluation
+    from mlofi.evaluation import fit_tables
+    from mlofi.imbalance import compute_day_samples
+    from mlofi.synth import generate_zi_day
+
+    made = []  # a DaySlice is unhashable, so no WeakSet
+    alive_at_replay, alive_at_fit = [], []
+
+    def alive():
+        return sum(ref() is not None for ref in made)
+
+    def generate(*args, **kwargs):
+        day = generate_zi_day(*args, **kwargs)
+        made.append(weakref.ref(day))
+        return day
+
+    def replay(*args, **kwargs):
+        alive_at_replay.append(alive())
+        return compute_day_samples(*args, **kwargs)
+
+    def fit(*args, **kwargs):
+        alive_at_fit.append(alive())
+        return fit_tables(*args, **kwargs)
+
+    monkeypatch.setattr(mlofi.cli, "generate_zi_day", generate)
+    for module in (mlofi.cli, mlofi.evaluation):
+        monkeypatch.setattr(module, "compute_day_samples", replay)
+        monkeypatch.setattr(module, "fit_tables", fit)
+    code = run_cli(
+        command, "--synth-days", "4", "--seed", "5", "--levels", "2",
+        "--session-end", "10:30", "--DT", "300", "--dt", "10", "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    assert alive_at_replay == [1, 1, 1, 1]
+    assert alive_at_fit == ([] if command == "compute" else [0])
 
 
 @pytest.mark.parametrize("flag", ["--zi-limit-rate", "--zi-market-rate", "--zi-cancel-rate",

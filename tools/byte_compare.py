@@ -23,11 +23,13 @@ rank-deficient windows out;
 --config run.cfg``, a file that sets every run option, with ``--levels``
 and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
 back to ``compute --orderbooks`` with the session starting at 10:00 and at
-10:30; and a hand-written LOBSTER message file and its 2-level orderbook
-file (CRLF line ends, blank lines, hidden executions, a cross trade, a halt
-and its resume) fed to ``compute --orderbooks`` with the session starting
-at 10:00, which is message 1, and at 10:30, each with and without
-``--include-hidden``.
+10:30; copies of those fixtures renamed so that their name order is the
+reverse of their date order, fed to ``compute --orderbooks`` and
+``evaluate --orderbooks``; and a hand-written LOBSTER message file and its
+2-level orderbook file (CRLF line ends, blank lines, hidden executions, a
+cross trade, a halt and its resume) fed to ``compute --orderbooks`` with the
+session starting at 10:00, which is message 1, and at 10:30, each with and
+without ``--include-hidden``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -52,6 +55,8 @@ SPARSE_BOOK = [
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
 ]
 ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
+REVERSED_FIXTURES = ["--messages", "fx-reversed/*_message_*",
+                     "--orderbooks", "fx-reversed/*_orderbook_*"]
 LOBSTER_FILES = ["--messages", "lobster/*_message_*", "--orderbooks", "lobster/*_orderbook_*",
                  "--levels", "2", "--session-end", "10:40", "--DT", "600", "--dt", "60"]
 # Written with CRLF line ends into each scratch directory's lobster/. Before
@@ -160,6 +165,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("orderbooks-1000", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10"]))
     runs.append(("orderbooks-1030", ["compute", *ORDERBOOK_FIXTURES, "--levels", "10",
                                      "--session-start", "10:30"]))
+    runs.append(("orderbooks-reversed-names",
+                  ["compute", *REVERSED_FIXTURES, "--levels", "10"]))
+    runs.append(("evaluate-reversed-names",
+                  ["evaluate", *REVERSED_FIXTURES, "--levels", "10"]))
     for start in ("10:00", "10:30"):
         for hidden in ([], ["--include-hidden"]):
             runs.append((f"lobster-{start.replace(':', '')}{'-hidden' * bool(hidden)}",
@@ -183,7 +192,21 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
             cwd=workdir, env=env, capture_output=True,
         )
         results[name] = (proc.returncode, proc.stdout, proc.stderr)
+        if name == "fx":
+            reverse_name_order(workdir / "fx", workdir / "fx-reversed")
     return results
+
+
+def reverse_name_order(src: Path, dst: Path) -> None:
+    """Copy ``src``'s ``SYN_<date>_*`` files into ``dst``, each name prefixed
+    with a letter that falls as its date rises, so that the names sort in
+    the reverse of date order."""
+    dst.mkdir()
+    files = list(src.iterdir())
+    dates = sorted({f.name.split("_")[1] for f in files})
+    for f in files:
+        letter = chr(ord("Z") - dates.index(f.name.split("_")[1]))
+        shutil.copyfile(f, dst / f"{letter}_{f.name}")
 
 
 def _numbers(a, b) -> list[tuple[float, float]]:
