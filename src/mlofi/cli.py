@@ -1,8 +1,10 @@
 """Batch command-line front end: ingest -> imbalance -> fit -> evaluate.
 
-Subcommands: ``synth`` writes LOBSTER-format fixture files, ``compute``
-dumps per-interval imbalance samples, ``fit`` writes per-coefficient
-summary tables, ``evaluate`` writes the full report (JSON + CSVs).
+Subcommands: ``synth`` writes LOBSTER-format fixture files day by day;
+``compute`` dumps per-interval imbalance samples, ``fit`` writes
+per-coefficient summary tables and ``evaluate`` the full report (JSON +
+CSVs), each rendering every file before it makes the output directory, so a
+failed run leaves none.
 
 Configuration comes from ``key = value`` lines in a config file, overridden
 by command-line flags; the output directory may additionally be overridden
@@ -14,7 +16,9 @@ number a finite decimal literal, either padded by whatever ``str.strip``
 removes. A value of the wrong type, from a flag or a file, is a
 configuration error naming the key.
 All randomness derives from the single ``seed`` value. Exit codes: 0
-success, 1 configuration error, 2 data error, 3 numerical failure.
+success, 1 configuration error or an operating-system error on a path (an
+``--out`` that names a file, a glob that matches a directory), 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import csv
 import dataclasses
 import datetime as dt
 import glob
+import io
 import json
 import math
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +114,8 @@ class RunConfig:
             raise ConfigError(
                 "exactly one of a messages glob or a synth-days count is required"
             )
+        if self.synth_days is not None and self.synth_days < 0:
+            raise ConfigError(f"synth_days must be >= 0, got {self.synth_days}")
         if self.orderbooks is not None and self.messages is None:
             raise ConfigError("an orderbooks glob needs a messages glob to pair with")
         if not (1 <= self.levels <= 50):
@@ -129,12 +136,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mlofi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate zero-intelligence fixture files"),
-        ("compute", "dump per-interval imbalance samples as CSV"),
-        ("fit", "write per-coefficient regression summary tables"),
-        ("evaluate", "write the full evaluation report"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
         for key, flags, kind, default, doc in _OPTIONS:
@@ -296,58 +298,31 @@ def load_days(config: RunConfig) -> Iterator[DaySlice]:
     dates = [date_from_filename(Path(path).name) or config.start_date + dt.timedelta(days=i)
              for i, path in enumerate(paths)]
     for date, path in sorted(zip(dates, paths), key=lambda pair: pair[0]):
-        try:
-            day = parse_message_file(path, config.session, date, seed_paths.get(path))
+        try:  # no name holds the day while the consumer has it
+            yield parse_message_file(path, config.session, date, seed_paths.get(path))
         except EmptySession as exc:
             print(f"warning: skipping {exc}", file=sys.stderr)
-        else:
-            yield day
 
 
-# -- output helpers --------------------------------------------------------------
+# -- output --------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))  # NaN is written as nan
+def _cell(x) -> str:
+    """One CSV cell: None is empty, text and ints as they are, any other
+    number its float repr (NaN is written as nan)."""
+    if x is None:
+        return ""
+    if isinstance(x, (str, int)):
+        return str(x)
+    return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _coef_names(levels: int) -> list[str]:
-    return ["alpha"] + [f"beta_{m}" for m in range(1, levels + 1)]
-
-
-def _write_significance(
-    out: Path, prefix: str, tables: dict[str, SignificanceSummary], levels: int
-) -> None:
-    header = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
-    for name, t in tables.items():
-        columns = (t.mean_coeff, t.mean_se, t.mean_t, t.mean_p, t.pct_significant_95)
-        rows = [[coef] + [_fmt(c[j]) for c in columns]
-                for j, coef in enumerate(_coef_names(levels))]
-        _write_csv(out / f"{prefix}_{name}.csv", header, rows)
-
-
-def _warn_left_out(
-    tables: dict[str, SignificanceSummary], n_problems: int, spec: FitSpec
-) -> None:
-    """One stderr line per method whose table covers fewer than all windows."""
-    for method, summary in tables.items():
-        if summary.n_fits == n_problems:
-            continue
-        reason = "rank-deficient"
-        if method == evaluation.RIDGE and spec.min_window_rows:
-            reason = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
-        print(
-            f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
-            f"windows {reason}, left out of the table",
-            file=sys.stderr,
-        )
+def _csv(header: list[str], rows: Iterable[Iterable]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
 
 
 def _to_json(obj):
@@ -368,198 +343,192 @@ def _to_json(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _json(payload) -> str:
+    """A dict or dataclass as strict JSON text, with ``schema_version``."""
+    document = {"schema_version": SCHEMA_VERSION, **_to_json(payload)}
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Make ``out`` and write each named text into it as it is."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
+
+
+def _coef_names(levels: int) -> list[str]:
+    return ["alpha"] + [f"beta_{m}" for m in range(1, levels + 1)]
+
+
+def _significance_files(
+    prefix: str, tables: dict[str, SignificanceSummary], levels: int
+) -> dict[str, str]:
+    header = ["coef", "mean_value", "mean_se", "mean_t", "mean_p", "pct_significant_95"]
+    files = {}
+    for name, t in tables.items():
+        columns = (t.mean_coeff, t.mean_se, t.mean_t, t.mean_p, t.pct_significant_95)
+        rows = [[coef, *(c[j] for c in columns)] for j, coef in enumerate(_coef_names(levels))]
+        files[f"{prefix}_{name}.csv"] = _csv(header, rows)
+    return files
+
+
+def _report_files(report: EvaluationReport) -> dict[str, str]:
+    """Every file ``evaluate`` writes, by name."""
+    imp, fc = report.improvement, report.flow_concentration
+    files = {
+        "report.json": _json(report),
+        "r2_curve.csv": _csv(
+            ["method", "levels", "mean_adj_r2"],
+            [[method, m, v] for method, curve in sorted(report.r2_curves.items())
+             for m, v in enumerate(curve, start=1)],
+        ),
+        "rmse_curves.csv": _csv(
+            ["method", "levels", "in_sample_rmse_ticks", "out_sample_rmse_ticks"],
+            [[method, p.levels, p.in_sample, p.out_sample]
+             for method, curve in sorted(report.rmse_curves.items()) for p in curve],
+        ),
+        "improvement.csv": _csv(
+            ["fit", "out_sample_rmse_ticks", "improvement_vs_ofi"],
+            [
+                ["ofi", imp.ofi_rmse, None],
+                ["mlofi_ols", imp.mlofi_ols_rmse, imp.improvement_ols],
+                ["mlofi_ridge", imp.mlofi_ridge_rmse, imp.improvement_ridge],
+            ],
+        ),
+    }
+    if report.lambda_search is not None:
+        search = report.lambda_search
+        files["lambda_cv.csv"] = _csv(["lambda", "cv_mse"], zip(search.grid, search.cv_errors))
+    if report.diagnostics is not None:
+        corr = report.diagnostics.corr
+        files["correlation.csv"] = _csv(
+            ["component"] + [f"c{j + 1}" for j in range(corr.shape[0])],
+            [[f"c{i + 1}", *row] for i, row in enumerate(corr)],
+        )
+        files["eigenvalues.csv"] = _csv(
+            ["rank", "eigenvalue"], enumerate(report.diagnostics.eigenvalues, start=1)
+        )
+    files.update(_significance_files("significance", report.significance, report.levels))
+    if report.ofi_significance is not None:
+        files.update(_significance_files("significance", {"ofi_ols": report.ofi_significance}, 1))
+    for method, arr in sorted(report.seasonality.items()):
+        files[f"seasonality_{method}.csv"] = _csv(
+            ["window_i"] + _coef_names(report.levels), [[i, *row] for i, row in enumerate(arr)]
+        )
+    for name, summary in (
+        ("book_summary.csv", report.book_summary),
+        ("book_summary_event.csv", report.book_summary_event_weighted),
+    ):
+        files[name] = _csv(["stat", "value"], [
+            ["mean_mid_dollars", summary.mean_mid_dollars],
+            ["mean_spread_dollars", summary.mean_spread_dollars],
+            *([f"mean_bid_depth_{i}", v] for i, v in enumerate(summary.mean_bid_depth, start=1)),
+            *([f"mean_ask_depth_{i}", v] for i, v in enumerate(summary.mean_ask_depth, start=1)),
+        ])
+    files["flow_concentration.csv"] = _csv(
+        ["bucket", "count_pct", "volume_pct"],
+        zip(("within_spread", "at_best", "deeper"), fc.count_pct, fc.volume_pct),
+    )
+    return files
+
+
+def _warn_left_out(
+    tables: dict[str, SignificanceSummary], n_problems: int, spec: FitSpec
+) -> None:
+    """One stderr line per method whose table covers fewer than all windows."""
+    for method, summary in tables.items():
+        if summary.n_fits == n_problems:
+            continue
+        reason = "rank-deficient"
+        if method == evaluation.RIDGE and spec.min_window_rows:
+            reason = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
+        print(
+            f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
+            f"windows {reason}, left out of the table",
+            file=sys.stderr,
+        )
 
 
 # -- subcommands -----------------------------------------------------------------
+# Days are consumed through map(), which drops a day before it asks for the
+# next: a loop variable would keep day k alive while day k + 1 is made.
 
 
 def cmd_synth(config: RunConfig) -> int:
     if config.synth_days is None:
         raise ConfigError("synth requires --synth-days")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    for day in load_days(config):
+
+    def write_day(day: DaySlice) -> None:
         stem = f"SYN_{day.trading_date.isoformat()}"
-        write_message_file(
-            config.out_dir / f"{stem}_message_{config.levels}.csv", day.events
-        )
+        write_message_file(config.out_dir / f"{stem}_message_{config.levels}.csv", day.events)
         write_orderbook_file(
-            config.out_dir / f"{stem}_orderbook_{config.levels}.csv",
-            day.events,
-            config.levels,
+            config.out_dir / f"{stem}_orderbook_{config.levels}.csv", day.events, config.levels
         )
+
+    for _ in map(write_day, load_days(config)):
+        pass
     print(f"wrote {config.synth_days} synthetic days to {config.out_dir}")
     return 0
 
 
 def cmd_compute(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config.session, config.grid)
-    rows: list[list[str]] = []
-    for day in load_days(config):
-        comp = compute_day_samples(
-            day, grid.boundaries_ns, grid.n_sub, config.levels
-        )
-        for sample in comp.samples:
-            if sample is not None:
-                rows.append(sample_csv_row(sample))
-    path = config.out_dir / "samples.csv"
-    _write_csv(path, sample_csv_header(config.levels), rows)
-    print(f"wrote {len(rows)} samples to {path}")
+    comps = map(
+        lambda day: compute_day_samples(day, grid.boundaries_ns, grid.n_sub, config.levels),
+        load_days(config),
+    )
+    rows = [sample_csv_row(s) for comp in comps for s in comp.samples if s is not None]
+    _write_files(config.out_dir, {"samples.csv": _csv(sample_csv_header(config.levels), rows)})
+    print(f"wrote {len(rows)} samples to {config.out_dir / 'samples.csv'}")
     return 0
 
 
 def cmd_fit(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config.session, config.grid)
     problems, _, _ = assemble_windows(
         load_days(config), grid, config.levels, config.session.tick_size
     )
     tables = fit_tables(problems, config.fit)
     _warn_left_out(tables.significance, len(problems), config.fit)
-    _write_significance(config.out_dir, "fits", tables.significance, config.levels)
-    _write_json(
-        config.out_dir / "fits.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "levels": config.levels,
-            "n_problems": len(problems),
-            "lambda_hat": tables.search.lambda_hat if tables.search else None,
-            "tables": _to_json(tables.significance),
-        },
-    )
+    fits = {
+        "levels": config.levels,
+        "n_problems": len(problems),
+        "lambda_hat": tables.search.lambda_hat if tables.search else None,
+        "tables": tables.significance,
+    }
+    _write_files(config.out_dir, {
+        **_significance_files("fits", tables.significance, config.levels),
+        "fits.json": _json(fits),
+    })
     print(f"wrote fit tables for {len(problems)} windows to {config.out_dir}")
     return 0
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     report = run_evaluation(
         load_days(config), config.session, config.grid, config.levels, config.fit
     )
     _warn_left_out(report.significance, report.n_problems, config.fit)
-    _write_report_files(report, config)
+    _write_files(config.out_dir, _report_files(report))
     print(f"wrote evaluation report to {config.out_dir}")
     return 0
 
 
-def _write_report_files(report: EvaluationReport, config: RunConfig) -> None:
-    out = config.out_dir
-    _write_json(out / "report.json", {"schema_version": SCHEMA_VERSION, **_to_json(report)})
-
-    rows = []
-    for method, curve in sorted(report.r2_curves.items()):
-        for m, v in enumerate(curve, start=1):
-            rows.append([method, str(m), _fmt(v)])
-    _write_csv(out / "r2_curve.csv", ["method", "levels", "mean_adj_r2"], rows)
-
-    rows = []
-    for method, curve in sorted(report.rmse_curves.items()):
-        for p in curve:
-            rows.append([method, str(p.levels), _fmt(p.in_sample), _fmt(p.out_sample)])
-    _write_csv(
-        out / "rmse_curves.csv",
-        ["method", "levels", "in_sample_rmse_ticks", "out_sample_rmse_ticks"],
-        rows,
-    )
-
-    imp = report.improvement
-    _write_csv(
-        out / "improvement.csv",
-        ["fit", "out_sample_rmse_ticks", "improvement_vs_ofi"],
-        [
-            ["ofi", _fmt(imp.ofi_rmse), ""],
-            ["mlofi_ols", _fmt(imp.mlofi_ols_rmse), _fmt(imp.improvement_ols)],
-            ["mlofi_ridge", _fmt(imp.mlofi_ridge_rmse), _fmt(imp.improvement_ridge)],
-        ],
-    )
-
-    if report.lambda_search is not None:
-        _write_csv(
-            out / "lambda_cv.csv",
-            ["lambda", "cv_mse"],
-            [
-                [_fmt(lam), _fmt(err)]
-                for lam, err in zip(
-                    report.lambda_search.grid, report.lambda_search.cv_errors
-                )
-            ],
-        )
-
-    if report.diagnostics is not None:
-        m = report.diagnostics.corr.shape[0]
-        _write_csv(
-            out / "correlation.csv",
-            ["component"] + [f"c{j + 1}" for j in range(m)],
-            [
-                [f"c{i + 1}"] + [_fmt(v) for v in report.diagnostics.corr[i]]
-                for i in range(m)
-            ],
-        )
-        _write_csv(
-            out / "eigenvalues.csv",
-            ["rank", "eigenvalue"],
-            [
-                [str(i + 1), _fmt(v)]
-                for i, v in enumerate(report.diagnostics.eigenvalues)
-            ],
-        )
-
-    _write_significance(out, "significance", report.significance, report.levels)
-    if report.ofi_significance is not None:
-        _write_significance(out, "significance", {"ofi_ols": report.ofi_significance}, 1)
-
-    for method, arr in sorted(report.seasonality.items()):
-        header = ["window_i"] + _coef_names(report.levels)
-        rows = [
-            [str(i)] + [_fmt(v) for v in arr[i]] for i in range(arr.shape[0])
-        ]
-        _write_csv(out / f"seasonality_{method}.csv", header, rows)
-
-    for name, summary in (
-        ("book_summary.csv", report.book_summary),
-        ("book_summary_event.csv", report.book_summary_event_weighted),
-    ):
-        rows = [
-            ["mean_mid_dollars", _fmt(summary.mean_mid_dollars)],
-            ["mean_spread_dollars", _fmt(summary.mean_spread_dollars)],
-        ]
-        for i, v in enumerate(summary.mean_bid_depth, start=1):
-            rows.append([f"mean_bid_depth_{i}", _fmt(v)])
-        for i, v in enumerate(summary.mean_ask_depth, start=1):
-            rows.append([f"mean_ask_depth_{i}", _fmt(v)])
-        _write_csv(out / name, ["stat", "value"], rows)
-
-    fc = report.flow_concentration
-    _write_csv(
-        out / "flow_concentration.csv",
-        ["bucket", "count_pct", "volume_pct"],
-        [
-            ["within_spread", _fmt(fc.count_pct[0]), _fmt(fc.volume_pct[0])],
-            ["at_best", _fmt(fc.count_pct[1]), _fmt(fc.volume_pct[1])],
-            ["deeper", _fmt(fc.count_pct[2]), _fmt(fc.volume_pct[2])],
-        ],
-    )
+#: subcommand -> (help, function of the resolved config giving the exit code)
+_COMMANDS = {
+    "synth": ("generate zero-intelligence fixture files", cmd_synth),
+    "compute": ("dump per-interval imbalance samples as CSV", cmd_compute),
+    "fit": ("write per-coefficient regression summary tables", cmd_fit),
+    "evaluate": ("write the full evaluation report", cmd_evaluate),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = resolve_config(args)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "fit":
-            return cmd_fit(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][1](resolve_config(args))
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

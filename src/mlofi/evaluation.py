@@ -113,13 +113,13 @@ def assemble_windows(
     stats = AssemblyStats()
     problems: list[RegressionProblem] = []
     tallies: list[BookTally] = []
-    for day in days:
-        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-        problems.extend(
-            assemble_problems(
-                comp.samples, grid, levels, tick_size, day.trading_date, stats
-            )
-        )
+
+    def replay(day: DaySlice):
+        return day.trading_date, compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+
+    # map() drops each day before it asks for the next; a loop variable would not.
+    for date, comp in map(replay, days):
+        problems.extend(assemble_problems(comp.samples, grid, levels, tick_size, date, stats))
         tallies.append(comp.book)
     if not tallies:
         raise TooFewRows("no input days")

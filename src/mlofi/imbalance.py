@@ -322,8 +322,8 @@ def sample_csv_header(levels: int) -> list[str]:
     return cols
 
 
-def sample_csv_row(sample: MlofiSample) -> list[str]:
-    row = [sample.date.isoformat(), str(sample.window_index), str(sample.sub_index)]
-    row += [str(v) for v in sample.mlofi]
-    row += [str(sample.ofi), str(sample.trade_imbalance), str(sample.delta_p)]
-    return row
+def sample_csv_row(sample: MlofiSample) -> list[str | int]:
+    return [
+        sample.date.isoformat(), sample.window_index, sample.sub_index, *sample.mlofi,
+        sample.ofi, sample.trade_imbalance, sample.delta_p,
+    ]

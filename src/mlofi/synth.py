@@ -60,6 +60,8 @@ class ZiParams:
             raise ConfigError("mean_size must be finite and >= 1")
         if self.price_band < 1:
             raise ConfigError("price_band must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class _MirrorBook:

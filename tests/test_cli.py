@@ -642,46 +642,61 @@ def test_grid_is_checked_before_any_file_is_read(tmp_path, capsys, command):
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
-@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
-def test_one_day_is_alive_at_each_replay(tmp_path, monkeypatch, command):
+def count_live_days(monkeypatch, makes, spies=()):
+    """Spy on functions of ``mlofi.cli`` and ``mlofi.evaluation`` by name.
+
+    ``makes`` name functions that return a day, ``spies`` functions that
+    take one. Each call appends to ``counts[name]`` how many of the days
+    made so far are alive; the counts are returned.
+    """
     import weakref
 
     import mlofi.cli
     import mlofi.evaluation
-    from mlofi.evaluation import fit_tables
-    from mlofi.imbalance import compute_day_samples
-    from mlofi.synth import generate_zi_day
 
     made = []  # a DaySlice is unhashable, so no WeakSet
-    alive_at_replay, alive_at_fit = [], []
+    counts = {name: [] for name in (*makes, *spies)}
 
-    def alive():
-        return sum(ref() is not None for ref in made)
+    def wrap(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name].append(sum(ref() is not None for ref in made))
+            result = real(*args, **kwargs)
+            if name in makes:
+                made.append(weakref.ref(result))
+            return result
+        return wrapper
 
-    def generate(*args, **kwargs):
-        day = generate_zi_day(*args, **kwargs)
-        made.append(weakref.ref(day))
-        return day
+    for name in counts:
+        for module in (mlofi.cli, mlofi.evaluation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return counts
 
-    def replay(*args, **kwargs):
-        alive_at_replay.append(alive())
-        return compute_day_samples(*args, **kwargs)
 
-    def fit(*args, **kwargs):
-        alive_at_fit.append(alive())
-        return fit_tables(*args, **kwargs)
+FOUR_DAYS = ["--synth-days", "4", "--seed", "5", "--levels", "2", "--session-end", "10:30",
+             "--DT", "300", "--dt", "10"]
 
-    monkeypatch.setattr(mlofi.cli, "generate_zi_day", generate)
-    for module in (mlofi.cli, mlofi.evaluation):
-        monkeypatch.setattr(module, "compute_day_samples", replay)
-        monkeypatch.setattr(module, "fit_tables", fit)
-    code = run_cli(
-        command, "--synth-days", "4", "--seed", "5", "--levels", "2",
-        "--session-end", "10:30", "--DT", "300", "--dt", "10", "--out", str(tmp_path / "o"),
-    )
+
+@pytest.mark.parametrize("command", ["synth", "compute", "fit", "evaluate"])
+def test_one_day_is_alive_at_each_replay(tmp_path, monkeypatch, command):
+    counts = count_live_days(monkeypatch, ["generate_zi_day"],
+                             ["compute_day_samples", "fit_tables"])
+    code = run_cli(command, *FOUR_DAYS, "--out", str(tmp_path / "o"))
     assert code == 0
-    assert alive_at_replay == [1, 1, 1, 1]
-    assert alive_at_fit == ([] if command == "compute" else [0])
+    assert counts["generate_zi_day"] == [0, 0, 0, 0]
+    assert counts["compute_day_samples"] == ([] if command == "synth" else [1, 1, 1, 1])
+    assert counts["fit_tables"] == ([0] if command in ("fit", "evaluate") else [])
+
+
+@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
+def test_one_day_is_alive_at_each_parse(tmp_path, monkeypatch, command):
+    assert run_cli("synth", *FOUR_DAYS, "--out", str(tmp_path / "fx")) == 0
+    counts = count_live_days(monkeypatch, ["parse_message_file"], ["compute_day_samples"])
+    code = run_cli(command, *FOUR_DAYS[4:], "--messages", str(tmp_path / "fx" / "*_message_*"),
+                   "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert counts["parse_message_file"] == [0, 0, 0, 0]
+    assert counts["compute_day_samples"] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("flag", ["--zi-limit-rate", "--zi-market-rate", "--zi-cancel-rate",
@@ -692,6 +707,68 @@ def test_nan_zi_parameter_exits_1(tmp_path, capsys, flag):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# A negative seed crashed in numpy; -1 synthetic days exited 0.
+@pytest.mark.parametrize("key, value", [("seed", "-5"), ("synth_days", "-1")])
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_negative_seed_or_day_count_exits_1_naming_the_key(
+    tmp_path, capsys, key, value, source, command
+):
+    settings = {"synth_days": "1", "seed": "0", key: value}
+    args = [command, "--session-end", "10:05", "--DT", "300", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        for k, v in settings.items():
+            args += [f"--{k.replace('_', '-')}", v]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == f"error: {key} must be >= 0, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "compute", "fit", "evaluate"])
+def test_out_naming_an_existing_file_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    code = run_cli(command, "--synth-days", "1", "--session-end", "10:30", "--DT", "300",
+                   "--levels", "2", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
+def test_messages_glob_matching_a_directory_exits_1(tmp_path, capsys, command):
+    (tmp_path / "X_2016-01-05_message_1.csv").mkdir()
+    code = run_cli(command, "--messages", str(tmp_path / "*_message_*"),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{cfg}'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_run_that_fails_after_replaying_leaves_no_output_directory(tmp_path, capsys):
+    # At 10 levels no window of this sparse book keeps a full-rank OLS fit.
+    out = tmp_path / "o"
+    code = run_cli("evaluate", "--synth-days", "2", "--seed", "3", "--session-end", "11:00",
+                   "--DT", "600", "--dt", "10", "--zi-limit-rate", "0.01",
+                   "--zi-market-rate", "0.02", "--zi-band", "3", "--out", str(out))
+    assert code == 2
+    assert "no usable ols window fits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Each was read as a number, or (1,inf,5) failed as a numerical error.

@@ -6,7 +6,8 @@ Extracts ``git archive REV`` into a temporary directory, then runs one
 matrix of ``python -m mlofi`` commands in that tree and in the working tree,
 each with ``PYTHONPATH=<tree>/src`` and its own scratch directory as working
 directory. It compares the exit code, stdout and stderr of every run and
-every file the runs write (``filecmp``, byte for byte), prints each
+every file the runs write (``filecmp``, byte for byte), and whether each
+run's ``--out`` directory exists on both sides; it prints each
 difference and exits 1 if there is any, 0 otherwise. A ``.json`` or
 ``.csv`` file that differs also gets the largest relative difference over
 its numeric fields, when both files hold the same keys, rows and text.
@@ -25,11 +26,15 @@ and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
 back to ``compute --orderbooks`` with the session starting at 10:00 and at
 10:30; copies of those fixtures renamed so that their name order is the
 reverse of their date order, fed to ``compute --orderbooks`` and
-``evaluate --orderbooks``; and a hand-written LOBSTER message file and its
+``evaluate --orderbooks``; a hand-written LOBSTER message file and its
 2-level orderbook file (CRLF line ends, blank lines, hidden executions, a
 cross trade, a halt and its resume) fed to ``compute --orderbooks`` with the
 session starting at 10:00, which is message 1, and at 10:30, each with and
-without ``--include-hidden``.
+without ``--include-hidden``; ``evaluate`` on the sparse book at 10 levels,
+which fails after both days have replayed; and four runs that must exit 1:
+``synth`` with a negative seed and with a negative day count, ``evaluate``
+with ``--out`` naming an existing file, and ``compute`` with a
+``--messages`` glob that matches a directory.
 """
 
 from __future__ import annotations
@@ -101,6 +106,9 @@ LOBSTER_ORDERBOOK = """\
 5851500,60,5851000,190,5851600,200,5850900,300
 5851500,60,5851200,10,5851600,200,5851000,190
 """
+# An empty file written into each scratch directory; the run of this name
+# takes it as its --out.
+OUT_IS_A_FILE = "evaluate-out-is-a-file"
 # Written as run.cfg into each scratch directory. messages and orderbooks are
 # left out: a run takes either them or synth_days.
 CONFIG_FILE = """\
@@ -150,6 +158,8 @@ def matrix() -> list[tuple[str, list[str]]]:
         runs.append((f"{cmd}-sparse", [cmd, *SPARSE_BOOK, "--levels", "5"]))
         runs.append((f"{cmd}-sparse-per-window", [cmd, *SPARSE_BOOK, "--levels", "3",
                                                   "--lambda-mode", "per-window"]))
+    # At 10 levels no window keeps a full-rank OLS fit: exit 2 after both days.
+    runs.append(("evaluate-sparse-10", ["evaluate", *SPARSE_BOOK]))
     # 120 rows a window in 7 folds: validation blocks of 18 and 17 rows.
     uneven = ["fit", *TWO_DAYS, "--levels", "10", "--lambda-mode", "per-window", "--DT",
               "120", "--dt", "1", "--folds", "7"]
@@ -173,6 +183,13 @@ def matrix() -> list[tuple[str, list[str]]]:
         for hidden in ([], ["--include-hidden"]):
             runs.append((f"lobster-{start.replace(':', '')}{'-hidden' * bool(hidden)}",
                          ["compute", *LOBSTER_FILES, "--session-start", start, *hidden]))
+    # Runs that must stop with exit 1 and an error line.
+    runs.append(("synth-negative-seed", ["synth", "--synth-days", "1", "--seed", "-5",
+                                         "--session-end", "10:05"]))
+    runs.append(("synth-negative-days", ["synth", "--synth-days", "-1"]))
+    runs.append((OUT_IS_A_FILE, ["evaluate", *TWO_DAYS, "--levels", "3"]))
+    runs.append(("compute-messages-glob-matches-a-directory",
+                  ["compute", "--messages", "lobster*"]))
     return runs
 
 
@@ -181,6 +198,7 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("MLOFI_OUTPUT_DIR", None)
     (workdir / "run.cfg").write_text(CONFIG_FILE)
+    (workdir / OUT_IS_A_FILE).write_text("")
     (workdir / "lobster").mkdir()
     for kind, text in (("message", LOBSTER_MESSAGES), ("orderbook", LOBSTER_ORDERBOOK)):
         name = f"AAPL_2012-06-21_34200000_57600000_{kind}_2.csv"
@@ -248,6 +266,9 @@ def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
         for what, a, b in zip(("exit code", "stdout", "stderr"), old[name], new[name]):
             if a != b:
                 diffs.append(f"{name}: {what} differs: {a!r} -> {b!r}")
+        old_out, new_out = (old_dir / name).is_dir(), (new_dir / name).is_dir()
+        if old_out != new_out:
+            diffs.append(f"{name}: --out directory only in {'REV' if old_out else 'working tree'}")
         old_files = {p.relative_to(old_dir) for p in (old_dir / name).rglob("*") if p.is_file()}
         new_files = {p.relative_to(new_dir) for p in (new_dir / name).rglob("*") if p.is_file()}
         for rel in sorted(old_files ^ new_files):
