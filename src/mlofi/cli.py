@@ -13,8 +13,8 @@ Each flag's config key is its name with ``_`` for ``-`` (``--lambda-mode``
 is ``lambda_mode``); ``--no-penalize-intercept`` is ``penalize_intercept =
 false``. Numbers are ASCII decimal: an integer is ``[+-]digits`` and a real
 number a finite decimal literal, either padded by whatever ``str.strip``
-removes. A value of the wrong type, from a flag or a file, is a
-configuration error naming the key.
+removes. A value of the wrong type or out of its range, from a flag or a
+file, is a configuration error naming the key. A config file is UTF-8 text.
 All randomness derives from the single ``seed`` value. Exit codes: 0
 success, 1 configuration error or an operating-system error on a path (an
 ``--out`` that names a file, a glob that matches a directory), 2 data
@@ -40,15 +40,16 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .errors import ConfigError, DataError, EmptySession, NumericalError
+from .errors import BadValue, ConfigError, DataError, EmptySession, NumericalError
 from .evaluation import EvaluationReport, FitSpec, assemble_windows, fit_tables, run_evaluation
-from .imbalance import compute_day_samples, sample_csv_header, sample_csv_row
+from .imbalance import compute_day_samples
 from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary
 from .lobster import (
     DaySlice,
     SessionConfig,
     date_from_filename,
     hms_to_seconds,
+    open_text,
     parse_message_file,
     write_message_file,
     write_orderbook_file,
@@ -92,6 +93,14 @@ _OPTIONS: tuple[tuple[str, tuple[str, ...], type, object, str], ...] = (
     ("zi_mean_size", ("--zi-mean-size",), float, ZiParams.mean_size, "mean order size"),
 )
 
+#: The option key of each dataclass field named otherwise, so that a range
+#: error names what the user wrote.
+_KEY_OF_FIELD = {
+    "tick_size": "tick", "window_seconds": "DT", "subwindow_seconds": "dt",
+    "limit_rate": "zi_limit_rate", "market_rate": "zi_market_rate",
+    "cancel_rate": "zi_cancel_rate", "price_band": "zi_band", "mean_size": "zi_mean_size",
+}
+
 
 @dataclasses.dataclass
 class RunConfig:
@@ -106,8 +115,7 @@ class RunConfig:
     levels: int
     fit: FitSpec
     out_dir: Path
-    seed: int
-    zi: ZiParams
+    zi: ZiParams  # its seed is the run's seed, that of the first synthetic day
 
     def validate(self) -> None:
         if (self.messages is None) == (self.synth_days is None):
@@ -116,6 +124,8 @@ class RunConfig:
             )
         if self.synth_days is not None and self.synth_days < 0:
             raise ConfigError(f"synth_days must be >= 0, got {self.synth_days}")
+        if self.synth_days:
+            _nth_day(self.start_date, self.synth_days - 1)  # every day has a date
         if self.orderbooks is not None and self.messages is None:
             raise ConfigError("an orderbooks glob needs a messages glob to pair with")
         if not (1 <= self.levels <= 50):
@@ -148,11 +158,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: What ``open_text`` makes of a byte that is not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     keys = {key for key, *_ in _OPTIONS}
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if _UNDECODED.search(raw):
+                raise ConfigError(f"{path}:{line_no}: a byte that is not UTF-8 text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -223,46 +239,52 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = _from_text(key, kind, value)
         opts[key] = default if value is None else value
 
-    session = SessionConfig(
-        session_start=hms_to_seconds(opts["session_start"]),
-        session_end=hms_to_seconds(opts["session_end"]),
-        exclude_hidden=not opts["include_hidden"],
-        tick_size=opts["tick"],
-    )
+    for key in ("session_start", "session_end"):
+        try:
+            opts[key] = hms_to_seconds(opts[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     try:
         start_date = dt.date.fromisoformat(opts["start_date"])
     except ValueError as exc:
         raise ConfigError(f"bad start_date: {exc}")
 
-    config = RunConfig(
-        messages=opts["messages"],
-        orderbooks=opts["orderbooks"],
-        synth_days=opts["synth_days"],
-        start_date=start_date,
-        session=session,
-        grid=GridSpec(window_seconds=opts["DT"], subwindow_seconds=opts["dt"]),
-        levels=opts["levels"],
-        fit=FitSpec(
-            methods=tuple(m.strip() for m in opts["methods"].split(",") if m.strip()),
-            folds=opts["folds"],
-            lambda_grid=(
-                FitSpec.lambda_grid if opts["lambda_grid"] is None
-                else _lambda_grid(opts["lambda_grid"])
+    try:
+        config = RunConfig(
+            messages=opts["messages"],
+            orderbooks=opts["orderbooks"],
+            synth_days=opts["synth_days"],
+            start_date=start_date,
+            session=SessionConfig(
+                session_start=opts["session_start"],
+                session_end=opts["session_end"],
+                exclude_hidden=not opts["include_hidden"],
+                tick_size=opts["tick"],
             ),
-            lambda_mode=opts["lambda_mode"],
-            penalize_intercept=opts["penalize_intercept"],
-        ),
-        out_dir=Path(opts["out"]),
-        seed=opts["seed"],
-        zi=ZiParams(
-            limit_rate=opts["zi_limit_rate"],
-            market_rate=opts["zi_market_rate"],
-            cancel_rate=opts["zi_cancel_rate"],
-            price_band=opts["zi_band"],
-            mean_size=opts["zi_mean_size"],
-            seed=opts["seed"],
-        ),
-    )
+            grid=GridSpec(window_seconds=opts["DT"], subwindow_seconds=opts["dt"]),
+            levels=opts["levels"],
+            fit=FitSpec(
+                methods=tuple(m.strip() for m in opts["methods"].split(",") if m.strip()),
+                folds=opts["folds"],
+                lambda_grid=(
+                    FitSpec.lambda_grid if opts["lambda_grid"] is None
+                    else _lambda_grid(opts["lambda_grid"])
+                ),
+                lambda_mode=opts["lambda_mode"],
+                penalize_intercept=opts["penalize_intercept"],
+            ),
+            out_dir=Path(opts["out"]),
+            zi=ZiParams(
+                limit_rate=opts["zi_limit_rate"],
+                market_rate=opts["zi_market_rate"],
+                cancel_rate=opts["zi_cancel_rate"],
+                price_band=opts["zi_band"],
+                mean_size=opts["zi_mean_size"],
+                seed=opts["seed"],
+            ),
+        )
+    except BadValue as exc:
+        raise ConfigError(f"{_KEY_OF_FIELD.get(exc.name, exc.name)} {exc.rule}") from None
     config.validate()
     return config
 
@@ -270,19 +292,28 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- data loading --------------------------------------------------------------
 
 
+def _nth_day(start_date: dt.date, i: int) -> dt.date:
+    """The date ``i`` days after ``start_date``; a ConfigError past the last date."""
+    if i > (dt.date.max - start_date).days:
+        raise ConfigError(f"start_date {start_date} + {i} days is past {dt.date.max}")
+    return start_date + dt.timedelta(days=i)
+
+
 def load_days(config: RunConfig) -> Iterator[DaySlice]:
     """Parse input files or generate deterministic synthetic days, one at a time.
 
-    A file's date, from its name or else ``start_date`` + its index in path
-    order, is known before any file is read; the days come in date order,
-    ties in path order. Each is parsed only when asked for.
+    This is where every day gets its date. Synthetic day i falls on
+    ``start_date`` + i; a file's date, from its name or else ``start_date``
+    + its index in path order, is known before any file is read. The days
+    come in date order, ties in path order. Each is parsed only when asked
+    for.
     """
     if config.synth_days is not None:
         for i in range(config.synth_days):
             yield generate_zi_day(
-                dataclasses.replace(config.zi, seed=config.seed + i),  # per-day stream
+                dataclasses.replace(config.zi, seed=config.zi.seed + i),  # per-day stream
                 config.session,
-                config.start_date + dt.timedelta(days=i),
+                _nth_day(config.start_date, i),
             )
         return
 
@@ -295,7 +326,7 @@ def load_days(config: RunConfig) -> Iterator[DaySlice]:
             if name not in by_name:
                 raise ConfigError(f"message file {path} has no orderbook file {name}")
             seed_paths[path] = by_name[name]
-    dates = [date_from_filename(Path(path).name) or config.start_date + dt.timedelta(days=i)
+    dates = [date_from_filename(Path(path).name) or _nth_day(config.start_date, i)
              for i, path in enumerate(paths)]
     for date, path in sorted(zip(dates, paths), key=lambda pair: pair[0]):
         try:  # no name holds the day while the consumer has it
@@ -478,8 +509,15 @@ def cmd_compute(config: RunConfig) -> int:
         lambda day: compute_day_samples(day, grid.boundaries_ns, grid.n_sub, config.levels),
         load_days(config),
     )
-    rows = [sample_csv_row(s) for comp in comps for s in comp.samples if s is not None]
-    _write_files(config.out_dir, {"samples.csv": _csv(sample_csv_header(config.levels), rows)})
+    header = ["date", "window_i", "subwindow_k"]
+    header += [f"mlofi_{m}" for m in range(1, config.levels + 1)]
+    header += ["ofi", "ti", "delta_p_halfticks"]
+    rows = [
+        [s.date.isoformat(), s.window_index, s.sub_index, *s.mlofi, s.ofi, s.trade_imbalance,
+         s.delta_p]
+        for comp in comps for s in comp.samples if s is not None
+    ]
+    _write_files(config.out_dir, {"samples.csv": _csv(header, rows)})
     print(f"wrote {len(rows)} samples to {config.out_dir / 'samples.csv'}")
     return 0
 

@@ -13,6 +13,19 @@ class ConfigError(ToolkitError):
     """Invalid run configuration."""
 
 
+class BadValue(ConfigError):
+    """A setting outside its range: ``name`` is the setting, ``rule`` what it breaks.
+
+    The message is ``name`` followed by ``rule``; the CLI rewords it with the
+    option's key in place of a dataclass field name.
+    """
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+        self.rule = rule
+
+
 class IndivisibleGrid(ConfigError):
     """Session length, window length and sub-window length do not nest."""
 
@@ -22,10 +35,11 @@ class DataError(ToolkitError):
 
 
 class MalformedRow(DataError):
-    """Fatal parse failure; reports the first offending line."""
+    """Fatal parse failure; reports the first offending line, and its file if known."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int, reason: str, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
@@ -35,10 +49,14 @@ class EmptySession(DataError):
 
 
 class InconsistentEvent(DataError):
-    """An event contradicts the current book state (corrupted input)."""
+    """An event contradicts the current book state (corrupted input).
 
-    def __init__(self, event_index: int, reason: str):
-        super().__init__(f"event {event_index}: {reason}")
+    ``day``, if known, names the day's message file, or its date.
+    """
+
+    def __init__(self, event_index: int, reason: str, day=None):
+        where = f"event {event_index}" if day is None else f"{day}: event {event_index}"
+        super().__init__(f"{where}: {reason}")
         self.event_index = event_index
         self.reason = reason
 

@@ -322,15 +322,20 @@ def book_summaries(
 
     Returns the duration-weighted summary, the event-weighted summary and
     the flow concentration; see ``BookTally`` for what each state adds.
+    Each column is summed over all days as an exact integer and divided by
+    its summed weight, times its unit, once: every mean is the correctly
+    rounded float of the exact mean, whatever the number of days.
     """
-    sums = np.sum([t.sums for t in tallies], axis=0)  # [duration, event] x columns
-    if not sums[:, 0].all():
-        raise TooFewRows("no two-sided book states observed")
     L = SUMMARY_LEVELS
-    by_duration, by_event = (
-        BookSummary(m[0], m[1], tuple(m[2 : 2 + L]), tuple(m[2 + L :]), weighting)
-        for m, weighting in zip((sums[:, 1:] / sums[:, :1]).tolist(), ("duration", "event"))
-    )
+    units = (20_000, 10_000) + (1,) * (2 * L)  # mid and spread in dollars
+    summaries = []
+    for k, weighting in enumerate(("duration", "event")):
+        weight, *totals = [sum(t.sums[k][c] for t in tallies) for c in range(1 + len(units))]
+        if not weight:
+            raise TooFewRows("no two-sided book states observed")
+        m = [v / (weight * u) for v, u in zip(totals, units)]
+        summaries.append(BookSummary(m[0], m[1], tuple(m[2:2 + L]), tuple(m[2 + L:]), weighting))
+    by_duration, by_event = summaries
     counts = np.sum([t.flow_counts for t in tallies], axis=0)
     volumes = np.sum([t.flow_volumes for t in tallies], axis=0)
     n_flow = int(counts.sum())

@@ -30,9 +30,10 @@ resting sell is an incoming buy market order and vice versa.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
-event landed relative to the best quotes. The tally is kept in integers,
-exactly, and turned into floats once per day. It is the only loop that
-applies a day's events to a book.
+event landed relative to the best quotes. The tally is kept and handed
+back in the replay's own integers (orderbook-row prices, shares,
+nanoseconds), exactly; ``evaluation.book_summaries`` scales and divides.
+This is the only loop that applies a day's events to a book.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, Side, level_snapshot
+from .errors import InconsistentEvent
 from .lobster import DaySlice
 
 #: The kinds that move the visible book; hidden executions, cross trades
@@ -126,22 +128,21 @@ class MlofiSample:
 
 @dataclass
 class BookTally:
-    """One day's sums over its post-event book states and its order flow.
+    """One day's exact integer sums over its post-event book states and its order flow.
 
-    ``sums[0]`` weights each two-sided state by the seconds it was held
+    ``sums[0]`` weights each two-sided state by the nanoseconds it was held
     (until the next event, or the session end after the last event) and
-    ``sums[1]`` counts it once per event; each is [weight, mid dollars,
-    spread dollars, bid depth at levels 1-5, ask depth at levels 1-5].
-    One-sided states and zero holding times add nothing; absent levels add
-    zero depth. The replay keeps each column as an exact integer (value x
-    nanoseconds held, and value x states), moved only when the column's
-    value changes, and divides once at the day's end, so the floats do not
-    depend on the order of summation. ``flow_counts``/``flow_volumes``
-    bucket the order-flow events as within the spread, at the best quote or
-    deeper, judged on the book before the event.
+    ``sums[1]`` counts it once per event; each is [weight, ask + bid,
+    ask - bid, bid depth at levels 1-5, ask depth at levels 1-5], each
+    column the sum of value x weight, prices in 1e-4 dollars. One-sided
+    states and zero holding times add nothing; absent levels add zero depth.
+    No column is scaled or divided here, so the days' tallies add exactly.
+    ``flow_counts``/``flow_volumes`` bucket the order-flow events as within
+    the spread, at the best quote or deeper, judged on the book before the
+    event.
     """
 
-    sums: tuple[list[float], list[float]]
+    sums: tuple[list[int], list[int]]
     flow_counts: list[int]
     flow_volumes: list[int]
 
@@ -156,7 +157,7 @@ class DayComputation:
 
 
 def _tally_columns(row: list[int]) -> list[int]:
-    """A row's integer tally values, ``BookTally.sums`` before scaling.
+    """A row's tally values, the columns of ``BookTally.sums`` per unit weight.
 
     [1, ask + bid, ask - bid, bid depth at levels 1-5, ask depth at levels
     1-5], or all zeros if the book is one-sided.
@@ -181,8 +182,23 @@ def compute_day_samples(
     before t_0 form the pre-grid baseline: they move the book and enter
     the book tally but no interval. Intervals whose start or end mid-price
     is undefined (one-sided book) are discarded, not zeroed. Events after
-    t_N are not replayed.
+    t_N are not replayed. An event the book contradicts raises
+    InconsistentEvent naming the day's message file, or its date.
     """
+    try:
+        return _replay(day, boundaries_ns, subwindows_per_window, levels)
+    except InconsistentEvent as exc:
+        day_name = day.path or day.trading_date
+        raise InconsistentEvent(exc.event_index, exc.reason, day_name) from None
+
+
+def _replay(
+    day: DaySlice,
+    boundaries_ns: Sequence[int],
+    subwindows_per_window: int,
+    levels: int,
+) -> DayComputation:
+    """The loop of ``compute_day_samples``."""
     state = day.seed.build_book() if day.seed else BookState()
     apply, depth_at, level_of = state.apply, state.depth_at, state.level_of
     BUY, EXECUTION = Side.BUY, EventKind.EXECUTION_VISIBLE
@@ -303,27 +319,9 @@ def compute_day_samples(
     for c, v in enumerate(cols):
         by_time[c] -= v * (t_last - t_stop)
         by_count[c] -= v * (n_events - pos)
-    scale = [1, 20_000, 10_000] + [1] * (2 * L)  # mid and spread in dollars
-    sums = (
-        [v / (1_000_000_000 * s) for v, s in zip(by_time, scale)],
-        [v / s for v, s in zip(by_count, scale)],
-    )
     return DayComputation(
         samples=samples,
         discarded_intervals=discarded,
-        book=BookTally(sums, flow_counts, flow_volumes),
+        book=BookTally((by_time, by_count), flow_counts, flow_volumes),
     )
 
-
-def sample_csv_header(levels: int) -> list[str]:
-    cols = ["date", "window_i", "subwindow_k"]
-    cols += [f"mlofi_{m}" for m in range(1, levels + 1)]
-    cols += ["ofi", "ti", "delta_p_halfticks"]
-    return cols
-
-
-def sample_csv_row(sample: MlofiSample) -> list[str | int]:
-    return [
-        sample.date.isoformat(), sample.window_index, sample.sub_index, *sample.mlofi,
-        sample.ofi, sample.trade_imbalance, sample.delta_p,
-    ]

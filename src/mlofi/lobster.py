@@ -13,10 +13,12 @@ Parsing is strict. Every number is ASCII decimal: an integer is an optional
 ``-`` and ASCII digits, a time is ASCII digits with at most 9 decimals, and
 a field may carry the ASCII whitespace ``str.strip`` removes around it. A
 message row is one match of that grammar, then the checks on its values;
-the first row that fails aborts with its line number. Each message file is
-read once: the same pass counts the rows before the session, which pick
-the orderbook row that seeds the book. Timestamps are handled as exact
-integer nanoseconds throughout.
+the first row that fails aborts with its file and line number. Every input
+file is read as UTF-8 with each undecodable byte kept as a lone surrogate
+(``open_text``), which no grammar matches. Each message file is read once:
+the same pass counts the rows before the session, which pick the orderbook
+row that seeds the book; the seed row must describe an uncrossed book.
+Timestamps are handled as exact integer nanoseconds throughout.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
-from .errors import ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
+from .errors import BadValue, ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 
 NS = 1_000_000_000
 
@@ -74,11 +76,11 @@ class SessionConfig:
         lo, hi = 9 * 3600 + 30 * 60, 16 * 3600
         if not (lo <= self.session_start < self.session_end <= hi):
             raise ConfigError(
-                "session must satisfy 09:30 <= start < end <= 16:00, got "
-                f"{self.session_start}..{self.session_end} seconds"
+                "session_start and session_end must satisfy 09:30 <= start < end <= 16:00, "
+                f"got {self.session_start}..{self.session_end} seconds"
             )
         if self.tick_size <= 0:
-            raise ConfigError("tick_size must be positive")
+            raise BadValue("tick_size", f"must be positive, got {self.tick_size}")
 
     @property
     def start_ns(self) -> int:
@@ -95,11 +97,13 @@ class SessionConfig:
 
 @dataclass
 class DaySlice:
-    """One instrument-day of session-filtered events plus an optional seed."""
+    """One instrument-day of session-filtered events plus an optional seed,
+    and the message file it was read from, if any."""
 
     trading_date: dt.date
     events: list[LobEvent]
     seed: "SeedSnapshot | None" = None
+    path: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,12 @@ class SeedSnapshot:
         return BookState.from_snapshot(
             list(self.bids), list(self.asks), self.bid_horizon, self.ask_horizon
         )
+
+
+def open_text(path: str | Path):
+    """``path`` opened for reading as UTF-8, line ends kept; a byte that is
+    not UTF-8 becomes a lone surrogate, so it reaches the row's checks."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def format_timestamp_ns(ns: int) -> str:
@@ -154,10 +164,11 @@ def parse_message_row(line: str, line_no: int) -> LobEvent:
 def parse_message_file(
     path: str | Path,
     config: SessionConfig,
-    trading_date: dt.date | None = None,
+    trading_date: dt.date,
     orderbook: str | Path | None = None,
 ) -> DaySlice:
-    """Parse one message file, applying session and hidden-order filters.
+    """Parse one message file of the day ``trading_date``, applying session
+    and hidden-order filters.
 
     Rows outside [session_start, session_end] are dropped, as are hidden
     executions when ``config.exclude_hidden``. Raises EmptySession when
@@ -168,29 +179,30 @@ def parse_message_file(
     with message 1 undone.
     """
     path = Path(path)
-    if trading_date is None:
-        trading_date = date_from_filename(path.name) or dt.date(1970, 1, 1)
     events: list[LobEvent] = []
     last_ts = -1
     before, first = 0, None
-    with open(path, "r", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ev = parse_message_row(line, line_no)
-            if first is None:
-                first = ev
-            if ev.timestamp_ns < last_ts:
-                raise MalformedRow(line_no, "timestamps decrease within the file")
-            last_ts = ev.timestamp_ns
-            if ev.timestamp_ns < config.start_ns:
-                before += 1
-                continue
-            if ev.timestamp_ns > config.end_ns:
-                continue
-            if config.exclude_hidden and ev.kind is EventKind.EXECUTION_HIDDEN:
-                continue
-            events.append(ev)
+    try:
+        with open_text(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                ev = parse_message_row(line, line_no)
+                if first is None:
+                    first = ev
+                if ev.timestamp_ns < last_ts:
+                    raise MalformedRow(line_no, "timestamps decrease within the file")
+                last_ts = ev.timestamp_ns
+                if ev.timestamp_ns < config.start_ns:
+                    before += 1
+                    continue
+                if ev.timestamp_ns > config.end_ns:
+                    continue
+                if config.exclude_hidden and ev.kind is EventKind.EXECUTION_HIDDEN:
+                    continue
+                events.append(ev)
+    except MalformedRow as exc:
+        raise MalformedRow(exc.line_no, exc.reason, path) from None
     if not events:
         raise EmptySession(f"{path}: no rows inside the session window")
     seed = None
@@ -198,7 +210,7 @@ def parse_message_file(
         seed = seed_from_orderbook_file(orderbook, before)
     elif orderbook is not None:
         seed = seed_from_orderbook_file(orderbook, 1, undo=first)
-    return DaySlice(trading_date=trading_date, events=events, seed=seed)
+    return DaySlice(trading_date=trading_date, events=events, seed=seed, path=path)
 
 
 def date_from_filename(name: str) -> dt.date | None:
@@ -236,24 +248,57 @@ def parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _book_fault(row: tuple[int, ...]) -> str | None:
+    """Why an orderbook row in ``level_snapshot`` form describes no book, or None.
+
+    A book's real prices lie in 1..9999999998, its asks strictly ascend and
+    its bids strictly descend, absent levels follow a side's real ones, and
+    the best bid lies below the best ask.
+    """
+    for name, prices, absent, step in (("ask", row[0::4], ASK_ABSENT, 1),
+                                       ("bid", row[2::4], BID_ABSENT, -1)):
+        n_real = prices.index(absent) if absent in prices else len(prices)
+        real = prices[:n_real]
+        if any(p != absent for p in prices[n_real:]):
+            return f"{name} level {n_real + 1} is absent but a deeper one is not"
+        for p in real:
+            if not 0 < p < ASK_ABSENT:
+                return f"{name} price must be in 1..{ASK_ABSENT - 1}, got {p}"
+        for a, b in zip(real, real[1:]):
+            if step * (b - a) <= 0:
+                order = "ascend" if step > 0 else "descend"
+                return f"{name} prices must strictly {order}, got {a} then {b}"
+    if row[2] != BID_ABSENT and row[0] != ASK_ABSENT and row[2] >= row[0]:
+        return f"the book is crossed: best bid {row[2]} >= best ask {row[0]}"
+    return None
+
+
 def seed_from_orderbook_file(
     path: str | Path, row: int = 1, undo: LobEvent | None = None
 ) -> SeedSnapshot:
     """Orderbook row ``row`` (1-based), the book after message ``row``, at full depth.
 
-    With ``undo`` (message ``row``) the seed is the book before that message:
+    The row must describe a book (``_book_fault``), or it is malformed. With
+    ``undo`` (message ``row``) the seed is the book before that message:
     an arrival's size comes off its level; a cancellation's or visible
     execution's size goes back on unless it lies beyond the row's horizon
     (its deepest price on the side, the sentinel if the row shows a gap),
     which the replay skips too; other kinds change nothing. The seed can
     thus be one level deeper than the row.
     """
-    with open(path, "r", newline="") as fh:
+    with open_text(path) as fh:
         rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
         found = next(itertools.islice(rows, row - 1, None), None)
     if found is None:
         raise DataError(f"{path}: no orderbook row {row}")
-    book = parse_orderbook_row(found[1], found[0])
+    line_no, line = found
+    try:
+        book = parse_orderbook_row(line, line_no)
+    except MalformedRow as exc:
+        raise MalformedRow(line_no, exc.reason, path) from None
+    fault = _book_fault(book)
+    if fault is not None:
+        raise MalformedRow(line_no, f"seed row {row}: {fault}", path)
     horizon = {Side.BUY: min(book[2::4]), Side.SELL: max(book[0::4])}
     sides = {
         Side.SELL: {p: d for p, d in zip(book[0::4], book[1::4]) if d},
@@ -265,19 +310,21 @@ def seed_from_orderbook_file(
             level[undo.price] -= undo.size
             if level[undo.price] < 0:
                 raise InconsistentEvent(
-                    row, f"{path}: row {row} holds less at {undo.price} than the "
-                    f"{undo.size} shares message {row} added"
+                    row, f"orderbook row {row} holds less at {undo.price} than the "
+                    f"{undo.size} shares message {row} added", path
                 )
         elif undo.kind in (
             EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
         ) and not BookState._deeper(undo.side, undo.price, horizon[undo.side]):
             level[undo.price] = level.get(undo.price, 0) + undo.size
-    bids_best_first = sorted(sides[Side.BUY].items(), reverse=True)
-    asks_best_first = sorted(sides[Side.SELL].items())
+    bids = tuple((p, d) for p, d in sorted(sides[Side.BUY].items(), reverse=True) if d)
+    asks = tuple((p, d) for p, d in sorted(sides[Side.SELL].items()) if d)
+    if bids and asks and bids[0][0] >= asks[0][0]:
+        raise InconsistentEvent(
+            row, f"orderbook row {row} with message {row} undone is a crossed book", path
+        )
     return SeedSnapshot(
-        bids=tuple((p, d) for p, d in bids_best_first if d),
-        asks=tuple((p, d) for p, d in asks_best_first if d),
-        bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL],
+        bids=bids, asks=asks, bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL]
     )
 
 

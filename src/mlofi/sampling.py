@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import IndivisibleGrid
+from .errors import BadValue, IndivisibleGrid
 from .imbalance import MlofiSample
 from .lobster import NS, SessionConfig
 
@@ -29,8 +29,9 @@ class GridSpec:
     subwindow_seconds: int = 10
 
     def __post_init__(self):
-        if self.window_seconds <= 0 or self.subwindow_seconds <= 0:
-            raise IndivisibleGrid("window lengths must be positive")
+        for name in ("window_seconds", "subwindow_seconds"):
+            if getattr(self, name) <= 0:
+                raise BadValue(name, f"must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

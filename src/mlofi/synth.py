@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .book import EventKind, LobEvent, Side
-from .errors import ConfigError
+from .errors import BadValue, ConfigError
 from .lobster import NS, DaySlice, SessionConfig
 from .sampling import RegressionProblem
 
@@ -53,15 +53,15 @@ class ZiParams:
 
     def __post_init__(self):
         # Written so that NaN fails too; an infinite rate never ends a day.
-        rates = (self.limit_rate, self.market_rate, self.cancel_rate)
-        if not all(0 < r < math.inf for r in rates):
-            raise ConfigError("all rates must be positive and finite")
+        for name in ("limit_rate", "market_rate", "cancel_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise BadValue(name, f"must be positive and finite, got {getattr(self, name)}")
         if not 1 <= self.mean_size < math.inf:
-            raise ConfigError("mean_size must be finite and >= 1")
+            raise BadValue("mean_size", f"must be finite and >= 1, got {self.mean_size}")
         if self.price_band < 1:
-            raise ConfigError("price_band must be >= 1")
+            raise BadValue("price_band", f"must be >= 1, got {self.price_band}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise BadValue("seed", f"must be >= 0, got {self.seed}")
 
 
 class _MirrorBook:

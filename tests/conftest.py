@@ -7,6 +7,8 @@ event kinds, including book-neutral ones and same-timestamp bursts.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import settings
 
@@ -268,14 +270,16 @@ def oracle_day_samples(day, boundaries_ns, subwindows_per_window: int, levels: i
 def oracle_book_summary(days, session, depth_levels: int = 5):
     """Book summary and flow buckets from a separate replay of each day.
 
-    Sums run across all days in one accumulator. Returns (duration-weighted
-    means, event-weighted means, bucket counts, bucket volumes); each means
-    list is [mid, spread, bid depth 1..5, ask depth 1..5], or None when no
-    state carried that weight. The buckets are within the spread, at the
-    best quote and deeper, judged on the book before each event.
+    Sums run across all days in one exact accumulator: integer values times
+    integer weights (nanoseconds held, or one per event). Returns
+    (duration-weighted means, event-weighted means, bucket counts, bucket
+    volumes); each means list is [mid, spread, bid depth 1..5, ask depth
+    1..5], each the float nearest the exact mean, or None when no state
+    carried that weight. The buckets are within the spread, at the best
+    quote and deeper, judged on the book before each event.
     """
-    w_total = [0.0, 0.0]
-    acc = [[0.0] * (2 + 2 * depth_levels), [0.0] * (2 + 2 * depth_levels)]
+    w_total = [0, 0]
+    acc = [[0] * (2 + 2 * depth_levels), [0] * (2 + 2 * depth_levels)]
     counts = [0, 0, 0]
     volumes = [0, 0, 0]
     for day in days:
@@ -303,16 +307,21 @@ def oracle_book_summary(days, session, depth_levels: int = 5):
                 continue
             nxt = events[i + 1].timestamp_ns if i + 1 < len(events) else session.end_ns
             bids, asks = decode_row(level_snapshot(state, depth_levels))
-            row = [mid_x2(state) / 2e4, (state.best_ask - state.best_bid) / 1e4]
+            row = [mid_x2(state), state.best_ask - state.best_bid]
             row += [0 if q is None else q[1] for q in bids]
             row += [0 if q is None else q[1] for q in asks]
-            for k, w in enumerate(((nxt - ev.timestamp_ns) / 1e9, 1.0)):
-                if w <= 0.0:
+            for k, w in enumerate((nxt - ev.timestamp_ns, 1)):
+                if w <= 0:
                     continue
                 w_total[k] += w
                 for c, v in enumerate(row):
                     acc[k][c] += w * v
-    means = [[v / w_total[k] for v in acc[k]] if w_total[k] else None for k in (0, 1)]
+    units = [20_000, 10_000] + [1] * (2 * depth_levels)  # mid and spread in dollars
+    means = [
+        [float(Fraction(v, w_total[k] * u)) for v, u in zip(acc[k], units)] if w_total[k]
+        else None
+        for k in (0, 1)
+    ]
     return means[0], means[1], counts, volumes
 
 

@@ -840,3 +840,168 @@ def test_option_number_is_ascii_decimal(text, kind):
         assert kind is int or "finite" in str(exc)
     else:
         assert type(value) is kind and value == expected
+
+
+# -- undecodable bytes, seed rows, dates, option keys and error places --------
+
+
+def test_a_non_utf8_byte_in_a_message_file_is_a_data_error(tmp_path, capsys):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_bytes(b"36001.0,1,1,10,140000,1\n36002.5,1,2,1\xff,140000,1\n")
+    code = run_cli("compute", "--messages", str(messages), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {messages}: line 2: malformed row ")
+    assert not (tmp_path / "o").exists()
+
+
+SEEDED_MESSAGES = "35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n"
+
+
+def run_seeded(tmp_path, orderbook: bytes):
+    """compute on SEEDED_MESSAGES, seeded from orderbook row 1 of ``orderbook``."""
+    messages = tmp_path / "SYN_2016-01-05_message_2.csv"
+    messages.write_text(SEEDED_MESSAGES)
+    book = tmp_path / "SYN_2016-01-05_orderbook_2.csv"
+    book.write_bytes(orderbook)
+    code = run_cli("compute", "--messages", str(messages), "--orderbooks", str(book),
+                   "--levels", "2", "--session-end", "10:05", "--DT", "300",
+                   "--out", str(tmp_path / "o"))
+    return code, book
+
+
+def test_a_non_utf8_byte_in_an_orderbook_file_is_a_data_error_on_the_seed_row(
+    tmp_path, capsys
+):
+    code, book = run_seeded(tmp_path, b"\n9999999999,0,140000,1\xff,9999999999,0,"
+                                      b"-9999999999,0\n")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: {book}: line 2: malformed row ")
+
+
+def test_a_non_utf8_byte_after_the_seed_row_is_not_read(tmp_path, capsys):
+    # Only the seed row is read, as with any other text after it.
+    code, _ = run_seeded(tmp_path, b"9999999999,0,140000,10,9999999999,0,-9999999999,0\n"
+                                   b"\xff\xfe\n")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    # The first interval starts with no ask, so 29 of the 30 are kept.
+    assert len(read_csv(tmp_path / "o" / "samples.csv")) == 1 + 29
+
+
+def test_a_non_utf8_byte_in_a_config_file_exits_1_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"synth_days = 1\nlevels = 2  # \xff\n")
+    code = run_cli("compute", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: a byte that is not UTF-8 text\n"
+
+
+# Orderbook row 1 of SEEDED_MESSAGES, two levels: each describes no book.
+BAD_SEED_ROWS = {
+    "crossed": ("140000,5,140000,10,140300,8,139900,4",
+                "the book is crossed: best bid 140000 >= best ask 140000"),
+    "non-positive price": ("140200,5,-5,10,140300,8,-6,4", "bid price must be in"),
+    "repeated price": ("1000100,10,140000,10,1000100,5,139900,4",
+                       "ask prices must strictly ascend, got 1000100 then 1000100"),
+    "out of order": ("140200,5,139900,4,140300,8,140000,10",
+                     "bid prices must strictly descend, got 139900 then 140000"),
+    "gap": ("9999999999,0,140000,10,140300,8,139900,4",
+            "ask level 1 is absent but a deeper one is not"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SEED_ROWS)
+def test_a_seed_row_that_describes_no_book_is_a_data_error(tmp_path, capsys, case):
+    row, reason = BAD_SEED_ROWS[case]
+    code, book = run_seeded(tmp_path, f"{row}\n".encode())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {book}: line 1: seed row 1: {reason}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_seed_crossed_by_undoing_its_message_is_a_data_error(tmp_path, capsys):
+    # Message 1 cancels a bid at 140300, above row 1's best ask: putting it
+    # back would cross the seed.
+    messages = tmp_path / "SYN_2016-01-05_message_2.csv"
+    messages.write_text("36000.0,2,1,5,140300,1\n36001.0,1,2,10,140200,-1\n")
+    book = tmp_path / "SYN_2016-01-05_orderbook_2.csv"
+    book.write_text("140200,5,140000,10\n")
+    code = run_cli("compute", "--messages", str(messages), "--orderbooks", str(book),
+                   "--levels", "1", "--session-end", "10:05", "--DT", "300",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {book}: event 1: orderbook row 1 with message 1 undone is a "
+        "crossed book\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["synth", "compute", "evaluate"])
+def test_a_synthetic_day_past_the_last_date_exits_1(tmp_path, capsys, command):
+    code = run_cli(command, "--synth-days", "2", "--start-date", "9999-12-31",
+                   "--session-end", "10:05", "--DT", "300", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: start_date 9999-12-31 + 1 days is past 9999-12-31\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_file_without_a_date_past_the_last_date_exits_1_before_any_parse(tmp_path, capsys):
+    # The first file is malformed: the date error comes first all the same.
+    (tmp_path / "A_message_1.csv").write_text("garbage\n")
+    (tmp_path / "B_message_1.csv").write_text(WORKED_EXAMPLE)
+    code = run_cli("compute", "--messages", str(tmp_path / "*_message_*"),
+                   "--start-date", "9999-12-31", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: start_date 9999-12-31 + 1 days is past 9999-12-31\n"
+    )
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tick", "0", "tick must be positive, got 0"),
+    ("dt", "0", "dt must be positive, got 0"),
+    ("DT", "0", "DT must be positive, got 0"),
+    ("zi_limit_rate", "0", "zi_limit_rate must be positive and finite, got 0.0"),
+    ("zi_market_rate", "-1", "zi_market_rate must be positive and finite, got -1.0"),
+    ("zi_cancel_rate", "0", "zi_cancel_rate must be positive and finite, got 0.0"),
+    ("zi_band", "0", "zi_band must be >= 1, got 0"),
+    ("zi_mean_size", "0.5", "zi_mean_size must be finite and >= 1, got 0.5"),
+    ("session_start", "25:00", "session_start: bad time of day: '25:00'"),
+    ("session_end", "10:60", "session_end: bad time of day: '10:60'"),
+])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_value_out_of_range_exits_1_naming_the_key(
+    tmp_path, capsys, key, value, message, source
+):
+    args = ["synth", "--synth-days", "1", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        args += [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_data_errors_name_their_file(tmp_path, capsys):
+    paths = [tmp_path / f"SYN_2016-01-0{d}_message_1.csv" for d in (4, 5, 6)]
+    paths[0].write_text(WORKED_EXAMPLE)
+    paths[1].write_text("36000.0,1,1,10,140000,1\n36000.5,x,1,10,140000,1\n")
+    paths[2].write_text(WORKED_EXAMPLE)
+    glob = str(tmp_path / "*_message_*")
+    assert run_cli("compute", "--messages", glob, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {paths[1]}: line 2: malformed row '36000.5,x,1,10,140000,1'\n"
+    )
+    # A book inconsistency in the replay names the file too.
+    paths[1].write_text("36000.0,1,1,10,140000,1\n36000.5,1,1,10,139000,1\n")
+    assert run_cli("compute", "--messages", glob, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {paths[1]}: event 1: order id 1 already live\n"
+    )

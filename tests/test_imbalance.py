@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
-from mlofi.errors import TooFewRows
+from mlofi.errors import InconsistentEvent, TooFewRows
 from mlofi.evaluation import book_summaries
 from mlofi.imbalance import SUMMARY_LEVELS, MlofiSample, compute_day_samples, flow_delta
 from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
@@ -332,7 +332,7 @@ def test_one_replay_matches_per_event_oracles(days, levels, subwindow):
     for got, expected in ((got_duration, by_duration), (got_event, by_event)):
         values = [got.mean_mid_dollars, got.mean_spread_dollars]
         values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
-        np.testing.assert_allclose(values, expected, rtol=1e-12)
+        assert values == expected  # each the float nearest the exact mean
     assert conc.n_events == sum(counts)
     for got, raw in ((conc.count_pct, counts), (conc.volume_pct, volumes)):
         expected = [100.0 * v / sum(raw) for v in raw] if sum(raw) else [0.0] * 3
@@ -452,4 +452,13 @@ def test_replay_at_the_row_edge_of_a_seeded_book_matches_oracles(day_levels, sub
     for got, expected in ((got_duration, by_duration), (got_event, by_event)):
         values = [got.mean_mid_dollars, got.mean_spread_dollars]
         values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
-        np.testing.assert_allclose(values, expected, rtol=1e-12)
+        assert values == expected  # each the float nearest the exact mean
+
+
+def test_a_replay_error_names_the_day_without_a_file():
+    session = SessionConfig(session_start=36000, session_end=36060)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
+    events = [arrival(1, 10, 140000, ts=36_001 * NS), arrival(1, 5, 139900, ts=36_002 * NS)]
+    message = "^2016-01-04: event 1: order id 1 already live$"
+    with pytest.raises(InconsistentEvent, match=message):
+        compute_day_samples(DaySlice(dt.date(2016, 1, 4), events), grid.boundaries_ns, 6, 1)

@@ -1,5 +1,7 @@
 """Message/orderbook parsing, session filters, and the fixture writer."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from mlofi.lobster import (
 from conftest import fuzz_stream, oracle_parse_message_row, oracle_parse_orderbook_row
 
 NS = 1_000_000_000
+DAY = dt.date(2016, 1, 4)  # the date a caller gives a parsed file
 
 
 def test_hand_decoded_message_row():
@@ -52,12 +55,12 @@ def test_hidden_rows_dropped_when_excluded(tmp_path):
         "36002.0,5,2,5,140500,-1\n"
         "36003.0,1,3,10,141000,-1\n"
     )
-    day = parse_message_file(path, SessionConfig())
+    day = parse_message_file(path, SessionConfig(), DAY)
     assert [e.kind for e in day.events] == [
         EventKind.LIMIT_ARRIVAL,
         EventKind.LIMIT_ARRIVAL,
     ]
-    day = parse_message_file(path, SessionConfig(exclude_hidden=False))
+    day = parse_message_file(path, SessionConfig(exclude_hidden=False), DAY)
     assert len(day.events) == 3
 
 
@@ -69,7 +72,7 @@ def test_session_window_filter(tmp_path):
         "36001.0,1,2,10,140000,1\n"
         "55000.0,1,3,10,139000,1\n"
     )
-    day = parse_message_file(path, SessionConfig())
+    day = parse_message_file(path, SessionConfig(), DAY)
     assert [e.order_id for e in day.events] == [2, 3]
 
 
@@ -77,7 +80,7 @@ def test_empty_session_raises(tmp_path):
     path = tmp_path / "messages.csv"
     path.write_text("34000.0,1,1,10,140000,1\n")
     with pytest.raises(EmptySession):
-        parse_message_file(path, SessionConfig())
+        parse_message_file(path, SessionConfig(), DAY)
 
 
 def test_malformed_row_reports_first_offending_line(tmp_path):
@@ -88,7 +91,7 @@ def test_malformed_row_reports_first_offending_line(tmp_path):
         "garbage\n"
     )
     with pytest.raises(MalformedRow) as exc:
-        parse_message_file(path, SessionConfig())
+        parse_message_file(path, SessionConfig(), DAY)
     assert exc.value.line_no == 2
 
 
@@ -101,7 +104,7 @@ def test_price_at_the_orderbook_sentinel_is_malformed(tmp_path):
         "36002.0,1,2,10,9999999999,-1\n"
     )
     with pytest.raises(MalformedRow) as exc:
-        parse_message_file(path, SessionConfig())
+        parse_message_file(path, SessionConfig(), DAY)
     assert exc.value.line_no == 2
     assert parse_message_row("36002.0,1,2,10,9999999998,-1", 1).price == 9999999998
     assert parse_message_row("36002.0,7,0,-1,9999999999,1", 1).kind is EventKind.HALT
@@ -125,7 +128,7 @@ def test_decreasing_timestamps_are_malformed(tmp_path):
     path = tmp_path / "messages.csv"
     path.write_text("36002.0,1,1,10,140000,1\n36001.0,1,2,10,139000,1\n")
     with pytest.raises(MalformedRow) as exc:
-        parse_message_file(path, SessionConfig())
+        parse_message_file(path, SessionConfig(), DAY)
     assert exc.value.line_no == 2
 
 
@@ -161,7 +164,7 @@ def test_round_trip_write_parse_write_is_byte_identical(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_message_file(p1, events)
-    day = parse_message_file(p1, SessionConfig(exclude_hidden=False))
+    day = parse_message_file(p1, SessionConfig(exclude_hidden=False), DAY)
     write_message_file(p2, day.events)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -171,7 +174,7 @@ def test_parse_recovers_fuzzed_events_exactly(tmp_path):
     events = fuzz_stream(rng, 300)
     path = tmp_path / "messages.csv"
     write_message_file(path, events)
-    day = parse_message_file(path, SessionConfig(exclude_hidden=False))
+    day = parse_message_file(path, SessionConfig(exclude_hidden=False), DAY)
     assert day.events == events
     last = -1
     for e in day.events:
@@ -215,7 +218,7 @@ def test_session_seed_is_row_of_last_message_before_session(tmp_path):
         "140200,5,140000,10\n"
         "140200,5,140100,7\n"
     )
-    seed = parse_message_file(messages, SessionConfig(), orderbook=orderbook).seed
+    seed = parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook).seed
     assert seed.bids == ((140000, 10),)
     assert seed.asks == ((140200, 5),)
 
@@ -247,7 +250,7 @@ def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
     messages.write_text(f"36000.000000000,{message}\n36001.000000000,1,7,1,139800,1\n")
     orderbook = tmp_path / "orderbook.csv"
     orderbook.write_text(ROW_1 + "140200,5,140000,10,140300,8,139900,4\n")
-    seed = parse_message_file(messages, SessionConfig(), orderbook=orderbook).seed
+    seed = parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook).seed
     assert (seed.bids, seed.asks) == (bids, asks)
     # Replaying message 1 on the seed gives back row 1, and nothing deeper.
     book = seed.build_book().apply(parse_message_row(f"36000.0,{message}", 1))
@@ -261,7 +264,7 @@ def test_session_seed_rejects_row_contradicting_first_message(tmp_path):
     orderbook = tmp_path / "orderbook.csv"
     orderbook.write_text(ROW_1)
     with pytest.raises(InconsistentEvent):
-        parse_message_file(messages, SessionConfig(), orderbook=orderbook)
+        parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook)
 
 
 def seeded_book(tmp_path, row):

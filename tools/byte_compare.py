@@ -31,10 +31,13 @@ reverse of their date order, fed to ``compute --orderbooks`` and
 cross trade, a halt and its resume) fed to ``compute --orderbooks`` with the
 session starting at 10:00, which is message 1, and at 10:30, each with and
 without ``--include-hidden``; ``evaluate`` on the sparse book at 10 levels,
-which fails after both days have replayed; and four runs that must exit 1:
+which fails after both days have replayed; six runs that must exit 1:
 ``synth`` with a negative seed and with a negative day count, ``evaluate``
-with ``--out`` naming an existing file, and ``compute`` with a
-``--messages`` glob that matches a directory.
+with ``--out`` naming an existing file, ``compute`` with a ``--messages``
+glob that matches a directory, ``compute --synth-days 2 --start-date
+9999-12-31``, whose second day has no date, and ``compute --tick 0``; and
+two runs that must exit 2: ``compute`` on a message file holding a byte
+that is not UTF-8, and ``compute --orderbooks`` on a crossed seed row.
 """
 
 from __future__ import annotations
@@ -109,6 +112,14 @@ LOBSTER_ORDERBOOK = """\
 # An empty file written into each scratch directory; the run of this name
 # takes it as its --out.
 OUT_IS_A_FILE = "evaluate-out-is-a-file"
+# Bad inputs written into each scratch directory's bad/: a message file with
+# a 0xff byte in row 2, and a message file whose seed row (orderbook row 1)
+# is a crossed book.
+BAD_FILES = {
+    "X_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.5,1,2,1\xff,140000,1\n",
+    "Y_2016-01-05_message_1.csv": b"35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n",
+    "Y_2016-01-05_orderbook_1.csv": b"140000,5,140000,10\n",
+}
 # Written as run.cfg into each scratch directory. messages and orderbooks are
 # left out: a run takes either them or synth_days.
 CONFIG_FILE = """\
@@ -190,6 +201,15 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append((OUT_IS_A_FILE, ["evaluate", *TWO_DAYS, "--levels", "3"]))
     runs.append(("compute-messages-glob-matches-a-directory",
                   ["compute", "--messages", "lobster*"]))
+    runs.append(("compute-past-the-last-date",
+                  ["compute", "--synth-days", "2", "--start-date", "9999-12-31",
+                   "--session-end", "10:05", "--DT", "300"]))
+    runs.append(("compute-tick-0", ["compute", *TWO_DAYS, "--tick", "0"]))
+    # Runs that must stop with exit 2 and a data error line.
+    runs.append(("compute-non-utf8-byte", ["compute", "--messages", "bad/X_*_message_*"]))
+    runs.append(("compute-crossed-seed-row",
+                  ["compute", "--messages", "bad/Y_*_message_*",
+                   "--orderbooks", "bad/Y_*_orderbook_*", "--levels", "1"]))
     return runs
 
 
@@ -200,6 +220,9 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     (workdir / "run.cfg").write_text(CONFIG_FILE)
     (workdir / OUT_IS_A_FILE).write_text("")
     (workdir / "lobster").mkdir()
+    (workdir / "bad").mkdir()
+    for name, data in BAD_FILES.items():
+        (workdir / "bad" / name).write_bytes(data)
     for kind, text in (("message", LOBSTER_MESSAGES), ("orderbook", LOBSTER_ORDERBOOK)):
         name = f"AAPL_2012-06-21_34200000_57600000_{kind}_2.csv"
         (workdir / "lobster" / name).write_bytes(text.replace("\n", "\r\n").encode())
