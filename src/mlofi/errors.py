@@ -51,11 +51,14 @@ class EmptySession(DataError):
 class InconsistentEvent(DataError):
     """An event contradicts the current book state (corrupted input).
 
-    ``day``, if known, names the day's message file, or its date.
+    ``day``, if known, names the day's message file, or its date; ``line_no``,
+    if known, is the event's line in that file and replaces its index.
     """
 
-    def __init__(self, event_index: int, reason: str, day=None):
-        where = f"event {event_index}" if day is None else f"{day}: event {event_index}"
+    def __init__(self, event_index: int, reason: str, day=None, line_no=None):
+        where = f"event {event_index}" if line_no is None else f"line {line_no}"
+        if day is not None:
+            where = f"{day}: {where}"
         super().__init__(f"{where}: {reason}")
         self.event_index = event_index
         self.reason = reason

@@ -39,23 +39,16 @@ This is the only loop that applies a day's events to a book.
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, Side, level_snapshot
+from .book import (
+    ASK_ABSENT, BID_ABSENT, BUY, CROSS_TRADE, EXECUTION_HIDDEN, EXECUTION_VISIBLE, HALT, SELL,
+    BookState, level_snapshot,
+)
 from .errors import InconsistentEvent
 from .lobster import DaySlice
-
-#: The kinds that move the visible book; hidden executions, cross trades
-#: and halts leave it as it is. The flow-concentration buckets count these.
-_FLOW_KINDS = frozenset(
-    {
-        EventKind.LIMIT_ARRIVAL,
-        EventKind.CANCEL_PARTIAL,
-        EventKind.CANCEL_FULL,
-        EventKind.EXECUTION_VISIBLE,
-    }
-)
 
 #: Depth of the book summary's per-level means.
 SUMMARY_LEVELS = 5
@@ -183,13 +176,16 @@ def compute_day_samples(
     the book tally but no interval. Intervals whose start or end mid-price
     is undefined (one-sided book) are discarded, not zeroed. Events after
     t_N are not replayed. An event the book contradicts raises
-    InconsistentEvent naming the day's message file, or its date.
+    InconsistentEvent naming the day's message file and the event's line in
+    it, or the day's date and the event's index.
     """
     try:
         return _replay(day, boundaries_ns, subwindows_per_window, levels)
     except InconsistentEvent as exc:
-        day_name = day.path or day.trading_date
-        raise InconsistentEvent(exc.event_index, exc.reason, day_name) from None
+        i = exc.event_index
+        if day.path is None:
+            raise InconsistentEvent(i, exc.reason, day.trading_date) from None
+        raise InconsistentEvent(i, exc.reason, day.path, day.line_of(i)) from None
 
 
 def _replay(
@@ -200,8 +196,8 @@ def _replay(
 ) -> DayComputation:
     """The loop of ``compute_day_samples``."""
     state = day.seed.build_book() if day.seed else BookState()
-    apply, depth_at, level_of = state.apply, state.depth_at, state.level_of
-    BUY, EXECUTION = Side.BUY, EventKind.EXECUTION_VISIBLE
+    apply = state.apply
+    (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
     events = day.events
     n_events = len(events)
     t_last = boundaries_ns[-1]
@@ -237,14 +233,17 @@ def _replay(
         while pos < n_events and events[pos].timestamp_ns <= t_end:
             ev = events[pos]
             pos += 1
-            if ev.kind not in _FLOW_KINDS:
+            kind = ev.kind
+            if kind is EXECUTION_HIDDEN or kind is CROSS_TRADE or kind is HALT:
+                # The visible book stays as it is, and the flow buckets
+                # count only the other kinds.
                 apply(ev)
                 continue
             side, price, size = ev.side, ev.price, ev.size
             is_bid = side is BUY
             # Flow bucket on the book before the event: 0 within the
             # spread, 1 at the best quote, 2 deeper.
-            if ev.kind is EXECUTION:
+            if kind is EXECUTION_VISIBLE:
                 bucket = 1  # executions always hit the front of the queue
                 # A hit resting sell means an incoming buy market order.
                 if is_bid:
@@ -261,14 +260,19 @@ def _replay(
                     bucket = 2
             flow_counts[bucket] += 1
             flow_volumes[bucket] += size
-            before = depth_at(side, price)
+            depth_of = bid_depth if is_bid else ask_depth
+            before = depth_of.get(price, 0)
             apply(ev)
-            after = depth_at(side, price)
+            after = depth_of.get(price, 0)
             if before == after:  # e.g. a removal beyond the seed horizon
                 continue
             if before and after:
-                # Only this level's size moved: one cell, one flow term.
-                k = level_of(side, price)
+                # Only this level's size moved: one cell, one flow term. Its
+                # level k is the number of better prices on its side.
+                if is_bid:
+                    k = len(bid_prices) - bisect_right(bid_prices, price)
+                else:
+                    k = bisect_left(ask_prices, price)
                 if k >= depth:
                     continue
                 d = after - before

@@ -26,10 +26,13 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
+from .book import (
+    ASK_ABSENT, BID_ABSENT, BUY, EXECUTION_HIDDEN, HALT, SELL, BookState, EventKind, LobEvent, Side,
+    level_snapshot,
+)
 from .errors import BadValue, ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 
 NS = 1_000_000_000
@@ -98,12 +101,30 @@ class SessionConfig:
 @dataclass
 class DaySlice:
     """One instrument-day of session-filtered events plus an optional seed,
-    and the message file it was read from, if any."""
+    and the message file it was read from, if any.
+
+    For a message file, ``rows_before`` counts the rows before the session
+    and ``skipped_lines`` lists, ascending, the blank lines and the dropped
+    hidden executions; with them ``line_of`` finds an event's line.
+    """
 
     trading_date: dt.date
     events: list[LobEvent]
     seed: "SeedSnapshot | None" = None
     path: Path | None = None
+    rows_before: int = 0
+    skipped_lines: list[int] = field(default_factory=list)
+
+    def line_of(self, event_index: int) -> int:
+        """The message-file line of ``events[event_index]``: the
+        (rows_before + event_index + 1)-th line not skipped, as the rows
+        before the session precede the events and the rows after it follow."""
+        line = self.rows_before + event_index + 1
+        for skipped in self.skipped_lines:
+            if skipped > line:
+                break
+            line += 1
+        return line
 
 
 @dataclass(frozen=True)
@@ -150,8 +171,8 @@ def parse_message_row(line: str, line_no: int) -> LobEvent:
     order_id, size, price, direction = int(order_id), int(size), int(price), int(direction)
     if direction not in (1, -1):
         raise MalformedRow(line_no, f"direction must be +1/-1, got {direction}")
-    side = Side.BUY if direction == 1 else Side.SELL
-    if kind is EventKind.HALT:
+    side = BUY if direction == 1 else SELL
+    if kind is HALT:
         # Halt rows carry status flags, not an order; normalize to neutral values.
         return LobEvent(ts, kind, order_id, max(size, 1), max(price, 1), side)
     if size < 1:
@@ -180,25 +201,30 @@ def parse_message_file(
     """
     path = Path(path)
     events: list[LobEvent] = []
+    skipped: list[int] = []
+    start_ns, end_ns, exclude_hidden = config.start_ns, config.end_ns, config.exclude_hidden
     last_ts = -1
     before, first = 0, None
     try:
         with open_text(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
+                    skipped.append(line_no)
                     continue
                 ev = parse_message_row(line, line_no)
                 if first is None:
                     first = ev
-                if ev.timestamp_ns < last_ts:
+                ts = ev.timestamp_ns
+                if ts < last_ts:
                     raise MalformedRow(line_no, "timestamps decrease within the file")
-                last_ts = ev.timestamp_ns
-                if ev.timestamp_ns < config.start_ns:
+                last_ts = ts
+                if ts < start_ns:
                     before += 1
                     continue
-                if ev.timestamp_ns > config.end_ns:
+                if ts > end_ns:
                     continue
-                if config.exclude_hidden and ev.kind is EventKind.EXECUTION_HIDDEN:
+                if exclude_hidden and ev.kind is EXECUTION_HIDDEN:
+                    skipped.append(line_no)
                     continue
                 events.append(ev)
     except MalformedRow as exc:
@@ -210,7 +236,7 @@ def parse_message_file(
         seed = seed_from_orderbook_file(orderbook, before)
     elif orderbook is not None:
         seed = seed_from_orderbook_file(orderbook, 1, undo=first)
-    return DaySlice(trading_date=trading_date, events=events, seed=seed, path=path)
+    return DaySlice(trading_date, events, seed, path, before, skipped)
 
 
 def date_from_filename(name: str) -> dt.date | None:
@@ -332,7 +358,7 @@ def seed_from_orderbook_file(
 
 
 def format_message_row(ev: LobEvent) -> str:
-    direction = 1 if ev.side is Side.BUY else -1
+    direction = 1 if ev.side is BUY else -1
     return (
         f"{format_timestamp_ns(ev.timestamp_ns)},{ev.kind.value},"
         f"{ev.order_id},{ev.size},{ev.price},{direction}"

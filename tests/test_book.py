@@ -102,6 +102,23 @@ def test_hidden_execution_and_halt_leave_book_but_advance_seq():
     assert state.event_seq == 4
 
 
+@pytest.mark.parametrize("kind", [
+    EventKind.LIMIT_ARRIVAL,
+    EventKind.CANCEL_PARTIAL,
+    EventKind.CANCEL_FULL,
+    EventKind.EXECUTION_VISIBLE,
+    EventKind.EXECUTION_HIDDEN,
+])
+def test_order_bearing_event_needs_a_positive_size(kind):
+    with pytest.raises(ValueError, match=f"^size must be >= 1 for {kind.name}, got 0$"):
+        ev(kind, 1, 0, 140000, Side.BUY)
+
+
+@pytest.mark.parametrize("kind", [EventKind.CROSS_TRADE, EventKind.HALT])
+def test_cross_trade_and_halt_take_size_zero(kind):
+    assert ev(kind, 0, 0, 140000, Side.SELL).size == 0
+
+
 def test_seeded_book_absorbs_unseen_cancellations():
     state = BookState.from_snapshot(bids=[(140000, 30)], asks=[(140200, 25)])
     state.apply(ev(EventKind.CANCEL_PARTIAL, 777, 10, 140000, Side.BUY))

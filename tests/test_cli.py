@@ -999,9 +999,29 @@ def test_data_errors_name_their_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: {paths[1]}: line 2: malformed row '36000.5,x,1,10,140000,1'\n"
     )
-    # A book inconsistency in the replay names the file too.
+    # A book inconsistency in the replay names the file and line too.
     paths[1].write_text("36000.0,1,1,10,140000,1\n36000.5,1,1,10,139000,1\n")
     assert run_cli("compute", "--messages", glob, "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err == (
-        f"data error: {paths[1]}: event 1: order id 1 already live\n"
+        f"data error: {paths[1]}: line 2: order id 1 already live\n"
+    )
+
+
+@pytest.mark.parametrize("rows, flags, line", [
+    # Two rows before the session and a blank line precede the session's
+    # first event, so its second event is line 5.
+    ("35990.0,1,1,10,139000,1\n35995.0,1,2,10,141000,-1\n\n"
+     "36001.0,1,3,10,140000,1\n36002.0,1,3,10,140000,1\n", [], 5),
+    # A hidden execution between the two rows, dropped or kept.
+    ("36001.0,1,3,10,140000,1\n36001.5,5,9,4,140500,-1\n36002.0,1,3,10,140000,1\n", [], 3),
+    ("36001.0,1,3,10,140000,1\n36001.5,5,9,4,140500,-1\n36002.0,1,3,10,140000,1\n",
+     ["--include-hidden"], 3),
+], ids=["rows-before-and-blank", "hidden-dropped", "hidden-kept"])
+def test_replay_errors_name_the_message_file_line(tmp_path, capsys, rows, flags, line):
+    path = tmp_path / "X_2016-01-05_message_1.csv"
+    path.write_text(rows)
+    args = ["compute", "--messages", str(path), "--out", str(tmp_path / "o"), *flags]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: line {line}: order id 3 already live\n"
     )

@@ -76,6 +76,44 @@ def test_session_window_filter(tmp_path):
     assert [e.order_id for e in day.events] == [2, 3]
 
 
+# Rows 1 ns before 10:00 (36000 s) and after 15:30 (55800 s), SessionConfig's
+# bounds, on them, and a hidden execution on each bound.
+BOUND_ROWS = (
+    "35999.999999999,1,1,10,140000,1\n"
+    "36000.000000000,1,2,10,140000,1\n"
+    "36000.000000000,5,7,3,140500,-1\n"
+    "55800.000000000,1,3,10,139000,1\n"
+    "55800.000000000,5,8,3,140500,-1\n"
+    "55800.000000001,1,4,10,139000,1\n"
+)
+
+
+def test_session_bounds_are_inclusive(tmp_path):
+    path = tmp_path / "messages.csv"
+    path.write_text(BOUND_ROWS)
+    day = parse_message_file(path, SessionConfig(), DAY)
+    assert [e.order_id for e in day.events] == [2, 3]
+    day = parse_message_file(path, SessionConfig(exclude_hidden=False), DAY)
+    assert [e.order_id for e in day.events] == [2, 7, 3, 8]
+    # The row 1 ns early counts as before the session: the seed is orderbook
+    # row 1, the book after it, not row 1 with message 1 undone.
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text("9999999999,0,140000,10\n9999999999,0,140000,20\n")
+    seed = parse_message_file(path, SessionConfig(), DAY, orderbook=orderbook).seed
+    assert (seed.bids, seed.asks) == (((140000, 10),), ())
+
+
+def test_line_of_counts_the_rows_the_session_drops(tmp_path):
+    path = tmp_path / "messages.csv"
+    path.write_text("\n" + BOUND_ROWS.replace("55800.000000000,1", "\n55800.000000000,1"))
+    # Lines: 1 blank, 2 early, 3 and 4 on the start bound, 5 blank, 6 and 7
+    # on the end bound, 8 late.
+    day = parse_message_file(path, SessionConfig(), DAY)
+    assert [day.line_of(i) for i in range(len(day.events))] == [3, 6]
+    day = parse_message_file(path, SessionConfig(exclude_hidden=False), DAY)
+    assert [day.line_of(i) for i in range(len(day.events))] == [3, 4, 6, 7]
+
+
 def test_empty_session_raises(tmp_path):
     path = tmp_path / "messages.csv"
     path.write_text("34000.0,1,1,10,140000,1\n")
@@ -304,6 +342,29 @@ def test_seed_horizon_needs_every_row_level_on_the_side(tmp_path):
     for book in (BookState.from_snapshot([(140000, 10)], [(140200, 5)]), BookState()):
         with pytest.raises(InconsistentEvent):
             book.apply(removal(EventKind.CANCEL_FULL, 526, 7, 139800, Side.BUY))
+
+
+@pytest.mark.parametrize("side, beyond, levels", [
+    (Side.BUY, 139800, [(140000, 10), (139900, 4)]),
+    (Side.SELL, 140400, [(140200, 5), (140300, 8)]),
+])
+def test_seed_horizon_holds_on_each_side(tmp_path, side, beyond, levels):
+    # ROW_1 fills both sides two levels deep; ``levels`` is this side's, best first.
+    book = seeded_book(tmp_path, ROW_1)
+    row = level_snapshot(book, 3)
+    book.apply(removal(EventKind.CANCEL_FULL, 526, 7, beyond, side))
+    book.apply(removal(EventKind.CANCEL_PARTIAL, 527, 3, beyond, side))
+    assert level_snapshot(book, 3) == row
+    # An execution beyond the horizon is inconsistent while a level of the
+    # row rests on the side; once they are gone, the unseen level is the front.
+    for price, size in levels:
+        message = f"execution at {beyond} but best {side.name} is {price}$"
+        with pytest.raises(InconsistentEvent, match=message):
+            book.apply(removal(EventKind.EXECUTION_VISIBLE, 528, 2, beyond, side))
+        book.apply(removal(EventKind.EXECUTION_VISIBLE, 0, size, price, side))
+    book.apply(removal(EventKind.EXECUTION_VISIBLE, 528, 2, beyond, side))
+    assert book.seeded_executions == 2
+    assert (book.best_bid if side is Side.BUY else book.best_ask) is None
 
 
 def test_seed_horizon_keeps_the_checks_inside_the_row(tmp_path):

@@ -1,0 +1,132 @@
+"""Time the parse, book and replay layers at a git revision against the working tree.
+
+Usage: python tools/layer_ab.py REV [REPS]
+
+Extracts ``git archive REV`` into a temporary directory and imports its
+``src/mlofi`` and the working tree's as two packages in one interpreter.
+One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
+``SessionConfig``, made by the working tree's package) is written as a
+LOBSTER message file. Each of REPS reps (default 15) runs both sides, in
+the opposite order to the rep before, and times on each side:
+
+- ``parse``: ``parse_message_file`` on that file, per row kept;
+- ``book``: a bare loop of ``BookState.apply`` over the side's own parsed
+  events, per event;
+- ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
+  levels on the 30-minute/10-second grid (evaluate's default) and on the
+  1-minute/1-second grid, per event.
+
+It prints per layer and side the median microseconds per row or event, the
+median over the reps of the working tree's time over REV's, and the rep
+count. A slow spell of the host lands on both sides of a rep alike, which
+comparing two separate benchmark runs cannot give. Both sides' samples and
+book tallies must agree, or it exits 1.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import importlib.util
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+LEVELS = 10
+GRIDS = ((1800, 10), (60, 1))
+LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS))
+
+
+def load(name: str, src: Path) -> dict:
+    """The ``mlofi`` package under ``src`` imported as ``name``, by module."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "mlofi" / "__init__.py", submodule_search_locations=[str(src / "mlofi")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("book", "imbalance", "lobster",
+                                                                 "sampling", "synth")}
+
+
+def timed(fn, *args) -> tuple[float, object]:
+    gc.collect()
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
+
+
+def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], list]:
+    """One rep of one side: microseconds per row or event by layer, and the outputs."""
+    lobster, book, imbalance, sampling = (pkg[m] for m in ("lobster", "book", "imbalance",
+                                                           "sampling"))
+    session = lobster.SessionConfig()
+    seconds, day = timed(lobster.parse_message_file, message_file, session, date)
+    n = len(day.events)
+    us = {"parse": seconds}
+
+    def apply_all(events):
+        apply = book.BookState().apply
+        for ev in events:
+            apply(ev)
+
+    us["book"], _ = timed(apply_all, day.events)
+    outputs = []
+    for window, sub in GRIDS:
+        grid = sampling.build_grid(session, sampling.GridSpec(window, sub))
+        seconds, comp = timed(imbalance.compute_day_samples, day, grid.boundaries_ns,
+                              grid.n_sub, LEVELS)
+        us[f"replay {window}/{sub}"] = seconds
+        outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
+                        comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
+    return {k: v * 1e6 / n for k, v in us.items()}, outputs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    reps = int(argv[1]) if len(argv) == 2 else 15
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", argv[0]], cwd=REPO,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "tree")
+        sides = {"rev": load("mlofi_rev", tmp / "tree" / "src"),
+                 "work": load("mlofi_work", REPO / "src")}
+        work = sides["work"]
+        session = work["lobster"].SessionConfig()
+        day = work["synth"].generate_zi_day(work["synth"].ZiParams(), session)
+        message_file = tmp / f"SYN_{day.trading_date}_message_10.csv"
+        work["lobster"].write_message_file(message_file, day.events)
+        times = {side: {layer: [] for layer in LAYERS} for side in sides}
+        order = list(sides)
+        for _ in range(reps):
+            outputs = {}
+            for side in order:
+                us, outputs[side] = run_side(sides[side], message_file, day.trading_date)
+                for layer, value in us.items():
+                    times[side][layer].append(value)
+            if outputs["rev"] != outputs["work"]:
+                print("the two sides' samples or book tallies differ", file=sys.stderr)
+                return 1
+            order.reverse()
+    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event")
+    print(f"{'layer':<16}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}")
+    for layer in LAYERS:
+        rev, new = times["rev"][layer], times["work"][layer]
+        ratio = statistics.median(b / a for a, b in zip(rev, new))
+        print(f"{layer:<16}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
+              f"{ratio:>10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
