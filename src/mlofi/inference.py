@@ -13,9 +13,13 @@ serially correlated intervals into random folds would leak information
 between fit and validation sets. ``fold_rows`` is the one fold loop of the
 penalty search and the RMSE protocol. The penalty search forms each
 training fold's X'X and X'y in turn, so one training copy is alive at a
-time, and solves every fold and penalty in one stacked ``ridge_coefficients``;
-each fold's validation residuals then come from one stacked matrix-vector
-product and their squared sums from one stacked dot. ``fit_ridge`` calls the
+time. A penalty's exact score comes from one stacked ``ridge_coefficients``
+solve per fold, its validation residuals from one stacked matrix-vector
+product and their squared sums from one stacked dot. The search screens the
+whole grid from one eigendecomposition per training fold, with a stated
+error bound per penalty, and gives the exact score only to the penalties the
+bound cannot rule out; its choice is the first argmin of the exact scores
+(``select_lambda``). ``fit_ridge`` calls the
 LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
 and ``cho_solve`` wrap, without the wrappers' per-call overhead.
 """
@@ -42,6 +46,9 @@ LAMBDA_GRID_HI = 1e5
 
 #: Penalty selection needs at least this many rows in every CV fold.
 MIN_ROWS_PER_FOLD = 10
+
+#: Safety factor on the penalty screen's first-order error bound.
+SCREEN_SAFETY = 10.0
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -197,11 +204,77 @@ def fold_rows(
 
 @dataclass
 class LambdaSearch:
-    """Cross-validation trace over the penalty grid."""
+    """Cross-validation trace over the penalty grid.
+
+    ``cv_errors`` holds the exact stacked-solve score at every penalty the
+    screen could not rule out, the screened score elsewhere (see
+    ``select_lambda``).
+    """
 
     grid: np.ndarray
     cv_errors: np.ndarray  # mean validation MSE per grid point
-    lambda_hat: float  # argmin; ties resolve to the smaller penalty
+    lambda_hat: float  # first argmin of the exact scores; ties go to the smaller penalty
+
+
+def _exact_cv_errors(
+    gram: np.ndarray, xty: np.ndarray, val_rows: list, lambdas, penalize_intercept: bool
+) -> np.ndarray:
+    """Mean validation MSE per penalty from one stacked ``ridge_coefficients`` solve."""
+    coeffs = ridge_coefficients(gram, xty, lambdas, penalize_intercept)
+    # Summed per penalty in fold order, as a per-(lambda, fold) loop would; the stacked
+    # products run one gemv and one dot per penalty, so each term keeps its bits.
+    cv_errors = np.zeros(len(lambdas))
+    for fold_coeffs, (X_val, y_val) in zip(coeffs, val_rows):
+        resid = X_val @ fold_coeffs[:, :, None]  # penalties x rows x 1
+        np.subtract(y_val[:, None], resid, out=resid)
+        cv_errors += (resid.mT @ resid)[:, 0, 0] / len(y_val)
+    return cv_errors / len(val_rows)
+
+
+def _screen_cv_errors(
+    gram: np.ndarray, xty: np.ndarray, val_rows: list, grid: np.ndarray, penalize_intercept: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screened mean validation MSE per penalty and its error bound (``select_lambda``).
+
+    One ``eigh`` of the stacked fold matrices gives every penalty's
+    coefficients; with a free intercept the intercept is profiled out first.
+    Non-finite input makes both NaN.
+    """
+    folds, p = xty.shape
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        if penalize_intercept:
+            S, r = gram, xty
+        else:
+            g00, g10 = gram[:, :1, 0], gram[:, 1:, 0]
+            S = gram[:, 1:, 1:] - g10[:, :, None] * (g10[:, None, :] / g00[:, :, None])
+            r = xty[:, 1:] - g10 * (xty[:, :1] / g00)
+        if not np.isfinite(S.sum() + r.sum()):  # non-finite input, or an overflow
+            return np.full(len(grid), np.nan), np.full(len(grid), np.nan)
+        e, V = np.linalg.eigh(S)
+        b = V @ ((V.mT @ r[:, :, None]) / (e[:, :, None] + grid))  # folds x q x penalties
+        train_sq = np.trace(gram, axis1=1, axis2=2)
+        floor = np.maximum(e[:, :1], 0.0) + grid
+        if penalize_intercept:
+            # A Gram matrix's largest eigenvalue is its largest in magnitude.
+            kappa = (e[:, -1:] + grid) / floor
+        else:
+            b0 = (xty[:, :1] - (g10[:, None, :] @ b)[:, 0]) / g00
+            b = np.concatenate((b0[:, None, :], b), axis=1)
+            lift = (1.0 + np.linalg.norm(g10, axis=1, keepdims=True) / g00) ** 2
+            kappa = (train_sq[:, None] + (p - 1) * grid) * lift * np.maximum(1.0 / g00, 1.0 / floor)
+        sse = np.empty((folds, len(grid)))
+        for fold_sse, fold_b, (X_val, y_val) in zip(sse, b, val_rows):
+            resid = X_val @ fold_b
+            resid -= y_val[:, None]
+            np.einsum("ij,ij->j", resid, resid, out=fold_sse)
+        n_val = np.array([len(y_val) for _, y_val in val_rows], dtype=float)[:, None]
+        # Each row sits in folds - 1 training folds, so ||X_val||_F^2 comes off the traces.
+        val_norm = np.sqrt(np.maximum(train_sq.sum() / (folds - 1) - train_sq, 0.0))
+        b_norm = np.sqrt(np.einsum("kql,kql->kl", b, b))
+        delta = (SCREEN_SAFETY * p * eps * val_norm)[:, None] * kappa * b_norm
+        bound = (2.0 * np.sqrt(sse) + delta) * delta / n_val + SCREEN_SAFETY * eps * sse
+    return (sse / n_val).sum(axis=0) / folds, bound.sum(axis=0) / folds
 
 
 def select_lambda(
@@ -213,12 +286,42 @@ def select_lambda(
 ) -> LambdaSearch:
     """Pick the penalty minimizing mean K-fold validation MSE.
 
-    Folds are contiguous blocks of the (time-ordered) pooled rows. The
-    ascending grid means np.argmin already resolves ties toward the
-    smaller penalty.
+    Folds are contiguous blocks of the (time-ordered) pooled rows. A
+    penalty's exact score is what one stacked ``ridge_coefficients`` solve
+    and its per-fold residual products give (``_exact_cv_errors``).
+    lambda_hat is the first argmin of the exact scores over the grid, so on
+    an ascending grid ties go to the smaller penalty. The search gets there
+    in three steps:
+
+    - Screen. One ``eigh`` per training fold, G = V diag(e) V', gives every
+      penalty's coefficients b = V diag(1/(e + lam)) V' X'y. With a free
+      intercept (D != I) the intercept is profiled out first, for any first
+      column: e and V are those of the Schur complement
+      S = G11 - g10 g01 / g00, which gives b1 from (S + lam I) b1 =
+      r1 - g10 r0 / g00 and then b0 = (r0 - g01 b1) / g00, with r = X'y.
+    - Bound. B_lam is the mean over folds of
+      (2 sqrt(n_k m_k) d_k + d_k^2) / n_k + c eps n_k m_k, where fold k has
+      n_k validation rows and screened MSE m_k, and
+      d_k = c p eps ||X_val,k||_F kappa_k ||b_k|| is a first-order bound on
+      how far either way's validation residuals lie from exact ones
+      (eps is machine epsilon, c = ``SCREEN_SAFETY``). kappa_k is the
+      condition number of G + lam D: (e_max + lam) / (max(e_min, 0) + lam)
+      with D = I, and with a free intercept the upper bound
+      (tr G + (p - 1) lam) (1 + ||g10|| / g00)^2 max(1 / g00, 1 / (max(e_min, 0) + lam)).
+    - Confirm. The candidates are the penalties whose screened score less
+      B_lam is at most the least screened score plus B over the grid; a
+      penalty whose score or bound is not finite is always one. Only the
+      candidates get their exact score, and lambda_hat is the first argmin
+      among them.
+
+    ``cv_errors`` holds the exact scores at the candidates and the screened
+    ones elsewhere. When every training fold's X'y is exactly zero, every
+    penalty's coefficients are exactly zero, so the exact score at
+    ``grid[0]`` is every penalty's and no screen runs. Non-finite input, or
+    a zero first column in a training fold with a free intercept, screens
+    nothing: every penalty gets the exact solve, and so its NumericalFailure.
     """
-    if grid is None:
-        grid = default_lambda_grid()
+    grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
     n = X.shape[0]
     if n < MIN_ROWS_PER_FOLD * folds:
         raise TooFewRows(
@@ -229,20 +332,23 @@ def select_lambda(
         grams.append(X_train.T @ X_train)
         xtys.append(X_train.T @ y_train)
         val_rows.append((X_val, y_val))
-    coeffs = ridge_coefficients(np.stack(grams), np.stack(xtys), grid, penalize_intercept)
-    # Summed per penalty in fold order, as a per-(lambda, fold) loop would; the stacked
-    # products run one gemv and one dot per penalty, so each term keeps its bits.
-    cv_errors = np.zeros(len(grid))
-    for fold_coeffs, (X_val, y_val) in zip(coeffs, val_rows):
-        resid = X_val @ fold_coeffs[:, :, None]  # penalties x rows x 1
-        np.subtract(y_val[:, None], resid, out=resid)
-        cv_errors += (resid.mT @ resid)[:, 0, 0] / len(y_val)
-    cv_errors /= folds
+    gram, xty = np.array(grams), np.array(xtys)
+    if not np.any(xty):
+        cv_errors = np.repeat(
+            _exact_cv_errors(gram, xty, val_rows, grid[:1], penalize_intercept), len(grid)
+        )
+        candidates = np.arange(len(grid))
+    else:
+        cv_errors, bound = _screen_cv_errors(gram, xty, val_rows, grid, penalize_intercept)
+        # NaN compares false, so a penalty whose screen is not finite stays a candidate.
+        candidates = np.flatnonzero(~(cv_errors - bound > np.fmin.reduce(cv_errors + bound)))
+        cv_errors[candidates] = _exact_cv_errors(
+            gram, xty, val_rows, grid[candidates], penalize_intercept
+        )
     if not np.all(np.isfinite(cv_errors)):
         raise NumericalFailure("non-finite cross-validation error encountered")
-    return LambdaSearch(
-        grid=grid, cv_errors=cv_errors, lambda_hat=float(grid[int(np.argmin(cv_errors))])
-    )
+    best = candidates[int(np.argmin(cv_errors[candidates]))]
+    return LambdaSearch(grid=grid, cv_errors=cv_errors, lambda_hat=float(grid[best]))
 
 
 @dataclass

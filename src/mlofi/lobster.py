@@ -337,7 +337,7 @@ def seed_from_orderbook_file(
             if level[undo.price] < 0:
                 raise InconsistentEvent(
                     row, f"orderbook row {row} holds less at {undo.price} than the "
-                    f"{undo.size} shares message {row} added", path
+                    f"{undo.size} shares message {row} added", path, line_no=line_no
                 )
         elif undo.kind in (
             EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
@@ -347,7 +347,8 @@ def seed_from_orderbook_file(
     asks = tuple((p, d) for p, d in sorted(sides[Side.SELL].items()) if d)
     if bids and asks and bids[0][0] >= asks[0][0]:
         raise InconsistentEvent(
-            row, f"orderbook row {row} with message {row} undone is a crossed book", path
+            row, f"orderbook row {row} with message {row} undone is a crossed book", path,
+            line_no=line_no,
         )
     return SeedSnapshot(
         bids=bids, asks=asks, bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL]

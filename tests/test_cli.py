@@ -933,8 +933,25 @@ def test_a_seed_crossed_by_undoing_its_message_is_a_data_error(tmp_path, capsys)
                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert capsys.readouterr().err == (
-        f"data error: {book}: event 1: orderbook row 1 with message 1 undone is a "
+        f"data error: {book}: line 1: orderbook row 1 with message 1 undone is a "
         "crossed book\n"
+    )
+
+
+def test_a_seed_holding_less_than_its_message_added_is_a_data_error(tmp_path, capsys):
+    # Message 1 adds 10 shares at 140000, but orderbook row 1 (file line 2,
+    # after a blank line) shows only 5 there: taking the 10 off leaves -5.
+    messages = tmp_path / "SYN_2016-01-05_message_2.csv"
+    messages.write_text("36000.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n")
+    book = tmp_path / "SYN_2016-01-05_orderbook_2.csv"
+    book.write_text("\n140200,5,140000,5\n")
+    code = run_cli("compute", "--messages", str(messages), "--orderbooks", str(book),
+                   "--levels", "1", "--session-end", "10:05", "--DT", "300",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {book}: line 2: orderbook row 1 holds less at 140000 than the "
+        "10 shares message 1 added\n"
     )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from scipy import linalg as sla
 
+from mlofi import inference
 from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient
+from mlofi.imbalance import compute_day_samples
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
     RegressionFit,
@@ -24,8 +27,9 @@ from mlofi.inference import (
     select_lambda,
     significance_summary,
 )
-from mlofi.sampling import RegressionProblem
-from mlofi.synth import PlantedParams, generate_planted_regression
+from mlofi.lobster import SessionConfig
+from mlofi.sampling import GridSpec, RegressionProblem, assemble_problems, build_grid
+from mlofi.synth import PlantedParams, ZiParams, generate_planted_regression, generate_zi_day
 
 from conftest import mp_regression_oracle, oracle_fit_ridge, oracle_select_lambda
 
@@ -275,6 +279,44 @@ def test_select_lambda_prefers_no_penalty_when_noiseless():
     assert search.lambda_hat == search.grid[0]
 
 
+def traced_select_lambda(X, y, folds, grid, penalize_intercept):
+    """``select_lambda``, with the screen's error bounds and a mask of the re-scored penalties.
+
+    A search that runs no screen scores ``grid[0]`` exactly and copies it, so
+    every entry is exact and its bounds are 0.
+    """
+    bounds, rescored = [], []
+    screen, exact = inference._screen_cv_errors, inference._exact_cv_errors
+
+    def traced_screen(*args):
+        cv_hat, bound = screen(*args)
+        bounds.append(bound.copy())
+        return cv_hat, bound
+
+    def traced_exact(gram, xty, val_rows, lambdas, penalize_intercept):
+        rescored.extend(lambdas)
+        return exact(gram, xty, val_rows, lambdas, penalize_intercept)
+
+    with (mock.patch.object(inference, "_screen_cv_errors", traced_screen),
+          mock.patch.object(inference, "_exact_cv_errors", traced_exact)):
+        search = select_lambda(X, y, folds, grid, penalize_intercept)
+    if not bounds:
+        return search, np.zeros(len(grid)), np.ones(len(grid), dtype=bool)
+    return search, bounds[0], np.isin(grid, rescored)
+
+
+def assert_search_matches_oracle(X, y, folds, grid, penalize_intercept):
+    """lambda_hat is the oracle's; re-scored entries are its bits, the rest lie within
+    their bound of it and above the least re-scored entry."""
+    search, bound, confirmed = traced_select_lambda(X, y, folds, grid, penalize_intercept)
+    cv_errors, lambda_hat = oracle_select_lambda(X, y, folds, grid, penalize_intercept)
+    assert search.lambda_hat == lambda_hat
+    assert np.array_equal(search.cv_errors[confirmed], cv_errors[confirmed])
+    screened = ~confirmed
+    assert np.all(np.abs(search.cv_errors - cv_errors)[screened] <= bound[screened])
+    assert np.all(cv_errors[screened] > cv_errors[confirmed].min())
+
+
 @given(
     n=hst.integers(50, 200),
     p=hst.integers(2, 11),
@@ -291,11 +333,7 @@ def test_select_lambda_matches_per_pair_oracle(n, p, seed, duplicate, zero, pena
     if zero:
         X[:, p - 1] = 0.0
     y = X @ rng.standard_normal(p) + rng.standard_normal(n)
-    grid = default_lambda_grid()
-    search = select_lambda(X, y, 5, grid, penalize_intercept)
-    cv_errors, lambda_hat = oracle_select_lambda(X, y, 5, grid, penalize_intercept)
-    assert np.array_equal(search.cv_errors, cv_errors)
-    assert search.lambda_hat == lambda_hat
+    assert_search_matches_oracle(X, y, 5, default_lambda_grid(), penalize_intercept)
 
 
 @given(
@@ -316,11 +354,85 @@ def test_select_lambda_matches_oracle_on_any_grid_and_folds(
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
     y = X @ rng.standard_normal(p) + rng.standard_normal(n)
-    grid = np.array(grid)
-    search = select_lambda(X, y, folds, grid, penalize_intercept)
-    cv_errors, lambda_hat = oracle_select_lambda(X, y, folds, grid, penalize_intercept)
-    assert np.array_equal(search.cv_errors, cv_errors)
-    assert search.lambda_hat == lambda_hat
+    assert_search_matches_oracle(X, y, folds, np.array(grid), penalize_intercept)
+
+
+@given(
+    n=hst.integers(50, 200),
+    p=hst.integers(2, 9),
+    seed=hst.integers(0, 2**32 - 1),
+    first=hst.sampled_from(["ones", "scaled", "random"]),
+    shift=hst.sampled_from([0.0, 10.0, 1e3]),
+    noise=hst.sampled_from([0.0, 1e-6, 1.0]),
+)
+def test_select_lambda_with_a_free_intercept_matches_the_oracle(n, p, seed, first, shift, noise):
+    # The screen profiles the first column out through its Schur complement,
+    # whatever that column holds; shifted columns make that elimination cancel.
+    rng = np.random.default_rng(seed)
+    column = {"ones": np.ones(n), "scaled": np.full(n, 1e3),
+              "random": rng.uniform(0.5, 2.0, n)}[first]
+    X = np.column_stack([column, shift + rng.standard_normal((n, p - 1))])
+    y = X @ rng.standard_normal(p) + noise * rng.standard_normal(n)
+    assert_search_matches_oracle(X, y, 5, default_lambda_grid(), False)
+
+
+def test_select_lambda_on_a_zero_response_scores_one_penalty_and_copies_it():
+    # X'y is zero in every training fold, so every penalty's coefficients are zero.
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
+    grid = default_lambda_grid()
+    with (mock.patch.object(inference, "_screen_cv_errors") as screen,
+          mock.patch.object(inference, "_exact_cv_errors",
+                            wraps=inference._exact_cv_errors) as exact):
+        search = select_lambda(X, np.zeros(60), 5, grid)
+    screen.assert_not_called()
+    assert exact.call_count == 1 and np.array_equal(exact.call_args.args[3], grid[:1])
+    assert search.lambda_hat == grid[0]
+    assert np.array_equal(search.cv_errors, np.zeros(len(grid)))
+
+
+def test_select_lambda_keeps_a_near_tie_on_a_zi_window():
+    # The ZI day of the fit-per-window benchmark's seed 2 (ZI seed 52). In its
+    # window 2 on the 1-minute grid at 10 levels, the CV errors at grid[0] and
+    # grid[1] lie 7.8e-8 apart relative, and the screened errors alone put the
+    # minimum at grid[0].
+    session = SessionConfig()
+    day = generate_zi_day(ZiParams(seed=52), session, DATE)
+    grid = build_grid(session, GridSpec(60, 1))
+    samples = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, 10).samples
+    problem = next(p for p in assemble_problems(samples, grid, 10, session.tick_size, DATE)
+                   if p.window_index == 2)
+    lambdas = default_lambda_grid()
+    search = select_lambda(problem.X, problem.y, 5, lambdas)
+    lambda_hat = oracle_select_lambda(problem.X, problem.y, 5, lambdas)[1]
+    assert search.lambda_hat == lambda_hat == lambdas[1]
+
+
+def search_problem():
+    rng = np.random.default_rng(3)
+    return np.column_stack([np.ones(60), rng.standard_normal((60, 3))]), rng.standard_normal(60)
+
+
+def test_select_lambda_on_a_zero_first_column_in_a_training_fold_fails_as_the_whole_grid_solve():
+    X, y = search_problem()
+    X[12:, 0] = 0.0  # the first training fold's first column is zero
+    select_lambda(X, y, 5, default_lambda_grid(), True)  # the penalty covers that column
+    with pytest.raises(NumericalFailure, match="^ridge solve failed: Singular matrix$"):
+        select_lambda(X, y, 5, default_lambda_grid(), False)
+
+
+@pytest.mark.parametrize("penalize_intercept", [True, False])
+@pytest.mark.parametrize("array, cell, value", [
+    ("X", (30, 2), np.nan), ("X", (30, 2), np.inf), ("X", (30, 0), -np.inf),
+    ("y", 30, np.nan), ("y", 30, np.inf),
+])
+def test_select_lambda_on_non_finite_input_fails_as_the_whole_grid_solve(
+    array, cell, value, penalize_intercept
+):
+    X, y = search_problem()
+    {"X": X, "y": y}[array][cell] = value
+    with pytest.raises(NumericalFailure, match="^ridge solve produced non-finite values$"):
+        select_lambda(X, y, 5, default_lambda_grid(), penalize_intercept)
 
 
 def test_penalty_search_holds_one_training_fold_at_a_time():

@@ -36,8 +36,9 @@ which fails after both days have replayed; six runs that must exit 1:
 with ``--out`` naming an existing file, ``compute`` with a ``--messages``
 glob that matches a directory, ``compute --synth-days 2 --start-date
 9999-12-31``, whose second day has no date, and ``compute --tick 0``; and
-three runs that must exit 2: ``compute`` on a message file holding a byte
-that is not UTF-8, ``compute --orderbooks`` on a crossed seed row, and
+four runs that must exit 2: ``compute`` on a message file holding a byte
+that is not UTF-8, ``compute --orderbooks`` on a crossed seed row and on a
+seed row that undoing message 1 crosses, and
 ``compute`` on a message file whose fifth line, after two rows before the
 session and a blank line, repeats a live order id.
 """
@@ -116,11 +117,14 @@ LOBSTER_ORDERBOOK = """\
 OUT_IS_A_FILE = "evaluate-out-is-a-file"
 # Bad inputs written into each scratch directory's bad/: a message file with
 # a 0xff byte in row 2, a message file whose seed row (orderbook row 1) is a
-# crossed book, and a message file whose line 5 repeats a live order id.
+# crossed book, one whose seed row is crossed once its message 1 is undone,
+# and a message file whose line 5 repeats a live order id.
 BAD_FILES = {
     "X_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.5,1,2,1\xff,140000,1\n",
     "Y_2016-01-05_message_1.csv": b"35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n",
     "Y_2016-01-05_orderbook_1.csv": b"140000,5,140000,10\n",
+    "W_2016-01-05_message_1.csv": b"36000.0,2,1,5,140300,1\n36001.0,1,2,10,140200,-1\n",
+    "W_2016-01-05_orderbook_1.csv": b"140200,5,140000,10\n",
     "Z_2016-01-05_message_1.csv": b"35990.0,1,1,10,139000,1\n35995.0,1,2,10,141000,-1\n\n"
                                   b"36001.0,1,3,10,140000,1\n36002.0,1,3,10,140000,1\n",
 }
@@ -214,6 +218,9 @@ def matrix() -> list[tuple[str, list[str]]]:
     runs.append(("compute-crossed-seed-row",
                   ["compute", "--messages", "bad/Y_*_message_*",
                    "--orderbooks", "bad/Y_*_orderbook_*", "--levels", "1"]))
+    runs.append(("compute-seed-undo-crossed",
+                  ["compute", "--messages", "bad/W_*_message_*",
+                   "--orderbooks", "bad/W_*_orderbook_*", "--levels", "1"]))
     runs.append(("compute-order-id-live-twice", ["compute", "--messages", "bad/Z_*_message_*"]))
     return runs
 

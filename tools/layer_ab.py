@@ -1,4 +1,4 @@
-"""Time the parse, book and replay layers at a git revision against the working tree.
+"""Time the parse, book, replay and select layers at a git revision against the working tree.
 
 Usage: python tools/layer_ab.py REV [REPS]
 
@@ -14,13 +14,17 @@ the opposite order to the rep before, and times on each side:
   events, per event;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
-  1-minute/1-second grid, per event.
+  1-minute/1-second grid, per event;
+- ``select 60/1``: ``select_lambda`` (default grid, 5 folds) on each
+  1-minute window with enough rows for its own search, as per-window ridge
+  runs it, per window.
 
-It prints per layer and side the median microseconds per row or event, the
-median over the reps of the working tree's time over REV's, and the rep
-count. A slow spell of the host lands on both sides of a rep alike, which
-comparing two separate benchmark runs cannot give. Both sides' samples and
-book tallies must agree, or it exits 1.
+It prints per layer and side the median microseconds per row or event
+(milliseconds per window for ``select``), the median over the reps of the
+working tree's time over REV's, and the rep count. A slow spell of the host
+lands on both sides of a rep alike, which comparing two separate benchmark
+runs cannot give. Both sides' samples and book tallies must agree, and so
+must every window's chosen penalty, or it exits 1.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 LEVELS = 10
+FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
-LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS))
+LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS), "select 60/1")
 
 
 def load(name: str, src: Path) -> dict:
@@ -51,8 +56,8 @@ def load(name: str, src: Path) -> dict:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {m: importlib.import_module(f"{name}.{m}") for m in ("book", "imbalance", "lobster",
-                                                                 "sampling", "synth")}
+    return {m: importlib.import_module(f"{name}.{m}")
+            for m in ("book", "imbalance", "inference", "lobster", "sampling", "synth")}
 
 
 def timed(fn, *args) -> tuple[float, object]:
@@ -62,10 +67,11 @@ def timed(fn, *args) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], list]:
-    """One rep of one side: microseconds per row or event by layer, and the outputs."""
-    lobster, book, imbalance, sampling = (pkg[m] for m in ("lobster", "book", "imbalance",
-                                                           "sampling"))
+def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], list, list]:
+    """One rep of one side: microseconds per row or event (milliseconds per window for
+    select) by layer, the outputs and the chosen penalties."""
+    lobster, book, imbalance, inference, sampling = (
+        pkg[m] for m in ("lobster", "book", "imbalance", "inference", "sampling"))
     session = lobster.SessionConfig()
     seconds, day = timed(lobster.parse_message_file, message_file, session, date)
     n = len(day.events)
@@ -85,7 +91,19 @@ def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], lis
         us[f"replay {window}/{sub}"] = seconds
         outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
                         comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
-    return {k: v * 1e6 / n for k, v in us.items()}, outputs
+    # The loop leaves the 60/1 grid and its replay in grid and comp.
+    min_rows = inference.MIN_ROWS_PER_FOLD * FOLDS
+    problems = [p for p in sampling.assemble_problems(comp.samples, grid, LEVELS,
+                                                      session.tick_size, date)
+                if p.n_rows >= min_rows]
+
+    def select_all():
+        return [inference.select_lambda(p.X, p.y, FOLDS).lambda_hat for p in problems]
+
+    seconds, lambdas = timed(select_all)
+    times = {k: v * 1e6 / n for k, v in us.items()}
+    times["select 60/1"] = seconds * 1e3 / len(problems)
+    return times, outputs, lambdas
 
 
 def main(argv: list[str]) -> int:
@@ -109,16 +127,23 @@ def main(argv: list[str]) -> int:
         times = {side: {layer: [] for layer in LAYERS} for side in sides}
         order = list(sides)
         for _ in range(reps):
-            outputs = {}
+            outputs, lambdas = {}, {}
             for side in order:
-                us, outputs[side] = run_side(sides[side], message_file, day.trading_date)
+                us, outputs[side], lambdas[side] = run_side(sides[side], message_file,
+                                                            day.trading_date)
                 for layer, value in us.items():
                     times[side][layer].append(value)
             if outputs["rev"] != outputs["work"]:
                 print("the two sides' samples or book tallies differ", file=sys.stderr)
                 return 1
+            moved = [i for i, (a, b) in enumerate(zip(lambdas["rev"], lambdas["work"])) if a != b]
+            if moved:
+                print(f"the two sides' penalties differ in {len(moved)} of "
+                      f"{len(lambdas['rev'])} windows", file=sys.stderr)
+                return 1
             order.reverse()
-    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event")
+    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event, "
+          f"milliseconds per window (select)")
     print(f"{'layer':<16}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
