@@ -18,8 +18,8 @@ solve per fold, its validation residuals from one stacked matrix-vector
 product and their squared sums from one stacked dot. The search screens the
 whole grid from one eigendecomposition per training fold, with a stated
 error bound per penalty, and gives the exact score only to the penalties the
-bound cannot rule out; its choice is the first argmin of the exact scores
-(``select_lambda``). ``fit_ridge`` calls the
+bound cannot rule out, or to none when it rules out all but one; its choice is
+the first argmin of the exact scores (``select_lambda``). ``fit_ridge`` calls the
 LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
 and ``cho_solve`` wrap, without the wrappers' per-call overhead.
 """
@@ -207,8 +207,8 @@ class LambdaSearch:
     """Cross-validation trace over the penalty grid.
 
     ``cv_errors`` holds the exact stacked-solve score at every penalty the
-    screen could not rule out, the screened score elsewhere (see
-    ``select_lambda``).
+    screen could not rule out, unless only one was left; the screened score
+    elsewhere (see ``select_lambda``).
     """
 
     grid: np.ndarray
@@ -253,7 +253,6 @@ def _screen_cv_errors(
             return np.full(len(grid), np.nan), np.full(len(grid), np.nan)
         e, V = np.linalg.eigh(S)
         b = V @ ((V.mT @ r[:, :, None]) / (e[:, :, None] + grid))  # folds x q x penalties
-        train_sq = np.trace(gram, axis1=1, axis2=2)
         floor = np.maximum(e[:, :1], 0.0) + grid
         if penalize_intercept:
             # A Gram matrix's largest eigenvalue is its largest in magnitude.
@@ -262,15 +261,15 @@ def _screen_cv_errors(
             b0 = (xty[:, :1] - (g10[:, None, :] @ b)[:, 0]) / g00
             b = np.concatenate((b0[:, None, :], b), axis=1)
             lift = (1.0 + np.linalg.norm(g10, axis=1, keepdims=True) / g00) ** 2
-            kappa = (train_sq[:, None] + (p - 1) * grid) * lift * np.maximum(1.0 / g00, 1.0 / floor)
-        sse = np.empty((folds, len(grid)))
-        for fold_sse, fold_b, (X_val, y_val) in zip(sse, b, val_rows):
-            resid = X_val @ fold_b
+            trace = np.trace(gram, axis1=1, axis2=2)[:, None]
+            kappa = (trace + (p - 1) * grid) * lift * np.maximum(1.0 / g00, 1.0 / floor)
+        sse, val_norm = np.empty((folds, len(grid))), np.empty(folds)
+        for k, (X_val, y_val) in enumerate(val_rows):
+            resid = X_val @ b[k]
             resid -= y_val[:, None]
-            np.einsum("ij,ij->j", resid, resid, out=fold_sse)
+            np.einsum("ij,ij->j", resid, resid, out=sse[k])
+            val_norm[k] = np.linalg.norm(X_val)
         n_val = np.array([len(y_val) for _, y_val in val_rows], dtype=float)[:, None]
-        # Each row sits in folds - 1 training folds, so ||X_val||_F^2 comes off the traces.
-        val_norm = np.sqrt(np.maximum(train_sq.sum() / (folds - 1) - train_sq, 0.0))
         b_norm = np.sqrt(np.einsum("kql,kql->kl", b, b))
         delta = (SCREEN_SAFETY * p * eps * val_norm)[:, None] * kappa * b_norm
         bound = (2.0 * np.sqrt(sse) + delta) * delta / n_val + SCREEN_SAFETY * eps * sse
@@ -312,11 +311,14 @@ def select_lambda(
       B_lam is at most the least screened score plus B over the grid; a
       penalty whose score or bound is not finite is always one. Only the
       candidates get their exact score, and lambda_hat is the first argmin
-      among them.
+      among them. A lone candidate is lambda_hat without an exact score
+      when its penalty is positive and its bound finite: the bound has
+      ruled out every other penalty, and G + lam D is positive definite
+      there (a finite bound has g00 > 0), so the skipped solve cannot fail.
 
-    ``cv_errors`` holds the exact scores at the candidates and the screened
-    ones elsewhere. When every training fold's X'y is exactly zero, every
-    penalty's coefficients are exactly zero, so the exact score at
+    ``cv_errors`` holds the exact scores at the re-scored candidates and
+    the screened ones elsewhere. When every training fold's X'y is exactly
+    zero, every penalty's coefficients are exactly zero, so the exact score at
     ``grid[0]`` is every penalty's and no screen runs. Non-finite input, or
     a zero first column in a training fold with a free intercept, screens
     nothing: every penalty gets the exact solve, and so its NumericalFailure.
@@ -342,9 +344,11 @@ def select_lambda(
         cv_errors, bound = _screen_cv_errors(gram, xty, val_rows, grid, penalize_intercept)
         # NaN compares false, so a penalty whose screen is not finite stays a candidate.
         candidates = np.flatnonzero(~(cv_errors - bound > np.fmin.reduce(cv_errors + bound)))
-        cv_errors[candidates] = _exact_cv_errors(
-            gram, xty, val_rows, grid[candidates], penalize_intercept
-        )
+        lone = candidates[0]
+        if len(candidates) > 1 or not (grid[lone] > 0 and np.isfinite(bound[lone])):
+            cv_errors[candidates] = _exact_cv_errors(
+                gram, xty, val_rows, grid[candidates], penalize_intercept
+            )
     if not np.all(np.isfinite(cv_errors)):
         raise NumericalFailure("non-finite cross-validation error encountered")
     best = candidates[int(np.argmin(cv_errors[candidates]))]

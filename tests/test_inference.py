@@ -307,14 +307,15 @@ def traced_select_lambda(X, y, folds, grid, penalize_intercept):
 
 def assert_search_matches_oracle(X, y, folds, grid, penalize_intercept):
     """lambda_hat is the oracle's; re-scored entries are its bits, the rest lie within
-    their bound of it and above the least re-scored entry."""
+    their bound of it and, but for lambda_hat's own, above the oracle's score at lambda_hat."""
     search, bound, confirmed = traced_select_lambda(X, y, folds, grid, penalize_intercept)
     cv_errors, lambda_hat = oracle_select_lambda(X, y, folds, grid, penalize_intercept)
     assert search.lambda_hat == lambda_hat
     assert np.array_equal(search.cv_errors[confirmed], cv_errors[confirmed])
     screened = ~confirmed
     assert np.all(np.abs(search.cv_errors - cv_errors)[screened] <= bound[screened])
-    assert np.all(cv_errors[screened] > cv_errors[confirmed].min())
+    chosen = grid == lambda_hat
+    assert np.all(cv_errors[screened & ~chosen] > cv_errors[chosen])
 
 
 @given(
@@ -406,6 +407,19 @@ def test_select_lambda_keeps_a_near_tie_on_a_zi_window():
     search = select_lambda(problem.X, problem.y, 5, lambdas)
     lambda_hat = oracle_select_lambda(problem.X, problem.y, 5, lambdas)[1]
     assert search.lambda_hat == lambda_hat == lambdas[1]
+
+
+def test_select_lambda_takes_a_lone_candidate_without_the_exact_solve():
+    # A well-conditioned design whose bound rules out all penalties but one.
+    rng = np.random.default_rng(23)
+    X = np.column_stack([np.ones(200), rng.standard_normal((200, 4))])
+    y = X @ np.array([0.5, 1.0, -2.0, 0.0, 3.0]) + rng.standard_normal(200)
+    grid = default_lambda_grid()
+    for penalize_intercept in (True, False):
+        with mock.patch.object(inference, "_exact_cv_errors") as exact:
+            search = select_lambda(X, y, 5, grid, penalize_intercept)
+        exact.assert_not_called()
+        assert search.lambda_hat == oracle_select_lambda(X, y, 5, grid, penalize_intercept)[1]
 
 
 def search_problem():

@@ -17,14 +17,16 @@ the opposite order to the rep before, and times on each side:
   1-minute/1-second grid, per event;
 - ``select 60/1``: ``select_lambda`` (default grid, 5 folds) on each
   1-minute window with enough rows for its own search, as per-window ridge
-  runs it, per window.
+  runs it, per window;
+- ``select 60/1 free``: the same with a free intercept
+  (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``).
 
 It prints per layer and side the median microseconds per row or event
 (milliseconds per window for ``select``), the median over the reps of the
 working tree's time over REV's, and the rep count. A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
 runs cannot give. Both sides' samples and book tallies must agree, and so
-must every window's chosen penalty, or it exits 1.
+must every window's chosen penalty in both selects, or it exits 1.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ REPO = Path(__file__).resolve().parent.parent
 LEVELS = 10
 FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
-LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS), "select 60/1")
+SELECTS = (("select 60/1", True), ("select 60/1 free", False))
+LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS), *(s for s, _ in SELECTS))
 
 
 def load(name: str, src: Path) -> dict:
@@ -97,12 +100,16 @@ def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], lis
                                                       session.tick_size, date)
                 if p.n_rows >= min_rows]
 
-    def select_all():
-        return [inference.select_lambda(p.X, p.y, FOLDS).lambda_hat for p in problems]
+    def select_all(penalize_intercept):
+        return [inference.select_lambda(p.X, p.y, FOLDS, None, penalize_intercept).lambda_hat
+                for p in problems]
 
-    seconds, lambdas = timed(select_all)
     times = {k: v * 1e6 / n for k, v in us.items()}
-    times["select 60/1"] = seconds * 1e3 / len(problems)
+    lambdas = []
+    for layer, penalize_intercept in SELECTS:
+        seconds, chosen = timed(select_all, penalize_intercept)
+        times[layer] = seconds * 1e3 / len(problems)
+        lambdas.extend(chosen)
     return times, outputs, lambdas
 
 
@@ -139,16 +146,16 @@ def main(argv: list[str]) -> int:
             moved = [i for i, (a, b) in enumerate(zip(lambdas["rev"], lambdas["work"])) if a != b]
             if moved:
                 print(f"the two sides' penalties differ in {len(moved)} of "
-                      f"{len(lambdas['rev'])} windows", file=sys.stderr)
+                      f"{len(lambdas['rev'])} window searches", file=sys.stderr)
                 return 1
             order.reverse()
     print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event, "
           f"milliseconds per window (select)")
-    print(f"{'layer':<16}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}")
+    print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
         ratio = statistics.median(b / a for a, b in zip(rev, new))
-        print(f"{layer:<16}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
+        print(f"{layer:<18}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
               f"{ratio:>10.3f}")
     return 0
 
