@@ -19,6 +19,19 @@ file is read as UTF-8 with each undecodable byte kept as a lone surrogate
 the same pass counts the rows before the session, which pick the orderbook
 row that seeds the book; the seed row must describe an uncrossed book.
 Timestamps are handled as exact integer nanoseconds throughout.
+
+A canonical message file is tokenized as columns instead. Its every line is
+``S.F,C,O,Z,P,D`` and LF: 1-9 digits on each side of the time's ``.``,
+integers of 1-18 digits with an optional leading ``-``, no padding, so
+every value and step fits an int64. numpy reads it a block of lines at a
+time (``_BLOCK`` bytes, so the temporaries stay small beside the events),
+checks the values and the time order as the row loop does, filters by
+session and hidden executions, and builds ``LobEvent``s of Python ints for
+the kept rows only. Any other file (CR line ends, blank lines, padding,
+non-ASCII bytes, a missing final newline) or any row that fails a check
+sends the whole file to the row loop, which reads it again from the start
+and keeps the grammar, every error and its line: both ways give the same
+``DaySlice``.
 """
 
 from __future__ import annotations
@@ -29,6 +42,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .book import (
     ASK_ABSENT, BID_ABSENT, BUY, EXECUTION_HIDDEN, HALT, SELL, BookState, EventKind, LobEvent, Side,
     level_snapshot,
@@ -38,6 +53,7 @@ from .errors import BadValue, ConfigError, DataError, EmptySession, Inconsistent
 NS = 1_000_000_000
 
 _KIND_BY_CODE = {k.value: k for k in EventKind}
+_SIDE_BY_DIRECTION = {1: BUY, -1: SELL}
 
 # The grammar: ASCII decimal integers and 'seconds.fraction' times, each
 # field padded by the ASCII characters str.strip() removes.
@@ -182,6 +198,158 @@ def parse_message_row(line: str, line_no: int) -> LobEvent:
     return LobEvent(ts, kind, order_id, size, price, side)
 
 
+def _parse_lines(
+    lines, config: SessionConfig
+) -> tuple[list[LobEvent], LobEvent | None, int, list[int]]:
+    """The row loop: the session's events, the file's first event, the rows
+    before the session and the skipped lines, from ``lines`` with their ends."""
+    events: list[LobEvent] = []
+    skipped: list[int] = []
+    start_ns, end_ns, exclude_hidden = config.start_ns, config.end_ns, config.exclude_hidden
+    last_ts = -1
+    before, first = 0, None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            skipped.append(line_no)
+            continue
+        ev = parse_message_row(line, line_no)
+        if first is None:
+            first = ev
+        ts = ev.timestamp_ns
+        if ts < last_ts:
+            raise MalformedRow(line_no, "timestamps decrease within the file")
+        last_ts = ts
+        if ts < start_ns:
+            before += 1
+            continue
+        if ts > end_ns:
+            continue
+        if exclude_hidden and ev.kind is EXECUTION_HIDDEN:
+            skipped.append(line_no)
+            continue
+        events.append(ev)
+    return events, first, before, skipped
+
+
+# A canonical message row: each field's ASCII digits, a '-' leading an integer,
+# and after field j the byte _SEPARATORS[j]; a field holds 1.._MAX_DIGITS[j]
+# digits, which keeps every int64 value and step below 10**18.
+_SEPARATORS = np.frombuffer(b".,,,,,\n", np.uint8)
+_MAX_DIGITS = (9, 9, 18, 18, 18, 18, 18)
+_POW10 = 10 ** np.arange(10, dtype=np.int64)
+#: Bytes of a message file tokenized at a time, far above the longest
+#: canonical row (120 bytes). A block's temporaries take a few times its
+#: size: on a 34,983-row day, 256 KiB blocks raised peak RSS by ~1.7 MiB over
+#: the row loop's, 64 KiB blocks by ~0.2 MiB.
+_BLOCK = 1 << 16
+
+
+def _tokenize(data: bytes) -> list[np.ndarray] | None:
+    """The seven fields of every row of ``data`` as int64 columns (seconds,
+    fraction in nanoseconds, type code, order id, size, price, direction),
+    or None unless every line of ``data`` is a canonical row."""
+    buf = np.frombuffer(data, np.uint8)
+    if not len(buf) or buf[-1] != ord("\n"):
+        return None
+    is_end = buf == ord(",")
+    is_end |= buf == ord(".")
+    is_end |= buf == ord("\n")
+    ends = np.flatnonzero(is_end)
+    del is_end
+    n, rest = divmod(len(ends), len(_SEPARATORS))
+    if rest or not (buf[ends].reshape(n, -1) == _SEPARATORS).all():
+        return None
+    # Every byte that is no digit is a separator or a '-' leading an integer.
+    n_minus = np.count_nonzero(buf == ord("-"))
+    if np.count_nonzero(buf < ord("0")) + np.count_nonzero(buf > ord("9")) != len(ends) + n_minus:
+        return None
+    columns = []
+    starts = np.concatenate(([0], ends[len(_SEPARATORS) - 1:-1:len(_SEPARATORS)] + 1))
+    for j, end in enumerate(ends.reshape(n, -1).T):
+        negative = buf[starts] == ord("-")
+        if j < 2 and negative.any():
+            return None
+        n_minus -= np.count_nonzero(negative)
+        width = end - starts - negative
+        if width.min() < 1 or width.max() > _MAX_DIGITS[j]:
+            return None
+        value = np.zeros(n, np.int64)
+        for k in range(width.max()):
+            # The k-th digit from the field's end; a row with fewer digits
+            # masks it (in row 0 the index may wrap to the buffer's end).
+            digit = buf[end - (k + 1)] - np.uint8(ord("0"))
+            digit *= width > k
+            value += digit * np.int64(10**k)
+        if j == 1:
+            value *= _POW10[9 - width]
+        columns.append(np.where(negative, -value, value))
+        starts = end + 1
+    return None if n_minus else columns
+
+
+def _canonical_columns(data: bytes) -> list[np.ndarray] | None:
+    """``data``'s rows as int64 columns (timestamp in nanoseconds, type code,
+    order id, size, price, direction), halts normalized as
+    ``parse_message_row`` does, or None unless every line is a canonical row
+    that passes the row loop's value checks with no timestamp decreasing."""
+    fields = _tokenize(data)
+    if fields is None:
+        return None
+    secs, frac, code, order_id, size, price, direction = fields
+    ts = secs * NS + frac
+    halt = code == HALT.value
+    valid = ((code >= 1) & (code <= len(EventKind)) & (np.abs(direction) == 1)
+             & (halt | ((size >= 1) & (price >= 1) & (price < ASK_ABSENT))))
+    if not valid.all() or (ts[1:] < ts[:-1]).any():
+        return None
+    size = np.where(halt, np.maximum(size, 1), size)
+    price = np.where(halt, np.maximum(price, 1), price)
+    return [ts, code, order_id, size, price, direction]
+
+
+def _events(columns: list[np.ndarray], rows) -> list[LobEvent]:
+    """The events of ``rows`` in ``columns``. Every field is a Python int, as
+    the replay's exact tallies need, never a numpy scalar."""
+    ts, code, order_id, size, price, direction = (c[rows].tolist() for c in columns)
+    return list(map(LobEvent, ts, map(_KIND_BY_CODE.__getitem__, code), order_id, size, price,
+                    map(_SIDE_BY_DIRECTION.__getitem__, direction)))
+
+
+def _parse_columns(path: Path, config: SessionConfig):
+    """What ``_parse_lines`` gives for the file at ``path``, read and
+    tokenized as columns a block of lines at a time, or None unless every
+    line is a canonical row that passes the row loop's checks."""
+    events: list[LobEvent] = []
+    skipped: list[int] = []
+    first, before, n_rows, last_ts = None, 0, 0, -1
+    tail = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK):
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1
+            if not cut:  # no LF in a block: no canonical row is that long
+                return None
+            block, tail = block[:cut], block[cut:]
+            columns = _canonical_columns(block)
+            if columns is None or columns[0][0] < last_ts:
+                return None
+            ts, code = columns[0], columns[1]
+            last_ts = ts[-1]
+            before += np.count_nonzero(ts < config.start_ns)
+            kept = (ts >= config.start_ns) & (ts <= config.end_ns)
+            if config.exclude_hidden:
+                hidden = kept & (code == EXECUTION_HIDDEN.value)
+                skipped += (np.flatnonzero(hidden) + n_rows + 1).tolist()
+                kept &= ~hidden
+            events += _events(columns, np.flatnonzero(kept))
+            if first is None:
+                first = _events(columns, [0])[0]
+            n_rows += len(ts)
+    if tail or first is None:
+        return None
+    return events, first, before, skipped
+
+
 def parse_message_file(
     path: str | Path,
     config: SessionConfig,
@@ -200,35 +368,14 @@ def parse_message_file(
     with message 1 undone.
     """
     path = Path(path)
-    events: list[LobEvent] = []
-    skipped: list[int] = []
-    start_ns, end_ns, exclude_hidden = config.start_ns, config.end_ns, config.exclude_hidden
-    last_ts = -1
-    before, first = 0, None
     try:
-        with open_text(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    skipped.append(line_no)
-                    continue
-                ev = parse_message_row(line, line_no)
-                if first is None:
-                    first = ev
-                ts = ev.timestamp_ns
-                if ts < last_ts:
-                    raise MalformedRow(line_no, "timestamps decrease within the file")
-                last_ts = ts
-                if ts < start_ns:
-                    before += 1
-                    continue
-                if ts > end_ns:
-                    continue
-                if exclude_hidden and ev.kind is EXECUTION_HIDDEN:
-                    skipped.append(line_no)
-                    continue
-                events.append(ev)
+        parsed = _parse_columns(path, config)
+        if parsed is None:
+            with open_text(path) as lines:
+                parsed = _parse_lines(lines, config)
     except MalformedRow as exc:
         raise MalformedRow(exc.line_no, exc.reason, path) from None
+    events, first, before, skipped = parsed
     if not events:
         raise EmptySession(f"{path}: no rows inside the session window")
     seed = None

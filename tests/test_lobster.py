@@ -1,14 +1,16 @@
 """Message/orderbook parsing, session filters, and the fixture writer."""
 
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlofi import lobster
 from mlofi.book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
-from mlofi.errors import ConfigError, EmptySession, InconsistentEvent, MalformedRow
+from mlofi.errors import ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
     SessionConfig,
     format_timestamp_ns,
@@ -451,3 +453,241 @@ ORDERBOOK_ROWS = st.one_of(
 def test_orderbook_grammar_equals_field_wise_parse(row, end):
     line = row + end
     assert outcome(parse_orderbook_row, line) == outcome(oracle_parse_orderbook_row, line)
+
+
+# -- the columnar parse against the row loop -------------------------------------
+
+
+def parse_outcome(path, config, orderbook=None):
+    """``parse_message_file``'s DaySlice, or its error as (type, message,
+    line, reason)."""
+    try:
+        return parse_message_file(path, config, DAY, orderbook=orderbook)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "reason", None)
+
+
+def row_loop_outcome(path, config, orderbook=None):
+    with mock.patch.object(lobster, "_parse_columns", return_value=None):
+        return parse_outcome(path, config, orderbook)
+
+
+def both_ways(path, config=SessionConfig(), orderbook=None, *, columnar):
+    """The outcome of parsing ``path``, asserted equal to the row loop's; the
+    file takes the columnar path if and only if ``columnar``."""
+    assert (lobster._parse_columns(path, config) is not None) is columnar
+    outcome = parse_outcome(path, config, orderbook)
+    assert outcome == row_loop_outcome(path, config, orderbook)
+    if columnar:
+        for ev in outcome.events:
+            assert all(type(v) is int for v in (ev.timestamp_ns, ev.order_id, ev.size, ev.price))
+    return outcome
+
+
+def write(tmp_path, text, name="messages.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("row, columnar", [
+    ("999999999.999999999,1,5,10,140000,1\n", True),
+    ("000055801.5,1,5,10,140000,1\n", True),  # 9 digits with leading zeros
+    ("1000000000.0,1,5,10,140000,1\n", False),  # 10-digit seconds
+    ("0000055801.5,1,5,10,140000,1\n", False),
+    ("55801.000000001,1,5,10,140000,1\n", True),
+    ("55801,1,5,10,140000,1\n", False),  # no fraction
+    ("55801.5,1,999999999999999999,10,140000,1\n", True),  # 18-digit integers
+    ("55801.5,1,-999999999999999999,10,140000,1\n", True),
+    ("55801.5,1,1000000000000000000,10,140000,1\n", False),  # 19 digits
+    ("55801.5,1,-0999999999999999999,10,140000,1\n", False),
+    ("55801.5,1,5,10,000000000000140000,1\n", True),
+    ("55801.5,1,5,0000000000000000010,140000,1\n", False),
+])
+def test_digit_bounds_pick_the_path_and_not_the_result(tmp_path, row, columnar):
+    # The late row follows one inside the session; either way it is dropped.
+    path = write(tmp_path, "36001.0,1,1,10,140000,1\n" + row)
+    day = both_ways(path, columnar=columnar)
+    assert [e.order_id for e in day.events] == [1]
+    assert day.rows_before == 0
+
+
+def test_minus_zero_and_leading_zeros(tmp_path):
+    path = write(tmp_path, "36001.0,01,-0,007,0140000,-01\n"
+                           "36001.5,7,-000,-0,-0,1\n"
+                           "36002.0500,4,0,3,140000,-1\n")
+    day = both_ways(path, columnar=True)
+    assert [(e.order_id, e.size, e.price, e.side) for e in day.events] == [
+        (0, 7, 140000, Side.SELL), (0, 1, 1, Side.BUY), (0, 3, 140000, Side.SELL)]
+    assert day.events[2].timestamp_ns == 36002 * NS + 50_000_000
+
+
+ROWS = "36001.0,1,1,10,140000,1\n36002.0,1,2,10,140100,-1\n"
+
+
+@pytest.mark.parametrize("text", [
+    ROWS[:-1],  # no final newline
+    "",
+    ROWS.replace("\n", "\r\n", 1),  # one CRLF line in an LF file
+    ROWS + "\n",  # a trailing blank line
+    "\n" + ROWS,
+    ROWS.replace(",", " ,", 1),  # padding
+    ROWS.replace("1,10", "1,1\u0661"),  # a non-ASCII digit
+    ROWS.replace(".0,", ".0000000000,", 1),  # 10 decimals
+    "-" + ROWS,  # a '-' leading the seconds
+    ROWS.replace(".0,", ".-0,", 1),  # or the fraction
+    ROWS.replace("140000", "140-000"),  # a '-' inside a field
+    ROWS.replace("1,10", "1,-"),  # a '-' alone
+    ROWS.replace("1,10", "1,,10"),  # an empty field
+    ROWS.replace("1,10", ",10"),  # five fields
+    ROWS.replace(".0,", ".,", 1),  # an empty fraction
+    ROWS.replace(".0,", ".0.5,", 1),
+])
+def test_files_that_are_not_canonical_take_the_row_loop(tmp_path, text):
+    both_ways(write(tmp_path, text), columnar=False)
+
+
+# A hidden execution before the session, inside it (on each bound) and after it.
+HIDDEN_ROWS = (
+    "35999.0,5,9,3,140500,-1\n"
+    "35999.999999999,1,1,10,140000,1\n"
+    "36000.000000000,5,7,3,140500,-1\n"
+    "36000.000000000,1,2,10,140000,1\n"
+    "45000.0,5,6,3,140500,1\n"
+    "55800.000000000,5,8,3,140500,-1\n"
+    "55800.000000000,1,3,10,139000,1\n"
+    "55800.000000001,5,4,10,139000,1\n"
+)
+
+
+@pytest.mark.parametrize("exclude_hidden", [True, False])
+def test_hidden_executions_around_the_session(tmp_path, exclude_hidden):
+    path = write(tmp_path, HIDDEN_ROWS)
+    config = SessionConfig(exclude_hidden=exclude_hidden)
+    day = both_ways(path, config, columnar=True)
+    assert day.rows_before == 2
+    if exclude_hidden:
+        assert day.skipped_lines == [3, 5, 6]
+        assert [day.line_of(i) for i in range(len(day.events))] == [4, 7]
+    else:
+        assert day.skipped_lines == []
+        assert [day.line_of(i) for i in range(len(day.events))] == [3, 4, 5, 6, 7]
+
+
+def test_halts_are_normalized_as_the_row_loop_does(tmp_path):
+    path = write(tmp_path, "36001.0,7,0,0,-1,-1\n36001.0,7,0,-5,0,1\n"
+                           "36002.0,7,-3,12,9999999999,-1\n36003.0,1,1,10,140000,1\n")
+    day = both_ways(path, columnar=True)
+    assert [(e.kind, e.size, e.price) for e in day.events[:3]] == [
+        (EventKind.HALT, 1, 1), (EventKind.HALT, 1, 1), (EventKind.HALT, 12, 9999999999)]
+
+
+@pytest.mark.parametrize("row_4, reason", [
+    ("36002.5,1,4,10,140000,1", "timestamps decrease within the file"),
+    ("36003.0,8,4,10,140000,1", "unknown type code 8"),
+    ("36003.0,1,4,10,9999999999,1", "price must be in 1..9999999998, got 9999999999"),
+    ("36003.0,3,4,0,140000,1", "size must be >= 1, got 0"),
+    ("36003.0,1,4,10,140000,-0", "direction must be +1/-1, got 0"),
+])
+def test_a_canonical_file_failing_a_check_gives_the_row_loops_error(tmp_path, row_4, reason):
+    rows = ["36001.0,1,1,10,140000,1", "36002.0,1,2,10,140100,-1", "36003.0,1,3,5,139900,1",
+            row_4, "36004.0,1,5,10,140000,1"]
+    path = write(tmp_path, "".join(row + "\n" for row in rows))
+    assert lobster._tokenize(path.read_bytes()) is not None
+    assert both_ways(path, columnar=False) == (
+        MalformedRow, f"{path}: line 4: {reason}", 4, reason)
+
+
+@pytest.mark.parametrize("exclude_hidden", [True, False])
+def test_blocks_join_to_the_whole_file(tmp_path, exclude_hidden):
+    # Blocks of 160 bytes end inside rows, so every check runs across their
+    # joins, and hidden executions fall in many blocks.
+    rng = np.random.default_rng(5)
+    events = fuzz_stream(rng, 300)
+    path = tmp_path / "messages.csv"
+    write_message_file(path, events)
+    config = SessionConfig(exclude_hidden=exclude_hidden)
+    day = both_ways(path, config, columnar=True)
+    with mock.patch.object(lobster, "_BLOCK", 160):
+        assert both_ways(path, config, columnar=True) == day
+        lines = path.read_text().splitlines(keepends=True)
+        for k in (1, 3, 4, 5, 6, 100):
+            # A timestamp that decreases at line k + 1, in a block or across two.
+            early = format_timestamp_ns(events[k - 1].timestamp_ns - 1)
+            write(tmp_path, "".join(lines[:k] + [early + lines[k][lines[k].index(","):]]
+                                    + lines[k + 1:]))
+            outcome = both_ways(path, config, columnar=False)
+            assert outcome[2] == k + 1
+
+
+def test_seeds_from_the_columnar_path_equal_the_row_loops(tmp_path):
+    orderbook = write(tmp_path, ROW_1 * 3, "orderbook.csv")
+    for first in ("36000.0,1,9,6,140000,1", "35999.0,1,9,6,140000,1"):
+        path = write(tmp_path, f"{first}\n36001.0,1,7,1,139800,1\n")
+        day = both_ways(path, orderbook=orderbook, columnar=True)
+        assert day.seed is not None
+
+
+# Canonical rows, valid ones (a time near the session, and values that pass)
+# or any values in the canonical form.
+def canonical(secs, frac, *values):
+    return f"{secs}.{frac}," + ",".join(map(str, values))
+
+
+VALID_ROWS = st.tuples(
+    st.integers(35990, 55810) | st.sampled_from([0, 999_999_999]), digits(1, 9),
+    st.integers(1, 7), st.integers(-10**18 + 1, 10**18 - 1) | st.integers(0, 50),
+    st.integers(1, 30) | st.integers(1, 10**18 - 1),
+    st.integers(1, 9999999998) | st.sampled_from([140000, 9999999998]), st.sampled_from([1, -1]),
+)
+ANY_ROWS = st.tuples(
+    st.integers(35990, 55810) | digits(1, 10), digits(1, 10),
+    *(st.integers(-2, 9) | st.integers(-10**19, 10**19),) * 5,
+)
+
+
+def timestamp_order(row):
+    return int(row[0]) * NS + int(row[1].ljust(9, "0"))
+
+
+def in_time_order(rows):
+    return [canonical(*r) for r in sorted(rows, key=timestamp_order)]
+
+
+LF_FILES = st.lists(VALID_ROWS, min_size=1, max_size=40).map(
+    lambda rows: "".join(row + "\n" for row in in_time_order(rows)))
+
+
+@st.composite
+def mixed_files(draw):
+    """Valid canonical rows in time order, with up to two rows of
+    ``MESSAGE_ROWS`` or canonical rows of any values put in, under LF, CRLF
+    or mixed line ends."""
+    rows = in_time_order(draw(st.lists(VALID_ROWS, max_size=12)))
+    end = draw(st.sampled_from(["\n", "\r\n", None]))
+    ends = [end or draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, draw(MESSAGE_ROWS | ANY_ROWS.map(lambda r: canonical(*r))))
+        ends.insert(at, end or draw(st.sampled_from(["\n", "\r\n", ""])))
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+# (text, whether it must take the columnar path)
+FILES = LF_FILES.map(lambda text: (text, True)) | mixed_files().map(lambda text: (text, False))
+
+
+@settings(max_examples=1000)
+@given(FILES, st.booleans(), st.booleans(), st.sampled_from([160, 1 << 16]))
+def test_columnar_parse_equals_the_row_loop(tmp_path_factory, file, exclude_hidden, seeded, block):
+    # LF files of valid rows in time order take the columnar path; the rest
+    # hold canonical rows and others, in LF, CRLF or mixed line ends.
+    text, columnar = file
+    tmp = tmp_path_factory.getbasetemp()
+    path = write(tmp, text, "property_message.csv")
+    orderbook = write(tmp, ROW_1 * 3, "property_orderbook.csv") if seeded else None
+    config = SessionConfig(exclude_hidden=exclude_hidden)
+    with mock.patch.object(lobster, "_BLOCK", block):
+        if columnar:
+            assert lobster._parse_columns(path, config) is not None
+        assert parse_outcome(path, config, orderbook) == row_loop_outcome(path, config, orderbook)

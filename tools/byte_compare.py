@@ -30,17 +30,20 @@ reverse of their date order, fed to ``compute --orderbooks`` and
 2-level orderbook file (CRLF line ends, blank lines, hidden executions, a
 cross trade, a halt and its resume) fed to ``compute --orderbooks`` with the
 session starting at 10:00, which is message 1, and at 10:30, each with and
-without ``--include-hidden``; ``evaluate`` on the sparse book at 10 levels,
+without ``--include-hidden``; the same four runs on a copy of that message
+file with LF line ends and no blank lines, which is canonical and so takes
+the columnar parse, as the CRLF original does not; ``evaluate`` on the sparse book at 10 levels,
 which fails after both days have replayed; six runs that must exit 1:
 ``synth`` with a negative seed and with a negative day count, ``evaluate``
 with ``--out`` naming an existing file, ``compute`` with a ``--messages``
 glob that matches a directory, ``compute --synth-days 2 --start-date
 9999-12-31``, whose second day has no date, and ``compute --tick 0``; and
-four runs that must exit 2: ``compute`` on a message file holding a byte
+five runs that must exit 2: ``compute`` on a message file holding a byte
 that is not UTF-8, ``compute --orderbooks`` on a crossed seed row and on a
-seed row that undoing message 1 crosses, and
+seed row that undoing message 1 crosses,
 ``compute`` on a message file whose fifth line, after two rows before the
-session and a blank line, repeats a live order id.
+session and a blank line, repeats a live order id, and ``compute`` on a
+canonical message file whose timestamp decreases at line 4.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ SPARSE_BOOK = [
 ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
 REVERSED_FIXTURES = ["--messages", "fx-reversed/*_message_*",
                      "--orderbooks", "fx-reversed/*_orderbook_*"]
-LOBSTER_FILES = ["--messages", "lobster/*_message_*", "--orderbooks", "lobster/*_orderbook_*",
-                 "--levels", "2", "--session-end", "10:40", "--DT", "600", "--dt", "60"]
-# Written with CRLF line ends into each scratch directory's lobster/. Before
+LOBSTER_OPTIONS = ["--levels", "2", "--session-end", "10:40", "--DT", "600", "--dt", "60"]
+LOBSTER_NAME = "AAPL_2012-06-21_34200000_57600000_{}_2.csv"
+# Written with CRLF line ends into each scratch directory's lobster/, and with
+# LF line ends, the message file without its blank lines, into lobster-lf/. Before
 # message 1 the book holds asks 5851500x100, 5851600x200 and bids
 # 5851000x150, 5850900x300; orderbook row k is the book after message k.
 LOBSTER_MESSAGES = """\
@@ -118,7 +122,8 @@ OUT_IS_A_FILE = "evaluate-out-is-a-file"
 # Bad inputs written into each scratch directory's bad/: a message file with
 # a 0xff byte in row 2, a message file whose seed row (orderbook row 1) is a
 # crossed book, one whose seed row is crossed once its message 1 is undone,
-# and a message file whose line 5 repeats a live order id.
+# a message file whose line 5 repeats a live order id, and a canonical message
+# file whose timestamp decreases at line 4.
 BAD_FILES = {
     "X_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.5,1,2,1\xff,140000,1\n",
     "Y_2016-01-05_message_1.csv": b"35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n",
@@ -127,6 +132,9 @@ BAD_FILES = {
     "W_2016-01-05_orderbook_1.csv": b"140200,5,140000,10\n",
     "Z_2016-01-05_message_1.csv": b"35990.0,1,1,10,139000,1\n35995.0,1,2,10,141000,-1\n\n"
                                   b"36001.0,1,3,10,140000,1\n36002.0,1,3,10,140000,1\n",
+    "V_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.0,1,2,10,140100,-1\n"
+                                  b"36003.0,1,3,5,139900,1\n36002.5,1,4,10,140000,1\n"
+                                  b"36004.0,1,5,10,140000,1\n",
 }
 # Written as run.cfg into each scratch directory. messages and orderbooks are
 # left out: a run takes either them or synth_days.
@@ -198,10 +206,13 @@ def matrix() -> list[tuple[str, list[str]]]:
                   ["compute", *REVERSED_FIXTURES, "--levels", "10"]))
     runs.append(("evaluate-reversed-names",
                   ["evaluate", *REVERSED_FIXTURES, "--levels", "10"]))
-    for start in ("10:00", "10:30"):
-        for hidden in ([], ["--include-hidden"]):
-            runs.append((f"lobster-{start.replace(':', '')}{'-hidden' * bool(hidden)}",
-                         ["compute", *LOBSTER_FILES, "--session-start", start, *hidden]))
+    for fixture in ("lobster", "lobster-lf"):
+        files = ["--messages", f"{fixture}/*_message_*", "--orderbooks", f"{fixture}/*_orderbook_*"]
+        for start in ("10:00", "10:30"):
+            for hidden in ([], ["--include-hidden"]):
+                runs.append((f"{fixture}-{start.replace(':', '')}{'-hidden' * bool(hidden)}",
+                             ["compute", *files, *LOBSTER_OPTIONS, "--session-start", start,
+                              *hidden]))
     # Runs that must stop with exit 1 and an error line.
     runs.append(("synth-negative-seed", ["synth", "--synth-days", "1", "--seed", "-5",
                                          "--session-end", "10:05"]))
@@ -222,6 +233,7 @@ def matrix() -> list[tuple[str, list[str]]]:
                   ["compute", "--messages", "bad/W_*_message_*",
                    "--orderbooks", "bad/W_*_orderbook_*", "--levels", "1"]))
     runs.append(("compute-order-id-live-twice", ["compute", "--messages", "bad/Z_*_message_*"]))
+    runs.append(("compute-decreasing-timestamp", ["compute", "--messages", "bad/V_*_message_*"]))
     return runs
 
 
@@ -231,13 +243,17 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
     env.pop("MLOFI_OUTPUT_DIR", None)
     (workdir / "run.cfg").write_text(CONFIG_FILE)
     (workdir / OUT_IS_A_FILE).write_text("")
-    (workdir / "lobster").mkdir()
     (workdir / "bad").mkdir()
     for name, data in BAD_FILES.items():
         (workdir / "bad" / name).write_bytes(data)
+    for fixture in ("lobster", "lobster-lf"):
+        (workdir / fixture).mkdir()
     for kind, text in (("message", LOBSTER_MESSAGES), ("orderbook", LOBSTER_ORDERBOOK)):
-        name = f"AAPL_2012-06-21_34200000_57600000_{kind}_2.csv"
+        name = LOBSTER_NAME.format(kind)
         (workdir / "lobster" / name).write_bytes(text.replace("\n", "\r\n").encode())
+        if kind == "message":
+            text = text.replace("\n\n", "\n")
+        (workdir / "lobster-lf" / name).write_bytes(text.encode())
     results = {}
     for name, args in matrix():
         proc = subprocess.run(

@@ -22,8 +22,9 @@ the opposite order to the rep before, and times on each side:
   (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``).
 
 It prints per layer and side the median microseconds per row or event
-(milliseconds per window for ``select``), the median over the reps of the
-working tree's time over REV's, and the rep count. A slow spell of the host
+(milliseconds per window for ``select``), and the median over the reps of
+the working tree's time over REV's with that ratio's lower and upper
+quartiles, so that one run tells a move from the spread of its reps. A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
 runs cannot give. Both sides' samples and book tallies must agree, and so
 must every window's chosen penalty in both selects, or it exits 1.
@@ -151,12 +152,13 @@ def main(argv: list[str]) -> int:
             order.reverse()
     print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event, "
           f"milliseconds per window (select)")
-    print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}")
+    print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
-        ratio = statistics.median(b / a for a, b in zip(rev, new))
+        ratios = [b / a for a, b in zip(rev, new)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
         print(f"{layer:<18}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
-              f"{ratio:>10.3f}")
+              f"{median:>10.3f}{q1:>8.3f}{q3:>8.3f}")
     return 0
 
 
