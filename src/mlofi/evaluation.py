@@ -49,6 +49,7 @@ from .inference import (
     fold_rows,
     ridge_coefficients,
     select_lambda,
+    select_lambdas,
     significance_summary,
 )
 from .lobster import DaySlice, SessionConfig
@@ -366,7 +367,8 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
     """Select the pooled penalty and summarize the per-window fits per method.
 
     The fits run at the problems' depth. Per-window ridge leaves out the
-    windows with fewer than ``spec.min_window_rows`` rows.
+    windows with fewer than ``spec.min_window_rows`` rows, searches the rest
+    in one ``select_lambdas`` call and fits them in window order.
     """
     levels = problems[0].levels
     grid = np.array(spec.lambda_grid)
@@ -379,12 +381,14 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
     tables = FitTables(search, {}, {})
     for method in spec.methods:
         if method == RIDGE and spec.lambda_mode == "per-window":
-            fits = []
-            for p in problems:
-                if p.n_rows < spec.min_window_rows:
-                    continue
-                w_search = select_lambda(p.X, p.y, spec.folds, grid, spec.penalize_intercept)
-                fits.append(fit_ridge(p, w_search.lambda_hat, spec.penalize_intercept))
+            windows = [p for p in problems if p.n_rows >= spec.min_window_rows]
+            searches = select_lambdas(
+                [(p.X, p.y) for p in windows], spec.folds, grid, spec.penalize_intercept
+            )
+            fits = [
+                fit_ridge(p, s.lambda_hat, spec.penalize_intercept)
+                for p, s in zip(windows, searches)
+            ]
         else:
             fits, windows = fit_all_windows(
                 problems, method, levels, lam, spec.penalize_intercept

@@ -1042,3 +1042,22 @@ def test_replay_errors_name_the_message_file_line(tmp_path, capsys, rows, flags,
     assert capsys.readouterr().err == (
         f"data error: {path}: line {line}: order id 3 already live\n"
     )
+
+
+def test_main_freezes_the_heap_once_per_process_before_reading_input(tmp_path, monkeypatch):
+    from mlofi import cli
+
+    steps = []
+    load_days = cli.load_days
+
+    def spy_load_days(config):
+        steps.append("read")
+        return load_days(config)
+
+    monkeypatch.setattr(cli.gc, "get_freeze_count", lambda: steps.count("freeze"))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: steps.append("freeze"))
+    monkeypatch.setattr(cli, "load_days", spy_load_days)
+    for run in ("a", "b"):
+        assert run_cli("compute", "--synth-days", "1", "--session-end", "10:05", "--DT", "300",
+                       "--out", str(tmp_path / run)) == 0
+    assert steps == ["freeze", "read", "read"]

@@ -402,3 +402,35 @@ def test_fit_spec_min_window_rows_only_for_per_window_ridge():
     assert FitSpec(methods=(RIDGE,), lambda_mode="per-window").min_window_rows == 50
     assert FitSpec(methods=(OLS,), lambda_mode="per-window").min_window_rows == 0
     assert FitSpec(folds=7).min_window_rows == 0
+
+
+def test_per_window_fit_tables_equal_the_window_by_window_loop():
+    # A sparse ZI book: discards leave its two-minute windows of 2 s intervals
+    # between 50 and 60 rows, and a few under the 50 a 5-fold search needs, so
+    # the searched windows fall into several row counts.
+    from mlofi.evaluation import assemble_windows, fit_tables
+    from mlofi.inference import fit_ridge, significance_summary
+    from mlofi.synth import ZiParams, generate_zi_day
+
+    session = SessionConfig(session_end=12 * 3600)
+    params = ZiParams(limit_rate=0.02, market_rate=0.04, price_band=3, seed=3)
+    grid = build_grid(session, GridSpec(window_seconds=120, subwindow_seconds=2))
+    problems, _, _ = assemble_windows(
+        [generate_zi_day(params, session)], grid, 5, session.tick_size
+    )
+    rows = {p.n_rows for p in problems}
+    assert min(rows) < 5 * MIN_ROWS_PER_FOLD and len(rows - {60}) >= 3
+    for penalize_intercept in (True, False):
+        spec = FitSpec(methods=(RIDGE,), lambda_mode="per-window",
+                       penalize_intercept=penalize_intercept)
+        lambdas = np.array(spec.lambda_grid)
+        fits = [
+            fit_ridge(p, select_lambda(p.X, p.y, 5, lambdas, penalize_intercept).lambda_hat,
+                      penalize_intercept)
+            for p in problems if p.n_rows >= spec.min_window_rows
+        ]
+        got = fit_tables(problems, spec).significance[RIDGE]
+        want = significance_summary(fits)
+        assert got.n_fits == want.n_fits == len(fits)
+        for field in ("mean_coeff", "mean_se", "mean_t", "mean_p", "pct_significant_95"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -17,6 +17,7 @@ from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient
 from mlofi.imbalance import compute_day_samples
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
+    SCREEN_BLOCK,
     RegressionFit,
     contiguous_folds,
     default_lambda_grid,
@@ -25,6 +26,7 @@ from mlofi.inference import (
     fit_ridge,
     fold_rows,
     select_lambda,
+    select_lambdas,
     significance_summary,
 )
 from mlofi.lobster import SessionConfig
@@ -302,7 +304,7 @@ def traced_select_lambda(X, y, folds, grid, penalize_intercept):
         search = select_lambda(X, y, folds, grid, penalize_intercept)
     if not bounds:
         return search, np.zeros(len(grid)), np.ones(len(grid), dtype=bool)
-    return search, bounds[0], np.isin(grid, rescored)
+    return search, bounds[0][0], np.isin(grid, rescored)  # the bounds of a block of one
 
 
 def assert_search_matches_oracle(X, y, folds, grid, penalize_intercept):
@@ -447,6 +449,77 @@ def test_select_lambda_on_non_finite_input_fails_as_the_whole_grid_solve(
     {"X": X, "y": y}[array][cell] = value
     with pytest.raises(NumericalFailure, match="^ridge solve produced non-finite values$"):
         select_lambda(X, y, 5, default_lambda_grid(), penalize_intercept)
+
+
+@given(
+    row_counts=hst.lists(hst.integers(50, 90), min_size=2, max_size=3, unique=True),
+    folds=hst.integers(2, 5),
+    p=hst.integers(2, 11),
+    seed=hst.integers(0, 2**32 - 1),
+    penalize_intercept=hst.booleans(),
+)
+def test_select_lambdas_equals_select_lambda_window_by_window(
+    row_counts, folds, p, seed, penalize_intercept
+):
+    # The first row count's windows split into two blocks; every fifth window
+    # is flat (y = 0) and every third duplicates a column, in shuffled order.
+    rng = np.random.default_rng(seed)
+    counts = [row_counts[0]] * (SCREEN_BLOCK + 3) + row_counts[1:] * 4
+    rng.shuffle(counts)
+    windows = []
+    for i, n in enumerate(counts):
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        if i % 3 == 0 and p >= 3:
+            X[:, 2] = X[:, 1]
+        y = np.zeros(n) if i % 5 == 0 else X @ rng.standard_normal(p) + rng.standard_normal(n)
+        windows.append((X, y))
+    grid = default_lambda_grid()
+    searches = select_lambdas(windows, folds, grid, penalize_intercept)
+    assert len(searches) == len(windows)
+    for (X, y), search in zip(windows, searches):
+        alone = select_lambda(X, y, folds, grid, penalize_intercept)
+        assert search.lambda_hat == alone.lambda_hat
+        assert np.array_equal(search.cv_errors, alone.cv_errors)
+
+
+def block_of_windows(count=6):
+    rng = np.random.default_rng(8)
+    return [(np.column_stack([np.ones(60), rng.standard_normal((60, 3))]),
+             rng.standard_normal(60)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("penalize_intercept", [True, False])
+def test_select_lambdas_fails_a_non_finite_window_not_its_whole_block(penalize_intercept):
+    windows = block_of_windows()
+    windows[3][0][30, 2] = np.nan
+    with pytest.raises(NumericalFailure, match="^ridge solve produced non-finite values$"):
+        select_lambdas(windows, 5, default_lambda_grid(), penalize_intercept)
+    rest = windows[:3] + windows[4:]
+    searches = select_lambdas(rest, 5, default_lambda_grid(), penalize_intercept)
+    assert [s.lambda_hat for s in searches] == [
+        select_lambda(X, y, 5, default_lambda_grid(), penalize_intercept).lambda_hat
+        for X, y in rest
+    ]
+
+
+def test_select_lambdas_fails_a_zero_first_column_under_a_free_intercept():
+    windows = block_of_windows()
+    windows[4][0][12:, 0] = 0.0  # the first training fold's first column is zero
+    select_lambdas(windows, 5, default_lambda_grid(), True)  # the penalty covers that column
+    with pytest.raises(NumericalFailure, match="^ridge solve failed: Singular matrix$"):
+        select_lambdas(windows, 5, default_lambda_grid(), False)
+
+
+def test_select_lambdas_raises_the_first_failing_window_in_list_order():
+    # Window 1 (61 rows) has its own block, after the 60-row block that holds
+    # window 4; window 1's error is raised all the same.
+    windows = block_of_windows()
+    rng = np.random.default_rng(9)
+    windows[1] = (np.column_stack([np.zeros(61), rng.standard_normal((61, 3))]),
+                  rng.standard_normal(61))
+    windows[4][0][30, 2] = np.inf
+    with pytest.raises(NumericalFailure, match="^ridge solve failed: Singular matrix$"):
+        select_lambdas(windows, 5, default_lambda_grid(), False)
 
 
 def test_penalty_search_holds_one_training_fold_at_a_time():

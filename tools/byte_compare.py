@@ -18,8 +18,11 @@ per-window penalty on one-second sub-windows, with per-window ridge alone
 on one-second sub-windows, and with OLS alone in per-window mode on a
 30-row grid (legal, because no window runs its own penalty search); a
 per-window ``fit`` at level 10 in 7 folds of uneven length, with and
-without a penalized intercept; a sparse book that discards intervals and leaves
-rank-deficient windows out;
+without a penalized intercept; a per-window ``fit`` on a sparser book of
+two-minute windows of 2 s intervals, with and without a penalized intercept,
+whose 105 searched windows hold 84 of 60 rows (three blocks of the stacked
+penalty screen) and 21 of eight other row counts; a sparse book that
+discards intervals and leaves rank-deficient windows out;
 ``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
 --config run.cfg``, a file that sets every run option, with ``--levels``
 and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
@@ -67,6 +70,12 @@ TWO_DAYS = ["--synth-days", "2", "--seed", "7", "--session-end", "13:00"]
 SPARSE_BOOK = [
     "--synth-days", "2", "--seed", "3", "--session-end", "11:00", "--DT", "600",
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
+]
+# Discards leave its windows 50 to 60 rows; 15 of the 120 keep under 50.
+SCREEN_BLOCKS = [
+    "fit", "--synth-days", "2", "--seed", "3", "--session-end", "12:00", "--DT", "120",
+    "--dt", "2", "--zi-limit-rate", "0.02", "--zi-market-rate", "0.04", "--zi-band", "3",
+    "--levels", "5", "--lambda-mode", "per-window",
 ]
 ORDERBOOK_FIXTURES = ["--messages", "fx/*_message_*", "--orderbooks", "fx/*_orderbook_*"]
 REVERSED_FIXTURES = ["--messages", "fx-reversed/*_message_*",
@@ -192,6 +201,9 @@ def matrix() -> list[tuple[str, list[str]]]:
               "120", "--dt", "1", "--folds", "7"]
     runs.append(("fit-per-window-uneven-folds", [*uneven, "--no-penalize-intercept"]))
     runs.append(("fit-per-window-uneven-folds-penalized-intercept", uneven))
+    runs.append(("fit-per-window-screen-blocks", SCREEN_BLOCKS))
+    runs.append(("fit-per-window-screen-blocks-free-intercept",
+                 [*SCREEN_BLOCKS, "--no-penalize-intercept"]))
     for levels in ("1", "3", "10"):
         runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
     runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",

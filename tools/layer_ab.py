@@ -15,9 +15,10 @@ the opposite order to the rep before, and times on each side:
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
   1-minute/1-second grid, per event;
-- ``select 60/1``: ``select_lambda`` (default grid, 5 folds) on each
+- ``select 60/1``: the penalty search (default grid, 5 folds) of every
   1-minute window with enough rows for its own search, as per-window ridge
-  runs it, per window;
+  runs it: one ``select_lambdas`` call where the side has it, else
+  ``select_lambda`` window by window; per window;
 - ``select 60/1 free``: the same with a free intercept
   (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``).
 
@@ -102,8 +103,13 @@ def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], lis
                 if p.n_rows >= min_rows]
 
     def select_all(penalize_intercept):
-        return [inference.select_lambda(p.X, p.y, FOLDS, None, penalize_intercept).lambda_hat
-                for p in problems]
+        if hasattr(inference, "select_lambdas"):
+            searches = inference.select_lambdas([(p.X, p.y) for p in problems], FOLDS, None,
+                                                penalize_intercept)
+        else:
+            searches = [inference.select_lambda(p.X, p.y, FOLDS, None, penalize_intercept)
+                        for p in problems]
+        return [s.lambda_hat for s in searches]
 
     times = {k: v * 1e6 / n for k, v in us.items()}
     lambdas = []
