@@ -160,15 +160,6 @@ class BookState:
             depth[price] = qty
             insort(prices, price)
 
-    def _remove(self, side: Side, price: int, qty: int) -> None:
-        depth, prices = self.side_book(side)
-        left = depth[price] - qty
-        if left > 0:
-            depth[price] = left
-        else:
-            del depth[price]
-            prices.pop(bisect_left(prices, price))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -200,104 +191,121 @@ class BookState:
         """Apply one event in stream order; returns self (mutated).
 
         Hidden executions, cross trades and halts leave the visible book
-        unchanged but still advance ``event_seq``.
+        unchanged but still advance ``event_seq``. An event the book
+        contradicts raises InconsistentEvent and changes nothing.
         """
         idx = self.event_seq
         kind = ev.kind
+        if kind is EXECUTION_HIDDEN or kind is CROSS_TRADE or kind is HALT:
+            self.event_seq = idx + 1  # book-neutral by construction
+            return self
+        # One call per event, and at most one more for a removal: the side's
+        # depth map and price list are picked here, and the best quotes and
+        # the depth bookkeeping are read and written in place.
+        side, price = ev.side, ev.price
+        if side is BUY:
+            depth, prices = self._bid_depth, self._bid_prices
+        else:
+            depth, prices = self._ask_depth, self._ask_prices
 
         if kind is LIMIT_ARRIVAL:
-            if ev.order_id in self._orders:
-                raise InconsistentEvent(idx, f"order id {ev.order_id} already live")
-            if ev.side is BUY:
-                opp = self.best_ask
-                if opp is not None and ev.price >= opp:
+            orders, oid = self._orders, ev.order_id
+            if oid in orders:
+                raise InconsistentEvent(idx, f"order id {oid} already live")
+            if side is BUY:
+                if self._ask_prices and price >= self._ask_prices[0]:
                     raise InconsistentEvent(idx, "buy limit crosses the ask")
+            elif self._bid_prices and price <= self._bid_prices[-1]:
+                raise InconsistentEvent(idx, "sell limit crosses the bid")
+            size = ev.size
+            orders[oid] = (side, price, size)
+            if price in depth:
+                depth[price] += size
             else:
-                opp = self.best_bid
-                if opp is not None and ev.price <= opp:
-                    raise InconsistentEvent(idx, "sell limit crosses the bid")
-            self._orders[ev.order_id] = (ev.side, ev.price, ev.size)
-            self._add(ev.side, ev.price, ev.size)
+                depth[price] = size
+                insort(prices, price)
 
-        elif kind is CANCEL_PARTIAL:
-            self._reduce(ev, idx, full=False)
-
-        elif kind is CANCEL_FULL:
-            self._reduce(ev, idx, full=True)
+        elif kind is CANCEL_PARTIAL or kind is CANCEL_FULL:
+            self._reduce(ev, idx, depth, prices, kind is CANCEL_FULL, False)
 
         elif kind is EXECUTION_VISIBLE:
             # Executions must hit the front of the resting queue. Beyond the
             # horizon the front may be a level the seed row could not show,
             # unless a better level rests on the book.
-            if ev.side is BUY:
-                front, horizon = self.best_bid, self._bid_horizon
+            if side is BUY:
+                front = prices[-1] if prices else None
+                if front != price and (price >= self._bid_horizon
+                                       or (front is not None and price < front)):
+                    raise InconsistentEvent(idx, f"execution at {price} but best BUY is {front}")
             else:
-                front, horizon = self.best_ask, self._ask_horizon
-            if front != ev.price and (
-                not self._deeper(ev.side, ev.price, horizon)
-                or (front is not None and self._deeper(ev.side, ev.price, front))
-            ):
-                raise InconsistentEvent(
-                    idx, f"execution at {ev.price} but best {ev.side.name} is {front}"
-                )
-            self._reduce(ev, idx, full=False, execution=True)
-
-        elif kind is EXECUTION_HIDDEN or kind is CROSS_TRADE or kind is HALT:
-            pass  # book-neutral by construction
+                front = prices[0] if prices else None
+                if front != price and (price <= self._ask_horizon
+                                       or (front is not None and price > front)):
+                    raise InconsistentEvent(idx, f"execution at {price} but best SELL is {front}")
+            self._reduce(ev, idx, depth, prices, False, True)
 
         else:  # pragma: no cover - enum is closed
             raise InconsistentEvent(idx, f"unknown event kind {kind}")
 
-        self.event_seq += 1
+        self.event_seq = idx + 1
         return self
 
-    def _reduce(self, ev: LobEvent, idx: int, full: bool, execution: bool = False) -> None:
-        """Take ``ev.size`` shares off a resting order or the seeded pool."""
-        rec = self._orders.get(ev.order_id)
+    def _reduce(
+        self, ev: LobEvent, idx: int, depth: dict[int, int], prices: list[int], full: bool,
+        execution: bool,
+    ) -> None:
+        """Take ``ev.size`` shares off a resting order or the seeded pool, and
+        off ``ev.side``'s ``depth`` map and ``prices`` list."""
+        oid, side, price, qty = ev.order_id, ev.side, ev.price, ev.size
+        orders = self._orders
+        rec = orders.get(oid)
         if rec is not None:
-            side, price, size = rec
-            if side is not ev.side or price != ev.price:
+            rest_side, rest_price, size = rec
+            if rest_side is not side or rest_price != price:
                 raise InconsistentEvent(
                     idx,
-                    f"order {ev.order_id} rests at {side.name}/{price}, "
-                    f"event says {ev.side.name}/{ev.price}",
+                    f"order {oid} rests at {rest_side.name}/{rest_price}, "
+                    f"event says {side.name}/{price}",
                 )
-            if full and ev.size != size:
-                raise InconsistentEvent(
-                    idx, f"full cancel of {ev.size} but order holds {size}"
-                )
-            if ev.size > size:
-                raise InconsistentEvent(
-                    idx, f"removal of {ev.size} exceeds resting size {size}"
-                )
-            if ev.size == size:
-                del self._orders[ev.order_id]
+            if full and qty != size:
+                raise InconsistentEvent(idx, f"full cancel of {qty} but order holds {size}")
+            if qty > size:
+                raise InconsistentEvent(idx, f"removal of {qty} exceeds resting size {size}")
+            if qty == size:
+                del orders[oid]
             else:
-                self._orders[ev.order_id] = (side, price, size - ev.size)
-            self._remove(ev.side, ev.price, ev.size)
-            return
-
-        # Unseen order id: charge the anonymous (seeded) pool at that price,
-        # unless the order rests beyond what the seed row could show.
-        horizon = self._bid_horizon if ev.side is BUY else self._ask_horizon
-        if self._deeper(ev.side, ev.price, horizon):
-            return
-        anon = self._anon_bid if ev.side is BUY else self._anon_ask
-        pool = anon.get(ev.price, 0)
-        if ev.size > pool:
-            what = "execution" if execution else "cancellation"
-            raise InconsistentEvent(
-                idx,
-                f"{what} of unseen order {ev.order_id} needs {ev.size} "
-                f"at {ev.price} but seeded depth is {pool}",
-            )
-        if ev.size == pool:
-            del anon[ev.price]
+                orders[oid] = (side, price, size - qty)
         else:
-            anon[ev.price] = pool - ev.size
-        if execution:
-            self.seeded_executions += 1
-        self._remove(ev.side, ev.price, ev.size)
+            # Unseen order id: charge the anonymous (seeded) pool at that
+            # price, unless the order rests beyond what the seed row could show.
+            if side is BUY:
+                if price < self._bid_horizon:
+                    return
+                anon = self._anon_bid
+            else:
+                if price > self._ask_horizon:
+                    return
+                anon = self._anon_ask
+            pool = anon.get(price, 0)
+            if qty > pool:
+                what = "execution" if execution else "cancellation"
+                raise InconsistentEvent(
+                    idx,
+                    f"{what} of unseen order {oid} needs {qty} "
+                    f"at {price} but seeded depth is {pool}",
+                )
+            if qty == pool:
+                del anon[price]
+            else:
+                anon[price] = pool - qty
+            if execution:
+                self.seeded_executions += 1
+        left = depth[price] - qty
+        if left > 0:
+            depth[price] = left
+        else:
+            del depth[price]
+            prices.pop(bisect_left(prices, price))
 
 
 def level_snapshot(state: BookState, levels: int) -> tuple[int, ...]:

@@ -21,9 +21,13 @@ classic level-1 order-flow imbalance.
 
 An event touches one price level. When that level rests on the book both
 before and after, no price in the row moves: the replay sets the one size
-cell, and the flow is the size change at that level alone. Only when a
-level appears or vanishes does it take a fresh row and apply the rules
-above to the two rows (``flow_delta``).
+cell, and the flow is the size change at that level alone. When a level
+appears or vanishes at rank k, the replay shifts that side's cells k and
+deeper one level in place, deeper or shallower, filling the deepest cell
+from the book; every shifted price moves the same way, so the rules above
+reduce to one signed size per level from k on. ``flow_delta`` applies the
+rules to any two rows: it is the rule the shift specialises, and the tests'
+reference for it.
 
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
@@ -202,9 +206,9 @@ def _replay(
     n_events = len(events)
     t_last = boundaries_ns[-1]
     # The book's top levels as one orderbook row, deep enough for the flow
-    # vector and the book summary. It is kept in place: one cell moves per
-    # event, and the row is taken afresh only when a level appears or
-    # vanishes.
+    # vector and the book summary. It is taken once and kept in place: one
+    # cell moves per event, or one side's cells shift one level when a level
+    # appears or vanishes.
     depth = max(levels, SUMMARY_LEVELS)
     row = list(level_snapshot(state, depth))
     L = SUMMARY_LEVELS
@@ -266,15 +270,16 @@ def _replay(
             after = depth_of.get(price, 0)
             if before == after:  # e.g. a removal beyond the seed horizon
                 continue
+            # The level's k is the number of better prices on its side, the
+            # same whether the level rests on the book or has just vanished.
+            if is_bid:
+                k = len(bid_prices) - bisect_right(bid_prices, price)
+            else:
+                k = bisect_left(ask_prices, price)
+            if k >= depth:
+                continue
             if before and after:
-                # Only this level's size moved: one cell, one flow term. Its
-                # level k is the number of better prices on its side.
-                if is_bid:
-                    k = len(bid_prices) - bisect_right(bid_prices, price)
-                else:
-                    k = bisect_left(ask_prices, price)
-                if k >= depth:
-                    continue
+                # Only this level's size moved: one cell, one flow term.
                 d = after - before
                 if is_bid:
                     row[4 * k + 3] = after
@@ -291,18 +296,42 @@ def _replay(
                     by_time[c] += d * (t_last - ev.timestamp_ns)
                     by_count[c] += d * (n_events - pos + 1)
                 continue
-            # A level appeared or vanished: the row's prices shift.
-            new = level_snapshot(state, depth)
-            net = flow_delta(row, new, levels).net
-            for m in range(levels):
-                totals[m] += net[m]
-            row = list(new)
-            for c, v in enumerate(_tally_columns(row)):
-                d = v - cols[c]
-                if d:
-                    cols[c] = v
-                    by_time[c] += d * (t_last - ev.timestamp_ns)
-                    by_count[c] += d * (n_events - pos + 1)
+            # A level appeared or vanished at k: the side's cells k..depth-1
+            # shift one level, and each of their prices moves, towards the
+            # other side when the level appeared and away from it when it
+            # vanished. By flow_delta's rules level m >= k then takes
+            # +size after (bids) or -size after (asks) on an appearance and
+            # -size before (bids) or +size before (asks) on a vanishing; a
+            # sentinel level on both sides of the shift has size 0.
+            lo, hi = 4 * k + (2 if is_bid else 0), 4 * depth
+            if after:
+                row[lo + 4:hi:4] = row[lo:hi - 4:4]
+                row[lo + 5:hi:4] = row[lo + 1:hi - 4:4]
+                row[lo] = price
+                row[lo + 1] = after
+                moved = row[lo + 1:4 * levels:4]
+                sign = 1 if is_bid else -1
+            else:
+                moved = row[lo + 1:4 * levels:4]
+                sign = -1 if is_bid else 1
+                row[lo:hi - 4:4] = row[lo + 4:hi:4]
+                row[lo + 1:hi - 4:4] = row[lo + 5:hi:4]
+                # The deepest cell takes the side's depth-th best level, if any.
+                if is_bid:
+                    p = bid_prices[-depth] if len(bid_prices) >= depth else BID_ABSENT
+                    row[hi - 2:hi] = p, bid_depth.get(p, 0)
+                else:
+                    p = ask_prices[depth - 1] if len(ask_prices) >= depth else ASK_ABSENT
+                    row[hi - 4:hi - 2] = p, ask_depth.get(p, 0)
+            for m, q in enumerate(moved, k):
+                totals[m] += sign * q
+            if k < L:
+                for c, v in enumerate(_tally_columns(row)):
+                    d = v - cols[c]
+                    if d:
+                        cols[c] = v
+                        by_time[c] += d * (t_last - ev.timestamp_ns)
+                        by_count[c] += d * (n_events - pos + 1)
 
         ask, bid = row[0], row[2]
         end_mid = None if bid == BID_ABSENT or ask == ASK_ABSENT else ask + bid

@@ -119,6 +119,128 @@ def test_cross_trade_and_halt_take_size_zero(kind):
     assert ev(kind, 0, 0, 140000, Side.SELL).size == 0
 
 
+B, S = Side.BUY, Side.SELL
+ARRIVAL, PARTIAL, FULL, EXEC = (EventKind.LIMIT_ARRIVAL, EventKind.CANCEL_PARTIAL,
+                                EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE)
+
+# Bids 1.40 x10 (order 1) and 1.39 x10 (order 2), ask 1.41 x5 (order 3): events 0-2.
+_LIVE = [arrival(1, 10, 140000), arrival(2, 10, 139000), arrival(3, 5, 141000, S)]
+
+
+def _seeded():
+    """Seed rows that fill both sides: bids 1.40 x10 / 1.39 x10 down to a
+    1.39 horizon, asks 1.41 x5 / 1.42 x5 up to a 1.42 horizon; live order 1,
+    a buy of 4 at 1.395, as event 0."""
+    state = BookState.from_snapshot(
+        bids=[(140000, 10), (139000, 10)], asks=[(141000, 5), (142000, 5)],
+        bid_horizon=139000, ask_horizon=142000,
+    )
+    return state.apply(arrival(1, 4, 139500))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (arrival(1, 5, 138000), "order id 1 already live"),
+    (arrival(9, 1, 141000, B), "buy limit crosses the ask"),
+    (arrival(9, 1, 142000, B), "buy limit crosses the ask"),
+    (arrival(9, 1, 140000, S), "sell limit crosses the bid"),
+    (arrival(9, 1, 139500, S), "sell limit crosses the bid"),
+    (ev(PARTIAL, 1, 2, 140000, S), "order 1 rests at BUY/140000, event says SELL/140000"),
+    (ev(PARTIAL, 1, 2, 139000, B), "order 1 rests at BUY/140000, event says BUY/139000"),
+    (ev(FULL, 3, 5, 141000, B), "order 3 rests at SELL/141000, event says BUY/141000"),
+    (ev(EXEC, 2, 1, 140000, B), "order 2 rests at BUY/139000, event says BUY/140000"),
+    (ev(FULL, 1, 4, 140000, B), "full cancel of 4 but order holds 10"),
+    (ev(FULL, 1, 11, 140000, B), "full cancel of 11 but order holds 10"),
+    (ev(PARTIAL, 1, 11, 140000, B), "removal of 11 exceeds resting size 10"),
+    (ev(EXEC, 3, 6, 141000, S), "removal of 6 exceeds resting size 5"),
+    (ev(EXEC, 2, 5, 139000, B), "execution at 139000 but best BUY is 140000"),
+    (ev(EXEC, 9, 5, 142000, S), "execution at 142000 but best SELL is 141000"),
+    (ev(EXEC, 9, 5, 140500, S), "execution at 140500 but best SELL is 141000"),
+])
+def test_live_book_errors_name_the_event_and_leave_the_book(bad, message):
+    state = BookState()
+    for e in _LIVE:
+        state.apply(e)
+    before = level_snapshot(state, 4)
+    with pytest.raises(InconsistentEvent) as exc:
+        state.apply(bad)
+    assert str(exc.value) == f"event 3: {message}"
+    assert (exc.value.event_index, exc.value.reason) == (3, message)
+    assert level_snapshot(state, 4) == before
+    assert state.event_seq == 3
+
+
+@pytest.mark.parametrize("bad, message", [
+    # Inside the horizon, an execution must hit the front.
+    (ev(EXEC, 7, 1, 139000, B), "execution at 139000 but best BUY is 140000"),
+    (ev(EXEC, 7, 1, 142000, S), "execution at 142000 but best SELL is 141000"),
+    # Beyond it, too, while a better level rests on the book.
+    (ev(EXEC, 7, 1, 138000, B), "execution at 138000 but best BUY is 140000"),
+    (ev(EXEC, 7, 1, 143000, S), "execution at 143000 but best SELL is 141000"),
+    # An unseen order larger than the seeded pool at its price.
+    (ev(PARTIAL, 7, 11, 140000, B),
+     "cancellation of unseen order 7 needs 11 at 140000 but seeded depth is 10"),
+    (ev(FULL, 7, 6, 142000, S),
+     "cancellation of unseen order 7 needs 6 at 142000 but seeded depth is 5"),
+    (ev(PARTIAL, 7, 1, 139500, B),
+     "cancellation of unseen order 7 needs 1 at 139500 but seeded depth is 0"),
+    (ev(EXEC, 7, 11, 140000, B),
+     "execution of unseen order 7 needs 11 at 140000 but seeded depth is 10"),
+    (ev(EXEC, 7, 6, 141000, S),
+     "execution of unseen order 7 needs 6 at 141000 but seeded depth is 5"),
+])
+def test_seeded_book_errors_name_the_event_and_leave_the_book(bad, message):
+    state = _seeded()
+    before = level_snapshot(state, 4)
+    with pytest.raises(InconsistentEvent) as exc:
+        state.apply(bad)
+    assert str(exc.value) == f"event 1: {message}"
+    assert (exc.value.event_index, exc.value.reason) == (1, message)
+    assert level_snapshot(state, 4) == before
+    assert (state.event_seq, state.seeded_executions) == (1, 0)
+
+
+def test_execution_on_an_empty_side_names_no_best():
+    state = BookState().apply(arrival(1, 10, 140000))
+    with pytest.raises(InconsistentEvent, match="^event 1: execution at 141000 but best SELL "
+                                                "is None$"):
+        state.apply(ev(EXEC, 2, 1, 141000, S))
+
+
+def test_seeded_executions_and_event_seq():
+    state = _seeded()
+    book = level_snapshot(state, 4)
+    # Book-neutral kinds advance event_seq only.
+    state.apply(ev(EventKind.EXECUTION_HIDDEN, 99, 5, 140500, S))
+    state.apply(ev(EventKind.CROSS_TRADE, 0, 50, 140000, B))
+    state.apply(ev(EventKind.HALT, 0, 1, 1, B))
+    assert (state.event_seq, state.seeded_executions) == (4, 0)
+    assert level_snapshot(state, 4) == book
+    # An unseen order beyond the horizon: nothing moves and nothing counts.
+    state.apply(ev(PARTIAL, 7, 3, 138000, B))
+    state.apply(ev(FULL, 8, 3, 143000, S))
+    assert (state.event_seq, state.seeded_executions) == (6, 0)
+    assert level_snapshot(state, 4) == book
+    # An execution of the seeded pool counts; one of a live order does not.
+    state.apply(ev(EXEC, 9, 4, 140000, B))
+    assert (state.event_seq, state.seeded_executions) == (7, 1)
+    state.apply(ev(EXEC, 10, 6, 140000, B))
+    assert (state.event_seq, state.seeded_executions) == (8, 2)
+    state.apply(ev(EXEC, 1, 4, 139500, B))
+    assert (state.event_seq, state.seeded_executions) == (9, 2)
+    state.apply(ev(EXEC, 11, 10, 139000, B))
+    assert (state.event_seq, state.seeded_executions) == (10, 3)
+    assert book_levels(state) == ([], [(141000, 5), (142000, 5)])
+    # Past the horizon on an empty side the front may be unseen: nothing moves.
+    state.apply(ev(EXEC, 12, 2, 138000, B))
+    assert (state.event_seq, state.seeded_executions) == (11, 3)
+    assert book_levels(state) == ([], [(141000, 5), (142000, 5)])
+    # A live level beyond the horizon, with the unseen front above it.
+    state.apply(arrival(13, 3, 137000))
+    state.apply(ev(EXEC, 14, 2, 138000, B))
+    assert (state.event_seq, state.seeded_executions) == (13, 3)
+    assert book_levels(state) == ([(137000, 3)], [(141000, 5), (142000, 5)])
+
+
 def test_seeded_book_absorbs_unseen_cancellations():
     state = BookState.from_snapshot(bids=[(140000, 30)], asks=[(140200, 25)])
     state.apply(ev(EventKind.CANCEL_PARTIAL, 777, 10, 140000, Side.BUY))

@@ -172,12 +172,17 @@ def test_level1_standalone_rule_matches_vector_head():
         assert flow_delta(before, after, 1).net == (w - v,)
 
 
-def _day_samples(events, levels):
-    """Replay a hand-built day over six 10 s intervals from 10:00:00."""
+def _grid_60_10():
+    """Boundaries and sub-windows of six 10 s intervals from 10:00:00."""
     session = SessionConfig(session_start=36000, session_end=36060)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
+    return grid.boundaries_ns, grid.n_sub
+
+
+def _day_samples(events, levels):
+    """Replay a hand-built day over six 10 s intervals from 10:00:00."""
     day = DaySlice(dt.date(2016, 1, 4), events)
-    return compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels).samples
+    return compute_day_samples(day, *_grid_60_10(), levels).samples
 
 
 # Baseline book at the session open: bids 1.40 x10 / 1.39 x10, ask 1.45 x5.
@@ -279,9 +284,44 @@ def test_day_replay_discards_one_sided_intervals():
     assert comp.discarded_intervals == 3
 
 
+def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300):
+    """Each day's replay against ``oracle_day_samples``, and the days'
+    tallies against ``oracle_book_summary``, on a grid of one-minute windows
+    from 10:00:00; events past the session end are dropped first."""
+    session = SessionConfig(session_start=36000, session_end=session_end)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
+    tallies = []
+    for day in days:
+        day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
+        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        assert comp.samples == samples
+        assert comp.discarded_intervals == discarded
+        tallies.append(comp.book)
+
+    by_duration, by_event, counts, volumes = oracle_book_summary(days, session)
+    for got, raw in (([t.flow_counts for t in tallies], counts),
+                     ([t.flow_volumes for t in tallies], volumes)):
+        assert [sum(col) for col in zip(*got)] == raw
+    if by_duration is None or by_event is None:
+        with pytest.raises(TooFewRows):
+            book_summaries(tallies)
+        return
+    got_duration, got_event, conc = book_summaries(tallies)
+    for got, expected in ((got_duration, by_duration), (got_event, by_event)):
+        values = [got.mean_mid_dollars, got.mean_spread_dollars]
+        values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
+        assert values == expected  # each the float nearest the exact mean
+    assert conc.n_events == sum(counts)
+    for got, raw in ((conc.count_pct, counts), (conc.volume_pct, volumes)):
+        expected = [100.0 * v / sum(raw) for v in raw] if sum(raw) else [0.0] * 3
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
 @hst.composite
-def fuzzed_days(draw):
-    """1-3 days of fuzzed events, each on an empty or a seeded book.
+def fuzzed_days(draw, bands=(6,)):
+    """1-3 days of fuzzed events, each on an empty or a seeded book, each
+    stream's arrivals at most a band from ``bands`` ticks from the other side.
 
     A seeded day replays the first part of its stream into a book, takes
     that book as the anonymous seed and keeps the rest of the stream, whose
@@ -290,7 +330,7 @@ def fuzzed_days(draw):
     days = []
     for d in range(draw(hst.integers(1, 3))):
         rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
-        events = fuzz_stream(rng, draw(hst.integers(0, 400)))
+        events = fuzz_stream(rng, draw(hst.integers(0, 400)), band=draw(hst.sampled_from(bands)))
         seed = None
         if draw(hst.booleans()):
             cut = draw(hst.integers(0, len(events)))
@@ -311,32 +351,14 @@ def fuzzed_days(draw):
 )
 def test_one_replay_matches_per_event_oracles(days, levels, subwindow):
     # Five minutes of session; the longest fuzzed streams run past its end.
-    session = SessionConfig(session_start=36000, session_end=36300)
-    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
-    for day in days:
-        day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
-    tallies = []
-    for day in days:
-        comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-        samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-        assert comp.samples == samples
-        assert comp.discarded_intervals == discarded
-        tallies.append(comp.book)
+    _assert_replay_matches_oracles(days, levels, subwindow)
 
-    by_duration, by_event, counts, volumes = oracle_book_summary(days, session)
-    if by_duration is None or by_event is None:
-        with pytest.raises(TooFewRows):
-            book_summaries(tallies)
-        return
-    got_duration, got_event, conc = book_summaries(tallies)
-    for got, expected in ((got_duration, by_duration), (got_event, by_event)):
-        values = [got.mean_mid_dollars, got.mean_spread_dollars]
-        values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
-        assert values == expected  # each the float nearest the exact mean
-    assert conc.n_events == sum(counts)
-    for got, raw in ((conc.count_pct, counts), (conc.volume_pct, volumes)):
-        expected = [100.0 * v / sum(raw) for v in raw] if sum(raw) else [0.0] * 3
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+@given(days=fuzzed_days(bands=(2, 3)), levels=hst.sampled_from([1, 3, 5, 10]))
+def test_narrow_band_streams_churn_levels_at_the_row_edge(days, levels):
+    # Arrivals at most 2-3 ticks from the other side keep the book a few
+    # levels deep, so levels appear and vanish at and beyond the row's edge.
+    _assert_replay_matches_oracles(days, levels)
 
 
 @hst.composite
@@ -434,25 +456,101 @@ def horizon_days(draw):
 @given(day_levels=horizon_days(), subwindow=hst.sampled_from([1, 10, 30]))
 def test_replay_at_the_row_edge_of_a_seeded_book_matches_oracles(day_levels, subwindow):
     day, levels = day_levels
-    session = SessionConfig(session_start=36000, session_end=36300)
-    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
-    day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
-    comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-    samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-    assert comp.samples == samples
-    assert comp.discarded_intervals == discarded
+    _assert_replay_matches_oracles([day], levels, subwindow)
 
-    by_duration, by_event, counts, volumes = oracle_book_summary([day], session)
-    assert (comp.book.flow_counts, comp.book.flow_volumes) == (counts, volumes)
-    if by_duration is None or by_event is None:
-        with pytest.raises(TooFewRows):
-            book_summaries([comp.book])
-        return
-    got_duration, got_event, _ = book_summaries([comp.book])
-    for got, expected in ((got_duration, by_duration), (got_event, by_event)):
-        values = [got.mean_mid_dollars, got.mean_spread_dollars]
-        values += list(got.mean_bid_depth) + list(got.mean_ask_depth)
-        assert values == expected  # each the float nearest the exact mean
+
+# Seven levels a side, two ticks apart, so a level fits between any two:
+# bids 1.4000 down to 1.3880 (orders 1-7, sizes 11-17), asks 1.4040 up to
+# 1.4160 (orders 11-17, sizes 21-27), all at the session open.
+_LADDER = [arrival(1 + i, 11 + i, 140000 - 200 * i) for i in range(7)] + [
+    arrival(11 + i, 21 + i, 140400 + 200 * i, Side.SELL) for i in range(7)
+]
+
+
+@pytest.mark.parametrize("levels", [1, 3, 5, 10])
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+def test_a_level_appearing_and_vanishing_at_each_rank_matches_oracles(side, k, levels):
+    # At rank k of a side: a level appears one tick better than the level
+    # resting there and vanishes again; then the resting level vanishes and
+    # comes back, and a partial cancel there moves one cell. With depth =
+    # max(levels, 5), a vanishing at k = depth - 1 brings the sixth level
+    # into a row of 5, or a sentinel into a row of 10, deeper than the side.
+    # Ranks levels..depth-1 move the tally but no flow; ranks from depth on
+    # move nothing.
+    s = 1 if side is Side.BUY else -1
+    oid = 1 + k if side is Side.BUY else 11 + k
+    size = 11 + k if side is Side.BUY else 21 + k
+    price = (140000 if side is Side.BUY else 140400) - s * 200 * k
+
+    def at(seconds, kind, order, qty, px):
+        return LobEvent(T0 + seconds * NS, kind, order, qty, px, side)
+
+    events = _LADDER + [
+        at(1, EventKind.LIMIT_ARRIVAL, 99, 5, price + s * TICK),
+        at(12, EventKind.CANCEL_FULL, 99, 5, price + s * TICK),
+        at(23, EventKind.CANCEL_FULL, oid, size, price),
+        at(34, EventKind.LIMIT_ARRIVAL, oid, 4, price),
+        at(45, EventKind.CANCEL_PARTIAL, oid, 1, price),
+    ]
+    day = DaySlice(dt.date(2016, 1, 4), events)
+    _assert_replay_matches_oracles([day], levels, session_end=36060)
+    flows = [sample.mlofi for sample in _day_samples(events, levels)]
+    if k >= levels:
+        assert flows == [(0,) * levels] * 6
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+def test_a_side_going_empty_and_coming_back_matches_oracles(side, levels):
+    # The side's one level is executed away, so the book turns one-sided and
+    # adds nothing to the tally, then a level comes back, and the side
+    # empties once more by a full cancel.
+    price = 140000 if side is Side.BUY else 140200
+    other = Side.SELL if side is Side.BUY else Side.BUY
+    events = [
+        arrival(1, 10, price, side),
+        arrival(2, 10, 140200 if side is Side.BUY else 140000, other),
+        LobEvent(T0 + 5 * NS, EventKind.EXECUTION_VISIBLE, 1, 10, price, side),
+        arrival(3, 6, price, side, ts=T0 + 15 * NS),
+        arrival(4, 7, price - (100 if side is Side.BUY else -100), side, ts=T0 + 25 * NS),
+        LobEvent(T0 + 35 * NS, EventKind.CANCEL_FULL, 3, 6, price, side),
+        LobEvent(T0 + 36 * NS, EventKind.CANCEL_FULL, 4, 7, price - (100 if side is Side.BUY
+                                                                     else -100), side),
+        arrival(5, 2, price, side, ts=T0 + 55 * NS),
+    ]
+    day = DaySlice(dt.date(2016, 1, 4), events)
+    _assert_replay_matches_oracles([day], levels, session_end=36060)
+    comp = compute_day_samples(day, *_grid_60_10(), levels)
+    assert comp.discarded_intervals == 5
+
+
+def test_removals_beyond_a_seeded_horizon_change_nothing():
+    # A seed of five levels a side fills the row (levels 3, depth 5), so each
+    # side's fifth price is its horizon. Unseen orders beyond it are removed
+    # with no effect, in an interval of its own; then the seeded fifth level
+    # vanishes, and no level is known to take its place.
+    bids = tuple((140000 - 100 * i, 10 + i) for i in range(5))
+    asks = tuple((140200 + 100 * i, 20 + i) for i in range(5))
+    seed = SeedSnapshot(bids=bids, asks=asks, bid_horizon=139600, ask_horizon=140600)
+
+    def unseen(seconds, kind, oid, size, price, side):
+        return LobEvent(T0 + seconds * NS, kind, oid, size, price, side)
+
+    events = [
+        unseen(1, EventKind.CANCEL_PARTIAL, 900, 3, 139500, Side.BUY),
+        unseen(2, EventKind.CANCEL_FULL, 901, 8, 139000, Side.BUY),
+        unseen(3, EventKind.CANCEL_PARTIAL, 902, 3, 140700, Side.SELL),
+        unseen(4, EventKind.CANCEL_FULL, 903, 9, 141200, Side.SELL),
+        unseen(15, EventKind.CANCEL_FULL, 904, 14, 139600, Side.BUY),
+        unseen(16, EventKind.CANCEL_FULL, 905, 24, 140600, Side.SELL),
+        unseen(25, EventKind.CANCEL_PARTIAL, 906, 3, 139500, Side.BUY),
+    ]
+    day = DaySlice(dt.date(2016, 1, 4), events, seed=seed)
+    _assert_replay_matches_oracles([day], 3, session_end=36060)
+    comp = compute_day_samples(day, *_grid_60_10(), 5)
+    flows = [sample.mlofi for sample in comp.samples]
+    assert flows == [(0,) * 5, (0, 0, 0, 0, -14 + 24)] + [(0,) * 5] * 4
 
 
 def test_a_replay_error_names_the_day_without_a_file():

@@ -6,10 +6,13 @@ Extracts ``git archive REV`` into a temporary directory and imports its
 ``src/mlofi`` and the working tree's as two packages in one interpreter.
 One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
 ``SessionConfig``, made by the working tree's package) is written as a
-LOBSTER message file. Each of REPS reps (default 15) runs both sides, in
-the opposite order to the rep before, and times on each side:
+LOBSTER message file, and again with CRLF line ends. Each of REPS reps
+(default 15) runs both sides, in the opposite order to the rep before, and
+times on each side:
 
 - ``parse``: ``parse_message_file`` on that file, per row kept;
+- ``parse rows``: the same on the CRLF copy, which no canonical-row reader
+  takes, so it goes through the row loop; per row kept;
 - ``book``: a bare loop of ``BookState.apply`` over the side's own parsed
   events, per event;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
@@ -27,8 +30,9 @@ It prints per layer and side the median microseconds per row or event
 the working tree's time over REV's with that ratio's lower and upper
 quartiles, so that one run tells a move from the spread of its reps. A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
-runs cannot give. Both sides' samples and book tallies must agree, and so
-must every window's chosen penalty in both selects, or it exits 1.
+runs cannot give. Both files must parse to the same events on each side, both
+sides' events, samples and book tallies must agree, and so must every window's
+chosen penalty in both selects, or it exits 1.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ LEVELS = 10
 FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
-LAYERS = ("parse", "book", *(f"replay {w}/{s}" for w, s in GRIDS), *(s for s, _ in SELECTS))
+LAYERS = ("parse", "parse rows", "book", *(f"replay {w}/{s}" for w, s in GRIDS),
+          *(s for s, _ in SELECTS))
 
 
 def load(name: str, src: Path) -> dict:
@@ -72,15 +77,29 @@ def timed(fn, *args) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], list, list]:
+def event_tuples(day) -> list[tuple]:
+    """``day``'s events as plain values, comparable across the two packages."""
+    return [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
+            for e in day.events]
+
+
+def run_side(pkg: dict, message_files: tuple[Path, Path], date
+             ) -> tuple[dict[str, float], list | None, list]:
     """One rep of one side: microseconds per row or event (milliseconds per window for
-    select) by layer, the outputs and the chosen penalties."""
+    select) by layer, the outputs (None if the two files parse to different events)
+    and the chosen penalties."""
     lobster, book, imbalance, inference, sampling = (
         pkg[m] for m in ("lobster", "book", "imbalance", "inference", "sampling"))
     session = lobster.SessionConfig()
-    seconds, day = timed(lobster.parse_message_file, message_file, session, date)
+    seconds, day = timed(lobster.parse_message_file, message_files[0], session, date)
     n = len(day.events)
     us = {"parse": seconds}
+    us["parse rows"], rows_day = timed(lobster.parse_message_file, message_files[1], session,
+                                       date)
+    events = event_tuples(day)
+    if event_tuples(rows_day) != events:
+        return {}, None, []
+    del rows_day
 
     def apply_all(events):
         apply = book.BookState().apply
@@ -88,7 +107,7 @@ def run_side(pkg: dict, message_file: Path, date) -> tuple[dict[str, float], lis
             apply(ev)
 
     us["book"], _ = timed(apply_all, day.events)
-    outputs = []
+    outputs = [events]
     for window, sub in GRIDS:
         grid = sampling.build_grid(session, sampling.GridSpec(window, sub))
         seconds, comp = timed(imbalance.compute_day_samples, day, grid.boundaries_ns,
@@ -138,17 +157,23 @@ def main(argv: list[str]) -> int:
         day = work["synth"].generate_zi_day(work["synth"].ZiParams(), session)
         message_file = tmp / f"SYN_{day.trading_date}_message_10.csv"
         work["lobster"].write_message_file(message_file, day.events)
+        crlf_file = tmp / f"SYN_{day.trading_date}_message_10_crlf.csv"
+        crlf_file.write_bytes(message_file.read_bytes().replace(b"\n", b"\r\n"))
         times = {side: {layer: [] for layer in LAYERS} for side in sides}
         order = list(sides)
         for _ in range(reps):
             outputs, lambdas = {}, {}
             for side in order:
-                us, outputs[side], lambdas[side] = run_side(sides[side], message_file,
-                                                            day.trading_date)
+                us, outputs[side], lambdas[side] = run_side(
+                    sides[side], (message_file, crlf_file), day.trading_date)
+                if outputs[side] is None:
+                    print(f"the {side} side parses the LF and CRLF files to different events",
+                          file=sys.stderr)
+                    return 1
                 for layer, value in us.items():
                     times[side][layer].append(value)
             if outputs["rev"] != outputs["work"]:
-                print("the two sides' samples or book tallies differ", file=sys.stderr)
+                print("the two sides' events, samples or book tallies differ", file=sys.stderr)
                 return 1
             moved = [i for i, (a, b) in enumerate(zip(lambdas["rev"], lambdas["work"])) if a != b]
             if moved:
@@ -156,8 +181,8 @@ def main(argv: list[str]) -> int:
                       f"{len(lambdas['rev'])} window searches", file=sys.stderr)
                 return 1
             order.reverse()
-    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse) or event, "
-          f"milliseconds per window (select)")
+    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse, parse rows) "
+          f"or event, milliseconds per window (select)")
     print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
