@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RankDeficient, TooFewRows
+from .errors import ConfigError, TooFewRows
 from .imbalance import SUMMARY_LEVELS, BookTally, compute_day_samples
 from .inference import (
     MIN_ROWS_PER_FOLD,
@@ -44,8 +44,7 @@ from .inference import (
     SignificanceSummary,
     default_lambda_grid,
     diagnose_collinearity,
-    fit_ols,
-    fit_ridge,
+    fit_windows,
     fold_rows,
     ridge_coefficients,
     select_lambda,
@@ -116,11 +115,13 @@ def assemble_windows(
     tallies: list[BookTally] = []
 
     def replay(day: DaySlice):
-        return day.trading_date, compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        return compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
 
     # map() drops each day before it asks for the next; a loop variable would not.
-    for date, comp in map(replay, days):
-        problems.extend(assemble_problems(comp.samples, grid, levels, tick_size, date, stats))
+    for comp in map(replay, days):
+        problems.extend(
+            assemble_problems(comp.intervals, grid, levels, tick_size, comp.date, stats)
+        )
         tallies.append(comp.book)
     if not tallies:
         raise TooFewRows("no input days")
@@ -212,22 +213,17 @@ def fit_all_windows(
     lam: float = 0.0,
     penalize_intercept: bool = True,
 ) -> tuple[list[RegressionFit], list[int]]:
-    """Per-window fits at one depth; rank-deficient windows are skipped.
+    """Per-window fits at one depth, from one ``fit_windows`` call.
 
-    Returns (fits, window index of each fit). ``lam`` is ignored by OLS.
+    Returns (fits, window index of each fit); rank-deficient windows are
+    skipped. ``lam`` is ignored by OLS.
     """
     if method not in (OLS, RIDGE):
         raise ValueError(f"unknown method {method!r}")
-    fits: list[RegressionFit] = []
-    windows: list[int] = []
-    for p in problems:
-        sub = p.truncated(levels)
-        try:
-            fits.append(fit_ols(sub) if method == OLS else fit_ridge(sub, lam, penalize_intercept))
-        except RankDeficient:
-            continue
-        windows.append(p.window_index)
-    return fits, windows
+    lambdas = None if method == OLS else [lam] * len(problems)
+    fits = fit_windows([p.truncated(levels) for p in problems], lambdas, penalize_intercept)
+    kept = [(fit, p.window_index) for fit, p in zip(fits, problems) if fit is not None]
+    return [fit for fit, _ in kept], [i for _, i in kept]
 
 
 def adjusted_r2_curve(fits_by_depth: list[list[RegressionFit]]) -> list[float]:
@@ -368,7 +364,8 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
 
     The fits run at the problems' depth. Per-window ridge leaves out the
     windows with fewer than ``spec.min_window_rows`` rows, searches the rest
-    in one ``select_lambdas`` call and fits them in window order.
+    in one ``select_lambdas`` call and fits them at their own penalties in one
+    ``fit_windows`` call.
     """
     levels = problems[0].levels
     grid = np.array(spec.lambda_grid)
@@ -385,10 +382,9 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
             searches = select_lambdas(
                 [(p.X, p.y) for p in windows], spec.folds, grid, spec.penalize_intercept
             )
-            fits = [
-                fit_ridge(p, s.lambda_hat, spec.penalize_intercept)
-                for p, s in zip(windows, searches)
-            ]
+            fits = fit_windows(
+                windows, [s.lambda_hat for s in searches], spec.penalize_intercept
+            )
         else:
             fits, windows = fit_all_windows(
                 problems, method, levels, lam, spec.penalize_intercept

@@ -32,6 +32,11 @@ reference for it.
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
 
+The replay hands back a day's intervals as columns (``IntervalColumns``):
+each interval's M flow integers, its buy and sell volumes and its change in
+ask + bid, without one object per interval. ``DayComputation.samples`` builds
+the per-interval ``MlofiSample``s from them on demand.
+
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
 event landed relative to the best quotes. The tally is kept and handed
@@ -45,7 +50,8 @@ from __future__ import annotations
 import datetime as dt
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .book import (
     ASK_ABSENT, BID_ABSENT, BUY, CROSS_TRADE, EXECUTION_HIDDEN, EXECUTION_VISIBLE, HALT, SELL,
@@ -145,12 +151,65 @@ class BookTally:
 
 
 @dataclass
-class DayComputation:
-    """All interval samples for one day; discarded slots are None."""
+class IntervalColumns:
+    """One day's intervals (t_{j-1}, t_j], j = 1..N, as columns in interval order.
 
-    samples: list[MlofiSample | None]
+    ``flows`` holds each interval's ``levels`` imbalance components, one
+    interval after the other, as exact integers. ``delta_p`` is the
+    interval's change in best ask + best bid, or None when the book is
+    one-sided at either end: the interval is discarded, though its other
+    columns still hold what flowed in it.
+    """
+
+    levels: int
+    flows: list[int]
+    buy_volumes: list[int]
+    sell_volumes: list[int]
+    delta_p: list[int | None]
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[MlofiSample | None], levels: int) -> "IntervalColumns":
+        """The columns of a day's samples, one per interval in order (None where discarded)."""
+        columns = cls(levels, [], [], [], [])
+        for s in samples:
+            if s is None:
+                columns.flows += [0] * levels
+                columns.buy_volumes.append(0)
+                columns.sell_volumes.append(0)
+                columns.delta_p.append(None)
+            else:
+                columns.flows += s.mlofi[:levels]
+                columns.buy_volumes.append(s.buy_volume)
+                columns.sell_volumes.append(s.sell_volume)
+                columns.delta_p.append(s.delta_p)
+        return columns
+
+
+@dataclass
+class DayComputation:
+    """One day's replay: its interval columns and its book tally."""
+
+    date: dt.date
+    boundaries_ns: Sequence[int]
+    subwindows_per_window: int
+    intervals: IntervalColumns
     discarded_intervals: int
     book: BookTally
+
+    @cached_property
+    def samples(self) -> list[MlofiSample | None]:
+        """One ``MlofiSample`` per interval, None where discarded; built on first use."""
+        cols, K, b = self.intervals, self.subwindows_per_window, self.boundaries_ns
+        M = cols.levels
+        return [
+            None if d is None else MlofiSample(
+                self.date, j // K, j % K + 1, b[j], b[j + 1],
+                tuple(cols.flows[j * M:(j + 1) * M]), buy, sell, d,
+            )
+            for j, (buy, sell, d) in enumerate(
+                zip(cols.buy_volumes, cols.sell_volumes, cols.delta_p)
+            )
+        ]
 
 
 def _tally_columns(row: list[int]) -> list[int]:
@@ -178,7 +237,8 @@ def compute_day_samples(
     the session; interval j (1-based) is (t_{j-1}, t_j]. Events at or
     before t_0 form the pre-grid baseline: they move the book and enter
     the book tally but no interval. Intervals whose start or end mid-price
-    is undefined (one-sided book) are discarded, not zeroed. Events after
+    is undefined (one-sided book) are discarded, not zeroed: their
+    ``delta_p`` is None. Events after
     t_N are not replayed. An event the book contradicts raises
     InconsistentEvent naming the day's message file and the event's line in
     it, or the day's date and the event's index.
@@ -224,11 +284,13 @@ def _replay(
     flow_counts = [0, 0, 0]
     flow_volumes = [0, 0, 0]
 
-    samples: list[MlofiSample | None] = []
+    flows: list[int] = []
+    buys: list[int] = []
+    sells: list[int] = []
+    deltas: list[int | None] = []
     discarded = 0
     prev_mid = None
     pos = 0
-    K = subwindows_per_window
     # j = 0 is the baseline, whose flow belongs to no interval.
     for j, t_end in enumerate(boundaries_ns):
         totals = [0] * levels
@@ -336,15 +398,14 @@ def _replay(
         ask, bid = row[0], row[2]
         end_mid = None if bid == BID_ABSENT or ask == ASK_ABSENT else ask + bid
         if j > 0:
+            flows += totals
+            buys.append(buy)
+            sells.append(sell)
             if prev_mid is None or end_mid is None:
-                samples.append(None)
+                deltas.append(None)
                 discarded += 1
             else:
-                # In field order: keyword arguments cost more, once per interval.
-                samples.append(MlofiSample(
-                    day.trading_date, (j - 1) // K, (j - 1) % K + 1, boundaries_ns[j - 1],
-                    t_end, tuple(totals), buy, sell, end_mid - prev_mid,
-                ))
+                deltas.append(end_mid - prev_mid)
         prev_mid = end_mid
 
     # The last replayed state holds until the next event, or t_N.
@@ -353,8 +414,8 @@ def _replay(
         by_time[c] -= v * (t_last - t_stop)
         by_count[c] -= v * (n_events - pos)
     return DayComputation(
-        samples=samples,
-        discarded_intervals=discarded,
-        book=BookTally((by_time, by_count), flow_counts, flow_volumes),
+        day.trading_date, boundaries_ns, subwindows_per_window,
+        IntervalColumns(levels, flows, buys, sells, deltas), discarded,
+        BookTally((by_time, by_count), flow_counts, flow_volumes),
     )
 

@@ -23,14 +23,21 @@ the first argmin of the exact scores (``select_lambda``). ``select_lambdas`` run
 many windows' searches at once: it groups the windows by row count and screens
 each group in stacked blocks of at most ``SCREEN_BLOCK`` windows, one set of
 stacked calls per block, then confirms each window on its own folds; a window
-that is flat or not finite keeps its lone search's path. ``fit_ridge`` calls the
+that is flat or not finite keeps its lone search's path.
+
+``fit_windows`` fits many windows the same way: it stacks windows of one
+design shape in blocks of at most ``SCREEN_BLOCK`` and runs the rank check,
+the Gram matrices, the OLS inverses, the residuals and the fit statistics as
+one stacked call each per block, each window keeping the bits of its own
+fit. ``fit_ols`` and ``fit_ridge`` are its one-window case. Ridge calls the
 LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
-and ``cho_solve`` wrap, without the wrappers' per-call overhead.
+and ``cho_solve`` wrap, window by window, without the wrappers' per-call
+overhead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +61,11 @@ MIN_ROWS_PER_FOLD = 10
 #: Safety factor on the penalty screen's first-order error bound.
 SCREEN_SAFETY = 10.0
 
-#: Windows per stacked screen in ``select_lambdas``. A block's arrays grow
-#: with its windows: on the 330 one-minute windows of a ZI day at 10 levels,
-#: one block of all 330 added 16.4 MiB of peak RSS, blocks of 32 none (2.5 MiB
-#: traced), and blocks of 16/32/64 searched the day in 76-78/56-61/56-61 ms.
+#: Windows per stacked block in ``select_lambdas`` and ``fit_windows``. A
+#: block's arrays grow with its windows: on the 330 one-minute windows of a ZI
+#: day at 10 levels, one screen block of all 330 added 16.4 MiB of peak RSS,
+#: blocks of 32 none (2.5 MiB traced), and blocks of 16/32/64 searched the day
+#: in 76-78/56-61/56-61 ms.
 SCREEN_BLOCK = 32
 
 
@@ -85,50 +93,20 @@ class RegressionFit:
     dof: int
 
 
-def _finish_fit(
-    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, cov_unscaled: np.ndarray, lam: float
-) -> RegressionFit:
-    """Shared residual-variance / SE / R2 bookkeeping for both methods."""
-    n, p = X.shape
-    dof = n - p
-    resid = y - X @ coeffs
-    sse = float(resid @ resid)
-    sigma2 = sse / dof
-    var = sigma2 * np.diag(cov_unscaled)
-    se = np.sqrt(np.maximum(var, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, coeffs / se, 0.0)
-    pvals = 2.0 * special.stdtr(dof, -np.abs(t))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst > 0.0:
-        r2 = 1.0 - sse / sst
-    else:
-        r2 = 1.0 if sse <= 1e-300 else 0.0
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
-    return RegressionFit(coeffs, se, t, pvals, sigma2, r2, adj_r2, lam, dof)
+def _shape_blocks(shapes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """Indices of equal shapes, grouped by shape in list order, in blocks of at most
+    ``SCREEN_BLOCK``."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    for members in groups.values():
+        for start in range(0, len(members), SCREEN_BLOCK):
+            yield members[start : start + SCREEN_BLOCK]
 
 
-def _check_rank(X: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` when X's smallest singular value is round-off next to its largest."""
-    svals = np.linalg.svd(X, compute_uv=False)
-    if svals[-1] <= RANK_RTOL * svals[0]:
-        raise error(
-            f"design matrix numerically singular (smin/smax = "
-            f"{svals[-1] / svals[0]:.3e})"
-        )
-
-
-def fit_ols(problem: RegressionProblem) -> RegressionFit:
-    """Least-squares fit via SVD with an explicit rank check."""
-    X, y = problem.X, problem.y
-    n, p = X.shape
-    if n < p + 1:
-        raise TooFewRows(f"{n} rows cannot support {p} coefficients")
-    _check_rank(X, RankDeficient)
-    coeffs, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    xtx = X.T @ X
-    cov_unscaled = np.linalg.inv(xtx)
-    return _finish_fit(X, y, coeffs, cov_unscaled, lam=0.0)
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays along a new first axis; a lone array's stack is a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _penalty(p: int, penalize_intercept: bool) -> np.ndarray:
@@ -139,6 +117,183 @@ def _penalty(p: int, penalize_intercept: bool) -> np.ndarray:
     return penalty
 
 
+def _finish_fits(
+    X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, cov_unscaled: np.ndarray, lams: list
+) -> list[RegressionFit]:
+    """Residual variance, SEs, t, p and R^2 of a stack of fits, X (windows x rows x p).
+
+    Each stacked product keeps the bits of its one-window form: the
+    residuals come from one matrix-vector product per window, the SSE from
+    one dot, and the mean and SST are taken along contiguous rows.
+    """
+    _, n, p = X.shape
+    dof = n - p
+    resid = y - (X @ coeffs[..., None])[..., 0]
+    sse = (resid[:, None, :] @ resid[..., None])[:, 0, 0]
+    sigma2 = sse / dof
+    var = sigma2[:, None] * np.diagonal(cov_unscaled, axis1=-2, axis2=-1)
+    se = np.sqrt(np.maximum(var, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, coeffs / se, 0.0)
+        pvals = 2.0 * special.stdtr(dof, -np.abs(t))
+        sst = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+        r2 = np.where(sst > 0.0, 1.0 - sse / sst, np.where(sse <= 1e-300, 1.0, 0.0))
+    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
+    return [
+        RegressionFit(
+            coeffs[k], se[k], t[k], pvals[k], float(sigma2[k]), float(r2[k]),
+            float(adj_r2[k]), lam, dof,
+        )
+        for k, lam in enumerate(lams)
+    ]
+
+
+def _fit_block(
+    X: np.ndarray, y: np.ndarray, lams: list | None, penalize_intercept: bool
+) -> list[RegressionFit | Exception]:
+    """The fits of a stack of windows, X (windows x rows x p) and y (windows x rows).
+
+    ``lams`` holds each window's penalty, or is None for OLS. A window whose
+    fit fails gets its error in its place. A stacked LAPACK call that fails
+    (non-finite input, an exactly singular X'X) raises LinAlgError for the block.
+    """
+    w, n, p = X.shape
+    results: list[RegressionFit | Exception | None] = [None] * w
+    for k in range(w):
+        if lams is not None and lams[k] < 0:
+            results[k] = ValueError("lambda must be >= 0")
+        elif n < p + 1:
+            results[k] = TooFewRows(f"{n} rows cannot support {p} coefficients")
+    # The rank check: every OLS window and ridge windows at lam = 0, where
+    # round-off can let a singular X'X factor.
+    checked = [k for k in range(w) if results[k] is None and (lams is None or lams[k] == 0)]
+    if checked:
+        svals = np.linalg.svd(X if len(checked) == w else X[checked], compute_uv=False)
+        error = RankDeficient if lams is None else NumericalFailure
+        for k, (smax, smin) in zip(checked, svals[:, [0, -1]]):
+            if smin <= RANK_RTOL * smax:
+                results[k] = error(
+                    f"design matrix numerically singular (smin/smax = {smin / smax:.3e})"
+                )
+    live = [k for k in range(w) if results[k] is None]
+    if not live:
+        return results
+    if len(live) < w:
+        X, y = X[live], y[live]
+    gram = X.mT @ X
+    if lams is None:
+        coeffs = np.stack([np.linalg.lstsq(X[j], y[j], rcond=None)[0] for j in range(len(live))])
+        cov_unscaled = np.linalg.inv(gram)
+    else:
+        penalty = _penalty(p, penalize_intercept)
+        A = gram + np.array([lams[k] for k in live], dtype=float)[:, None, None] * penalty
+        solved, solutions, a_invs = [], [], []
+        for j, k in enumerate(live):
+            try:
+                # asarray_chkfinite keeps cho_factor's and cho_solve's ValueError on
+                # non-finite input; clean=0 leaves the lower triangle as cho_factor does.
+                factor, info = sla.lapack.dpotrf(np.asarray_chkfinite(A[j]), clean=0)
+                if info > 0:
+                    raise NumericalFailure(
+                        f"ridge solve failed: {info}-th leading minor of the array is not "
+                        "positive definite"
+                    )
+                b = sla.lapack.dpotrs(factor, np.asarray_chkfinite(X[j].T @ y[j]))[0]
+                a_inv = sla.lapack.dpotrs(factor, np.eye(p))[0]
+                if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a_inv))):
+                    raise NumericalFailure("ridge solve produced non-finite values")
+            except (NumericalFailure, ValueError) as exc:
+                results[k] = exc
+                continue
+            solved.append(j)
+            solutions.append(b)
+            a_invs.append(a_inv.T)  # dpotrs gives a_inv in Fortran order
+        if len(solved) < len(live):
+            if not solved:
+                return results
+            live = [live[j] for j in solved]
+            X, y, gram = X[solved], y[solved], gram[solved]
+        coeffs = np.stack(solutions)
+        # Each a_inv keeps its Fortran layout in the stack, so the products see the
+        # strides that the one-window form gives them.
+        a_inv = np.stack(a_invs).mT
+        cov_unscaled = a_inv @ gram @ a_inv
+    lams_live = [0.0] * len(live) if lams is None else [lams[k] for k in live]
+    for k, fit in zip(live, _finish_fits(X, y, coeffs, cov_unscaled, lams_live)):
+        results[k] = fit
+    return results
+
+
+def _fit_windows(
+    problems: Sequence[RegressionProblem], lambdas: Sequence[float] | None, penalize_intercept: bool
+) -> list[RegressionFit | Exception]:
+    """Every window's fit or error, in list order, from stacked blocks of equal shapes."""
+    results: list[RegressionFit | Exception] = [None] * len(problems)
+    for block in _shape_blocks(problem.X.shape for problem in problems):
+        X = _stack([problems[i].X for i in block])
+        y = _stack([problems[i].y for i in block])
+        lams = None if lambdas is None else [lambdas[i] for i in block]
+        try:
+            fits = _fit_block(X, y, lams, penalize_intercept)
+        except np.linalg.LinAlgError:
+            # One window at a time, so that each gets its own fit or error.
+            fits = []
+            for k in range(len(block)):
+                try:
+                    one = None if lams is None else lams[k : k + 1]
+                    fits += _fit_block(X[k : k + 1], y[k : k + 1], one, penalize_intercept)
+                except np.linalg.LinAlgError as exc:
+                    fits.append(exc)
+        for i, fit in zip(block, fits):
+            results[i] = fit
+    return results
+
+
+def fit_windows(
+    problems: Sequence[RegressionProblem],
+    lambdas: Sequence[float] | None = None,
+    penalize_intercept: bool = True,
+) -> list[RegressionFit | None]:
+    """OLS fits of the windows (``lambdas`` None), or ridge fits at one penalty each.
+
+    Windows whose designs have one shape are stacked in list order, at most
+    ``SCREEN_BLOCK`` at a time. Per block one SVD gives the rank checks, and
+    the Gram matrices, the OLS inverses, the residuals, SSE and SST and the
+    p-values each come from one stacked call; ``lstsq`` and the LAPACK
+    Cholesky routines ``dpotrf``/``dpotrs`` run window by window. Each fit
+    equals the one-window fit, bit for bit (``fit_ols``, ``fit_ridge``).
+
+    An OLS window that fails the rank check gives None. Otherwise the first
+    window in list order whose fit fails raises that fit's error once every
+    block has run.
+    """
+    results = _fit_windows(problems, lambdas, penalize_intercept)
+    for result in results:
+        if isinstance(result, Exception) and not isinstance(result, RankDeficient):
+            raise result
+    return [None if isinstance(result, Exception) else result for result in results]
+
+
+def _one_fit(
+    problem: RegressionProblem, lambdas: list | None, penalize_intercept: bool
+) -> RegressionFit:
+    """``_fit_windows`` on one window: its fit, or its error raised."""
+    result = _fit_windows([problem], lambdas, penalize_intercept)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_ols(problem: RegressionProblem) -> RegressionFit:
+    """Least-squares fit via SVD with an explicit rank check.
+
+    X must have at least p + 1 rows (TooFewRows) and pass the rank check,
+    smallest over largest singular value above ``RANK_RTOL``
+    (RankDeficient). The one-window case of ``fit_windows``.
+    """
+    return _one_fit(problem, None, True)
+
+
 def fit_ridge(
     problem: RegressionProblem, lam: float, penalize_intercept: bool = True
 ) -> RegressionFit:
@@ -146,32 +301,10 @@ def fit_ridge(
 
     A = X'X + lam*D must admit a Cholesky factor. At lam = 0 the design
     must also pass ``fit_ols``'s rank check: round-off can let a singular
-    X'X factor. Either failure raises NumericalFailure.
+    X'X factor. Either failure raises NumericalFailure. The one-window case
+    of ``fit_windows``.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    X, y = problem.X, problem.y
-    n, p = X.shape
-    if n < p + 1:
-        raise TooFewRows(f"{n} rows cannot support {p} coefficients")
-    if lam == 0:
-        _check_rank(X, NumericalFailure)
-    xtx = X.T @ X
-    # asarray_chkfinite keeps cho_factor's and cho_solve's ValueError on
-    # non-finite input; clean=0 leaves the lower triangle as cho_factor does.
-    factor, info = sla.lapack.dpotrf(
-        np.asarray_chkfinite(xtx + lam * _penalty(p, penalize_intercept)), clean=0
-    )
-    if info > 0:
-        raise NumericalFailure(
-            f"ridge solve failed: {info}-th leading minor of the array is not positive definite"
-        )
-    coeffs = sla.lapack.dpotrs(factor, np.asarray_chkfinite(X.T @ y))[0]
-    a_inv = sla.lapack.dpotrs(factor, np.eye(p))[0]
-    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(a_inv))):
-        raise NumericalFailure("ridge solve produced non-finite values")
-    cov_unscaled = a_inv @ xtx @ a_inv
-    return _finish_fit(X, y, coeffs, cov_unscaled, lam=lam)
+    return _one_fit(problem, [lam], penalize_intercept)
 
 
 def ridge_coefficients(
@@ -432,11 +565,6 @@ def select_lambda(
     return select_lambdas([(X, y)], folds, grid, penalize_intercept)[0]
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays along a new first axis; a lone array's stack is a view of it."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def select_lambdas(
     windows: Sequence[tuple[np.ndarray, np.ndarray]],
     folds: int = 5,
@@ -456,22 +584,18 @@ def select_lambdas(
     raises that search's error once every block has run.
     """
     grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (X, _) in enumerate(windows):
+    for X, _ in windows:
         n = X.shape[0]
         if n < MIN_ROWS_PER_FOLD * folds:
             raise TooFewRows(
                 f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
             )
-        groups.setdefault(X.shape, []).append(i)
     searches: list[LambdaSearch | NumericalError] = [None] * len(windows)
-    for members in groups.values():
-        for start in range(0, len(members), SCREEN_BLOCK):
-            block = members[start : start + SCREEN_BLOCK]
-            X = _stack([windows[i][0] for i in block])
-            y = _stack([windows[i][1] for i in block])
-            for i, search in zip(block, _search_block(X, y, folds, grid, penalize_intercept)):
-                searches[i] = search
+    for block in _shape_blocks(X.shape for X, _ in windows):
+        X = _stack([windows[i][0] for i in block])
+        y = _stack([windows[i][1] for i in block])
+        for i, search in zip(block, _search_block(X, y, folds, grid, penalize_intercept)):
+            searches[i] = search
     for search in searches:
         if isinstance(search, NumericalError):
             raise search

@@ -5,7 +5,10 @@ each window splits into K sub-windows of ``subwindow_seconds``. Every
 (date, window) pair becomes one regression problem whose rows are the
 window's usable sub-intervals: the design matrix holds an intercept
 column of ones followed by the M imbalance components, and the response
-is the contemporaneous mid-price change in ticks.
+is the contemporaneous mid-price change in ticks. A day's problems are
+slices of its interval columns: the columns become one float64 design and
+one response per day, and each window takes its rows with one slice and
+one mask.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadValue, IndivisibleGrid
-from .imbalance import MlofiSample
+from .imbalance import IntervalColumns, MlofiSample
 from .lobster import NS, SessionConfig
 
 
@@ -109,38 +112,46 @@ class AssemblyStats:
 
 
 def assemble_problems(
-    samples: Iterable[MlofiSample | None],
+    intervals: IntervalColumns | Iterable[MlofiSample | None],
     grid: Grid,
     levels: int,
     tick_size: int,
     date: dt.date,
     stats: AssemblyStats | None = None,
 ) -> list[RegressionProblem]:
-    """Group one day's interval samples into per-window problems.
+    """Slice one day's interval columns into per-window problems.
 
-    Discarded intervals (None entries) shrink the window's row count; a
-    window with fewer than levels + 2 usable rows is underdetermined and
-    is dropped. Both are counted in ``stats``.
+    ``intervals`` holds every interval of the grid in order, as the replay's
+    columns or as samples (None where discarded). Discarded intervals shrink
+    the window's row count; a window with fewer than levels + 2 usable rows
+    is underdetermined and is dropped. Both are counted in ``stats``.
     """
     if stats is None:
         stats = AssemblyStats()
-    by_window: list[list[MlofiSample]] = [[] for _ in range(grid.n_windows)]
-    for sample in samples:
-        if sample is None:
-            stats.discarded_intervals += 1
-            continue
-        by_window[sample.window_index].append(sample)
+    if not isinstance(intervals, IntervalColumns):
+        intervals = IntervalColumns.from_samples(intervals, levels)
+    K = grid.n_sub
+    n = grid.n_windows * K
+    if len(intervals.delta_p) != n:
+        raise ValueError(f"{len(intervals.delta_p)} intervals for a grid of {n}")
+    # Python ints straight to float64, each rounded as float() rounds it: a
+    # flow sum of 18-digit sizes can overflow int64.
+    design = np.ones((n, levels + 1))
+    design[:, 1:] = np.array(intervals.flows, dtype=float).reshape(n, -1)[:, :levels]
+    delta_p = np.array(intervals.delta_p, dtype=float)  # None reads as NaN
+    usable = ~np.isnan(delta_p)
+    y = delta_p / (2.0 * tick_size)  # delta_p is twice the mid change in price units
+    counts = usable.reshape(grid.n_windows, K).sum(axis=1).tolist()
+    stats.discarded_intervals += n - sum(counts)
 
     problems: list[RegressionProblem] = []
-    y_scale = 2.0 * tick_size  # delta_p is twice the mid change in price units
-    for i, rows in enumerate(by_window):
-        if len(rows) < levels + 2:
+    for i, count in enumerate(counts):
+        if count < levels + 2:
             stats.dropped_windows += 1
             continue
-        X = np.ones((len(rows), levels + 1), dtype=float)
-        X[:, 1:] = [s.mlofi[:levels] for s in rows]
-        y = np.array([s.delta_p / y_scale for s in rows])
-        problems.append(
-            RegressionProblem(date=date, window_index=i, X=X, y=y, levels=levels)
-        )
+        rows = slice(i * K, (i + 1) * K)
+        keep = usable[rows]
+        problems.append(RegressionProblem(
+            date=date, window_index=i, X=design[rows][keep], y=y[rows][keep], levels=levels
+        ))
     return problems

@@ -381,27 +381,86 @@ def oracle_select_lambda(X, y, folds, grid, penalize_intercept=True):
     return cv_errors, float(grid[int(np.argmin(cv_errors))])
 
 
+def _oracle_finish_fit(X, y, coeffs, cov_unscaled, lam):
+    """Residual variance, SEs, t, p and R^2 of one fit, with 2-D products and Python floats."""
+    from scipy import special
+
+    from mlofi.inference import RegressionFit
+
+    n, p = X.shape
+    dof = n - p
+    resid = y - X @ coeffs
+    sse = float(resid @ resid)
+    sigma2 = sse / dof
+    var = sigma2 * np.diag(cov_unscaled)
+    se = np.sqrt(np.maximum(var, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, coeffs / se, 0.0)
+    pvals = 2.0 * special.stdtr(dof, -np.abs(t))
+    sst = float(np.sum((y - y.mean()) ** 2))
+    if sst > 0.0:
+        r2 = 1.0 - sse / sst
+    else:
+        r2 = 1.0 if sse <= 1e-300 else 0.0
+    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
+    return RegressionFit(coeffs, se, t, pvals, sigma2, r2, adj_r2, lam, dof)
+
+
+def _oracle_check_rank(X, error):
+    svals = np.linalg.svd(X, compute_uv=False)
+    if svals[-1] <= 1e-10 * svals[0]:
+        raise error(
+            f"design matrix numerically singular (smin/smax = "
+            f"{svals[-1] / svals[0]:.3e})"
+        )
+
+
+def oracle_fit_ols(problem):
+    """One window's OLS fit: an SVD rank check, ``lstsq`` and an inverted X'X.
+
+    The stacked fits must match it in every bit and every failure text.
+    """
+    from mlofi.errors import RankDeficient, TooFewRows
+
+    X, y = problem.X, problem.y
+    n, p = X.shape
+    if n < p + 1:
+        raise TooFewRows(f"{n} rows cannot support {p} coefficients")
+    _oracle_check_rank(X, RankDeficient)
+    coeffs, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    return _oracle_finish_fit(X, y, coeffs, np.linalg.inv(X.T @ X), lam=0.0)
+
+
 def oracle_fit_ridge(problem, lam, penalize_intercept=True):
-    """``fit_ridge`` through scipy's ``cho_factor``/``cho_solve`` wrappers.
+    """One window's ridge fit through scipy's ``cho_factor``/``cho_solve`` wrappers.
 
     The direct LAPACK path must match it in every bit and every failure text.
     """
     from scipy import linalg as sla
 
-    from mlofi.inference import _finish_fit, _penalty
+    from mlofi.errors import TooFewRows
 
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
     X, y = problem.X, problem.y
-    p = X.shape[1]
+    n, p = X.shape
+    if n < p + 1:
+        raise TooFewRows(f"{n} rows cannot support {p} coefficients")
+    if lam == 0:
+        _oracle_check_rank(X, NumericalFailure)
+    penalty = np.eye(p)
+    if not penalize_intercept:
+        penalty[0, 0] = 0.0
     xtx = X.T @ X
     try:
-        factor = sla.cho_factor(xtx + lam * _penalty(p, penalize_intercept))
+        factor = sla.cho_factor(xtx + lam * penalty)
     except sla.LinAlgError as exc:
         raise NumericalFailure(f"ridge solve failed: {exc}") from exc
     coeffs = sla.cho_solve(factor, X.T @ y)
     a_inv = sla.cho_solve(factor, np.eye(p))
     if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(a_inv))):
         raise NumericalFailure("ridge solve produced non-finite values")
-    return _finish_fit(X, y, coeffs, a_inv @ xtx @ a_inv, lam=lam)
+    return _oracle_finish_fit(X, y, coeffs, a_inv @ xtx @ a_inv, lam=lam)
 
 
 def oracle_assemble_problems(samples, grid, levels, tick_size, date):

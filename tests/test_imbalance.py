@@ -12,11 +12,12 @@ from mlofi.errors import InconsistentEvent, TooFewRows
 from mlofi.evaluation import book_summaries
 from mlofi.imbalance import SUMMARY_LEVELS, MlofiSample, compute_day_samples, flow_delta
 from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
-from mlofi.sampling import GridSpec, build_grid
+from mlofi.sampling import GridSpec, assemble_problems, build_grid
 
 from conftest import (
     book_levels,
     fuzz_stream,
+    oracle_assemble_problems,
     oracle_book_summary,
     oracle_day_samples,
     oracle_flow_net,
@@ -287,7 +288,9 @@ def test_day_replay_discards_one_sided_intervals():
 def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300):
     """Each day's replay against ``oracle_day_samples``, and the days'
     tallies against ``oracle_book_summary``, on a grid of one-minute windows
-    from 10:00:00; events past the session end are dropped first."""
+    from 10:00:00; events past the session end are dropped first. The samples
+    rebuilt from the replay's interval columns must equal the oracle's, and
+    the problems assembled from the columns the oracle assembly's."""
     session = SessionConfig(session_start=36000, session_end=session_end)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
     tallies = []
@@ -297,6 +300,12 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
         samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         assert comp.samples == samples
         assert comp.discarded_intervals == discarded
+        assert [d is None for d in comp.intervals.delta_p] == [s is None for s in samples]
+        problems = assemble_problems(comp.intervals, grid, levels, TICK, day.trading_date)
+        expected = oracle_assemble_problems(samples, grid, levels, TICK, day.trading_date)[0]
+        assert [p.window_index for p in problems] == [p.window_index for p in expected]
+        for got, want in zip(problems, expected):
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
         tallies.append(comp.book)
 
     by_duration, by_event, counts, volumes = oracle_book_summary(days, session)

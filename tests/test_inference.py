@@ -13,7 +13,7 @@ from hypothesis import strategies as hst
 from scipy import linalg as sla
 
 from mlofi import inference
-from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient
+from mlofi.errors import DegenerateColumn, NumericalFailure, RankDeficient, TooFewRows
 from mlofi.imbalance import compute_day_samples
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
@@ -24,6 +24,7 @@ from mlofi.inference import (
     diagnose_collinearity,
     fit_ols,
     fit_ridge,
+    fit_windows,
     fold_rows,
     select_lambda,
     select_lambdas,
@@ -33,7 +34,12 @@ from mlofi.lobster import SessionConfig
 from mlofi.sampling import GridSpec, RegressionProblem, assemble_problems, build_grid
 from mlofi.synth import PlantedParams, ZiParams, generate_planted_regression, generate_zi_day
 
-from conftest import mp_regression_oracle, oracle_fit_ridge, oracle_select_lambda
+from conftest import (
+    mp_regression_oracle,
+    oracle_fit_ols,
+    oracle_fit_ridge,
+    oracle_select_lambda,
+)
 
 DATE = dt.date(2016, 1, 4)
 
@@ -648,3 +654,131 @@ def test_significance_summary_counts_at_95():
                 break
     summary = significance_summary(fits)
     assert summary.pct_significant_95[1] == pytest.approx(50.0)
+
+
+# -- stacked per-window fits ------------------------------------------------------
+
+#: What a window of the stacked-fit property is made as; most are plain.
+WINDOW_KINDS = ("plain",) * 8 + (
+    "duplicate", "collinear", "flat", "saturated", "zero intercept", "nan", "inf y", "few rows",
+)
+
+
+def stacked_fit_window(rng, n, p, kind):
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 50)])
+    beta = rng.standard_normal(p)
+    y = X @ beta + rng.standard_normal(n)
+    if kind == "duplicate":
+        X[:, -1] = X[:, 1]
+    elif kind == "collinear":
+        X[:, -1] = 3 * X[:, 1]
+    elif kind == "flat":
+        y[:] = 0.0
+    elif kind == "saturated":
+        y = X @ beta
+    elif kind == "zero intercept":
+        X[:, 0] = 0.0
+    elif kind == "nan":
+        X[n // 2, -1] = np.nan
+    elif kind == "inf y":
+        y[0] = np.inf
+    elif kind == "few rows":
+        X, y = X[:p], y[:p]
+    return make_problem(X, y)
+
+
+def same_fit(got, want):
+    return all(
+        type(getattr(got, f.name)) is type(getattr(want, f.name))
+        and np.array_equal(getattr(got, f.name), getattr(want, f.name), equal_nan=True)
+        for f in dataclasses.fields(RegressionFit)
+    )
+
+
+@given(
+    ridge=hst.booleans(),
+    penalize_intercept=hst.booleans(),
+    p=hst.integers(2, 6),
+    extra_rows=hst.lists(hst.integers(1, 12), min_size=1, max_size=3, unique=True),
+    n_windows=hst.integers(1, SCREEN_BLOCK + 8),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_fit_windows_equals_one_window_oracles(
+    ridge, penalize_intercept, p, extra_rows, n_windows, seed
+):
+    # Windows of several row counts in one call, sometimes more of one shape
+    # than a block holds: duplicated or collinear columns (OLS gives None),
+    # lam = 0 on a singular design, flat and saturated responses, a zero first
+    # column (not positive definite under a free intercept), non-finite input
+    # and too few rows. Every fit keeps the one-window oracle's bits, and the
+    # first failing window in list order raises its own error.
+    rng = np.random.default_rng(seed)
+    problems = [
+        stacked_fit_window(rng, p + int(rng.choice(extra_rows)), p, rng.choice(WINDOW_KINDS))
+        for _ in range(n_windows)
+    ]
+    lambdas = [float(rng.choice([0.0, 1e-5, 1e-2, 1.0, 1e3])) for _ in problems] if ridge else None
+    expected = []
+    with np.errstate(all="ignore"):
+        for i, problem in enumerate(problems):
+            try:
+                expected.append(
+                    oracle_fit_ridge(problem, lambdas[i], penalize_intercept) if ridge
+                    else oracle_fit_ols(problem)
+                )
+            except Exception as exc:  # noqa: BLE001 - any error is the window's own
+                expected.append(exc)
+        failing = [
+            i for i, want in enumerate(expected)
+            if isinstance(want, Exception) and not isinstance(want, RankDeficient)
+        ]
+        if failing:
+            first = expected[failing[0]]
+            with pytest.raises(Exception) as raised:
+                fit_windows(problems, lambdas, penalize_intercept)
+            assert type(raised.value) is type(first)
+            assert str(raised.value) == str(first)
+        keep = [i for i in range(n_windows) if i not in failing]
+        fits = fit_windows(
+            [problems[i] for i in keep],
+            None if lambdas is None else [lambdas[i] for i in keep],
+            penalize_intercept,
+        )
+    assert len(fits) == len(keep)
+    for i, fit in zip(keep, fits):
+        if isinstance(expected[i], RankDeficient):
+            assert fit is None
+        else:
+            assert same_fit(fit, expected[i])
+
+
+def test_fit_windows_keeps_each_window_error_its_own():
+    # Windows 0 and 2 share a block, window 1 has too few rows. Window 2's
+    # non-finite input must not fail window 0, whose fit is fine, nor its block:
+    # window 1's error comes first.
+    rng = np.random.default_rng(4)
+    problems = [stacked_fit_window(rng, 40, 4, kind) for kind in ("plain", "few rows", "nan")]
+    for lambdas, error in ((None, np.linalg.LinAlgError), ([1.0] * 3, ValueError)):
+        with np.errstate(all="ignore"):
+            with pytest.raises(TooFewRows):
+                fit_windows(problems, lambdas)
+            with pytest.raises(error) as raised:
+                fit_windows(problems[::2], lambdas)
+        assert type(raised.value) is error
+        fit = fit_windows(problems[:1], lambdas)[0]
+        want = oracle_fit_ols(problems[0]) if lambdas is None else oracle_fit_ridge(
+            problems[0], 1.0
+        )
+        assert same_fit(fit, want)
+
+
+def test_fit_windows_gives_none_for_a_rank_deficient_ols_window_only():
+    rng = np.random.default_rng(5)
+    problems = [stacked_fit_window(rng, 30, 3, kind) for kind in ("plain", "collinear", "plain")]
+    fits = fit_windows(problems)
+    assert fits[1] is None
+    assert all(same_fit(f, oracle_fit_ols(p)) for f, p in zip(fits[::2], problems[::2]))
+    with pytest.raises(NumericalFailure, match="numerically singular"):
+        fit_windows(problems, [0.0] * 3)
+    fits = fit_windows(problems, [1e-2] * 3)
+    assert all(same_fit(f, oracle_fit_ridge(p, 1e-2)) for f, p in zip(fits, problems))

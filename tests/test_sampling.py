@@ -1,6 +1,7 @@
 """Grid construction and regression-problem assembly."""
 
 import datetime as dt
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from mlofi.errors import IndivisibleGrid
-from mlofi.imbalance import MlofiSample
+from mlofi.imbalance import IntervalColumns, MlofiSample
 from mlofi.lobster import NS, SessionConfig
 from mlofi.sampling import AssemblyStats, Grid, GridSpec, assemble_problems, build_grid
 
@@ -171,27 +172,38 @@ def test_252_dates_yield_2772_problems():
     data=hst.data(),
     discard=hst.sampled_from([0.0, 0.2, 0.6]),
     tick_size=hst.sampled_from([1, 7, 100]),
-    magnitude=hst.sampled_from([50, 10**6, 2**52]),
+    magnitude=hst.sampled_from([50, 10**6, 2**52, 2**70]),
     seed=hst.integers(0, 2**32 - 1),
 )
 def test_assembly_equals_per_row_oracle(
     n_windows, n_sub, stored, data, discard, tick_size, magnitude, seed
 ):
-    # Discarded intervals shrink windows; those left with fewer than
-    # levels + 2 rows are dropped. Every array keeps the oracle's bits and layout.
+    # The columns of a day's intervals against the per-row oracle on the same
+    # intervals as samples. Discarded intervals shrink windows; those left with
+    # fewer than levels + 2 rows are dropped. Flow sums beyond 2**63 convert as
+    # float() converts them, and a delta_p of one tick size is half a tick.
+    # Every array keeps the oracle's bits and layout.
     levels = data.draw(hst.integers(1, stored), label="levels")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     grid = Grid(start_ns=0, n_windows=n_windows, n_sub=n_sub, subwindow_ns=NS)
+    columns = IntervalColumns(stored, [], [], [], [])
     samples = []
     for i in range(n_windows):
         for k in range(1, n_sub + 1):
+            mlofi = tuple(rng.randint(-magnitude, magnitude) for _ in range(stored))
+            buy, sell = rng.randint(0, 99), rng.randint(0, 99)
+            delta_p = rng.randint(-9, 9) * rng.choice([1, tick_size])
             if rng.random() < discard:
-                samples.append(None)
-                continue
-            mlofi = tuple(int(v) for v in rng.integers(-magnitude, magnitude + 1, size=stored))
-            samples.append(_sample(i, k, mlofi, int(rng.integers(-9, 10))))
+                delta_p = None
+            columns.flows += mlofi
+            columns.buy_volumes.append(buy)
+            columns.sell_volumes.append(sell)
+            columns.delta_p.append(delta_p)
+            samples.append(None if delta_p is None else MlofiSample(
+                DATE, i, k, 0, 0, mlofi, buy, sell, delta_p
+            ))
     stats = AssemblyStats()
-    problems = assemble_problems(samples, grid, levels, tick_size, DATE, stats)
+    problems = assemble_problems(columns, grid, levels, tick_size, DATE, stats)
     expected, discarded, dropped = oracle_assemble_problems(
         samples, grid, levels, tick_size, DATE
     )
@@ -203,3 +215,15 @@ def test_assembly_equals_per_row_oracle(
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.flags.c_contiguous
             assert np.array_equal(a, b)
+    # The samples give the same problems as their columns.
+    from_samples = assemble_problems(samples, grid, levels, tick_size, DATE)
+    assert len(from_samples) == len(problems)
+    for a, b in zip(from_samples, problems):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def test_assembly_takes_every_interval_of_the_grid():
+    grid = Grid(start_ns=0, n_windows=2, n_sub=3, subwindow_ns=NS)
+    columns = IntervalColumns(1, [1] * 5, [0] * 5, [0] * 5, [0] * 5)
+    with pytest.raises(ValueError, match="^5 intervals for a grid of 6$"):
+        assemble_problems(columns, grid, 1, 100, DATE)

@@ -21,7 +21,10 @@ per-window ``fit`` at level 10 in 7 folds of uneven length, with and
 without a penalized intercept; a per-window ``fit`` on a sparser book of
 two-minute windows of 2 s intervals, with and without a penalized intercept,
 whose 105 searched windows hold 84 of 60 rows (three blocks of the stacked
-penalty screen) and 21 of eight other row counts; a sparse book that
+penalty screen) and 21 of eight other row counts, and a per-window
+``evaluate`` on that book, whose 120 windows stack in 21 design shapes at
+every depth from 1 to 5 and whose OLS fits leave out the 14 windows
+rank-deficient at depth 4 and the 47 at depth 5; a sparse book that
 discards intervals and leaves rank-deficient windows out;
 ``compute`` at levels 1, 3 and 10; a one-day ``evaluate``; ``evaluate
 --config run.cfg``, a file that sets every run option, with ``--levels``
@@ -71,9 +74,10 @@ SPARSE_BOOK = [
     "--synth-days", "2", "--seed", "3", "--session-end", "11:00", "--DT", "600",
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
 ]
-# Discards leave its windows 50 to 60 rows; 15 of the 120 keep under 50.
+# Discards leave its windows 50 to 60 rows; 15 of the 120 keep under 50, and
+# 47 are rank-deficient for OLS at 5 levels.
 SCREEN_BLOCKS = [
-    "fit", "--synth-days", "2", "--seed", "3", "--session-end", "12:00", "--DT", "120",
+    "--synth-days", "2", "--seed", "3", "--session-end", "12:00", "--DT", "120",
     "--dt", "2", "--zi-limit-rate", "0.02", "--zi-market-rate", "0.04", "--zi-band", "3",
     "--levels", "5", "--lambda-mode", "per-window",
 ]
@@ -201,9 +205,10 @@ def matrix() -> list[tuple[str, list[str]]]:
               "120", "--dt", "1", "--folds", "7"]
     runs.append(("fit-per-window-uneven-folds", [*uneven, "--no-penalize-intercept"]))
     runs.append(("fit-per-window-uneven-folds-penalized-intercept", uneven))
-    runs.append(("fit-per-window-screen-blocks", SCREEN_BLOCKS))
+    runs.append(("fit-per-window-screen-blocks", ["fit", *SCREEN_BLOCKS]))
     runs.append(("fit-per-window-screen-blocks-free-intercept",
-                 [*SCREEN_BLOCKS, "--no-penalize-intercept"]))
+                 ["fit", *SCREEN_BLOCKS, "--no-penalize-intercept"]))
+    runs.append(("evaluate-per-window-screen-blocks", ["evaluate", *SCREEN_BLOCKS]))
     for levels in ("1", "3", "10"):
         runs.append((f"compute-{levels}", ["compute", *TWO_DAYS, "--levels", levels]))
     runs.append(("evaluate-one-day", ["evaluate", "--synth-days", "1", "--seed", "11",

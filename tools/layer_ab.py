@@ -23,20 +23,30 @@ times on each side:
   runs it: one ``select_lambdas`` call where the side has it, else
   ``select_lambda`` window by window; per window;
 - ``select 60/1 free``: the same with a free intercept
-  (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``).
+  (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``);
+- ``assemble 60/1``: ``assemble_problems`` on the 1-minute grid's replay,
+  from its interval columns where the side has them, else from its samples;
+  per interval;
+- ``fit 60/1``: OLS of every 1-minute window at 10 levels, and ridge of every
+  searched window at its own penalty from ``select 60/1``, as per-window
+  ridge fits them: one ``fit_windows`` call per method where the side has it,
+  else ``fit_ols`` and ``fit_ridge`` window by window; per fit.
 
-It prints per layer and side the median microseconds per row or event
-(milliseconds per window for ``select``), and the median over the reps of
-the working tree's time over REV's with that ratio's lower and upper
-quartiles, so that one run tells a move from the spread of its reps. A slow spell of the host
+It prints per layer and side the median microseconds per row, event or
+interval (milliseconds per window for ``select``, per fit for ``fit``), and
+the median over the reps of the working tree's time over REV's with that
+ratio's lower and upper quartiles, so that one run tells a move from the
+spread of its reps. A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
 runs cannot give. Both files must parse to the same events on each side, both
 sides' events, samples and book tallies must agree, and so must every window's
-chosen penalty in both selects, or it exits 1.
+chosen penalty in both selects, both sides' problems and every field of every
+fit, or it exits 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -49,13 +59,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 LEVELS = 10
 FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("parse", "parse rows", "book", *(f"replay {w}/{s}" for w, s in GRIDS),
-          *(s for s, _ in SELECTS))
+          *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1")
 
 
 def load(name: str, src: Path) -> dict:
@@ -85,9 +97,9 @@ def event_tuples(day) -> list[tuple]:
 
 def run_side(pkg: dict, message_files: tuple[Path, Path], date
              ) -> tuple[dict[str, float], list | None, list]:
-    """One rep of one side: microseconds per row or event (milliseconds per window for
-    select) by layer, the outputs (None if the two files parse to different events)
-    and the chosen penalties."""
+    """One rep of one side: microseconds per row, event or interval (milliseconds per
+    window for select, per fit for fit) by layer, the outputs (None if the two files
+    parse to different events) and the chosen penalties."""
     lobster, book, imbalance, inference, sampling = (
         pkg[m] for m in ("lobster", "book", "imbalance", "inference", "sampling"))
     session = lobster.SessionConfig()
@@ -115,28 +127,55 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
         us[f"replay {window}/{sub}"] = seconds
         outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
                         comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
+    times = {k: v * 1e6 / n for k, v in us.items()}
     # The loop leaves the 60/1 grid and its replay in grid and comp.
+    intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
+    seconds, problems = timed(sampling.assemble_problems, intervals, grid, LEVELS,
+                              session.tick_size, date)
+    times["assemble 60/1"] = seconds * 1e6 / (grid.n_windows * grid.n_sub)
+    outputs.append([(p.window_index, p.X.tobytes(), p.y.tobytes()) for p in problems])
     min_rows = inference.MIN_ROWS_PER_FOLD * FOLDS
-    problems = [p for p in sampling.assemble_problems(comp.samples, grid, LEVELS,
-                                                      session.tick_size, date)
-                if p.n_rows >= min_rows]
+    searched = [p for p in problems if p.n_rows >= min_rows]
 
     def select_all(penalize_intercept):
         if hasattr(inference, "select_lambdas"):
-            searches = inference.select_lambdas([(p.X, p.y) for p in problems], FOLDS, None,
+            searches = inference.select_lambdas([(p.X, p.y) for p in searched], FOLDS, None,
                                                 penalize_intercept)
         else:
             searches = [inference.select_lambda(p.X, p.y, FOLDS, None, penalize_intercept)
-                        for p in problems]
+                        for p in searched]
         return [s.lambda_hat for s in searches]
 
-    times = {k: v * 1e6 / n for k, v in us.items()}
     lambdas = []
     for layer, penalize_intercept in SELECTS:
         seconds, chosen = timed(select_all, penalize_intercept)
-        times[layer] = seconds * 1e3 / len(problems)
+        times[layer] = seconds * 1e3 / len(searched)
         lambdas.extend(chosen)
+
+    def fit_all(window_lambdas):
+        if hasattr(inference, "fit_windows"):
+            return (inference.fit_windows(problems)
+                    + inference.fit_windows(searched, window_lambdas))
+        fits = []
+        for p in problems:
+            try:
+                fits.append(inference.fit_ols(p))
+            except inference.RankDeficient:
+                fits.append(None)
+        return fits + [inference.fit_ridge(p, lam) for p, lam in zip(searched, window_lambdas)]
+
+    seconds, fits = timed(fit_all, lambdas[:len(searched)])
+    times["fit 60/1"] = seconds * 1e3 / len(fits)
+    outputs.append([fit_bits(fit) for fit in fits])
     return times, outputs, lambdas
+
+
+def fit_bits(fit) -> bytes | None:
+    """Every field of a ``RegressionFit`` as bytes, so that equal bits compare equal."""
+    if fit is None:
+        return None
+    return b"".join(np.asarray(getattr(fit, f.name), dtype=float).tobytes()
+                    for f in dataclasses.fields(fit))
 
 
 def main(argv: list[str]) -> int:
@@ -173,7 +212,8 @@ def main(argv: list[str]) -> int:
                 for layer, value in us.items():
                     times[side][layer].append(value)
             if outputs["rev"] != outputs["work"]:
-                print("the two sides' events, samples or book tallies differ", file=sys.stderr)
+                print("the two sides' events, samples, book tallies, problems or fits differ",
+                      file=sys.stderr)
                 return 1
             moved = [i for i, (a, b) in enumerate(zip(lambdas["rev"], lambdas["work"])) if a != b]
             if moved:
@@ -181,8 +221,8 @@ def main(argv: list[str]) -> int:
                       f"{len(lambdas['rev'])} window searches", file=sys.stderr)
                 return 1
             order.reverse()
-    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse, parse rows) "
-          f"or event, milliseconds per window (select)")
+    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse, parse rows), "
+          f"event or interval (assemble), milliseconds per window (select) or fit (fit)")
     print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
