@@ -13,11 +13,11 @@ fills every level of its orderbook row ends at a horizon, its deepest
 price: removing an unseen order beyond it leaves the book unchanged, as the
 row could not show that order.
 
-The per-message code (parser, ``apply``, replay) reads ``Side`` and
-``EventKind`` members through module names such as ``BUY`` and tests them
-by identity: on CPython 3.11 ``Side.BUY`` costs about 130 ns against 20 ns
-for a global, and hashing a member (set or dict membership) runs Python
-code, about 140 ns.
+The per-message code (parser, replay, ``apply_fields``) carries an event as
+plain ints, not enum members, whose reads (about 130 ns for ``Side.BUY`` on
+CPython 3.11) and hashes run Python code: its type code (the ``EventKind``
+value; see the ``CODE_*`` names), order id, size, price and direction (+1
+buy, -1 sell). ``apply`` takes a ``LobEvent`` apart into ``apply_fields``.
 
 ``level_snapshot`` views the book as one LOBSTER orderbook row of ints,
 ``ask1p, ask1s, bid1p, bid1s, ...``, an absent level being the sentinel
@@ -65,10 +65,13 @@ class Side(Enum):
     SELL = -1
 
 
-# The members as module globals, in definition order (see the module docstring).
-(LIMIT_ARRIVAL, CANCEL_PARTIAL, CANCEL_FULL, EXECUTION_VISIBLE, EXECUTION_HIDDEN,
- CROSS_TRADE, HALT) = EventKind
-BUY, SELL = Side
+BUY, SELL = Side  # short names
+# The type codes that ``apply_fields`` and the replay test, as ints.
+CODE_ARRIVAL = EventKind.LIMIT_ARRIVAL.value
+CODE_CANCEL_PARTIAL = EventKind.CANCEL_PARTIAL.value
+CODE_CANCEL_FULL = EventKind.CANCEL_FULL.value
+CODE_EXECUTION_VISIBLE = EventKind.EXECUTION_VISIBLE.value
+CODE_BOOK_NEUTRAL = EventKind.EXECUTION_HIDDEN.value  # and higher: the visible book stays
 
 
 @dataclass(slots=True)
@@ -116,7 +119,7 @@ class BookState:
         self._ask_prices: list[int] = []  # ascending; best ask = first
         self._anon_bid: dict[int, int] = {}
         self._anon_ask: dict[int, int] = {}
-        self._orders: dict[int, tuple[Side, int, int]] = {}
+        self._orders: dict[int, tuple[int, int, int]] = {}  # direction, price, size
         # Deepest price a seed row showed per side; a sentinel means no limit.
         self._bid_horizon = BID_ABSENT
         self._ask_horizon = ASK_ABSENT
@@ -188,51 +191,55 @@ class BookState:
     # -- event application -------------------------------------------------
 
     def apply(self, ev: LobEvent) -> "BookState":
-        """Apply one event in stream order; returns self (mutated).
+        """Apply one event in stream order; returns self (mutated). See ``apply_fields``."""
+        return self.apply_fields(ev.kind.value, ev.order_id, ev.size, ev.price, ev.side.value)
+
+    def apply_fields(
+        self, code: int, order_id: int, size: int, price: int, direction: int
+    ) -> "BookState":
+        """Apply one event, given as its type code (``EventKind`` value), order
+        id, size, price and direction (+1 buy, -1 sell), in stream order;
+        returns self (mutated).
 
         Hidden executions, cross trades and halts leave the visible book
         unchanged but still advance ``event_seq``. An event the book
         contradicts raises InconsistentEvent and changes nothing.
         """
         idx = self.event_seq
-        kind = ev.kind
-        if kind is EXECUTION_HIDDEN or kind is CROSS_TRADE or kind is HALT:
-            self.event_seq = idx + 1  # book-neutral by construction
+        if code >= CODE_BOOK_NEUTRAL:
+            self.event_seq = idx + 1
             return self
-        # One call per event, and at most one more for a removal: the side's
-        # depth map and price list are picked here, and the best quotes and
-        # the depth bookkeeping are read and written in place.
-        side, price = ev.side, ev.price
-        if side is BUY:
+        # One call per event: the side's depth map and price list are picked
+        # here, and read and written in place.
+        is_bid = direction == 1
+        if is_bid:
             depth, prices = self._bid_depth, self._bid_prices
         else:
             depth, prices = self._ask_depth, self._ask_prices
+        orders = self._orders
 
-        if kind is LIMIT_ARRIVAL:
-            orders, oid = self._orders, ev.order_id
-            if oid in orders:
-                raise InconsistentEvent(idx, f"order id {oid} already live")
-            if side is BUY:
+        if code == CODE_ARRIVAL:
+            if order_id in orders:
+                raise InconsistentEvent(idx, f"order id {order_id} already live")
+            if is_bid:
                 if self._ask_prices and price >= self._ask_prices[0]:
                     raise InconsistentEvent(idx, "buy limit crosses the ask")
             elif self._bid_prices and price <= self._bid_prices[-1]:
                 raise InconsistentEvent(idx, "sell limit crosses the bid")
-            size = ev.size
-            orders[oid] = (side, price, size)
+            orders[order_id] = (direction, price, size)
             if price in depth:
                 depth[price] += size
             else:
                 depth[price] = size
                 insort(prices, price)
+            self.event_seq = idx + 1
+            return self
 
-        elif kind is CANCEL_PARTIAL or kind is CANCEL_FULL:
-            self._reduce(ev, idx, depth, prices, kind is CANCEL_FULL, False)
-
-        elif kind is EXECUTION_VISIBLE:
+        if code == CODE_EXECUTION_VISIBLE:
             # Executions must hit the front of the resting queue. Beyond the
             # horizon the front may be a level the seed row could not show,
             # unless a better level rests on the book.
-            if side is BUY:
+            if is_bid:
                 front = prices[-1] if prices else None
                 if front != price and (price >= self._bid_horizon
                                        or (front is not None and price < front)):
@@ -242,70 +249,57 @@ class BookState:
                 if front != price and (price <= self._ask_horizon
                                        or (front is not None and price > front)):
                     raise InconsistentEvent(idx, f"execution at {price} but best SELL is {front}")
-            self._reduce(ev, idx, depth, prices, False, True)
+        elif code != CODE_CANCEL_FULL and code != CODE_CANCEL_PARTIAL:
+            raise InconsistentEvent(idx, f"unknown type code {code}")
 
-        else:  # pragma: no cover - enum is closed
-            raise InconsistentEvent(idx, f"unknown event kind {kind}")
-
-        self.event_seq = idx + 1
-        return self
-
-    def _reduce(
-        self, ev: LobEvent, idx: int, depth: dict[int, int], prices: list[int], full: bool,
-        execution: bool,
-    ) -> None:
-        """Take ``ev.size`` shares off a resting order or the seeded pool, and
-        off ``ev.side``'s ``depth`` map and ``prices`` list."""
-        oid, side, price, qty = ev.order_id, ev.side, ev.price, ev.size
-        orders = self._orders
-        rec = orders.get(oid)
+        # A removal: ``size`` shares come off the resting order or the seeded
+        # pool, and off the side's depth.
+        rec = orders.get(order_id)
         if rec is not None:
-            rest_side, rest_price, size = rec
-            if rest_side is not side or rest_price != price:
+            rest_direction, rest_price, rest_size = rec
+            if rest_direction != direction or rest_price != price:
                 raise InconsistentEvent(
                     idx,
-                    f"order {oid} rests at {rest_side.name}/{rest_price}, "
-                    f"event says {side.name}/{price}",
+                    f"order {order_id} rests at {Side(rest_direction).name}/{rest_price}, "
+                    f"event says {Side(direction).name}/{price}",
                 )
-            if full and qty != size:
-                raise InconsistentEvent(idx, f"full cancel of {qty} but order holds {size}")
-            if qty > size:
-                raise InconsistentEvent(idx, f"removal of {qty} exceeds resting size {size}")
-            if qty == size:
-                del orders[oid]
+            if code == CODE_CANCEL_FULL and size != rest_size:
+                raise InconsistentEvent(idx, f"full cancel of {size} but order holds {rest_size}")
+            if size > rest_size:
+                raise InconsistentEvent(idx, f"removal of {size} exceeds resting size {rest_size}")
+            if size == rest_size:
+                del orders[order_id]
             else:
-                orders[oid] = (side, price, size - qty)
+                orders[order_id] = (direction, price, rest_size - size)
         else:
             # Unseen order id: charge the anonymous (seeded) pool at that
             # price, unless the order rests beyond what the seed row could show.
-            if side is BUY:
-                if price < self._bid_horizon:
-                    return
-                anon = self._anon_bid
-            else:
-                if price > self._ask_horizon:
-                    return
-                anon = self._anon_ask
+            if (price < self._bid_horizon) if is_bid else (price > self._ask_horizon):
+                self.event_seq = idx + 1
+                return self
+            anon = self._anon_bid if is_bid else self._anon_ask
             pool = anon.get(price, 0)
-            if qty > pool:
-                what = "execution" if execution else "cancellation"
+            if size > pool:
+                what = "execution" if code == CODE_EXECUTION_VISIBLE else "cancellation"
                 raise InconsistentEvent(
                     idx,
-                    f"{what} of unseen order {oid} needs {qty} "
+                    f"{what} of unseen order {order_id} needs {size} "
                     f"at {price} but seeded depth is {pool}",
                 )
-            if qty == pool:
+            if size == pool:
                 del anon[price]
             else:
-                anon[price] = pool - qty
-            if execution:
+                anon[price] = pool - size
+            if code == CODE_EXECUTION_VISIBLE:
                 self.seeded_executions += 1
-        left = depth[price] - qty
+        left = depth[price] - size
         if left > 0:
             depth[price] = left
         else:
             del depth[price]
             prices.pop(bisect_left(prices, price))
+        self.event_seq = idx + 1
+        return self
 
 
 def level_snapshot(state: BookState, levels: int) -> tuple[int, ...]:

@@ -493,9 +493,10 @@ def cmd_synth(config: RunConfig) -> int:
 
     def write_day(day: DaySlice) -> None:
         stem = f"SYN_{day.trading_date.isoformat()}"
-        write_message_file(config.out_dir / f"{stem}_message_{config.levels}.csv", day.events)
+        events = day.events
+        write_message_file(config.out_dir / f"{stem}_message_{config.levels}.csv", events)
         write_orderbook_file(
-            config.out_dir / f"{stem}_orderbook_{config.levels}.csv", day.events, config.levels
+            config.out_dir / f"{stem}_orderbook_{config.levels}.csv", events, config.levels
         )
 
     for _ in map(write_day, load_days(config)):

@@ -32,10 +32,13 @@ reference for it.
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
 
-The replay hands back a day's intervals as columns (``IntervalColumns``):
-each interval's M flow integers, its buy and sell volumes and its change in
-ask + bid, without one object per interval. ``DayComputation.samples`` builds
-the per-interval ``MlofiSample``s from them on demand.
+The replay reads a day's events as six columns of ints (``DaySlice.columns``)
+through one ``zip`` and applies each through ``BookState.apply_fields``,
+making no ``LobEvent``. It hands back a day's intervals as columns
+(``IntervalColumns``): each interval's M flow integers, its buy and sell
+volumes and its change in ask + bid, without one object per interval.
+``DayComputation.samples`` builds the per-interval ``MlofiSample``s from
+them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
@@ -54,8 +57,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .book import (
-    ASK_ABSENT, BID_ABSENT, BUY, CROSS_TRADE, EXECUTION_HIDDEN, EXECUTION_VISIBLE, HALT, SELL,
-    BookState, level_snapshot,
+    ASK_ABSENT, BID_ABSENT, BUY, CODE_BOOK_NEUTRAL, CODE_EXECUTION_VISIBLE, SELL, BookState,
+    level_snapshot,
 )
 from .errors import InconsistentEvent
 from .lobster import DaySlice
@@ -260,10 +263,10 @@ def _replay(
 ) -> DayComputation:
     """The loop of ``compute_day_samples``."""
     state = day.seed.build_book() if day.seed else BookState()
-    apply = state.apply
+    apply = state.apply_fields
     (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
-    events = day.events
-    n_events = len(events)
+    times = day.columns.times
+    n_events = len(times)
     t_last = boundaries_ns[-1]
     # The book's top levels as one orderbook row, deep enough for the flow
     # vector and the book summary. It is taken once and kept in place: one
@@ -278,7 +281,7 @@ def _replay(
     # value held to the end; after the replay, the part beyond the last
     # replayed state comes off again.
     cols = _tally_columns(row)
-    t_first = events[0].timestamp_ns if events else t_last
+    t_first = times[0] if times else t_last
     by_time = [v * (t_last - t_first) for v in cols]
     by_count = [v * n_events for v in cols]
     flow_counts = [0, 0, 0]
@@ -290,26 +293,25 @@ def _replay(
     deltas: list[int | None] = []
     discarded = 0
     prev_mid = None
+    events = zip(*day.columns)
     pos = 0
     # j = 0 is the baseline, whose flow belongs to no interval.
     for j, t_end in enumerate(boundaries_ns):
         totals = [0] * levels
         buy = 0
         sell = 0
-        while pos < n_events and events[pos].timestamp_ns <= t_end:
-            ev = events[pos]
+        while pos < n_events and times[pos] <= t_end:
+            t, code, order_id, size, price, direction = next(events)
             pos += 1
-            kind = ev.kind
-            if kind is EXECUTION_HIDDEN or kind is CROSS_TRADE or kind is HALT:
+            if code >= CODE_BOOK_NEUTRAL:
                 # The visible book stays as it is, and the flow buckets
                 # count only the other kinds.
-                apply(ev)
+                apply(code, order_id, size, price, direction)
                 continue
-            side, price, size = ev.side, ev.price, ev.size
-            is_bid = side is BUY
+            is_bid = direction == 1
             # Flow bucket on the book before the event: 0 within the
             # spread, 1 at the best quote, 2 deeper.
-            if kind is EXECUTION_VISIBLE:
+            if code == CODE_EXECUTION_VISIBLE:
                 bucket = 1  # executions always hit the front of the queue
                 # A hit resting sell means an incoming buy market order.
                 if is_bid:
@@ -328,7 +330,7 @@ def _replay(
             flow_volumes[bucket] += size
             depth_of = bid_depth if is_bid else ask_depth
             before = depth_of.get(price, 0)
-            apply(ev)
+            apply(code, order_id, size, price, direction)
             after = depth_of.get(price, 0)
             if before == after:  # e.g. a removal beyond the seed horizon
                 continue
@@ -355,7 +357,7 @@ def _replay(
                     c = 3 + L + k
                 if k < L and cols[0]:
                     cols[c] = after
-                    by_time[c] += d * (t_last - ev.timestamp_ns)
+                    by_time[c] += d * (t_last - t)
                     by_count[c] += d * (n_events - pos + 1)
                 continue
             # A level appeared or vanished at k: the side's cells k..depth-1
@@ -392,7 +394,7 @@ def _replay(
                     d = v - cols[c]
                     if d:
                         cols[c] = v
-                        by_time[c] += d * (t_last - ev.timestamp_ns)
+                        by_time[c] += d * (t_last - t)
                         by_count[c] += d * (n_events - pos + 1)
 
         ask, bid = row[0], row[2]
@@ -409,7 +411,7 @@ def _replay(
         prev_mid = end_mid
 
     # The last replayed state holds until the next event, or t_N.
-    t_stop = events[pos].timestamp_ns if pos < n_events else t_last
+    t_stop = times[pos] if pos < n_events else t_last
     for c, v in enumerate(cols):
         by_time[c] -= v * (t_last - t_stop)
         by_count[c] -= v * (n_events - pos)

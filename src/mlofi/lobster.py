@@ -26,12 +26,13 @@ integers of 1-18 digits with an optional leading ``-``, no padding, so
 every value and step fits an int64. numpy reads it a block of lines at a
 time (``_BLOCK`` bytes, so the temporaries stay small beside the events),
 checks the values and the time order as the row loop does, filters by
-session and hidden executions, and builds ``LobEvent``s of Python ints for
-the kept rows only. Any other file (CR line ends, blank lines, padding,
-non-ASCII bytes, a missing final newline) or any row that fails a check
-sends the whole file to the row loop, which reads it again from the start
-and keeps the grammar, every error and its line: both ways give the same
-``DaySlice``.
+session and hidden executions, and appends the kept rows' values to the
+day's ``EventColumns`` as Python ints, with no object per row. Any other
+file (CR line ends, blank lines, padding, non-ASCII bytes, a missing final
+newline) or any row that fails a check sends the whole file to the row
+loop, which reads it again from the start and keeps the grammar, every
+error and its line: both ways give the same ``DaySlice``, columns and all.
+Its ``events`` builds ``LobEvent``s only when read.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .book import (
-    ASK_ABSENT, BID_ABSENT, BUY, EXECUTION_HIDDEN, HALT, SELL, BookState, EventKind, LobEvent, Side,
-    level_snapshot,
+    ASK_ABSENT, BID_ABSENT, BUY, SELL, BookState, EventKind, LobEvent, Side, level_snapshot,
 )
 from .errors import BadValue, ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 
@@ -54,6 +55,7 @@ NS = 1_000_000_000
 
 _KIND_BY_CODE = {k.value: k for k in EventKind}
 _SIDE_BY_DIRECTION = {1: BUY, -1: SELL}
+_HIDDEN, _HALT = EventKind.EXECUTION_HIDDEN.value, EventKind.HALT.value
 
 # The grammar: ASCII decimal integers and 'seconds.fraction' times, each
 # field padded by the ASCII characters str.strip() removes.
@@ -114,22 +116,58 @@ class SessionConfig:
         return self.session_end - self.session_start
 
 
+class EventColumns(NamedTuple):
+    """A day's events as six columns of Python ints, in stream order; never
+    numpy scalars, as the replay's exact tallies need."""
+
+    times: list[int]  # nanoseconds after midnight
+    codes: list[int]  # type codes, the EventKind values
+    order_ids: list[int]
+    sizes: list[int]
+    prices: list[int]
+    directions: list[int]  # +1 buy, -1 sell
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple[int, ...]]) -> "EventColumns":
+        """The columns of ``rows``, each one event's six values."""
+        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [])
+
+
+def _event(ts: int, code: int, order_id: int, size: int, price: int, direction: int) -> LobEvent:
+    return LobEvent(ts, _KIND_BY_CODE[code], order_id, size, price, _SIDE_BY_DIRECTION[direction])
+
+
 @dataclass
 class DaySlice:
     """One instrument-day of session-filtered events plus an optional seed,
     and the message file it was read from, if any.
 
-    For a message file, ``rows_before`` counts the rows before the session
-    and ``skipped_lines`` lists, ascending, the blank lines and the dropped
-    hidden executions; with them ``line_of`` finds an event's line.
+    The events are held as ``columns`` only, which the replay reads;
+    ``events`` builds them as ``LobEvent``s on each read, and
+    ``from_events`` makes a day of ``LobEvent``s. For a message file,
+    ``rows_before`` counts the rows before the session and ``skipped_lines``
+    lists, ascending, the blank lines and the dropped hidden executions;
+    with them ``line_of`` finds an event's line.
     """
 
     trading_date: dt.date
-    events: list[LobEvent]
+    columns: EventColumns
     seed: "SeedSnapshot | None" = None
     path: Path | None = None
     rows_before: int = 0
     skipped_lines: list[int] = field(default_factory=list)
+
+    @classmethod
+    def from_events(cls, trading_date: dt.date, events: list[LobEvent], seed=None) -> "DaySlice":
+        """A day of ``events`` read from no file."""
+        rows = [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
+                for e in events]
+        return cls(trading_date, EventColumns.from_rows(rows), seed)
+
+    @property
+    def events(self) -> list[LobEvent]:
+        """The events as new ``LobEvent``s, built on each read."""
+        return list(map(_event, *self.columns))
 
     def line_of(self, event_index: int) -> int:
         """The message-file line of ``events[event_index]``: the
@@ -176,46 +214,53 @@ def _malformed(line: str, line_no: int) -> MalformedRow:
 
 
 def parse_message_row(line: str, line_no: int) -> LobEvent:
+    return _event(*_message_fields(line, line_no))
+
+
+def _message_fields(line: str, line_no: int) -> tuple[int, int, int, int, int, int]:
+    """A message row's values (time in nanoseconds, type code, order id, size,
+    price, direction), checked, with a halt's normalized."""
     m = _MESSAGE_RE.fullmatch(line)
     if m is None:
         raise _malformed(line, line_no)
     secs, frac, code, order_id, size, price, direction = m.groups()
     ts = int(secs) * NS + (int(frac.ljust(9, "0")) if frac else 0)
-    kind = _KIND_BY_CODE.get(int(code))
-    if kind is None:
-        raise MalformedRow(line_no, f"unknown type code {int(code)}")
+    code = int(code)
+    if code not in _KIND_BY_CODE:
+        raise MalformedRow(line_no, f"unknown type code {code}")
     order_id, size, price, direction = int(order_id), int(size), int(price), int(direction)
     if direction not in (1, -1):
         raise MalformedRow(line_no, f"direction must be +1/-1, got {direction}")
-    side = BUY if direction == 1 else SELL
-    if kind is HALT:
+    if code == _HALT:
         # Halt rows carry status flags, not an order; normalize to neutral values.
-        return LobEvent(ts, kind, order_id, max(size, 1), max(price, 1), side)
+        return ts, code, order_id, max(size, 1), max(price, 1), direction
     if size < 1:
         raise MalformedRow(line_no, f"size must be >= 1, got {size}")
     if not 0 < price < ASK_ABSENT:
         raise MalformedRow(line_no, f"price must be in 1..{ASK_ABSENT - 1}, got {price}")
-    return LobEvent(ts, kind, order_id, size, price, side)
+    return ts, code, order_id, size, price, direction
 
 
 def _parse_lines(
     lines, config: SessionConfig
-) -> tuple[list[LobEvent], LobEvent | None, int, list[int]]:
-    """The row loop: the session's events, the file's first event, the rows
-    before the session and the skipped lines, from ``lines`` with their ends."""
-    events: list[LobEvent] = []
+) -> tuple[EventColumns, LobEvent | None, int, list[int]]:
+    """The row loop: the session's event columns, the file's first event, the
+    rows before the session and the skipped lines, from ``lines`` with their
+    ends."""
+    rows: list[tuple[int, ...]] = []
     skipped: list[int] = []
-    start_ns, end_ns, exclude_hidden = config.start_ns, config.end_ns, config.exclude_hidden
+    start_ns, end_ns = config.start_ns, config.end_ns
+    hidden = _HIDDEN if config.exclude_hidden else None
     last_ts = -1
     before, first = 0, None
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             skipped.append(line_no)
             continue
-        ev = parse_message_row(line, line_no)
+        row = _message_fields(line, line_no)
         if first is None:
-            first = ev
-        ts = ev.timestamp_ns
+            first = _event(*row)
+        ts = row[0]
         if ts < last_ts:
             raise MalformedRow(line_no, "timestamps decrease within the file")
         last_ts = ts
@@ -224,11 +269,11 @@ def _parse_lines(
             continue
         if ts > end_ns:
             continue
-        if exclude_hidden and ev.kind is EXECUTION_HIDDEN:
+        if row[1] == hidden:
             skipped.append(line_no)
             continue
-        events.append(ev)
-    return events, first, before, skipped
+        rows.append(row)
+    return EventColumns.from_rows(rows), first, before, skipped
 
 
 # A canonical message row: each field's ASCII digits, a '-' leading an integer,
@@ -297,7 +342,7 @@ def _canonical_columns(data: bytes) -> list[np.ndarray] | None:
         return None
     secs, frac, code, order_id, size, price, direction = fields
     ts = secs * NS + frac
-    halt = code == HALT.value
+    halt = code == _HALT
     valid = ((code >= 1) & (code <= len(EventKind)) & (np.abs(direction) == 1)
              & (halt | ((size >= 1) & (price >= 1) & (price < ASK_ABSENT))))
     if not valid.all() or (ts[1:] < ts[:-1]).any():
@@ -307,20 +352,11 @@ def _canonical_columns(data: bytes) -> list[np.ndarray] | None:
     return [ts, code, order_id, size, price, direction]
 
 
-def _events(columns: list[np.ndarray], rows) -> list[LobEvent]:
-    """The events of ``rows`` in ``columns``. Every field is a Python int, as
-    the replay's exact tallies need, never a numpy scalar."""
-    ts, code, order_id, size, price, direction = (c[rows].tolist() for c in columns)
-    return list(map(LobEvent, ts, map(_KIND_BY_CODE.__getitem__, code), order_id, size, price,
-                    map(_SIDE_BY_DIRECTION.__getitem__, direction)))
-
-
 def _parse_columns(path: Path, config: SessionConfig):
     """What ``_parse_lines`` gives for the file at ``path``, read and
     tokenized as columns a block of lines at a time, or None unless every
     line is a canonical row that passes the row loop's checks."""
-    events: list[LobEvent] = []
-    skipped: list[int] = []
+    events, skipped = EventColumns.from_rows([]), []
     first, before, n_rows, last_ts = None, 0, 0, -1
     tail = b""
     with open(path, "rb") as fh:
@@ -338,12 +374,14 @@ def _parse_columns(path: Path, config: SessionConfig):
             before += np.count_nonzero(ts < config.start_ns)
             kept = (ts >= config.start_ns) & (ts <= config.end_ns)
             if config.exclude_hidden:
-                hidden = kept & (code == EXECUTION_HIDDEN.value)
+                hidden = kept & (code == _HIDDEN)
                 skipped += (np.flatnonzero(hidden) + n_rows + 1).tolist()
                 kept &= ~hidden
-            events += _events(columns, np.flatnonzero(kept))
+            rows = np.flatnonzero(kept)
+            for values, column in zip(events, columns):
+                values += column[rows].tolist()
             if first is None:
-                first = _events(columns, [0])[0]
+                first = _event(*(c[0].item() for c in columns))
             n_rows += len(ts)
     if tail or first is None:
         return None
@@ -376,7 +414,7 @@ def parse_message_file(
     except MalformedRow as exc:
         raise MalformedRow(exc.line_no, exc.reason, path) from None
     events, first, before, skipped = parsed
-    if not events:
+    if not events.times:
         raise EmptySession(f"{path}: no rows inside the session window")
     seed = None
     if orderbook is not None and before:

@@ -229,7 +229,7 @@ def generate_zi_day(
             if b is not None:
                 last_best[s] = b
 
-    return DaySlice(trading_date=trading_date, events=events, seed=None)
+    return DaySlice.from_events(trading_date, events)
 
 
 @dataclass(frozen=True)

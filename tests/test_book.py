@@ -1,7 +1,11 @@
 """Book engine: event application, snapshots, mid/spread, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mlofi.book import (
     ASK_ABSENT,
@@ -295,3 +299,69 @@ def test_replay_is_deterministic():
         return level_snapshot(state, 10), state.event_seq
 
     assert run() == run()
+
+
+@st.composite
+def altered_streams(draw):
+    """A fuzzed stream on an empty or a seeded book (with or without
+    horizons), with up to six events altered in one field, so the book may
+    reject them: (seed or None, events)."""
+    events = fuzz_stream(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         draw(st.integers(1, 300)))
+    seed = None
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(events)))
+        state = BookState()
+        for e in events[:cut]:
+            state.apply(e)
+        bids, asks = book_levels(state)
+        horizons = {}
+        if draw(st.booleans()) and bids and asks:
+            horizons = {"bid_horizon": bids[-1][0], "ask_horizon": asks[-1][0]}
+        seed, events = (bids, asks, horizons), events[cut:]
+    for _ in range(draw(st.integers(0, 6)) if events else 0):
+        i = draw(st.integers(0, len(events) - 1))
+        e = events[i]
+        change = draw(st.sampled_from(["kind", "order_id", "size", "price", "side"]))
+        if change == "kind":
+            e = dataclasses.replace(e, kind=draw(st.sampled_from(EventKind)), size=max(e.size, 1))
+        elif change == "order_id":
+            e = dataclasses.replace(e, order_id=draw(st.integers(1, 400)))
+        elif change == "size":
+            e = dataclasses.replace(e, size=max(e.size + draw(st.integers(-3, 3)), 1))
+        elif change == "price":
+            e = dataclasses.replace(e, price=e.price + draw(st.sampled_from([-200, -100, 100])))
+        else:
+            e = dataclasses.replace(e, side=S if e.side is B else B)
+        events[i] = e
+    return seed, events
+
+
+def _full_state(state):
+    """Everything an event can change: the full-depth book, the order
+    registry, the seeded pools and the counters."""
+    n = max(len(state.side_book(B)[1]), len(state.side_book(S)[1]), 1)
+    return (level_snapshot(state, n), dict(state._orders), dict(state._anon_bid),
+            dict(state._anon_ask), state.event_seq, state.seeded_executions)
+
+
+@given(altered_streams())
+def test_apply_fields_equals_apply(stream):
+    seed, events = stream
+    states = [BookState() if seed is None else BookState.from_snapshot(seed[0], seed[1], **seed[2])
+              for _ in range(2)]
+    calls = (lambda e: states[0].apply(e),
+             lambda e: states[1].apply_fields(e.kind.value, e.order_id, e.size, e.price,
+                                              e.side.value))
+    for e in events:
+        before = _full_state(states[0])
+        outcomes = []
+        for state, call in zip(states, calls):
+            try:
+                assert call(e) is state
+                outcomes.append(None)
+            except InconsistentEvent as exc:
+                outcomes.append((exc.event_index, exc.reason, str(exc)))
+                assert _full_state(state) == before  # a rejected event changes nothing
+        assert outcomes[0] == outcomes[1]
+        assert _full_state(states[0]) == _full_state(states[1])

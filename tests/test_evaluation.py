@@ -229,7 +229,7 @@ def test_summarize_constant_book():
         _arrival(1, 10, 140000, Side.BUY, T0),
         _arrival(2, 20, 140200, Side.SELL, T0),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     by_duration, by_event, _ = summarize_day(day, session)
     for summary in (by_duration, by_event):
         assert summary.mean_mid_dollars == pytest.approx(14.01)
@@ -248,7 +248,7 @@ def test_concentration_all_at_best():
         LobEvent(T0 + 2 * NS, EventKind.EXECUTION_VISIBLE, 2, 5, 140200, Side.SELL),
         LobEvent(T0 + 3 * NS, EventKind.CANCEL_PARTIAL, 3, 2, 140000, Side.BUY),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     _, _, conc = summarize_day(day, session)
     # First two arrivals improve empty sides (within spread); the rest sit
     # at the best quotes.
@@ -267,7 +267,7 @@ def test_concentration_all_at_best_with_seeded_book():
         LobEvent(T0 + 3 * NS, EventKind.EXECUTION_VISIBLE, 0, 10, 140200, Side.SELL),
         LobEvent(T0 + 4 * NS, EventKind.CANCEL_PARTIAL, 0, 10, 140000, Side.BUY),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events, seed=seed)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events, seed=seed)
     _, _, conc = summarize_day(day, session)
     assert conc.count_pct == pytest.approx((0.0, 100.0, 0.0))
     assert conc.volume_pct == pytest.approx((0.0, 100.0, 0.0))
@@ -282,7 +282,7 @@ def test_concentration_buckets_and_volume():
         _arrival(4, 6, 139000, Side.BUY, T0 + 2 * NS),  # deeper
         _arrival(5, 10, 140400, Side.SELL, T0 + 3 * NS),  # at best ask
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     _, _, conc = summarize_day(day, session)
     counts = np.array(conc.count_pct) * conc.n_events / 100.0
     assert counts == pytest.approx([3.0, 1.0, 1.0])
@@ -300,7 +300,7 @@ def test_summarize_matches_bruteforce_oracle():
     events = fuzz_stream(rng, 800)
     session = SessionConfig(session_start=36000, session_end=57600 - 2 * 3600)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     by_duration, by_event, _ = summarize_day(day, session)
 
     # Naive pass: record every two-sided post-event state and its holding time.
@@ -375,7 +375,7 @@ def test_per_window_ridge_skips_window_shrunk_by_discards():
     ]
     events += fuzz_stream(np.random.default_rng(5), 300, start_ts=T0 + 15 * NS)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     report = run_evaluation(
         [day], session, GridSpec(window_seconds=60, subwindow_seconds=1),
         levels=2, spec=FitSpec(methods=(OLS, RIDGE), lambda_mode="per-window"),

@@ -182,7 +182,7 @@ def _grid_60_10():
 
 def _day_samples(events, levels):
     """Replay a hand-built day over six 10 s intervals from 10:00:00."""
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     return compute_day_samples(day, *_grid_60_10(), levels).samples
 
 
@@ -259,7 +259,7 @@ def test_day_replay_boundaries_left_open_right_closed():
         arrival(2, 10, 140200, Side.SELL, ts=36_000 * NS),
         arrival(3, 7, 140100, Side.BUY, ts=36_010 * NS),  # exactly t_1
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, 2)
     assert comp.samples[0].mlofi == (7, 10)
     assert comp.samples[1].mlofi == (0, 0)
@@ -276,7 +276,7 @@ def test_day_replay_discards_one_sided_intervals():
         # Ask side appears only after 36020: first two intervals lack a mid.
         arrival(2, 10, 140200, Side.SELL, ts=36_025 * NS),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, 2)
     assert comp.samples[0] is None  # one-sided at both ends
     assert comp.samples[1] is None  # one-sided at start
@@ -293,9 +293,11 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
     the problems assembled from the columns the oracle assembly's."""
     session = SessionConfig(session_start=36000, session_end=session_end)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
+    days = [DaySlice.from_events(
+        day.trading_date, [e for e in day.events if e.timestamp_ns <= session.end_ns], day.seed,
+    ) for day in days]
     tallies = []
     for day in days:
-        day.events = [e for e in day.events if e.timestamp_ns <= session.end_ns]
         comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         assert comp.samples == samples
@@ -349,7 +351,7 @@ def fuzzed_days(draw, bands=(6,)):
             bids, asks = book_levels(state)
             seed = SeedSnapshot(bids=tuple(bids), asks=tuple(asks))
             events = events[cut:]
-        days.append(DaySlice(dt.date(2016, 1, 4 + d), events, seed=seed))
+        days.append(DaySlice.from_events(dt.date(2016, 1, 4 + d), events, seed=seed))
     return days
 
 
@@ -459,7 +461,7 @@ def horizon_days(draw):
             kind, oid, size = EventKind.CANCEL_PARTIAL, next_unseen, int(rng.integers(1, 20))
             next_unseen += 1
         events.append(LobEvent(ts, kind, oid, size, price, Side.BUY if side == 1 else Side.SELL))
-    return DaySlice(dt.date(2016, 1, 4), events, seed=seed), levels
+    return DaySlice.from_events(dt.date(2016, 1, 4), events, seed=seed), levels
 
 
 @given(day_levels=horizon_days(), subwindow=hst.sampled_from([1, 10, 30]))
@@ -502,7 +504,7 @@ def test_a_level_appearing_and_vanishing_at_each_rank_matches_oracles(side, k, l
         at(34, EventKind.LIMIT_ARRIVAL, oid, 4, price),
         at(45, EventKind.CANCEL_PARTIAL, oid, 1, price),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     _assert_replay_matches_oracles([day], levels, session_end=36060)
     flows = [sample.mlofi for sample in _day_samples(events, levels)]
     if k >= levels:
@@ -528,7 +530,7 @@ def test_a_side_going_empty_and_coming_back_matches_oracles(side, levels):
                                                                      else -100), side),
         arrival(5, 2, price, side, ts=T0 + 55 * NS),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     _assert_replay_matches_oracles([day], levels, session_end=36060)
     comp = compute_day_samples(day, *_grid_60_10(), levels)
     assert comp.discarded_intervals == 5
@@ -555,7 +557,7 @@ def test_removals_beyond_a_seeded_horizon_change_nothing():
         unseen(16, EventKind.CANCEL_FULL, 905, 24, 140600, Side.SELL),
         unseen(25, EventKind.CANCEL_PARTIAL, 906, 3, 139500, Side.BUY),
     ]
-    day = DaySlice(dt.date(2016, 1, 4), events, seed=seed)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events, seed=seed)
     _assert_replay_matches_oracles([day], 3, session_end=36060)
     comp = compute_day_samples(day, *_grid_60_10(), 5)
     flows = [sample.mlofi for sample in comp.samples]
@@ -566,6 +568,7 @@ def test_a_replay_error_names_the_day_without_a_file():
     session = SessionConfig(session_start=36000, session_end=36060)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
     events = [arrival(1, 10, 140000, ts=36_001 * NS), arrival(1, 5, 139900, ts=36_002 * NS)]
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
     message = "^2016-01-04: event 1: order id 1 already live$"
     with pytest.raises(InconsistentEvent, match=message):
-        compute_day_samples(DaySlice(dt.date(2016, 1, 4), events), grid.boundaries_ns, 6, 1)
+        compute_day_samples(day, grid.boundaries_ns, 6, 1)

@@ -12,6 +12,8 @@ from mlofi import lobster
 from mlofi.book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
+    DaySlice,
+    EventColumns,
     SessionConfig,
     format_timestamp_ns,
     hms_to_seconds,
@@ -220,6 +222,34 @@ def test_parse_recovers_fuzzed_events_exactly(tmp_path):
     for e in day.events:
         assert e.timestamp_ns >= last
         last = e.timestamp_ns
+
+
+def test_a_canonical_file_and_its_crlf_copy_parse_to_equal_int_columns(tmp_path):
+    # The columnar parse and the row loop meet at one type: six columns of
+    # Python ints, never numpy scalars, which the exact tallies need.
+    events = fuzz_stream(np.random.default_rng(4), 400)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_message_file(lf, events)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    config = SessionConfig()
+    assert lobster._parse_columns(lf, config) is not None
+    assert lobster._parse_columns(crlf, config) is None
+    days = [parse_message_file(path, config, DAY) for path in (lf, crlf)]
+    assert days[0].columns == days[1].columns
+    assert days[0].skipped_lines == days[1].skipped_lines != []  # hidden executions
+    for day in days:
+        assert type(day.columns) is EventColumns
+        assert all(type(column) is list for column in day.columns)
+        assert all(type(v) is int for column in day.columns for v in column)
+    assert days[0].events == [e for e in events if e.kind is not EventKind.EXECUTION_HIDDEN]
+
+
+def test_a_days_events_are_built_on_read_and_cannot_be_assigned():
+    events = fuzz_stream(np.random.default_rng(5), 50)
+    day = DaySlice.from_events(DAY, events)
+    assert day.events == events and day.events is not day.events
+    with pytest.raises(AttributeError):
+        day.events = events[:10]
 
 
 def test_orderbook_writer_and_seed_reader(tmp_path):
@@ -479,8 +509,7 @@ def both_ways(path, config=SessionConfig(), orderbook=None, *, columnar):
     outcome = parse_outcome(path, config, orderbook)
     assert outcome == row_loop_outcome(path, config, orderbook)
     if columnar:
-        for ev in outcome.events:
-            assert all(type(v) is int for v in (ev.timestamp_ns, ev.order_id, ev.size, ev.price))
+        assert all(type(v) is int for column in outcome.columns for v in column)
     return outcome
 
 

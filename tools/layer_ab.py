@@ -14,7 +14,10 @@ times on each side:
 - ``parse rows``: the same on the CRLF copy, which no canonical-row reader
   takes, so it goes through the row loop; per row kept;
 - ``book``: a bare loop of ``BookState.apply`` over the side's own parsed
-  events, per event;
+  events as ``LobEvent``s, per event;
+- ``book fields``: a bare loop of ``BookState.apply_fields`` over the side's
+  own parsed event columns, per event, on a side that has them: the loop
+  the replay runs, without the replay's own work;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
   1-minute/1-second grid, per event;
@@ -36,7 +39,8 @@ It prints per layer and side the median microseconds per row, event or
 interval (milliseconds per window for ``select``, per fit for ``fit``), and
 the median over the reps of the working tree's time over REV's with that
 ratio's lower and upper quartiles, so that one run tells a move from the
-spread of its reps. A slow spell of the host
+spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
+A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
 runs cannot give. Both files must parse to the same events on each side, both
 sides' events, samples and book tallies must agree, and so must every window's
@@ -66,7 +70,7 @@ LEVELS = 10
 FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
-LAYERS = ("parse", "parse rows", "book", *(f"replay {w}/{s}" for w, s in GRIDS),
+LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
           *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1")
 
 
@@ -90,7 +94,10 @@ def timed(fn, *args) -> tuple[float, object]:
 
 
 def event_tuples(day) -> list[tuple]:
-    """``day``'s events as plain values, comparable across the two packages."""
+    """``day``'s events as plain values, comparable across the two packages:
+    from its columns where the side has them, else from its events."""
+    if hasattr(day, "columns"):
+        return list(zip(*day.columns))
     return [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
             for e in day.events]
 
@@ -104,11 +111,11 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
         pkg[m] for m in ("lobster", "book", "imbalance", "inference", "sampling"))
     session = lobster.SessionConfig()
     seconds, day = timed(lobster.parse_message_file, message_files[0], session, date)
-    n = len(day.events)
     us = {"parse": seconds}
     us["parse rows"], rows_day = timed(lobster.parse_message_file, message_files[1], session,
                                        date)
     events = event_tuples(day)
+    n = len(events)
     if event_tuples(rows_day) != events:
         return {}, None, []
     del rows_day
@@ -119,6 +126,13 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
             apply(ev)
 
     us["book"], _ = timed(apply_all, day.events)
+    if hasattr(day, "columns"):
+        def apply_fields_all(columns):
+            apply = book.BookState().apply_fields
+            for _, code, order_id, size, price, direction in zip(*columns):
+                apply(code, order_id, size, price, direction)
+
+        us["book fields"], _ = timed(apply_fields_all, day.columns)
     outputs = [events]
     for window, sub in GRIDS:
         grid = sampling.build_grid(session, sampling.GridSpec(window, sub))
@@ -221,11 +235,15 @@ def main(argv: list[str]) -> int:
                       f"{len(lambdas['rev'])} window searches", file=sys.stderr)
                 return 1
             order.reverse()
-    print(f"{len(day.events)} events, {reps} reps; microseconds per row (parse, parse rows), "
-          f"event or interval (assemble), milliseconds per window (select) or fit (fit)")
+    print(f"{len(day.columns.times)} events, {reps} reps; microseconds per row (parse, parse "
+          f"rows), event or interval (assemble), milliseconds per window (select) or fit (fit)")
     print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
+        if not rev or not new:  # a layer that one side lacks
+            print(f"{layer:<18}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
+                                           for t in (rev, new)))
+            continue
         ratios = [b / a for a, b in zip(rev, new)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
         print(f"{layer:<18}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
