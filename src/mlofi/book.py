@@ -17,7 +17,8 @@ The per-message code (parser, replay, ``apply_fields``) carries an event as
 plain ints, not enum members, whose reads (about 130 ns for ``Side.BUY`` on
 CPython 3.11) and hashes run Python code: its type code (the ``EventKind``
 value; see the ``CODE_*`` names), order id, size, price and direction (+1
-buy, -1 sell). ``apply`` takes a ``LobEvent`` apart into ``apply_fields``.
+buy, -1 sell). ``apply`` takes a ``LobEvent`` apart into ``apply_fields``,
+reading each member's ``_value_``: ``.value`` runs Python code, about 180 ns.
 
 ``level_snapshot`` views the book as one LOBSTER orderbook row of ints,
 ``ask1p, ask1s, bid1p, bid1s, ...``, an absent level being the sentinel
@@ -192,7 +193,7 @@ class BookState:
 
     def apply(self, ev: LobEvent) -> "BookState":
         """Apply one event in stream order; returns self (mutated). See ``apply_fields``."""
-        return self.apply_fields(ev.kind.value, ev.order_id, ev.size, ev.price, ev.side.value)
+        return self.apply_fields(ev.kind._value_, ev.order_id, ev.size, ev.price, ev.side._value_)
 
     def apply_fields(
         self, code: int, order_id: int, size: int, price: int, direction: int

@@ -160,7 +160,7 @@ class DaySlice:
     @classmethod
     def from_events(cls, trading_date: dt.date, events: list[LobEvent], seed=None) -> "DaySlice":
         """A day of ``events`` read from no file."""
-        rows = [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
+        rows = [(e.timestamp_ns, e.kind._value_, e.order_id, e.size, e.price, e.side._value_)
                 for e in events]
         return cls(trading_date, EventColumns.from_rows(rows), seed)
 
