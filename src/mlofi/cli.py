@@ -493,10 +493,9 @@ def cmd_synth(config: RunConfig) -> int:
 
     def write_day(day: DaySlice) -> None:
         stem = f"SYN_{day.trading_date.isoformat()}"
-        events = day.events
-        write_message_file(config.out_dir / f"{stem}_message_{config.levels}.csv", events)
+        write_message_file(config.out_dir / f"{stem}_message_{config.levels}.csv", day.columns)
         write_orderbook_file(
-            config.out_dir / f"{stem}_orderbook_{config.levels}.csv", events, config.levels
+            config.out_dir / f"{stem}_orderbook_{config.levels}.csv", day.columns, config.levels
         )
 
     for _ in map(write_day, load_days(config)):

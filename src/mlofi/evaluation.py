@@ -3,9 +3,12 @@
 ``fit`` and ``evaluate`` share one pipeline: ``assemble_windows`` turns the
 days into sorted per-window problems and ``fit_tables`` selects the pooled
 penalty and builds the significance tables, which ``fit`` writes as they
-are. ``run_evaluation`` fits each window once per (method, depth) and takes
-the R^2 curve, the seasonality profile (depth M) and the level-1 OFI
-baseline from those fits. The days come as any iterable in date order and
+are. ``run_evaluation`` takes the seasonality profile and the R^2 curve's
+depth M from the tables' depth-M fits, and the level-1 OFI table from one
+depth-1 OLS fit per window. The R^2 curve's shallower depths come from one
+factorization per window at depth M - 1 (``inference.nested_adj_r2``), and
+the RMSE curves from one factorization per training fold; the rows are
+pooled once per evaluation. The days come as any iterable in date order and
 each is replayed once, as it arrives: the replay that yields the imbalance
 samples also tallies the book, only the problems and tallies are kept, and
 ``book_summaries`` reduces the tallies.
@@ -23,8 +26,12 @@ the other four folds' pooled rows, record the RMSE on those same rows
 (in-sample) and on the held-out fold (out-of-sample), then average both
 across folds. Folds are contiguous time-ordered blocks from the same
 ``inference.fold_rows`` loop as the penalty search, and a curve pools its
-rows once at full depth and reads each depth as a column prefix. All RMSEs
-are in ticks because the regression response is in ticks.
+rows once at full depth and reads each depth as a column prefix. Each
+training fold is factored once at full depth and every depth's fit read
+from that factor (``inference.nested_coefficients``); a curve with a fold
+that does not nest runs the per-depth protocol (``_rmse_point``), which also
+stays as the curve's oracle. All RMSEs are in ticks because the regression
+response is in ticks.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .inference import (
     diagnose_collinearity,
     fit_windows,
     fold_rows,
+    nested_adj_r2,
+    nested_coefficients,
     ridge_coefficients,
     select_lambda,
     select_lambdas,
@@ -190,6 +199,25 @@ def rmse_protocol(
     return _rmse_point(*pool_rows(problems, levels), method, folds, lam, penalize_intercept)
 
 
+def _nested_rmse(
+    X: np.ndarray, y: np.ndarray, method: str, folds: int, lam: float, penalize: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The in- and out-of-sample RMSE totals over the folds at every depth, each
+    training fold factored once; None if a fold does not nest."""
+    in_total = np.zeros(X.shape[1] - 1)
+    out_total = np.zeros(X.shape[1] - 1)
+    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
+        B, ok = nested_coefficients(
+            X_train[None], y_train[None], None if method == OLS else lam, penalize
+        )
+        if not ok[0]:
+            return None
+        coeffs = B[0, 1:]  # row m - 1 holds the depth-m fit
+        for total, rows_X, rows_y in ((in_total, X_train, y_train), (out_total, X_val, y_val)):
+            total += np.sqrt(np.mean((rows_y - coeffs @ rows_X.T) ** 2, axis=-1))
+    return in_total, out_total
+
+
 def rmse_curve(
     problems: list[RegressionProblem],
     method: str,
@@ -197,12 +225,32 @@ def rmse_curve(
     folds: int = 5,
     lam: float = 0.0,
     penalize_intercept: bool = True,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[RmsePoint]:
-    """RMSE points at depths 1..max_levels, from rows pooled once at full depth."""
-    X, y = pool_rows(problems, max_levels)
+    """RMSE points at depths 1..max_levels, from rows pooled once at full depth.
+
+    ``rows`` is ``pool_rows(problems, max_levels)`` when the caller has it.
+    Each training fold is factored once (``nested_coefficients``), and one
+    product each gives its in-sample and out-of-sample residuals at every
+    depth. A curve of one depth, or one with a fold that does not nest (a
+    rank-poor OLS fold, ridge at lam = 0, a failed Cholesky factor,
+    non-finite rows), takes every point from ``_rmse_point`` at its own
+    depth, with its minimum-norm ``lstsq`` and its errors.
+    """
+    X, y = pool_rows(problems, max_levels) if rows is None else rows
+    if method not in (OLS, RIDGE):
+        raise ValueError(f"unknown method {method!r}")
+    totals = None
+    if max_levels > 1:
+        totals = _nested_rmse(X, y, method, folds, lam, penalize_intercept)
+    if totals is None:
+        return [
+            _rmse_point(X[:, : m + 1], y, method, folds, lam, penalize_intercept)
+            for m in range(1, max_levels + 1)
+        ]
     return [
-        _rmse_point(X[:, : m + 1], y, method, folds, lam, penalize_intercept)
-        for m in range(1, max_levels + 1)
+        RmsePoint(levels=m, in_sample=float(i), out_sample=float(o))
+        for m, i, o in zip(range(1, max_levels + 1), *(total / folds for total in totals))
     ]
 
 
@@ -226,13 +274,37 @@ def fit_all_windows(
     return [fit for fit, _ in kept], [i for _, i in kept]
 
 
-def adjusted_r2_curve(fits_by_depth: list[list[RegressionFit]]) -> list[float]:
-    """Mean adjusted R^2 across window fits for each depth 1..M, in order."""
+def adjusted_r2_curve(
+    problems: list[RegressionProblem],
+    method: str,
+    deep_fits: list[RegressionFit],
+    lam: float = 0.0,
+    penalize_intercept: bool = True,
+) -> list[float]:
+    """Mean adjusted R^2 across window fits for each depth 1..M, in order.
+
+    M is the problems' depth and ``deep_fits`` are their depth-M fits, as
+    ``fit_all_windows`` gives them. Depths 1..M-1 come from
+    ``nested_adj_r2``, one factorization per window at depth M - 1, over the
+    windows ``fit_all_windows`` keeps at each depth. ``lam`` is ignored by OLS.
+    """
+    if method not in (OLS, RIDGE):
+        raise ValueError(f"unknown method {method!r}")
+    levels = problems[0].levels
+    by_depth = []
+    if levels > 1:
+        adj_r2, kept = nested_adj_r2(
+            [p.truncated(levels - 1) for p in problems],
+            None if method == OLS else lam,
+            penalize_intercept,
+        )
+        by_depth = [adj_r2[kept[:, j], j] for j in range(levels - 1)]
+    by_depth.append([f.adj_r2 for f in deep_fits])
     curve = []
-    for m, fits in enumerate(fits_by_depth, start=1):
-        if not fits:
+    for m, values in enumerate(by_depth, start=1):
+        if not len(values):
             raise TooFewRows(f"no usable windows at {m} levels")
-        curve.append(float(np.mean([f.adj_r2 for f in fits])))
+        curve.append(float(np.mean(values)))
     return curve
 
 
@@ -243,7 +315,7 @@ class ImprovementTable:
     ofi_rmse: float
     mlofi_ols_rmse: float | None
     mlofi_ridge_rmse: float | None
-    improvement_ols: float | None  # 1 - mlofi/ofi
+    improvement_ols: float | None  # 1 - mlofi/ofi; None when ofi is 0
     improvement_ridge: float | None
 
 
@@ -254,7 +326,8 @@ def improvement_table(
     """Build the improvement summary from the RMSE curves.
 
     The baseline is the level-1 OLS out-of-sample RMSE (ridge level-1 when
-    OLS was not run).
+    OLS was not run). A baseline of exactly 0, as on a day whose mid never
+    moves, leaves every improvement undefined (None).
     """
     base_points = ols_points if ols_points else ridge_points
     if not base_points:
@@ -262,12 +335,16 @@ def improvement_table(
     ofi = base_points[0].out_sample
     ols_deep = ols_points[-1].out_sample if ols_points else None
     ridge_deep = ridge_points[-1].out_sample if ridge_points else None
+
+    def improvement(deep: float | None) -> float | None:
+        return None if deep is None or ofi == 0.0 else 1.0 - deep / ofi
+
     return ImprovementTable(
         ofi_rmse=ofi,
         mlofi_ols_rmse=ols_deep,
         mlofi_ridge_rmse=ridge_deep,
-        improvement_ols=None if ols_deep is None else 1.0 - ols_deep / ofi,
-        improvement_ridge=None if ridge_deep is None else 1.0 - ridge_deep / ofi,
+        improvement_ols=improvement(ols_deep),
+        improvement_ridge=improvement(ridge_deep),
     )
 
 
@@ -359,20 +436,25 @@ class FitTables:
     pooled_fits: dict[str, tuple[list[RegressionFit], list[int]]]
 
 
-def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
+def fit_tables(
+    problems: list[RegressionProblem],
+    spec: FitSpec,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
+) -> FitTables:
     """Select the pooled penalty and summarize the per-window fits per method.
 
-    The fits run at the problems' depth. Per-window ridge leaves out the
-    windows with fewer than ``spec.min_window_rows`` rows, searches the rest
-    in one ``select_lambdas`` call and fits them at their own penalties in one
-    ``fit_windows`` call.
+    The fits run at the problems' depth; ``rows`` is
+    ``pool_rows(problems, depth)`` when the caller has it. Per-window ridge
+    leaves out the windows with fewer than ``spec.min_window_rows`` rows,
+    searches the rest in one ``select_lambdas`` call and fits them at their
+    own penalties in one ``fit_windows`` call.
     """
     levels = problems[0].levels
     grid = np.array(spec.lambda_grid)
     search: LambdaSearch | None = None
     lam = 0.0
     if RIDGE in spec.methods:
-        X, y = pool_rows(problems, levels)
+        X, y = pool_rows(problems, levels) if rows is None else rows
         search = select_lambda(X, y, spec.folds, grid, spec.penalize_intercept)
         lam = search.lambda_hat
     tables = FitTables(search, {}, {})
@@ -437,41 +519,34 @@ def run_evaluation(
     """
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
-    tables = fit_tables(problems, spec)
+    rows = pool_rows(problems, levels)
+    tables = fit_tables(problems, spec, rows)
     lam = tables.search.lambda_hat if tables.search else 0.0
 
-    # Each (method, depth) is fit once; depth M reuses the tables' fits.
-    fits_by_depth: dict[str, list[tuple[list[RegressionFit], list[int]]]] = {}
-    for method in spec.methods:
-        fits = [
-            fit_all_windows(problems, method, m, lam, spec.penalize_intercept)
-            for m in range(1, levels)
-        ]
-        fits.append(
-            tables.pooled_fits.get(method)
-            or fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
-        )
-        fits_by_depth[method] = fits
-
-    ofi_fits, _ = (
-        fits_by_depth[OLS][0] if OLS in fits_by_depth else fit_all_windows(problems, OLS, 1)
-    )
-    ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
-
-    X_full, _ = pool_rows(problems, levels)
-    diagnostics = diagnose_collinearity(X_full[:, 1:]) if levels >= 2 else None
-
-    r2_curves = {
-        method: adjusted_r2_curve([f for f, _ in fits_by_depth[method]])
+    # Depth M reuses the tables' fits; the curves fit the shallower depths.
+    deep_fits = {
+        method: tables.pooled_fits.get(method)
+        or fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
         for method in spec.methods
     }
+    r2_curves = {
+        method: adjusted_r2_curve(
+            problems, method, deep_fits[method][0], lam, spec.penalize_intercept
+        )
+        for method in spec.methods
+    }
+    ofi_fits, _ = fit_all_windows(problems, OLS, 1)
+    ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
+    diagnostics = diagnose_collinearity(rows[0][:, 1:]) if levels >= 2 else None
     rmse_curves = {
-        method: rmse_curve(problems, method, levels, spec.folds, lam, spec.penalize_intercept)
+        method: rmse_curve(
+            problems, method, levels, spec.folds, lam, spec.penalize_intercept, rows
+        )
         for method in spec.methods
     }
     improvement = improvement_table(rmse_curves.get(OLS), rmse_curves.get(RIDGE))
     seasonality = {
-        method: seasonality_profile(*fits_by_depth[method][-1], levels, grid.n_windows)
+        method: seasonality_profile(*deep_fits[method], levels, grid.n_windows)
         for method in spec.methods
     }
     book_dur, book_evt, concentration = book_summaries(tallies)

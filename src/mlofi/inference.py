@@ -33,6 +33,11 @@ fit. ``fit_ols`` and ``fit_ridge`` are its one-window case. Ridge calls the
 LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
 and ``cho_solve`` wrap, window by window, without the wrappers' per-call
 overhead.
+
+``nested_coefficients`` fits every leading block of columns of a design,
+each depth of a nested model, from one triangular factor: a QR for OLS, a
+Cholesky factor for ridge. ``nested_adj_r2`` builds evaluate's R^2 curve on
+it, and leaves the designs that do not nest to ``fit_windows`` at each depth.
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ from .sampling import RegressionProblem
 
 #: Relative singular-value cutoff for the OLS rank check.
 RANK_RTOL = 1e-10
+
+#: A design nests (``nested_coefficients``) when the matrix its per-depth fit
+#: works on, X for OLS and X'X + lam*D for ridge, has its smallest singular
+#: value above this multiple of RANK_RTOL times its largest. Dropping columns
+#: (a leading block) can neither lower the smallest nor raise the largest, so
+#: every depth of such a design passes the OLS rank check with a margin far
+#: beyond round-off; a design under it takes the per-depth path.
+NEST_RTOL = 100 * RANK_RTOL
 
 #: Penalty grid: 50 log-spaced candidates spanning 1e-5 .. 1e5.
 LAMBDA_GRID_SIZE = 50
@@ -117,6 +130,19 @@ def _penalty(p: int, penalize_intercept: bool) -> np.ndarray:
     return penalty
 
 
+def _sst(y: np.ndarray) -> np.ndarray:
+    """Each window's total sum of squares about its mean, y (windows x rows)."""
+    return np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+
+
+def _r2(sse: np.ndarray, sst: np.ndarray, n: int, dof) -> tuple[np.ndarray, np.ndarray]:
+    """R^2 and adjusted R^2. A flat response (SST = 0) has R^2 1 when its fit
+    is exact (SSE at most 1e-300), else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(sst > 0.0, 1.0 - sse / sst, np.where(sse <= 1e-300, 1.0, 0.0))
+    return r2, 1.0 - (1.0 - r2) * (n - 1) / dof
+
+
 def _finish_fits(
     X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, cov_unscaled: np.ndarray, lams: list
 ) -> list[RegressionFit]:
@@ -136,9 +162,7 @@ def _finish_fits(
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coeffs / se, 0.0)
         pvals = 2.0 * special.stdtr(dof, -np.abs(t))
-        sst = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
-        r2 = np.where(sst > 0.0, 1.0 - sse / sst, np.where(sse <= 1e-300, 1.0, 0.0))
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
+    r2, adj_r2 = _r2(sse, _sst(y), n, dof)
     return [
         RegressionFit(
             coeffs[k], se[k], t[k], pvals[k], float(sigma2[k]), float(r2[k]),
@@ -305,6 +329,110 @@ def fit_ridge(
     of ``fit_windows``.
     """
     return _one_fit(problem, [lam], penalize_intercept)
+
+
+def nested_coefficients(
+    X: np.ndarray, y: np.ndarray, lam: float | None, penalize_intercept: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fits on every leading block of columns of a stack of designs, one
+    factorization per design.
+
+    X is (windows x rows x p) and y (windows x rows). OLS (``lam`` None)
+    takes one QR of [X y], whose triangle holds R and z = Q'y. Ridge takes one
+    Cholesky factor L L' = X'X + lam*D, with R = L' and z = L^-1 X'y. The
+    factor of the first j columns' problem is R's leading j x j block, and the
+    inverse of that block is the leading block of R^-1 (Hoerl & Kennard 1970
+    for ridge). So the fit on the first j columns is
+    b_j[i] = sum_{k<j} R^-1[i, k] z[k], and one cumsum over k gives every j.
+
+    Returns (B, ok). Row j - 1 of B (windows x p x p) holds the fit on the
+    first j columns, zero beyond them. A window is ok when its input is
+    finite, it has more rows than columns, the factor exists (lam > 0 for
+    ridge, and every window of the stack has a Cholesky factor), X (OLS, with
+    R's singular values) or R'R (ridge, their squares) passes ``NEST_RTOL``,
+    and B is finite; B holds zeros for the rest.
+    """
+    w, n, p = X.shape
+    B = np.zeros((w, p, p))
+    ok = np.isfinite(X).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    if n <= p or not (lam is None or lam > 0):
+        ok[:] = False
+    live = np.flatnonzero(ok)
+    if not len(live):
+        return B, ok
+    X, y = X[live], y[live]
+    try:
+        if lam is None:
+            triangle = np.linalg.qr(np.concatenate((X, y[..., None]), axis=-1), mode="r")
+            R, z = triangle[:, :p, :p], triangle[:, :p, p]
+        else:
+            R = np.linalg.cholesky(X.mT @ X + lam * _penalty(p, penalize_intercept)).mT
+            z = (X.mT @ y[..., None])[..., 0]  # X'y until R^-1 is known
+        svals = np.linalg.svd(R, compute_uv=False)
+    except np.linalg.LinAlgError:
+        # A Cholesky failure, or an SVD of values that overflowed: nothing nests.
+        ok[:] = False
+        return B, ok
+    power = 1 if lam is None else 2
+    good = svals[:, -1] ** power > NEST_RTOL * svals[:, 0] ** power
+    ok[live] = good
+    if not good.any():
+        return B, ok
+    live, R, z = live[good], R[good], z[good]
+    R_inv = np.linalg.inv(R)
+    if lam is not None:
+        z = (R_inv.mT @ z[..., None])[..., 0]
+    with np.errstate(all="ignore"):
+        fits = np.cumsum(R_inv.mT * z[..., None], axis=-2)
+    finite = np.isfinite(fits).all(axis=(1, 2))
+    ok[live] = finite
+    B[live[finite]] = fits[finite]
+    return B, ok
+
+
+def nested_adj_r2(
+    problems: Sequence[RegressionProblem], lam: float | None, penalize_intercept: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's adjusted R^2 at every depth 1..M, M the problems' common depth.
+
+    Returns (adj_r2, kept), both (windows x M): kept is False where
+    ``fit_windows`` at that depth leaves the window out (rank-deficient OLS),
+    and adj_r2 is 0 there. Windows of one design shape are stacked, at most
+    ``SCREEN_BLOCK`` at a time, and fit at every depth by
+    ``nested_coefficients``: one GEMM gives every depth's residuals, and R^2
+    follows ``fit_windows``' rule, its SST = 0 case included. A window that
+    does not nest is fit by ``fit_windows`` at each depth in turn, so the
+    windows left out and the errors raised are those of one ``fit_windows``
+    call per depth.
+    """
+    depth = problems[0].levels
+    adj_r2 = np.zeros((len(problems), depth))
+    kept = np.zeros((len(problems), depth), dtype=bool)
+    rest = []
+    for block in _shape_blocks(problem.X.shape for problem in problems):
+        X = _stack([problems[i].X for i in block])
+        y = _stack([problems[i].y for i in block])
+        B, ok = nested_coefficients(X, y, lam, penalize_intercept)
+        rest += [i for i, nests in zip(block, ok) if not nests]
+        if not ok.any():
+            continue
+        X, y, B = X[ok], y[ok], B[ok, 1:]
+        _, n, p = X.shape
+        # Row j of a window's residuals is the fit on its first j + 2 columns: depth j + 1.
+        resid = y[:, None, :] - B @ X.mT
+        sse = np.sum(resid * resid, axis=-1)
+        _, adj = _r2(sse, _sst(y)[:, None], n, n - np.arange(2, p + 1))
+        nested = [i for i, nests in zip(block, ok) if nests]
+        adj_r2[nested], kept[nested] = adj, True
+    if rest:
+        lambdas = None if lam is None else [lam] * len(rest)
+        for m in range(1, depth + 1):
+            fits = fit_windows([problems[i].truncated(m) for i in rest], lambdas,
+                               penalize_intercept)
+            for i, fit in zip(rest, fits):
+                if fit is not None:
+                    adj_r2[i, m - 1], kept[i, m - 1] = fit.adj_r2, True
+    return adj_r2, kept
 
 
 def ridge_coefficients(

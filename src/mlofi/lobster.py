@@ -133,6 +133,16 @@ class EventColumns(NamedTuple):
         return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [])
 
 
+def _columns(events: list[LobEvent] | EventColumns) -> EventColumns:
+    """``events`` as columns: columns as they are, ``LobEvent``s converted."""
+    if isinstance(events, EventColumns):
+        return events
+    return EventColumns.from_rows(
+        [(e.timestamp_ns, e.kind._value_, e.order_id, e.size, e.price, e.side._value_)
+         for e in events]
+    )
+
+
 def _event(ts: int, code: int, order_id: int, size: int, price: int, direction: int) -> LobEvent:
     return LobEvent(ts, _KIND_BY_CODE[code], order_id, size, price, _SIDE_BY_DIRECTION[direction])
 
@@ -160,9 +170,7 @@ class DaySlice:
     @classmethod
     def from_events(cls, trading_date: dt.date, events: list[LobEvent], seed=None) -> "DaySlice":
         """A day of ``events`` read from no file."""
-        rows = [(e.timestamp_ns, e.kind._value_, e.order_id, e.size, e.price, e.side._value_)
-                for e in events]
-        return cls(trading_date, EventColumns.from_rows(rows), seed)
+        return cls(trading_date, _columns(events), seed)
 
     @property
     def events(self) -> list[LobEvent]:
@@ -543,24 +551,19 @@ def seed_from_orderbook_file(
 # -- fixture writer ---------------------------------------------------------
 
 
-def format_message_row(ev: LobEvent) -> str:
-    direction = 1 if ev.side is BUY else -1
-    return (
-        f"{format_timestamp_ns(ev.timestamp_ns)},{ev.kind.value},"
-        f"{ev.order_id},{ev.size},{ev.price},{direction}"
-    )
-
-
-def write_message_file(path: str | Path, events: list[LobEvent]) -> None:
+def write_message_file(path: str | Path, events: list[LobEvent] | EventColumns) -> None:
+    """One canonical LOBSTER message row per event, LF-terminated."""
     with open(path, "w", newline="") as fh:
-        for ev in events:
-            fh.write(format_message_row(ev) + "\n")
+        for ts, code, order_id, size, price, direction in zip(*_columns(events)):
+            fh.write(f"{format_timestamp_ns(ts)},{code},{order_id},{size},{price},{direction}\n")
 
 
-def write_orderbook_file(path: str | Path, events: list[LobEvent], levels: int) -> None:
+def write_orderbook_file(
+    path: str | Path, events: list[LobEvent] | EventColumns, levels: int
+) -> None:
     """Replay the events and write the post-event book row per message."""
     state = BookState()
     with open(path, "w", newline="") as fh:
-        for ev in events:
-            state.apply(ev)
+        for _, code, order_id, size, price, direction in zip(*_columns(events)):
+            state.apply_fields(code, order_id, size, price, direction)
             fh.write(",".join(map(str, level_snapshot(state, levels))) + "\n")

@@ -1061,3 +1061,47 @@ def test_main_freezes_the_heap_once_per_process_before_reading_input(tmp_path, m
         assert run_cli("compute", "--synth-days", "1", "--session-end", "10:05", "--DT", "300",
                        "--out", str(tmp_path / run)) == 0
     assert steps == ["freeze", "read", "read"]
+
+
+def flat_mid_messages(rng, n_events=3000, end_seconds=39600):
+    """A message file whose mid never moves: ten levels of 100 shares a side at
+    10:00:00.001, then adds at those levels and full cancels of the later orders."""
+    rows = []
+    for k in range(10):
+        rows.append(f"36000.001,1,{2 * k + 1},100,{100000 - 100 * k},1")
+        rows.append(f"36000.001,1,{2 * k + 2},100,{100100 + 100 * k},-1")
+    live, next_id = {}, 21
+    for t in np.sort(rng.uniform(36001, end_seconds - 1, n_events)):
+        if live and rng.random() < 0.5:
+            order_id = list(live)[rng.integers(len(live))]
+            size, price, direction = live.pop(order_id)
+            rows.append(f"{t:.9f},3,{order_id},{size},{price},{direction}")
+        else:
+            k, direction = int(rng.integers(10)), int(rng.choice((1, -1)))
+            price = 100000 - 100 * k if direction == 1 else 100100 + 100 * k
+            live[next_id] = (int(rng.integers(1, 50)), price, direction)
+            rows.append(f"{t:.9f},1,{next_id},{live[next_id][0]},{price},{direction}")
+            next_id += 1
+    return "\n".join(rows) + "\n"
+
+
+def test_evaluate_on_a_day_whose_mid_never_moves(tmp_path):
+    # Every response is 0: the level-1 baseline RMSE is exactly 0, so the
+    # improvement is undefined, and every fit is exact on a flat response
+    # (SST = 0), so every depth's adjusted R^2 is 1.
+    messages = tmp_path / "X_2016-01-05_message_10.csv"
+    messages.write_text(flat_mid_messages(np.random.default_rng(0)))
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--messages", str(messages), "--levels", "10",
+                   "--session-end", "11:00", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["improvement"] == {
+        "ofi_rmse": 0.0, "mlofi_ols_rmse": 0.0, "mlofi_ridge_rmse": 0.0,
+        "improvement_ols": None, "improvement_ridge": None,
+    }
+    assert read_csv(out / "improvement.csv")[1:] == [
+        ["ofi", "0.0", ""], ["mlofi_ols", "0.0", ""], ["mlofi_ridge", "0.0", ""],
+    ]
+    assert report["r2_curves"] == {"ols": [1.0] * 10, "ridge": [1.0] * 10}
+    assert all(p["in_sample"] == p["out_sample"] == 0.0
+               for curve in report["rmse_curves"].values() for p in curve)

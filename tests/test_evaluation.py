@@ -5,10 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 from scipy import stats as st
 
 from mlofi.book import EventKind, LobEvent, Side
-from mlofi.errors import ConfigError
+from mlofi.errors import ConfigError, TooFewRows
 from mlofi.evaluation import (
     OLS,
     RIDGE,
@@ -23,9 +25,16 @@ from mlofi.evaluation import (
     seasonality_profile,
 )
 from mlofi.imbalance import compute_day_samples
-from mlofi.inference import MIN_ROWS_PER_FOLD, contiguous_folds, fit_ols, select_lambda
+from mlofi.inference import (
+    MIN_ROWS_PER_FOLD,
+    contiguous_folds,
+    fit_ols,
+    fit_windows,
+    nested_adj_r2,
+    select_lambda,
+)
 from mlofi.lobster import DaySlice, SessionConfig
-from mlofi.sampling import GridSpec, build_grid
+from mlofi.sampling import GridSpec, RegressionProblem, build_grid
 from mlofi.synth import PlantedParams, generate_planted_regression
 
 NS = 1_000_000_000
@@ -42,6 +51,28 @@ def planted(seed, rows=120, levels=4, beta=None, noise=1.0, rho=0.0, date=None, 
     problem.date = date or dt.date(2016, 1, 4)
     problem.window_index = window
     return problem
+
+
+def assert_points_close(got, want, rtol=1e-12):
+    assert [p.levels for p in got] == [p.levels for p in want]
+    for field in ("in_sample", "out_sample"):
+        np.testing.assert_allclose(
+            [getattr(p, field) for p in got], [getattr(p, field) for p in want], rtol=rtol
+        )
+
+
+def per_depth_r2_curve(problems, method, lam=0.0, penalize_intercept=True):
+    """The R^2 curve from one ``fit_all_windows`` call per depth: the nested curve's oracle."""
+    return [
+        float(np.mean([f.adj_r2 for f in fit_all_windows(
+            problems, method, m, lam, penalize_intercept)[0]]))
+        for m in range(1, problems[0].levels + 1)
+    ]
+
+
+def nested_r2_curve(problems, method, lam=0.0, penalize_intercept=True):
+    deep, _ = fit_all_windows(problems, method, problems[0].levels, lam, penalize_intercept)
+    return adjusted_r2_curve(problems, method, deep, lam, penalize_intercept)
 
 
 def test_rmse_protocol_noiseless_is_zero():
@@ -99,9 +130,10 @@ def test_overfit_pattern_on_collinear_fixture():
     (OLS, 0.0, True), (RIDGE, 0.37, True), (RIDGE, 0.37, False), (RIDGE, 0.0, True),
 ])
 def test_rmse_curve_equals_per_depth_protocol(method, lam, penalize_intercept):
-    # Rows pooled once at full depth and read as column prefixes must give
-    # exactly the points of pooling each depth on its own; the problems come
-    # out of (date, window) order and include a collinear, rank-poor design.
+    # Rows pooled once at full depth and read as column prefixes, each training
+    # fold factored once, must give the points of pooling and solving each depth
+    # on its own, to 1e-12 relative; the problems come out of (date, window)
+    # order and include a collinear, rank-poor design.
     beta = (0.0, 1.0, 0.8, 0.6) + (0.0,) * 5
     problems = [
         planted(40 + s, rows=57 + 5 * s, levels=8, beta=beta, rho=0.95, window=2 - s)
@@ -109,8 +141,105 @@ def test_rmse_curve_equals_per_depth_protocol(method, lam, penalize_intercept):
     ]
     problems[1].X[:, 6] = problems[1].X[:, 5]
     curve = rmse_curve(problems, method, 8, 5, lam, penalize_intercept)
-    for m, point in enumerate(curve, start=1):
-        assert point == rmse_protocol(problems, method, m, 5, lam, penalize_intercept)
+    want = [rmse_protocol(problems, method, m, 5, lam, penalize_intercept) for m in range(1, 9)]
+    assert_points_close(curve, want)
+
+
+def test_rmse_curve_keeps_the_per_depth_protocol_where_a_fold_does_not_nest():
+    # A column that copies another makes every pooled training fold rank-poor
+    # from depth 3 on, so OLS takes the minimum-norm lstsq at every depth; ridge
+    # at lam = 0 takes the per-depth solve. Both give the per-depth protocol's
+    # points bit for bit.
+    problems = [planted(60 + s, rows=50 + 7 * s, levels=5, window=s) for s in range(3)]
+    want = [rmse_protocol(problems, RIDGE, m, 5, 0.0) for m in range(1, 6)]
+    assert rmse_curve(problems, RIDGE, 5, 5, 0.0) == want
+    for problem in problems:
+        problem.X[:, 3] = 2.0 * problem.X[:, 2]
+    want = [rmse_protocol(problems, OLS, m, 5) for m in range(1, 6)]
+    assert rmse_curve(problems, OLS, 5, 5) == want
+
+
+WINDOW_KINDS = ("full", "duplicate", "zero", "flat")
+
+
+def outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
+        return type(exc), str(exc)
+
+
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    levels=hst.integers(1, 7),
+    windows=hst.lists(
+        hst.tuples(hst.sampled_from([0, 1, 7, 40]), hst.sampled_from(WINDOW_KINDS)),
+        min_size=1, max_size=12,
+    ),
+    method=hst.sampled_from([OLS, RIDGE]),
+    lam=hst.sampled_from([0.0, 1e-5, 0.37, 40.0]),
+    penalize_intercept=hst.booleans(),
+)
+def test_nested_r2_equals_per_depth_fits(seed, levels, windows, method, lam, penalize_intercept):
+    # Windows of several row counts (so several stacked design shapes), with
+    # columns scaled over five decades; a column that copies the one before it
+    # or is zero makes a window rank-deficient from that depth on only, and a
+    # flat response has SST = 0. Every depth must keep the windows that one
+    # fit_windows call per depth keeps, with adjusted R^2 within 1e-9
+    # relative, and raise what that loop raises.
+    rng = np.random.default_rng(seed)
+    problems = []
+    for k, (extra_rows, kind) in enumerate(windows):
+        n = levels + 2 + extra_rows
+        scale = 10.0 ** rng.uniform(-2, 3, levels)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, levels)) * scale])
+        y = X @ rng.normal(size=levels + 1) + rng.normal(size=n)
+        col = int(rng.integers(1, levels + 1))
+        if kind == "duplicate":
+            X[:, col] = 3.0 * X[:, col - 1]
+        elif kind == "zero":
+            X[:, col] = 0.0
+        elif kind == "flat":
+            y = np.zeros(n)
+        problems.append(RegressionProblem(dt.date(2016, 1, 4), k, X, y, levels))
+    lam_arg = None if method == OLS else lam
+
+    def per_depth():
+        lambdas = None if lam_arg is None else [lam] * len(problems)
+        fits = [fit_windows([p.truncated(m) for p in problems], lambdas, penalize_intercept)
+                for m in range(1, levels + 1)]
+        kept = np.array([[f is not None for f in depth] for depth in fits]).T
+        adj = np.array([[0.0 if f is None else f.adj_r2 for f in depth] for depth in fits]).T
+        return adj, kept
+
+    want, got = outcome(per_depth), outcome(lambda: nested_adj_r2(problems, lam_arg,
+                                                                  penalize_intercept))
+    if not isinstance(want[0], np.ndarray):
+        assert got == want
+        return
+    assert np.array_equal(got[1], want[1])
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=1e-12)
+    oracle = want[0].sum(axis=0) / np.maximum(want[1].sum(axis=0), 1)
+    if want[1].all(axis=0).any() and want[1].any(axis=0).all():
+        curve = nested_r2_curve(problems, method, lam, penalize_intercept)
+        np.testing.assert_allclose(curve, oracle, rtol=1e-9, atol=1e-12)
+    elif not want[1].any(axis=0).all():
+        with pytest.raises(TooFewRows, match="no usable windows at"):
+            nested_r2_curve(problems, method, lam, penalize_intercept)
+
+
+def test_nested_r2_curve_equals_per_depth_curve():
+    for method, lam, penalize_intercept in ((OLS, 0.0, True), (RIDGE, 0.37, True),
+                                            (RIDGE, 0.37, False)):
+        problems = [planted(90 + s, rows=40 + 10 * (s % 3), levels=6, rho=0.9, window=s)
+                    for s in range(7)]
+        problems[2].X[:, 5] = problems[2].X[:, 4]  # rank-deficient at depths 5 and 6 only
+        np.testing.assert_allclose(
+            nested_r2_curve(problems, method, lam, penalize_intercept),
+            per_depth_r2_curve(problems, method, lam, penalize_intercept),
+            rtol=1e-12,
+        )
 
 
 def test_adjusted_r2_perfect_fit():
@@ -118,7 +247,7 @@ def test_adjusted_r2_perfect_fit():
     problems = [
         planted(s, noise=0.0, beta=(1.0, 2.0, 0.0, 0.0, 0.0)) for s in range(2)
     ]
-    curve = adjusted_r2_curve([fit_all_windows(problems, OLS, m)[0] for m in range(1, 5)])
+    curve = nested_r2_curve(problems, OLS)
     assert all(abs(v - 1.0) < 1e-10 for v in curve)
 
 
@@ -127,7 +256,7 @@ def test_adjusted_r2_null_is_near_zero():
         planted(s, rows=30, levels=3, beta=(0.0,) * 4, noise=1.0)
         for s in range(1000)
     ]
-    curve = adjusted_r2_curve([fit_all_windows(problems, OLS, m)[0] for m in range(1, 4)])
+    curve = nested_r2_curve(problems, OLS)
     assert curve[-1] <= 0.05
 
 

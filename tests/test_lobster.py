@@ -211,6 +211,17 @@ def test_round_trip_write_parse_write_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_writers_take_event_columns_or_events_alike(tmp_path):
+    events = fuzz_stream(np.random.default_rng(6), 300)
+    day = DaySlice.from_events(DAY, events)
+    for name, write in (("messages", write_message_file),
+                        ("orderbook", lambda path, e: write_orderbook_file(path, e, 3))):
+        write(tmp_path / f"{name}_events.csv", events)
+        write(tmp_path / f"{name}_columns.csv", day.columns)
+        assert (tmp_path / f"{name}_events.csv").read_bytes() == (
+            tmp_path / f"{name}_columns.csv").read_bytes()
+
+
 def test_parse_recovers_fuzzed_events_exactly(tmp_path):
     rng = np.random.default_rng(9)
     events = fuzz_stream(rng, 300)

@@ -33,10 +33,16 @@ times on each side:
 - ``fit 60/1``: OLS of every 1-minute window at 10 levels, and ridge of every
   searched window at its own penalty from ``select 60/1``, as per-window
   ridge fits them: one ``fit_windows`` call per method where the side has it,
-  else ``fit_ols`` and ``fit_ridge`` window by window; per fit.
+  else ``fit_ols`` and ``fit_ridge`` window by window; per fit;
+- ``curves 1800/10``: evaluate's R^2 and RMSE curve step on the 30-minute
+  grid's windows at 10 levels, OLS and ridge at the pooled penalty, given
+  the depth-10 fits as ``run_evaluation`` has them from its tables: the
+  nested ``adjusted_r2_curve`` where the side has ``nested_adj_r2``, else one
+  ``fit_all_windows`` call per shallower depth, and ``rmse_curve``; per call.
 
 It prints per layer and side the median microseconds per row, event or
-interval (milliseconds per window for ``select``, per fit for ``fit``), and
+interval (milliseconds per window for ``select``, per fit for ``fit``, per
+call for ``curves``), and
 the median over the reps of the working tree's time over REV's with that
 ratio's lower and upper quartiles, so that one run tells a move from the
 spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
@@ -45,7 +51,8 @@ lands on both sides of a rep alike, which comparing two separate benchmark
 runs cannot give. Both files must parse to the same events on each side, both
 sides' events, samples and book tallies must agree, and so must every window's
 chosen penalty in both selects, both sides' problems and every field of every
-fit, or it exits 1.
+fit, or it exits 1. The curves must agree within ``CURVE_RTOL`` relative, as
+the nested arithmetic moves their last bits.
 """
 
 from __future__ import annotations
@@ -71,7 +78,9 @@ FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
-          *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1")
+          *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1", "curves 1800/10")
+#: Largest relative difference allowed between the two sides' curve values.
+CURVE_RTOL = 1e-12
 
 
 def load(name: str, src: Path) -> dict:
@@ -83,7 +92,8 @@ def load(name: str, src: Path) -> dict:
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("book", "imbalance", "inference", "lobster", "sampling", "synth")}
+            for m in ("book", "evaluation", "imbalance", "inference", "lobster", "sampling",
+                      "synth")}
 
 
 def timed(fn, *args) -> tuple[float, object]:
@@ -103,12 +113,13 @@ def event_tuples(day) -> list[tuple]:
 
 
 def run_side(pkg: dict, message_files: tuple[Path, Path], date
-             ) -> tuple[dict[str, float], list | None, list]:
+             ) -> tuple[dict[str, float], list | None, list, list]:
     """One rep of one side: microseconds per row, event or interval (milliseconds per
-    window for select, per fit for fit) by layer, the outputs (None if the two files
-    parse to different events) and the chosen penalties."""
-    lobster, book, imbalance, inference, sampling = (
-        pkg[m] for m in ("lobster", "book", "imbalance", "inference", "sampling"))
+    window for select, per fit for fit, per call for curves) by layer, the outputs
+    (None if the two files parse to different events), the chosen penalties and the
+    curve values."""
+    lobster, book, evaluation, imbalance, inference, sampling = (
+        pkg[m] for m in ("lobster", "book", "evaluation", "imbalance", "inference", "sampling"))
     session = lobster.SessionConfig()
     seconds, day = timed(lobster.parse_message_file, message_files[0], session, date)
     us = {"parse": seconds}
@@ -117,7 +128,7 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
     events = event_tuples(day)
     n = len(events)
     if event_tuples(rows_day) != events:
-        return {}, None, []
+        return {}, None, [], []
     del rows_day
 
     def apply_all(events):
@@ -134,11 +145,13 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
 
         us["book fields"], _ = timed(apply_fields_all, day.columns)
     outputs = [events]
+    replays = {}
     for window, sub in GRIDS:
         grid = sampling.build_grid(session, sampling.GridSpec(window, sub))
         seconds, comp = timed(imbalance.compute_day_samples, day, grid.boundaries_ns,
                               grid.n_sub, LEVELS)
         us[f"replay {window}/{sub}"] = seconds
+        replays[window, sub] = grid, comp
         outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
                         comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
     times = {k: v * 1e6 / n for k, v in us.items()}
@@ -181,7 +194,32 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
     seconds, fits = timed(fit_all, lambdas[:len(searched)])
     times["fit 60/1"] = seconds * 1e3 / len(fits)
     outputs.append([fit_bits(fit) for fit in fits])
-    return times, outputs, lambdas
+
+    grid, comp = replays[1800, 10]
+    intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
+    problems = sampling.assemble_problems(intervals, grid, LEVELS, session.tick_size, date)
+    rows = evaluation.pool_rows(problems, LEVELS)
+    lam = inference.select_lambda(*rows, FOLDS).lambda_hat
+    methods = (evaluation.OLS, evaluation.RIDGE)
+    deep = {m: evaluation.fit_all_windows(problems, m, LEVELS, lam)[0] for m in methods}
+
+    def curves():
+        values = []
+        for method in methods:
+            if hasattr(inference, "nested_adj_r2"):
+                r2 = evaluation.adjusted_r2_curve(problems, method, deep[method], lam)
+                rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam, True, rows)
+            else:
+                r2 = evaluation.adjusted_r2_curve(
+                    [evaluation.fit_all_windows(problems, method, m, lam)[0]
+                     for m in range(1, LEVELS)] + [deep[method]])
+                rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam)
+            values += r2 + [v for p in rmse for v in (p.in_sample, p.out_sample)]
+        return values
+
+    seconds, curve_values = timed(curves)
+    times["curves 1800/10"] = seconds * 1e3
+    return times, outputs, lambdas, curve_values
 
 
 def fit_bits(fit) -> bytes | None:
@@ -215,9 +253,9 @@ def main(argv: list[str]) -> int:
         times = {side: {layer: [] for layer in LAYERS} for side in sides}
         order = list(sides)
         for _ in range(reps):
-            outputs, lambdas = {}, {}
+            outputs, lambdas, curves = {}, {}, {}
             for side in order:
-                us, outputs[side], lambdas[side] = run_side(
+                us, outputs[side], lambdas[side], curves[side] = run_side(
                     sides[side], (message_file, crlf_file), day.trading_date)
                 if outputs[side] is None:
                     print(f"the {side} side parses the LF and CRLF files to different events",
@@ -229,6 +267,10 @@ def main(argv: list[str]) -> int:
                 print("the two sides' events, samples, book tallies, problems or fits differ",
                       file=sys.stderr)
                 return 1
+            if not np.allclose(curves["rev"], curves["work"], rtol=CURVE_RTOL, atol=0.0):
+                print(f"the two sides' curves differ by more than {CURVE_RTOL} relative",
+                      file=sys.stderr)
+                return 1
             moved = [i for i, (a, b) in enumerate(zip(lambdas["rev"], lambdas["work"])) if a != b]
             if moved:
                 print(f"the two sides' penalties differ in {len(moved)} of "
@@ -236,7 +278,8 @@ def main(argv: list[str]) -> int:
                 return 1
             order.reverse()
     print(f"{len(day.columns.times)} events, {reps} reps; microseconds per row (parse, parse "
-          f"rows), event or interval (assemble), milliseconds per window (select) or fit (fit)")
+          f"rows), event or interval (assemble), milliseconds per window (select), fit (fit) "
+          f"or call (curves)")
     print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
