@@ -535,7 +535,9 @@ def run_evaluation(
         )
         for method in spec.methods
     }
-    ofi_fits, _ = fit_all_windows(problems, OLS, 1)
+    ofi_fits, _ = (
+        deep_fits[OLS] if levels == 1 and OLS in deep_fits else fit_all_windows(problems, OLS, 1)
+    )
     ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
     diagnostics = diagnose_collinearity(rows[0][:, 1:]) if levels >= 2 else None
     rmse_curves = {

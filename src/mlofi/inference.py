@@ -425,6 +425,7 @@ def nested_adj_r2(
         nested = [i for i, nests in zip(block, ok) if nests]
         adj_r2[nested], kept[nested] = adj, True
     if rest:
+        rest.sort()  # list order, so that the first window to fail raises, as in one call
         lambdas = None if lam is None else [lam] * len(rest)
         for m in range(1, depth + 1):
             fits = fit_windows([problems[i].truncated(m) for i in rest], lambdas,
