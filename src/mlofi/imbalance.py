@@ -32,20 +32,27 @@ reference for it.
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
 
-The replay reads a day's events as six columns of ints (``DaySlice.columns``)
-through one ``zip`` and applies each through ``BookState.apply_fields``,
-making no ``LobEvent``. It hands back a day's intervals as columns
-(``IntervalColumns``): each interval's M flow integers, its buy and sell
-volumes and its change in ask + bid, without one object per interval.
-``DayComputation.samples`` builds the per-interval ``MlofiSample``s from
-them on demand.
+The replay reads a day's events as six int64 columns (``DaySlice.columns``)
+and computes them in bulk (``_replay_columns``): once the book's checks
+pass, every depth change follows from the events alone, so sorts and
+running sums grouped by order id and by price level give each level's depth
+after each event, and one Python pass over only the events that open or
+close a level keeps each side's sorted prices. Ranks, flows, volumes and
+the tally then follow from whole columns. A day that path cannot take (an
+event the book contradicts, an order id that arrives twice or after a
+removal, a value outside int64) goes to ``_replay``, the loop that applies
+one event at a time through ``BookState.apply_fields``: the columnar path's
+oracle, and the only path that raises ``InconsistentEvent``. Either hands
+back a day's intervals as columns (``IntervalColumns``): each interval's M
+flow integers, its buy and sell volumes and its change in ask + bid,
+without one object per interval. ``DayComputation.samples`` builds the
+per-interval ``MlofiSample``s from them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
 event landed relative to the best quotes. The tally is kept and handed
 back in the replay's own integers (orderbook-row prices, shares,
 nanoseconds), exactly; ``evaluation.book_summaries`` scales and divides.
-This is the only loop that applies a day's events to a book.
 """
 
 from __future__ import annotations
@@ -54,17 +61,24 @@ import datetime as dt
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .book import (
-    ASK_ABSENT, BID_ABSENT, BUY, CODE_BOOK_NEUTRAL, CODE_EXECUTION_VISIBLE, SELL, BookState,
-    level_snapshot,
+    ASK_ABSENT, BID_ABSENT, BUY, CODE_ARRIVAL, CODE_BOOK_NEUTRAL, CODE_CANCEL_FULL,
+    CODE_EXECUTION_VISIBLE, SELL, BookState, level_snapshot,
 )
 from .errors import InconsistentEvent
 from .lobster import DaySlice
 
 #: Depth of the book summary's per-level means.
 SUMMARY_LEVELS = 5
+#: Days of this many replayed events or more take the loop: with fewer, the
+#: columnar replay's sort keys (a level times the event count, a row of top
+#: prices times 2**35, plus an index or a price) fit an int64.
+_MAX_EVENTS = 2**27
 
 
 @dataclass(frozen=True)
@@ -247,12 +261,412 @@ def compute_day_samples(
     it, or the day's date and the event's index.
     """
     try:
-        return _replay(day, boundaries_ns, subwindows_per_window, levels)
+        computed = _replay_columns(day, boundaries_ns, subwindows_per_window, levels)
+        return computed or _replay(day, boundaries_ns, subwindows_per_window, levels)
     except InconsistentEvent as exc:
         i = exc.event_index
         if day.path is None:
             raise InconsistentEvent(i, exc.reason, day.trading_date) from None
         raise InconsistentEvent(i, exc.reason, day.path, day.line_of(i)) from None
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``keys`` starts."""
+    starts = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _cumsum_within(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The running sums of ``values``, restarted at each of ``starts``."""
+    sums = np.cumsum(values)
+    run = np.cumsum(starts)
+    run -= 1
+    sums -= (sums - values)[starts][run]
+    return sums
+
+
+def _grouped(keys: np.ndarray, events: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``events`` (indices below ``span``) sorted by their ``keys`` (which
+    must lie in 0..2**63 // span), then by index, and where each key's run starts."""
+    order = keys * span
+    order += events
+    order.sort()
+    starts = _starts(order // span)
+    order %= span
+    return order, starts
+
+
+class _LevelDepths:
+    """Each level's depth after each event that changes it.
+
+    A level is one side and price, keyed 2 * price + 1 for bids and 2 * price
+    for asks. Its depths are running sums of its seeded depth, put at event
+    -1, and the changes of the events at it.
+    """
+
+    def __init__(self, seed_keys, seed_sizes, keys, events, changes, span):
+        entries = keys * span
+        entries += events
+        entries += 1
+        entries = np.concatenate((seed_keys * span, entries))
+        order = np.argsort(entries)
+        self.entries = entries = entries[order]
+        self.span = span
+        starts = _starts(entries // span)
+        self.depths = _cumsum_within(np.concatenate((seed_sizes, changes))[order], starts)
+        del starts
+        after = np.empty_like(self.depths)
+        after[order] = self.depths
+        self.after = after[len(seed_keys):]  # each event's, in event order
+
+    def at(self, key: np.ndarray, event: np.ndarray) -> np.ndarray:
+        """The depth of level ``key`` after ``event`` (-1: the seed's); 0 if no such level."""
+        pos = np.searchsorted(self.entries, key * self.span + event + 1, "right") - 1
+        found = self.entries[pos] // self.span == key
+        found &= pos >= 0
+        return np.where(found, self.depths[pos], 0)
+
+
+def _level_pass(prices: list[int], is_bid: list[bool], opens: list[bool],
+                  bid_prices: list[int], ask_prices: list[int], depth: int
+                  ) -> tuple[list[int], list[int]]:
+    """The one pass over the events that open or close a level (their prices,
+    sides and whether each opens one), from each side's sorted seeded prices:
+    each event's rank k, its number of better prices on its side, and the
+    prices of each side's top ``depth`` levels at the start followed by, at
+    each event, its side's top ``depth + 1`` levels with the event's level
+    among them (at k), best first. Sentinels pad each side beyond its levels."""
+    bids = [BID_ABSENT] * (depth + 1) + bid_prices
+    asks = ask_prices + [ASK_ABSENT] * (depth + 1)
+    tops = bids[-depth:][::-1] + asks[:depth]
+    ranks = []
+    for price, bid, up in zip(prices, is_bid, opens):
+        if bid:
+            k = len(bids) - bisect_right(bids, price)
+            if up:
+                bids.insert(len(bids) - k, price)
+            tops += bids[:-depth - 2:-1]
+            if not up:
+                del bids[-k - 1]
+        else:
+            k = bisect_left(asks, price)
+            if up:
+                asks.insert(k, price)
+            tops += asks[:depth + 1]
+            if not up:
+                del asks[k]
+        ranks.append(k)
+    return ranks, tops
+
+
+class _TallySums:
+    """``BookTally.sums`` in ``_replay``'s differential form, from the changes
+    of the tally's columns.
+
+    A change d of column c at event i, at time t_i, adds d * (t_last - t_i)
+    to its time integral and d * (n_events - i) to its event sum; at the end
+    the part beyond the last replayed state comes off. The sums run in int64,
+    which wraps: exact wherever a bound on a column's values shows its result
+    fits, and in Python ints elsewhere.
+    """
+
+    def __init__(self, start: list[int], largest: list[int], times: np.ndarray,
+                 time_weights: tuple[int, int, int], count_weights: tuple[int, int, int]):
+        self.start = start
+        self.times = times
+        # Per sum: the weights' end, first and stop positions.
+        self.weights = (time_weights, count_weights)
+        self.moved = np.zeros(len(start), np.int64)
+        self.sums = np.zeros((2, len(start)), np.int64)
+        self.exact = [[0 if most * (stop - first) >= 2**63 else None for most in largest]
+                      for _, first, stop in self.weights]
+
+    def add(self, events: np.ndarray, columns: np.ndarray, changes: np.ndarray) -> None:
+        """Column ``columns[i]`` changes by ``changes[i]`` at event ``events[i]``."""
+        np.add.at(self.moved, columns, changes)
+        for w, ((end, _, _), at) in enumerate(zip(self.weights, (self.times[events], events))):
+            np.add.at(self.sums[w], columns, changes * (end - at))
+            for c, exact in enumerate(self.exact[w]):
+                if exact is not None:
+                    pick = columns == c
+                    self.exact[w][c] += sum(map(mul, changes[pick].tolist(),
+                                                [end - t for t in at[pick].tolist()]))
+
+    def result(self) -> tuple[list[int], list[int]]:
+        final = [v + d for v, d in zip(self.start, self.moved.tolist())]
+        out = ([], [])
+        for w, (end, first, stop) in enumerate(self.weights):
+            for v0, v1, s, exact in zip(self.start, final, self.sums[w].tolist(), self.exact[w]):
+                value = v0 * (end - first) - v1 * (end - stop)
+                if exact is None:
+                    value = (value + s + 2**63) % 2**64 - 2**63
+                else:
+                    value += exact
+                out[w].append(value)
+        return out
+
+
+def _replay_columns(
+    day: DaySlice,
+    boundaries_ns: Sequence[int],
+    subwindows_per_window: int,
+    levels: int,
+) -> DayComputation | None:
+    """``_replay``'s result computed on the day's int64 columns, or None if an
+    event contradicts the book or the day lies outside what this path takes:
+    columns that are not int64, events or boundaries out of order, sums that
+    could leave int64, or an order id that arrives twice or after a removal.
+
+    Once the book's checks pass, every depth change follows from the events
+    alone: an arrival adds its size at its price and a removal takes its size
+    off, unless it removes an unseen order beyond the seed's horizon. So the
+    order life-cycles (grouped by order id) and the seeded pools (grouped by
+    level, a side and price) are checked with sorts and running sums, and a
+    running sum grouped by level gives each level's depth after each event.
+    One pass over the events that open or close a level keeps each side's
+    sorted prices and records the side's top prices there. The checks
+    against the best quotes before each event, the ranks, flows, buckets,
+    volumes, mid changes and the tally then follow in bulk. Up to the first
+    event the loop rejects, both see the same book, so that event fails a
+    check here and the loop runs instead.
+    """
+    columns = day.columns
+    if levels < 1 or not len(boundaries_ns) or any(c.dtype != np.int64 for c in columns):
+        return None
+    try:
+        bounds = np.array(boundaries_ns, np.int64)
+    except OverflowError:
+        return None
+    times_all = columns.times
+    if (bounds[1:] < bounds[:-1]).any() or (times_all[1:] < times_all[:-1]).any():
+        return None
+    t_last, n_all = int(bounds[-1]), len(times_all)
+    n = int(np.searchsorted(times_all, t_last, "right"))  # the events replayed
+    times, codes, order_ids, sizes, prices, directions = (c[:n] for c in columns)
+    is_bid = directions == 1
+    book = codes < CODE_BOOK_NEUTRAL
+    state = day.seed.build_book() if day.seed else BookState()
+    (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
+    # Every depth, flow term and volume is at most ``total``; ``span`` exceeds
+    # every event index, the low part of a sort key.
+    total = sum(bid_depth.values()) + sum(ask_depth.values())
+    highest = max(bid_prices[-1:] + ask_prices[-1:], default=1)
+    span = n + 1
+    low_id = int(order_ids.min(where=book, initial=0))
+    total += int(sizes.max(where=book, initial=0)) * int(np.count_nonzero(book))
+    highest = max(highest, int(prices.max(where=book, initial=1)))
+    if (n >= _MAX_EVENTS or (codes < 1).any() or not (is_bid | (directions == -1)).all()
+            or sizes.min(where=book, initial=1) < 1 or prices.min(where=book, initial=1) < 1
+            or highest >= ASK_ABSENT or total >= 2**63 // span
+            or int(order_ids.max(where=book, initial=0)) - low_id >= 2**63 // span):
+        return None
+    depth = max(levels, SUMMARY_LEVELS)
+    tally0 = _tally_columns(list(level_snapshot(state, depth)))
+    seed_keys = np.array([2 * p + 1 for p in bid_prices] + [2 * p for p in ask_prices], np.int64)
+    seed_sizes = np.array([bid_depth[p] for p in bid_prices] + [ask_depth[p] for p in ask_prices],
+                          np.int64)
+    horizons = (day.seed.bid_horizon, day.seed.ask_horizon) if day.seed else (
+        BID_ABSENT, ASK_ABSENT)
+    # Clamped to the sentinels, a horizon compares with every real price as before.
+    bid_horizon, ask_horizon = (min(max(h, BID_ABSENT), ASK_ABSENT) for h in horizons)
+    keys = 2 * prices + is_bid  # each event's level
+
+    # Order life-cycles, grouped by order id: an id's arrival, if any, comes
+    # first, and a live order's removal names its level and takes no more than
+    # rests, a full cancel all of it.
+    events = np.flatnonzero(book)
+    events, starts = _grouped(order_ids[events] - low_id, events, span)
+    arrival = codes[events] == CODE_ARRIVAL
+    if (arrival & ~starts).any():
+        return None
+    group = np.cumsum(starts)
+    group -= 1
+    live = arrival[starts][group]
+    removal = live & ~arrival
+    # After each event of a live order: minus the shares that rest.
+    left = sizes[events]
+    left[arrival] *= -1
+    left = _cumsum_within(left, starts)[removal]
+    removed = events[removal]
+    if ((left > 0).any() or (left[codes[removed] == CODE_CANCEL_FULL] != 0).any()
+            or (keys[removed] != keys[events[starts][group[removal]]]).any()):
+        return None
+    unseen = np.zeros(n, bool)
+    unseen[events[~live]] = True
+    del events, starts, arrival, group, live, removal, left, removed
+    # A removal of an unseen order draws on the seeded pool of its level,
+    # unless it lies beyond the horizon, where it changes nothing.
+    beyond = unseen & np.where(is_bid, prices < bid_horizon, prices > ask_horizon)
+    drawn = np.flatnonzero(unseen ^ beyond)
+    del unseen
+    if len(drawn):
+        drawn, starts = _grouped(keys[drawn], drawn, span)
+        level = keys[drawn[starts]]
+        pool = np.searchsorted(seed_keys, level)
+        seeded = np.append(seed_sizes, 0)[pool]
+        seeded[np.append(seed_keys, -1)[pool] != level] = 0
+        if (_cumsum_within(sizes[drawn], starts) > seeded[np.cumsum(starts) - 1]).any():
+            return None
+        del starts, level, pool, seeded
+    del drawn
+
+    change = np.flatnonzero(book & ~beyond)
+    del beyond
+    delta = sizes[change]
+    delta[codes[change] != CODE_ARRIVAL] *= -1
+    keys = keys[change]
+    depths = _LevelDepths(seed_keys, seed_sizes, keys, change, delta, span)
+    del keys
+    turns = (depths.after == 0) | (depths.after == delta)  # a level closes, or opens from 0
+    level_events = change[turns]
+    opens = (depths.after[turns] != 0).tolist()
+    level_sizes = np.abs(delta[turns])
+    size_events = change[~turns]
+    size_deltas = delta[~turns]
+    del turns, change, delta
+    depths.after = None  # lookups need only the depths in level order
+
+    ranks, tops = _level_pass(prices[level_events].tolist(), is_bid[level_events].tolist(),
+                              opens, list(bid_prices), list(ask_prices), depth)
+    # wide[e]: the side's top depth + 1 prices at the e-th level event, its level at k.
+    wide = np.array(tops[2 * depth:], np.int64).reshape(-1, depth + 1)
+    ranks = np.array(ranks, np.int64)
+    level_side = (~is_bid[level_events]).view(np.int8)  # 0 bid, 1 ask
+    # rows[r]: a side's top prices, best first, at the start or after a level
+    # event on it; row_of[e, s]: side s's row in epoch e, from the e-th level
+    # event (0: the start) to the next. A closing leaves its row without k.
+    m = np.arange(depth)
+    closes = ~np.array(opens, bool)
+    after = np.take_along_axis(wide, m + (closes[:, None] & (m >= ranks[:, None])), 1)
+    on_ask = level_side.view(bool)
+    start = np.array(tops[:2 * depth], np.int64).reshape(2, depth)
+    rows = np.concatenate((start[:1], after[~on_ask], start[1:], after[on_ask]))
+    del after, start, tops
+    row_of = np.zeros((len(level_events) + 1, 2), np.int64)
+    np.cumsum(~on_ask, out=row_of[1:, 0])
+    np.cumsum(on_ask, out=row_of[1:, 1])
+    row_of[:, 1] += len(rows) - 1 - row_of[-1, 1]
+    best = rows[row_of, 0]  # [e, s]: side s's best price in epoch e
+    two_sided = (best[:, 0] != BID_ABSENT) & (best[:, 1] != ASK_ABSENT)
+    # The events of interval j (1-based) are ends[j - 1]:ends[j]; ends[0] ends the baseline.
+    ends = np.searchsorted(times, bounds, "right")
+    n_intervals = len(bounds) - 1
+    flows = np.zeros((n_intervals + 1) * levels, np.int64)
+    L = SUMMARY_LEVELS
+    tally = _TallySums(
+        tally0, [1, 2 * highest, highest] + [int(depths.depths.max(initial=0))] * 2 * L, times,
+        (t_last, int(times_all[0]) if n_all else t_last,
+         int(times_all[n]) if n < n_all else t_last),
+        (n_all, 0, n))
+
+    # An event that opens or closes a level at rank k < depth shifts its
+    # side's cells from k on, and moves each flow level from k on (see
+    # _replay) by the size there in its wider row, the one with the level.
+    shifted = np.flatnonzero(ranks < depth)
+    at = level_events[shifted]
+    k = ranks[shifted, None]
+    s = level_side[shifted]
+    size = depths.at(2 * wide[shifted] + (s == 0)[:, None], at[:, None])
+    size[np.arange(len(shifted)), k[:, 0]] = level_sizes[shifted]
+    grows = np.where(closes[shifted], -1, 1)[:, None]
+    m = np.arange(levels)
+    np.add.at(flows, np.searchsorted(ends, at, "right")[:, None] * levels + m,
+              np.where(m >= k, size[:, :levels] * grows * (1 - 2 * s[:, None]), 0))
+    # The tally's change: in its price columns from the epochs' best quotes,
+    # and in its size columns by the shift on a two-sided book, or all at
+    # once where the book turns two-sided or one-sided.
+    before, after = two_sided[shifted], two_sided[shifted + 1]
+    quotes = []
+    for e, on in ((shifted, before), (shifted + 1, after)):
+        bid, ask = best[e, 0], best[e, 1]
+        quotes.append(np.stack((np.ones_like(bid), ask + bid, ask - bid), 1) * on[:, None])
+    moved = quotes[1] - quotes[0]
+    row, column = np.nonzero(moved)
+    tally.add(at[row], column, moved[row, column])
+    m = np.arange(L)
+    turned = before != after
+    moved = np.where(turned[:, None], size[:, :L] * (2 * after - 1)[:, None],
+                     (size[:, :L] - size[:, 1:L + 1]) * grows * ((m >= k) & before[:, None]))
+    tally.add(at.repeat(L), (3 + L * s[:, None] + m).ravel(), moved.ravel())
+    # Where the book turns, the other side's sizes come or go too.
+    turned = np.flatnonzero(turned)
+    other = 1 - s[turned]
+    size = depths.at(2 * rows[row_of[shifted[turned], other], :L] + (other == 0)[:, None],
+                     at[turned, None])
+    tally.add(at[turned].repeat(L), (3 + L * other[:, None] + m).ravel(),
+              (size * (2 * after[turned] - 1)[:, None]).ravel())
+    del depths, shifted, at, k, s, size, before, after, quotes, moved, turned, other
+
+    epoch = np.zeros(n + 1, np.int32)
+    epoch[level_events + 1] = 1
+    epoch = np.cumsum(epoch, dtype=np.int32)[:n]  # each event's, before it
+    side = (~is_bid).view(np.int8)
+
+    # The checks on the best quotes before each event: an arrival may not
+    # cross the other side; a visible execution hits the front of its side,
+    # or beyond the horizon a level the seed could not show.
+    own_best = best[epoch, side]
+    other_best = best[epoch, 1 - side]
+    execution = codes == CODE_EXECUTION_VISIBLE
+    if (((codes == CODE_ARRIVAL) & np.where(is_bid, prices >= other_best, prices <= other_best))
+            | (execution & (own_best != prices) & np.where(
+                is_bid, (prices >= bid_horizon) | (prices < own_best),
+                (prices <= ask_horizon) | (prices > own_best)))).any():
+        return None
+    del other_best
+    # Flow buckets on the book before each event: 0 within the spread, 1 at
+    # the best quote (every execution), 2 deeper.
+    bucket = np.where((prices > own_best) == is_bid, 0, 2).astype(np.int8)
+    bucket[(prices == own_best) | execution] = 1
+    bucket[~book] = 3
+    del own_best, book, is_bid
+    flow_counts = np.bincount(bucket, minlength=4)[:3].tolist()
+    flow_volumes = [int(sizes[bucket == b].sum()) for b in range(3)]
+    del bucket
+
+    # An event that moves the size of a resting level moves one cell, at the
+    # level's rank: its place in its side's row of the epoch.
+    size_side = side[size_events]
+    rank = np.full(len(size_events), depth, np.int32)
+    for s, order in ((0, -1), (1, 1)):
+        # Keys that ascend along each row, and from row to row: bids by -price.
+        first = row_of[0, s]
+        ordered = ((np.arange(len(rows) - first)[:, None] << 35) + order * rows[first:]).ravel()
+        here = np.flatnonzero(size_side == s)
+        row = row_of[epoch[size_events[here]], s] - first
+        place = (row << 35) + order * prices[size_events[here]]
+        found = np.searchsorted(ordered, place)
+        hit = ordered[np.minimum(found, len(ordered) - 1)] == place
+        rank[here[hit]] = found[hit] - row[hit] * depth
+    del ordered, here, row, place, found
+    hit = rank < levels
+    np.add.at(flows, np.searchsorted(ends, size_events[hit], "right") * levels + rank[hit],
+              np.where(size_side[hit] == 0, size_deltas[hit], -size_deltas[hit]))
+    hit = (rank < L) & two_sided[epoch[size_events]]
+    tally.add(size_events[hit], 3 + L * size_side[hit] + rank[hit], size_deltas[hit])
+    del size_side, hit, rank, size_events, size_deltas, epoch
+
+    # Visible executions: a hit resting sell is an incoming buy market order.
+    executed = np.flatnonzero(execution)
+    volumes = np.zeros(2 * (n_intervals + 1), np.int64)
+    np.add.at(volumes, 2 * np.searchsorted(ends, executed, "right") + side[executed],
+              sizes[executed])
+    del executed, execution, side
+    # Each interval's end state: its last epoch's quotes.
+    last = np.searchsorted(level_events, ends)
+    kept = two_sided[last]
+    kept = kept[1:] & kept[:-1]
+    mid = best[last].sum(1)
+    deltas = (mid[1:] - mid[:-1]).tolist()
+    for j in np.flatnonzero(~kept).tolist():
+        deltas[j] = None
+    return DayComputation(
+        day.trading_date, boundaries_ns, subwindows_per_window,
+        IntervalColumns(levels, flows[levels:].tolist(), volumes[3::2].tolist(),
+                        volumes[2::2].tolist(), deltas),
+        int(np.count_nonzero(~kept)), BookTally(tally.result(), flow_counts, flow_volumes),
+    )
 
 
 def _replay(
@@ -265,7 +679,7 @@ def _replay(
     state = day.seed.build_book() if day.seed else BookState()
     apply = state.apply_fields
     (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
-    times = day.columns.times
+    times, *_ = columns = [column.tolist() for column in day.columns]
     n_events = len(times)
     t_last = boundaries_ns[-1]
     # The book's top levels as one orderbook row, deep enough for the flow
@@ -293,7 +707,7 @@ def _replay(
     deltas: list[int | None] = []
     discarded = 0
     prev_mid = None
-    events = zip(*day.columns)
+    events = zip(*columns)
     pos = 0
     # j = 0 is the baseline, whose flow belongs to no interval.
     for j, t_end in enumerate(boundaries_ns):

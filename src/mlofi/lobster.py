@@ -26,13 +26,15 @@ integers of 1-18 digits with an optional leading ``-``, no padding, so
 every value and step fits an int64. numpy reads it a block of lines at a
 time (``_BLOCK`` bytes, so the temporaries stay small beside the events),
 checks the values and the time order as the row loop does, filters by
-session and hidden executions, and appends the kept rows' values to the
-day's ``EventColumns`` as Python ints, with no object per row. Any other
-file (CR line ends, blank lines, padding, non-ASCII bytes, a missing final
-newline) or any row that fails a check sends the whole file to the row
-loop, which reads it again from the start and keeps the grammar, every
+session and hidden executions, and joins the kept rows of all blocks into
+the day's ``EventColumns``, six int64 arrays, with no object per row. Any
+other file (CR line ends, blank lines, padding, non-ASCII bytes, a missing
+final newline) or any row that fails a check sends the whole file to the
+row loop, which reads it again from the start and keeps the grammar, every
 error and its line: both ways give the same ``DaySlice``, columns and all.
-Its ``events`` builds ``LobEvent``s only when read.
+The row loop converts its rows to the same int64 columns once; a column
+holding a value outside int64, which only its grammar admits, stays Python
+ints in an object array. Its ``events`` builds ``LobEvent``s only when read.
 """
 
 from __future__ import annotations
@@ -117,20 +119,32 @@ class SessionConfig:
 
 
 class EventColumns(NamedTuple):
-    """A day's events as six columns of Python ints, in stream order; never
-    numpy scalars, as the replay's exact tallies need."""
+    """A day's events as six int64 columns, in stream order. A column holding
+    a value outside int64 is an object array of Python ints instead, which
+    only the replay's loop reads. ``.tolist()`` gives a column's Python ints."""
 
-    times: list[int]  # nanoseconds after midnight
-    codes: list[int]  # type codes, the EventKind values
-    order_ids: list[int]
-    sizes: list[int]
-    prices: list[int]
-    directions: list[int]  # +1 buy, -1 sell
+    times: np.ndarray  # nanoseconds after midnight
+    codes: np.ndarray  # type codes, the EventKind values
+    order_ids: np.ndarray
+    sizes: np.ndarray
+    prices: np.ndarray
+    directions: np.ndarray  # +1 buy, -1 sell
 
     @classmethod
     def from_rows(cls, rows: list[tuple[int, ...]]) -> "EventColumns":
         """The columns of ``rows``, each one event's six values."""
-        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [], [], [])
+        if not rows:
+            return cls(*(np.zeros(0, np.int64) for _ in cls._fields))
+        return cls(*map(_int_column, zip(*rows)))
+
+
+def _int_column(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array of its ints if
+    one lies outside int64."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
 def _columns(events: list[LobEvent] | EventColumns) -> EventColumns:
@@ -141,6 +155,11 @@ def _columns(events: list[LobEvent] | EventColumns) -> EventColumns:
         [(e.timestamp_ns, e.kind._value_, e.order_id, e.size, e.price, e.side._value_)
          for e in events]
     )
+
+
+def _values(events: list[LobEvent] | EventColumns) -> list[list[int]]:
+    """``events``' six columns as lists of Python ints."""
+    return [column.tolist() for column in _columns(events)]
 
 
 def _event(ts: int, code: int, order_id: int, size: int, price: int, direction: int) -> LobEvent:
@@ -175,7 +194,7 @@ class DaySlice:
     @property
     def events(self) -> list[LobEvent]:
         """The events as new ``LobEvent``s, built on each read."""
-        return list(map(_event, *self.columns))
+        return list(map(_event, *_values(self.columns)))
 
     def line_of(self, event_index: int) -> int:
         """The message-file line of ``events[event_index]``: the
@@ -364,7 +383,8 @@ def _parse_columns(path: Path, config: SessionConfig):
     """What ``_parse_lines`` gives for the file at ``path``, read and
     tokenized as columns a block of lines at a time, or None unless every
     line is a canonical row that passes the row loop's checks."""
-    events, skipped = EventColumns.from_rows([]), []
+    blocks: list[list[np.ndarray]] = [[] for _ in EventColumns._fields]
+    skipped: list[int] = []
     first, before, n_rows, last_ts = None, 0, 0, -1
     tail = b""
     with open(path, "rb") as fh:
@@ -386,13 +406,15 @@ def _parse_columns(path: Path, config: SessionConfig):
                 skipped += (np.flatnonzero(hidden) + n_rows + 1).tolist()
                 kept &= ~hidden
             rows = np.flatnonzero(kept)
-            for values, column in zip(events, columns):
-                values += column[rows].tolist()
+            for block, column in zip(blocks, columns):
+                block.append(column[rows])
             if first is None:
                 first = _event(*(c[0].item() for c in columns))
             n_rows += len(ts)
     if tail or first is None:
         return None
+    # Each column's blocks go as soon as it is joined.
+    events = EventColumns(*(np.concatenate(blocks.pop(0)) for _ in EventColumns._fields))
     return events, first, before, skipped
 
 
@@ -422,7 +444,7 @@ def parse_message_file(
     except MalformedRow as exc:
         raise MalformedRow(exc.line_no, exc.reason, path) from None
     events, first, before, skipped = parsed
-    if not events.times:
+    if not len(events.times):
         raise EmptySession(f"{path}: no rows inside the session window")
     seed = None
     if orderbook is not None and before:
@@ -554,7 +576,7 @@ def seed_from_orderbook_file(
 def write_message_file(path: str | Path, events: list[LobEvent] | EventColumns) -> None:
     """One canonical LOBSTER message row per event, LF-terminated."""
     with open(path, "w", newline="") as fh:
-        for ts, code, order_id, size, price, direction in zip(*_columns(events)):
+        for ts, code, order_id, size, price, direction in zip(*_values(events)):
             fh.write(f"{format_timestamp_ns(ts)},{code},{order_id},{size},{price},{direction}\n")
 
 
@@ -564,6 +586,6 @@ def write_orderbook_file(
     """Replay the events and write the post-event book row per message."""
     state = BookState()
     with open(path, "w", newline="") as fh:
-        for _, code, order_id, size, price, direction in zip(*_columns(events)):
+        for _, code, order_id, size, price, direction in zip(*_values(events)):
             state.apply_fields(code, order_id, size, price, direction)
             fh.write(",".join(map(str, level_snapshot(state, levels))) + "\n")

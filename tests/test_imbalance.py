@@ -1,17 +1,22 @@
 """Flow-delta case rules, interval accumulation, and their invariants."""
 
+import dataclasses
 import datetime as dt
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from mlofi.book import BookState, EventKind, LobEvent, Side, level_snapshot
+from mlofi import imbalance
+from mlofi.book import ASK_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import InconsistentEvent, TooFewRows
 from mlofi.evaluation import book_summaries
 from mlofi.imbalance import SUMMARY_LEVELS, MlofiSample, compute_day_samples, flow_delta
-from mlofi.lobster import DaySlice, SeedSnapshot, SessionConfig
+from mlofi.lobster import DaySlice, EventColumns, SeedSnapshot, SessionConfig
 from mlofi.sampling import GridSpec, assemble_problems, build_grid
 
 from conftest import (
@@ -290,7 +295,8 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
     tallies against ``oracle_book_summary``, on a grid of one-minute windows
     from 10:00:00; events past the session end are dropped first. The samples
     rebuilt from the replay's interval columns must equal the oracle's, and
-    the problems assembled from the columns the oracle assembly's."""
+    the problems assembled from the columns the oracle assembly's. The loop
+    the columnar replay falls back on must give the same."""
     session = SessionConfig(session_start=36000, session_end=session_end)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
     days = [DaySlice.from_events(
@@ -299,6 +305,7 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
     tallies = []
     for day in days:
         comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
+        assert comp == imbalance._replay(day, grid.boundaries_ns, grid.n_sub, levels)
         samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         assert comp.samples == samples
         assert comp.discarded_intervals == discarded
@@ -572,3 +579,209 @@ def test_a_replay_error_names_the_day_without_a_file():
     message = "^2016-01-04: event 1: order id 1 already live$"
     with pytest.raises(InconsistentEvent, match=message):
         compute_day_samples(day, grid.boundaries_ns, 6, 1)
+
+
+# -- the columnar replay against the loop ------------------------------------
+
+
+def _seeded_mid_stream(events, cut, row_levels):
+    """The stream after its first ``cut`` events, seeded with the book they
+    leave as an orderbook row of ``row_levels`` levels shows it: a side the
+    row fills has its deepest price as its horizon, as a parsed seed has."""
+    state = BookState()
+    for ev in events[:cut]:
+        state.apply(ev)
+    row = level_snapshot(state, row_levels)
+    seed = SeedSnapshot(
+        bids=tuple((p, q) for p, q in zip(row[2::4], row[3::4]) if q),
+        asks=tuple((p, q) for p, q in zip(row[0::4], row[1::4]) if q),
+        bid_horizon=min(row[2::4]), ask_horizon=max(row[0::4]),
+    )
+    return events[cut:], seed
+
+
+def _from_file(events, seed, like=None, rows_before=0, skipped=()):
+    """A day of ``events`` as if read from a message file, which errors name
+    by line (the file is never read)."""
+    if like is not None:
+        rows_before, skipped = like.rows_before, like.skipped_lines
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events, seed)
+    return dataclasses.replace(day, path=Path("SYN_2016-01-04_message_10.csv"),
+                               rows_before=rows_before, skipped_lines=list(skipped))
+
+
+@hst.composite
+def replay_cases(draw):
+    """(day, boundaries, levels): a fuzzed stream on an empty book or seeded
+    mid-stream with horizons, and a grid whose first boundary falls among the
+    events, with events at or before it, empty intervals, and often events
+    after its last boundary."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    events = fuzz_stream(rng, draw(hst.integers(0, 300)), band=draw(hst.sampled_from([2, 3, 6])))
+    seed = None
+    if events and draw(hst.booleans()):
+        events, seed = _seeded_mid_stream(events, draw(hst.integers(0, len(events))),
+                                          draw(hst.integers(1, 10)))
+    times = [e.timestamp_ns for e in events] or [T0]
+    if draw(hst.booleans()):
+        t0 = draw(hst.sampled_from(times)) - draw(hst.sampled_from([0, 1, NS]))
+        step = draw(hst.sampled_from([NS // 4, NS, 3 * NS, 20 * NS]))
+        boundaries = [t0 + j * step for j in range(draw(hst.integers(1, 40)) + 1)]
+    else:  # event times, some repeated: intervals ending on events, and empty ones
+        boundaries = sorted(draw(hst.lists(hst.sampled_from(times), min_size=1, max_size=30)))
+    day = _from_file(events, seed, rows_before=draw(hst.integers(0, 3)),
+                     skipped=sorted(draw(hst.sets(hst.integers(1, 400), max_size=4))))
+    return day, boundaries, draw(hst.integers(1, 10))
+
+
+@given(replay_cases())
+def test_the_columnar_replay_takes_each_consistent_day_and_equals_the_loop(case):
+    day, boundaries, levels = case
+    loop = imbalance._replay(day, boundaries, 1, levels)
+    columnar = imbalance._replay_columns(day, boundaries, 1, levels)
+    assert columnar is not None
+    assert columnar.intervals == loop.intervals
+    assert columnar.discarded_intervals == loop.discarded_intervals
+    assert columnar.book == loop.book
+    assert columnar == loop
+
+
+def _corrupted(events, i, field, draw):
+    """``events`` with one field of event ``i`` changed."""
+    ev = events[i]
+    if field == "size":
+        value = max(1, ev.size + draw(hst.sampled_from([-1, 1, 7, 100])))
+    elif field == "price":
+        value = max(1, ev.price + TICK * draw(hst.sampled_from([-2, -1, 1, 2])))
+    elif field == "order_id":
+        value = draw(hst.sampled_from(sorted({e.order_id for e in events}) + [10**9]))
+    else:
+        value = Side.SELL if ev.side is Side.BUY else Side.BUY
+    return events[:i] + [dataclasses.replace(ev, **{field: value})] + events[i + 1:]
+
+
+@given(replay_cases(), hst.sampled_from(["size", "price", "order_id", "side"]), hst.data())
+def test_a_corrupted_event_raises_the_loops_error(case, field, data):
+    day, boundaries, levels = case
+    events = day.events
+    book = [i for i, e in enumerate(events) if e.kind.value < EventKind.EXECUTION_HIDDEN.value]
+    if not book:
+        return
+    corrupt = _from_file(_corrupted(events, data.draw(hst.sampled_from(book)), field, data.draw),
+                         day.seed, like=day)
+    try:
+        with mock.patch.object(imbalance, "_replay_columns", return_value=None):
+            expected = compute_day_samples(corrupt, boundaries, 1, levels)
+    except InconsistentEvent as exc:
+        # Whenever the loop finds an error, the columnar replay declines the day.
+        assert imbalance._replay_columns(corrupt, boundaries, 1, levels) is None
+        with pytest.raises(InconsistentEvent) as raised:
+            compute_day_samples(corrupt, boundaries, 1, levels)
+        assert (raised.value.event_index, raised.value.reason, str(raised.value)) == (
+            exc.event_index, exc.reason, str(exc))
+        assert str(exc).startswith(f"{corrupt.path}: line {corrupt.line_of(exc.event_index)}: ")
+    else:
+        assert compute_day_samples(corrupt, boundaries, 1, levels) == expected
+
+
+def _rows_day(rows, seed=None):
+    """A day of (seconds from 10:00, type code, order id, size, price,
+    direction) rows, on the grid of ``_grid_60_10``."""
+    rows = [(T0 + round(t * NS), *rest) for t, *rest in rows]
+    return DaySlice(dt.date(2016, 1, 4), EventColumns.from_rows(rows), seed)
+
+
+# One level a side, each the side's horizon.
+_HORIZON_SEED = SeedSnapshot(bids=((140000, 10),), asks=((140100, 10),),
+                             bid_horizon=140000, ask_horizon=140100)
+
+
+@pytest.mark.parametrize("reason, rows, seed", [
+    ("order id 1 already live", [(1, 1, 1, 10, 140000, 1), (2, 1, 1, 5, 139900, 1)], None),
+    ("buy limit crosses the ask", [(1, 1, 1, 10, 140100, -1), (2, 1, 2, 5, 140100, 1)], None),
+    ("sell limit crosses the bid", [(1, 1, 1, 10, 140000, 1), (2, 1, 2, 5, 140000, -1)], None),
+    ("execution at 139900 but best BUY is 140000",
+     [(1, 1, 1, 10, 140000, 1), (2, 1, 2, 5, 139900, 1), (3, 4, 2, 5, 139900, 1)], None),
+    ("execution at 140000 but best SELL is None", [(1, 1, 1, 10, 140000, -1),
+                                                    (2, 3, 1, 10, 140000, -1),
+                                                    (3, 4, 2, 5, 140000, -1)], None),
+    ("order 1 rests at BUY/140000, event says BUY/139900",
+     [(1, 1, 1, 10, 140000, 1), (2, 2, 1, 5, 139900, 1)], None),
+    ("order 1 rests at BUY/140000, event says SELL/140000",
+     [(1, 1, 1, 10, 140000, 1), (2, 2, 1, 5, 140000, -1)], None),
+    ("full cancel of 9 but order holds 10", [(1, 1, 1, 10, 140000, 1), (2, 3, 1, 9, 140000, 1)],
+     None),
+    ("removal of 6 exceeds resting size 5",
+     [(1, 1, 1, 10, 140000, 1), (2, 2, 1, 5, 140000, 1), (3, 4, 1, 6, 140000, 1)], None),
+    ("cancellation of unseen order 7 needs 11 at 140000 but seeded depth is 10",
+     [(1, 2, 7, 11, 140000, 1)], _HORIZON_SEED),
+    ("execution of unseen order 8 needs 4 at 140100 but seeded depth is 3",
+     [(1, 2, 7, 7, 140100, -1), (2, 4, 8, 4, 140100, -1)], _HORIZON_SEED),
+    ("unknown type code 0", [(1, 1, 1, 10, 140000, 1), (2, 0, 1, 10, 140000, 1)], None),
+])
+def test_the_columnar_replay_declines_each_event_the_book_contradicts(reason, rows, seed):
+    # Each contradiction at its edge (a cross at the quote, a removal one
+    # share too large), in the last event.
+    day = _rows_day(rows, seed)
+    boundaries, n_sub = _grid_60_10()
+    assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
+    with pytest.raises(InconsistentEvent,
+                       match=f"^2016-01-04: event {len(rows) - 1}: {re.escape(reason)}$"):
+        compute_day_samples(day, boundaries, n_sub, 3)
+
+
+def test_executions_beyond_the_horizon_of_an_empty_side_count_at_the_quote():
+    # Each side's one seeded level is cancelled; an execution of an unseen
+    # order beyond the horizon then changes nothing, and its bucket is the
+    # best quote's, as for every execution.
+    day = _rows_day([(1, 3, 7, 10, 140000, 1), (2, 3, 8, 10, 140100, -1),
+                     (3, 4, 9, 5, 139900, 1), (4, 4, 10, 5, 140300, -1)], _HORIZON_SEED)
+    boundaries, n_sub = _grid_60_10()
+    columnar = imbalance._replay_columns(day, boundaries, n_sub, 3)
+    assert columnar == imbalance._replay(day, boundaries, n_sub, 3)
+    assert columnar.book.flow_counts == [0, 4, 0]
+
+
+def test_events_out_of_time_order_take_the_loop_and_match_it():
+    # The loop takes events in stream order, so a time that goes back puts
+    # that event in the interval the stream has reached.
+    day = _rows_day([(1, 1, 1, 10, 140000, 1), (25, 1, 2, 10, 140100, -1),
+                     (5, 1, 3, 4, 139900, 1), (35, 3, 3, 4, 139900, 1)])
+    boundaries, n_sub = _grid_60_10()
+    assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
+    assert compute_day_samples(day, boundaries, n_sub, 3) == imbalance._replay(
+        day, boundaries, n_sub, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_reused_order_id_takes_the_loop_and_matches_it(seed):
+    # An order fully cancelled, and its id arriving again: the book takes
+    # it, the columnar replay declines it.
+    events = fuzz_stream(np.random.default_rng(seed), 300)
+    gone = next(e for e in events if e.kind is EventKind.CANCEL_FULL)
+    t = events[-1].timestamp_ns
+    events += [arrival(gone.order_id, 7, TICK, ts=t + NS),
+               LobEvent(t + 2 * NS, EventKind.CANCEL_PARTIAL, gone.order_id, 3, TICK, Side.BUY)]
+    day = _from_file(events, None)
+    boundaries = [events[0].timestamp_ns + j * 5 * NS for j in range(len(events))]
+    assert imbalance._replay_columns(day, boundaries, 1, 3) is None
+    assert compute_day_samples(day, boundaries, 1, 3) == imbalance._replay(day, boundaries, 1, 3)
+
+
+def test_the_columnar_tally_is_exact_past_int64():
+    # Quotes near the sentinel held for hours: ask + bid times the
+    # nanoseconds held passes 2**63, and the tally's sums stay exact.
+    top = ASK_ABSENT - 1
+    events = [
+        arrival(1, 5, top - 2 * TICK),
+        arrival(2, 7, top, Side.SELL),
+        arrival(3, 4, top - 3 * TICK, ts=T0 + 1000 * NS),
+        LobEvent(T0 + 3000 * NS, EventKind.CANCEL_PARTIAL, 2, 3, top, Side.SELL),
+        arrival(4, 9, top - TICK, Side.SELL, ts=T0 + 5000 * NS),
+    ]
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    boundaries = [T0 + j * 600 * NS for j in range(11)]
+    columnar = imbalance._replay_columns(day, boundaries, 1, 3)
+    assert columnar is not None
+    assert columnar == imbalance._replay(day, boundaries, 1, 3)
+    assert max(columnar.book.sums[0]) >= 2**63

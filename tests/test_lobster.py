@@ -1,5 +1,6 @@
 """Message/orderbook parsing, session filters, and the fixture writer."""
 
+import dataclasses
 import datetime as dt
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlofi import lobster
+from mlofi import imbalance, lobster
 from mlofi.book import ASK_ABSENT, BID_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 from mlofi.lobster import (
@@ -236,8 +237,8 @@ def test_parse_recovers_fuzzed_events_exactly(tmp_path):
 
 
 def test_a_canonical_file_and_its_crlf_copy_parse_to_equal_int_columns(tmp_path):
-    # The columnar parse and the row loop meet at one type: six columns of
-    # Python ints, never numpy scalars, which the exact tallies need.
+    # The columnar parse and the row loop meet at one type: six int64
+    # columns, whose values are the same Python ints either way.
     events = fuzz_stream(np.random.default_rng(4), 400)
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     write_message_file(lf, events)
@@ -246,13 +247,33 @@ def test_a_canonical_file_and_its_crlf_copy_parse_to_equal_int_columns(tmp_path)
     assert lobster._parse_columns(lf, config) is not None
     assert lobster._parse_columns(crlf, config) is None
     days = [parse_message_file(path, config, DAY) for path in (lf, crlf)]
-    assert days[0].columns == days[1].columns
+    assert as_values(days[0]).columns == as_values(days[1]).columns
     assert days[0].skipped_lines == days[1].skipped_lines != []  # hidden executions
     for day in days:
         assert type(day.columns) is EventColumns
-        assert all(type(column) is list for column in day.columns)
-        assert all(type(v) is int for column in day.columns for v in column)
+        assert all(type(column) is np.ndarray and column.dtype == np.int64
+                   for column in day.columns)
+        assert all(type(v) is int for column in day.columns for v in column.tolist())
     assert days[0].events == [e for e in events if e.kind is not EventKind.EXECUTION_HIDDEN]
+
+
+def test_an_order_id_beyond_int64_parses_into_object_columns(tmp_path):
+    # The row loop keeps any integer; a column holding one outside int64
+    # stays Python ints, in an object array, and the replay takes the loop.
+    big = 2**63
+    path = write(tmp_path, f"36001.0,1,{big},10,140000,1\n36002.0,1,5,10,140100,-1\n"
+                           f"36003.0,3,{big},10,140000,1\n")
+    day = both_ways(path, columnar=False)
+    assert day.columns.order_ids.dtype == object
+    assert day.columns.order_ids.tolist() == [big, 5, big]
+    assert all(column.dtype == np.int64 for column in day.columns if column.dtype != object)
+    assert [e.order_id for e in day.events] == [big, 5, big]
+    session = SessionConfig(session_start=36000, session_end=36060)
+    boundaries = [session.start_ns + j * 10 * NS for j in range(7)]
+    assert imbalance._replay_columns(day, boundaries, 6, 2) is None
+    comp = imbalance.compute_day_samples(day, boundaries, 6, 2)
+    assert comp == imbalance._replay(day, boundaries, 6, 2)
+    assert comp.intervals.flows == [-10] + [0] * 11
 
 
 def test_a_days_events_are_built_on_read_and_cannot_be_assigned():
@@ -513,14 +534,23 @@ def row_loop_outcome(path, config, orderbook=None):
         return parse_outcome(path, config, orderbook)
 
 
+def as_values(outcome):
+    """A parse outcome with its event columns as lists of Python ints, so that
+    two outcomes compare with ==; an error as it is."""
+    if not isinstance(outcome, DaySlice):
+        return outcome
+    return dataclasses.replace(outcome, columns=[c.tolist() for c in outcome.columns])
+
+
 def both_ways(path, config=SessionConfig(), orderbook=None, *, columnar):
-    """The outcome of parsing ``path``, asserted equal to the row loop's; the
-    file takes the columnar path if and only if ``columnar``."""
+    """The outcome of parsing ``path``, asserted equal to the row loop's, its
+    columns int64 arrays; the file takes the columnar path if and only if
+    ``columnar``."""
     assert (lobster._parse_columns(path, config) is not None) is columnar
     outcome = parse_outcome(path, config, orderbook)
-    assert outcome == row_loop_outcome(path, config, orderbook)
+    assert as_values(outcome) == as_values(row_loop_outcome(path, config, orderbook))
     if columnar:
-        assert all(type(v) is int for column in outcome.columns for v in column)
+        assert all(column.dtype == np.int64 for column in outcome.columns)
     return outcome
 
 
@@ -649,7 +679,7 @@ def test_blocks_join_to_the_whole_file(tmp_path, exclude_hidden):
     config = SessionConfig(exclude_hidden=exclude_hidden)
     day = both_ways(path, config, columnar=True)
     with mock.patch.object(lobster, "_BLOCK", 160):
-        assert both_ways(path, config, columnar=True) == day
+        assert as_values(both_ways(path, config, columnar=True)) == as_values(day)
         lines = path.read_text().splitlines(keepends=True)
         for k in (1, 3, 4, 5, 6, 100):
             # A timestamp that decreases at line k + 1, in a block or across two.
@@ -730,4 +760,5 @@ def test_columnar_parse_equals_the_row_loop(tmp_path_factory, file, exclude_hidd
     with mock.patch.object(lobster, "_BLOCK", block):
         if columnar:
             assert lobster._parse_columns(path, config) is not None
-        assert parse_outcome(path, config, orderbook) == row_loop_outcome(path, config, orderbook)
+        assert as_values(parse_outcome(path, config, orderbook)) == as_values(
+            row_loop_outcome(path, config, orderbook))

@@ -10,7 +10,10 @@ every file the runs write (``filecmp``, byte for byte), and whether each
 run's ``--out`` directory exists on both sides; it prints each
 difference and exits 1 if there is any, 0 otherwise. A ``.json`` or
 ``.csv`` file that differs also gets the largest relative difference over
-its numeric fields, when both files hold the same keys, rows and text.
+its numeric fields, when both files hold the same keys, rows and text, and
+the largest difference in units in the last place (doubles apart): a move
+of the last bit reads as 1 ulp even where a figure near 0 makes its
+relative difference large.
 
 The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
 and 10 with each method set, without a penalized intercept, with the
@@ -60,6 +63,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tarfile
@@ -314,7 +318,15 @@ def _numbers(a, b) -> list[tuple[float, float]]:
     raise ValueError("the files differ in more than numbers")
 
 
-def largest_relative_difference(old: Path, new: Path) -> str:
+def ulps_apart(x: float, y: float) -> int:
+    """How many doubles lie from ``x`` to ``y``, counting one of them."""
+    a, b = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (x, y))
+    # Negative doubles' bits, read as ints, fall as the doubles rise.
+    a, b = (i if i >= 0 else -2**63 - i for i in (a, b))
+    return abs(a - b)
+
+
+def largest_difference(old: Path, new: Path) -> str:
     """How far two differing .json/.csv files are apart, as a message."""
     try:
         if old.suffix == ".json":
@@ -324,8 +336,10 @@ def largest_relative_difference(old: Path, new: Path) -> str:
         pairs = _numbers(a, b)
     except ValueError:
         return "not only in numbers"
-    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
-    return f"largest relative difference {rel:.3g}"
+    moved = [(x, y) for x, y in pairs if x != y]
+    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in moved), default=0.0)
+    ulps = max((ulps_apart(x, y) for x, y in moved), default=0)
+    return f"largest relative difference {rel:.3g}, {ulps} ulps"
 
 
 def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
@@ -345,7 +359,7 @@ def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:
             if not filecmp.cmp(old_dir / rel, new_dir / rel, shallow=False):
                 size = ""
                 if rel.suffix in (".json", ".csv"):
-                    size = f" ({largest_relative_difference(old_dir / rel, new_dir / rel)})"
+                    size = f" ({largest_difference(old_dir / rel, new_dir / rel)})"
                 diffs.append(f"{rel}: contents differ{size}")
     return diffs
 

@@ -16,11 +16,14 @@ times on each side:
 - ``book``: a bare loop of ``BookState.apply`` over the side's own parsed
   events as ``LobEvent``s, per event;
 - ``book fields``: a bare loop of ``BookState.apply_fields`` over the side's
-  own parsed event columns, per event, on a side that has them: the loop
-  the replay runs, without the replay's own work;
+  own parsed event columns as Python ints, per event, on a side that has
+  them: the loop the replay's fallback runs, without the replay's own work;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
   1-minute/1-second grid, per event;
+- ``replay loop 1800/10``: ``imbalance._replay``, the loop that is the
+  columnar replay's oracle and fallback, on the 30-minute grid, per event,
+  on a side that has it; its output must equal ``compute_day_samples``';
 - ``select 60/1``: the penalty search (default grid, 5 folds) of every
   1-minute window with enough rows for its own search, as per-window ridge
   runs it: one ``select_lambdas`` call where the side has it, else
@@ -78,7 +81,8 @@ FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
-          *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1", "curves 1800/10")
+          "replay loop 1800/10", *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1",
+          "curves 1800/10")
 #: Largest relative difference allowed between the two sides' curve values.
 CURVE_RTOL = 1e-12
 
@@ -103,11 +107,18 @@ def timed(fn, *args) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
+def column_values(day) -> list[list[int]]:
+    """``day``'s event columns as lists of Python ints, whether the side keeps
+    them as arrays or as lists."""
+    return [column.tolist() if hasattr(column, "tolist") else list(column)
+            for column in day.columns]
+
+
 def event_tuples(day) -> list[tuple]:
     """``day``'s events as plain values, comparable across the two packages:
     from its columns where the side has them, else from its events."""
     if hasattr(day, "columns"):
-        return list(zip(*day.columns))
+        return list(zip(*column_values(day)))
     return [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
             for e in day.events]
 
@@ -143,7 +154,7 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
             for _, code, order_id, size, price, direction in zip(*columns):
                 apply(code, order_id, size, price, direction)
 
-        us["book fields"], _ = timed(apply_fields_all, day.columns)
+        us["book fields"], _ = timed(apply_fields_all, column_values(day))
     outputs = [events]
     replays = {}
     for window, sub in GRIDS:
@@ -154,8 +165,14 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
         replays[window, sub] = grid, comp
         outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
                         comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
+    if hasattr(imbalance, "_replay"):
+        grid, comp = replays[1800, 10]
+        us["replay loop 1800/10"], loop = timed(imbalance._replay, day, grid.boundaries_ns,
+                                                grid.n_sub, LEVELS)
+        if (loop.intervals, loop.book) != (comp.intervals, comp.book):
+            raise SystemExit("compute_day_samples and its loop differ on the 1800/10 grid")
     times = {k: v * 1e6 / n for k, v in us.items()}
-    # The loop leaves the 60/1 grid and its replay in grid and comp.
+    grid, comp = replays[60, 1]
     intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
     seconds, problems = timed(sampling.assemble_problems, intervals, grid, LEVELS,
                               session.tick_size, date)
@@ -280,16 +297,16 @@ def main(argv: list[str]) -> int:
     print(f"{len(day.columns.times)} events, {reps} reps; microseconds per row (parse, parse "
           f"rows), event or interval (assemble), milliseconds per window (select), fit (fit) "
           f"or call (curves)")
-    print(f"{'layer':<18}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
+    print(f"{'layer':<20}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
         if not rev or not new:  # a layer that one side lacks
-            print(f"{layer:<18}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
+            print(f"{layer:<20}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
                                            for t in (rev, new)))
             continue
         ratios = [b / a for a, b in zip(rev, new)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
-        print(f"{layer:<18}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
+        print(f"{layer:<20}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
               f"{median:>10.3f}{q1:>8.3f}{q3:>8.3f}")
     return 0
 
