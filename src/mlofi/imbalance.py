@@ -278,18 +278,23 @@ def _starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _cumsum_within(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The running sums of ``values``, restarted at each of ``starts``."""
-    sums = np.cumsum(values)
-    run = np.cumsum(starts)
+    """The running sums of ``values``, restarted at each of ``starts``, in
+    place of ``values``."""
+    before = values[starts]
+    np.cumsum(values, out=values)
+    before -= values[starts]  # minus the sum before each run
+    run = np.cumsum(starts, dtype=np.int32)
     run -= 1
-    sums -= (sums - values)[starts][run]
-    return sums
+    values += before[run]
+    return values
 
 
 def _grouped(keys: np.ndarray, events: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """``events`` (indices below ``span``) sorted by their ``keys`` (which
-    must lie in 0..2**63 // span), then by index, and where each key's run starts."""
-    order = keys * span
+    must lie in 0..2**63 // span), then by index, and where each key's run
+    starts. ``keys`` is overwritten."""
+    order = keys
+    order *= span
     order += events
     order.sort()
     starts = _starts(order // span)
@@ -480,7 +485,7 @@ def _replay_columns(
     arrival = codes[events] == CODE_ARRIVAL
     if (arrival & ~starts).any():
         return None
-    group = np.cumsum(starts)
+    group = np.cumsum(starts, dtype=np.int32)
     group -= 1
     live = arrival[starts][group]
     removal = live & ~arrival
