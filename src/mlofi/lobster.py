@@ -142,7 +142,7 @@ def _int_column(values) -> np.ndarray:
     """``values`` as an int64 array, or as an object array of its ints if
     one lies outside int64."""
     try:
-        return np.array(values, np.int64)
+        return np.fromiter(values, np.int64, len(values))
     except OverflowError:
         return np.array(values, object)
 
