@@ -168,6 +168,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if line_no == 1:
+                raw = raw.removeprefix("\ufeff")  # a byte-order mark some editors write
             if _UNDECODED.search(raw):
                 raise ConfigError(f"{path}:{line_no}: a byte that is not UTF-8 text")
             line = raw.split("#", 1)[0].strip()
@@ -307,7 +309,7 @@ def load_days(config: RunConfig) -> Iterator[DaySlice]:
     ``start_date`` + i; a file's date, from its name or else ``start_date``
     + its index in path order, is known before any file is read. The days
     come in date order, ties in path order. Each is parsed only when asked
-    for.
+    for. A messages glob that matches no file is a ConfigError.
     """
     if config.synth_days is not None:
         for i in range(config.synth_days):
@@ -319,6 +321,8 @@ def load_days(config: RunConfig) -> Iterator[DaySlice]:
         return
 
     paths = sorted(glob.glob(config.messages))
+    if not paths:
+        raise ConfigError(f"messages glob {config.messages!r} matches no file")
     seed_paths = {}
     if config.orderbooks:
         by_name = {Path(p).name: p for p in glob.glob(config.orderbooks)}

@@ -20,14 +20,11 @@ gives the interval's imbalance vector, whose first component is the
 classic level-1 order-flow imbalance.
 
 An event touches one price level. When that level rests on the book both
-before and after, no price in the row moves: the replay sets the one size
-cell, and the flow is the size change at that level alone. When a level
-appears or vanishes at rank k, the replay shifts that side's cells k and
-deeper one level in place, deeper or shallower, filling the deepest cell
-from the book; every shifted price moves the same way, so the rules above
-reduce to one signed size per level from k on. ``flow_delta`` applies the
-rules to any two rows: it is the rule the shift specialises, and the tests'
-reference for it.
+before and after, no price in the row moves, and the flow is the size change
+at that level alone. When a level appears or vanishes at rank k, that side's
+cells k and deeper shift one level, deeper or shallower; every shifted price
+moves the same way, so the rules above reduce to one signed size per level
+from k on. The columnar replay computes flows in that form.
 
 Trade imbalance counts visible executions only: an execution against a
 resting sell is an incoming buy market order and vice versa.
@@ -38,15 +35,19 @@ pass, every depth change follows from the events alone, so sorts and
 running sums grouped by order id and by price level give each level's depth
 after each event, and one Python pass over only the events that open or
 close a level keeps each side's sorted prices. Ranks, flows, volumes and
-the tally then follow from whole columns. A day that path cannot take (an
-event the book contradicts, an order id that arrives twice or after a
-removal, a value outside int64) goes to ``_replay``, the loop that applies
-one event at a time through ``BookState.apply_fields``: the columnar path's
-oracle, and the only path that raises ``InconsistentEvent``. Either hands
-back a day's intervals as columns (``IntervalColumns``): each interval's M
-flow integers, its buy and sell volumes and its change in ask + bid,
-without one object per interval. ``DayComputation.samples`` builds the
-per-interval ``MlofiSample``s from them on demand.
+the tally then follow from whole columns. A day that path declines first
+gets a bare ``BookState.apply_fields`` pass over the events the loop would
+replay, which raises ``InconsistentEvent`` at the first event the book
+contradicts. Only a consistent day reaches ``_replay``, the loop that takes
+one orderbook row after each book-moving event and applies ``flow_delta``
+to it and the row before: a day with a value outside int64, an order id
+that arrives twice or after a removal, events out of time order (a day
+built through the API), 2**27 events or more, or flow sums that could leave
+int64. The loop is also the columnar path's oracle in the tests. Either
+hands back a day's intervals as columns (``IntervalColumns``): each
+interval's M flow integers, its buy and sell volumes and its change in ask
++ bid, without one object per interval. ``DayComputation.samples`` builds
+the per-interval ``MlofiSample``s from them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
@@ -262,7 +263,19 @@ def compute_day_samples(
     """
     try:
         computed = _replay_columns(day, boundaries_ns, subwindows_per_window, levels)
-        return computed or _replay(day, boundaries_ns, subwindows_per_window, levels)
+        if computed is None:
+            # The book alone finds a contradicted day's error, at a fraction
+            # of the loop's cost per event: the events the loop replays are
+            # those before the first one after t_N.
+            apply = (day.seed.build_book() if day.seed else BookState()).apply_fields
+            t_last = boundaries_ns[-1]
+            for t, code, order_id, size, price, direction in zip(
+                    *(column.tolist() for column in day.columns)):
+                if t > t_last:
+                    break
+                apply(code, order_id, size, price, direction)
+            computed = _replay(day, boundaries_ns, subwindows_per_window, levels)
+        return computed
     except InconsistentEvent as exc:
         i = exc.event_index
         if day.path is None:
@@ -433,8 +446,8 @@ def _replay_columns(
     sorted prices and records the side's top prices there. The checks
     against the best quotes before each event, the ranks, flows, buckets,
     volumes, mid changes and the tally then follow in bulk. Up to the first
-    event the loop rejects, both see the same book, so that event fails a
-    check here and the loop runs instead.
+    event the book rejects, both see the same book, so that event fails a
+    check here.
     """
     columns = day.columns
     if levels < 1 or not len(boundaries_ns) or any(c.dtype != np.int64 for c in columns):
@@ -453,7 +466,8 @@ def _replay_columns(
     book = codes < CODE_BOOK_NEUTRAL
     state = day.seed.build_book() if day.seed else BookState()
     (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
-    # Every depth, flow term and volume is at most ``total``; ``span`` exceeds
+    # Every depth, volume and flow term is at most ``total``, and so is a bid
+    # level's depth plus an ask level's at any two times; ``span`` exceeds
     # every event index, the low part of a sort key.
     total = sum(bid_depth.values()) + sum(ask_depth.values())
     highest = max(bid_prices[-1:] + ask_prices[-1:], default=1)
@@ -463,7 +477,7 @@ def _replay_columns(
     highest = max(highest, int(prices.max(where=book, initial=1)))
     if (n >= _MAX_EVENTS or (codes < 1).any() or not (is_bid | (directions == -1)).all()
             or sizes.min(where=book, initial=1) < 1 or prices.min(where=book, initial=1) < 1
-            or highest >= ASK_ABSENT or total >= 2**63 // span
+            or highest >= ASK_ABSENT or total >= 2**63
             or int(order_ids.max(where=book, initial=0)) - low_id >= 2**63 // span):
         return None
     depth = max(levels, SUMMARY_LEVELS)
@@ -531,6 +545,13 @@ def _replay_columns(
     size_deltas = delta[~turns]
     del turns, change, delta
     depths.after = None  # lookups need only the depths in level order
+    # Summed over any run of events, flow level m is the change in its bid
+    # cell's size minus that in its ask cell's, at most ``total`` in size,
+    # plus at most one depth per level event, the only events that move its
+    # prices. The int64 sums wrap, so they are exact where this fits.
+    max_depth = int(depths.depths.max(initial=0))
+    if total + len(level_events) * max_depth >= 2**63:
+        return None
 
     ranks, tops = _level_pass(prices[level_events].tolist(), is_bid[level_events].tolist(),
                               opens, list(bid_prices), list(ask_prices), depth)
@@ -560,14 +581,14 @@ def _replay_columns(
     flows = np.zeros((n_intervals + 1) * levels, np.int64)
     L = SUMMARY_LEVELS
     tally = _TallySums(
-        tally0, [1, 2 * highest, highest] + [int(depths.depths.max(initial=0))] * 2 * L, times,
+        tally0, [1, 2 * highest, highest] + [max_depth] * 2 * L, times,
         (t_last, int(times_all[0]) if n_all else t_last,
          int(times_all[n]) if n < n_all else t_last),
         (n_all, 0, n))
 
     # An event that opens or closes a level at rank k < depth shifts its
-    # side's cells from k on, and moves each flow level from k on (see
-    # _replay) by the size there in its wider row, the one with the level.
+    # side's cells from k on, and moves each flow level from k on by the
+    # size there in its wider row, the one with the level.
     shifted = np.flatnonzero(ranks < depth)
     at = level_events[shifted]
     k = ranks[shifted, None]
@@ -680,20 +701,16 @@ def _replay(
     subwindows_per_window: int,
     levels: int,
 ) -> DayComputation:
-    """The loop of ``compute_day_samples``."""
+    """The loop of ``compute_day_samples``: ``flow_delta`` on the orderbook
+    rows before and after each book-moving event."""
     state = day.seed.build_book() if day.seed else BookState()
     apply = state.apply_fields
-    (bid_depth, bid_prices), (ask_depth, ask_prices) = state.side_book(BUY), state.side_book(SELL)
     times, *_ = columns = [column.tolist() for column in day.columns]
     n_events = len(times)
     t_last = boundaries_ns[-1]
-    # The book's top levels as one orderbook row, deep enough for the flow
-    # vector and the book summary. It is taken once and kept in place: one
-    # cell moves per event, or one side's cells shift one level when a level
-    # appears or vanishes.
+    # The book's top levels, for the flow vector and the book summary.
     depth = max(levels, SUMMARY_LEVELS)
-    row = list(level_snapshot(state, depth))
-    L = SUMMARY_LEVELS
+    row = level_snapshot(state, depth)
     # Tally column c holds the value cols[c]. When it changes by d at the
     # i-th event (0-based), at time t, d * (t_last - t) goes into its time
     # integral and d * (n_events - i) into its event sum, as if the new
@@ -722,11 +739,9 @@ def _replay(
         while pos < n_events and times[pos] <= t_end:
             t, code, order_id, size, price, direction = next(events)
             pos += 1
+            apply(code, order_id, size, price, direction)
             if code >= CODE_BOOK_NEUTRAL:
-                # The visible book stays as it is, and the flow buckets
-                # count only the other kinds.
-                apply(code, order_id, size, price, direction)
-                continue
+                continue  # the visible book stays, and no flow bucket counts it
             is_bid = direction == 1
             # Flow bucket on the book before the event: 0 within the
             # spread, 1 at the best quote, 2 deeper.
@@ -747,77 +762,19 @@ def _replay(
                     bucket = 2
             flow_counts[bucket] += 1
             flow_volumes[bucket] += size
-            depth_of = bid_depth if is_bid else ask_depth
-            before = depth_of.get(price, 0)
-            apply(code, order_id, size, price, direction)
-            after = depth_of.get(price, 0)
-            if before == after:  # e.g. a removal beyond the seed horizon
+            after = level_snapshot(state, depth)
+            if after == row:
                 continue
-            # The level's k is the number of better prices on its side, the
-            # same whether the level rests on the book or has just vanished.
-            if is_bid:
-                k = len(bid_prices) - bisect_right(bid_prices, price)
-            else:
-                k = bisect_left(ask_prices, price)
-            if k >= depth:
-                continue
-            if before and after:
-                # Only this level's size moved: one cell, one flow term.
-                d = after - before
-                if is_bid:
-                    row[4 * k + 3] = after
-                    if k < levels:
-                        totals[k] += d
-                    c = 3 + k
-                else:
-                    row[4 * k + 1] = after
-                    if k < levels:
-                        totals[k] -= d
-                    c = 3 + L + k
-                if k < L and cols[0]:
-                    cols[c] = after
+            totals = [a + b for a, b in zip(totals, flow_delta(row, after, levels).net)]
+            row = after
+            for c, v in enumerate(_tally_columns(row)):
+                d = v - cols[c]
+                if d:
+                    cols[c] = v
                     by_time[c] += d * (t_last - t)
                     by_count[c] += d * (n_events - pos + 1)
-                continue
-            # A level appeared or vanished at k: the side's cells k..depth-1
-            # shift one level, and each of their prices moves, towards the
-            # other side when the level appeared and away from it when it
-            # vanished. By flow_delta's rules level m >= k then takes
-            # +size after (bids) or -size after (asks) on an appearance and
-            # -size before (bids) or +size before (asks) on a vanishing; a
-            # sentinel level on both sides of the shift has size 0.
-            lo, hi = 4 * k + (2 if is_bid else 0), 4 * depth
-            if after:
-                row[lo + 4:hi:4] = row[lo:hi - 4:4]
-                row[lo + 5:hi:4] = row[lo + 1:hi - 4:4]
-                row[lo] = price
-                row[lo + 1] = after
-                moved = row[lo + 1:4 * levels:4]
-                sign = 1 if is_bid else -1
-            else:
-                moved = row[lo + 1:4 * levels:4]
-                sign = -1 if is_bid else 1
-                row[lo:hi - 4:4] = row[lo + 4:hi:4]
-                row[lo + 1:hi - 4:4] = row[lo + 5:hi:4]
-                # The deepest cell takes the side's depth-th best level, if any.
-                if is_bid:
-                    p = bid_prices[-depth] if len(bid_prices) >= depth else BID_ABSENT
-                    row[hi - 2:hi] = p, bid_depth.get(p, 0)
-                else:
-                    p = ask_prices[depth - 1] if len(ask_prices) >= depth else ASK_ABSENT
-                    row[hi - 4:hi - 2] = p, ask_depth.get(p, 0)
-            for m, q in enumerate(moved, k):
-                totals[m] += sign * q
-            if k < L:
-                for c, v in enumerate(_tally_columns(row)):
-                    d = v - cols[c]
-                    if d:
-                        cols[c] = v
-                        by_time[c] += d * (t_last - t)
-                        by_count[c] += d * (n_events - pos + 1)
 
-        ask, bid = row[0], row[2]
-        end_mid = None if bid == BID_ABSENT or ask == ASK_ABSENT else ask + bid
+        end_mid = cols[1] if cols[0] else None  # ask + bid on a two-sided book
         if j > 0:
             flows += totals
             buys.append(buy)
@@ -839,4 +796,3 @@ def _replay(
         IntervalColumns(levels, flows, buys, sells, deltas), discarded,
         BookTally((by_time, by_count), flow_counts, flow_volumes),
     )
-

@@ -62,15 +62,13 @@ def test_compute_worked_example_fixture(tmp_path):
     assert len(rows) == 1 + 6
 
 
-def test_compute_no_matching_files_header_only(tmp_path):
-    out = tmp_path / "out"
-    code = run_cli(
-        "compute", "--messages", str(tmp_path / "nothing_*.csv"),
-        "--levels", "2", "--out", str(out),
-    )
-    assert code == 0
-    rows = read_csv(out / "samples.csv")
-    assert len(rows) == 1  # header only
+@pytest.mark.parametrize("command", ["compute", "fit", "evaluate"])
+def test_messages_glob_matching_no_file_exits_1_naming_it(tmp_path, capsys, command):
+    pattern = str(tmp_path / "nothing" / "*.csv")
+    code = run_cli(command, "--messages", pattern, "--levels", "2", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: messages glob {pattern!r} matches no file\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_fixture_exit_2_names_line(tmp_path):
@@ -273,6 +271,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert parse_config_file(cfg)["levels"] == "4"
     with pytest.raises(ConfigError):
         parse_config_file_bad(tmp_path)
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffsynth_days = 1\nsession_end = 10:05\nDT = 300\n", encoding="utf-8")
+    assert parse_config_file(cfg) == {"synth_days": "1", "session_end": "10:05", "DT": "300"}
+    out = tmp_path / "out"
+    assert run_cli("compute", "--config", str(cfg), "--levels", "2", "--out", str(out)) == 0
+    assert len(read_csv(out / "samples.csv")) == 1 + 30
 
 
 def parse_config_file_bad(tmp_path):

@@ -18,6 +18,7 @@ from mlofi.evaluation import book_summaries
 from mlofi.imbalance import SUMMARY_LEVELS, MlofiSample, compute_day_samples, flow_delta
 from mlofi.lobster import DaySlice, EventColumns, SeedSnapshot, SessionConfig
 from mlofi.sampling import GridSpec, assemble_problems, build_grid
+from mlofi.synth import ZiParams, generate_zi_day
 
 from conftest import (
     book_levels,
@@ -725,9 +726,11 @@ def test_the_columnar_replay_declines_each_event_the_book_contradicts(reason, ro
     day = _rows_day(rows, seed)
     boundaries, n_sub = _grid_60_10()
     assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
-    with pytest.raises(InconsistentEvent,
-                       match=f"^2016-01-04: event {len(rows) - 1}: {re.escape(reason)}$"):
+    # The book alone raises the error: the loop never runs.
+    with mock.patch.object(imbalance, "_replay") as loop, pytest.raises(
+            InconsistentEvent, match=f"^2016-01-04: event {len(rows) - 1}: {re.escape(reason)}$"):
         compute_day_samples(day, boundaries, n_sub, 3)
+    loop.assert_not_called()
 
 
 def test_executions_beyond_the_horizon_of_an_empty_side_count_at_the_quote():
@@ -785,3 +788,33 @@ def test_the_columnar_tally_is_exact_past_int64():
     assert columnar is not None
     assert columnar == imbalance._replay(day, boundaries, 1, 3)
     assert max(columnar.book.sums[0]) >= 2**63
+
+
+def test_a_day_with_one_huge_order_takes_the_columnar_replay():
+    # The default ZI day with one bid of 1e10 shares below every price of the
+    # day: its size times the day's event count passes 2**63, though no flow
+    # sum comes near that.
+    session = SessionConfig()
+    events = generate_zi_day(ZiParams(), session).events
+    huge = arrival(max(e.order_id for e in events) + 1, 10**10,
+                   min(e.price for e in events) - TICK, ts=events[0].timestamp_ns)
+    day = DaySlice.from_events(dt.date(2016, 1, 4), [huge] + events)
+    grid = build_grid(session, GridSpec(window_seconds=1800, subwindow_seconds=10))
+    columnar = imbalance._replay_columns(day, grid.boundaries_ns, grid.n_sub, 10)
+    assert columnar is not None
+    assert columnar == imbalance._replay(day, grid.boundaries_ns, grid.n_sub, 10)
+    assert max(map(abs, columnar.intervals.flows)) >= 10**10
+
+
+@pytest.mark.parametrize("size, columnar", [(2**60 - 1, True), (2**60, False)])
+def test_the_flow_guard_declines_only_flow_sums_that_could_leave_int64(size, columnar):
+    # One order of ``size`` shares arrives and is cancelled, twice: the four
+    # book events bound every depth by 4 * size, and each opens or closes the
+    # one level, so the bound on the flow sums is 4 * size + 4 * size.
+    day = _rows_day([(1, 1, 1, size, 140000, 1), (12, 3, 1, size, 140000, 1),
+                     (23, 1, 2, size, 140000, 1), (34, 3, 2, size, 140000, 1)])
+    boundaries, n_sub = _grid_60_10()
+    loop = imbalance._replay(day, boundaries, n_sub, 3)
+    assert loop.intervals.flows[:6] == [size, 0, 0, -size, 0, 0]
+    assert imbalance._replay_columns(day, boundaries, n_sub, 3) == (loop if columnar else None)
+    assert compute_day_samples(day, boundaries, n_sub, 3) == loop

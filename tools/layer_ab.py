@@ -6,7 +6,9 @@ Extracts ``git archive REV`` into a temporary directory and imports its
 ``src/mlofi`` and the working tree's as two packages in one interpreter.
 One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
 ``SessionConfig``, made by the working tree's package) is written as a
-LOBSTER message file, and again with CRLF line ends. Each of REPS reps
+LOBSTER message file, and again with CRLF line ends. A third file holds the
+day up to its last full cancel, made one share larger than the order it
+cancels, so that the book contradicts the file's last event. Each of REPS reps
 (default 15) runs both sides, in the opposite order to the rep before, and
 times on each side:
 
@@ -23,7 +25,12 @@ times on each side:
   1-minute/1-second grid, per event;
 - ``replay loop 1800/10``: ``imbalance._replay``, the loop that is the
   columnar replay's oracle and fallback, on the 30-minute grid, per event,
-  on a side that has it; its output must equal ``compute_day_samples``';
+  on a side that has it (in the working tree, the flow rule itself:
+  ``flow_delta`` on the orderbook rows before and after each event); its
+  output must equal ``compute_day_samples``';
+- ``replay error 1800/10``: ``compute_day_samples`` on the third file's day
+  on the 30-minute grid, until it raises the book's error, per event of
+  that day; both sides must raise the same error;
 - ``select 60/1``: the penalty search (default grid, 5 folds) of every
   1-minute window with enough rows for its own search, as per-window ridge
   runs it: one ``select_lambdas`` call where the side has it, else
@@ -81,8 +88,8 @@ FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
-          "replay loop 1800/10", *(s for s, _ in SELECTS), "assemble 60/1", "fit 60/1",
-          "curves 1800/10")
+          "replay loop 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
+          "assemble 60/1", "fit 60/1", "curves 1800/10")
 #: Largest relative difference allowed between the two sides' curve values.
 CURVE_RTOL = 1e-12
 
@@ -123,7 +130,7 @@ def event_tuples(day) -> list[tuple]:
             for e in day.events]
 
 
-def run_side(pkg: dict, message_files: tuple[Path, Path], date
+def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
              ) -> tuple[dict[str, float], list | None, list, list]:
     """One rep of one side: microseconds per row, event or interval (milliseconds per
     window for select, per fit for fit, per call for curves) by layer, the outputs
@@ -172,6 +179,19 @@ def run_side(pkg: dict, message_files: tuple[Path, Path], date
         if (loop.intervals, loop.book) != (comp.intervals, comp.book):
             raise SystemExit("compute_day_samples and its loop differ on the 1800/10 grid")
     times = {k: v * 1e6 / n for k, v in us.items()}
+    error_day = lobster.parse_message_file(message_files[2], session, date)
+    grid = replays[1800, 10][0]
+
+    def replay_to_error():
+        try:
+            imbalance.compute_day_samples(error_day, grid.boundaries_ns, grid.n_sub, LEVELS)
+        except imbalance.InconsistentEvent as exc:
+            return str(exc)
+        raise SystemExit("compute_day_samples replayed the day the book contradicts")
+
+    seconds, error = timed(replay_to_error)
+    times["replay error 1800/10"] = seconds * 1e6 / len(event_tuples(error_day))
+    outputs.append(error)
     grid, comp = replays[60, 1]
     intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
     seconds, problems = timed(sampling.assemble_problems, intervals, grid, LEVELS,
@@ -267,13 +287,20 @@ def main(argv: list[str]) -> int:
         work["lobster"].write_message_file(message_file, day.events)
         crlf_file = tmp / f"SYN_{day.trading_date}_message_10_crlf.csv"
         crlf_file.write_bytes(message_file.read_bytes().replace(b"\n", b"\r\n"))
+        events = day.events
+        last = max(i for i, e in enumerate(events)
+                   if e.kind is work["book"].EventKind.CANCEL_FULL)
+        error_file = tmp / f"SYN_{day.trading_date}_message_10_error.csv"
+        work["lobster"].write_message_file(
+            error_file, events[:last] + [dataclasses.replace(events[last],
+                                                             size=events[last].size + 1)])
         times = {side: {layer: [] for layer in LAYERS} for side in sides}
         order = list(sides)
         for _ in range(reps):
             outputs, lambdas, curves = {}, {}, {}
             for side in order:
                 us, outputs[side], lambdas[side], curves[side] = run_side(
-                    sides[side], (message_file, crlf_file), day.trading_date)
+                    sides[side], (message_file, crlf_file, error_file), day.trading_date)
                 if outputs[side] is None:
                     print(f"the {side} side parses the LF and CRLF files to different events",
                           file=sys.stderr)
@@ -281,7 +308,8 @@ def main(argv: list[str]) -> int:
                 for layer, value in us.items():
                     times[side][layer].append(value)
             if outputs["rev"] != outputs["work"]:
-                print("the two sides' events, samples, book tallies, problems or fits differ",
+                print("the two sides' events, samples, book tallies, replay errors, problems or "
+                      "fits differ",
                       file=sys.stderr)
                 return 1
             if not np.allclose(curves["rev"], curves["work"], rtol=CURVE_RTOL, atol=0.0):
