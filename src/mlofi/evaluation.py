@@ -96,6 +96,9 @@ class FitSpec:
         bad = [m for m in self.methods if m not in (OLS, RIDGE)]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods repeated: {repeated}")
         if self.lambda_mode not in ("pooled", "per-window"):
             raise ConfigError("lambda_mode must be pooled or per-window")
         if self.folds < 2:
@@ -410,13 +413,13 @@ def book_summaries(
         m = [v / (weight * u) for v, u in zip(totals, units)]
         summaries.append(BookSummary(m[0], m[1], tuple(m[2:2 + L]), tuple(m[2 + L:]), weighting))
     by_duration, by_event = summaries
-    counts = np.sum([t.flow_counts for t in tallies], axis=0)
-    volumes = np.sum([t.flow_volumes for t in tallies], axis=0)
-    n_flow = int(counts.sum())
-    v_flow = int(volumes.sum())
+    counts = [sum(t.flow_counts[b] for t in tallies) for b in range(3)]
+    volumes = [sum(t.flow_volumes[b] for t in tallies) for b in range(3)]
+    n_flow = sum(counts)
+    v_flow = sum(volumes)
     concentration = FlowConcentration(
-        count_pct=tuple(100.0 * counts / n_flow) if n_flow else (0.0, 0.0, 0.0),
-        volume_pct=tuple(100.0 * volumes / v_flow) if v_flow else (0.0, 0.0, 0.0),
+        count_pct=tuple(100.0 * c / n_flow for c in counts) if n_flow else (0.0, 0.0, 0.0),
+        volume_pct=tuple(100.0 * v / v_flow for v in volumes) if v_flow else (0.0, 0.0, 0.0),
         n_events=n_flow,
     )
     return by_duration, by_event, concentration

@@ -44,10 +44,11 @@ to it and the row before: a day with a value outside int64, an order id
 that arrives twice or after a removal, events out of time order (a day
 built through the API), 2**27 events or more, or flow sums that could leave
 int64. The loop is also the columnar path's oracle in the tests. Either
-hands back a day's intervals as columns (``IntervalColumns``): each
-interval's M flow integers, its buy and sell volumes and its change in ask
-+ bid, without one object per interval. ``DayComputation.samples`` builds
-the per-interval ``MlofiSample``s from them on demand.
+hands back a day's intervals as exact-integer arrays (``IntervalColumns``):
+each interval's M flows, its buy and sell volumes, its change in ask + bid
+and whether it is kept, without one object per interval; the columnar path
+hands over its own int64 arrays. ``DayComputation.samples`` builds the
+per-interval ``MlofiSample``s from them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
@@ -72,7 +73,7 @@ from .book import (
     CODE_EXECUTION_VISIBLE, SELL, BookState, level_snapshot,
 )
 from .errors import InconsistentEvent
-from .lobster import DaySlice
+from .lobster import DaySlice, _int_column
 
 #: Depth of the book summary's per-level means.
 SUMMARY_LEVELS = 5
@@ -168,39 +169,46 @@ class BookTally:
     flow_volumes: list[int]
 
 
-@dataclass
+@dataclass(eq=False)
 class IntervalColumns:
     """One day's intervals (t_{j-1}, t_j], j = 1..N, as columns in interval order.
 
-    ``flows`` holds each interval's ``levels`` imbalance components, one
-    interval after the other, as exact integers. ``delta_p`` is the
-    interval's change in best ask + best bid, or None when the book is
-    one-sided at either end: the interval is discarded, though its other
-    columns still hold what flowed in it.
+    ``flows`` (N x M) holds each interval's imbalance components, and
+    ``buy_volumes``, ``sell_volumes`` and ``delta_p`` its visible executions
+    and its change in best ask + best bid. Each is an int64 array, or an
+    object array of its exact ints if one lies outside int64. ``kept`` is
+    False where the book is one-sided at either end: the interval is
+    discarded and its ``delta_p`` is 0, though its other columns still hold
+    what flowed in it.
     """
 
-    levels: int
-    flows: list[int]
-    buy_volumes: list[int]
-    sell_volumes: list[int]
-    delta_p: list[int | None]
+    flows: np.ndarray
+    buy_volumes: np.ndarray
+    sell_volumes: np.ndarray
+    delta_p: np.ndarray
+    kept: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], levels: int) -> "IntervalColumns":
+        """The columns of one row of exact ints per interval: its ``levels``
+        flows, buy and sell volumes, delta_p and whether it is kept."""
+        flows, buys, sells, deltas, kept = zip(*rows) if rows else ((),) * 5
+        return cls(_int_column([v for f in flows for v in f]).reshape(-1, levels),
+                   _int_column(buys), _int_column(sells), _int_column(deltas),
+                   np.array(kept, bool))
 
     @classmethod
     def from_samples(cls, samples: Iterable[MlofiSample | None], levels: int) -> "IntervalColumns":
         """The columns of a day's samples, one per interval in order (None where discarded)."""
-        columns = cls(levels, [], [], [], [])
-        for s in samples:
-            if s is None:
-                columns.flows += [0] * levels
-                columns.buy_volumes.append(0)
-                columns.sell_volumes.append(0)
-                columns.delta_p.append(None)
-            else:
-                columns.flows += s.mlofi[:levels]
-                columns.buy_volumes.append(s.buy_volume)
-                columns.sell_volumes.append(s.sell_volume)
-                columns.delta_p.append(s.delta_p)
-        return columns
+        return cls.from_rows([((0,) * levels, 0, 0, 0, False) if s is None else
+                              (s.mlofi[:levels], s.buy_volume, s.sell_volume, s.delta_p, True)
+                              for s in samples], levels)
+
+    def __eq__(self, other) -> bool:
+        """Equal dtypes, shapes and exact values, column by column."""
+        return isinstance(other, IntervalColumns) and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 @dataclass
@@ -211,22 +219,22 @@ class DayComputation:
     boundaries_ns: Sequence[int]
     subwindows_per_window: int
     intervals: IntervalColumns
-    discarded_intervals: int
     book: BookTally
+
+    @property
+    def discarded_intervals(self) -> int:
+        return int(np.count_nonzero(~self.intervals.kept))
 
     @cached_property
     def samples(self) -> list[MlofiSample | None]:
         """One ``MlofiSample`` per interval, None where discarded; built on first use."""
-        cols, K, b = self.intervals, self.subwindows_per_window, self.boundaries_ns
-        M = cols.levels
+        K, b = self.subwindows_per_window, self.boundaries_ns
+        # Python ints: the CSV writer would write a numpy int as a float.
+        columns = (c.tolist() for c in vars(self.intervals).values())
         return [
-            None if d is None else MlofiSample(
-                self.date, j // K, j % K + 1, b[j], b[j + 1],
-                tuple(cols.flows[j * M:(j + 1) * M]), buy, sell, d,
-            )
-            for j, (buy, sell, d) in enumerate(
-                zip(cols.buy_volumes, cols.sell_volumes, cols.delta_p)
-            )
+            MlofiSample(self.date, j // K, j % K + 1, b[j], b[j + 1], tuple(flows), buy, sell, d)
+            if kept else None
+            for j, (flows, buy, sell, d, kept) in enumerate(zip(*columns))
         ]
 
 
@@ -255,9 +263,8 @@ def compute_day_samples(
     the session; interval j (1-based) is (t_{j-1}, t_j]. Events at or
     before t_0 form the pre-grid baseline: they move the book and enter
     the book tally but no interval. Intervals whose start or end mid-price
-    is undefined (one-sided book) are discarded, not zeroed: their
-    ``delta_p`` is None. Events after
-    t_N are not replayed. An event the book contradicts raises
+    is undefined (one-sided book) are discarded, not zeroed: they are not
+    ``kept``. Events after t_N are not replayed. An event the book contradicts raises
     InconsistentEvent naming the day's message file and the event's line in
     it, or the day's date and the event's index.
     """
@@ -684,14 +691,13 @@ def _replay_columns(
     kept = two_sided[last]
     kept = kept[1:] & kept[:-1]
     mid = best[last].sum(1)
-    deltas = (mid[1:] - mid[:-1]).tolist()
-    for j in np.flatnonzero(~kept).tolist():
-        deltas[j] = None
+    deltas = mid[1:] - mid[:-1]
+    deltas[~kept] = 0
     return DayComputation(
         day.trading_date, boundaries_ns, subwindows_per_window,
-        IntervalColumns(levels, flows[levels:].tolist(), volumes[3::2].tolist(),
-                        volumes[2::2].tolist(), deltas),
-        int(np.count_nonzero(~kept)), BookTally(tally.result(), flow_counts, flow_volumes),
+        IntervalColumns(flows[levels:].reshape(-1, levels), volumes[3::2], volumes[2::2], deltas,
+                        kept),
+        BookTally(tally.result(), flow_counts, flow_volumes),
     )
 
 
@@ -723,11 +729,7 @@ def _replay(
     flow_counts = [0, 0, 0]
     flow_volumes = [0, 0, 0]
 
-    flows: list[int] = []
-    buys: list[int] = []
-    sells: list[int] = []
-    deltas: list[int | None] = []
-    discarded = 0
+    rows: list[tuple] = []  # per interval: flows, buy and sell volumes, delta_p, kept
     prev_mid = None
     events = zip(*columns)
     pos = 0
@@ -776,14 +778,8 @@ def _replay(
 
         end_mid = cols[1] if cols[0] else None  # ask + bid on a two-sided book
         if j > 0:
-            flows += totals
-            buys.append(buy)
-            sells.append(sell)
-            if prev_mid is None or end_mid is None:
-                deltas.append(None)
-                discarded += 1
-            else:
-                deltas.append(end_mid - prev_mid)
+            kept = prev_mid is not None and end_mid is not None
+            rows.append((totals, buy, sell, end_mid - prev_mid if kept else 0, kept))
         prev_mid = end_mid
 
     # The last replayed state holds until the next event, or t_N.
@@ -793,6 +789,6 @@ def _replay(
         by_count[c] -= v * (n_events - pos)
     return DayComputation(
         day.trading_date, boundaries_ns, subwindows_per_window,
-        IntervalColumns(levels, flows, buys, sells, deltas), discarded,
+        IntervalColumns.from_rows(rows, levels),
         BookTally((by_time, by_count), flow_counts, flow_volumes),
     )

@@ -6,9 +6,10 @@ each window splits into K sub-windows of ``subwindow_seconds``. Every
 window's usable sub-intervals: the design matrix holds an intercept
 column of ones followed by the M imbalance components, and the response
 is the contemporaneous mid-price change in ticks. A day's problems are
-slices of its interval columns: the columns become one float64 design and
-one response per day, and each window takes its rows with one slice and
-one mask.
+slices of its interval columns: the exact-integer arrays become one float64
+design and one response per day, each value rounded as ``float()`` rounds
+it, and each window takes its rows with one slice and its part of the
+columns' ``kept`` mask.
 """
 
 from __future__ import annotations
@@ -132,15 +133,13 @@ def assemble_problems(
         intervals = IntervalColumns.from_samples(intervals, levels)
     K = grid.n_sub
     n = grid.n_windows * K
-    if len(intervals.delta_p) != n:
-        raise ValueError(f"{len(intervals.delta_p)} intervals for a grid of {n}")
-    # Python ints straight to float64, each rounded as float() rounds it: a
-    # flow sum of 18-digit sizes can overflow int64.
+    if len(intervals.kept) != n:
+        raise ValueError(f"{len(intervals.kept)} intervals for a grid of {n}")
+    # int64 and object (exact int) columns alike convert as float() rounds.
     design = np.ones((n, levels + 1))
-    design[:, 1:] = np.array(intervals.flows, dtype=float).reshape(n, -1)[:, :levels]
-    delta_p = np.array(intervals.delta_p, dtype=float)  # None reads as NaN
-    usable = ~np.isnan(delta_p)
-    y = delta_p / (2.0 * tick_size)  # delta_p is twice the mid change in price units
+    design[:, 1:] = intervals.flows[:, :levels]
+    usable = intervals.kept
+    y = intervals.delta_p.astype(float) / (2.0 * tick_size)  # twice the mid change, in price units
     counts = usable.reshape(grid.n_windows, K).sum(axis=1).tolist()
     stats.discarded_intervals += n - sum(counts)
 

@@ -822,6 +822,14 @@ def test_no_method_exits_1(tmp_path, capsys, command, source):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_repeated_method_exits_1(tmp_path, capsys, command):
+    assert run_cli(command, "--synth-days", "1", "--session-end", "10:30", "--methods",
+                   "ols,ridge,ols", "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: methods repeated: ['ols']\n"
+    assert not (tmp_path / "o").exists()
+
+
 NON_ASCII_DIGITS = "١٠５²"
 
 

@@ -409,6 +409,24 @@ def test_concentration_buckets_and_volume():
     )
 
 
+def test_concentration_volumes_add_up_past_int64():
+    # Two bids of 2**62 shares: the day's flow volume passes 2**63, and each
+    # bucket's share is still the exact volumes' quotient.
+    session = SessionConfig(session_start=36000, session_end=36600)
+    events = [
+        _arrival(1, 10, 140200, Side.SELL, T0),  # within the spread of an empty side
+        _arrival(2, 2**62, 140000, Side.BUY, T0 + NS),
+        _arrival(3, 2**62, 140000, Side.BUY, T0 + 2 * NS),  # at the best bid
+        _arrival(4, 5, 139900, Side.BUY, T0 + 3 * NS),  # deeper
+    ]
+    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    _, _, conc = summarize_day(day, session)
+    total = 2**63 + 15
+    assert conc.volume_pct == (100.0 * (2**62 + 10) / total, 100.0 * 2**62 / total,
+                               100.0 * 5 / total)
+    assert conc.count_pct == (50.0, 25.0, 25.0)
+
+
 def test_summarize_matches_bruteforce_oracle():
     from mlofi.book import BookState
 
@@ -509,6 +527,7 @@ def test_per_window_ridge_skips_window_shrunk_by_discards():
     ({"methods": (OLS, "lasso")}, "unknown methods: ['lasso']"),
     ({"lambda_mode": "daily"}, "lambda_mode must be pooled or per-window"),
     ({"folds": 1}, "folds must be >= 2"),
+    ({"methods": (OLS, RIDGE, OLS)}, "methods repeated: ['ols']"),
 ])
 def test_fit_spec_rejects_bad_settings(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

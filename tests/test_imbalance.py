@@ -310,7 +310,8 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
         samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         assert comp.samples == samples
         assert comp.discarded_intervals == discarded
-        assert [d is None for d in comp.intervals.delta_p] == [s is None for s in samples]
+        assert comp.intervals.kept.tolist() == [s is not None for s in samples]
+        assert not comp.intervals.delta_p[~comp.intervals.kept].any()
         problems = assemble_problems(comp.intervals, grid, levels, TICK, day.trading_date)
         expected = oracle_assemble_problems(samples, grid, levels, TICK, day.trading_date)[0]
         assert [p.window_index for p in problems] == [p.window_index for p in expected]
@@ -803,7 +804,7 @@ def test_a_day_with_one_huge_order_takes_the_columnar_replay():
     columnar = imbalance._replay_columns(day, grid.boundaries_ns, grid.n_sub, 10)
     assert columnar is not None
     assert columnar == imbalance._replay(day, grid.boundaries_ns, grid.n_sub, 10)
-    assert max(map(abs, columnar.intervals.flows)) >= 10**10
+    assert np.abs(columnar.intervals.flows).max() >= 10**10
 
 
 @pytest.mark.parametrize("size, columnar", [(2**60 - 1, True), (2**60, False)])
@@ -815,6 +816,71 @@ def test_the_flow_guard_declines_only_flow_sums_that_could_leave_int64(size, col
                      (23, 1, 2, size, 140000, 1), (34, 3, 2, size, 140000, 1)])
     boundaries, n_sub = _grid_60_10()
     loop = imbalance._replay(day, boundaries, n_sub, 3)
-    assert loop.intervals.flows[:6] == [size, 0, 0, -size, 0, 0]
+    assert loop.intervals.flows[:2].tolist() == [[size, 0, 0], [-size, 0, 0]]
     assert imbalance._replay_columns(day, boundaries, n_sub, 3) == (loop if columnar else None)
     assert compute_day_samples(day, boundaries, n_sub, 3) == loop
+
+
+# -- the interval columns ---------------------------------------------------------
+
+
+def _fuzz_day_both_paths_take():
+    events = fuzz_stream(np.random.default_rng(11), 300)
+    boundaries = [events[0].timestamp_ns - NS + j * 3 * NS for j in range(40)]
+    return _from_file(events, None), boundaries
+
+
+def _flow_past_int64_day():
+    """A day whose first interval's level-1 flow is 2**63 + 3: two bids of
+    about 2**62 shares join a new best bid, on a book two-sided from t_0."""
+    return _rows_day([(0, 1, 1, 1, 139900, 1), (0, 1, 2, 10, 140100, -1),
+                      (1, 1, 3, 2**62 + 1, 140000, 1), (2, 1, 4, 2**62 + 2, 140000, 1),
+                      (15, 3, 4, 2**62 + 2, 140000, 1)])
+
+
+def test_the_columnar_columns_are_int64_arrays_equal_to_the_loops():
+    day, boundaries = _fuzz_day_both_paths_take()
+    columnar = imbalance._replay_columns(day, boundaries, 1, 4)
+    loop = imbalance._replay(day, boundaries, 1, 4)
+    assert columnar is not None
+    assert not columnar.intervals.kept.all() and columnar.intervals.kept.any()
+    for name in ("flows", "buy_volumes", "sell_volumes", "delta_p", "kept"):
+        a, b = getattr(columnar.intervals, name), getattr(loop.intervals, name)
+        assert a.dtype == b.dtype == (bool if name == "kept" else np.int64)
+        assert a.shape == b.shape == ((39, 4) if name == "flows" else (39,))
+        assert np.array_equal(a, b)
+    assert columnar.intervals == loop.intervals
+    assert columnar.discarded_intervals == np.count_nonzero(~loop.intervals.kept) > 0
+
+
+def test_a_flow_past_int64_gives_an_object_column_whose_design_is_float_of_each_int():
+    day = _flow_past_int64_day()
+    session = SessionConfig(session_start=36000, session_end=36060)
+    grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
+    assert imbalance._replay_columns(day, grid.boundaries_ns, grid.n_sub, 2) is None
+    comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, 2)
+    cols = comp.intervals
+    assert cols.flows.dtype == object
+    assert cols.flows.tolist() == [[2**63 + 3, 1], [-(2**62 + 2), 0]] + [[0, 0]] * 4
+    assert all(c.dtype == np.int64 for c in (cols.buy_volumes, cols.sell_volumes, cols.delta_p))
+    assert cols.kept.all()
+    [problem] = assemble_problems(cols, grid, 2, TICK, day.trading_date)
+    assert [[v.hex() for v in row] for row in problem.X[:, 1:].tolist()] == [
+        [float(v).hex() for v in row] for row in cols.flows.tolist()]
+    assert problem.X[0, 1] == float(2**63 + 3) == 2.0**63
+
+
+@pytest.mark.parametrize("make", ["columnar", "object"])
+def test_every_sample_field_is_a_python_int(make):
+    if make == "columnar":
+        day, boundaries = _fuzz_day_both_paths_take()
+        comp = compute_day_samples(day, boundaries, 4, 3)
+    else:
+        boundaries, n_sub = _grid_60_10()
+        comp = compute_day_samples(_flow_past_int64_day(), boundaries, n_sub, 2)
+    samples = [s for s in comp.samples if s is not None]
+    assert samples
+    for s in samples:
+        values = (s.window_index, s.sub_index, s.start_ns, s.end_ns, *s.mlofi, s.buy_volume,
+                  s.sell_volume, s.delta_p)
+        assert all(type(v) is int for v in values)

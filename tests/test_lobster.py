@@ -273,7 +273,8 @@ def test_an_order_id_beyond_int64_parses_into_object_columns(tmp_path):
     assert imbalance._replay_columns(day, boundaries, 6, 2) is None
     comp = imbalance.compute_day_samples(day, boundaries, 6, 2)
     assert comp == imbalance._replay(day, boundaries, 6, 2)
-    assert comp.intervals.flows == [-10] + [0] * 11
+    assert comp.intervals.flows.dtype == np.int64
+    assert comp.intervals.flows.tolist() == [[-10, 0]] + [[0, 0]] * 5
 
 
 def test_a_days_events_are_built_on_read_and_cannot_be_assigned():

@@ -186,22 +186,23 @@ def test_assembly_equals_per_row_oracle(
     levels = data.draw(hst.integers(1, stored), label="levels")
     rng = random.Random(seed)
     grid = Grid(start_ns=0, n_windows=n_windows, n_sub=n_sub, subwindow_ns=NS)
-    columns = IntervalColumns(stored, [], [], [], [])
+    rows = []
     samples = []
     for i in range(n_windows):
         for k in range(1, n_sub + 1):
             mlofi = tuple(rng.randint(-magnitude, magnitude) for _ in range(stored))
             buy, sell = rng.randint(0, 99), rng.randint(0, 99)
             delta_p = rng.randint(-9, 9) * rng.choice([1, tick_size])
-            if rng.random() < discard:
-                delta_p = None
-            columns.flows += mlofi
-            columns.buy_volumes.append(buy)
-            columns.sell_volumes.append(sell)
-            columns.delta_p.append(delta_p)
-            samples.append(None if delta_p is None else MlofiSample(
+            kept = rng.random() >= discard
+            rows.append((mlofi, buy, sell, delta_p if kept else 0, kept))
+            samples.append(MlofiSample(
                 DATE, i, k, 0, 0, mlofi, buy, sell, delta_p
-            ))
+            ) if kept else None)
+    columns = IntervalColumns.from_rows(rows, stored)
+    # Flows past int64 stay exact, as Python ints in an object array.
+    in_int64 = all(-2**63 <= v < 2**63 for row in rows for v in row[0])
+    assert columns.flows.dtype == (np.int64 if in_int64 else object)
+    assert columns.flows.shape == (n_windows * n_sub, stored)
     stats = AssemblyStats()
     problems = assemble_problems(columns, grid, levels, tick_size, DATE, stats)
     expected, discarded, dropped = oracle_assemble_problems(
@@ -224,6 +225,6 @@ def test_assembly_equals_per_row_oracle(
 
 def test_assembly_takes_every_interval_of_the_grid():
     grid = Grid(start_ns=0, n_windows=2, n_sub=3, subwindow_ns=NS)
-    columns = IntervalColumns(1, [1] * 5, [0] * 5, [0] * 5, [0] * 5)
+    columns = IntervalColumns.from_rows([((1,), 0, 0, 0, True)] * 5, 1)
     with pytest.raises(ValueError, match="^5 intervals for a grid of 6$"):
         assemble_problems(columns, grid, 1, 100, DATE)
