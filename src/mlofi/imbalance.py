@@ -35,20 +35,17 @@ pass, every depth change follows from the events alone, so sorts and
 running sums grouped by order id and by price level give each level's depth
 after each event, and one Python pass over only the events that open or
 close a level keeps each side's sorted prices. Ranks, flows, volumes and
-the tally then follow from whole columns. A day that path declines first
-gets a bare ``BookState.apply_fields`` pass over the events the loop would
-replay, which raises ``InconsistentEvent`` at the first event the book
-contradicts. Only a consistent day reaches ``_replay``, the loop that takes
-one orderbook row after each book-moving event and applies ``flow_delta``
-to it and the row before: a day with a value outside int64, an order id
-that arrives twice or after a removal, events out of time order (a day
-built through the API), 2**27 events or more, or flow sums that could leave
-int64. The loop is also the columnar path's oracle in the tests. Either
+the tally then follow from whole columns. A day with a value outside int64,
+2**27 events or more, or sums that could leave int64 runs the same code on
+its columns as Python ints, in object arrays, at several times the cost per
+event. The path declines only a day the book contradicts; a bare
+``BookState.apply_fields`` pass over the replayed events then raises
+``InconsistentEvent`` at the first event the book contradicts. The replay
 hands back a day's intervals as exact-integer arrays (``IntervalColumns``):
 each interval's M flows, its buy and sell volumes, its change in ask + bid
-and whether it is kept, without one object per interval; the columnar path
-hands over its own int64 arrays. ``DayComputation.samples`` builds the
-per-interval ``MlofiSample``s from them on demand.
+and whether it is kept, without one object per interval.
+``DayComputation.samples`` builds the per-interval ``MlofiSample``s from
+them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
@@ -77,9 +74,9 @@ from .lobster import DaySlice, _int_column
 
 #: Depth of the book summary's per-level means.
 SUMMARY_LEVELS = 5
-#: Days of this many replayed events or more take the loop: with fewer, the
-#: columnar replay's sort keys (a level times the event count, a row of top
-#: prices times 2**35, plus an index or a price) fit an int64.
+#: Days of this many replayed events or more replay on Python ints: with
+#: fewer, the columnar replay's sort keys (a level times the event count, a
+#: row of top prices times 2**35, plus an index or a price) fit an int64.
 _MAX_EVENTS = 2**27
 
 
@@ -266,14 +263,17 @@ def compute_day_samples(
     is undefined (one-sided book) are discarded, not zeroed: they are not
     ``kept``. Events after t_N are not replayed. An event the book contradicts raises
     InconsistentEvent naming the day's message file and the event's line in
-    it, or the day's date and the event's index.
+    it, or the day's date and the event's index. Input no message file can
+    hold raises ValueError: ``levels`` below 1, boundaries empty or out of
+    order, events out of time order, a direction other than +1 or -1, or a
+    book event's size below 1 or price outside 1..ASK_ABSENT - 1.
     """
     try:
         computed = _replay_columns(day, boundaries_ns, subwindows_per_window, levels)
         if computed is None:
-            # The book alone finds a contradicted day's error, at a fraction
-            # of the loop's cost per event: the events the loop replays are
-            # those before the first one after t_N.
+            # The columnar replay declines only a day the book contradicts;
+            # a bare pass of the book over the replayed events (those up to
+            # t_N) finds the first contradicted event.
             apply = (day.seed.build_book() if day.seed else BookState()).apply_fields
             t_last = boundaries_ns[-1]
             for t, code, order_id, size, price, direction in zip(
@@ -281,7 +281,8 @@ def compute_day_samples(
                 if t > t_last:
                     break
                 apply(code, order_id, size, price, direction)
-            computed = _replay(day, boundaries_ns, subwindows_per_window, levels)
+            raise RuntimeError(f"{day.path or day.trading_date}: the columnar replay declined "
+                               "a day that the book accepts")
         return computed
     except InconsistentEvent as exc:
         i = exc.event_index
@@ -303,23 +304,23 @@ def _cumsum_within(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     before = values[starts]
     np.cumsum(values, out=values)
     before -= values[starts]  # minus the sum before each run
-    run = np.cumsum(starts, dtype=np.int32)
+    run = np.cumsum(starts, dtype=np.intp)
     run -= 1
     values += before[run]
     return values
 
 
 def _grouped(keys: np.ndarray, events: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """``events`` (indices below ``span``) sorted by their ``keys`` (which
-    must lie in 0..2**63 // span), then by index, and where each key's run
-    starts. ``keys`` is overwritten."""
+    """``events`` (indices below ``span``) sorted by their ``keys`` (which,
+    if int64, must lie in 0..2**63 // span), then by index, and where each
+    key's run starts. ``keys`` is overwritten."""
     order = keys
     order *= span
     order += events
     order.sort()
     starts = _starts(order // span)
     order %= span
-    return order, starts
+    return order.astype(np.intp, copy=False), starts
 
 
 class _LevelDepths:
@@ -386,24 +387,26 @@ def _level_pass(prices: list[int], is_bid: list[bool], opens: list[bool],
 
 
 class _TallySums:
-    """``BookTally.sums`` in ``_replay``'s differential form, from the changes
-    of the tally's columns.
+    """``BookTally.sums`` in differential form, from the changes of the
+    tally's columns.
 
     A change d of column c at event i, at time t_i, adds d * (t_last - t_i)
-    to its time integral and d * (n_events - i) to its event sum; at the end
-    the part beyond the last replayed state comes off. The sums run in int64,
-    which wraps: exact wherever a bound on a column's values shows its result
-    fits, and in Python ints elsewhere.
+    to its time integral and d * (n_events - i) to its event sum, as if the
+    new value held to the end; at the end the part beyond the last replayed
+    state comes off. The sums run in ``dtype``. int64 wraps: it is exact
+    wherever a bound on a column's values shows its result fits, and Python
+    ints sum the other columns. On object columns every sum is exact.
     """
 
     def __init__(self, start: list[int], largest: list[int], times: np.ndarray,
-                 time_weights: tuple[int, int, int], count_weights: tuple[int, int, int]):
+                 time_weights: tuple[int, int, int], count_weights: tuple[int, int, int],
+                 dtype):
         self.start = start
         self.times = times
         # Per sum: the weights' end, first and stop positions.
         self.weights = (time_weights, count_weights)
-        self.moved = np.zeros(len(start), np.int64)
-        self.sums = np.zeros((2, len(start)), np.int64)
+        self.moved = np.zeros(len(start), dtype)
+        self.sums = np.zeros((2, len(start)), dtype)
         self.exact = [[0 if most * (stop - first) >= 2**63 else None for most in largest]
                       for _, first, stop in self.weights]
 
@@ -437,16 +440,15 @@ def _replay_columns(
     boundaries_ns: Sequence[int],
     subwindows_per_window: int,
     levels: int,
+    dtype=np.int64,
 ) -> DayComputation | None:
-    """``_replay``'s result computed on the day's int64 columns, or None if an
-    event contradicts the book or the day lies outside what this path takes:
-    columns that are not int64, events or boundaries out of order, sums that
-    could leave int64, or an order id that arrives twice or after a removal.
+    """``compute_day_samples``' result computed on the day's columns, or
+    None if an event contradicts the book.
 
     Once the book's checks pass, every depth change follows from the events
     alone: an arrival adds its size at its price and a removal takes its size
     off, unless it removes an unseen order beyond the seed's horizon. So the
-    order life-cycles (grouped by order id) and the seeded pools (grouped by
+    order life cycles (grouped by order id) and the seeded pools (grouped by
     level, a side and price) are checked with sorts and running sums, and a
     running sum grouped by level gives each level's depth after each event.
     One pass over the events that open or close a level keeps each side's
@@ -455,17 +457,32 @@ def _replay_columns(
     volumes, mid changes and the tally then follow in bulk. Up to the first
     event the book rejects, both see the same book, so that event fails a
     check here.
+
+    The arrays are int64 (``dtype``). Where a sort key or a sum could leave
+    int64 (a column or boundary outside it, ``_MAX_EVENTS`` events or more,
+    order ids too far apart, or depths and flow sums too large), the same
+    code runs again with ``dtype`` object, on the day's columns as Python
+    ints, where every key and sum is exact.
     """
+    def exact() -> DayComputation | None:
+        return _replay_columns(day, boundaries_ns, subwindows_per_window, levels, object)
+
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
     columns = day.columns
-    if levels < 1 or not len(boundaries_ns) or any(c.dtype != np.int64 for c in columns):
-        return None
+    if dtype is object:
+        columns = [c.astype(object) for c in columns]
+    elif any(c.dtype != np.int64 for c in columns):
+        return exact()
     try:
-        bounds = np.array(boundaries_ns, np.int64)
+        bounds = np.array(boundaries_ns, dtype)
     except OverflowError:
-        return None
-    times_all = columns.times
-    if (bounds[1:] < bounds[:-1]).any() or (times_all[1:] < times_all[:-1]).any():
-        return None
+        return exact()
+    times_all = columns[0]
+    if not len(bounds) or (bounds[1:] < bounds[:-1]).any():
+        raise ValueError("the interval boundaries must be a nonempty ascending sequence")
+    if (times_all[1:] < times_all[:-1]).any():
+        raise ValueError("the events must be in time order")
     t_last, n_all = int(bounds[-1]), len(times_all)
     n = int(np.searchsorted(times_all, t_last, "right"))  # the events replayed
     times, codes, order_ids, sizes, prices, directions = (c[:n] for c in columns)
@@ -482,45 +499,55 @@ def _replay_columns(
     low_id = int(order_ids.min(where=book, initial=0))
     total += int(sizes.max(where=book, initial=0)) * int(np.count_nonzero(book))
     highest = max(highest, int(prices.max(where=book, initial=1)))
-    if (n >= _MAX_EVENTS or (codes < 1).any() or not (is_bid | (directions == -1)).all()
-            or sizes.min(where=book, initial=1) < 1 or prices.min(where=book, initial=1) < 1
-            or highest >= ASK_ABSENT or total >= 2**63
+    if not (is_bid | (directions == -1)).all():
+        raise ValueError("an event's direction is neither 1 (buy) nor -1 (sell)")
+    if sizes.min(where=book, initial=1) < 1:
+        raise ValueError("a book event's size is below 1")
+    if prices.min(where=book, initial=1) < 1 or highest >= ASK_ABSENT:
+        raise ValueError(f"a book price lies outside 1..{ASK_ABSENT - 1}")
+    if (codes < 1).any():
+        return None  # an unknown type code
+    if dtype is not object and (
+            n >= _MAX_EVENTS or total >= 2**63
             or int(order_ids.max(where=book, initial=0)) - low_id >= 2**63 // span):
-        return None
+        return exact()
     depth = max(levels, SUMMARY_LEVELS)
     tally0 = _tally_columns(list(level_snapshot(state, depth)))
-    seed_keys = np.array([2 * p + 1 for p in bid_prices] + [2 * p for p in ask_prices], np.int64)
+    seed_keys = np.array([2 * p + 1 for p in bid_prices] + [2 * p for p in ask_prices], dtype)
     seed_sizes = np.array([bid_depth[p] for p in bid_prices] + [ask_depth[p] for p in ask_prices],
-                          np.int64)
+                          dtype)
     horizons = (day.seed.bid_horizon, day.seed.ask_horizon) if day.seed else (
         BID_ABSENT, ASK_ABSENT)
     # Clamped to the sentinels, a horizon compares with every real price as before.
     bid_horizon, ask_horizon = (min(max(h, BID_ABSENT), ASK_ABSENT) for h in horizons)
     keys = 2 * prices + is_bid  # each event's level
 
-    # Order life-cycles, grouped by order id: an id's arrival, if any, comes
-    # first, and a live order's removal names its level and takes no more than
-    # rests, a full cancel all of it.
+    # Order life cycles, grouped by order id. Each arrival starts one; while
+    # its order rests, a removal names its level and takes no more than
+    # rests, a full cancel all of it, and no arrival comes. An id's events
+    # before its first arrival, or after the removal that empties its order,
+    # remove an unseen order.
     events = np.flatnonzero(book)
     events, starts = _grouped(order_ids[events] - low_id, events, span)
     arrival = codes[events] == CODE_ARRIVAL
-    if (arrival & ~starts).any():
-        return None
-    group = np.cumsum(starts, dtype=np.int32)
-    group -= 1
-    live = arrival[starts][group]
-    removal = live & ~arrival
-    # After each event of a live order: minus the shares that rest.
+    # After each event: minus the shares that rest, counted from the id's
+    # first event or its latest arrival.
     left = sizes[events]
     left[arrival] *= -1
-    left = _cumsum_within(left, starts)[removal]
-    removed = events[removal]
-    if ((left > 0).any() or (left[codes[removed] == CODE_CANCEL_FULL] != 0).any()
-            or (keys[removed] != keys[events[starts][group[removal]]]).any()):
+    left = _cumsum_within(left, starts | arrival)
+    removal = np.zeros(len(events), bool)  # the events an order of the id rests before
+    np.less(left[:-1], 0, out=removal[1:])
+    removal &= ~starts
+    at = np.flatnonzero(removal)
+    removed = events[at]
+    left = left[at]
+    if ((removal & arrival).any() or (left > 0).any()
+            or (left[codes[removed] == CODE_CANCEL_FULL] != 0).any()
+            or (keys[removed] != keys[events[at - 1]]).any()):
         return None
     unseen = np.zeros(n, bool)
-    unseen[events[~live]] = True
-    del events, starts, arrival, group, live, removal, left, removed
+    unseen[events[~(arrival | removal)]] = True
+    del events, starts, arrival, left, removal, at, removed
     # A removal of an unseen order draws on the seeded pool of its level,
     # unless it lies beyond the horizon, where it changes nothing.
     beyond = unseen & np.where(is_bid, prices < bid_horizon, prices > ask_horizon)
@@ -557,13 +584,13 @@ def _replay_columns(
     # plus at most one depth per level event, the only events that move its
     # prices. The int64 sums wrap, so they are exact where this fits.
     max_depth = int(depths.depths.max(initial=0))
-    if total + len(level_events) * max_depth >= 2**63:
-        return None
+    if dtype is not object and total + len(level_events) * max_depth >= 2**63:
+        return exact()
 
     ranks, tops = _level_pass(prices[level_events].tolist(), is_bid[level_events].tolist(),
                               opens, list(bid_prices), list(ask_prices), depth)
     # wide[e]: the side's top depth + 1 prices at the e-th level event, its level at k.
-    wide = np.array(tops[2 * depth:], np.int64).reshape(-1, depth + 1)
+    wide = np.array(tops[2 * depth:], dtype).reshape(-1, depth + 1)
     ranks = np.array(ranks, np.int64)
     level_side = (~is_bid[level_events]).view(np.int8)  # 0 bid, 1 ask
     # rows[r]: a side's top prices, best first, at the start or after a level
@@ -573,7 +600,7 @@ def _replay_columns(
     closes = ~np.array(opens, bool)
     after = np.take_along_axis(wide, m + (closes[:, None] & (m >= ranks[:, None])), 1)
     on_ask = level_side.view(bool)
-    start = np.array(tops[:2 * depth], np.int64).reshape(2, depth)
+    start = np.array(tops[:2 * depth], dtype).reshape(2, depth)
     rows = np.concatenate((start[:1], after[~on_ask], start[1:], after[on_ask]))
     del after, start, tops
     row_of = np.zeros((len(level_events) + 1, 2), np.int64)
@@ -585,13 +612,13 @@ def _replay_columns(
     # The events of interval j (1-based) are ends[j - 1]:ends[j]; ends[0] ends the baseline.
     ends = np.searchsorted(times, bounds, "right")
     n_intervals = len(bounds) - 1
-    flows = np.zeros((n_intervals + 1) * levels, np.int64)
+    flows = np.zeros((n_intervals + 1) * levels, dtype)
     L = SUMMARY_LEVELS
     tally = _TallySums(
         tally0, [1, 2 * highest, highest] + [max_depth] * 2 * L, times,
         (t_last, int(times_all[0]) if n_all else t_last,
          int(times_all[n]) if n < n_all else t_last),
-        (n_all, 0, n))
+        (n_all, 0, n), dtype)
 
     # An event that opens or closes a level at rank k < depth shifts its
     # side's cells from k on, and moves each flow level from k on by the
@@ -631,9 +658,10 @@ def _replay_columns(
               (size * (2 * after[turned] - 1)[:, None]).ravel())
     del depths, shifted, at, k, s, size, before, after, quotes, moved, turned, other
 
-    epoch = np.zeros(n + 1, np.int32)
+    # int32 keeps the replay's peak memory down; it holds fewer than 2**31 events.
+    epoch = np.zeros(n + 1, np.int32 if n < 2**31 else np.intp)
     epoch[level_events + 1] = 1
-    epoch = np.cumsum(epoch, dtype=np.int32)[:n]  # each event's, before it
+    epoch = np.cumsum(epoch, out=epoch)[:n]  # each event's, before it
     side = (~is_bid).view(np.int8)
 
     # The checks on the best quotes before each event: an arrival may not
@@ -665,10 +693,11 @@ def _replay_columns(
     for s, order in ((0, -1), (1, 1)):
         # Keys that ascend along each row, and from row to row: bids by -price.
         first = row_of[0, s]
-        ordered = ((np.arange(len(rows) - first)[:, None] << 35) + order * rows[first:]).ravel()
+        ordered = ((np.arange(len(rows) - first, dtype=dtype)[:, None] << 35)
+                   + order * rows[first:]).ravel()
         here = np.flatnonzero(size_side == s)
         row = row_of[epoch[size_events[here]], s] - first
-        place = (row << 35) + order * prices[size_events[here]]
+        place = (row.astype(dtype) << 35) + order * prices[size_events[here]]
         found = np.searchsorted(ordered, place)
         hit = ordered[np.minimum(found, len(ordered) - 1)] == place
         rank[here[hit]] = found[hit] - row[hit] * depth
@@ -682,7 +711,7 @@ def _replay_columns(
 
     # Visible executions: a hit resting sell is an incoming buy market order.
     executed = np.flatnonzero(execution)
-    volumes = np.zeros(2 * (n_intervals + 1), np.int64)
+    volumes = np.zeros(2 * (n_intervals + 1), dtype)
     np.add.at(volumes, 2 * np.searchsorted(ends, executed, "right") + side[executed],
               sizes[executed])
     del executed, execution, side
@@ -693,102 +722,11 @@ def _replay_columns(
     mid = best[last].sum(1)
     deltas = mid[1:] - mid[:-1]
     deltas[~kept] = 0
+    intervals = [flows[levels:].reshape(-1, levels), volumes[3::2], volumes[2::2], deltas]
+    if dtype is object:  # int64 wherever a column's values fit
+        intervals = [_int_column(c.ravel()).reshape(c.shape) for c in intervals]
     return DayComputation(
         day.trading_date, boundaries_ns, subwindows_per_window,
-        IntervalColumns(flows[levels:].reshape(-1, levels), volumes[3::2], volumes[2::2], deltas,
-                        kept),
+        IntervalColumns(*intervals, kept),
         BookTally(tally.result(), flow_counts, flow_volumes),
-    )
-
-
-def _replay(
-    day: DaySlice,
-    boundaries_ns: Sequence[int],
-    subwindows_per_window: int,
-    levels: int,
-) -> DayComputation:
-    """The loop of ``compute_day_samples``: ``flow_delta`` on the orderbook
-    rows before and after each book-moving event."""
-    state = day.seed.build_book() if day.seed else BookState()
-    apply = state.apply_fields
-    times, *_ = columns = [column.tolist() for column in day.columns]
-    n_events = len(times)
-    t_last = boundaries_ns[-1]
-    # The book's top levels, for the flow vector and the book summary.
-    depth = max(levels, SUMMARY_LEVELS)
-    row = level_snapshot(state, depth)
-    # Tally column c holds the value cols[c]. When it changes by d at the
-    # i-th event (0-based), at time t, d * (t_last - t) goes into its time
-    # integral and d * (n_events - i) into its event sum, as if the new
-    # value held to the end; after the replay, the part beyond the last
-    # replayed state comes off again.
-    cols = _tally_columns(row)
-    t_first = times[0] if times else t_last
-    by_time = [v * (t_last - t_first) for v in cols]
-    by_count = [v * n_events for v in cols]
-    flow_counts = [0, 0, 0]
-    flow_volumes = [0, 0, 0]
-
-    rows: list[tuple] = []  # per interval: flows, buy and sell volumes, delta_p, kept
-    prev_mid = None
-    events = zip(*columns)
-    pos = 0
-    # j = 0 is the baseline, whose flow belongs to no interval.
-    for j, t_end in enumerate(boundaries_ns):
-        totals = [0] * levels
-        buy = 0
-        sell = 0
-        while pos < n_events and times[pos] <= t_end:
-            t, code, order_id, size, price, direction = next(events)
-            pos += 1
-            apply(code, order_id, size, price, direction)
-            if code >= CODE_BOOK_NEUTRAL:
-                continue  # the visible book stays, and no flow bucket counts it
-            is_bid = direction == 1
-            # Flow bucket on the book before the event: 0 within the
-            # spread, 1 at the best quote, 2 deeper.
-            if code == CODE_EXECUTION_VISIBLE:
-                bucket = 1  # executions always hit the front of the queue
-                # A hit resting sell means an incoming buy market order.
-                if is_bid:
-                    sell += size
-                else:
-                    buy += size
-            else:
-                own_best = row[2] if is_bid else row[0]  # maybe a sentinel
-                if price == own_best:
-                    bucket = 1
-                elif (price > own_best) == is_bid:
-                    bucket = 0
-                else:
-                    bucket = 2
-            flow_counts[bucket] += 1
-            flow_volumes[bucket] += size
-            after = level_snapshot(state, depth)
-            if after == row:
-                continue
-            totals = [a + b for a, b in zip(totals, flow_delta(row, after, levels).net)]
-            row = after
-            for c, v in enumerate(_tally_columns(row)):
-                d = v - cols[c]
-                if d:
-                    cols[c] = v
-                    by_time[c] += d * (t_last - t)
-                    by_count[c] += d * (n_events - pos + 1)
-
-        end_mid = cols[1] if cols[0] else None  # ask + bid on a two-sided book
-        if j > 0:
-            kept = prev_mid is not None and end_mid is not None
-            rows.append((totals, buy, sell, end_mid - prev_mid if kept else 0, kept))
-        prev_mid = end_mid
-
-    # The last replayed state holds until the next event, or t_N.
-    t_stop = times[pos] if pos < n_events else t_last
-    for c, v in enumerate(cols):
-        by_time[c] -= v * (t_last - t_stop)
-        by_count[c] -= v * (n_events - pos)
-    return DayComputation(
-        day.trading_date, boundaries_ns, subwindows_per_window,
-        IntervalColumns.from_rows(rows, levels),
-        BookTally((by_time, by_count), flow_counts, flow_volumes),
     )

@@ -121,7 +121,8 @@ class SessionConfig:
 class EventColumns(NamedTuple):
     """A day's events as six int64 columns, in stream order. A column holding
     a value outside int64 is an object array of Python ints instead, which
-    only the replay's loop reads. ``.tolist()`` gives a column's Python ints."""
+    the replay reads on Python ints throughout. ``.tolist()`` gives a
+    column's Python ints."""
 
     times: np.ndarray  # nanoseconds after midnight
     codes: np.ndarray  # type codes, the EventKind values

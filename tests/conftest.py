@@ -8,6 +8,7 @@ event kinds, including book-neutral ones and same-timestamp bursts.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from hypothesis import settings
@@ -15,6 +16,8 @@ from hypothesis import settings
 from mlofi.book import (
     ASK_ABSENT,
     BID_ABSENT,
+    CODE_BOOK_NEUTRAL,
+    CODE_EXECUTION_VISIBLE,
     BookState,
     EventKind,
     LobEvent,
@@ -22,7 +25,16 @@ from mlofi.book import (
     level_snapshot,
 )
 from mlofi.errors import MalformedRow, NumericalFailure
-from mlofi.imbalance import MlofiSample, flow_delta
+from mlofi.imbalance import (
+    SUMMARY_LEVELS,
+    BookTally,
+    DayComputation,
+    IntervalColumns,
+    MlofiSample,
+    _tally_columns,
+    flow_delta,
+)
+from mlofi.lobster import DaySlice
 
 TICK = 100
 NS = 1_000_000_000
@@ -265,6 +277,100 @@ def oracle_day_samples(day, boundaries_ns, subwindows_per_window: int, levels: i
             ))
         prev_mid = end_mid
     return samples, discarded
+
+
+def oracle_replay(
+    day: DaySlice,
+    boundaries_ns: Sequence[int],
+    subwindows_per_window: int,
+    levels: int,
+) -> DayComputation:
+    """``compute_day_samples`` as a loop over the events: ``flow_delta`` on
+    the orderbook rows before and after each book-moving event, and the
+    book tally's columns updated where a row changes them."""
+    state = day.seed.build_book() if day.seed else BookState()
+    apply = state.apply_fields
+    times, *_ = columns = [column.tolist() for column in day.columns]
+    n_events = len(times)
+    t_last = boundaries_ns[-1]
+    # The book's top levels, for the flow vector and the book summary.
+    depth = max(levels, SUMMARY_LEVELS)
+    row = level_snapshot(state, depth)
+    # Tally column c holds the value cols[c]. When it changes by d at the
+    # i-th event (0-based), at time t, d * (t_last - t) goes into its time
+    # integral and d * (n_events - i) into its event sum, as if the new
+    # value held to the end; after the replay, the part beyond the last
+    # replayed state comes off again.
+    cols = _tally_columns(row)
+    t_first = times[0] if times else t_last
+    by_time = [v * (t_last - t_first) for v in cols]
+    by_count = [v * n_events for v in cols]
+    flow_counts = [0, 0, 0]
+    flow_volumes = [0, 0, 0]
+
+    rows: list[tuple] = []  # per interval: flows, buy and sell volumes, delta_p, kept
+    prev_mid = None
+    events = zip(*columns)
+    pos = 0
+    # j = 0 is the baseline, whose flow belongs to no interval.
+    for j, t_end in enumerate(boundaries_ns):
+        totals = [0] * levels
+        buy = 0
+        sell = 0
+        while pos < n_events and times[pos] <= t_end:
+            t, code, order_id, size, price, direction = next(events)
+            pos += 1
+            apply(code, order_id, size, price, direction)
+            if code >= CODE_BOOK_NEUTRAL:
+                continue  # the visible book stays, and no flow bucket counts it
+            is_bid = direction == 1
+            # Flow bucket on the book before the event: 0 within the
+            # spread, 1 at the best quote, 2 deeper.
+            if code == CODE_EXECUTION_VISIBLE:
+                bucket = 1  # executions always hit the front of the queue
+                # A hit resting sell means an incoming buy market order.
+                if is_bid:
+                    sell += size
+                else:
+                    buy += size
+            else:
+                own_best = row[2] if is_bid else row[0]  # maybe a sentinel
+                if price == own_best:
+                    bucket = 1
+                elif (price > own_best) == is_bid:
+                    bucket = 0
+                else:
+                    bucket = 2
+            flow_counts[bucket] += 1
+            flow_volumes[bucket] += size
+            after = level_snapshot(state, depth)
+            if after == row:
+                continue
+            totals = [a + b for a, b in zip(totals, flow_delta(row, after, levels).net)]
+            row = after
+            for c, v in enumerate(_tally_columns(row)):
+                d = v - cols[c]
+                if d:
+                    cols[c] = v
+                    by_time[c] += d * (t_last - t)
+                    by_count[c] += d * (n_events - pos + 1)
+
+        end_mid = cols[1] if cols[0] else None  # ask + bid on a two-sided book
+        if j > 0:
+            kept = prev_mid is not None and end_mid is not None
+            rows.append((totals, buy, sell, end_mid - prev_mid if kept else 0, kept))
+        prev_mid = end_mid
+
+    # The last replayed state holds until the next event, or t_N.
+    t_stop = times[pos] if pos < n_events else t_last
+    for c, v in enumerate(cols):
+        by_time[c] -= v * (t_last - t_stop)
+        by_count[c] -= v * (n_events - pos)
+    return DayComputation(
+        day.trading_date, boundaries_ns, subwindows_per_window,
+        IntervalColumns.from_rows(rows, levels),
+        BookTally((by_time, by_count), flow_counts, flow_volumes),
+    )
 
 
 def oracle_book_summary(days, session, depth_levels: int = 5):

@@ -27,6 +27,7 @@ from conftest import (
     oracle_book_summary,
     oracle_day_samples,
     oracle_flow_net,
+    oracle_replay,
     replay,
 )
 
@@ -297,7 +298,7 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
     from 10:00:00; events past the session end are dropped first. The samples
     rebuilt from the replay's interval columns must equal the oracle's, and
     the problems assembled from the columns the oracle assembly's. The loop
-    the columnar replay falls back on must give the same."""
+    ``oracle_replay`` must give the same."""
     session = SessionConfig(session_start=36000, session_end=session_end)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=subwindow))
     days = [DaySlice.from_events(
@@ -306,7 +307,7 @@ def _assert_replay_matches_oracles(days, levels, subwindow=10, session_end=36300
     tallies = []
     for day in days:
         comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
-        assert comp == imbalance._replay(day, grid.boundaries_ns, grid.n_sub, levels)
+        assert comp == oracle_replay(day, grid.boundaries_ns, grid.n_sub, levels)
         samples, discarded = oracle_day_samples(day, grid.boundaries_ns, grid.n_sub, levels)
         assert comp.samples == samples
         assert comp.discarded_intervals == discarded
@@ -612,18 +613,50 @@ def _from_file(events, seed, like=None, rows_before=0, skipped=()):
                                rows_before=rows_before, skipped_lines=list(skipped))
 
 
+def _reuse_ids(events):
+    """``events`` with each order id replaced by the smallest that no order
+    of the stream left resting holds, as an exchange may reuse ids: an id
+    arrives again once its order is gone, and on a seeded book a removal of
+    an unseen order takes an id whose order is gone. The book reads the
+    events as before."""
+    new_id, resting, out = {}, {}, []
+    for e in events:
+        oid = e.order_id
+        if e.kind.value < EventKind.EXECUTION_HIDDEN.value:
+            if e.kind is EventKind.LIMIT_ARRIVAL or oid not in new_id:
+                free = min(set(range(len(resting) + 1)) - resting.keys())
+                if e.kind is EventKind.LIMIT_ARRIVAL:
+                    new_id[e.order_id], resting[free] = free, e.size
+                oid = free
+            else:
+                oid = new_id[e.order_id]
+                resting[oid] -= e.size
+                if not resting[oid]:
+                    del resting[oid], new_id[e.order_id]
+        out.append(dataclasses.replace(e, order_id=oid))
+    return out
+
+
+def _as_dtype(day, dtype):
+    """``day`` with its columns as ``dtype`` arrays (object: of Python ints)."""
+    return dataclasses.replace(day, columns=EventColumns(*(c.astype(dtype) for c in day.columns)))
+
+
 @hst.composite
 def replay_cases(draw):
     """(day, boundaries, levels): a fuzzed stream on an empty book or seeded
     mid-stream with horizons, and a grid whose first boundary falls among the
     events, with events at or before it, empty intervals, and often events
-    after its last boundary."""
+    after its last boundary. Often order ids are reused (``_reuse_ids``), and
+    often the columns are object arrays of Python ints."""
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     events = fuzz_stream(rng, draw(hst.integers(0, 300)), band=draw(hst.sampled_from([2, 3, 6])))
     seed = None
     if events and draw(hst.booleans()):
         events, seed = _seeded_mid_stream(events, draw(hst.integers(0, len(events))),
                                           draw(hst.integers(1, 10)))
+    if draw(hst.booleans()):
+        events = _reuse_ids(events)
     times = [e.timestamp_ns for e in events] or [T0]
     if draw(hst.booleans()):
         t0 = draw(hst.sampled_from(times)) - draw(hst.sampled_from([0, 1, NS]))
@@ -633,19 +666,23 @@ def replay_cases(draw):
         boundaries = sorted(draw(hst.lists(hst.sampled_from(times), min_size=1, max_size=30)))
     day = _from_file(events, seed, rows_before=draw(hst.integers(0, 3)),
                      skipped=sorted(draw(hst.sets(hst.integers(1, 400), max_size=4))))
+    if draw(hst.booleans()):
+        day = _as_dtype(day, object)
     return day, boundaries, draw(hst.integers(1, 10))
 
 
 @given(replay_cases())
 def test_the_columnar_replay_takes_each_consistent_day_and_equals_the_loop(case):
     day, boundaries, levels = case
-    loop = imbalance._replay(day, boundaries, 1, levels)
+    loop = oracle_replay(day, boundaries, 1, levels)
     columnar = imbalance._replay_columns(day, boundaries, 1, levels)
     assert columnar is not None
     assert columnar.intervals == loop.intervals
     assert columnar.discarded_intervals == loop.discarded_intervals
     assert columnar.book == loop.book
     assert columnar == loop
+    # On Python ints or int64 columns alike: equal values, and equal dtypes.
+    assert imbalance._replay_columns(_as_dtype(day, np.int64), boundaries, 1, levels) == columnar
 
 
 def _corrupted(events, i, field, draw):
@@ -663,7 +700,7 @@ def _corrupted(events, i, field, draw):
 
 
 @given(replay_cases(), hst.sampled_from(["size", "price", "order_id", "side"]), hst.data())
-def test_a_corrupted_event_raises_the_loops_error(case, field, data):
+def test_a_corrupted_event_raises_the_books_error(case, field, data):
     day, boundaries, levels = case
     events = day.events
     book = [i for i, e in enumerate(events) if e.kind.value < EventKind.EXECUTION_HIDDEN.value]
@@ -671,19 +708,23 @@ def test_a_corrupted_event_raises_the_loops_error(case, field, data):
         return
     corrupt = _from_file(_corrupted(events, data.draw(hst.sampled_from(book)), field, data.draw),
                          day.seed, like=day)
+    state = corrupt.seed.build_book() if corrupt.seed else BookState()
     try:
-        with mock.patch.object(imbalance, "_replay_columns", return_value=None):
-            expected = compute_day_samples(corrupt, boundaries, 1, levels)
+        for event in corrupt.events:
+            if event.timestamp_ns > boundaries[-1]:
+                break
+            state.apply(event)
     except InconsistentEvent as exc:
-        # Whenever the loop finds an error, the columnar replay declines the day.
+        # Whenever the book finds an error, the columnar replay declines the day.
         assert imbalance._replay_columns(corrupt, boundaries, 1, levels) is None
         with pytest.raises(InconsistentEvent) as raised:
             compute_day_samples(corrupt, boundaries, 1, levels)
-        assert (raised.value.event_index, raised.value.reason, str(raised.value)) == (
-            exc.event_index, exc.reason, str(exc))
-        assert str(exc).startswith(f"{corrupt.path}: line {corrupt.line_of(exc.event_index)}: ")
+        assert (raised.value.event_index, raised.value.reason) == (exc.event_index, exc.reason)
+        assert str(raised.value) == (
+            f"{corrupt.path}: line {corrupt.line_of(exc.event_index)}: {exc.reason}")
     else:
-        assert compute_day_samples(corrupt, boundaries, 1, levels) == expected
+        assert compute_day_samples(corrupt, boundaries, 1, levels) == oracle_replay(
+            corrupt, boundaries, 1, levels)
 
 
 def _rows_day(rows, seed=None):
@@ -727,11 +768,18 @@ def test_the_columnar_replay_declines_each_event_the_book_contradicts(reason, ro
     day = _rows_day(rows, seed)
     boundaries, n_sub = _grid_60_10()
     assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
-    # The book alone raises the error: the loop never runs.
-    with mock.patch.object(imbalance, "_replay") as loop, pytest.raises(
+    with pytest.raises(
             InconsistentEvent, match=f"^2016-01-04: event {len(rows) - 1}: {re.escape(reason)}$"):
         compute_day_samples(day, boundaries, n_sub, 3)
-    loop.assert_not_called()
+
+
+def test_a_day_the_columnar_replay_declines_and_the_book_accepts_is_an_error():
+    day = _rows_day([(1, 1, 1, 10, 140000, 1)])
+    boundaries, n_sub = _grid_60_10()
+    with mock.patch.object(imbalance, "_replay_columns", return_value=None), pytest.raises(
+            RuntimeError, match="^2016-01-04: the columnar replay declined a day that the book "
+                                "accepts$"):
+        compute_day_samples(day, boundaries, n_sub, 3)
 
 
 def test_executions_beyond_the_horizon_of_an_empty_side_count_at_the_quote():
@@ -742,25 +790,38 @@ def test_executions_beyond_the_horizon_of_an_empty_side_count_at_the_quote():
                      (3, 4, 9, 5, 139900, 1), (4, 4, 10, 5, 140300, -1)], _HORIZON_SEED)
     boundaries, n_sub = _grid_60_10()
     columnar = imbalance._replay_columns(day, boundaries, n_sub, 3)
-    assert columnar == imbalance._replay(day, boundaries, n_sub, 3)
+    assert columnar == oracle_replay(day, boundaries, n_sub, 3)
     assert columnar.book.flow_counts == [0, 4, 0]
 
 
-def test_events_out_of_time_order_take_the_loop_and_match_it():
-    # The loop takes events in stream order, so a time that goes back puts
-    # that event in the interval the stream has reached.
-    day = _rows_day([(1, 1, 1, 10, 140000, 1), (25, 1, 2, 10, 140100, -1),
-                     (5, 1, 3, 4, 139900, 1), (35, 3, 3, 4, 139900, 1)])
-    boundaries, n_sub = _grid_60_10()
-    assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
-    assert compute_day_samples(day, boundaries, n_sub, 3) == imbalance._replay(
-        day, boundaries, n_sub, 3)
+_BOOK_ROWS = [(1, 1, 1, 10, 140000, 1), (25, 1, 2, 10, 140100, -1)]
+
+
+@pytest.mark.parametrize("rows, boundaries, levels, message", [
+    (_BOOK_ROWS + [(5, 1, 3, 4, 139900, 1)], None, 3, "the events must be in time order"),
+    (_BOOK_ROWS + [(30, 1, 3, 4, 139900, 0)], None, 3,
+     "an event's direction is neither 1 (buy) nor -1 (sell)"),
+    (_BOOK_ROWS + [(30, 1, 3, 0, 139900, 1)], None, 3, "a book event's size is below 1"),
+    (_BOOK_ROWS + [(30, 2, 3, -1, 139900, 1)], None, 3, "a book event's size is below 1"),
+    (_BOOK_ROWS + [(30, 1, 3, 4, 0, 1)], None, 3, "a book price lies outside 1..9999999998"),
+    (_BOOK_ROWS + [(30, 1, 3, 4, ASK_ABSENT, -1)], None, 3,
+     "a book price lies outside 1..9999999998"),
+    (_BOOK_ROWS, [], 3, "the interval boundaries must be a nonempty ascending sequence"),
+    (_BOOK_ROWS, [T0 + NS, T0], 3,
+     "the interval boundaries must be a nonempty ascending sequence"),
+    (_BOOK_ROWS, None, 0, "levels must be at least 1, got 0"),
+])
+def test_input_no_message_file_can_hold_raises_value_error(rows, boundaries, levels, message):
+    # Days built through the API only: the parser rejects each of these.
+    if boundaries is None:
+        boundaries = _grid_60_10()[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_day_samples(_rows_day(rows), boundaries, 6, levels)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_reused_order_id_takes_the_loop_and_matches_it(seed):
-    # An order fully cancelled, and its id arriving again: the book takes
-    # it, the columnar replay declines it.
+def test_a_reused_order_id_takes_the_columnar_replay_and_matches_the_loop(seed):
+    # An order fully cancelled, and its id arriving again: the book takes it.
     events = fuzz_stream(np.random.default_rng(seed), 300)
     gone = next(e for e in events if e.kind is EventKind.CANCEL_FULL)
     t = events[-1].timestamp_ns
@@ -768,8 +829,78 @@ def test_a_reused_order_id_takes_the_loop_and_matches_it(seed):
                LobEvent(t + 2 * NS, EventKind.CANCEL_PARTIAL, gone.order_id, 3, TICK, Side.BUY)]
     day = _from_file(events, None)
     boundaries = [events[0].timestamp_ns + j * 5 * NS for j in range(len(events))]
-    assert imbalance._replay_columns(day, boundaries, 1, 3) is None
-    assert compute_day_samples(day, boundaries, 1, 3) == imbalance._replay(day, boundaries, 1, 3)
+    columnar = imbalance._replay_columns(day, boundaries, 1, 3)
+    assert columnar is not None
+    assert columnar == oracle_replay(day, boundaries, 1, 3)
+    assert compute_day_samples(day, boundaries, 1, 3) == columnar
+
+
+def test_an_id_arriving_again_after_a_full_cancel_starts_a_new_order():
+    # Order 1 is cancelled and arrives again at another price and side; its
+    # second cancel removes the new order.
+    day = _rows_day([(1, 1, 1, 10, 140000, 1), (2, 1, 2, 10, 140200, -1),
+                     (12, 3, 1, 10, 140000, 1), (13, 1, 1, 6, 140100, -1),
+                     (24, 2, 1, 4, 140100, -1), (35, 4, 1, 2, 140100, -1)])
+    boundaries, n_sub = _grid_60_10()
+    columnar = imbalance._replay_columns(day, boundaries, n_sub, 3)
+    assert columnar is not None
+    assert columnar == oracle_replay(day, boundaries, n_sub, 3)
+    assert columnar.intervals.flows[:4, 0].tolist() == [0, -10 - 6, 4, 2]
+
+
+def test_a_removal_after_its_order_emptied_draws_on_the_seeded_pool():
+    # Order 7 joins the seeded bid of 10 and is cancelled; removals of id 7
+    # then take the seeded shares, as an unseen order's would, up to all 10.
+    day = _rows_day([(1, 1, 7, 5, 140000, 1), (2, 3, 7, 5, 140000, 1),
+                     (12, 2, 7, 4, 140000, 1), (23, 4, 7, 6, 140000, 1)], _HORIZON_SEED)
+    boundaries, n_sub = _grid_60_10()
+    columnar = imbalance._replay_columns(day, boundaries, n_sub, 3)
+    assert columnar is not None
+    assert columnar == oracle_replay(day, boundaries, n_sub, 3)
+    assert columnar.intervals.flows[:3, 0].tolist() == [0, -4, -6]
+    # One share more than the pool holds: the book's contradiction.
+    day = _rows_day([(1, 1, 7, 5, 140000, 1), (2, 3, 7, 5, 140000, 1),
+                     (12, 2, 7, 4, 140000, 1), (23, 4, 7, 7, 140000, 1)], _HORIZON_SEED)
+    assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
+    with pytest.raises(InconsistentEvent, match="^2016-01-04: event 3: execution of unseen "
+                                                "order 7 needs 7 at 140000 but seeded depth is 6$"):
+        compute_day_samples(day, boundaries, n_sub, 3)
+
+
+def test_an_id_arriving_while_its_order_rests_is_already_live():
+    # After a partial cancel order 1 still rests, so its id may not arrive.
+    day = _rows_day([(1, 1, 1, 10, 140000, 1), (2, 2, 1, 9, 140000, 1),
+                     (3, 1, 1, 5, 139900, 1)])
+    boundaries, n_sub = _grid_60_10()
+    assert imbalance._replay_columns(day, boundaries, n_sub, 3) is None
+    with pytest.raises(InconsistentEvent, match="^2016-01-04: event 2: order id 1 already live$"):
+        compute_day_samples(day, boundaries, n_sub, 3)
+
+
+def test_an_order_id_past_int64_replays_on_python_ints():
+    big = 2**64 + 5
+    day = _rows_day([(1, 1, big, 10, 140000, 1), (2, 1, 5, 10, 140100, -1),
+                     (12, 3, big, 10, 140000, 1), (13, 1, -big, 4, 139900, 1)])
+    assert day.columns.order_ids.dtype == object
+    boundaries, n_sub = _grid_60_10()
+    comp = compute_day_samples(day, boundaries, n_sub, 2)
+    assert comp == oracle_replay(day, boundaries, n_sub, 2)
+    assert all(c.dtype == np.int64 for c in vars(comp.intervals).values() if c.dtype != bool)
+    assert comp.intervals.flows.tolist() == [[0, 0], [-10 + 4, 0]] + [[0, 0]] * 4
+
+
+@pytest.mark.parametrize("extra, exact", [(0, False), (1, True)])
+def test_a_day_of_max_events_replays_on_python_ints(monkeypatch, extra, exact):
+    # The fuzzed day's events up to t_N number _MAX_EVENTS - 1 + extra.
+    events = fuzz_stream(np.random.default_rng(5), 200)
+    boundaries = [events[0].timestamp_ns - NS + j * 3 * NS for j in range(40)]
+    replayed = sum(e.timestamp_ns <= boundaries[-1] for e in events)
+    monkeypatch.setattr(imbalance, "_MAX_EVENTS", replayed + 1 - extra)
+    day = _from_file(events, None)
+    with mock.patch.object(imbalance, "_replay_columns", wraps=imbalance._replay_columns) as spy:
+        comp = compute_day_samples(day, boundaries, 1, 4)
+    assert [call.args[4:] for call in spy.call_args_list] == [()] + [(object,)] * exact
+    assert comp == oracle_replay(day, boundaries, 1, 4)
 
 
 def test_the_columnar_tally_is_exact_past_int64():
@@ -787,7 +918,7 @@ def test_the_columnar_tally_is_exact_past_int64():
     boundaries = [T0 + j * 600 * NS for j in range(11)]
     columnar = imbalance._replay_columns(day, boundaries, 1, 3)
     assert columnar is not None
-    assert columnar == imbalance._replay(day, boundaries, 1, 3)
+    assert columnar == oracle_replay(day, boundaries, 1, 3)
     assert max(columnar.book.sums[0]) >= 2**63
 
 
@@ -803,21 +934,23 @@ def test_a_day_with_one_huge_order_takes_the_columnar_replay():
     grid = build_grid(session, GridSpec(window_seconds=1800, subwindow_seconds=10))
     columnar = imbalance._replay_columns(day, grid.boundaries_ns, grid.n_sub, 10)
     assert columnar is not None
-    assert columnar == imbalance._replay(day, grid.boundaries_ns, grid.n_sub, 10)
+    assert columnar == oracle_replay(day, grid.boundaries_ns, grid.n_sub, 10)
     assert np.abs(columnar.intervals.flows).max() >= 10**10
 
 
-@pytest.mark.parametrize("size, columnar", [(2**60 - 1, True), (2**60, False)])
-def test_the_flow_guard_declines_only_flow_sums_that_could_leave_int64(size, columnar):
+@pytest.mark.parametrize("size, exact", [(2**60 - 1, False), (2**60, True)])
+def test_the_flow_guard_reruns_on_python_ints_only_flow_sums_that_could_leave_int64(size, exact):
     # One order of ``size`` shares arrives and is cancelled, twice: the four
     # book events bound every depth by 4 * size, and each opens or closes the
     # one level, so the bound on the flow sums is 4 * size + 4 * size.
     day = _rows_day([(1, 1, 1, size, 140000, 1), (12, 3, 1, size, 140000, 1),
                      (23, 1, 2, size, 140000, 1), (34, 3, 2, size, 140000, 1)])
     boundaries, n_sub = _grid_60_10()
-    loop = imbalance._replay(day, boundaries, n_sub, 3)
+    loop = oracle_replay(day, boundaries, n_sub, 3)
     assert loop.intervals.flows[:2].tolist() == [[size, 0, 0], [-size, 0, 0]]
-    assert imbalance._replay_columns(day, boundaries, n_sub, 3) == (loop if columnar else None)
+    with mock.patch.object(imbalance, "_replay_columns", wraps=imbalance._replay_columns) as spy:
+        assert imbalance._replay_columns(day, boundaries, n_sub, 3) == loop
+    assert [call.args[4:] for call in spy.call_args_list] == [()] + [(object,)] * exact
     assert compute_day_samples(day, boundaries, n_sub, 3) == loop
 
 
@@ -841,7 +974,7 @@ def _flow_past_int64_day():
 def test_the_columnar_columns_are_int64_arrays_equal_to_the_loops():
     day, boundaries = _fuzz_day_both_paths_take()
     columnar = imbalance._replay_columns(day, boundaries, 1, 4)
-    loop = imbalance._replay(day, boundaries, 1, 4)
+    loop = oracle_replay(day, boundaries, 1, 4)
     assert columnar is not None
     assert not columnar.intervals.kept.all() and columnar.intervals.kept.any()
     for name in ("flows", "buy_volumes", "sell_volumes", "delta_p", "kept"):
@@ -857,8 +990,8 @@ def test_a_flow_past_int64_gives_an_object_column_whose_design_is_float_of_each_
     day = _flow_past_int64_day()
     session = SessionConfig(session_start=36000, session_end=36060)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))
-    assert imbalance._replay_columns(day, grid.boundaries_ns, grid.n_sub, 2) is None
     comp = compute_day_samples(day, grid.boundaries_ns, grid.n_sub, 2)
+    assert comp == oracle_replay(day, grid.boundaries_ns, grid.n_sub, 2)
     cols = comp.intervals
     assert cols.flows.dtype == object
     assert cols.flows.tolist() == [[2**63 + 3, 1], [-(2**62 + 2), 0]] + [[0, 0]] * 4

@@ -26,7 +26,12 @@ from mlofi.lobster import (
     write_orderbook_file,
 )
 
-from conftest import fuzz_stream, oracle_parse_message_row, oracle_parse_orderbook_row
+from conftest import (
+    fuzz_stream,
+    oracle_parse_message_row,
+    oracle_parse_orderbook_row,
+    oracle_replay,
+)
 
 NS = 1_000_000_000
 DAY = dt.date(2016, 1, 4)  # the date a caller gives a parsed file
@@ -259,7 +264,7 @@ def test_a_canonical_file_and_its_crlf_copy_parse_to_equal_int_columns(tmp_path)
 
 def test_an_order_id_beyond_int64_parses_into_object_columns(tmp_path):
     # The row loop keeps any integer; a column holding one outside int64
-    # stays Python ints, in an object array, and the replay takes the loop.
+    # stays Python ints, in an object array, which the replay takes as they are.
     big = 2**63
     path = write(tmp_path, f"36001.0,1,{big},10,140000,1\n36002.0,1,5,10,140100,-1\n"
                            f"36003.0,3,{big},10,140000,1\n")
@@ -270,9 +275,9 @@ def test_an_order_id_beyond_int64_parses_into_object_columns(tmp_path):
     assert [e.order_id for e in day.events] == [big, 5, big]
     session = SessionConfig(session_start=36000, session_end=36060)
     boundaries = [session.start_ns + j * 10 * NS for j in range(7)]
-    assert imbalance._replay_columns(day, boundaries, 6, 2) is None
     comp = imbalance.compute_day_samples(day, boundaries, 6, 2)
-    assert comp == imbalance._replay(day, boundaries, 6, 2)
+    assert comp == imbalance._replay_columns(day, boundaries, 6, 2)
+    assert comp == oracle_replay(day, boundaries, 6, 2)
     assert comp.intervals.flows.dtype == np.int64
     assert comp.intervals.flows.tolist() == [[-10, 0]] + [[0, 0]] * 5
 

@@ -35,7 +35,12 @@ and ``--out`` flags overriding two of its keys; ``synth`` fixtures fed
 back to ``compute --orderbooks`` with the session starting at 10:00 and at
 10:30; copies of those fixtures renamed so that their name order is the
 reverse of their date order, fed to ``compute --orderbooks`` and
-``evaluate --orderbooks``; a hand-written LOBSTER message file and its
+``evaluate --orderbooks``; copies of those fixtures whose message files
+reuse order ids (each arrival takes the smallest id that no resting order
+holds, so an id arrives again once its order is gone) and whose ids have 20
+digits (each plus 10**19, past int64, which the row-loop parse keeps as
+object columns), each fed to ``compute --orderbooks`` and ``evaluate
+--orderbooks``; a hand-written LOBSTER message file and its
 2-level orderbook file (CRLF line ends, blank lines, hidden executions, a
 cross trade, a halt and its resume) fed to ``compute --orderbooks`` with the
 session starting at 10:00, which is message 1, and at 10:30, each with and
@@ -227,6 +232,10 @@ def matrix() -> list[tuple[str, list[str]]]:
                   ["compute", *REVERSED_FIXTURES, "--levels", "10"]))
     runs.append(("evaluate-reversed-names",
                   ["evaluate", *REVERSED_FIXTURES, "--levels", "10"]))
+    for fixture in REWRITTEN_IDS:
+        files = ["--messages", f"{fixture}/*_message_*", "--orderbooks", f"{fixture}/*_orderbook_*"]
+        for cmd in ("compute", "evaluate"):
+            runs.append((f"{cmd}-{fixture}", [cmd, *files, "--levels", "10"]))
     for fixture in ("lobster", "lobster-lf"):
         files = ["--messages", f"{fixture}/*_message_*", "--orderbooks", f"{fixture}/*_orderbook_*"]
         for start in ("10:00", "10:30"):
@@ -284,6 +293,8 @@ def run_matrix(tree: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]
         results[name] = (proc.returncode, proc.stdout, proc.stderr)
         if name == "fx":
             reverse_name_order(workdir / "fx", workdir / "fx-reversed")
+            for fixture, rewrite in REWRITTEN_IDS.items():
+                rewrite_ids(workdir / "fx", workdir / fixture, rewrite)
     return results
 
 
@@ -297,6 +308,48 @@ def reverse_name_order(src: Path, dst: Path) -> None:
     for f in files:
         letter = chr(ord("Z") - dates.index(f.name.split("_")[1]))
         shutil.copyfile(f, dst / f"{letter}_{f.name}")
+
+
+def reuse_ids(text: str) -> str:
+    """A message file's ``text`` with each order given, at its arrival, the
+    smallest id that no resting order holds: an id arrives again once its
+    order is gone."""
+    new_id, resting, rows = {}, {}, []
+    for line in text.splitlines():
+        t, code, oid, size, *rest = line.split(",")
+        if code == "1":
+            free = min(set(range(len(resting) + 1)) - resting.keys())
+            new_id[oid], resting[free] = free, int(size)
+            oid = str(free)
+        elif code in ("2", "3", "4") and oid in new_id:
+            held = new_id[oid]
+            resting[held] -= int(size)
+            if not resting[held]:
+                del resting[held], new_id[oid]
+            oid = str(held)
+        rows.append(",".join((t, code, oid, size, *rest)))
+    return "\n".join(rows) + "\n"
+
+
+def long_ids(text: str) -> str:
+    """A message file's ``text`` with 10**19 added to every order id."""
+    rows = []
+    for line in text.splitlines():
+        t, code, oid, *rest = line.split(",")
+        rows.append(",".join((t, code, str(int(oid) + 10**19), *rest)))
+    return "\n".join(rows) + "\n"
+
+
+# Copies of the synth fixtures, by directory, and how their message files' ids change.
+REWRITTEN_IDS = {"fx-reused-ids": reuse_ids, "fx-long-ids": long_ids}
+
+
+def rewrite_ids(src: Path, dst: Path, rewrite) -> None:
+    """Copy ``src``'s files into ``dst``, each message file's text through ``rewrite``."""
+    dst.mkdir()
+    for f in src.iterdir():
+        text = f.read_text()
+        (dst / f.name).write_text(rewrite(text) if "_message_" in f.name else text)
 
 
 def _numbers(a, b) -> list[tuple[float, float]]:

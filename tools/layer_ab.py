@@ -19,15 +19,15 @@ times on each side:
   events as ``LobEvent``s, per event;
 - ``book fields``: a bare loop of ``BookState.apply_fields`` over the side's
   own parsed event columns as Python ints, per event, on a side that has
-  them: the loop the replay's fallback runs, without the replay's own work;
+  them: the pass that finds the error of a day the book contradicts;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
   1-minute/1-second grid, per event;
-- ``replay loop 1800/10``: ``imbalance._replay``, the loop that is the
-  columnar replay's oracle and fallback, on the 30-minute grid, per event,
-  on a side that has it (in the working tree, the flow rule itself:
-  ``flow_delta`` on the orderbook rows before and after each event); its
-  output must equal ``compute_day_samples``';
+- ``replay exact 1800/10``: ``compute_day_samples`` on the 30-minute grid
+  on the day with its columns as object arrays of Python ints, per event, on
+  a side whose days have columns: the cost of a day whose values leave
+  int64 (before the columnar replay took such days, the event loop replayed
+  them); its output must equal ``replay 1800/10``'s;
 - ``replay error 1800/10``: ``compute_day_samples`` on the third file's day
   on the 30-minute grid, until it raises the book's error, per event of
   that day; both sides must raise the same error;
@@ -88,7 +88,7 @@ FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
-          "replay loop 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
+          "replay exact 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
           "assemble 60/1", "fit 60/1", "curves 1800/10")
 #: Largest relative difference allowed between the two sides' curve values.
 CURVE_RTOL = 1e-12
@@ -128,6 +128,12 @@ def event_tuples(day) -> list[tuple]:
         return list(zip(*column_values(day)))
     return [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
             for e in day.events]
+
+
+def replay_output(comp) -> tuple:
+    """A day's replay as plain values: its samples' flows and mid changes, and its book tally."""
+    return ([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
+            comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes)
 
 
 def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
@@ -170,14 +176,16 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
                               grid.n_sub, LEVELS)
         us[f"replay {window}/{sub}"] = seconds
         replays[window, sub] = grid, comp
-        outputs.append(([None if s is None else (s.mlofi, s.delta_p) for s in comp.samples],
-                        comp.book.sums, comp.book.flow_counts, comp.book.flow_volumes))
-    if hasattr(imbalance, "_replay"):
+        outputs.append(replay_output(comp))
+    if hasattr(day, "columns"):
         grid, comp = replays[1800, 10]
-        us["replay loop 1800/10"], loop = timed(imbalance._replay, day, grid.boundaries_ns,
-                                                grid.n_sub, LEVELS)
-        if (loop.intervals, loop.book) != (comp.intervals, comp.book):
-            raise SystemExit("compute_day_samples and its loop differ on the 1800/10 grid")
+        exact_day = dataclasses.replace(day, columns=type(day.columns)(
+            *(column.astype(object) for column in day.columns)))
+        us["replay exact 1800/10"], exact = timed(imbalance.compute_day_samples, exact_day,
+                                                  grid.boundaries_ns, grid.n_sub, LEVELS)
+        if replay_output(exact) != replay_output(comp):
+            raise SystemExit("the day's columns as Python ints replay differently on the "
+                             "1800/10 grid")
     times = {k: v * 1e6 / n for k, v in us.items()}
     error_day = lobster.parse_message_file(message_files[2], session, date)
     grid = replays[1800, 10][0]
