@@ -184,11 +184,6 @@ class BookState:
             return self._bid_depth, self._bid_prices
         return self._ask_depth, self._ask_prices
 
-    @staticmethod
-    def _deeper(side: Side, price: int, than: int) -> bool:
-        """Whether ``price`` lies deeper in the ``side`` book than ``than``."""
-        return price < than if side is BUY else price > than
-
     # -- event application -------------------------------------------------
 
     def apply(self, ev: LobEvent) -> "BookState":

@@ -49,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .book import (
-    ASK_ABSENT, BID_ABSENT, BUY, SELL, BookState, EventKind, LobEvent, Side, level_snapshot,
+    ASK_ABSENT, BID_ABSENT, BUY, CODE_ARRIVAL, CODE_CANCEL_FULL, CODE_CANCEL_PARTIAL,
+    CODE_EXECUTION_VISIBLE, SELL, BookState, EventKind, LobEvent, level_snapshot,
 )
 from .errors import BadValue, ConfigError, DataError, EmptySession, InconsistentEvent, MalformedRow
 
@@ -271,10 +272,10 @@ def _message_fields(line: str, line_no: int) -> tuple[int, int, int, int, int, i
 
 def _parse_lines(
     lines, config: SessionConfig
-) -> tuple[EventColumns, LobEvent | None, int, list[int]]:
-    """The row loop: the session's event columns, the file's first event, the
-    rows before the session and the skipped lines, from ``lines`` with their
-    ends."""
+) -> tuple[EventColumns, tuple[int, ...] | None, int, list[int]]:
+    """The row loop: the session's event columns, the file's first row's
+    values, the rows before the session and the skipped lines, from ``lines``
+    with their ends."""
     rows: list[tuple[int, ...]] = []
     skipped: list[int] = []
     start_ns, end_ns = config.start_ns, config.end_ns
@@ -287,7 +288,7 @@ def _parse_lines(
             continue
         row = _message_fields(line, line_no)
         if first is None:
-            first = _event(*row)
+            first = row
         ts = row[0]
         if ts < last_ts:
             raise MalformedRow(line_no, "timestamps decrease within the file")
@@ -410,7 +411,7 @@ def _parse_columns(path: Path, config: SessionConfig):
             for block, column in zip(blocks, columns):
                 block.append(column[rows])
             if first is None:
-                first = _event(*(c[0].item() for c in columns))
+                first = tuple(c[0].item() for c in columns)
             n_rows += len(ts)
     if tail or first is None:
         return None
@@ -516,17 +517,19 @@ def _book_fault(row: tuple[int, ...]) -> str | None:
 
 
 def seed_from_orderbook_file(
-    path: str | Path, row: int = 1, undo: LobEvent | None = None
+    path: str | Path, row: int = 1, undo: tuple[int, ...] | None = None
 ) -> SeedSnapshot:
     """Orderbook row ``row`` (1-based), the book after message ``row``, at full depth.
 
     The row must describe a book (``_book_fault``), or it is malformed. With
-    ``undo`` (message ``row``) the seed is the book before that message:
-    an arrival's size comes off its level; a cancellation's or visible
-    execution's size goes back on unless it lies beyond the row's horizon
-    (its deepest price on the side, the sentinel if the row shows a gap),
-    which the replay skips too; other kinds change nothing. The seed can
-    thus be one level deeper than the row.
+    ``undo``, message ``row``'s six ints (time, type code, order id, size,
+    price, direction), the seed is the book before that message. A message
+    beyond the row's horizon (its deepest price on the side, the sentinel if
+    the row shows a gap) changes no level the row shows, and the replay
+    skips a removal there too. Elsewhere an arrival's size comes off its
+    level, which the row must hold; a cancellation's or visible execution's
+    size goes back on; other kinds change nothing. The seed can thus be one
+    level deeper than the row.
     """
     with open_text(path) as fh:
         rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
@@ -541,34 +544,30 @@ def seed_from_orderbook_file(
     fault = _book_fault(book)
     if fault is not None:
         raise MalformedRow(line_no, f"seed row {row}: {fault}", path)
-    horizon = {Side.BUY: min(book[2::4]), Side.SELL: max(book[0::4])}
-    sides = {
-        Side.SELL: {p: d for p, d in zip(book[0::4], book[1::4]) if d},
-        Side.BUY: {p: d for p, d in zip(book[2::4], book[3::4]) if d},
-    }
+    bid_horizon, ask_horizon = min(book[2::4]), max(book[0::4])
+    bid_levels = {p: d for p, d in zip(book[2::4], book[3::4]) if d}
+    ask_levels = {p: d for p, d in zip(book[0::4], book[1::4]) if d}
     if undo is not None:
-        level = sides[undo.side]
-        if undo.kind is EventKind.LIMIT_ARRIVAL and undo.price in level:
-            level[undo.price] -= undo.size
-            if level[undo.price] < 0:
+        _, code, _, size, price, direction = undo
+        level = bid_levels if direction == 1 else ask_levels
+        shown = not (price < bid_horizon if direction == 1 else price > ask_horizon)
+        if code == CODE_ARRIVAL and shown:
+            level[price] = level.get(price, 0) - size
+            if level[price] < 0:
                 raise InconsistentEvent(
-                    row, f"orderbook row {row} holds less at {undo.price} than the "
-                    f"{undo.size} shares message {row} added", path, line_no=line_no
+                    row, f"orderbook row {row} holds less at {price} than the "
+                    f"{size} shares message {row} added", path, line_no=line_no
                 )
-        elif undo.kind in (
-            EventKind.CANCEL_PARTIAL, EventKind.CANCEL_FULL, EventKind.EXECUTION_VISIBLE
-        ) and not BookState._deeper(undo.side, undo.price, horizon[undo.side]):
-            level[undo.price] = level.get(undo.price, 0) + undo.size
-    bids = tuple((p, d) for p, d in sorted(sides[Side.BUY].items(), reverse=True) if d)
-    asks = tuple((p, d) for p, d in sorted(sides[Side.SELL].items()) if d)
+        elif code in (CODE_CANCEL_PARTIAL, CODE_CANCEL_FULL, CODE_EXECUTION_VISIBLE) and shown:
+            level[price] = level.get(price, 0) + size
+    bids = tuple((p, d) for p, d in sorted(bid_levels.items(), reverse=True) if d)
+    asks = tuple((p, d) for p, d in sorted(ask_levels.items()) if d)
     if bids and asks and bids[0][0] >= asks[0][0]:
         raise InconsistentEvent(
             row, f"orderbook row {row} with message {row} undone is a crossed book", path,
             line_no=line_no,
         )
-    return SeedSnapshot(
-        bids=bids, asks=asks, bid_horizon=horizon[Side.BUY], ask_horizon=horizon[Side.SELL]
-    )
+    return SeedSnapshot(bids=bids, asks=asks, bid_horizon=bid_horizon, ask_horizon=ask_horizon)
 
 
 # -- fixture writer ---------------------------------------------------------

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import EventKind, LobEvent, Side
+from .book import CODE_ARRIVAL, CODE_CANCEL_FULL, CODE_EXECUTION_VISIBLE
 from .errors import BadValue, ConfigError
-from .lobster import NS, DaySlice, SessionConfig
+from .lobster import NS, DaySlice, EventColumns, SessionConfig
 from .sampling import RegressionProblem
 
 
@@ -155,19 +155,14 @@ def generate_zi_day(
     rng = np.random.default_rng(np.random.PCG64(params.seed))
     tick = session.tick_size
     mirror = _MirrorBook()
-    events: list[LobEvent] = []
+    rows: list[tuple[int, int, int, int, int, int]] = []  # ts, code, id, size, price, side
     next_id = 1
-
-    def emit(ts: int, kind: EventKind, oid: int, size: int, price: int, side: int):
-        events.append(
-            LobEvent(ts, kind, oid, size, price, Side.BUY if side == 1 else Side.SELL)
-        )
 
     # Seed a symmetric book at the session open (baseline events).
     t0 = session.start_ns
     for j in range(1, params.price_band + 1):
         for side, price in ((1, params.initial_mid - j * tick), (-1, params.initial_mid + j * tick)):
-            emit(t0, EventKind.LIMIT_ARRIVAL, next_id, params.seed_depth, price, side)
+            rows.append((t0, CODE_ARRIVAL, next_id, params.seed_depth, price, side))
             mirror.add(next_id, side, price, params.seed_depth)
             next_id += 1
 
@@ -205,7 +200,7 @@ def generate_zi_day(
             if price < tick:
                 continue  # off the grid; arrival suppressed
             size = draw_size()
-            emit(ts, EventKind.LIMIT_ARRIVAL, next_id, size, price, side)
+            rows.append((ts, CODE_ARRIVAL, next_id, size, price, side))
             mirror.add(next_id, side, price, size)
             next_id += 1
         elif u < limit_total + market_total:
@@ -216,20 +211,20 @@ def generate_zi_day(
                 continue
             volume = min(draw_size(), depth)
             for oid, price, taken in mirror.consume(rest_side, volume):
-                emit(ts, EventKind.EXECUTION_VISIBLE, oid, taken, price, rest_side)
+                rows.append((ts, CODE_EXECUTION_VISIBLE, oid, taken, price, rest_side))
         else:
             if n_live == 0:
                 continue
             pick = int(rng.integers(0, n_live))
             oid = mirror.live_ids[pick]
             side, price, size = mirror.cancel(oid)
-            emit(ts, EventKind.CANCEL_FULL, oid, size, price, side)
+            rows.append((ts, CODE_CANCEL_FULL, oid, size, price, side))
         for s in (1, -1):
             b = mirror.best(s)
             if b is not None:
                 last_best[s] = b
 
-    return DaySlice.from_events(trading_date, events)
+    return DaySlice(trading_date, EventColumns.from_rows(rows))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from mlofi import imbalance
+from mlofi import imbalance, lobster
 from mlofi.book import ASK_ABSENT, BookState, EventKind, LobEvent, Side, level_snapshot
 from mlofi.errors import InconsistentEvent, TooFewRows
 from mlofi.evaluation import book_summaries
@@ -877,7 +877,7 @@ def test_an_id_arriving_while_its_order_rests_is_already_live():
         compute_day_samples(day, boundaries, n_sub, 3)
 
 
-def test_an_order_id_past_int64_replays_on_python_ints():
+def test_an_order_id_past_int64_replays_exactly():
     big = 2**64 + 5
     day = _rows_day([(1, 1, big, 10, 140000, 1), (2, 1, 5, 10, 140100, -1),
                      (12, 3, big, 10, 140000, 1), (13, 1, -big, 4, 139900, 1)])
@@ -887,6 +887,23 @@ def test_an_order_id_past_int64_replays_on_python_ints():
     assert comp == oracle_replay(day, boundaries, n_sub, 2)
     assert all(c.dtype == np.int64 for c in vars(comp.intervals).values() if c.dtype != bool)
     assert comp.intervals.flows.tolist() == [[0, 0], [-10 + 4, 0]] + [[0, 0]] * 4
+
+
+@pytest.mark.parametrize("shift, scale", [(10**19, 1), (0, 10**15)])
+def test_order_ids_past_int64_or_far_apart_replay_once_as_their_ranks(shift, scale):
+    # Ids plus 10**19 leave int64 (an object column); ids times 10**15 stay
+    # in it, but too far apart for the sort keys. Both replay on int64 once,
+    # and as the day with its own ids.
+    twin, boundaries = _fuzz_day_both_paths_take()
+    ids = np.array([shift + scale * i for i in twin.columns.order_ids.tolist()], object)
+    day = dataclasses.replace(twin, columns=twin.columns._replace(
+        order_ids=lobster._int_column(ids)))
+    assert day.columns.order_ids.dtype == (object if shift else np.int64)
+    assert all(c.dtype == np.int64 for f, c in day.columns._asdict().items() if f != "order_ids")
+    with mock.patch.object(imbalance, "_replay_columns", wraps=imbalance._replay_columns) as spy:
+        comp = compute_day_samples(day, boundaries, 1, 4)
+    assert spy.call_count == 1
+    assert comp == compute_day_samples(twin, boundaries, 1, 4)
 
 
 @pytest.mark.parametrize("extra, exact", [(0, False), (1, True)])

@@ -26,6 +26,8 @@ from mlofi.lobster import (
     write_orderbook_file,
 )
 
+from mlofi.synth import ZiParams, generate_zi_day
+
 from conftest import (
     fuzz_stream,
     oracle_parse_message_row,
@@ -366,12 +368,59 @@ def test_session_seed_at_first_message_undoes_it(tmp_path, message, bids, asks):
     assert level_snapshot(book, 3) == row_1_deeper
 
 
+@pytest.mark.parametrize("message", ["1,9,6,139800,1", "1,9,6,140400,-1"])
+def test_session_seed_at_first_message_is_row_1_past_an_arrival_row_1_does_not_show(
+        tmp_path, message):
+    # The arrival rests beyond row 1's two levels on its side, so row 1 shows
+    # the book before it too.
+    messages = tmp_path / "messages.csv"
+    messages.write_text(f"36000.000000000,{message}\n")
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(ROW_1)
+    seed = parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook).seed
+    assert seed == seed_from_orderbook_file(orderbook)
+
+
+def test_the_generator_the_parsers_and_the_seed_undo_build_no_lob_event(tmp_path):
+    # Message 1, a full cancel inside the spread, is undone into the seed.
+    canonical = tmp_path / "messages.csv"
+    canonical.write_text("36000.000000000,3,9,2,140050,1\n36001.000000000,1,7,1,139800,1\n")
+    crlf = tmp_path / "messages_crlf.csv"
+    crlf.write_bytes(canonical.read_bytes().replace(b"\n", b"\r\n"))
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(ROW_1)
+    built = AssertionError("a LobEvent was built")
+    with mock.patch.object(LobEvent, "__post_init__", side_effect=built):
+        generate_zi_day(ZiParams(), SessionConfig(session_start=36000, session_end=36060))
+        days = [parse_message_file(path, SessionConfig(), DAY, orderbook=orderbook)
+                for path in (canonical, crlf)]
+    for day in days:
+        assert day.columns.order_ids.tolist() == [9, 7]
+        assert day.seed.bids == ((140050, 2), (140000, 10), (139900, 4))
+
+
 def test_session_seed_rejects_row_contradicting_first_message(tmp_path):
     messages = tmp_path / "messages.csv"
     messages.write_text("36000.000000000,1,9,20,140000,1\n")
     orderbook = tmp_path / "orderbook.csv"
     orderbook.write_text(ROW_1)
     with pytest.raises(InconsistentEvent):
+        parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook)
+
+
+@pytest.mark.parametrize("row, message", [
+    (ROW_1, "1,9,6,139950,1"),  # between row 1's bids
+    ("140200,5,140000,10,9999999999,0,139900,4\n", "1,9,6,140400,-1"),  # one ask shown
+], ids=["between-levels", "side-not-full"])
+def test_session_seed_rejects_row_1_without_an_arrival_it_must_show(tmp_path, row, message):
+    # Row 1 shows every level within its horizon, and every level of a side
+    # it does not fill, so message 1's arrival must be among them.
+    messages = tmp_path / "messages.csv"
+    messages.write_text(f"36000.000000000,{message}\n")
+    orderbook = tmp_path / "orderbook.csv"
+    orderbook.write_text(row)
+    price = message.split(",")[3]
+    with pytest.raises(InconsistentEvent, match=f"orderbook row 1 holds less at {price} "):
         parse_message_file(messages, SessionConfig(), DAY, orderbook=orderbook)
 
 

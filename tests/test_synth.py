@@ -1,5 +1,7 @@
 """Zero-intelligence generator and planted-regression fixtures."""
 
+import datetime as dt
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy import stats as st
 from mlofi.book import BookState, EventKind, Side
 from mlofi.errors import ConfigError
 from mlofi.inference import fit_ols
-from mlofi.lobster import SessionConfig
+from mlofi.lobster import SessionConfig, write_message_file
 from mlofi.synth import (
     PlantedParams,
     ZiParams,
@@ -27,6 +29,17 @@ def test_same_seed_identical_streams():
     assert d1.events == d2.events
     d3 = generate_zi_day(ZiParams(seed=124), SHORT)
     assert d3.events != d1.events
+
+
+def test_seed_42s_day_writes_the_message_file_it_always_has(tmp_path):
+    # The file's digest pins the generator's stream, byte for byte, whether
+    # the day is written from its columns or from its events.
+    day = generate_zi_day(ZiParams(seed=42), SessionConfig(), dt.date(2016, 1, 4))
+    for name, events in (("columns", day.columns), ("events", day.events)):
+        path = tmp_path / f"{name}.csv"
+        write_message_file(path, events)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cb75675c20c7c20e0ae235ef0b10645500d6eb89212c8b69bf8bac9381a90e45")
 
 
 def test_small_session_replays_cleanly():

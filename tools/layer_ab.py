@@ -1,4 +1,4 @@
-"""Time the parse, book, replay and select layers at a git revision against the working tree.
+"""Time the synth, parse, book, replay and select layers at a git revision against the working tree.
 
 Usage: python tools/layer_ab.py REV [REPS]
 
@@ -12,6 +12,8 @@ cancels, so that the book contradicts the file's last event. Each of REPS reps
 (default 15) runs both sides, in the opposite order to the rep before, and
 times on each side:
 
+- ``synth``: ``generate_zi_day`` at the default ``ZiParams`` and
+  ``SessionConfig``, per event; both sides' event columns must be equal;
 - ``parse``: ``parse_message_file`` on that file, per row kept;
 - ``parse rows``: the same on the CRLF copy, which no canonical-row reader
   takes, so it goes through the row loop; per row kept;
@@ -28,6 +30,9 @@ times on each side:
   a side whose days have columns: the cost of a day whose values leave
   int64 (before the columnar replay took such days, the event loop replayed
   them); its output must equal ``replay 1800/10``'s;
+- ``replay big ids 1800/10``: the same on the day with its order ids plus
+  10**19, an object column past int64 beside five int64 ones, on a side whose
+  days have columns; its output must equal ``replay 1800/10``'s;
 - ``replay error 1800/10``: ``compute_day_samples`` on the third file's day
   on the 30-minute grid, until it raises the book's error, per event of
   that day; both sides must raise the same error;
@@ -87,8 +92,9 @@ LEVELS = 10
 FOLDS = 5
 GRIDS = ((1800, 10), (60, 1))
 SELECTS = (("select 60/1", True), ("select 60/1 free", False))
-LAYERS = ("parse", "parse rows", "book", "book fields", *(f"replay {w}/{s}" for w, s in GRIDS),
-          "replay exact 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
+LAYERS = ("synth", "parse", "parse rows", "book", "book fields",
+          *(f"replay {w}/{s}" for w, s in GRIDS), "replay exact 1800/10",
+          "replay big ids 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
           "assemble 60/1", "fit 60/1", "curves 1800/10")
 #: Largest relative difference allowed between the two sides' curve values.
 CURVE_RTOL = 1e-12
@@ -142,9 +148,13 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
     window for select, per fit for fit, per call for curves) by layer, the outputs
     (None if the two files parse to different events), the chosen penalties and the
     curve values."""
-    lobster, book, evaluation, imbalance, inference, sampling = (
-        pkg[m] for m in ("lobster", "book", "evaluation", "imbalance", "inference", "sampling"))
+    lobster, book, evaluation, imbalance, inference, sampling, synth = (
+        pkg[m] for m in ("lobster", "book", "evaluation", "imbalance", "inference", "sampling",
+                         "synth"))
     session = lobster.SessionConfig()
+    synth_seconds, zi_day = timed(synth.generate_zi_day, synth.ZiParams(), session)
+    zi_columns = ([c.dtype.str for c in zi_day.columns], column_values(zi_day))
+    del zi_day
     seconds, day = timed(lobster.parse_message_file, message_files[0], session, date)
     us = {"parse": seconds}
     us["parse rows"], rows_day = timed(lobster.parse_message_file, message_files[1], session,
@@ -168,7 +178,7 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
                 apply(code, order_id, size, price, direction)
 
         us["book fields"], _ = timed(apply_fields_all, column_values(day))
-    outputs = [events]
+    outputs = [events, zi_columns]
     replays = {}
     for window, sub in GRIDS:
         grid = sampling.build_grid(session, sampling.GridSpec(window, sub))
@@ -179,14 +189,18 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
         outputs.append(replay_output(comp))
     if hasattr(day, "columns"):
         grid, comp = replays[1800, 10]
-        exact_day = dataclasses.replace(day, columns=type(day.columns)(
-            *(column.astype(object) for column in day.columns)))
-        us["replay exact 1800/10"], exact = timed(imbalance.compute_day_samples, exact_day,
-                                                  grid.boundaries_ns, grid.n_sub, LEVELS)
-        if replay_output(exact) != replay_output(comp):
-            raise SystemExit("the day's columns as Python ints replay differently on the "
-                             "1800/10 grid")
+        columns = day.columns
+        big_ids = np.array([i + 10**19 for i in columns.order_ids.tolist()], object)
+        for layer, changed in (
+                ("replay exact 1800/10", type(columns)(*(c.astype(object) for c in columns))),
+                ("replay big ids 1800/10", columns._replace(order_ids=big_ids))):
+            us[layer], other = timed(imbalance.compute_day_samples,
+                                     dataclasses.replace(day, columns=changed),
+                                     grid.boundaries_ns, grid.n_sub, LEVELS)
+            if replay_output(other) != replay_output(comp):
+                raise SystemExit(f"{layer} replays the day differently from replay 1800/10")
     times = {k: v * 1e6 / n for k, v in us.items()}
+    times["synth"] = synth_seconds * 1e6 / len(zi_columns[1][0])
     error_day = lobster.parse_message_file(message_files[2], session, date)
     grid = replays[1800, 10][0]
 
@@ -316,8 +330,8 @@ def main(argv: list[str]) -> int:
                 for layer, value in us.items():
                     times[side][layer].append(value)
             if outputs["rev"] != outputs["work"]:
-                print("the two sides' events, samples, book tallies, replay errors, problems or "
-                      "fits differ",
+                print("the two sides' events, generated columns, samples, book tallies, replay "
+                      "errors, problems or fits differ",
                       file=sys.stderr)
                 return 1
             if not np.allclose(curves["rev"], curves["work"], rtol=CURVE_RTOL, atol=0.0):
@@ -333,16 +347,16 @@ def main(argv: list[str]) -> int:
     print(f"{len(day.columns.times)} events, {reps} reps; microseconds per row (parse, parse "
           f"rows), event or interval (assemble), milliseconds per window (select), fit (fit) "
           f"or call (curves)")
-    print(f"{'layer':<20}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
+    print(f"{'layer':<24}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
         if not rev or not new:  # a layer that one side lacks
-            print(f"{layer:<20}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
+            print(f"{layer:<24}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
                                            for t in (rev, new)))
             continue
         ratios = [b / a for a, b in zip(rev, new)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
-        print(f"{layer:<20}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
+        print(f"{layer:<24}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
               f"{median:>10.3f}{q1:>8.3f}{q3:>8.3f}")
     return 0
 
