@@ -35,18 +35,17 @@ pass, every depth change follows from the events alone, so sorts and
 running sums grouped by order id and by price level give each level's depth
 after each event, and one Python pass over only the events that open or
 close a level keeps each side's sorted prices. Ranks, flows, volumes and
-the tally then follow from whole columns. Order ids are only compared, so
-ids outside int64 or far apart replay as their ranks. A day with another
-value outside int64, 2**27 events or more, or sums that could leave int64
-runs the same code on its columns as Python ints, in object arrays, at
-several times the cost per event. The path declines only a day the book
-contradicts; a bare ``BookState.apply_fields`` pass over the replayed events
-then raises ``InconsistentEvent`` at the first event the book contradicts.
-The replay hands back a day's intervals as exact-integer arrays
-(``IntervalColumns``): each interval's M flows, its buy and sell volumes,
-its change in ask + bid and whether it is kept, without one object per
-interval. ``DayComputation.samples`` builds the per-interval
-``MlofiSample``s from them on demand.
+the tally then follow from whole columns. A day with a value outside int64,
+2**27 events or more, or sums that could leave int64 runs the same code on
+its columns as Python ints, in object arrays, at several times the cost per
+event. The path declines only a day the book contradicts; a bare
+``BookState.apply_fields`` pass over the replayed events then raises
+``InconsistentEvent`` at the first event the book contradicts. The replay
+hands back a day's intervals as exact-integer arrays (``IntervalColumns``):
+each interval's M flows, its buy and sell volumes, its change in ask + bid
+and whether it is kept, without one object per interval.
+``DayComputation.samples`` builds the per-interval ``MlofiSample``s from
+them on demand.
 
 The same replay tallies what the book summary needs: the mid, spread and
 level 1-5 depths of every post-event state, and where each order-flow
@@ -459,12 +458,11 @@ def _replay_columns(
     event the book rejects, both see the same book, so that event fails a
     check here.
 
-    The arrays are int64 (``dtype``). Order ids outside int64, or too far
-    apart for a sort key, are replaced by their ranks. Where a sort key or a
-    sum could still leave int64 (another column or a boundary outside it,
-    ``_MAX_EVENTS`` events or more, or depths and flow sums too large), the
-    same code runs again with ``dtype`` object, on the day's columns as
-    Python ints, where every key and sum is exact.
+    The arrays are int64 (``dtype``). Where a sort key or a sum could leave
+    int64 (a column or boundary outside it, ``_MAX_EVENTS`` events or more,
+    order ids too far apart, or depths and flow sums too large), the same
+    code runs again with ``dtype`` object, on the day's columns as Python
+    ints, where every key and sum is exact.
     """
     def exact() -> DayComputation | None:
         return _replay_columns(day, boundaries_ns, subwindows_per_window, levels, object)
@@ -474,7 +472,7 @@ def _replay_columns(
     columns = day.columns
     if dtype is object:
         columns = [c.astype(object) for c in columns]
-    elif any(c.dtype != np.int64 for c in columns[:2] + columns[3:]):  # ids are ranked below
+    elif any(c.dtype != np.int64 for c in columns):
         return exact()
     try:
         bounds = np.array(boundaries_ns, dtype)
@@ -498,6 +496,7 @@ def _replay_columns(
     total = sum(bid_depth.values()) + sum(ask_depth.values())
     highest = max(bid_prices[-1:] + ask_prices[-1:], default=1)
     span = n + 1
+    low_id = int(order_ids.min(where=book, initial=0))
     total += int(sizes.max(where=book, initial=0)) * int(np.count_nonzero(book))
     highest = max(highest, int(prices.max(where=book, initial=1)))
     if not (is_bid | (directions == -1)).all():
@@ -508,7 +507,9 @@ def _replay_columns(
         raise ValueError(f"a book price lies outside 1..{ASK_ABSENT - 1}")
     if (codes < 1).any():
         return None  # an unknown type code
-    if dtype is not object and (n >= _MAX_EVENTS or total >= 2**63):
+    if dtype is not object and (
+            n >= _MAX_EVENTS or total >= 2**63
+            or int(order_ids.max(where=book, initial=0)) - low_id >= 2**63 // span):
         return exact()
     depth = max(levels, SUMMARY_LEVELS)
     tally0 = _tally_columns(list(level_snapshot(state, depth)))
@@ -527,16 +528,7 @@ def _replay_columns(
     # before its first arrival, or after the removal that empties its order,
     # remove an unseen order.
     events = np.flatnonzero(book)
-    ids = order_ids[events]
-    low_id = int(ids.min(initial=0))
-    if dtype is not object and (ids.dtype != np.int64
-                                or int(ids.max(initial=0)) - low_id >= 2**63 // span):
-        # Ids outside int64 or too far apart for the sort keys: their ranks
-        # keep the day on int64, as only their equality counts.
-        ids = np.unique(ids, return_inverse=True)[1]
-    else:
-        ids -= low_id
-    events, starts = _grouped(ids, events, span)
+    events, starts = _grouped(order_ids[events] - low_id, events, span)
     arrival = codes[events] == CODE_ARRIVAL
     # After each event: minus the shares that rest, counted from the id's
     # first event or its latest arrival.
@@ -555,7 +547,7 @@ def _replay_columns(
         return None
     unseen = np.zeros(n, bool)
     unseen[events[~(arrival | removal)]] = True
-    del ids, events, starts, arrival, left, removal, at, removed
+    del events, starts, arrival, left, removal, at, removed
     # A removal of an unseen order draws on the seeded pool of its level,
     # unless it lies beyond the horizon, where it changes nothing.
     beyond = unseen & np.where(is_bid, prices < bid_horizon, prices > ask_horizon)

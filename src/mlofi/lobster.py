@@ -174,11 +174,10 @@ class DaySlice:
     and the message file it was read from, if any.
 
     The events are held as ``columns`` only, which the replay reads;
-    ``events`` builds them as ``LobEvent``s on each read, and
-    ``from_events`` makes a day of ``LobEvent``s. For a message file,
-    ``rows_before`` counts the rows before the session and ``skipped_lines``
-    lists, ascending, the blank lines and the dropped hidden executions;
-    with them ``line_of`` finds an event's line.
+    ``events`` builds them as ``LobEvent``s on each read. For a message
+    file, ``rows_before`` counts the rows before the session and
+    ``skipped_lines`` lists, ascending, the blank lines and the dropped
+    hidden executions; with them ``line_of`` finds an event's line.
     """
 
     trading_date: dt.date
@@ -187,11 +186,6 @@ class DaySlice:
     path: Path | None = None
     rows_before: int = 0
     skipped_lines: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_events(cls, trading_date: dt.date, events: list[LobEvent], seed=None) -> "DaySlice":
-        """A day of ``events`` read from no file."""
-        return cls(trading_date, _columns(events), seed)
 
     @property
     def events(self) -> list[LobEvent]:

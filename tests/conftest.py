@@ -34,7 +34,7 @@ from mlofi.imbalance import (
     _tally_columns,
     flow_delta,
 )
-from mlofi.lobster import DaySlice
+from mlofi.lobster import DaySlice, EventColumns
 
 TICK = 100
 NS = 1_000_000_000
@@ -146,6 +146,13 @@ def fuzz_stream(
         else:
             emit(EventKind.HALT, 0, 1, 1, side)
     return events
+
+
+def events_day(trading_date, events: Sequence[LobEvent], seed=None) -> DaySlice:
+    """A ``DaySlice`` of ``events`` read from no file."""
+    return DaySlice(trading_date, EventColumns.from_rows(
+        [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
+         for e in events]), seed)
 
 
 def replay(events, levels: int, seed: BookState | None = None):

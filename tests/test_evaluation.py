@@ -33,9 +33,11 @@ from mlofi.inference import (
     nested_adj_r2,
     select_lambda,
 )
-from mlofi.lobster import DaySlice, SessionConfig
+from mlofi.lobster import SessionConfig
 from mlofi.sampling import GridSpec, RegressionProblem, build_grid
 from mlofi.synth import PlantedParams, generate_planted_regression
+
+from conftest import events_day
 
 NS = 1_000_000_000
 T0 = 36_000 * NS
@@ -347,7 +349,7 @@ def test_summarize_constant_book():
         _arrival(1, 10, 140000, Side.BUY, T0),
         _arrival(2, 20, 140200, Side.SELL, T0),
     ]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     by_duration, by_event, _ = summarize_day(day, session)
     for summary in (by_duration, by_event):
         assert summary.mean_mid_dollars == pytest.approx(14.01)
@@ -366,7 +368,7 @@ def test_concentration_all_at_best():
         LobEvent(T0 + 2 * NS, EventKind.EXECUTION_VISIBLE, 2, 5, 140200, Side.SELL),
         LobEvent(T0 + 3 * NS, EventKind.CANCEL_PARTIAL, 3, 2, 140000, Side.BUY),
     ]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     _, _, conc = summarize_day(day, session)
     # First two arrivals improve empty sides (within spread); the rest sit
     # at the best quotes.
@@ -385,7 +387,7 @@ def test_concentration_all_at_best_with_seeded_book():
         LobEvent(T0 + 3 * NS, EventKind.EXECUTION_VISIBLE, 0, 10, 140200, Side.SELL),
         LobEvent(T0 + 4 * NS, EventKind.CANCEL_PARTIAL, 0, 10, 140000, Side.BUY),
     ]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events, seed=seed)
+    day = events_day(dt.date(2016, 1, 4), events, seed=seed)
     _, _, conc = summarize_day(day, session)
     assert conc.count_pct == pytest.approx((0.0, 100.0, 0.0))
     assert conc.volume_pct == pytest.approx((0.0, 100.0, 0.0))
@@ -400,7 +402,7 @@ def test_concentration_buckets_and_volume():
         _arrival(4, 6, 139000, Side.BUY, T0 + 2 * NS),  # deeper
         _arrival(5, 10, 140400, Side.SELL, T0 + 3 * NS),  # at best ask
     ]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     _, _, conc = summarize_day(day, session)
     counts = np.array(conc.count_pct) * conc.n_events / 100.0
     assert counts == pytest.approx([3.0, 1.0, 1.0])
@@ -419,7 +421,7 @@ def test_concentration_volumes_add_up_past_int64():
         _arrival(3, 2**62, 140000, Side.BUY, T0 + 2 * NS),  # at the best bid
         _arrival(4, 5, 139900, Side.BUY, T0 + 3 * NS),  # deeper
     ]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     _, _, conc = summarize_day(day, session)
     total = 2**63 + 15
     assert conc.volume_pct == (100.0 * (2**62 + 10) / total, 100.0 * 2**62 / total,
@@ -436,7 +438,7 @@ def test_summarize_matches_bruteforce_oracle():
     events = fuzz_stream(rng, 800)
     session = SessionConfig(session_start=36000, session_end=57600 - 2 * 3600)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     by_duration, by_event, _ = summarize_day(day, session)
 
     # Naive pass: record every two-sided post-event state and its holding time.
@@ -511,7 +513,7 @@ def test_per_window_ridge_skips_window_shrunk_by_discards():
     ]
     events += fuzz_stream(np.random.default_rng(5), 300, start_ts=T0 + 15 * NS)
     events = [e for e in events if e.timestamp_ns <= session.end_ns]
-    day = DaySlice.from_events(dt.date(2016, 1, 4), events)
+    day = events_day(dt.date(2016, 1, 4), events)
     report = run_evaluation(
         [day], session, GridSpec(window_seconds=60, subwindow_seconds=1),
         levels=2, spec=FitSpec(methods=(OLS, RIDGE), lambda_mode="per-window"),

@@ -29,6 +29,7 @@ from mlofi.lobster import (
 from mlofi.synth import ZiParams, generate_zi_day
 
 from conftest import (
+    events_day,
     fuzz_stream,
     oracle_parse_message_row,
     oracle_parse_orderbook_row,
@@ -221,7 +222,7 @@ def test_round_trip_write_parse_write_is_byte_identical(tmp_path):
 
 def test_writers_take_event_columns_or_events_alike(tmp_path):
     events = fuzz_stream(np.random.default_rng(6), 300)
-    day = DaySlice.from_events(DAY, events)
+    day = events_day(DAY, events)
     for name, write in (("messages", write_message_file),
                         ("orderbook", lambda path, e: write_orderbook_file(path, e, 3))):
         write(tmp_path / f"{name}_events.csv", events)
@@ -286,7 +287,7 @@ def test_an_order_id_beyond_int64_parses_into_object_columns(tmp_path):
 
 def test_a_days_events_are_built_on_read_and_cannot_be_assigned():
     events = fuzz_stream(np.random.default_rng(5), 50)
-    day = DaySlice.from_events(DAY, events)
+    day = events_day(DAY, events)
     assert day.events == events and day.events is not day.events
     with pytest.raises(AttributeError):
         day.events = events[:10]
