@@ -567,14 +567,21 @@ _COMMANDS = {
 }
 
 
+#: Whether ``main`` has frozen the heap in this process.
+_frozen = False
+
+
 def main(argv: list[str] | None = None) -> int:
-    if not gc.get_freeze_count():
+    global _frozen
+    if not _frozen:
         # The imports (numpy, scipy, this package) live as long as the process.
         # Frozen before any input is read, they leave the collector's generations,
         # so a day's tens of thousands of new events no longer set off a full
         # collection that walks them: on one ZI day it took 17-29 ms of a run.
         # Once per process: a later call would pin whatever earlier calls left.
+        # A flag, not gc.get_freeze_count(), which walks every frozen object.
         gc.freeze()
+        _frozen = True
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command][1](resolve_config(args))

@@ -22,17 +22,18 @@ bound cannot rule out, or to none when it rules out all but one; its choice is
 the first argmin of the exact scores (``select_lambda``). ``select_lambdas`` runs
 many windows' searches at once: it groups the windows by row count and screens
 each group in stacked blocks of at most ``SCREEN_BLOCK`` windows, one set of
-stacked calls per block, then confirms each window on its own folds; a window
-that is flat or not finite keeps its lone search's path.
+stacked calls per block, then scores every penalty its screens leave open in
+one stacked solve; a window whose screen is not finite is scored on its own.
 
 ``fit_windows`` fits many windows the same way: it stacks windows of one
-design shape in blocks of at most ``SCREEN_BLOCK`` and runs the rank check,
-the Gram matrices, the OLS inverses, the residuals and the fit statistics as
-one stacked call each per block, each window keeping the bits of its own
-fit. ``fit_ols`` and ``fit_ridge`` are its one-window case. Ridge calls the
-LAPACK Cholesky routines ``dpotrf``/``dpotrs`` that ``scipy.linalg.cho_factor``
-and ``cho_solve`` wrap, window by window, without the wrappers' per-call
-overhead.
+design shape in blocks of at most ``SCREEN_BLOCK`` and runs the Gram matrices,
+the OLS inverses, the ridge Cholesky factors, the residuals and the fit
+statistics as one stacked call each per block, each window keeping the bits of
+its own fit. ``fit_ols`` and ``fit_ridge`` are its one-window case. OLS runs
+``lstsq`` window by window and takes the rank check from the singular values
+it returns, with an SVD only near the cutoff. Ridge solves each window with
+one call of ``dpotrs``, the LAPACK routine that ``scipy.linalg.cho_solve``
+wraps, on [X'y | I].
 
 ``nested_coefficients`` fits every leading block of columns of a design,
 each depth of a nested model, from one triangular factor: a QR for OLS, a
@@ -172,6 +173,19 @@ def _finish_fits(
     ]
 
 
+def _rank_check(X: np.ndarray, ks: list[int], error: type, results: list) -> None:
+    """Give each window of ``ks`` whose X has smallest over largest singular value at
+    most ``RANK_RTOL`` that error, from one stacked SVD; a non-finite X raises LinAlgError."""
+    if not ks:
+        return
+    svals = np.linalg.svd(X if len(ks) == len(X) else X[ks], compute_uv=False)
+    for k, (smax, smin) in zip(ks, svals[:, [0, -1]]):
+        if smin <= RANK_RTOL * smax:
+            results[k] = error(
+                f"design matrix numerically singular (smin/smax = {smin / smax:.3e})"
+            )
+
+
 def _fit_block(
     X: np.ndarray, y: np.ndarray, lams: list | None, penalize_intercept: bool
 ) -> list[RegressionFit | Exception]:
@@ -179,7 +193,8 @@ def _fit_block(
 
     ``lams`` holds each window's penalty, or is None for OLS. A window whose
     fit fails gets its error in its place. A stacked LAPACK call that fails
-    (non-finite input, an exactly singular X'X) raises LinAlgError for the block.
+    (non-finite input, an exactly singular X'X, a ridge system that does not
+    factor) raises LinAlgError for the block.
     """
     w, n, p = X.shape
     results: list[RegressionFit | Exception | None] = [None] * w
@@ -188,59 +203,76 @@ def _fit_block(
             results[k] = ValueError("lambda must be >= 0")
         elif n < p + 1:
             results[k] = TooFewRows(f"{n} rows cannot support {p} coefficients")
-    # The rank check: every OLS window and ridge windows at lam = 0, where
-    # round-off can let a singular X'X factor.
-    checked = [k for k in range(w) if results[k] is None and (lams is None or lams[k] == 0)]
-    if checked:
-        svals = np.linalg.svd(X if len(checked) == w else X[checked], compute_uv=False)
-        error = RankDeficient if lams is None else NumericalFailure
-        for k, (smax, smin) in zip(checked, svals[:, [0, -1]]):
-            if smin <= RANK_RTOL * smax:
-                results[k] = error(
-                    f"design matrix numerically singular (smin/smax = {smin / smax:.3e})"
-                )
     live = [k for k in range(w) if results[k] is None]
+    if lams is None:
+        # lstsq's singular values pass a window that clears the rank check twice
+        # over; round-off cannot part them from the SVD's that far. The SVD checks
+        # the rest: it raises first on a non-finite X, as the one-window fit does,
+        # and fails an X with a zero column, on which lstsq would be wasted.
+        solved, tried = {}, np.isfinite(X).all(axis=(1, 2)) & X.any(axis=1).all(axis=1)
+        for k in [k for k in live if tried[k]]:
+            try:
+                coeffs, _, _, s = np.linalg.lstsq(X[k], y[k], rcond=None)
+            except np.linalg.LinAlgError:
+                continue
+            if s[-1] > 2 * RANK_RTOL * s[0]:
+                solved[k] = coeffs
+        _rank_check(X, [k for k in live if k not in solved], RankDeficient, results)
+    else:
+        # At lam = 0 round-off can let a singular X'X factor.
+        _rank_check(X, [k for k in live if lams[k] == 0], NumericalFailure, results)
+    live = [k for k in live if results[k] is None]
     if not live:
         return results
     if len(live) < w:
         X, y = X[live], y[live]
     gram = X.mT @ X
     if lams is None:
-        coeffs = np.stack([np.linalg.lstsq(X[j], y[j], rcond=None)[0] for j in range(len(live))])
+        coeffs = np.stack([solved[k] if k in solved else np.linalg.lstsq(X[j], y[j], rcond=None)[0]
+                           for j, k in enumerate(live)])
         cov_unscaled = np.linalg.inv(gram)
     else:
         penalty = _penalty(p, penalize_intercept)
         A = gram + np.array([lams[k] for k in live], dtype=float)[:, None, None] * penalty
-        solved, solutions, a_invs = [], [], []
-        for j, k in enumerate(live):
+        xty = X.mT @ y[..., None]
+        if len(live) > 1:
+            # One stacked factor: np.linalg.cholesky's upper triangle is dpotrf's, bit
+            # for bit. Non-finite input, or a window that does not factor, sends the
+            # block back one window at a time, for each window's own error.
+            if not (np.isfinite(A).all() and np.isfinite(xty).all()):
+                raise np.linalg.LinAlgError("non-finite input")
+            factors = np.linalg.cholesky(A, upper=True)
+        else:
             try:
-                # asarray_chkfinite keeps cho_factor's and cho_solve's ValueError on
+                # One window: dpotrf's info gives cho_factor's error text, and
+                # asarray_chkfinite cho_factor's and cho_solve's ValueError on
                 # non-finite input; clean=0 leaves the lower triangle as cho_factor does.
-                factor, info = sla.lapack.dpotrf(np.asarray_chkfinite(A[j]), clean=0)
+                factor, info = sla.lapack.dpotrf(np.asarray_chkfinite(A[0]), clean=0)
                 if info > 0:
                     raise NumericalFailure(
                         f"ridge solve failed: {info}-th leading minor of the array is not "
                         "positive definite"
                     )
-                b = sla.lapack.dpotrs(factor, np.asarray_chkfinite(X[j].T @ y[j]))[0]
-                a_inv = sla.lapack.dpotrs(factor, np.eye(p))[0]
-                if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a_inv))):
-                    raise NumericalFailure("ridge solve produced non-finite values")
+                np.asarray_chkfinite(xty[0])
             except (NumericalFailure, ValueError) as exc:
-                results[k] = exc
-                continue
-            solved.append(j)
-            solutions.append(b)
-            a_invs.append(a_inv.T)  # dpotrs gives a_inv in Fortran order
-        if len(solved) < len(live):
-            if not solved:
+                results[live[0]] = exc
                 return results
-            live = [live[j] for j in solved]
-            X, y, gram = X[solved], y[solved], gram[solved]
-        coeffs = np.stack(solutions)
-        # Each a_inv keeps its Fortran layout in the stack, so the products see the
+            factors = [factor]
+        # One dpotrs on [X'y | I] gives b and A^-1 with the bits of two separate calls,
+        # in Fortran order: row 0 of the transpose is b.
+        rhs = np.concatenate((xty, np.broadcast_to(np.eye(p), A.shape)), axis=-1)
+        solutions = np.stack([sla.lapack.dpotrs(f, b)[0].T for f, b in zip(factors, rhs)])
+        finite = np.isfinite(solutions).all(axis=(1, 2))
+        for k in np.array(live)[~finite]:
+            results[k] = NumericalFailure("ridge solve produced non-finite values")
+        if not finite.all():
+            if not finite.any():
+                return results
+            live = [k for k, ok in zip(live, finite) if ok]
+            X, y, gram, solutions = X[finite], y[finite], gram[finite], solutions[finite]
+        # Each A^-1 keeps its Fortran layout in the stack, so the products see the
         # strides that the one-window form gives them.
-        a_inv = np.stack(a_invs).mT
+        coeffs, a_inv = solutions[:, 0], solutions[:, 1:].mT
         cov_unscaled = a_inv @ gram @ a_inv
     lams_live = [0.0] * len(live) if lams is None else [lams[k] for k in live]
     for k, fit in zip(live, _finish_fits(X, y, coeffs, cov_unscaled, lams_live)):
@@ -281,11 +313,12 @@ def fit_windows(
     """OLS fits of the windows (``lambdas`` None), or ridge fits at one penalty each.
 
     Windows whose designs have one shape are stacked in list order, at most
-    ``SCREEN_BLOCK`` at a time. Per block one SVD gives the rank checks, and
-    the Gram matrices, the OLS inverses, the residuals, SSE and SST and the
-    p-values each come from one stacked call; ``lstsq`` and the LAPACK
-    Cholesky routines ``dpotrf``/``dpotrs`` run window by window. Each fit
-    equals the one-window fit, bit for bit (``fit_ols``, ``fit_ridge``).
+    ``SCREEN_BLOCK`` at a time. Per block the Gram matrices, the OLS inverses,
+    the ridge Cholesky factors, the residuals, SSE and SST and the p-values
+    each come from one stacked call; ``lstsq``, whose singular values give the
+    OLS rank check, and one LAPACK ``dpotrs`` per ridge window run window by
+    window. Each fit equals the one-window fit, bit for bit (``fit_ols``,
+    ``fit_ridge``).
 
     An OLS window that fails the rank check gives None. Otherwise the first
     window in list order whose fit fails raises that fit's error once every
@@ -309,11 +342,12 @@ def _one_fit(
 
 
 def fit_ols(problem: RegressionProblem) -> RegressionFit:
-    """Least-squares fit via SVD with an explicit rank check.
+    """Least-squares fit by ``lstsq``, with an explicit rank check.
 
     X must have at least p + 1 rows (TooFewRows) and pass the rank check,
-    smallest over largest singular value above ``RANK_RTOL``
-    (RankDeficient). The one-window case of ``fit_windows``.
+    smallest over largest singular value above ``RANK_RTOL`` (RankDeficient),
+    from ``lstsq``'s singular values or, within a factor 2 of the cutoff or
+    for non-finite X, from an SVD. The one-window case of ``fit_windows``.
     """
     return _one_fit(problem, None, True)
 
@@ -443,9 +477,11 @@ def ridge_coefficients(
 
     ``gram`` is X'X and ``xty`` X'y, or a stack of them (..., p, p) and
     (..., p); the result holds one coefficient row per penalty, (..., penalties, p).
+    ``lambdas`` is one list of penalties for every system, or an array (..., penalties)
+    that broadcasts against the stack.
     """
     penalty = _penalty(gram.shape[-1], penalize_intercept)
-    A = gram[..., None, :, :] + np.asarray(lambdas, dtype=float)[:, None, None] * penalty
+    A = gram[..., None, :, :] + np.asarray(lambdas, dtype=float)[..., None, None] * penalty
     try:
         coeffs = np.linalg.solve(A, xty[..., None, :, None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -498,17 +534,27 @@ class LambdaSearch:
 
 
 def _exact_cv_errors(
-    gram: np.ndarray, xty: np.ndarray, val_rows: list, lambdas, penalize_intercept: bool
+    gram: np.ndarray, xty: np.ndarray, val_rows: list, lambdas: np.ndarray, penalize_intercept: bool
 ) -> np.ndarray:
-    """Mean validation MSE per penalty from one stacked ``ridge_coefficients`` solve."""
-    coeffs = ridge_coefficients(gram, xty, lambdas, penalize_intercept)
+    """Each window's mean validation MSE at each of its penalties, ``lambdas``
+    (windows x slots, NaN in a slot left empty), from one stacked ``ridge_coefficients``
+    solve over every (window, penalty) pair and per fold one stacked residual product.
+
+    ``gram`` (windows x folds x p x p) and ``xty`` (windows x folds x p) stack the
+    training folds' X'X and X'y, and ``val_rows`` each fold's validation (X, y).
+    """
+    pairs = np.nonzero(~np.isnan(lambdas))
+    coeffs = np.zeros(lambdas.shape + xty.shape[-2:])  # windows x slots x folds x p
+    coeffs[pairs] = ridge_coefficients(
+        gram[pairs[0]], xty[pairs[0]], lambdas[pairs][:, None, None], penalize_intercept
+    )[:, :, 0]
     # Summed per penalty in fold order, as a per-(lambda, fold) loop would; the stacked
-    # products run one gemv and one dot per penalty, so each term keeps its bits.
-    cv_errors = np.zeros(len(lambdas))
-    for fold_coeffs, (X_val, y_val) in zip(coeffs, val_rows):
-        resid = X_val @ fold_coeffs[:, :, None]  # penalties x rows x 1
-        np.subtract(y_val[:, None], resid, out=resid)
-        cv_errors += (resid.mT @ resid)[:, 0, 0] / len(y_val)
+    # products run one gemv and one dot per pair, so each term keeps its bits.
+    cv_errors = np.zeros(lambdas.shape)
+    for k, (X_val, y_val) in enumerate(val_rows):
+        resid = X_val[:, None] @ coeffs[:, :, k, :, None]  # windows x slots x rows x 1
+        np.subtract(y_val[:, None, :, None], resid, out=resid)
+        cv_errors += (resid.mT @ resid)[..., 0, 0] / y_val.shape[-1]
     return cv_errors / len(val_rows)
 
 
@@ -578,41 +624,14 @@ def _screen_cv_errors(
     return (sse / n_val).sum(axis=1) / folds, bound.sum(axis=1) / folds
 
 
-def _confirm(
-    gram: np.ndarray,
-    xty: np.ndarray,
-    val_rows: list,
-    grid: np.ndarray,
-    screened: tuple[np.ndarray, np.ndarray] | None,
-    penalize_intercept: bool,
-) -> LambdaSearch:
-    """One window's search from its screen (None for a flat window), confirmed exactly."""
-    if screened is None:
-        cv_errors = np.repeat(
-            _exact_cv_errors(gram, xty, val_rows, grid[:1], penalize_intercept), len(grid)
-        )
-        candidates = np.arange(len(grid))
-    else:
-        cv_errors, bound = screened
-        # NaN compares false, so a penalty whose screen is not finite stays a candidate.
-        candidates = np.flatnonzero(~(cv_errors - bound > np.fmin.reduce(cv_errors + bound)))
-        lone = candidates[0]
-        if len(candidates) > 1 or not (grid[lone] > 0 and np.isfinite(bound[lone])):
-            cv_errors[candidates] = _exact_cv_errors(
-                gram, xty, val_rows, grid[candidates], penalize_intercept
-            )
-    if not np.all(np.isfinite(cv_errors)):
-        raise NumericalFailure("non-finite cross-validation error encountered")
-    best = candidates[int(np.argmin(cv_errors[candidates]))]
-    return LambdaSearch(grid=grid, cv_errors=cv_errors, lambda_hat=float(grid[best]))
-
-
 def _search_block(
     X: np.ndarray, y: np.ndarray, folds: int, grid: np.ndarray, penalize_intercept: bool
 ) -> list[LambdaSearch | NumericalError]:
     """The penalty searches of a stack of windows, X (windows x rows x p) and y (windows x rows).
 
-    A window whose search fails gets its error in its place.
+    One stacked solve scores every penalty left open in the block; if it fails,
+    each window is scored on its own, and a window whose search fails gets its
+    error in its place.
     """
     grams, xtys, val_rows = [], [], []
     for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
@@ -620,23 +639,55 @@ def _search_block(
         xtys.append((X_train.mT @ y_train[..., None])[..., 0])
         val_rows.append((X_val, y_val))
     gram, xty = np.stack(grams, axis=1), np.stack(xtys, axis=1)
+    windows = len(xty)
     # A flat window's X'y is zero in every training fold: it runs no screen.
-    live = np.any(xty.reshape(len(xty), -1), axis=1)
-    screens = {}
+    live = np.any(xty.reshape(windows, -1), axis=1)
+    cv_errors, bound = np.full((2, windows, len(grid)), np.nan)
     if live.any():
         inputs = (gram, xty, val_rows) if live.all() else _take(gram, xty, val_rows, live)
-        screened = _screen_cv_errors(*inputs, grid, penalize_intercept)
-        screens = dict(zip(np.flatnonzero(live).tolist(), zip(*screened)))
-    searches: list[LambdaSearch | NumericalError] = []
-    for w in range(len(live)):
-        rows = [(X_val[w], y_val[w]) for X_val, y_val in val_rows]
-        try:
-            searches.append(
-                _confirm(gram[w], xty[w], rows, grid, screens.get(w), penalize_intercept)
-            )
-        except NumericalError as exc:
-            searches.append(exc)
-    return searches
+        cv_errors[live], bound[live] = _screen_cv_errors(*inputs, grid, penalize_intercept)
+    with np.errstate(invalid="ignore"):
+        # NaN compares false, so a penalty whose screen is not finite stays a candidate.
+        candidates = ~(cv_errors - bound > np.fmin.reduce(cv_errors + bound, axis=1, keepdims=True))
+    first = candidates.argmax(axis=1)
+    lone = ((candidates.sum(axis=1) == 1) & (grid[first] > 0)
+            & np.isfinite(bound[np.arange(windows), first]))
+    # The penalties each window scores exactly: none for a lone candidate, and only
+    # grid[0] for a flat window, whose coefficients are zero at every penalty.
+    rescore = candidates & ~lone[:, None]
+    rescore[~live, 1:] = False
+
+    def score(mask: np.ndarray) -> None:
+        """Exact scores into cv_errors for the penalties ``mask`` (windows x grid) selects."""
+        rows = np.flatnonzero(mask.any(axis=1))
+        pairs = np.nonzero(mask[rows])
+        counts = mask[rows].sum(axis=1)
+        filled = np.arange(counts.max()) < counts[:, None]
+        lambdas = np.full(filled.shape, np.nan)
+        lambdas[filled] = grid[pairs[1]]
+        inputs = (gram, xty, val_rows) if len(rows) == windows else _take(gram, xty, val_rows, rows)
+        scores = _exact_cv_errors(*inputs, lambdas, penalize_intercept)
+        cv_errors[rows[pairs[0]], pairs[1]] = scores[filled]
+
+    searches: list[LambdaSearch | NumericalError] = [None] * windows
+    try:
+        if rescore.any():
+            score(rescore)
+    except NumericalFailure:
+        for w in np.flatnonzero(rescore.any(axis=1)):
+            try:
+                score(rescore & (np.arange(windows) == w)[:, None])
+            except NumericalError as exc:
+                searches[w] = exc
+    cv_errors[~live] = cv_errors[~live, :1]  # grid[0]'s score is every penalty's
+    # The first argmin of the exact scores among each window's candidates.
+    best = np.where(candidates, cv_errors, np.inf).argmin(axis=1)
+    finite = np.isfinite(cv_errors).all(axis=1)
+    failure = NumericalFailure("non-finite cross-validation error encountered")
+    return [
+        search or (LambdaSearch(grid, cv_errors[w], float(grid[best[w]])) if finite[w] else failure)
+        for w, search in enumerate(searches)
+    ]
 
 
 def select_lambda(
@@ -705,8 +756,8 @@ def select_lambdas(
     Windows whose designs have one shape (so one row count and one set of
     folds) are stacked in list order, at most ``SCREEN_BLOCK`` at a time. One
     set of stacked calls gives every window of a block its training-fold
-    X'X and X'y, their eigendecompositions, the screened scores and the
-    bounds; each window's exact confirm then runs on its own fold stack.
+    X'X and X'y, their eigendecompositions, the screened scores, the bounds
+    and the exact scores of every penalty the screens leave open.
     Every search equals ``select_lambda`` on its window alone, bit for bit.
     A window too short for its folds raises TooFewRows before any search
     runs; otherwise the first window in list order whose search fails

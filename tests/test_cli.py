@@ -1069,7 +1069,9 @@ def test_main_freezes_the_heap_once_per_process_before_reading_input(tmp_path, m
         steps.append("read")
         return load_days(config)
 
-    monkeypatch.setattr(cli.gc, "get_freeze_count", lambda: steps.count("freeze"))
+    monkeypatch.setattr(cli, "_frozen", False)  # as in a fresh process
+    # get_freeze_count walks every frozen object, on each call after the first.
+    monkeypatch.setattr(cli.gc, "get_freeze_count", lambda: pytest.fail("counted frozen objects"))
     monkeypatch.setattr(cli.gc, "freeze", lambda: steps.append("freeze"))
     monkeypatch.setattr(cli, "load_days", spy_load_days)
     for run in ("a", "b"):

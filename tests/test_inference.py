@@ -395,7 +395,7 @@ def test_select_lambda_on_a_zero_response_scores_one_penalty_and_copies_it():
                             wraps=inference._exact_cv_errors) as exact):
         search = select_lambda(X, np.zeros(60), 5, grid)
     screen.assert_not_called()
-    assert exact.call_count == 1 and np.array_equal(exact.call_args.args[3], grid[:1])
+    assert exact.call_count == 1 and np.array_equal(np.ravel(exact.call_args.args[3]), grid[:1])
     assert search.lambda_hat == grid[0]
     assert np.array_equal(search.cv_errors, np.zeros(len(grid)))
 
@@ -457,6 +457,36 @@ def test_select_lambda_on_non_finite_input_fails_as_the_whole_grid_solve(
         select_lambda(X, y, 5, default_lambda_grid(), penalize_intercept)
 
 
+#: What a window of the stacked-search property is made as; most are plain.
+SEARCH_KINDS = ("plain",) * 6 + (
+    "duplicate", "noiseless", "flat", "nan", "inf y", "zero first column", "huge duplicate",
+)
+
+
+def search_window(rng, n, p, kind):
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 50)])
+    beta = rng.standard_normal(p)
+    y = X @ beta + rng.standard_normal(n)
+    if kind == "duplicate":
+        X[:, -1] = X[:, 1]
+    elif kind == "noiseless":
+        y = X @ beta
+    elif kind == "flat":
+        y[:] = 0.0
+    elif kind == "nan":
+        X[n // 2, -1] = np.nan
+    elif kind == "inf y":
+        y[0] = np.inf
+    elif kind == "zero first column":
+        X[:, 0] = 0.0
+    elif kind == "huge duplicate":
+        # X'X + lam*I rounds to a singular matrix at small penalties, which the
+        # screen's bound cannot rule out: the exact solve fails, the screen does not.
+        X[:, 1] *= 1e12
+        X[:, -1] = X[:, 1]
+    return X, y
+
+
 @given(
     row_counts=hst.lists(hst.integers(50, 90), min_size=2, max_size=3, unique=True),
     folds=hst.integers(2, 5),
@@ -467,25 +497,33 @@ def test_select_lambda_on_non_finite_input_fails_as_the_whole_grid_solve(
 def test_select_lambdas_equals_select_lambda_window_by_window(
     row_counts, folds, p, seed, penalize_intercept
 ):
-    # The first row count's windows split into two blocks; every fifth window
-    # is flat (y = 0) and every third duplicates a column, in shuffled order.
+    # The first row count's windows split into two blocks, in shuffled order.
+    # Flat, non-finite, lone-candidate and several-candidate windows share
+    # blocks. Every search keeps the bits of its window's search alone, and the
+    # first failing window in list order raises its own error.
     rng = np.random.default_rng(seed)
     counts = [row_counts[0]] * (SCREEN_BLOCK + 3) + row_counts[1:] * 4
     rng.shuffle(counts)
-    windows = []
-    for i, n in enumerate(counts):
-        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
-        if i % 3 == 0 and p >= 3:
-            X[:, 2] = X[:, 1]
-        y = np.zeros(n) if i % 5 == 0 else X @ rng.standard_normal(p) + rng.standard_normal(n)
-        windows.append((X, y))
+    windows = [search_window(rng, n, p, rng.choice(SEARCH_KINDS)) for n in counts]
     grid = default_lambda_grid()
-    searches = select_lambdas(windows, folds, grid, penalize_intercept)
-    assert len(searches) == len(windows)
-    for (X, y), search in zip(windows, searches):
-        alone = select_lambda(X, y, folds, grid, penalize_intercept)
-        assert search.lambda_hat == alone.lambda_hat
-        assert np.array_equal(search.cv_errors, alone.cv_errors)
+    expected = []
+    with np.errstate(all="ignore"):
+        for X, y in windows:
+            try:
+                expected.append(select_lambda(X, y, folds, grid, penalize_intercept))
+            except NumericalFailure as exc:
+                expected.append(exc)
+        failing = [i for i, want in enumerate(expected) if isinstance(want, Exception)]
+        if failing:
+            with pytest.raises(NumericalFailure) as raised:
+                select_lambdas(windows, folds, grid, penalize_intercept)
+            assert str(raised.value) == str(expected[failing[0]])
+        keep = [i for i in range(len(windows)) if i not in failing]
+        searches = select_lambdas([windows[i] for i in keep], folds, grid, penalize_intercept)
+    assert len(searches) == len(keep)
+    for i, search in zip(keep, searches):
+        assert search.lambda_hat == expected[i].lambda_hat
+        assert np.array_equal(search.cv_errors, expected[i].cv_errors)
 
 
 def block_of_windows(count=6):
@@ -526,6 +564,36 @@ def test_select_lambdas_raises_the_first_failing_window_in_list_order():
     windows[4][0][30, 2] = np.inf
     with pytest.raises(NumericalFailure, match="^ridge solve failed: Singular matrix$"):
         select_lambdas(windows, 5, default_lambda_grid(), False)
+
+
+def exact_solves(windows):
+    """``select_lambdas`` on the windows, or its error, and its calls of the exact solve."""
+    with mock.patch.object(inference, "_exact_cv_errors",
+                           wraps=inference._exact_cv_errors) as exact:
+        try:
+            result = select_lambdas(windows, 5, default_lambda_grid())
+        except NumericalFailure as exc:
+            result = exc
+    return result, exact.call_count
+
+
+def test_select_lambdas_scores_a_block_in_one_solve_or_a_failing_one_window_by_window():
+    # The screen leaves penalties open in several windows of one block: one
+    # stacked solve scores them all. A window whose exact solve fails though its
+    # screen is finite fails that solve; each window that scores a penalty is
+    # then scored on its own, and only the failing one raises.
+    rng = np.random.default_rng(14)
+    windows = [search_window(rng, 60, 4, "duplicate") for _ in range(4)]
+    searches, calls = exact_solves(windows)
+    assert calls == 1
+    assert [exact_solves([window])[1] for window in windows] == [1, 1, 0, 0]
+    windows[2] = search_window(rng, 60, 4, "huge duplicate")
+    error, calls = exact_solves(windows)
+    assert str(error) == str(exact_solves(windows[2:3])[0]) == "ridge solve failed: Singular matrix"
+    assert calls == 1 + 3
+    assert [s.lambda_hat for s in exact_solves(windows[:2] + windows[3:])[0]] == [
+        s.lambda_hat for s in searches[:2] + searches[3:]
+    ]
 
 
 def test_penalty_search_holds_one_training_fold_at_a_time():
@@ -782,3 +850,69 @@ def test_fit_windows_gives_none_for_a_rank_deficient_ols_window_only():
         fit_windows(problems, [0.0] * 3)
     fits = fit_windows(problems, [1e-2] * 3)
     assert all(same_fit(f, oracle_fit_ridge(p, 1e-2)) for f, p in zip(fits, problems))
+
+
+@given(
+    penalize_intercept=hst.booleans(),
+    p=hst.integers(2, 6),
+    n_windows=hst.integers(1, SCREEN_BLOCK + 8),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_stacked_cholesky_and_one_dpotrs_on_b_and_i_keep_the_bits_of_dpotrf_and_two_dpotrs(
+    penalize_intercept, p, n_windows, seed
+):
+    # The two LAPACK identities the stacked ridge fit rests on, over the designs
+    # and penalties of the stacked-fit property: the upper factor of a stacked
+    # np.linalg.cholesky is dpotrf's upper triangle, and one dpotrs on [b | I]
+    # answers as dpotrs on b and dpotrs on I.
+    rng = np.random.default_rng(seed)
+    penalty = np.eye(p)
+    if not penalize_intercept:
+        penalty[0, 0] = 0.0
+    systems = []
+    with np.errstate(all="ignore"):
+        for _ in range(n_windows):
+            problem = stacked_fit_window(rng, p + int(rng.integers(1, 13)), p,
+                                         rng.choice(WINDOW_KINDS))
+            lam = float(rng.choice([0.0, 1e-5, 1e-2, 1.0, 1e3]))
+            A = problem.X.T @ problem.X + lam * penalty
+            b = problem.X.T @ problem.y
+            if np.isfinite(A).all() and np.isfinite(b).all():
+                factor, info = sla.lapack.dpotrf(A, clean=0)
+                if info == 0:
+                    systems.append((A, b, factor))
+    if not systems:
+        return
+    stacked = np.linalg.cholesky(np.stack([A for A, _, _ in systems]), upper=True)
+    for (_, b, factor), upper in zip(systems, stacked):
+        assert np.array_equal(upper, np.triu(factor))
+        merged = sla.lapack.dpotrs(upper, np.column_stack((b, np.eye(p))))[0]
+        assert np.array_equal(merged[:, 0], sla.lapack.dpotrs(factor, b)[0])
+        assert np.array_equal(merged[:, 1:], sla.lapack.dpotrs(factor, np.eye(p))[0])
+
+
+@pytest.mark.parametrize("p, extra_rows", [(3, 1), (6, 4), (10, 7), (4, 26)])
+def test_fit_ols_fails_a_singular_design_with_the_oracles_svd_text(p, extra_rows):
+    # lstsq's own singular values differ from the SVD's in their last bits, and
+    # on the first three shapes in the text's smin/smax; the text is the SVD's.
+    for kind in ("duplicate", "collinear"):
+        problem = stacked_fit_window(np.random.default_rng(0), p + extra_rows, p, kind)
+        with pytest.raises(RankDeficient) as want:
+            oracle_fit_ols(problem)
+        with pytest.raises(RankDeficient) as raised:
+            fit_ols(problem)
+        assert str(raised.value) == str(want.value)
+
+
+def test_fit_windows_fails_a_non_finite_ols_window_in_the_rank_check(capfd):
+    # The rank check's SVD meets the NaN first, as in the one-window oracle:
+    # lstsq would fail with its own text, and LAPACK would print its complaints.
+    rng = np.random.default_rng(6)
+    problems = [stacked_fit_window(rng, 40, 4, kind) for kind in ("plain", "nan", "plain")]
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        oracle_fit_ols(problems[1])
+    capfd.readouterr()
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        fit_windows(problems)
+    assert str(raised.value) == str(want.value) == "SVD did not converge"
+    assert capfd.readouterr() == ("", "")

@@ -2,15 +2,16 @@
 
 Usage: python tools/layer_ab.py REV [REPS]
 
-Extracts ``git archive REV`` into a temporary directory and imports its
-``src/mlofi`` and the working tree's as two packages in one interpreter.
-One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
+Extracts ``git archive REV`` into a temporary directory. Each side, REV's
+``src/mlofi`` and the working tree's, runs in a fresh interpreter of its own
+for every rep, so that neither side's allocations and caches shape the
+other's timings. One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
 ``SessionConfig``, made by the working tree's package) is written as a
 LOBSTER message file, and again with CRLF line ends. A third file holds the
 day up to its last full cancel, made one share larger than the order it
 cancels, so that the book contradicts the file's last event. Each of REPS reps
-(default 15) runs both sides, in the opposite order to the rep before, and
-times on each side:
+(default 15) runs both sides' interpreters one after the other, in the
+opposite order to the rep before, and times on each side:
 
 - ``synth``: ``generate_zi_day`` at the default ``ZiParams`` and
   ``SessionConfig``, per event; both sides' event columns must be equal;
@@ -45,10 +46,12 @@ times on each side:
 - ``assemble 60/1``: ``assemble_problems`` on the 1-minute grid's replay,
   from its interval columns where the side has them, else from its samples;
   per interval;
-- ``fit 60/1``: OLS of every 1-minute window at 10 levels, and ridge of every
-  searched window at its own penalty from ``select 60/1``, as per-window
-  ridge fits them: one ``fit_windows`` call per method where the side has it,
-  else ``fit_ols`` and ``fit_ridge`` window by window; per fit;
+- ``fit 60/1 ols``: OLS of every 1-minute window at 10 levels, as per-window
+  ridge fits them: one ``fit_windows`` call where the side has it, else
+  ``fit_ols`` window by window; per fit;
+- ``fit 60/1 ridge``: ridge of every searched window at its own penalty from
+  ``select 60/1``: one ``fit_windows`` call where the side has it, else
+  ``fit_ridge`` window by window; per fit;
 - ``curves 1800/10``: evaluate's R^2 and RMSE curve step on the 30-minute
   grid's windows at 10 levels, OLS and ridge at the pooled penalty, given
   the depth-10 fits as ``run_evaluation`` has them from its tables: the
@@ -63,7 +66,8 @@ ratio's lower and upper quartiles, so that one run tells a move from the
 spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
 A slow spell of the host
 lands on both sides of a rep alike, which comparing two separate benchmark
-runs cannot give. Both files must parse to the same events on each side, both
+runs cannot give. Each side's times are those of a fresh interpreter, as in a
+run of the command line. Both files must parse to the same events on each side, both
 sides' events, samples and book tallies must agree, and so must every window's
 chosen penalty in both selects, both sides' problems and every field of every
 fit, or it exits 1. The curves must agree within ``CURVE_RTOL`` relative, as
@@ -73,10 +77,11 @@ the nested arithmetic moves their last bits.
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 import gc
 import importlib
-import importlib.util
 import io
+import pickle
 import statistics
 import subprocess
 import sys
@@ -95,20 +100,15 @@ SELECTS = (("select 60/1", True), ("select 60/1 free", False))
 LAYERS = ("synth", "parse", "parse rows", "book", "book fields",
           *(f"replay {w}/{s}" for w, s in GRIDS), "replay exact 1800/10",
           "replay big ids 1800/10", "replay error 1800/10", *(s for s, _ in SELECTS),
-          "assemble 60/1", "fit 60/1", "curves 1800/10")
+          "assemble 60/1", "fit 60/1 ols", "fit 60/1 ridge", "curves 1800/10")
 #: Largest relative difference allowed between the two sides' curve values.
 CURVE_RTOL = 1e-12
 
 
-def load(name: str, src: Path) -> dict:
-    """The ``mlofi`` package under ``src`` imported as ``name``, by module."""
-    spec = importlib.util.spec_from_file_location(
-        name, src / "mlofi" / "__init__.py", submodule_search_locations=[str(src / "mlofi")]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return {m: importlib.import_module(f"{name}.{m}")
+def load(src: Path) -> dict:
+    """The ``mlofi`` package under ``src``, by module; one per interpreter."""
+    sys.path.insert(0, str(src))
+    return {m: importlib.import_module(f"mlofi.{m}")
             for m in ("book", "evaluation", "imbalance", "inference", "lobster", "sampling",
                       "synth")}
 
@@ -238,21 +238,27 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
         times[layer] = seconds * 1e3 / len(searched)
         lambdas.extend(chosen)
 
-    def fit_all(window_lambdas):
+    def fit_ols():
         if hasattr(inference, "fit_windows"):
-            return (inference.fit_windows(problems)
-                    + inference.fit_windows(searched, window_lambdas))
+            return inference.fit_windows(problems)
         fits = []
         for p in problems:
             try:
                 fits.append(inference.fit_ols(p))
             except inference.RankDeficient:
                 fits.append(None)
-        return fits + [inference.fit_ridge(p, lam) for p, lam in zip(searched, window_lambdas)]
+        return fits
 
-    seconds, fits = timed(fit_all, lambdas[:len(searched)])
-    times["fit 60/1"] = seconds * 1e3 / len(fits)
-    outputs.append([fit_bits(fit) for fit in fits])
+    def fit_ridge(window_lambdas):
+        if hasattr(inference, "fit_windows"):
+            return inference.fit_windows(searched, window_lambdas)
+        return [inference.fit_ridge(p, lam) for p, lam in zip(searched, window_lambdas)]
+
+    for layer, fit, args in (("fit 60/1 ols", fit_ols, ()),
+                             ("fit 60/1 ridge", fit_ridge, (lambdas[:len(searched)],))):
+        seconds, fits = timed(fit, *args)
+        times[layer] = seconds * 1e3 / len(fits)
+        outputs.append([fit_bits(fit) for fit in fits])
 
     grid, comp = replays[1800, 10]
     intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
@@ -289,7 +295,31 @@ def fit_bits(fit) -> bytes | None:
                     for f in dataclasses.fields(fit))
 
 
+def run_child(src: Path, message_files: tuple[Path, Path, Path], date, result: Path):
+    """``run_side`` on the package under ``src`` in a fresh interpreter: its return
+    value, or None if the side failed, which it reports on stderr."""
+    child = subprocess.run([sys.executable, __file__, "--side", str(src), str(result),
+                            *map(str, message_files), date.isoformat()])
+    if child.returncode:
+        return None
+    with open(result, "rb") as fh:
+        return pickle.load(fh)
+
+
+def side_main(argv: list[str]) -> int:
+    """One side's rep: ``--side SRC RESULT MESSAGE CRLF ERROR DATE``."""
+    src, result, *files, date = argv
+    args = load(Path(src)), tuple(map(Path, files)), dt.date.fromisoformat(date)
+    run_side(*args)  # warms up the interpreter: lazy imports and first-call set-up
+    side = run_side(*args)
+    with open(result, "wb") as fh:
+        pickle.dump(side, fh)
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--side"]:
+        return side_main(argv[1:])
     if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
@@ -300,9 +330,8 @@ def main(argv: list[str]) -> int:
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "tree")
-        sides = {"rev": load("mlofi_rev", tmp / "tree" / "src"),
-                 "work": load("mlofi_work", REPO / "src")}
-        work = sides["work"]
+        sides = {"rev": tmp / "tree" / "src", "work": REPO / "src"}
+        work = load(sides["work"])
         session = work["lobster"].SessionConfig()
         day = work["synth"].generate_zi_day(work["synth"].ZiParams(), session)
         message_file = tmp / f"SYN_{day.trading_date}_message_10.csv"
@@ -321,8 +350,12 @@ def main(argv: list[str]) -> int:
         for _ in range(reps):
             outputs, lambdas, curves = {}, {}, {}
             for side in order:
-                us, outputs[side], lambdas[side], curves[side] = run_side(
-                    sides[side], (message_file, crlf_file, error_file), day.trading_date)
+                ran = run_child(sides[side], (message_file, crlf_file, error_file),
+                                day.trading_date, tmp / "side.pickle")
+                if ran is None:
+                    print(f"the {side} side failed", file=sys.stderr)
+                    return 1
+                us, outputs[side], lambdas[side], curves[side] = ran
                 if outputs[side] is None:
                     print(f"the {side} side parses the LF and CRLF files to different events",
                           file=sys.stderr)
