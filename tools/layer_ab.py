@@ -5,7 +5,9 @@ Usage: python tools/layer_ab.py REV [REPS]
 Extracts ``git archive REV`` into a temporary directory. Each side, REV's
 ``src/mlofi`` and the working tree's, runs in a fresh interpreter of its own
 for every rep, so that neither side's allocations and caches shape the
-other's timings. One zero-intelligence day (``mlofi.synth`` at its default ``ZiParams`` and
+other's timings; the interpreter runs the side's layers once untimed, to
+warm its imports and caches, then times them. One zero-intelligence day
+(``mlofi.synth`` at its default ``ZiParams`` and
 ``SessionConfig``, made by the working tree's package) is written as a
 LOBSTER message file, and again with CRLF line ends. A third file holds the
 day up to its last full cancel, made one share larger than the order it
@@ -64,10 +66,9 @@ call for ``curves``), and
 the median over the reps of the working tree's time over REV's with that
 ratio's lower and upper quartiles, so that one run tells a move from the
 spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
-A slow spell of the host
-lands on both sides of a rep alike, which comparing two separate benchmark
-runs cannot give. Each side's times are those of a fresh interpreter, as in a
-run of the command line. Both files must parse to the same events on each side, both
+The sides' turns alternate, so a slow spell of the host that lands on one
+side's interpreter widens the quartiles rather than biasing the median. Both
+files must parse to the same events on each side, both
 sides' events, samples and book tallies must agree, and so must every window's
 chosen penalty in both selects, both sides' problems and every field of every
 fit, or it exits 1. The curves must agree within ``CURVE_RTOL`` relative, as
