@@ -7,11 +7,10 @@ are. ``run_evaluation`` takes the seasonality profile and the R^2 curve's
 depth M from the tables' depth-M fits, and the level-1 OFI table from one
 depth-1 OLS fit per window. The R^2 curve's shallower depths come from one
 factorization per window at depth M - 1 (``inference.nested_adj_r2``), and
-the RMSE curves from one factorization per training fold; the rows are
-pooled once per evaluation. The days come as any iterable in date order and
-each is replayed once, as it arrives: the replay that yields the imbalance
-samples also tallies the book, only the problems and tallies are kept, and
-``book_summaries`` reduces the tallies.
+the RMSE curves from one factorization per training fold. The days come as
+any iterable in date order and each is replayed once, as it arrives: the
+replay that yields the imbalance samples also tallies the book, only the
+problems and tallies are kept, and ``book_summaries`` reduces the tallies.
 
 A ``FitSpec`` carries the five fit settings from the command line to the
 fits: the methods, the cross-validation folds, the penalty grid, the
@@ -228,11 +227,9 @@ def rmse_curve(
     folds: int = 5,
     lam: float = 0.0,
     penalize_intercept: bool = True,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[RmsePoint]:
     """RMSE points at depths 1..max_levels, from rows pooled once at full depth.
 
-    ``rows`` is ``pool_rows(problems, max_levels)`` when the caller has it.
     Each training fold is factored once (``nested_coefficients``), and one
     product each gives its in-sample and out-of-sample residuals at every
     depth. A curve of one depth, or one with a fold that does not nest (a
@@ -240,7 +237,7 @@ def rmse_curve(
     non-finite rows), takes every point from ``_rmse_point`` at its own
     depth, with its minimum-norm ``lstsq`` and its errors.
     """
-    X, y = pool_rows(problems, max_levels) if rows is None else rows
+    X, y = pool_rows(problems, max_levels)
     if method not in (OLS, RIDGE):
         raise ValueError(f"unknown method {method!r}")
     totals = None
@@ -439,25 +436,20 @@ class FitTables:
     pooled_fits: dict[str, tuple[list[RegressionFit], list[int]]]
 
 
-def fit_tables(
-    problems: list[RegressionProblem],
-    spec: FitSpec,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FitTables:
+def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
     """Select the pooled penalty and summarize the per-window fits per method.
 
-    The fits run at the problems' depth; ``rows`` is
-    ``pool_rows(problems, depth)`` when the caller has it. Per-window ridge
-    leaves out the windows with fewer than ``spec.min_window_rows`` rows,
-    searches the rest in one ``select_lambdas`` call and fits them at their
-    own penalties in one ``fit_windows`` call.
+    The fits run at the problems' depth. Per-window ridge leaves out the
+    windows with fewer than ``spec.min_window_rows`` rows, searches the rest in
+    one ``select_lambdas`` call and fits them at their own penalties in one
+    ``fit_windows`` call.
     """
     levels = problems[0].levels
     grid = np.array(spec.lambda_grid)
     search: LambdaSearch | None = None
     lam = 0.0
     if RIDGE in spec.methods:
-        X, y = pool_rows(problems, levels) if rows is None else rows
+        X, y = pool_rows(problems, levels)
         search = select_lambda(X, y, spec.folds, grid, spec.penalize_intercept)
         lam = search.lambda_hat
     tables = FitTables(search, {}, {})
@@ -522,8 +514,7 @@ def run_evaluation(
     """
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
-    rows = pool_rows(problems, levels)
-    tables = fit_tables(problems, spec, rows)
+    tables = fit_tables(problems, spec)
     lam = tables.search.lambda_hat if tables.search else 0.0
 
     # Depth M reuses the tables' fits; the curves fit the shallower depths.
@@ -542,11 +533,11 @@ def run_evaluation(
         deep_fits[OLS] if levels == 1 and OLS in deep_fits else fit_all_windows(problems, OLS, 1)
     )
     ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
-    diagnostics = diagnose_collinearity(rows[0][:, 1:]) if levels >= 2 else None
+    diagnostics = (
+        diagnose_collinearity(pool_rows(problems, levels)[0][:, 1:]) if levels >= 2 else None
+    )
     rmse_curves = {
-        method: rmse_curve(
-            problems, method, levels, spec.folds, lam, spec.penalize_intercept, rows
-        )
+        method: rmse_curve(problems, method, levels, spec.folds, lam, spec.penalize_intercept)
         for method in spec.methods
     }
     improvement = improvement_table(rmse_curves.get(OLS), rmse_curves.get(RIDGE))

@@ -19,21 +19,23 @@ product and their squared sums from one stacked dot. The search screens the
 whole grid from one eigendecomposition per training fold, with a stated
 error bound per penalty, and gives the exact score only to the penalties the
 bound cannot rule out, or to none when it rules out all but one; its choice is
-the first argmin of the exact scores (``select_lambda``). ``select_lambdas`` runs
-many windows' searches at once: it groups the windows by row count and screens
-each group in stacked blocks of at most ``SCREEN_BLOCK`` windows, one set of
-stacked calls per block, then scores every penalty its screens leave open in
-one stacked solve; a window whose screen is not finite is scored on its own.
+the first argmin of the exact scores (``select_lambda``).
 
-``fit_windows`` fits many windows the same way: it stacks windows of one
-design shape in blocks of at most ``SCREEN_BLOCK`` and runs the Gram matrices,
-the OLS inverses, the ridge Cholesky factors, the residuals and the fit
-statistics as one stacked call each per block, each window keeping the bits of
-its own fit. ``fit_ols`` and ``fit_ridge`` are its one-window case. OLS runs
-``lstsq`` window by window and takes the rank check from the singular values
-it returns, with an SVD only near the cutoff. Ridge solves each window with
-one call of ``dpotrs``, the LAPACK routine that ``scipy.linalg.cho_solve``
-wraps, on [X'y | I].
+``select_lambdas`` and ``fit_windows`` run many windows through one block
+runner, ``_by_block``: windows of one design shape are stacked in list
+order, at most ``SCREEN_BLOCK`` at a time; a block whose stacked call fails
+runs again one window at a time, so that each window gets its own result or
+error; and one rule, ``_raise_first``, raises the first error in list order
+(``fit_windows`` gives None for a rank-deficient OLS window instead). A
+search block scores every penalty its screens leave open in one stacked
+solve. A fit block takes the Gram matrices, the OLS inverses, the ridge
+Cholesky factors, the residuals and the fit statistics from one stacked call
+each, with the bits of each window's own fit (``fit_ols``, ``fit_ridge``).
+OLS runs ``lstsq`` window by window and takes the rank check from the
+singular values it returns, with an SVD only near the cutoff. Every ridge
+factor comes from one stacked ``np.linalg.cholesky``, and each window solves
+with one call of ``dpotrs``, the LAPACK routine that ``scipy.linalg.cho_solve``
+wraps, on [X'y | I]; ``dpotrf`` runs only to name a lone window's failure.
 
 ``nested_coefficients`` fits every leading block of columns of a design,
 each depth of a nested model, from one triangular factor: a QR for OLS, a
@@ -43,14 +45,14 @@ it, and leaves the designs that do not nest to ``fit_windows`` at each depth.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .errors import DegenerateColumn, NumericalError, NumericalFailure, RankDeficient, TooFewRows
+from .errors import DegenerateColumn, NumericalFailure, RankDeficient, TooFewRows
 from .sampling import RegressionProblem
 
 #: Relative singular-value cutoff for the OLS rank check.
@@ -107,20 +109,63 @@ class RegressionFit:
     dof: int
 
 
-def _shape_blocks(shapes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
-    """Indices of equal shapes, grouped by shape in list order, in blocks of at most
-    ``SCREEN_BLOCK``."""
+def _blocks(
+    windows: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """(indices, X, y) for each block of the (X, y) windows: windows of one design
+    shape in list order, at most ``SCREEN_BLOCK`` of them, X (windows x rows x p)
+    and y (windows x rows) stacked; a lone window's stack is a view of it."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(i)
+    for i, (X, _) in enumerate(windows):
+        groups.setdefault(X.shape, []).append(i)
     for members in groups.values():
         for start in range(0, len(members), SCREEN_BLOCK):
-            yield members[start : start + SCREEN_BLOCK]
+            block = members[start : start + SCREEN_BLOCK]
+            if len(block) == 1:
+                X, y = windows[block[0]]
+                yield block, X[None], y[None]
+            else:
+                X = np.stack([windows[i][0] for i in block])
+                yield block, X, np.stack([windows[i][1] for i in block])
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays along a new first axis; a lone array's stack is a view of it."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _by_block(
+    windows: Sequence[tuple[np.ndarray, np.ndarray]],
+    run: Callable[[list[int], np.ndarray, np.ndarray], list],
+) -> list:
+    """Every window's result or error, in list order, from ``run(indices, X, y)``
+    on each block of ``_blocks``, which gives one result or error per window.
+
+    A block whose stacked call raises LinAlgError or NumericalFailure runs again
+    one window at a time, so that each window gets its own result or error; a
+    block of one window keeps the error it raised.
+    """
+    results: list = [None] * len(windows)
+    for block, X, y in _blocks(windows):
+        try:
+            out = run(block, X, y)
+        except (np.linalg.LinAlgError, NumericalFailure) as exc:
+            if len(block) == 1:
+                out = [exc]
+            else:
+                out = []
+                for k, i in enumerate(block):
+                    try:
+                        out += run([i], X[k : k + 1], y[k : k + 1])
+                    except (np.linalg.LinAlgError, NumericalFailure) as err:
+                        out.append(err)
+        for i, result in zip(block, out):
+            results[i] = result
+    return results
+
+
+def _raise_first(results: list, left_out: tuple[type[Exception], ...] = ()) -> list:
+    """The results, with None for each error of a ``left_out`` kind; any other
+    error raises, the first in list order."""
+    for result in results:
+        if isinstance(result, Exception) and not isinstance(result, left_out):
+            raise result
+    return [None if isinstance(result, Exception) else result for result in results]
 
 
 def _penalty(p: int, penalize_intercept: bool) -> np.ndarray:
@@ -194,7 +239,8 @@ def _fit_block(
     ``lams`` holds each window's penalty, or is None for OLS. A window whose
     fit fails gets its error in its place. A stacked LAPACK call that fails
     (non-finite input, an exactly singular X'X, a ridge system that does not
-    factor) raises LinAlgError for the block.
+    factor) raises LinAlgError for the block, unless one ridge window is left
+    to name its own error.
     """
     w, n, p = X.shape
     results: list[RegressionFit | Exception | None] = [None] * w
@@ -235,29 +281,29 @@ def _fit_block(
         penalty = _penalty(p, penalize_intercept)
         A = gram + np.array([lams[k] for k in live], dtype=float)[:, None, None] * penalty
         xty = X.mT @ y[..., None]
-        if len(live) > 1:
-            # One stacked factor: np.linalg.cholesky's upper triangle is dpotrf's, bit
-            # for bit. Non-finite input, or a window that does not factor, sends the
-            # block back one window at a time, for each window's own error.
+        try:
+            # np.linalg.cholesky's upper triangle is dpotrf's, bit for bit. Non-finite
+            # input, or a window that does not factor, fails the whole stack.
             if not (np.isfinite(A).all() and np.isfinite(xty).all()):
                 raise np.linalg.LinAlgError("non-finite input")
             factors = np.linalg.cholesky(A, upper=True)
-        else:
+        except np.linalg.LinAlgError:
+            if len(live) > 1:
+                raise
+            # One window names its failure as cho_factor, then cho_solve, would:
+            # asarray_chkfinite gives their ValueError on non-finite input, and
+            # dpotrf's info the text of an A that does not factor.
             try:
-                # One window: dpotrf's info gives cho_factor's error text, and
-                # asarray_chkfinite cho_factor's and cho_solve's ValueError on
-                # non-finite input; clean=0 leaves the lower triangle as cho_factor does.
-                factor, info = sla.lapack.dpotrf(np.asarray_chkfinite(A[0]), clean=0)
-                if info > 0:
-                    raise NumericalFailure(
-                        f"ridge solve failed: {info}-th leading minor of the array is not "
-                        "positive definite"
-                    )
-                np.asarray_chkfinite(xty[0])
-            except (NumericalFailure, ValueError) as exc:
+                info = sla.lapack.dpotrf(np.asarray_chkfinite(A[0]), clean=0)[1]
+                if info == 0:  # A factors, so X'y is what is not finite
+                    np.asarray_chkfinite(xty[0])
+                results[live[0]] = NumericalFailure(
+                    f"ridge solve failed: {info}-th leading minor of the array is not "
+                    "positive definite"
+                )
+            except ValueError as exc:
                 results[live[0]] = exc
-                return results
-            factors = [factor]
+            return results
         # One dpotrs on [X'y | I] gives b and A^-1 with the bits of two separate calls,
         # in Fortran order: row 0 of the transpose is b.
         rhs = np.concatenate((xty, np.broadcast_to(np.eye(p), A.shape)), axis=-1)
@@ -283,26 +329,13 @@ def _fit_block(
 def _fit_windows(
     problems: Sequence[RegressionProblem], lambdas: Sequence[float] | None, penalize_intercept: bool
 ) -> list[RegressionFit | Exception]:
-    """Every window's fit or error, in list order, from stacked blocks of equal shapes."""
-    results: list[RegressionFit | Exception] = [None] * len(problems)
-    for block in _shape_blocks(problem.X.shape for problem in problems):
-        X = _stack([problems[i].X for i in block])
-        y = _stack([problems[i].y for i in block])
+    """Every window's fit or error, in list order, from ``_fit_block`` on each block."""
+
+    def run(block: list[int], X: np.ndarray, y: np.ndarray) -> list[RegressionFit | Exception]:
         lams = None if lambdas is None else [lambdas[i] for i in block]
-        try:
-            fits = _fit_block(X, y, lams, penalize_intercept)
-        except np.linalg.LinAlgError:
-            # One window at a time, so that each gets its own fit or error.
-            fits = []
-            for k in range(len(block)):
-                try:
-                    one = None if lams is None else lams[k : k + 1]
-                    fits += _fit_block(X[k : k + 1], y[k : k + 1], one, penalize_intercept)
-                except np.linalg.LinAlgError as exc:
-                    fits.append(exc)
-        for i, fit in zip(block, fits):
-            results[i] = fit
-    return results
+        return _fit_block(X, y, lams, penalize_intercept)
+
+    return _by_block([(problem.X, problem.y) for problem in problems], run)
 
 
 def fit_windows(
@@ -312,33 +345,18 @@ def fit_windows(
 ) -> list[RegressionFit | None]:
     """OLS fits of the windows (``lambdas`` None), or ridge fits at one penalty each.
 
-    Windows whose designs have one shape are stacked in list order, at most
-    ``SCREEN_BLOCK`` at a time. Per block the Gram matrices, the OLS inverses,
-    the ridge Cholesky factors, the residuals, SSE and SST and the p-values
-    each come from one stacked call; ``lstsq``, whose singular values give the
-    OLS rank check, and one LAPACK ``dpotrs`` per ridge window run window by
-    window. Each fit equals the one-window fit, bit for bit (``fit_ols``,
-    ``fit_ridge``).
+    The windows run in the blocks of ``_by_block``. Per block the Gram
+    matrices, the OLS inverses, the ridge Cholesky factors (lone windows
+    included), the residuals, SSE and SST and the p-values each come from one
+    stacked call; ``lstsq``, whose singular values give the OLS rank check, and
+    one LAPACK ``dpotrs`` per ridge window run window by window. Each fit
+    equals the one-window fit, bit for bit (``fit_ols``, ``fit_ridge``).
 
     An OLS window that fails the rank check gives None. Otherwise the first
     window in list order whose fit fails raises that fit's error once every
-    block has run.
+    block has run (``_raise_first``).
     """
-    results = _fit_windows(problems, lambdas, penalize_intercept)
-    for result in results:
-        if isinstance(result, Exception) and not isinstance(result, RankDeficient):
-            raise result
-    return [None if isinstance(result, Exception) else result for result in results]
-
-
-def _one_fit(
-    problem: RegressionProblem, lambdas: list | None, penalize_intercept: bool
-) -> RegressionFit:
-    """``_fit_windows`` on one window: its fit, or its error raised."""
-    result = _fit_windows([problem], lambdas, penalize_intercept)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _raise_first(_fit_windows(problems, lambdas, penalize_intercept), (RankDeficient,))
 
 
 def fit_ols(problem: RegressionProblem) -> RegressionFit:
@@ -349,7 +367,7 @@ def fit_ols(problem: RegressionProblem) -> RegressionFit:
     from ``lstsq``'s singular values or, within a factor 2 of the cutoff or
     for non-finite X, from an SVD. The one-window case of ``fit_windows``.
     """
-    return _one_fit(problem, None, True)
+    return _raise_first(_fit_windows([problem], None, True))[0]
 
 
 def fit_ridge(
@@ -362,7 +380,7 @@ def fit_ridge(
     X'X factor. Either failure raises NumericalFailure. The one-window case
     of ``fit_windows``.
     """
-    return _one_fit(problem, [lam], penalize_intercept)
+    return _raise_first(_fit_windows([problem], [lam], penalize_intercept))[0]
 
 
 def nested_coefficients(
@@ -443,9 +461,7 @@ def nested_adj_r2(
     adj_r2 = np.zeros((len(problems), depth))
     kept = np.zeros((len(problems), depth), dtype=bool)
     rest = []
-    for block in _shape_blocks(problem.X.shape for problem in problems):
-        X = _stack([problems[i].X for i in block])
-        y = _stack([problems[i].y for i in block])
+    for block, X, y in _blocks([(problem.X, problem.y) for problem in problems]):
         B, ok = nested_coefficients(X, y, lam, penalize_intercept)
         rest += [i for i, nests in zip(block, ok) if not nests]
         if not ok.any():
@@ -626,12 +642,12 @@ def _screen_cv_errors(
 
 def _search_block(
     X: np.ndarray, y: np.ndarray, folds: int, grid: np.ndarray, penalize_intercept: bool
-) -> list[LambdaSearch | NumericalError]:
+) -> list[LambdaSearch | NumericalFailure]:
     """The penalty searches of a stack of windows, X (windows x rows x p) and y (windows x rows).
 
-    One stacked solve scores every penalty left open in the block; if it fails,
-    each window is scored on its own, and a window whose search fails gets its
-    error in its place.
+    One stacked solve scores every penalty left open in the block, and raises
+    NumericalFailure for the block if it fails. A window whose cross-validation
+    error is not finite gets NumericalFailure in its place.
     """
     grams, xtys, val_rows = [], [], []
     for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
@@ -656,37 +672,25 @@ def _search_block(
     # grid[0] for a flat window, whose coefficients are zero at every penalty.
     rescore = candidates & ~lone[:, None]
     rescore[~live, 1:] = False
-
-    def score(mask: np.ndarray) -> None:
-        """Exact scores into cv_errors for the penalties ``mask`` (windows x grid) selects."""
-        rows = np.flatnonzero(mask.any(axis=1))
-        pairs = np.nonzero(mask[rows])
-        counts = mask[rows].sum(axis=1)
+    if rescore.any():
+        # Each scoring window's penalties fill its leading slots; NaN pads the rest.
+        rows = np.flatnonzero(rescore.any(axis=1))
+        pairs = np.nonzero(rescore[rows])
+        counts = rescore[rows].sum(axis=1)
         filled = np.arange(counts.max()) < counts[:, None]
         lambdas = np.full(filled.shape, np.nan)
         lambdas[filled] = grid[pairs[1]]
         inputs = (gram, xty, val_rows) if len(rows) == windows else _take(gram, xty, val_rows, rows)
         scores = _exact_cv_errors(*inputs, lambdas, penalize_intercept)
         cv_errors[rows[pairs[0]], pairs[1]] = scores[filled]
-
-    searches: list[LambdaSearch | NumericalError] = [None] * windows
-    try:
-        if rescore.any():
-            score(rescore)
-    except NumericalFailure:
-        for w in np.flatnonzero(rescore.any(axis=1)):
-            try:
-                score(rescore & (np.arange(windows) == w)[:, None])
-            except NumericalError as exc:
-                searches[w] = exc
     cv_errors[~live] = cv_errors[~live, :1]  # grid[0]'s score is every penalty's
     # The first argmin of the exact scores among each window's candidates.
     best = np.where(candidates, cv_errors, np.inf).argmin(axis=1)
     finite = np.isfinite(cv_errors).all(axis=1)
     failure = NumericalFailure("non-finite cross-validation error encountered")
     return [
-        search or (LambdaSearch(grid, cv_errors[w], float(grid[best[w]])) if finite[w] else failure)
-        for w, search in enumerate(searches)
+        LambdaSearch(grid, cv_errors[w], float(grid[best[w]])) if finite[w] else failure
+        for w in range(windows)
     ]
 
 
@@ -753,15 +757,17 @@ def select_lambdas(
 ) -> list[LambdaSearch]:
     """``select_lambda`` on each (X, y) window, screened in stacked blocks of windows.
 
-    Windows whose designs have one shape (so one row count and one set of
-    folds) are stacked in list order, at most ``SCREEN_BLOCK`` at a time. One
-    set of stacked calls gives every window of a block its training-fold
-    X'X and X'y, their eigendecompositions, the screened scores, the bounds
-    and the exact scores of every penalty the screens leave open.
-    Every search equals ``select_lambda`` on its window alone, bit for bit.
-    A window too short for its folds raises TooFewRows before any search
-    runs; otherwise the first window in list order whose search fails
-    raises that search's error once every block has run.
+    The windows run in the blocks of ``_by_block``: windows whose designs have
+    one shape (so one row count and one set of folds), in list order, at most
+    ``SCREEN_BLOCK`` at a time. One set of stacked calls gives every window of
+    a block its training-fold X'X and X'y, their eigendecompositions, the
+    screened scores, the bounds and the exact scores of every penalty the
+    screens leave open. A block whose exact solve fails is searched again one
+    window at a time. Every search equals ``select_lambda`` on its window
+    alone, bit for bit. A window too short for its folds raises TooFewRows
+    before any search runs; otherwise the first window in list order whose
+    search fails raises that search's error once every block has run
+    (``_raise_first``).
     """
     grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
     for X, _ in windows:
@@ -770,16 +776,9 @@ def select_lambdas(
             raise TooFewRows(
                 f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
             )
-    searches: list[LambdaSearch | NumericalError] = [None] * len(windows)
-    for block in _shape_blocks(X.shape for X, _ in windows):
-        X = _stack([windows[i][0] for i in block])
-        y = _stack([windows[i][1] for i in block])
-        for i, search in zip(block, _search_block(X, y, folds, grid, penalize_intercept)):
-            searches[i] = search
-    for search in searches:
-        if isinstance(search, NumericalError):
-            raise search
-    return searches
+    return _raise_first(
+        _by_block(windows, lambda _, X, y: _search_block(X, y, folds, grid, penalize_intercept))
+    )
 
 
 @dataclass

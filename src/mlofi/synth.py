@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import CODE_ARRIVAL, CODE_CANCEL_FULL, CODE_EXECUTION_VISIBLE
+from .book import ASK_ABSENT, CODE_ARRIVAL, CODE_CANCEL_FULL, CODE_EXECUTION_VISIBLE
 from .errors import BadValue, ConfigError
 from .lobster import NS, DaySlice, EventColumns, SessionConfig
 from .sampling import RegressionProblem
@@ -158,10 +158,14 @@ def generate_zi_day(
     rows: list[tuple[int, int, int, int, int, int]] = []  # ts, code, id, size, price, side
     next_id = 1
 
-    # Seed a symmetric book at the session open (baseline events).
+    # Seed a symmetric book at the session open (baseline events). A price off
+    # the grid, below one tick or at the absent-ask sentinel and above, is
+    # suppressed here and in the arrival loop.
     t0 = session.start_ns
     for j in range(1, params.price_band + 1):
         for side, price in ((1, params.initial_mid - j * tick), (-1, params.initial_mid + j * tick)):
+            if not tick <= price < ASK_ABSENT:
+                continue
             rows.append((t0, CODE_ARRIVAL, next_id, params.seed_depth, price, side))
             mirror.add(next_id, side, price, params.seed_depth)
             next_id += 1
@@ -197,8 +201,8 @@ def generate_zi_day(
                 opp_best = mirror.best(1)
                 anchor = opp_best if opp_best is not None else last_best[1]
                 price = anchor + offset
-            if price < tick:
-                continue  # off the grid; arrival suppressed
+            if not tick <= price < ASK_ABSENT:
+                continue
             size = draw_size()
             rows.append((ts, CODE_ARRIVAL, next_id, size, price, side))
             mirror.add(next_id, side, price, size)

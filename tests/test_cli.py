@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlofi.book import ASK_ABSENT
 from mlofi.cli import main, parse_config_file
 from mlofi.errors import ConfigError
 from mlofi.evaluation import fit_all_windows, significance_summary
@@ -135,6 +136,22 @@ def test_synth_then_compute_roundtrip(tmp_path):
     assert len(rows) > 100
     dates = {r[0] for r in rows[1:]}
     assert dates == {"2016-01-04", "2016-01-05"}
+
+
+# A tick of 200000 put seeded bids at zero and below, one of 2e9 seeded asks past
+# the absent-ask sentinel: compute crashed on such a day, and synth wrote
+# message files that compute refused.
+@pytest.mark.parametrize("tick", [200_000, 2_000_000_000])
+def test_a_coarse_tick_keeps_every_synthetic_price_on_the_grid(tmp_path, tick):
+    args = ["--session-end", "10:30", "--DT", "300", "--tick", str(tick)]
+    assert run_cli("synth", "--synth-days", "1", *args, "--out", str(tmp_path / "fx")) == 0
+    messages = list((tmp_path / "fx").glob("*_message_*.csv"))
+    assert all(tick <= int(row[4]) < ASK_ABSENT for row in read_csv(messages[0]))
+    assert run_cli("compute", "--synth-days", "1", *args, "--out", str(tmp_path / "a")) == 0
+    assert run_cli("compute", "--messages", str(messages[0]), *args,
+                   "--out", str(tmp_path / "b")) == 0
+    samples = [(tmp_path / out / "samples.csv").read_bytes() for out in ("a", "b")]
+    assert samples[0] == samples[1]
 
 
 def test_fit_single_window_table_matches_fit(tmp_path):

@@ -157,16 +157,25 @@ def test_ridge_equals_cho_factor_oracle(n_extra, p, seed, collinear, lam, penali
 
 
 @pytest.mark.parametrize(
-    "column, value, error",
-    [(0, 0.0, NumericalFailure), (2, np.nan, ValueError), (1, np.inf, ValueError)],
+    "column, value, y_first, error",
+    [
+        (0, 0.0, None, NumericalFailure),
+        (0, 0.0, np.inf, NumericalFailure),
+        (2, np.nan, None, ValueError),
+        (1, np.inf, None, ValueError),
+    ],
 )
-def test_ridge_failure_text_equals_cho_factor_oracle(column, value, error):
-    # A zero intercept column left unpenalized has no Cholesky factor; a
-    # non-finite design is refused before factoring, as cho_factor refuses it.
+def test_ridge_failure_text_equals_cho_factor_oracle(column, value, y_first, error):
+    # A zero intercept column left unpenalized has no Cholesky factor, and that
+    # failure comes before a non-finite X'y is refused; a non-finite design is
+    # refused before factoring, as cho_factor refuses it.
     rng = np.random.default_rng(9)
     X = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
     X[:, column] = value
-    problem = make_problem(X, rng.standard_normal(30))
+    y = rng.standard_normal(30)
+    if y_first is not None:
+        y[0] = y_first
+    problem = make_problem(X, y)
     with np.errstate(invalid="ignore"), pytest.raises(error) as expected:
         oracle_fit_ridge(problem, 1.0, penalize_intercept=False)
     text = f"^{re.escape(str(expected.value))}$"
@@ -580,8 +589,8 @@ def exact_solves(windows):
 def test_select_lambdas_scores_a_block_in_one_solve_or_a_failing_one_window_by_window():
     # The screen leaves penalties open in several windows of one block: one
     # stacked solve scores them all. A window whose exact solve fails though its
-    # screen is finite fails that solve; each window that scores a penalty is
-    # then scored on its own, and only the failing one raises.
+    # screen is finite fails that solve; each window of the block is then
+    # searched on its own, and only the failing one raises.
     rng = np.random.default_rng(14)
     windows = [search_window(rng, 60, 4, "duplicate") for _ in range(4)]
     searches, calls = exact_solves(windows)

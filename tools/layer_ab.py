@@ -23,42 +23,36 @@ opposite order to the rep before, and times on each side:
 - ``book``: a bare loop of ``BookState.apply`` over the side's own parsed
   events as ``LobEvent``s, per event;
 - ``book fields``: a bare loop of ``BookState.apply_fields`` over the side's
-  own parsed event columns as Python ints, per event, on a side that has
-  them: the pass that finds the error of a day the book contradicts;
+  own parsed event columns as Python ints, per event: the pass that finds
+  the error of a day the book contradicts;
 - ``replay 1800/10`` and ``replay 60/1``: ``compute_day_samples`` at 10
   levels on the 30-minute/10-second grid (evaluate's default) and on the
   1-minute/1-second grid, per event;
 - ``replay exact 1800/10``: ``compute_day_samples`` on the 30-minute grid
-  on the day with its columns as object arrays of Python ints, per event, on
-  a side whose days have columns: the cost of a day whose values leave
-  int64 (before the columnar replay took such days, the event loop replayed
-  them); its output must equal ``replay 1800/10``'s;
+  on the day with its columns as object arrays of Python ints, per event: the
+  cost of a day whose values leave int64; its output must equal
+  ``replay 1800/10``'s;
 - ``replay big ids 1800/10``: the same on the day with its order ids plus
-  10**19, an object column past int64 beside five int64 ones, on a side whose
-  days have columns; its output must equal ``replay 1800/10``'s;
+  10**19, an object column past int64 beside five int64 ones; its output
+  must equal ``replay 1800/10``'s;
 - ``replay error 1800/10``: ``compute_day_samples`` on the third file's day
   on the 30-minute grid, until it raises the book's error, per event of
   that day; both sides must raise the same error;
 - ``select 60/1``: the penalty search (default grid, 5 folds) of every
   1-minute window with enough rows for its own search, as per-window ridge
-  runs it: one ``select_lambdas`` call where the side has it, else
-  ``select_lambda`` window by window; per window;
+  runs it: one ``select_lambdas`` call; per window;
 - ``select 60/1 free``: the same with a free intercept
   (``penalize_intercept=False``, the CLI's ``--no-penalize-intercept``);
-- ``assemble 60/1``: ``assemble_problems`` on the 1-minute grid's replay,
-  from its interval columns where the side has them, else from its samples;
-  per interval;
+- ``assemble 60/1``: ``assemble_problems`` on the 1-minute grid's replay
+  intervals; per interval;
 - ``fit 60/1 ols``: OLS of every 1-minute window at 10 levels, as per-window
-  ridge fits them: one ``fit_windows`` call where the side has it, else
-  ``fit_ols`` window by window; per fit;
+  ridge fits them: one ``fit_windows`` call; per fit;
 - ``fit 60/1 ridge``: ridge of every searched window at its own penalty from
-  ``select 60/1``: one ``fit_windows`` call where the side has it, else
-  ``fit_ridge`` window by window; per fit;
+  ``select 60/1``: one ``fit_windows`` call; per fit;
 - ``curves 1800/10``: evaluate's R^2 and RMSE curve step on the 30-minute
   grid's windows at 10 levels, OLS and ridge at the pooled penalty, given
-  the depth-10 fits as ``run_evaluation`` has them from its tables: the
-  nested ``adjusted_r2_curve`` where the side has ``nested_adj_r2``, else one
-  ``fit_all_windows`` call per shallower depth, and ``rmse_curve``; per call.
+  the depth-10 fits as ``run_evaluation`` has them from its tables:
+  ``adjusted_r2_curve`` and ``rmse_curve``; per call.
 
 It prints per layer and side the median microseconds per row, event or
 interval (milliseconds per window for ``select``, per fit for ``fit``, per
@@ -122,19 +116,13 @@ def timed(fn, *args) -> tuple[float, object]:
 
 
 def column_values(day) -> list[list[int]]:
-    """``day``'s event columns as lists of Python ints, whether the side keeps
-    them as arrays or as lists."""
-    return [column.tolist() if hasattr(column, "tolist") else list(column)
-            for column in day.columns]
+    """``day``'s event columns as lists of Python ints."""
+    return [column.tolist() for column in day.columns]
 
 
 def event_tuples(day) -> list[tuple]:
-    """``day``'s events as plain values, comparable across the two packages:
-    from its columns where the side has them, else from its events."""
-    if hasattr(day, "columns"):
-        return list(zip(*column_values(day)))
-    return [(e.timestamp_ns, e.kind.value, e.order_id, e.size, e.price, e.side.value)
-            for e in day.events]
+    """``day``'s events as plain values, comparable across the two packages."""
+    return list(zip(*column_values(day)))
 
 
 def replay_output(comp) -> tuple:
@@ -171,14 +159,13 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
         for ev in events:
             apply(ev)
 
-    us["book"], _ = timed(apply_all, day.events)
-    if hasattr(day, "columns"):
-        def apply_fields_all(columns):
-            apply = book.BookState().apply_fields
-            for _, code, order_id, size, price, direction in zip(*columns):
-                apply(code, order_id, size, price, direction)
+    def apply_fields_all(columns):
+        apply = book.BookState().apply_fields
+        for _, code, order_id, size, price, direction in zip(*columns):
+            apply(code, order_id, size, price, direction)
 
-        us["book fields"], _ = timed(apply_fields_all, column_values(day))
+    us["book"], _ = timed(apply_all, day.events)
+    us["book fields"], _ = timed(apply_fields_all, column_values(day))
     outputs = [events, zi_columns]
     replays = {}
     for window, sub in GRIDS:
@@ -188,18 +175,17 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
         us[f"replay {window}/{sub}"] = seconds
         replays[window, sub] = grid, comp
         outputs.append(replay_output(comp))
-    if hasattr(day, "columns"):
-        grid, comp = replays[1800, 10]
-        columns = day.columns
-        big_ids = np.array([i + 10**19 for i in columns.order_ids.tolist()], object)
-        for layer, changed in (
-                ("replay exact 1800/10", type(columns)(*(c.astype(object) for c in columns))),
-                ("replay big ids 1800/10", columns._replace(order_ids=big_ids))):
-            us[layer], other = timed(imbalance.compute_day_samples,
-                                     dataclasses.replace(day, columns=changed),
-                                     grid.boundaries_ns, grid.n_sub, LEVELS)
-            if replay_output(other) != replay_output(comp):
-                raise SystemExit(f"{layer} replays the day differently from replay 1800/10")
+    grid, comp = replays[1800, 10]
+    columns = day.columns
+    big_ids = np.array([i + 10**19 for i in columns.order_ids.tolist()], object)
+    for layer, changed in (
+            ("replay exact 1800/10", type(columns)(*(c.astype(object) for c in columns))),
+            ("replay big ids 1800/10", columns._replace(order_ids=big_ids))):
+        us[layer], other = timed(imbalance.compute_day_samples,
+                                 dataclasses.replace(day, columns=changed),
+                                 grid.boundaries_ns, grid.n_sub, LEVELS)
+        if replay_output(other) != replay_output(comp):
+            raise SystemExit(f"{layer} replays the day differently from replay 1800/10")
     times = {k: v * 1e6 / n for k, v in us.items()}
     times["synth"] = synth_seconds * 1e6 / len(zi_columns[1][0])
     error_day = lobster.parse_message_file(message_files[2], session, date)
@@ -216,8 +202,7 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
     times["replay error 1800/10"] = seconds * 1e6 / len(event_tuples(error_day))
     outputs.append(error)
     grid, comp = replays[60, 1]
-    intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
-    seconds, problems = timed(sampling.assemble_problems, intervals, grid, LEVELS,
+    seconds, problems = timed(sampling.assemble_problems, comp.intervals, grid, LEVELS,
                               session.tick_size, date)
     times["assemble 60/1"] = seconds * 1e6 / (grid.n_windows * grid.n_sub)
     outputs.append([(p.window_index, p.X.tobytes(), p.y.tobytes()) for p in problems])
@@ -225,12 +210,8 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
     searched = [p for p in problems if p.n_rows >= min_rows]
 
     def select_all(penalize_intercept):
-        if hasattr(inference, "select_lambdas"):
-            searches = inference.select_lambdas([(p.X, p.y) for p in searched], FOLDS, None,
-                                                penalize_intercept)
-        else:
-            searches = [inference.select_lambda(p.X, p.y, FOLDS, None, penalize_intercept)
-                        for p in searched]
+        searches = inference.select_lambdas([(p.X, p.y) for p in searched], FOLDS, None,
+                                            penalize_intercept)
         return [s.lambda_hat for s in searches]
 
     lambdas = []
@@ -239,47 +220,23 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
         times[layer] = seconds * 1e3 / len(searched)
         lambdas.extend(chosen)
 
-    def fit_ols():
-        if hasattr(inference, "fit_windows"):
-            return inference.fit_windows(problems)
-        fits = []
-        for p in problems:
-            try:
-                fits.append(inference.fit_ols(p))
-            except inference.RankDeficient:
-                fits.append(None)
-        return fits
-
-    def fit_ridge(window_lambdas):
-        if hasattr(inference, "fit_windows"):
-            return inference.fit_windows(searched, window_lambdas)
-        return [inference.fit_ridge(p, lam) for p, lam in zip(searched, window_lambdas)]
-
-    for layer, fit, args in (("fit 60/1 ols", fit_ols, ()),
-                             ("fit 60/1 ridge", fit_ridge, (lambdas[:len(searched)],))):
-        seconds, fits = timed(fit, *args)
+    for layer, args in (("fit 60/1 ols", (problems,)),
+                        ("fit 60/1 ridge", (searched, lambdas[:len(searched)]))):
+        seconds, fits = timed(inference.fit_windows, *args)
         times[layer] = seconds * 1e3 / len(fits)
         outputs.append([fit_bits(fit) for fit in fits])
 
     grid, comp = replays[1800, 10]
-    intervals = comp.intervals if hasattr(comp, "intervals") else comp.samples
-    problems = sampling.assemble_problems(intervals, grid, LEVELS, session.tick_size, date)
-    rows = evaluation.pool_rows(problems, LEVELS)
-    lam = inference.select_lambda(*rows, FOLDS).lambda_hat
+    problems = sampling.assemble_problems(comp.intervals, grid, LEVELS, session.tick_size, date)
+    lam = inference.select_lambda(*evaluation.pool_rows(problems, LEVELS), FOLDS).lambda_hat
     methods = (evaluation.OLS, evaluation.RIDGE)
     deep = {m: evaluation.fit_all_windows(problems, m, LEVELS, lam)[0] for m in methods}
 
     def curves():
         values = []
         for method in methods:
-            if hasattr(inference, "nested_adj_r2"):
-                r2 = evaluation.adjusted_r2_curve(problems, method, deep[method], lam)
-                rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam, True, rows)
-            else:
-                r2 = evaluation.adjusted_r2_curve(
-                    [evaluation.fit_all_windows(problems, method, m, lam)[0]
-                     for m in range(1, LEVELS)] + [deep[method]])
-                rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam)
+            r2 = evaluation.adjusted_r2_curve(problems, method, deep[method], lam)
+            rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam)
             values += r2 + [v for p in rmse for v in (p.in_sample, p.out_sample)]
         return values
 
