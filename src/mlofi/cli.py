@@ -145,17 +145,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # Every subcommand takes the same options, added once and shared.
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="key = value config file")
+    for key, flags, kind, default, doc in _OPTIONS:
+        if kind is bool:
+            action = "store_false" if default else "store_true"
+            options.add_argument(*flags, dest=key, action=action, default=None, help=doc)
+        else:
+            options.add_argument(*flags, dest=key, default=None, help=doc)
     parser = _Parser(prog="mlofi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value config file")
-        for key, flags, kind, default, doc in _OPTIONS:
-            if kind is bool:
-                action = "store_false" if default else "store_true"
-                p.add_argument(*flags, dest=key, action=action, default=None, help=doc)
-            else:
-                p.add_argument(*flags, dest=key, default=None, help=doc)
+        sub.add_parser(name, help=help_text, parents=[options])
     return parser
 
 

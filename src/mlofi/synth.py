@@ -65,12 +65,15 @@ class ZiParams:
 
 
 class _MirrorBook:
-    """Generator-side book with FIFO queues so executions pick real orders."""
+    """Generator-side book with FIFO queues so executions pick real orders.
+
+    Each level's queue is an insertion-ordered dict of order id -> size, so a
+    cancel finds its order without scanning the queue."""
 
     def __init__(self):
-        self.queues: dict[tuple[int, int], list[list[int]]] = {}  # (side,price) -> [[id,sz]]
+        self.queues: dict[tuple[int, int], dict[int, int]] = {}  # (side,price) -> {id: sz}
         self.prices: dict[int, list[int]] = {1: [], -1: []}  # sorted ascending
-        self.orders: dict[int, tuple[int, int, int]] = {}  # id -> (side, price, size)
+        self.orders: dict[int, tuple[int, int]] = {}  # id -> (side, price)
         self.depth: dict[int, int] = {1: 0, -1: 0}
         self.live_ids: list[int] = []
         self.live_pos: dict[int, int] = {}
@@ -84,10 +87,10 @@ class _MirrorBook:
     def add(self, order_id: int, side: int, price: int, size: int) -> None:
         key = (side, price)
         if key not in self.queues:
-            self.queues[key] = []
+            self.queues[key] = {}
             insort(self.prices[side], price)
-        self.queues[key].append([order_id, size])
-        self.orders[order_id] = (side, price, size)
+        self.queues[key][order_id] = size
+        self.orders[order_id] = (side, price)
         self.depth[side] += size
         self.live_pos[order_id] = len(self.live_ids)
         self.live_ids.append(order_id)
@@ -107,12 +110,8 @@ class _MirrorBook:
             prices.pop(bisect_left(prices, price))
 
     def cancel(self, order_id: int) -> tuple[int, int, int]:
-        side, price, size = self.orders[order_id]
-        q = self.queues[(side, price)]
-        for i, entry in enumerate(q):
-            if entry[0] == order_id:
-                q.pop(i)
-                break
+        side, price = self.orders[order_id]
+        size = self.queues[(side, price)].pop(order_id)
         self._drop_level_if_empty(side, price)
         self._drop_order(order_id)
         self.depth[side] -= size
@@ -130,19 +129,17 @@ class _MirrorBook:
             if best is None:
                 break
             q = self.queues[(side, best)]
-            oid, sz = q[0]
+            oid, sz = next(iter(q.items()))
             take = min(sz, remaining)
             fills.append((oid, best, take))
             remaining -= take
             self.depth[side] -= take
             if take == sz:
-                q.pop(0)
+                del q[oid]
                 self._drop_order(oid)
                 self._drop_level_if_empty(side, best)
             else:
-                q[0][1] = sz - take
-                s, p, old = self.orders[oid]
-                self.orders[oid] = (s, p, old - take)
+                q[oid] = sz - take
         return fills
 
 

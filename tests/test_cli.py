@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,69 @@ def test_config_file_equals_flags(tmp_path, monkeypatch, source):
     assert len(from_file.fit.lambda_grid) == 7
     assert not from_file.session.exclude_hidden and not from_file.fit.penalize_intercept
     assert (from_file.zi.price_band, from_file.zi.seed, from_file.levels) == (5, 17, 4)
+
+
+@pytest.mark.parametrize("command", ["synth", "compute", "fit", "evaluate"])
+def test_every_subcommands_help_lists_every_option(capsys, command):
+    from mlofi.cli import _OPTIONS
+
+    with pytest.raises(SystemExit):
+        run_cli(command, "-h")
+    text = capsys.readouterr().out
+    for flag in ("--config", *(f for _, flags, *_ in _OPTIONS for f in flags)):
+        assert f" {flag}" in text
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Prints the thread caps in effect when numpy is first imported, then runs
+#: the entry point named by argv[1] on ``--help``.
+WATCH_NUMPY = """
+import importlib.abc, json, os, runpy, sys
+from mlofi.__main__ import THREAD_CAPS
+class Watch(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "numpy":
+            print(json.dumps({k: os.environ.get(k) for k in THREAD_CAPS}))
+            sys.meta_path.remove(self)
+sys.meta_path.insert(0, Watch())
+entry, sys.argv = sys.argv[1], ["mlofi", "--help"]
+if entry == "module":
+    runpy.run_module("mlofi", run_name="__main__")
+elif entry == "script":
+    from mlofi.__main__ import main
+    sys.exit(main())
+else:
+    import mlofi.cli
+"""
+
+
+def caps_at_numpy_import(entry, **env):
+    from mlofi.__main__ import THREAD_CAPS
+
+    environ = {k: v for k, v in os.environ.items() if k not in THREAD_CAPS}
+    proc = subprocess.run([sys.executable, "-c", WATCH_NUMPY, entry],
+                          env={**environ, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[0])
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_the_entry_point_caps_the_thread_pools_before_numpy_loads(entry):
+    # python -m mlofi runs the module; the console script calls its main().
+    assert set(caps_at_numpy_import(entry).values()) == {"1"}
+    caps = caps_at_numpy_import(entry, OPENBLAS_NUM_THREADS="2")
+    assert caps.pop("OPENBLAS_NUM_THREADS") == "2"
+    assert set(caps.values()) == {"1"}
+
+
+def test_importing_the_cli_sets_no_thread_cap():
+    caps = caps_at_numpy_import("library")
+    assert set(caps.values()) == {None}
+
+
+def test_the_console_script_is_the_entry_point():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\nmlofi = "mlofi.__main__:main"\n' in text
 
 
 def test_per_window_grid_too_short_exits_1(tmp_path):

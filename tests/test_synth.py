@@ -42,6 +42,16 @@ def test_seed_42s_day_writes_the_message_file_it_always_has(tmp_path):
             "cb75675c20c7c20e0ae235ef0b10645500d6eb89212c8b69bf8bac9381a90e45")
 
 
+def test_a_high_rate_days_message_file_is_pinned(tmp_path):
+    # 68,448 events whose price levels hold long queues, so that cancels
+    # deep in a queue and fills at its head both run many times.
+    day = generate_zi_day(ZiParams(limit_rate=5, seed=42), SHORT)
+    path = tmp_path / "messages.csv"
+    write_message_file(path, day.columns)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8becc9623126a08fee2b34fb0b976d259529b4b2f22f4cc527a0dcb6a417a5b5")
+
+
 def test_small_session_replays_cleanly():
     day = generate_zi_day(ZiParams(limit_rate=0.02, market_rate=0.05, seed=1), SHORT)
     assert len(day.events) > 0
