@@ -814,16 +814,14 @@ def test_columnar_parse_equals_the_row_loop(tmp_path_factory, file, exclude_hidd
     # LF files of valid rows in time order take the columnar path unless a
     # row is longer than the read buffer (48 bytes is shorter than some); the
     # rest hold canonical rows and others, in LF, CRLF or mixed line ends.
-    text, columnar = file
-    columnar = columnar and max(map(len, text.splitlines(keepends=True))) <= block
+    text, valid = file
+    columnar = valid and max(map(len, text.splitlines(keepends=True))) <= block
     tmp = tmp_path_factory.getbasetemp()
     path = write(tmp, text, "property_message.csv")
     orderbook = write(tmp, ROW_1 * 3, "property_orderbook.csv") if seeded else None
     config = SessionConfig(exclude_hidden=exclude_hidden)
     with mock.patch.object(lobster, "_BLOCK", block):
-        if columnar:
-            assert lobster._parse_columns(path, config) is not None
-        elif file[1]:
-            assert lobster._parse_columns(path, config) is None
+        if valid:
+            assert (lobster._parse_columns(path, config) is not None) is columnar
         assert as_values(parse_outcome(path, config, orderbook)) == as_values(
             row_loop_outcome(path, config, orderbook))
