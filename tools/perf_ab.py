@@ -1,15 +1,14 @@
 """Paired perfbench runs of a git revision against the working tree.
 
-Usage: python tools/perf_ab.py REV [--workloads W,...] [--pairs 10]
-       [--seconds S] > BENCH.json
+Usage: python tools/perf_ab.py REV [--pairs 10] > BENCH.json
 
 Extracts ``git archive REV`` into a temporary directory. For each of
-``--pairs`` pairs and each workload (default: those ``BENCHMARK.json``
-lists), it runs ``python3 perfbench/run.py --workload W --seed 0
---seconds S --trace 0`` once in REV's tree and once in the working tree,
-each side with its own ``perfbench/`` and its own ``.perfbench/`` inputs,
-the side that runs first alternating from pair to pair, so that a slow
-spell of the shared host lands on both sides alike. Every run must exit 0
+``--pairs`` pairs and each workload ``BENCHMARK.json`` lists, it runs
+``python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 0``,
+with S the benchmark's ``run_seconds``, once in REV's tree and once in the
+working tree, each side with its own ``perfbench/`` and its own
+``.perfbench/`` inputs, the side that runs first alternating from pair to
+pair, so that a slow spell of the shared host lands on both sides alike. Every run must exit 0
 and print ``correct: true``, or the tool exits 1.
 
 It prints one JSON record in a fixed schema: per workload and end-to-end
@@ -91,20 +90,18 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
-    parser.add_argument("--workloads", help="comma-separated; default BENCHMARK.json's")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     record = {
         "schema": SCHEMA,
         "rev": args.rev, "rev_commit": git("rev-parse", args.rev),
         "work_commit": git("rev-parse", "HEAD"),
         "work_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "command": f"python3 perfbench/run.py --workload W --seed 0 --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed 0 --seconds {seconds:g} "
                    "--trace 0",
         "pairs": args.pairs,
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -122,7 +119,7 @@ def main(argv: list[str]) -> int:
             for workload in workloads:
                 for side in order:
                     runs[workload][side].append(
-                        perfbench(trees[side], workload, args.seconds))
+                        perfbench(trees[side], workload, seconds))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
             order.reverse()
     record["environment"]["loadavg_end"] = os.getloadavg()
