@@ -23,18 +23,15 @@ Timestamps are handled as exact integer nanoseconds throughout.
 A canonical message file is tokenized as columns instead. Its every line is
 ``S.F,C,O,Z,P,D`` and LF: 1-9 digits on each side of the time's ``.``,
 integers of 1-18 digits with an optional leading ``-``, no padding, so
-every value and step fits an int64. The file is read into one reused
-buffer of ``_BLOCK`` bytes; numpy tokenizes the buffer's whole rows (so the
-temporaries stay small beside the events), checks the values and the time
-order as the row loop does, filters by session and hidden executions, and
-the partial row left over moves to the buffer's front for the next read.
-The kept rows of all blocks join into the day's ``EventColumns``, six int64
-arrays that share no memory with the buffer, with no object per row. Any
+every value and step fits an int64. numpy reads it a block of lines at a
+time (``_BLOCK`` bytes, so a block's temporaries stay in a core's cache),
+checks the values and the time order as the row loop does, filters by
+session and hidden executions, and joins the kept rows of all blocks into
+the day's ``EventColumns``, six int64 arrays, with no object per row. Any
 other file (CR line ends, blank lines, padding, non-ASCII bytes, a missing
-final newline, a row longer than the buffer) or any row that fails a check
-sends the whole file to the row loop, which reads it again from the start
-and keeps the grammar, every error and its line: both ways give the same
-``DaySlice``, columns and all.
+final newline) or any row that fails a check sends the whole file to the
+row loop, which reads it again from the start and keeps the grammar, every
+error and its line: both ways give the same ``DaySlice``, columns and all.
 The row loop converts its rows to the same int64 columns once; a column
 holding a value outside int64, which only its grammar admits, stays Python
 ints in an object array. Its ``events`` builds ``LobEvent``s only when read.
@@ -308,15 +305,15 @@ def _parse_lines(
 _SEPARATORS = np.frombuffer(b".,,,,,\n", np.uint8)
 _MAX_DIGITS = (9, 9, 18, 18, 18, 18, 18)
 _POW10 = 10 ** np.arange(10, dtype=np.int64)
-#: Bytes of the buffer a message file is read into, far above the longest
+#: Bytes of a message file tokenized at a time, far above the longest
 #: canonical row (120 bytes). A block's temporaries take about 4x its size,
 #: which past 256 KiB outgrows a 2 MiB per-core L2 cache: on a 34,983-row day
-#: parse took 11-13 ms at 256 KiB, 16-21 ms at 64 KiB and 15 ms at 1 MiB,
-#: with traced peaks of 2.8, 2.0 and 5.2 MiB (2-vCPU Xeon VM).
+#: parse took 11 ms at 256 KiB, 16 ms at 64 KiB and 16 ms at 1 MiB (medians
+#: of 40), with traced peaks of 3.0, 2.0 and 6.2 MiB (2-vCPU Xeon VM).
 _BLOCK = 1 << 18
 
 
-def _tokenize(data: bytes | memoryview) -> list[np.ndarray] | None:
+def _tokenize(data: bytes) -> list[np.ndarray] | None:
     """The seven fields of every row of ``data`` as int64 columns (seconds,
     fraction in nanoseconds, type code, order id, size, price, direction),
     or None unless every line of ``data`` is a canonical row."""
@@ -359,7 +356,7 @@ def _tokenize(data: bytes | memoryview) -> list[np.ndarray] | None:
     return None if n_minus else columns
 
 
-def _canonical_columns(data: bytes | memoryview) -> list[np.ndarray] | None:
+def _canonical_columns(data: bytes) -> list[np.ndarray] | None:
     """``data``'s rows as int64 columns (timestamp in nanoseconds, type code,
     order id, size, price, direction), halts normalized as
     ``parse_message_row`` does, or None unless every line is a canonical row
@@ -386,18 +383,15 @@ def _parse_columns(path: Path, config: SessionConfig):
     blocks: list[list[np.ndarray]] = [[] for _ in EventColumns._fields]
     skipped: list[int] = []
     first, before, n_rows, last_ts = None, 0, 0, -1
-    # Each block is read in after the partial row that ended the one before.
-    buf = bytearray(_BLOCK)
-    view = memoryview(buf)
-    tail = 0
+    tail = b""
     with open(path, "rb") as fh:
-        while got := fh.readinto(view[tail:]):
-            filled = tail + got
-            cut = buf.rfind(b"\n", 0, filled) + 1
-            if not cut:  # a row as long as the buffer, or a last row with no LF
+        while chunk := fh.read(_BLOCK):
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1
+            if not cut:  # no LF in a block: no canonical row is that long
                 return None
-            # Every column is computed from the block, none is a view of it.
-            columns = _canonical_columns(view[:cut])
+            block, tail = block[:cut], block[cut:]
+            columns = _canonical_columns(block)
             if columns is None or columns[0][0] < last_ts:
                 return None
             ts, code = columns[0], columns[1]
@@ -414,8 +408,6 @@ def _parse_columns(path: Path, config: SessionConfig):
             if first is None:
                 first = tuple(c[0].item() for c in columns)
             n_rows += len(ts)
-            tail = filled - cut
-            view[:tail] = view[cut:filled]
     if tail or first is None:
         return None
     # Each column's blocks go as soon as it is joined.
