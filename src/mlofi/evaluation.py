@@ -3,11 +3,12 @@
 ``fit`` and ``evaluate`` share one pipeline: ``assemble_windows`` turns the
 days into sorted per-window problems and ``fit_tables`` selects the pooled
 penalty and builds the significance tables, which ``fit`` writes as they
-are. ``run_evaluation`` takes the seasonality profile and the R^2 curve's
-depth M from the tables' depth-M fits, and the level-1 OFI table from one
-depth-1 OLS fit per window. The R^2 curve's shallower depths come from one
-factorization per window at depth M - 1 (``inference.nested_adj_r2``), and
-the RMSE curves from one factorization per training fold. The days come as
+are. ``run_evaluation`` takes each method's R^2 curve, every depth 1..M,
+and its seasonality profile from one factorization per window
+(``inference.nested_adj_r2``), reduced by ``adjusted_r2_curve`` and
+``seasonality_profile``; the level-1 OFI table from one depth-1 OLS fit per
+window, or from the OLS table at depth 1; and the RMSE curves from one
+factorization per training fold. The days come as
 any iterable in date order and each is replayed once, as it arrives: the
 replay that yields the imbalance samples also tallies the book, only the
 problems and tallies are kept, and ``book_summaries`` reduces the tallies.
@@ -274,34 +275,14 @@ def fit_all_windows(
     return [fit for fit, _ in kept], [i for _, i in kept]
 
 
-def adjusted_r2_curve(
-    problems: list[RegressionProblem],
-    method: str,
-    deep_fits: list[RegressionFit],
-    lam: float = 0.0,
-    penalize_intercept: bool = True,
-) -> list[float]:
-    """Mean adjusted R^2 across window fits for each depth 1..M, in order.
+def adjusted_r2_curve(adj_r2: np.ndarray, kept: np.ndarray) -> list[float]:
+    """Mean adjusted R^2 across the kept windows at each depth 1..M, in order.
 
-    M is the problems' depth and ``deep_fits`` are their depth-M fits, as
-    ``fit_all_windows`` gives them. Depths 1..M-1 come from
-    ``nested_adj_r2``, one factorization per window at depth M - 1, over the
-    windows ``fit_all_windows`` keeps at each depth. ``lam`` is ignored by OLS.
+    ``adj_r2`` and ``kept`` are (windows x M), as ``nested_adj_r2`` gives them.
     """
-    if method not in (OLS, RIDGE):
-        raise ValueError(f"unknown method {method!r}")
-    levels = problems[0].levels
-    by_depth = []
-    if levels > 1:
-        adj_r2, kept = nested_adj_r2(
-            [p.truncated(levels - 1) for p in problems],
-            None if method == OLS else lam,
-            penalize_intercept,
-        )
-        by_depth = [adj_r2[kept[:, j], j] for j in range(levels - 1)]
-    by_depth.append([f.adj_r2 for f in deep_fits])
     curve = []
-    for m, values in enumerate(by_depth, start=1):
+    for m in range(1, adj_r2.shape[1] + 1):
+        values = adj_r2[kept[:, m - 1], m - 1]
         if not len(values):
             raise TooFewRows(f"no usable windows at {m} levels")
         curve.append(float(np.mean(values)))
@@ -348,19 +329,17 @@ def improvement_table(
     )
 
 
-def seasonality_profile(
-    fits: list[RegressionFit], windows: list[int], levels: int, n_windows: int
-) -> np.ndarray:
+def seasonality_profile(coeffs: np.ndarray, windows: Iterable[int], n_windows: int) -> np.ndarray:
     """Mean fitted coefficients per intra-day window index.
 
-    ``fits`` and ``windows`` are as returned by ``fit_all_windows`` at
-    depth ``levels``. Returns an (n_windows, levels + 1) array; window
-    indices with no usable fits hold NaN.
+    ``coeffs`` holds one fit's coefficients per row (fits x levels + 1) and
+    ``windows`` each fit's window index. Returns an (n_windows, levels + 1)
+    array; window indices with no fits hold NaN.
     """
-    sums = np.zeros((n_windows, levels + 1))
+    sums = np.zeros((n_windows, coeffs.shape[1]))
     counts = np.zeros(n_windows, dtype=int)
-    for f, i in zip(fits, windows):
-        sums[i] += f.coeffs
+    for row, i in zip(coeffs, windows):
+        sums[i] += row
         counts[i] += 1
     with np.errstate(invalid="ignore"):
         return sums / counts[:, None]  # 0/0 is the NaN of an unfit window index
@@ -431,9 +410,6 @@ class FitTables:
 
     search: LambdaSearch | None  # pooled penalty search; None without ridge
     significance: dict[str, SignificanceSummary]
-    # Depth-M fits with their window indices, for each method whose table
-    # uses the pooled penalty (every method but per-window ridge).
-    pooled_fits: dict[str, tuple[list[RegressionFit], list[int]]]
 
 
 def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
@@ -452,7 +428,7 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
         X, y = pool_rows(problems, levels)
         search = select_lambda(X, y, spec.folds, grid, spec.penalize_intercept)
         lam = search.lambda_hat
-    tables = FitTables(search, {}, {})
+    tables = FitTables(search, {})
     for method in spec.methods:
         if method == RIDGE and spec.lambda_mode == "per-window":
             windows = [p for p in problems if p.n_rows >= spec.min_window_rows]
@@ -463,10 +439,7 @@ def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
                 windows, [s.lambda_hat for s in searches], spec.penalize_intercept
             )
         else:
-            fits, windows = fit_all_windows(
-                problems, method, levels, lam, spec.penalize_intercept
-            )
-            tables.pooled_fits[method] = (fits, windows)
+            fits, _ = fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
         if not fits:
             raise TooFewRows(f"no usable {method} window fits")
         tables.significance[method] = significance_summary(fits)
@@ -509,30 +482,31 @@ def run_evaluation(
 
     ``days`` is any iterable in date order, taken once the grid is built;
     no day raises TooFewRows("no input days"). The significance tables come
-    from ``fit_tables``. The R^2 curves and the seasonality profiles always
-    use the pooled penalty, as does the RMSE protocol since it pools rows.
+    from ``fit_tables``. Each method's R^2 curve and seasonality profile come
+    from one ``nested_adj_r2`` call at the pooled penalty, as does the RMSE
+    protocol since it pools rows.
     """
     grid = build_grid(session, grid_spec)
     problems, stats, tallies = assemble_windows(days, grid, levels, session.tick_size)
     tables = fit_tables(problems, spec)
     lam = tables.search.lambda_hat if tables.search else 0.0
 
-    # Depth M reuses the tables' fits; the curves fit the shallower depths.
-    deep_fits = {
-        method: tables.pooled_fits.get(method)
-        or fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
-        for method in spec.methods
-    }
-    r2_curves = {
-        method: adjusted_r2_curve(
-            problems, method, deep_fits[method][0], lam, spec.penalize_intercept
+    window_index = np.array([p.window_index for p in problems])
+    r2_curves, seasonality, rank_deficient = {}, {}, 0
+    for method in spec.methods:
+        adj_r2, kept, coeffs = nested_adj_r2(
+            problems, None if method == OLS else lam, spec.penalize_intercept
         )
-        for method in spec.methods
-    }
-    ofi_fits, _ = (
-        deep_fits[OLS] if levels == 1 and OLS in deep_fits else fit_all_windows(problems, OLS, 1)
-    )
-    ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
+        deep = kept[:, -1]
+        r2_curves[method] = adjusted_r2_curve(adj_r2, kept)
+        seasonality[method] = seasonality_profile(coeffs[deep], window_index[deep], grid.n_windows)
+        if method == OLS:
+            rank_deficient = int(np.sum(~deep))
+    if levels == 1 and OLS in tables.significance:
+        ofi_sig = tables.significance[OLS]
+    else:
+        ofi_fits, _ = fit_all_windows(problems, OLS, 1)
+        ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
     diagnostics = (
         diagnose_collinearity(pool_rows(problems, levels)[0][:, 1:]) if levels >= 2 else None
     )
@@ -541,10 +515,6 @@ def run_evaluation(
         for method in spec.methods
     }
     improvement = improvement_table(rmse_curves.get(OLS), rmse_curves.get(RIDGE))
-    seasonality = {
-        method: seasonality_profile(*deep_fits[method], levels, grid.n_windows)
-        for method in spec.methods
-    }
     book_dur, book_evt, concentration = book_summaries(tallies)
     return EvaluationReport(
         levels=levels,
@@ -554,9 +524,7 @@ def run_evaluation(
         n_problems=len(problems),
         discarded_intervals=stats.discarded_intervals,
         dropped_windows=stats.dropped_windows,
-        rank_deficient_windows=max(
-            (len(problems) - len(f) for f, _ in tables.pooled_fits.values()), default=0
-        ),
+        rank_deficient_windows=rank_deficient,
         lambda_search=tables.search,
         significance=tables.significance,
         ofi_significance=ofi_sig,

@@ -39,8 +39,10 @@ wraps, on [X'y | I]; ``dpotrf`` runs only to name a lone window's failure.
 
 ``nested_coefficients`` fits every leading block of columns of a design,
 each depth of a nested model, from one triangular factor: a QR for OLS, a
-Cholesky factor for ridge. ``nested_adj_r2`` builds evaluate's R^2 curve on
-it, and leaves the designs that do not nest to ``fit_windows`` at each depth.
+Cholesky factor for ridge. ``nested_adj_r2`` builds on it every depth of
+evaluate's R^2 curve and the depth-M coefficients of its seasonality
+profile, and leaves the designs that do not nest to ``fit_windows`` at each
+depth.
 """
 
 from __future__ import annotations
@@ -444,22 +446,25 @@ def nested_coefficients(
 
 def nested_adj_r2(
     problems: Sequence[RegressionProblem], lam: float | None, penalize_intercept: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each window's adjusted R^2 at every depth 1..M, M the problems' common depth.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each window's adjusted R^2 at every depth 1..M, M the problems' common depth,
+    and its depth-M coefficients.
 
-    Returns (adj_r2, kept), both (windows x M): kept is False where
-    ``fit_windows`` at that depth leaves the window out (rank-deficient OLS),
-    and adj_r2 is 0 there. Windows of one design shape are stacked, at most
-    ``SCREEN_BLOCK`` at a time, and fit at every depth by
-    ``nested_coefficients``: one GEMM gives every depth's residuals, and R^2
-    follows ``fit_windows``' rule, its SST = 0 case included. A window that
-    does not nest is fit by ``fit_windows`` at each depth in turn, so the
-    windows left out and the errors raised are those of one ``fit_windows``
-    call per depth.
+    Returns (adj_r2, kept, coeffs): adj_r2 and kept are (windows x M), kept
+    False where ``fit_windows`` at that depth leaves the window out
+    (rank-deficient OLS), and adj_r2 0 there; coeffs (windows x M + 1) holds
+    each depth-M fit, zero where ``kept[:, -1]`` is False. Windows of one
+    design shape are stacked, at most ``SCREEN_BLOCK`` at a time, and fit at
+    every depth by ``nested_coefficients``: one GEMM gives every depth's
+    residuals, and R^2 follows ``fit_windows``' rule, its SST = 0 case
+    included. A window that does not nest at depth M is fit by
+    ``fit_windows`` at each depth in turn, so the windows left out and the
+    errors raised are those of one ``fit_windows`` call per depth.
     """
     depth = problems[0].levels
     adj_r2 = np.zeros((len(problems), depth))
     kept = np.zeros((len(problems), depth), dtype=bool)
+    coeffs = np.zeros((len(problems), depth + 1))
     rest = []
     for block, X, y in _blocks([(problem.X, problem.y) for problem in problems]):
         B, ok = nested_coefficients(X, y, lam, penalize_intercept)
@@ -473,7 +478,7 @@ def nested_adj_r2(
         sse = np.sum(resid * resid, axis=-1)
         _, adj = _r2(sse, _sst(y)[:, None], n, n - np.arange(2, p + 1))
         nested = [i for i, nests in zip(block, ok) if nests]
-        adj_r2[nested], kept[nested] = adj, True
+        adj_r2[nested], kept[nested], coeffs[nested] = adj, True, B[:, -1]
     if rest:
         rest.sort()  # list order, so that the first window to fail raises, as in one call
         lambdas = None if lam is None else [lam] * len(rest)
@@ -483,7 +488,10 @@ def nested_adj_r2(
             for i, fit in zip(rest, fits):
                 if fit is not None:
                     adj_r2[i, m - 1], kept[i, m - 1] = fit.adj_r2, True
-    return adj_r2, kept
+        for i, fit in zip(rest, fits):  # the fits at depth M
+            if fit is not None:
+                coeffs[i] = fit.coeffs
+    return adj_r2, kept, coeffs
 
 
 def ridge_coefficients(

@@ -42,6 +42,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -76,7 +77,10 @@ def hms_to_seconds(text: str) -> int:
     match = _HMS_RE.fullmatch(text)
     if match is None:
         raise ConfigError(f"bad time of day: {text!r}")
-    h, m, s = (int(part or 0) for part in match.groups())
+    try:
+        h, m, s = (int(part or 0) for part in match.groups())
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise ConfigError(f"bad time of day: {text!r}") from None
     if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
         raise ConfigError(f"bad time of day: {text!r}")
     return h * 3600 + m * 60 + s
@@ -236,6 +240,11 @@ def _malformed(line: str, line_no: int) -> MalformedRow:
     return MalformedRow(line_no, f"malformed row {row!r}")
 
 
+def _too_long(line_no: int) -> MalformedRow:
+    """The error of a row with a number longer than ``int`` reads."""
+    return MalformedRow(line_no, f"a number longer than {sys.get_int_max_str_digits()} digits")
+
+
 def parse_message_row(line: str, line_no: int) -> LobEvent:
     return _event(*_message_fields(line, line_no))
 
@@ -247,11 +256,14 @@ def _message_fields(line: str, line_no: int) -> tuple[int, int, int, int, int, i
     if m is None:
         raise _malformed(line, line_no)
     secs, frac, code, order_id, size, price, direction = m.groups()
-    ts = int(secs) * NS + (int(frac.ljust(9, "0")) if frac else 0)
-    code = int(code)
-    if code not in _KIND_BY_CODE:
-        raise MalformedRow(line_no, f"unknown type code {code}")
-    order_id, size, price, direction = int(order_id), int(size), int(price), int(direction)
+    try:
+        ts = int(secs) * NS + (int(frac.ljust(9, "0")) if frac else 0)
+        code = int(code)
+        if code not in _KIND_BY_CODE:
+            raise MalformedRow(line_no, f"unknown type code {code}")
+        order_id, size, price, direction = int(order_id), int(size), int(price), int(direction)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise _too_long(line_no) from None
     if direction not in (1, -1):
         raise MalformedRow(line_no, f"direction must be +1/-1, got {direction}")
     if code == _HALT:
@@ -477,7 +489,10 @@ def parse_orderbook_row(line: str, line_no: int = 1) -> tuple[int, ...]:
         )
     if _ORDERBOOK_RE.fullmatch(line) is None:
         raise _malformed(line, line_no)
-    values = [int(f.strip()) for f in fields]
+    try:
+        values = [int(f.strip()) for f in fields]
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise _too_long(line_no) from None
     row: list[int] = []
     for m in range(levels):
         ap, asz, bp, bsz = values[4 * m:4 * m + 4]

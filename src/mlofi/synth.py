@@ -29,6 +29,13 @@ from .errors import BadValue, ConfigError
 from .lobster import NS, DaySlice, EventColumns, SessionConfig
 from .sampling import RegressionProblem
 
+#: The price (1e-4 dollars) the zero-intelligence book opens around: its
+#: session-start levels lie whole ticks above and below it.
+INITIAL_MID = 1_000_000
+
+#: The size of each of the book's session-start orders.
+SEED_DEPTH = 50
+
 
 @dataclass(frozen=True)
 class ZiParams:
@@ -37,9 +44,8 @@ class ZiParams:
     ``limit_rate`` is arrivals/sec per price level (per side),
     ``market_rate`` arrivals/sec per side, ``cancel_rate`` per live
     resting order per second. Sizes are geometric with mean
-
-    ``mean_size``. ``initial_mid`` seeds the book symmetrically with
-    ``price_band`` one-order levels per side at session start.
+    ``mean_size``. The book opens with ``price_band`` one-order levels per
+    side around ``INITIAL_MID``.
     """
 
     limit_rate: float = 0.05
@@ -48,8 +54,6 @@ class ZiParams:
     price_band: int = 8
     mean_size: float = 8.0
     seed: int = 0
-    initial_mid: int = 1_000_000
-    seed_depth: int = 50
 
     def __post_init__(self):
         # Written so that NaN fails too; an infinite rate never ends a day.
@@ -160,17 +164,17 @@ def generate_zi_day(
     # suppressed here and in the arrival loop.
     t0 = session.start_ns
     for j in range(1, params.price_band + 1):
-        for side, price in ((1, params.initial_mid - j * tick), (-1, params.initial_mid + j * tick)):
+        for side, price in ((1, INITIAL_MID - j * tick), (-1, INITIAL_MID + j * tick)):
             if not tick <= price < ASK_ABSENT:
                 continue
-            rows.append((t0, CODE_ARRIVAL, next_id, params.seed_depth, price, side))
-            mirror.add(next_id, side, price, params.seed_depth)
+            rows.append((t0, CODE_ARRIVAL, next_id, SEED_DEPTH, price, side))
+            mirror.add(next_id, side, price, SEED_DEPTH)
             next_id += 1
 
     limit_total = params.limit_rate * params.price_band * 2
     market_total = params.market_rate * 2
     # Anchors survive momentarily one-sided books.
-    last_best = {1: params.initial_mid - tick, -1: params.initial_mid + tick}
+    last_best = {1: INITIAL_MID - tick, -1: INITIAL_MID + tick}
 
     t = float(session.session_start)
     end_s = float(session.session_end)

@@ -687,6 +687,39 @@ def test_non_ascii_digit_in_a_time_of_day_is_a_config_error(tmp_path, capsys, st
     assert f"bad time of day: {bad!r}" in capsys.readouterr().err
 
 
+# int() reads at most sys.get_int_max_str_digits() digits; each of these
+# numbers crashed with its ValueError.
+TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG_REASON = f"a number longer than {sys.get_int_max_str_digits()} digits"
+
+
+def test_a_number_too_long_to_read_in_a_message_is_a_data_error(tmp_path, capsys):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text(f"36001.0,1,1,10,140000,1\n36002.0,1,{TOO_LONG},10,140000,1\n")
+    code = run_cli("compute", "--messages", str(messages), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {messages}: line 2: {TOO_LONG_REASON}\n"
+
+
+def test_a_number_too_long_to_read_in_an_orderbook_row_is_a_data_error(tmp_path, capsys):
+    messages = tmp_path / "SYN_2016-01-05_message_1.csv"
+    messages.write_text("35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n")
+    book = tmp_path / "SYN_2016-01-05_orderbook_1.csv"
+    book.write_text(f"\n9999999999,0,{TOO_LONG},10\n")
+    code = run_cli("compute", "--messages", str(messages),
+                   "--orderbooks", str(book), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {book}: line 2: {TOO_LONG_REASON}\n"
+
+
+def test_a_number_too_long_to_read_in_a_time_of_day_is_a_config_error(tmp_path, capsys):
+    start = f"{TOO_LONG}:00"
+    code = run_cli("compute", "--synth-days", "1", "--session-start", start,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"bad time of day: {start!r}" in capsys.readouterr().err
+
+
 def test_impossible_date_in_a_file_name_is_a_data_error(tmp_path, capsys):
     messages = tmp_path / "X_2016-13-45_message_1.csv"
     messages.write_text(WORKED_EXAMPLE)

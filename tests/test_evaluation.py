@@ -73,8 +73,13 @@ def per_depth_r2_curve(problems, method, lam=0.0, penalize_intercept=True):
 
 
 def nested_r2_curve(problems, method, lam=0.0, penalize_intercept=True):
-    deep, _ = fit_all_windows(problems, method, problems[0].levels, lam, penalize_intercept)
-    return adjusted_r2_curve(problems, method, deep, lam, penalize_intercept)
+    adj_r2, kept, _ = nested_adj_r2(problems, None if method == OLS else lam, penalize_intercept)
+    return adjusted_r2_curve(adj_r2, kept)
+
+
+def fit_coeffs(fits):
+    """The fits' coefficients, one row each."""
+    return np.array([f.coeffs for f in fits])
 
 
 def test_rmse_protocol_noiseless_is_zero():
@@ -189,7 +194,12 @@ def test_nested_r2_equals_per_depth_fits(seed, levels, windows, method, lam, pen
     # or is zero makes a window rank-deficient from that depth on only, and a
     # flat response has SST = 0. Every depth must keep the windows that one
     # fit_windows call per depth keeps, with adjusted R^2 within 1e-9
-    # relative, and raise what that loop raises.
+    # relative, and raise what that loop raises. The depth-M coefficients must
+    # match that loop's within 1e-9 relative, or within the two solvers'
+    # forward error, 10 cond * eps of the window's largest coefficient, where
+    # that is more: a ridge window with a copied column nests up to
+    # cond(X'X + lam*D) = 1 / NEST_RTOL, where the two differ by up to 3e-9
+    # of its largest coefficient.
     rng = np.random.default_rng(seed)
     problems = []
     for k, (extra_rows, kind) in enumerate(windows):
@@ -213,7 +223,8 @@ def test_nested_r2_equals_per_depth_fits(seed, levels, windows, method, lam, pen
                 for m in range(1, levels + 1)]
         kept = np.array([[f is not None for f in depth] for depth in fits]).T
         adj = np.array([[0.0 if f is None else f.adj_r2 for f in depth] for depth in fits]).T
-        return adj, kept
+        coeffs = np.array([np.zeros(levels + 1) if f is None else f.coeffs for f in fits[-1]])
+        return adj, kept, coeffs
 
     want, got = outcome(per_depth), outcome(lambda: nested_adj_r2(problems, lam_arg,
                                                                   penalize_intercept))
@@ -222,6 +233,14 @@ def test_nested_r2_equals_per_depth_fits(seed, levels, windows, method, lam, pen
         return
     assert np.array_equal(got[1], want[1])
     np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=1e-12)
+    penalty = np.diag([float(penalize_intercept)] + [1.0] * levels)
+    for problem, kept, got_b, want_b in zip(problems, want[1][:, -1], got[2], want[2]):
+        if not kept:
+            assert not got_b.any()
+            continue
+        A = problem.X if lam_arg is None else problem.X.T @ problem.X + lam * penalty
+        slack = 10 * np.linalg.cond(A) * np.finfo(float).eps * np.abs(want_b).max()
+        np.testing.assert_allclose(got_b, want_b, rtol=1e-9, atol=max(1e-12, slack))
     if want[1].any(axis=0).all():
         np.testing.assert_allclose(
             nested_r2_curve(problems, method, lam, penalize_intercept),
@@ -286,7 +305,8 @@ def test_seasonality_single_date_equals_window_fits():
     problems = [
         planted(100 + i, rows=60, levels=3, window=i, noise=0.5) for i in range(4)
     ]
-    prof = seasonality_profile(*fit_all_windows(problems, OLS, 3), 3, n_windows=4)
+    fits, windows = fit_all_windows(problems, OLS, 3)
+    prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=4)
     for i, p in enumerate(problems):
         np.testing.assert_allclose(prof[i], fit_ols(p).coeffs, atol=1e-12)
 
@@ -310,7 +330,8 @@ def test_seasonality_recovers_planted_trend():
                     window=i,
                 )
             )
-    prof = seasonality_profile(*fit_all_windows(problems, OLS, 3), 3, n_windows=n_windows)
+    fits, windows = fit_all_windows(problems, OLS, 3)
+    prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=n_windows)
     rho = st.spearmanr(np.arange(n_windows), prof[:, 1]).statistic
     assert rho < -0.8
 
@@ -325,7 +346,7 @@ def test_seasonality_stationary_within_noise():
                         beta=(0.0, 1.0, 0.5), noise=1.0, window=i)
             )
     fits, windows = fit_all_windows(problems, OLS, 2)
-    prof = seasonality_profile(fits, windows, 2, n_windows=n_windows)
+    prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=n_windows)
     se = np.std([f.coeffs[1] for f in fits], ddof=1) / np.sqrt(n_dates)
     spread = prof[:, 1].max() - prof[:, 1].min()
     assert spread < 6 * se  # pairwise within ~3 SE of each other
@@ -522,6 +543,35 @@ def test_per_window_ridge_skips_window_shrunk_by_discards():
     assert report.n_problems == 2
     assert report.significance[RIDGE].n_fits == report.n_problems - 1
     assert report.significance[OLS].n_fits == report.n_problems
+
+
+def test_per_window_seasonality_is_the_pooled_penalty_fits_mean():
+    # Per-window ridge fits its table at each window's own penalty, but its
+    # seasonality profile, like OLS's, averages the depth-M fits at the pooled
+    # penalty. The sparse book's windows stack in several design shapes, and
+    # some of its OLS windows are rank-deficient at depth 5.
+    from mlofi.evaluation import assemble_windows, run_evaluation
+    from mlofi.synth import ZiParams, generate_zi_day
+
+    session = SessionConfig(session_end=12 * 3600)
+    params = ZiParams(limit_rate=0.02, market_rate=0.04, price_band=3, seed=3)
+    grid_spec = GridSpec(window_seconds=120, subwindow_seconds=2)
+    report = run_evaluation(
+        [generate_zi_day(params, session)], session, grid_spec, levels=5,
+        spec=FitSpec(methods=(OLS, RIDGE), lambda_mode="per-window"),
+    )
+    grid = build_grid(session, grid_spec)
+    problems, _, _ = assemble_windows(
+        [generate_zi_day(params, session)], grid, 5, session.tick_size
+    )
+    lam = report.lambda_search.lambda_hat
+    assert report.rank_deficient_windows > 0
+    for method in (OLS, RIDGE):
+        fits, windows = fit_all_windows(problems, method, 5, lam)
+        want = np.full((grid.n_windows, 6), np.nan)
+        for i in set(windows):
+            want[i] = np.mean([f.coeffs for f, w in zip(fits, windows) if w == i], axis=0)
+        np.testing.assert_allclose(report.seasonality[method], want, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("kwargs, message", [

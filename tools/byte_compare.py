@@ -10,10 +10,11 @@ every file the runs write (``filecmp``, byte for byte), and whether each
 run's ``--out`` directory exists on both sides; it prints each
 difference and exits 1 if there is any, 0 otherwise. A ``.json`` or
 ``.csv`` file that differs also gets the largest relative difference over
-its numeric fields, when both files hold the same keys, rows and text, and
-the largest difference in units in the last place (doubles apart): a move
-of the last bit reads as 1 ulp even where a figure near 0 makes its
-relative difference large.
+its numeric fields, when both files hold the same keys, rows and text, the
+largest absolute difference and the largest difference in units in the
+last place (doubles apart), each with the JSON path or CSV line and field
+where it sits: a move of the last bit reads as 1 ulp, and a sign flip near
+0 as a small absolute move, even where its relative difference is large.
 
 The matrix: ``evaluate`` and ``fit`` on two synthetic days at levels 1, 3
 and 10 with each method set, without a penalized intercept, with the
@@ -352,22 +353,24 @@ def rewrite_ids(src: Path, dst: Path, rewrite) -> None:
         (dst / f.name).write_text(rewrite(text) if "_message_" in f.name else text)
 
 
-def _numbers(a, b) -> list[tuple[float, float]]:
-    """Pairs of numbers at the same place in two JSON values or CSV fields.
+def _numbers(a, b, path: tuple = ()) -> list[tuple[tuple, float, float]]:
+    """(path, a's number, b's number) for each pair of numbers at the same place
+    in two JSON values or CSV files' rows; a path holds the keys and indices
+    down to the number.
 
     Raises ValueError where the two differ in anything but a number.
     """
     if a == b:
         return []
     if isinstance(a, str) and isinstance(b, str):
-        return [(float(a), float(b))]
+        return [(path, float(a), float(b))]
     numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)]
     if all(numbers):
-        return [(float(a), float(b))]
+        return [(path, float(a), float(b))]
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return [pair for k in a for pair in _numbers(a[k], b[k])]
+        return [pair for k in a for pair in _numbers(a[k], b[k], path + (k,))]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [pair for u, v in zip(a, b) for pair in _numbers(u, v)]
+        return [pair for i, (u, v) in enumerate(zip(a, b)) for pair in _numbers(u, v, path + (i,))]
     raise ValueError("the files differ in more than numbers")
 
 
@@ -380,7 +383,9 @@ def ulps_apart(x: float, y: float) -> int:
 
 
 def largest_difference(old: Path, new: Path) -> str:
-    """How far two differing .json/.csv files are apart, as a message."""
+    """How far two differing .json/.csv files are apart, as a message: the largest
+    relative and absolute differences and ulps, each with the JSON path or CSV
+    line and field where it sits."""
     try:
         if old.suffix == ".json":
             a, b = (json.loads(p.read_text()) for p in (old, new))
@@ -389,10 +394,24 @@ def largest_difference(old: Path, new: Path) -> str:
         pairs = _numbers(a, b)
     except ValueError:
         return "not only in numbers"
-    moved = [(x, y) for x, y in pairs if x != y]
-    rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in moved), default=0.0)
-    ulps = max((ulps_apart(x, y) for x, y in moved), default=0)
-    return f"largest relative difference {rel:.3g}, {ulps} ulps"
+
+    def place(path: tuple) -> str:
+        if old.suffix == ".csv":
+            return f"line {path[0] + 1}, field {path[1] + 1}"
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+    moved = [(path, x, y) for path, x, y in pairs if x != y]
+    if not moved:
+        return "no number moved"
+    parts = []
+    for text, size in (
+        ("largest relative difference {:.3g}", lambda x, y: abs(x - y) / max(abs(x), abs(y))),
+        ("largest absolute difference {:.3g}", lambda x, y: abs(x - y)),
+        ("largest move {} ulps", ulps_apart),
+    ):
+        path, x, y = max(moved, key=lambda m: size(m[1], m[2]))
+        parts.append(f"{text.format(size(x, y))} at {place(path)}")
+    return ", ".join(parts)
 
 
 def compare(old_dir: Path, new_dir: Path, old, new) -> list[str]:

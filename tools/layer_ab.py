@@ -50,9 +50,11 @@ opposite order to the rep before, and times on each side:
 - ``fit 60/1 ridge``: ridge of every searched window at its own penalty from
   ``select 60/1``: one ``fit_windows`` call; per fit;
 - ``curves 1800/10``: evaluate's R^2 and RMSE curve step on the 30-minute
-  grid's windows at 10 levels, OLS and ridge at the pooled penalty, given
-  the depth-10 fits as ``run_evaluation`` has them from its tables:
-  ``adjusted_r2_curve`` and ``rmse_curve``; per call.
+  grid's windows at 10 levels, OLS and ridge at the pooled penalty: per
+  method one ``nested_adj_r2`` call, reduced by ``adjusted_r2_curve``, and
+  one ``rmse_curve`` call; per call. A package whose ``adjusted_r2_curve``
+  takes the problems and their depth-M fits, as before that reduction, lacks
+  this layer.
 
 It prints per layer and side the median microseconds per row, event or
 interval (milliseconds per window for ``select``, per fit for ``fit``, per
@@ -60,6 +62,9 @@ call for ``curves``), and
 the median over the reps of the working tree's time over REV's with that
 ratio's lower and upper quartiles, so that one run tells a move from the
 spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
+Both sides run with the BLAS and OpenMP thread caps of ``python -m mlofi``
+(``mlofi.__main__.THREAD_CAPS`` at one thread) where the environment sets
+none, as the benchmark's runs do.
 The sides' turns alternate, so a slow spell of the host that lands on one
 side's interpreter widens the quartiles rather than biasing the median. Both
 files must parse to the same events on each side, both
@@ -75,7 +80,9 @@ import dataclasses
 import datetime as dt
 import gc
 import importlib
+import inspect
 import io
+import os
 import pickle
 import statistics
 import subprocess
@@ -230,18 +237,21 @@ def run_side(pkg: dict, message_files: tuple[Path, Path, Path], date
     problems = sampling.assemble_problems(comp.intervals, grid, LEVELS, session.tick_size, date)
     lam = inference.select_lambda(*evaluation.pool_rows(problems, LEVELS), FOLDS).lambda_hat
     methods = (evaluation.OLS, evaluation.RIDGE)
-    deep = {m: evaluation.fit_all_windows(problems, m, LEVELS, lam)[0] for m in methods}
 
     def curves():
         values = []
         for method in methods:
-            r2 = evaluation.adjusted_r2_curve(problems, method, deep[method], lam)
+            adj_r2, kept, _ = inference.nested_adj_r2(
+                problems, None if method == evaluation.OLS else lam)
+            r2 = evaluation.adjusted_r2_curve(adj_r2, kept)
             rmse = evaluation.rmse_curve(problems, method, LEVELS, FOLDS, lam)
             values += r2 + [v for p in rmse for v in (p.in_sample, p.out_sample)]
         return values
 
-    seconds, curve_values = timed(curves)
-    times["curves 1800/10"] = seconds * 1e3
+    curve_values = []
+    if "kept" in inspect.signature(evaluation.adjusted_r2_curve).parameters:
+        seconds, curve_values = timed(curves)
+        times["curves 1800/10"] = seconds * 1e3
     return times, outputs, lambdas, curve_values
 
 
@@ -253,11 +263,13 @@ def fit_bits(fit) -> bytes | None:
                     for f in dataclasses.fields(fit))
 
 
-def run_child(src: Path, message_files: tuple[Path, Path, Path], date, result: Path):
-    """``run_side`` on the package under ``src`` in a fresh interpreter: its return
-    value, or None if the side failed, which it reports on stderr."""
+def run_child(src: Path, message_files: tuple[Path, Path, Path], date, result: Path,
+              env: dict[str, str]):
+    """``run_side`` on the package under ``src`` in a fresh interpreter with
+    environment ``env``: its return value, or None if the side failed, which it
+    reports on stderr."""
     child = subprocess.run([sys.executable, __file__, "--side", str(src), str(result),
-                            *map(str, message_files), date.isoformat()])
+                            *map(str, message_files), date.isoformat()], env=env)
     if child.returncode:
         return None
     with open(result, "rb") as fh:
@@ -290,6 +302,9 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "tree")
         sides = {"rev": tmp / "tree" / "src", "work": REPO / "src"}
         work = load(sides["work"])
+        env = dict(os.environ)
+        for name in importlib.import_module("mlofi.__main__").THREAD_CAPS:
+            env.setdefault(name, "1")
         session = work["lobster"].SessionConfig()
         day = work["synth"].generate_zi_day(work["synth"].ZiParams(), session)
         message_file = tmp / f"SYN_{day.trading_date}_message_10.csv"
@@ -309,7 +324,7 @@ def main(argv: list[str]) -> int:
             outputs, lambdas, curves = {}, {}, {}
             for side in order:
                 ran = run_child(sides[side], (message_file, crlf_file, error_file),
-                                day.trading_date, tmp / "side.pickle")
+                                day.trading_date, tmp / "side.pickle", env)
                 if ran is None:
                     print(f"the {side} side failed", file=sys.stderr)
                     return 1
@@ -325,7 +340,8 @@ def main(argv: list[str]) -> int:
                       "errors, problems or fits differ",
                       file=sys.stderr)
                 return 1
-            if not np.allclose(curves["rev"], curves["work"], rtol=CURVE_RTOL, atol=0.0):
+            if all(curves.values()) and not np.allclose(curves["rev"], curves["work"],
+                                                        rtol=CURVE_RTOL, atol=0.0):
                 print(f"the two sides' curves differ by more than {CURVE_RTOL} relative",
                       file=sys.stderr)
                 return 1
