@@ -372,7 +372,9 @@ def _to_json(obj):
         return {f.name: _to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()  # Python values, in one call
+    if isinstance(obj, (list, tuple)):
         return [_to_json(v) for v in obj]
     if isinstance(obj, np.generic):
         obj = obj.item()

@@ -225,8 +225,8 @@ class DayComputation:
     @cached_property
     def samples(self) -> list[MlofiSample | None]:
         """One ``MlofiSample`` per interval, None where discarded; built on first use."""
-        K, b = self.subwindows_per_window, self.boundaries_ns
         # Python ints: the CSV writer would write a numpy int as a float.
+        K, b = self.subwindows_per_window, np.asarray(self.boundaries_ns).tolist()
         columns = (c.tolist() for c in vars(self.intervals).values())
         return [
             MlofiSample(self.date, j // K, j % K + 1, b[j], b[j + 1], tuple(flows), buy, sell, d)
@@ -256,8 +256,8 @@ def compute_day_samples(
 ) -> DayComputation:
     """Replay one day against a flat grid of interval boundaries.
 
-    ``boundaries_ns`` is the full ascending boundary list t_0..t_N covering
-    the session; interval j (1-based) is (t_{j-1}, t_j]. Events at or
+    ``boundaries_ns`` is the full ascending boundary sequence t_0..t_N covering
+    the session, such as ``Grid.boundaries_ns``' int64 array; interval j (1-based) is (t_{j-1}, t_j]. Events at or
     before t_0 form the pre-grid baseline: they move the book and enter
     the book tally but no interval. Intervals whose start or end mid-price
     is undefined (one-sided book) are discarded, not zeroed: they are not
@@ -475,7 +475,7 @@ def _replay_columns(
     elif any(c.dtype != np.int64 for c in columns):
         return exact()
     try:
-        bounds = np.array(boundaries_ns, dtype)
+        bounds = np.asarray(boundaries_ns, dtype)
     except OverflowError:
         return exact()
     times_all = columns[0]

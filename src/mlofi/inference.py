@@ -6,7 +6,10 @@ for the conventional variant that leaves the intercept free). Standard
 errors use the sandwich s2 * A^-1 X'X A^-1 with A = X'X + lam*D, which
 reduces to the familiar s2 * (X'X)^-1 at lam = 0. Both methods report
 t statistics and two-sided p-values against a t distribution with
-rows - n_coeffs degrees of freedom, read off its CDF ``scipy.special.stdtr``.
+rows - n_coeffs degrees of freedom, from ``two_sided_p``: the incomplete
+beta function by its continued fraction (Numerical Recipes 6.4), evaluated
+in numpy to a fixed depth per degree of freedom, so that each p-value's bits
+depend on its t and its degrees of freedom alone.
 
 Cross-validation folds are contiguous, time-ordered blocks: shuffling
 serially correlated intervals into random folds would leak information
@@ -30,7 +33,9 @@ error; and one rule, ``_raise_first``, raises the first error in list order
 search block scores every penalty its screens leave open in one stacked
 solve. A fit block takes the Gram matrices, the OLS inverses, the ridge
 Cholesky factors, the residuals and the fit statistics from one stacked call
-each, with the bits of each window's own fit (``fit_ols``, ``fit_ridge``).
+each, with the bits of each window's own fit (``fit_ols``, ``fit_ridge``);
+the p-values of every window come from one ``two_sided_p`` call per
+``fit_windows`` call.
 OLS runs ``lstsq`` window by window and takes the rank check from the
 singular values it returns, with an SVD only near the cutoff. Every ridge
 factor comes from one stacked ``np.linalg.cholesky``, and each window solves
@@ -47,12 +52,13 @@ depth.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import special
 
 from .errors import DegenerateColumn, NumericalFailure, RankDeficient, TooFewRows
 from .sampling import RegressionProblem
@@ -191,10 +197,93 @@ def _r2(sse: np.ndarray, sst: np.ndarray, n: int, dof) -> tuple[np.ndarray, np.n
     return r2, 1.0 - (1.0 - r2) * (n - 1) / dof
 
 
+def _cf_coefficients(a: float, b: float, z: float) -> np.ndarray:
+    """d_K..d_1 of the continued fraction 1/(1 + d_1 z/(1 + d_2 z/(1 + ...))) of
+    I_z(a, b), K two more than the terms modified Lentz takes to converge at z."""
+    m = np.arange(200.0)  # Lentz converges within 140 terms at every dof tried
+    coeffs = np.empty(400)
+    coeffs[0::2] = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
+    m += 1
+    coeffs[1::2] = m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
+    c, d, eps = 1.0, 0.0, np.finfo(float).eps
+    for k, coeff in enumerate(coeffs[:-2].tolist(), 1):
+        term = coeff * z
+        d = 1.0 / (1.0 + term * d)
+        c = 1.0 + term / c
+        if abs(c * d - 1.0) < eps:
+            break
+    return coeffs[k + 1 :: -1]
+
+
+def _ln_beta_half(a: float) -> float:
+    """ln B(a, 1/2). From a = 20 on, by Stirling's series for ln Gamma(a + 1/2) -
+    ln Gamma(a), which keeps its absolute error near 1e-15 where ``math.lgamma``'s
+    grows with ln Gamma(a) (3e-11 at a = 12,000)."""
+    if a < 20:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    def series(z: float) -> float:
+        return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5) - 1 / (1680 * z**7)
+
+    ln_ratio = 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + (series(a + 0.5) - series(a))
+    return 0.5 * math.log(math.pi) - ln_ratio
+
+
+@cache
+def _t_terms(nu: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """For ``nu`` degrees of freedom: the branch point x_b = (a + 1)/(a + 5/2) with
+    a = nu/2, ln B(a, 1/2), and the coefficients of CF(a, 1/2, x) and CF(1/2, a, 1 - x),
+    each as deep as its branch point needs."""
+    a = nu / 2
+    x_b = (a + 1) / (a + 2.5)
+    return x_b, _ln_beta_half(a), _cf_coefficients(a, 0.5, x_b), _cf_coefficients(0.5, a, 1 - x_b)
+
+
+def two_sided_p(t, dof) -> np.ndarray:
+    """P(|T| >= |t|) for T Student's t with ``dof`` degrees of freedom, elementwise.
+
+    That is I_x(a, 1/2), a = dof/2 and x = dof/(dof + t^2): front * CF(a, 1/2, x) / a
+    below the branch point x_b = (a + 1)/(a + 5/2), else 1 - front * CF(1/2, a, 1 - x) / (1/2),
+    with front = x^a (1 - x)^(1/2) / B(a, 1/2) (Numerical Recipes 6.4). x and 1 - x are
+    each formed directly, and ln x and ln(1 - x) by ``log1p``. Each continued fraction
+    runs backward, f <- d_k z / (1 + f), from a fixed depth per (dof, branch), two terms
+    past where modified Lentz converges at the branch point: so each p-value's bits
+    depend on its own t and dof, and a batch equals its one-element calls. t = 0 gives
+    1, |t| = inf gives 0 and NaN gives NaN. For dof up to 5,000 it lies within 1e-11
+    relative of mpmath's incomplete beta function wherever p >= 1e-300.
+    """
+    t, nu = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(dof, dtype=float))
+    p = np.empty(t.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for level in np.unique(nu):
+            if not level > 0:
+                raise ValueError(f"degrees of freedom must be positive, got {level}")
+            x_b, ln_beta, low, high = _t_terms(float(level))
+            at = nu == level
+            s = np.square(t[at])
+            q, r = s / level, level / s
+            x = 1.0 / (1.0 + q)
+            ln_front = level / 2 * -np.log1p(q) + 0.5 * -np.log1p(r) - ln_beta
+            below = x < x_b
+            p_at = np.empty(len(s))
+            for part, coeffs, z, a in ((below, low, x, level / 2),
+                                       (~below, high, 1.0 / (1.0 + r), 0.5)):
+                terms = np.multiply.outer(coeffs, z[part])  # d_k z, k = K..1
+                f = np.zeros(terms.shape[1])
+                for term in terms:
+                    f += 1.0
+                    np.divide(term, f, out=f)
+                p_at[part] = np.exp(ln_front[part]) / (1.0 + f) / a
+            p_at[~below] = 1.0 - p_at[~below]
+            p[at] = p_at
+    return p
+
+
 def _finish_fits(
     X: np.ndarray, y: np.ndarray, coeffs: np.ndarray, cov_unscaled: np.ndarray, lams: list
 ) -> list[RegressionFit]:
-    """Residual variance, SEs, t, p and R^2 of a stack of fits, X (windows x rows x p).
+    """Residual variance, SEs, t and R^2 of a stack of fits, X (windows x rows x p);
+    the p-values are left None, for ``_fit_windows`` to fill.
 
     Each stacked product keeps the bits of its one-window form: the
     residuals come from one matrix-vector product per window, the SSE from
@@ -209,11 +298,10 @@ def _finish_fits(
     se = np.sqrt(np.maximum(var, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coeffs / se, 0.0)
-        pvals = 2.0 * special.stdtr(dof, -np.abs(t))
     r2, adj_r2 = _r2(sse, _sst(y), n, dof)
     return [
         RegressionFit(
-            coeffs[k], se[k], t[k], pvals[k], float(sigma2[k]), float(r2[k]),
+            coeffs[k], se[k], t[k], None, float(sigma2[k]), float(r2[k]),
             float(adj_r2[k]), lam, dof,
         )
         for k, lam in enumerate(lams)
@@ -329,15 +417,28 @@ def _fit_block(
 
 
 def _fit_windows(
-    problems: Sequence[RegressionProblem], lambdas: Sequence[float] | None, penalize_intercept: bool
+    problems: Sequence[RegressionProblem],
+    lambdas: Sequence[float] | None,
+    penalize_intercept: bool,
+    p_values: bool = True,
 ) -> list[RegressionFit | Exception]:
-    """Every window's fit or error, in list order, from ``_fit_block`` on each block."""
+    """Every window's fit or error, in list order, from ``_fit_block`` on each block;
+    with ``p_values``, every fit's p-values from one ``two_sided_p`` call, else None."""
 
     def run(block: list[int], X: np.ndarray, y: np.ndarray) -> list[RegressionFit | Exception]:
         lams = None if lambdas is None else [lambdas[i] for i in block]
         return _fit_block(X, y, lams, penalize_intercept)
 
-    return _by_block([(problem.X, problem.y) for problem in problems], run)
+    results = _by_block([(problem.X, problem.y) for problem in problems], run)
+    fits = [fit for fit in results if isinstance(fit, RegressionFit)]
+    if p_values and fits:
+        sizes = [len(fit.t_stats) for fit in fits]
+        p = two_sided_p(np.concatenate([fit.t_stats for fit in fits]),
+                        np.repeat([fit.dof for fit in fits], sizes))
+        start = 0
+        for fit, size in zip(fits, sizes):
+            fit.p_values, start = p[start : start + size], start + size
+    return results
 
 
 def fit_windows(
@@ -349,10 +450,12 @@ def fit_windows(
 
     The windows run in the blocks of ``_by_block``. Per block the Gram
     matrices, the OLS inverses, the ridge Cholesky factors (lone windows
-    included), the residuals, SSE and SST and the p-values each come from one
-    stacked call; ``lstsq``, whose singular values give the OLS rank check, and
-    one LAPACK ``dpotrs`` per ridge window run window by window. Each fit
-    equals the one-window fit, bit for bit (``fit_ols``, ``fit_ridge``).
+    included), the residuals, SSE and SST each come from one stacked call;
+    ``lstsq``, whose singular values give the OLS rank check, and one LAPACK
+    ``dpotrs`` per ridge window run window by window. The p-values of every
+    window come from one ``two_sided_p`` call, whose bits depend on each
+    value's own t and degrees of freedom. Each fit equals the one-window fit,
+    bit for bit (``fit_ols``, ``fit_ridge``).
 
     An OLS window that fails the rank check gives None. Otherwise the first
     window in list order whose fit fails raises that fit's error once every
@@ -458,8 +561,9 @@ def nested_adj_r2(
     every depth by ``nested_coefficients``: one GEMM gives every depth's
     residuals, and R^2 follows ``fit_windows``' rule, its SST = 0 case
     included. A window that does not nest at depth M is fit by
-    ``fit_windows`` at each depth in turn, so the windows left out and the
-    errors raised are those of one ``fit_windows`` call per depth.
+    ``fit_windows``' path at each depth in turn, without its p-values, so the
+    windows left out and the errors raised are those of one ``fit_windows``
+    call per depth.
     """
     depth = problems[0].levels
     adj_r2 = np.zeros((len(problems), depth))
@@ -483,8 +587,8 @@ def nested_adj_r2(
         rest.sort()  # list order, so that the first window to fail raises, as in one call
         lambdas = None if lam is None else [lam] * len(rest)
         for m in range(1, depth + 1):
-            fits = fit_windows([problems[i].truncated(m) for i in rest], lambdas,
-                               penalize_intercept)
+            fits = _raise_first(_fit_windows([problems[i].truncated(m) for i in rest], lambdas,
+                                             penalize_intercept, p_values=False), (RankDeficient,))
             for i, fit in zip(rest, fits):
                 if fit is not None:
                     adj_r2[i, m - 1], kept[i, m - 1] = fit.adj_r2, True

@@ -400,7 +400,9 @@ def _parse_columns(path: Path, config: SessionConfig):
         while chunk := fh.read(_BLOCK):
             block = tail + chunk
             cut = block.rfind(b"\n") + 1
-            if not cut:  # no LF in a block: no canonical row is that long
+            # A block with no LF (no canonical row is that long) or with a CR (CRLF
+            # line ends) sends the file to the row loop before it is tokenized.
+            if not cut or b"\r" in block:
                 return None
             block, tail = block[:cut], block[cut:]
             columns = _canonical_columns(block)

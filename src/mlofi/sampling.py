@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -47,11 +48,14 @@ class Grid:
     n_sub: int  # K per window
     subwindow_ns: int
 
-    @property
-    def boundaries_ns(self) -> list[int]:
-        """Flat list t_0..t_{I*K}; interval j is (t_{j-1}, t_j]."""
-        total = self.n_windows * self.n_sub
-        return [self.start_ns + j * self.subwindow_ns for j in range(total + 1)]
+    @cached_property
+    def boundaries_ns(self) -> np.ndarray:
+        """t_0..t_{I*K} as one int64 array, built on first use; interval j is
+        (t_{j-1}, t_j]. A session lies within one day, so every t_j fits int64."""
+        steps = np.arange(self.n_windows * self.n_sub + 1, dtype=np.int64)
+        boundaries = self.start_ns + steps * self.subwindow_ns
+        boundaries.flags.writeable = False  # shared by every replay on the grid
+        return boundaries
 
 
 def build_grid(config: SessionConfig, spec: GridSpec) -> Grid:

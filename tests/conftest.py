@@ -245,6 +245,7 @@ def oracle_day_samples(day, boundaries_ns, subwindows_per_window: int, levels: i
     Returns (samples, discarded) as ``compute_day_samples`` should, built
     from ``level_snapshot`` + ``flow_delta`` one event at a time.
     """
+    boundaries_ns = [int(t) for t in boundaries_ns]  # Python ints, whatever holds them
     state = day.seed.build_book() if day.seed else BookState()
     events = [e for e in day.events if e.timestamp_ns <= boundaries_ns[-1]]
     baseline = [e for e in events if e.timestamp_ns <= boundaries_ns[0]]
@@ -299,7 +300,8 @@ def oracle_replay(
     apply = state.apply_fields
     times, *_ = columns = [column.tolist() for column in day.columns]
     n_events = len(times)
-    t_last = boundaries_ns[-1]
+    bounds = [int(t) for t in boundaries_ns]  # Python ints, whatever holds them
+    t_last = bounds[-1]
     # The book's top levels, for the flow vector and the book summary.
     depth = max(levels, SUMMARY_LEVELS)
     row = level_snapshot(state, depth)
@@ -320,7 +322,7 @@ def oracle_replay(
     events = zip(*columns)
     pos = 0
     # j = 0 is the baseline, whose flow belongs to no interval.
-    for j, t_end in enumerate(boundaries_ns):
+    for j, t_end in enumerate(bounds):
         totals = [0] * levels
         buy = 0
         sell = 0
@@ -495,10 +497,12 @@ def oracle_select_lambda(X, y, folds, grid, penalize_intercept=True):
 
 
 def _oracle_finish_fit(X, y, coeffs, cov_unscaled, lam):
-    """Residual variance, SEs, t, p and R^2 of one fit, with 2-D products and Python floats."""
-    from scipy import special
+    """Residual variance, SEs, t, p and R^2 of one fit, with 2-D products and Python floats.
 
-    from mlofi.inference import RegressionFit
+    The p-values come from ``two_sided_p`` on the window alone, which has its own
+    oracle (mpmath's incomplete beta function) in ``tests/test_inference.py``.
+    """
+    from mlofi.inference import RegressionFit, two_sided_p
 
     n, p = X.shape
     dof = n - p
@@ -509,7 +513,7 @@ def _oracle_finish_fit(X, y, coeffs, cov_unscaled, lam):
     se = np.sqrt(np.maximum(var, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coeffs / se, 0.0)
-    pvals = 2.0 * special.stdtr(dof, -np.abs(t))
+    pvals = two_sided_p(t, dof)
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst > 0.0:
         r2 = 1.0 - sse / sst

@@ -540,6 +540,20 @@ def test_report_json_is_strict_with_null_for_nan(tmp_path):
     assert (out / "report.json").read_text().count("null") == 18
 
 
+def test_json_values_of_arrays_are_their_python_scalars():
+    # One .tolist() per array gives what converting each element would:
+    # Python floats, ints and bools, nested as the array is, and null where
+    # a float is not finite.
+    from mlofi.cli import _to_json
+
+    got = _to_json({"f": np.array([[1.5, np.nan], [-np.inf, -0.0]]), "i": np.arange(2),
+                    "b": np.array([True, False]), "0-d": np.array(2.5), "scalar": np.int64(7)})
+    assert got == {"f": [[1.5, None], [None, -0.0]], "i": [0, 1], "b": [True, False],
+                   "0-d": 2.5, "scalar": 7}
+    assert [type(v) for v in (got["f"][0][0], got["i"][0], got["b"][0], got["scalar"])] == [
+        float, int, bool, int]
+
+
 def test_orderbook_paired_by_name_not_by_index(tmp_path, capsys):
     # Messages for one date and an orderbook only for the next: no pair.
     messages = tmp_path / "SYN_2016-01-04_message_1.csv"

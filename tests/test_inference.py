@@ -2,13 +2,17 @@
 
 import dataclasses
 import datetime as dt
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 from scipy import linalg as sla
 
@@ -733,6 +737,89 @@ def test_significance_summary_counts_at_95():
     assert summary.pct_significant_95[1] == pytest.approx(50.0)
 
 
+# -- p-values ------------------------------------------------------------------------
+
+#: |t| over 0..1e15, a decade at a time as often as uniformly, with either sign, and
+#: the values that stand for no fit or a saturated one.
+T_VALUES = hst.one_of(
+    hst.floats(0.0, 1e15),
+    hst.floats(-9.0, 15.0).map(lambda e: 10.0**e),
+    hst.sampled_from([0.0, np.inf, np.nan]),
+).flatmap(lambda t: hst.sampled_from([t, -t]))
+
+
+def t_near_the_branch_point(dof, offset):
+    """The |t| whose x = dof/(dof + t^2) lies ``offset`` (relative) off the kernel's
+    branch point, where its continued fraction converges slowest."""
+    a = dof / 2
+    x = (a + 1) / (a + 2.5) * (1 + offset)
+    return np.sqrt(dof * (1 - x) / x)
+
+
+def mp_two_sided_p(t, dof):
+    """I_x(dof/2, 1/2), x = dof/(dof + t^2), in 40-digit arithmetic."""
+    import mpmath as mp
+
+    if np.isinf(t):
+        return 0.0
+    with mp.workdps(40):
+        x = mp.mpf(dof) / (dof + mp.mpf(float(t)) ** 2)
+        return float(mp.betainc(mp.mpf(dof) / 2, mp.mpf(1) / 2, 0, x, regularized=True))
+
+
+@given(dof=hst.integers(1, 5000), t=hst.lists(T_VALUES, min_size=1, max_size=6),
+       offset=hst.floats(-0.05, 0.01))
+@example(dof=4151, t=[1.7316336971920565], offset=0.0)  # 3.9e-11 off with ln B from lgamma
+def test_two_sided_p_matches_the_incomplete_beta_function(dof, t, offset):
+    # Within 1e-11 relative of mpmath's I_x(dof/2, 1/2) wherever p >= 1e-300, and
+    # within scipy's Student t CDF, whose own error near t = 0 at small dof
+    # reaches 4.6e-9 (dof = 1, t = 7.6e-9), so that below |t| = 1e-3 the two
+    # agree within 1e-8 only. NaN gives NaN.
+    from scipy import special
+
+    t = np.array(t + [t_near_the_branch_point(dof, offset)])
+    got = inference.two_sided_p(t, dof)
+    stdtr = 2.0 * special.stdtr(dof, -np.abs(t))
+    for value, p, p_scipy in zip(t, got, stdtr):
+        if np.isnan(value):
+            assert np.isnan(p)
+            continue
+        want = mp_two_sided_p(value, dof)
+        if want >= 1e-300:
+            assert abs(p - want) <= 1e-11 * want, (value, p, want)
+        else:
+            assert 0.0 <= p <= 1e-299, (value, p, want)
+        rtol = 1e-11 if abs(value) >= 1e-3 else 1e-8
+        assert abs(p - p_scipy) <= rtol * p_scipy + 1e-300, (value, p, p_scipy)
+
+
+@given(values=hst.lists(hst.tuples(T_VALUES, hst.integers(1, 400)), min_size=1, max_size=40))
+def test_two_sided_p_of_a_batch_equals_its_one_element_calls(values):
+    # Each value's depth comes from its dof alone, so the windows of one
+    # fit_windows call cannot move each other's p-values.
+    t, dof = (np.array(column) for column in zip(*values))
+    alone = np.array([inference.two_sided_p(value, d) for value, d in values])
+    assert np.array_equal(inference.two_sided_p(t, dof), alone, equal_nan=True)
+    assert np.array_equal(inference.two_sided_p(t.reshape(1, -1), dof), alone[None],
+                          equal_nan=True)
+
+
+def test_two_sided_p_of_edge_values():
+    p = inference.two_sided_p([0.0, -0.0, np.inf, -np.inf, np.nan], 7)
+    assert p[:4].tolist() == [1.0, 1.0, 0.0, 0.0] and np.isnan(p[4])
+    for dof in (0, -3, np.nan):
+        with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+            inference.two_sided_p(1.0, dof)
+
+
+def test_importing_the_cli_leaves_out_scipy_special():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mlofi.cli; print('scipy.special' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 # -- stacked per-window fits ------------------------------------------------------
 
 #: What a window of the stacked-fit property is made as; most are plain.
@@ -925,3 +1012,28 @@ def test_fit_windows_fails_a_non_finite_ols_window_in_the_rank_check(capfd):
         fit_windows(problems)
     assert str(raised.value) == str(want.value) == "SVD did not converge"
     assert capfd.readouterr() == ("", "")
+
+
+def test_p_values_take_one_kernel_call_per_fit_windows_call_and_none_for_adjusted_r2():
+    # Three design shapes make three blocks, yet one kernel call fills every
+    # window's p-values. nested_adj_r2 reads no p-value: a window that does not
+    # nest (a duplicated column under OLS, any window of ridge at lam = 0)
+    # runs the fit path at each depth without the kernel.
+    rng = np.random.default_rng(8)
+    problems = [stacked_fit_window(rng, n, 4, kind) for n, kind in
+                [(30, "plain"), (40, "duplicate"), (30, "plain"), (50, "plain")]]
+    kernel, calls = inference.two_sided_p, []
+
+    def counted(t, dof):
+        calls.append(len(t))
+        return kernel(t, dof)
+
+    with mock.patch.object(inference, "two_sided_p", counted):
+        fits = fit_windows(problems)
+        assert calls == [12] and fits[1] is None
+        assert fit_windows(problems, [0.5] * 4) and calls == [12, 16]
+        with mock.patch.object(inference, "_fit_windows", wraps=inference._fit_windows) as spy:
+            inference.nested_adj_r2(problems, None)
+            inference.nested_adj_r2(problems[:1] + problems[2:], 0.0)
+        assert spy.call_count == 6  # depths 1-3, for one window and then for three
+    assert calls == [12, 16]

@@ -638,6 +638,28 @@ def test_digit_bounds_pick_the_path_and_not_the_result(tmp_path, row, columnar):
     assert day.rows_before == 0
 
 
+def test_a_crlf_file_hands_the_tokenizer_no_row(tmp_path):
+    # A CR in a block sends the file to the row loop before the block is
+    # tokenized; the LF original, two blocks long, tokenizes both.
+    events = fuzz_stream(np.random.default_rng(5), 9000)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_message_file(lf, events)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert lf.stat().st_size > lobster._BLOCK
+    tokenize, rows = lobster._tokenize, {}
+
+    def counted(data):
+        rows[path] = rows.get(path, 0) + data.count(b"\n")
+        return tokenize(data)
+
+    days = []
+    with mock.patch.object(lobster, "_tokenize", counted):
+        for path in (crlf, lf):
+            days.append(parse_message_file(path, SessionConfig(), DAY))
+    assert rows == {lf: 9000}
+    assert as_values(days[0]).columns == as_values(days[1]).columns
+
+
 def test_minus_zero_and_leading_zeros(tmp_path):
     path = write(tmp_path, "36001.0,01,-0,007,0140000,-01\n"
                            "36001.5,7,-000,-0,-0,1\n"

@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from mlofi.errors import IndivisibleGrid
-from mlofi.imbalance import IntervalColumns, MlofiSample
+from mlofi.imbalance import IntervalColumns, MlofiSample, compute_day_samples
 from mlofi.lobster import NS, SessionConfig
 from mlofi.sampling import AssemblyStats, Grid, GridSpec, assemble_problems, build_grid
+from mlofi.synth import ZiParams, generate_zi_day
 
 from conftest import oracle_assemble_problems
 
@@ -39,6 +40,18 @@ def test_grid_boundaries_partition_session_exactly():
         assert len(w) == K + 1
         assert w[0] == 36_000 * NS + i * 1800 * NS
         assert w[-1] - w[0] == 1800 * NS
+
+
+def test_grid_boundaries_are_one_read_only_int64_array():
+    # Built once per grid; the replay reads it as is, and hands the CSV writer
+    # Python ints (a numpy int would be written as a float).
+    grid = build_grid(SessionConfig(), GridSpec(60, 1))
+    b = grid.boundaries_ns
+    assert b is grid.boundaries_ns and b.dtype == np.int64 and not b.flags.writeable
+    assert b.tolist() == [grid.start_ns + j * NS for j in range(330 * 60 + 1)]
+    day = generate_zi_day(ZiParams(seed=2), SessionConfig())
+    sample = next(s for s in compute_day_samples(day, b, grid.n_sub, 2).samples if s)
+    assert type(sample.start_ns) is int and type(sample.end_ns) is int
 
 
 def test_single_window_single_interval():
