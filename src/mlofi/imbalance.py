@@ -234,6 +234,13 @@ class DayComputation:
             for j, (flows, buy, sell, d, kept) in enumerate(zip(*columns))
         ]
 
+    def __eq__(self, other) -> bool:
+        """Equal fields, the boundaries by value whether a list or an array."""
+        fields = ("date", "subwindows_per_window", "intervals", "book")
+        return (isinstance(other, DayComputation)
+                and np.array_equal(self.boundaries_ns, other.boundaries_ns)
+                and all(getattr(self, f) == getattr(other, f) for f in fields))
+
 
 def _tally_columns(row: list[int]) -> list[int]:
     """A row's tally values, the columns of ``BookTally.sums`` per unit weight.

@@ -31,11 +31,12 @@ runs again one window at a time, so that each window gets its own result or
 error; and one rule, ``_raise_first``, raises the first error in list order
 (``fit_windows`` gives None for a rank-deficient OLS window instead). A
 search block scores every penalty its screens leave open in one stacked
-solve. A fit block takes the Gram matrices, the OLS inverses, the ridge
-Cholesky factors, the residuals and the fit statistics from one stacked call
-each, with the bits of each window's own fit (``fit_ols``, ``fit_ridge``);
-the p-values of every window come from one ``two_sided_p`` call per
-``fit_windows`` call.
+solve; with several blocks on several CPUs, a worker thread runs each block's
+``eigh`` while the main thread screens the block before it. A fit block takes
+the Gram matrices, the OLS inverses, the ridge Cholesky factors, the
+residuals and the fit statistics from one stacked call each, with the bits
+of each window's own fit (``fit_ols``, ``fit_ridge``); the p-values of every
+window come from one ``two_sided_p`` call per ``fit_windows`` call.
 OLS runs ``lstsq`` window by window and takes the rank check from the
 singular values it returns, with an SVD only near the cutoff. Every ridge
 factor comes from one stacked ``np.linalg.cholesky``, and each window solves
@@ -53,9 +54,10 @@ depth.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -85,12 +87,18 @@ MIN_ROWS_PER_FOLD = 10
 #: Safety factor on the penalty screen's first-order error bound.
 SCREEN_SAFETY = 10.0
 
-#: Windows per stacked block in ``select_lambdas`` and ``fit_windows``. A
-#: block's arrays grow with its windows: on the 330 one-minute windows of a ZI
-#: day at 10 levels, one screen block of all 330 added 16.4 MiB of peak RSS,
-#: blocks of 32 none (2.5 MiB traced), and blocks of 16/32/64 searched the day
-#: in 76-78/56-61/56-61 ms.
+#: Windows per stacked block in ``select_lambdas`` and ``fit_windows``, and the grain of
+#: the search's worker thread. One screen block of all 330 one-minute windows of a ZI day
+#: (10 levels) added 16.4 MiB of peak RSS. On 2 CPUs, blocks of 16/32/64 searched that
+#: day in 50/38/40 ms wall and 74/60/61 ms CPU, at a traced peak of 1.7/2.8/5.7 MiB.
 SCREEN_BLOCK = 32
+
+
+def _eigh_on_worker(windows: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether a search's eigh calls run on a worker: with several blocks, on several CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    several = len(windows) > SCREEN_BLOCK or len({X.shape for X, _ in windows}) > 1
+    return several and (cpus or 1) > 1
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -139,19 +147,25 @@ def _blocks(
 
 def _by_block(
     windows: Sequence[tuple[np.ndarray, np.ndarray]],
-    run: Callable[[list[int], np.ndarray, np.ndarray], list],
+    run: Callable[..., list],
+    prepare: Callable[[np.ndarray, np.ndarray], tuple] = lambda X, y: (X, y),
 ) -> list:
-    """Every window's result or error, in list order, from ``run(indices, X, y)``
-    on each block of ``_blocks``, which gives one result or error per window.
+    """Every window's result or error, in list order, from ``run(indices, *prepare(X, y))``
+    on each block of ``_blocks``, which gives one result or error per window. Each
+    block's ``prepare`` runs one block ahead, before the previous block's ``run``, so
+    that work it hands to another thread overlaps that ``run``.
 
-    A block whose stacked call raises LinAlgError or NumericalFailure runs again
-    one window at a time, so that each window gets its own result or error; a
+    A block whose ``run`` raises LinAlgError or NumericalFailure is prepared and run
+    again one window at a time, so that each window gets its own result or error; a
     block of one window keeps the error it raised.
     """
     results: list = [None] * len(windows)
-    for block, X, y in _blocks(windows):
+    staged = ((block, X, y, prepare(X, y)) for block, X, y in _blocks(windows))
+    ahead = next(staged, None)
+    while ahead is not None:
+        (block, X, y, prepared), ahead = ahead, next(staged, None)
         try:
-            out = run(block, X, y)
+            out = run(block, *prepared)
         except (np.linalg.LinAlgError, NumericalFailure) as exc:
             if len(block) == 1:
                 out = [exc]
@@ -159,7 +173,7 @@ def _by_block(
                 out = []
                 for k, i in enumerate(block):
                     try:
-                        out += run([i], X[k : k + 1], y[k : k + 1])
+                        out += run([i], *prepare(X[k : k + 1], y[k : k + 1]))
                     except (np.linalg.LinAlgError, NumericalFailure) as err:
                         out.append(err)
         for i, result in zip(block, out):
@@ -691,21 +705,22 @@ def _take(gram: np.ndarray, xty: np.ndarray, val_rows: list, keep: np.ndarray) -
     return gram[keep], xty[keep], [(X_val[keep], y_val[keep]) for X_val, y_val in val_rows]
 
 
-def _screen_cv_errors(
-    gram: np.ndarray, xty: np.ndarray, val_rows: list, grid: np.ndarray, penalize_intercept: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each window's screened mean validation MSE per penalty and its error bound.
-
-    ``gram`` (windows x folds x p x p) and ``xty`` (windows x folds x p)
-    stack the windows' training-fold X'X and X'y, and ``val_rows`` each
-    fold's stacked validation rows. One ``eigh`` of all the fold matrices
-    gives every penalty's coefficients; with a free intercept the intercept
-    is profiled out first (see ``select_lambda``). A window whose input is
-    not finite gets NaN in both and stays out of that ``eigh``, where it
-    would fail the whole stack.
-    """
-    windows, folds, p = xty.shape
-    eps = np.finfo(float).eps
+def _search_inputs(
+    X: np.ndarray, y: np.ndarray, folds: int, penalize_intercept: bool, defer: Callable
+) -> tuple:
+    """A block's training-fold X'X and X'y, validation rows and live windows, the windows
+    the screen takes (live, with S and r finite), their r, and ``defer(np.linalg.eigh,
+    S)``, a call that gives their (e, V); S and r as in ``select_lambda``."""
+    grams, xtys, val_rows = [], [], []
+    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
+        grams.append(X_train.mT @ X_train)
+        xtys.append((X_train.mT @ y_train[..., None])[..., 0])
+        val_rows.append((X_val, y_val))
+        del X_train, y_train  # before the next fold's copy is made
+    gram, xty = np.stack(grams, axis=1), np.stack(xtys, axis=1)
+    windows = len(xty)
+    # A flat window's X'y is zero in every training fold: it runs no screen.
+    live = np.any(xty.reshape(windows, -1), axis=1)
     with np.errstate(all="ignore"):
         if penalize_intercept:
             S, r = gram, xty
@@ -713,18 +728,30 @@ def _screen_cv_errors(
             g00, g10 = gram[..., :1, 0], gram[..., 1:, 0]
             S = gram[..., 1:, 1:] - g10[..., :, None] * (g10[..., None, :] / g00[..., :, None])
             r = xty[..., 1:] - g10 * (xty[..., :1] / g00)
-        # Non-finite input, an overflow, or a zero first column under a free intercept.
-        finite = np.isfinite(
-            S.reshape(windows, -1).sum(axis=1) + r.reshape(windows, -1).sum(axis=1)
-        )
-        if not finite.all():
-            cv_errors, bound = np.full((2, windows, len(grid)), np.nan)
-            if finite.any():
-                cv_errors[finite], bound[finite] = _screen_cv_errors(
-                    *_take(gram, xty, val_rows, finite), grid, penalize_intercept
-                )
-            return cv_errors, bound
-        e, V = np.linalg.eigh(S)
+        # Non-finite input, an overflow, or a zero first column under a free intercept:
+        # such a window stays out of the eigh, where it would fail the whole stack.
+        screened = live & np.isfinite(S.reshape(windows, -1).sum(axis=1)
+                                      + r.reshape(windows, -1).sum(axis=1))
+    if not screened.all():
+        S, r = S[screened], r[screened]
+    eig = defer(np.linalg.eigh, S) if screened.any() else None
+    return gram, xty, val_rows, live, r, screened, eig
+
+
+def _screen_cv_errors(
+    gram: np.ndarray, xty: np.ndarray, val_rows: list, r: np.ndarray, e: np.ndarray,
+    V: np.ndarray, grid: np.ndarray, penalize_intercept: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's screened mean validation MSE per penalty and its error bound.
+
+    ``gram`` (windows x folds x p x p) and ``xty`` (windows x folds x p) stack the
+    windows' training-fold X'X and X'y, ``val_rows`` each fold's validation rows, and
+    ``r``, ``e`` and ``V`` the screen's right-hand sides and the eigendecompositions
+    of its matrices (``_search_inputs``), which give every penalty's coefficients.
+    """
+    windows, folds, p = xty.shape
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
         # windows x folds x q x penalties
         b = V @ ((V.mT @ r[..., None]) / (e[..., None] + grid))
         floor = np.maximum(e[..., :1], 0.0) + grid
@@ -732,6 +759,7 @@ def _screen_cv_errors(
             # A Gram matrix's largest eigenvalue is its largest in magnitude.
             kappa = (e[..., -1:] + grid) / floor
         else:
+            g00, g10 = gram[..., :1, 0], gram[..., 1:, 0]
             b0 = (xty[..., :1] - (g10[..., None, :] @ b)[..., 0, :]) / g00
             b = np.concatenate((b0[..., None, :], b), axis=-2)
             lift = (1.0 + np.linalg.norm(g10, axis=-1, keepdims=True) / g00) ** 2
@@ -753,27 +781,21 @@ def _screen_cv_errors(
 
 
 def _search_block(
-    X: np.ndarray, y: np.ndarray, folds: int, grid: np.ndarray, penalize_intercept: bool
+    inputs: tuple, grid: np.ndarray, penalize_intercept: bool
 ) -> list[LambdaSearch | NumericalFailure]:
-    """The penalty searches of a stack of windows, X (windows x rows x p) and y (windows x rows).
+    """The penalty searches of a stack of windows, from its ``_search_inputs``.
 
     One stacked solve scores every penalty left open in the block, and raises
     NumericalFailure for the block if it fails. A window whose cross-validation
     error is not finite gets NumericalFailure in its place.
     """
-    grams, xtys, val_rows = [], [], []
-    for X_train, y_train, X_val, y_val in fold_rows(X, y, folds):
-        grams.append(X_train.mT @ X_train)
-        xtys.append((X_train.mT @ y_train[..., None])[..., 0])
-        val_rows.append((X_val, y_val))
-    gram, xty = np.stack(grams, axis=1), np.stack(xtys, axis=1)
+    gram, xty, val_rows, live, r, screened, eig = inputs
     windows = len(xty)
-    # A flat window's X'y is zero in every training fold: it runs no screen.
-    live = np.any(xty.reshape(windows, -1), axis=1)
     cv_errors, bound = np.full((2, windows, len(grid)), np.nan)
-    if live.any():
-        inputs = (gram, xty, val_rows) if live.all() else _take(gram, xty, val_rows, live)
-        cv_errors[live], bound[live] = _screen_cv_errors(*inputs, grid, penalize_intercept)
+    if eig is not None:
+        taken = (gram, xty, val_rows) if screened.all() else _take(gram, xty, val_rows, screened)
+        cv_errors[screened], bound[screened] = _screen_cv_errors(
+            *taken, r, *eig(), grid, penalize_intercept)
     with np.errstate(invalid="ignore"):
         # NaN compares false, so a penalty whose screen is not finite stays a candidate.
         candidates = ~(cv_errors - bound > np.fmin.reduce(cv_errors + bound, axis=1, keepdims=True))
@@ -872,14 +894,17 @@ def select_lambdas(
     The windows run in the blocks of ``_by_block``: windows whose designs have
     one shape (so one row count and one set of folds), in list order, at most
     ``SCREEN_BLOCK`` at a time. One set of stacked calls gives every window of
-    a block its training-fold X'X and X'y, their eigendecompositions, the
-    screened scores, the bounds and the exact scores of every penalty the
-    screens leave open. A block whose exact solve fails is searched again one
-    window at a time. Every search equals ``select_lambda`` on its window
-    alone, bit for bit. A window too short for its folds raises TooFewRows
-    before any search runs; otherwise the first window in list order whose
-    search fails raises that search's error once every block has run
-    (``_raise_first``).
+    a block its training-fold X'X and X'y, their eigendecompositions (one
+    ``eigh``), the screened scores, the bounds and the exact scores of every
+    penalty the screens leave open. With more than one block, on a process
+    that may run on more than one CPU, each block's ``eigh`` runs on a worker
+    thread that lives for this call only, while the block before it is
+    screened; otherwise inline. A block whose exact solve fails is searched
+    again one window at a time. Every search equals ``select_lambda`` on its
+    window alone, bit for bit. A window too short for its folds raises
+    TooFewRows before any search runs; otherwise the first window in list
+    order whose search fails raises that search's error once every block has
+    run (``_raise_first``).
     """
     grid = default_lambda_grid() if grid is None else np.asarray(grid, dtype=float)
     for X, _ in windows:
@@ -888,9 +913,17 @@ def select_lambdas(
             raise TooFewRows(
                 f"{n} rows give fewer than {MIN_ROWS_PER_FOLD} per fold with {folds} folds"
             )
-    return _raise_first(
-        _by_block(windows, lambda _, X, y: _search_block(X, y, folds, grid, penalize_intercept))
-    )
+
+    def search(defer) -> list[LambdaSearch]:
+        return _raise_first(_by_block(
+            windows, lambda _, *inputs: _search_block(inputs, grid, penalize_intercept),
+            lambda X, y: _search_inputs(X, y, folds, penalize_intercept, defer)))
+
+    if not _eigh_on_worker(windows):
+        return search(partial)  # each eigh runs when its block's screen asks for it
+    from concurrent.futures import ThreadPoolExecutor  # here, as its import costs start-up
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        return search(lambda fn, *args: worker.submit(fn, *args).result)
 
 
 @dataclass

@@ -575,6 +575,20 @@ def test_removals_beyond_a_seeded_horizon_change_nothing():
     assert flows == [(0,) * 5, (0, 0, 0, 0, -14 + 24)] + [(0,) * 5] * 4
 
 
+def test_day_computations_compare_their_boundaries_by_value():
+    # Equal boundaries held as distinct arrays, or as a list, compare equal.
+    events = [arrival(1, 10, 140000, Side.BUY, ts=36_000 * NS),
+              arrival(2, 10, 140200, Side.SELL, ts=36_005 * NS)]
+    day = events_day(dt.date(2016, 1, 4), events)
+    boundaries, n_sub = _grid_60_10()
+    comp = compute_day_samples(day, boundaries, n_sub, 2)
+    assert comp == compute_day_samples(day, np.array(boundaries), n_sub, 2)
+    assert comp == dataclasses.replace(comp, boundaries_ns=list(boundaries))
+    assert comp != dataclasses.replace(comp, boundaries_ns=boundaries[:-1])
+    assert comp != dataclasses.replace(comp, subwindows_per_window=n_sub + 1)
+    assert comp != compute_day_samples(day, boundaries, n_sub, 1)
+
+
 def test_a_replay_error_names_the_day_without_a_file():
     session = SessionConfig(session_start=36000, session_end=36060)
     grid = build_grid(session, GridSpec(window_seconds=60, subwindow_seconds=10))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -507,13 +508,15 @@ def search_window(rng, n, p, kind):
     seed=hst.integers(0, 2**32 - 1),
     penalize_intercept=hst.booleans(),
 )
+@pytest.mark.parametrize("on_worker", [False, True], ids=["inline eigh", "worker eigh"])
 def test_select_lambdas_equals_select_lambda_window_by_window(
-    row_counts, folds, p, seed, penalize_intercept
+    on_worker, row_counts, folds, p, seed, penalize_intercept
 ):
     # The first row count's windows split into two blocks, in shuffled order.
     # Flat, non-finite, lone-candidate and several-candidate windows share
     # blocks. Every search keeps the bits of its window's search alone, and the
-    # first failing window in list order raises its own error.
+    # first failing window in list order raises its own error, whichever thread
+    # runs the eigendecompositions.
     rng = np.random.default_rng(seed)
     counts = [row_counts[0]] * (SCREEN_BLOCK + 3) + row_counts[1:] * 4
     rng.shuffle(counts)
@@ -527,12 +530,14 @@ def test_select_lambdas_equals_select_lambda_window_by_window(
             except NumericalFailure as exc:
                 expected.append(exc)
         failing = [i for i, want in enumerate(expected) if isinstance(want, Exception)]
-        if failing:
-            with pytest.raises(NumericalFailure) as raised:
-                select_lambdas(windows, folds, grid, penalize_intercept)
-            assert str(raised.value) == str(expected[failing[0]])
-        keep = [i for i in range(len(windows)) if i not in failing]
-        searches = select_lambdas([windows[i] for i in keep], folds, grid, penalize_intercept)
+        with mock.patch.object(inference, "_eigh_on_worker", return_value=on_worker):
+            if failing:
+                with pytest.raises(NumericalFailure) as raised:
+                    select_lambdas(windows, folds, grid, penalize_intercept)
+                assert str(raised.value) == str(expected[failing[0]])
+            keep = [i for i in range(len(windows)) if i not in failing]
+            searches = select_lambdas([windows[i] for i in keep], folds, grid,
+                                      penalize_intercept)
     assert len(searches) == len(keep)
     for i, search in zip(keep, searches):
         assert search.lambda_hat == expected[i].lambda_hat
@@ -590,11 +595,16 @@ def exact_solves(windows):
     return result, exact.call_count
 
 
-def test_select_lambdas_scores_a_block_in_one_solve_or_a_failing_one_window_by_window():
+@pytest.mark.parametrize("on_worker", [False, True], ids=["inline eigh", "worker eigh"])
+def test_select_lambdas_scores_a_block_in_one_solve_or_a_failing_one_window_by_window(
+    on_worker, monkeypatch
+):
     # The screen leaves penalties open in several windows of one block: one
     # stacked solve scores them all. A window whose exact solve fails though its
     # screen is finite fails that solve; each window of the block is then
-    # searched on its own, and only the failing one raises.
+    # searched on its own, and only the failing one raises, whichever thread
+    # runs the eigendecompositions.
+    monkeypatch.setattr(inference, "_eigh_on_worker", lambda windows: on_worker)
     rng = np.random.default_rng(14)
     windows = [search_window(rng, 60, 4, "duplicate") for _ in range(4)]
     searches, calls = exact_solves(windows)
@@ -610,8 +620,9 @@ def test_select_lambdas_scores_a_block_in_one_solve_or_a_failing_one_window_by_w
 
 
 def test_penalty_search_holds_one_training_fold_at_a_time():
-    # Every training copy of X held at once takes folds x one copy; the search's
-    # own temporaries stay well under that.
+    # Every training copy of X held at once takes folds x one copy. A fold's copy
+    # is let go before the next one is made, so two are never alive together,
+    # and the search's own temporaries stay well under another copy.
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(20_000), rng.standard_normal((20_000, 10))])
     y = rng.standard_normal(20_000)
@@ -623,7 +634,76 @@ def test_penalty_search_holds_one_training_fold_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < folds * one_copy
+    assert peak < 3 * one_copy
+
+
+def searches_and_eigh_threads(windows, cpus, penalize_intercept=True):
+    """``select_lambdas`` on the windows, or its error, on a process that may run
+    on ``cpus`` CPUs, and whether each of its eigh calls ran on the main thread."""
+    on_main, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return eigh(a)
+
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus)), create=True), \
+            mock.patch.object(np.linalg, "eigh", spy):
+        try:
+            result = select_lambdas(windows, 5, default_lambda_grid(), penalize_intercept)
+        except NumericalFailure as exc:
+            result = exc
+    return result, on_main
+
+
+@pytest.mark.parametrize("penalize_intercept", [True, False])
+def test_select_lambdas_runs_eigh_on_a_worker_with_two_blocks_and_two_cpus(penalize_intercept):
+    # Two blocks of one design shape, and a third of another.
+    windows = block_of_windows(SCREEN_BLOCK + 3)
+    rng = np.random.default_rng(3)
+    windows.append((np.column_stack([np.ones(61), rng.standard_normal((61, 3))]),
+                    rng.standard_normal(61)))
+    worker, on_main = searches_and_eigh_threads(windows, 2, penalize_intercept)
+    assert on_main == [False] * 3
+    inline, on_main = searches_and_eigh_threads(windows, 1, penalize_intercept)
+    assert on_main == [True] * 3
+    for a, b in zip(worker, inline):
+        assert a.lambda_hat == b.lambda_hat and np.array_equal(a.cv_errors, b.cv_errors)
+
+
+def test_select_lambdas_on_one_block_or_one_cpu_starts_no_thread():
+    # evaluate's pooled search and every one-block search run eigh inline and
+    # never build an executor, on any number of CPUs.
+    windows = block_of_windows(SCREEN_BLOCK)
+    X, y = np.concatenate([X for X, _ in windows]), np.concatenate([y for _, y in windows])
+    with mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
+        for cpus in (1, 2, 8):
+            assert searches_and_eigh_threads(windows, cpus)[1] == [True]
+            assert searches_and_eigh_threads([(X, y)], cpus)[1] == [True]
+        assert searches_and_eigh_threads(windows * 2, 1)[1] == [True] * 2
+
+
+def test_select_lambdas_leaves_no_thread_behind_even_when_it_raises():
+    windows = block_of_windows(2 * SCREEN_BLOCK + 1)
+    before = threading.active_count()
+    searches, on_main = searches_and_eigh_threads(windows, 2)
+    assert len(searches) == len(windows) and not any(on_main)
+    assert threading.active_count() == before
+    windows[SCREEN_BLOCK + 1][0][30, 2] = np.nan  # the second block is searched window by window
+    error, on_main = searches_and_eigh_threads(windows, 2)
+    assert str(error) == "ridge solve produced non-finite values"
+    assert len(on_main) == 3 + SCREEN_BLOCK - 1 and not any(on_main)
+    assert threading.active_count() == before
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool():
+    # The penalty search imports its executor when it first runs one, so that
+    # start-up does not pay for concurrent.futures.thread.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mlofi.cli; print('concurrent.futures.thread' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 @given(

@@ -62,6 +62,9 @@ call for ``curves``), and
 the median over the reps of the working tree's time over REV's with that
 ratio's lower and upper quartiles, so that one run tells a move from the
 spread of its reps; a layer one side lacks shows ``-`` there and no ratio.
+It prints the same for the process CPU time of each layer beside its wall
+time: the CPU of every thread, so that a layer that runs work on a second
+core shows its CPU cost next to its wall gain.
 Both sides run with the BLAS and OpenMP thread caps of ``python -m mlofi``
 (``mlofi.__main__.THREAD_CAPS`` at one thread) where the environment sets
 none, as the benchmark's runs do.
@@ -115,11 +118,13 @@ def load(src: Path) -> dict:
                       "synth")}
 
 
-def timed(fn, *args) -> tuple[float, object]:
+def timed(fn, *args) -> tuple[np.ndarray, object]:
+    """The wall and process CPU seconds of ``fn(*args)``, the CPU of every thread
+    counted, as one array, so that each layer's scaling applies to both; and its result."""
     gc.collect()
-    start = time.perf_counter()
+    wall, cpu = time.perf_counter(), time.process_time()
     result = fn(*args)
-    return time.perf_counter() - start, result
+    return np.array([time.perf_counter() - wall, time.process_time() - cpu]), result
 
 
 def column_values(day) -> list[list[int]]:
@@ -354,17 +359,23 @@ def main(argv: list[str]) -> int:
     print(f"{len(day.columns.times)} events, {reps} reps; microseconds per row (parse, parse "
           f"rows), event or interval (assemble), milliseconds per window (select), fit (fit) "
           f"or call (curves)")
-    print(f"{'layer':<24}{argv[0][:12]:>14}{'work':>14}{'work/rev':>10}{'q1':>8}{'q3':>8}")
+    print(f"{'layer':<24}{argv[0][:12]:>12}{'work':>12}{'work/rev':>10}{'q1':>7}{'q3':>7}"
+          f"{'cpu ' + argv[0][:8]:>14}{'cpu work':>12}{'cpu w/r':>9}{'q1':>7}{'q3':>7}")
     for layer in LAYERS:
         rev, new = times["rev"][layer], times["work"][layer]
         if not rev or not new:  # a layer that one side lacks
-            print(f"{layer:<24}" + "".join(f"{statistics.median(t):>14.3f}" if t else f"{'-':>14}"
-                                           for t in (rev, new)))
+            print(f"{layer:<24}" + "".join(
+                f"{statistics.median(t[0] for t in side):>12.3f}" if side else f"{'-':>12}"
+                for side in (rev, new)))
             continue
-        ratios = [b / a for a, b in zip(rev, new)]
-        q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
-        print(f"{layer:<24}{statistics.median(rev):>14.3f}{statistics.median(new):>14.3f}"
-              f"{median:>10.3f}{q1:>8.3f}{q3:>8.3f}")
+        row = f"{layer:<24}"
+        for k, width in ((0, 12), (1, 14)):  # wall, then process CPU
+            ratios = [b[k] / a[k] for a, b in zip(rev, new)]
+            q1, median, q3 = statistics.quantiles(ratios, n=4) if reps > 1 else ratios * 3
+            row += (f"{statistics.median(t[k] for t in rev):>{width}.3f}"
+                    f"{statistics.median(t[k] for t in new):>12.3f}"
+                    f"{median:>{10 - k}.3f}{q1:>7.3f}{q3:>7.3f}")
+        print(row)
     return 0
 
 
