@@ -40,11 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation
 from .errors import BadValue, ConfigError, DataError, EmptySession, NumericalError
 from .evaluation import EvaluationReport, FitSpec, assemble_windows, fit_tables, run_evaluation
 from .imbalance import compute_day_samples
-from .inference import MIN_ROWS_PER_FOLD, SignificanceSummary
+from .inference import SignificanceSummary
 from .lobster import (
     DaySlice,
     SessionConfig,
@@ -477,16 +476,12 @@ def _warn_left_out(
 ) -> None:
     """One stderr line per method whose table covers fewer than all windows."""
     for method, summary in tables.items():
-        if summary.n_fits == n_problems:
-            continue
-        reason = "rank-deficient"
-        if method == evaluation.RIDGE and spec.min_window_rows:
-            reason = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
-        print(
-            f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
-            f"windows {reason}, left out of the table",
-            file=sys.stderr,
-        )
+        if summary.n_fits < n_problems:
+            print(
+                f"warning: {method}: {n_problems - summary.n_fits} of {n_problems} "
+                f"windows {spec.left_out_reason(method)}, left out of the table",
+                file=sys.stderr,
+            )
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -7,11 +7,11 @@ are. ``run_evaluation`` takes each method's R^2 curve, every depth 1..M,
 and its seasonality profile from one factorization per window
 (``inference.nested_adj_r2``), reduced by ``adjusted_r2_curve`` and
 ``seasonality_profile``; the level-1 OFI table from one depth-1 OLS fit per
-window, or from the OLS table at depth 1; and the RMSE curves from one
-factorization per training fold. The days come as
-any iterable in date order and each is replayed once, as it arrives: the
-replay that yields the imbalance samples also tallies the book, only the
-problems and tallies are kept, and ``book_summaries`` reduces the tallies.
+window; and the RMSE curves from one factorization per training fold. The
+days come as any iterable in date order and each is replayed once, as it
+arrives: the replay that yields the imbalance samples also tallies the book,
+only the problems and tallies are kept, and ``book_summaries`` reduces the
+tallies.
 
 A ``FitSpec`` carries the five fit settings from the command line to the
 fits: the methods, the cross-validation folds, the penalty grid, the
@@ -19,7 +19,8 @@ penalty mode and whether the intercept is penalized. It checks itself when
 built and raises ConfigError. Its ``min_window_rows`` is the one per-window
 row rule: with ``per-window`` ridge each window runs its own penalty search,
 so a window needs ``MIN_ROWS_PER_FOLD`` rows per fold; windows that
-discarded intervals shrank below that are left out of the ridge table.
+discarded intervals shrank below that are left out of the ridge table, and
+``left_out_reason`` says so.
 
 The RMSE protocol mirrors 5-fold cross-validation: for each fold, fit on
 the other four folds' pooled rows, record the RMSE on those same rows
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TooFewRows
+from .errors import ConfigError, DataError, TooFewRows
 from .imbalance import SUMMARY_LEVELS, BookTally, compute_day_samples
 from .inference import (
     MIN_ROWS_PER_FOLD,
     CollinearityDiagnostics,
     LambdaSearch,
-    RegressionFit,
     SignificanceSummary,
     default_lambda_grid,
     diagnose_collinearity,
@@ -110,6 +110,12 @@ class FitSpec:
         if self.lambda_mode == "per-window" and RIDGE in self.methods:
             return MIN_ROWS_PER_FOLD * self.folds
         return 0
+
+    def left_out_reason(self, method: str) -> str:
+        """Why windows are missing from ``method``'s table: the row rule, else rank."""
+        if method == RIDGE and self.min_window_rows:
+            return f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
+        return "rank-deficient"
 
 
 def assemble_windows(
@@ -242,7 +248,7 @@ def rmse_curve(
     if method not in (OLS, RIDGE):
         raise ValueError(f"unknown method {method!r}")
     totals = None
-    if max_levels > 1:
+    if max_levels > 1:  # at one depth, _rmse_point's bits; the nested fit's can differ by an ulp
         totals = _nested_rmse(X, y, method, folds, lam, penalize_intercept)
     if totals is None:
         return [
@@ -253,26 +259,6 @@ def rmse_curve(
         RmsePoint(levels=m, in_sample=float(i), out_sample=float(o))
         for m, i, o in zip(range(1, max_levels + 1), *(total / folds for total in totals))
     ]
-
-
-def fit_all_windows(
-    problems: list[RegressionProblem],
-    method: str,
-    levels: int,
-    lam: float = 0.0,
-    penalize_intercept: bool = True,
-) -> tuple[list[RegressionFit], list[int]]:
-    """Per-window fits at one depth, from one ``fit_windows`` call.
-
-    Returns (fits, window index of each fit); rank-deficient windows are
-    skipped. ``lam`` is ignored by OLS.
-    """
-    if method not in (OLS, RIDGE):
-        raise ValueError(f"unknown method {method!r}")
-    lambdas = None if method == OLS else [lam] * len(problems)
-    fits = fit_windows([p.truncated(levels) for p in problems], lambdas, penalize_intercept)
-    kept = [(fit, p.window_index) for fit, p in zip(fits, problems) if fit is not None]
-    return [fit for fit, _ in kept], [i for _, i in kept]
 
 
 def adjusted_r2_curve(adj_r2: np.ndarray, kept: np.ndarray) -> list[float]:
@@ -329,18 +315,17 @@ def improvement_table(
     )
 
 
-def seasonality_profile(coeffs: np.ndarray, windows: Iterable[int], n_windows: int) -> np.ndarray:
+def seasonality_profile(coeffs: np.ndarray, windows: np.ndarray, n_windows: int) -> np.ndarray:
     """Mean fitted coefficients per intra-day window index.
 
     ``coeffs`` holds one fit's coefficients per row (fits x levels + 1) and
     ``windows`` each fit's window index. Returns an (n_windows, levels + 1)
-    array; window indices with no fits hold NaN.
+    array; window indices with no fits hold NaN. Each window's sum adds its
+    fits in row order, as a loop over the rows would.
     """
     sums = np.zeros((n_windows, coeffs.shape[1]))
-    counts = np.zeros(n_windows, dtype=int)
-    for row, i in zip(coeffs, windows):
-        sums[i] += row
-        counts[i] += 1
+    np.add.at(sums, windows, coeffs)
+    counts = np.bincount(windows, minlength=n_windows)
     with np.errstate(invalid="ignore"):
         return sums / counts[:, None]  # 0/0 is the NaN of an unfit window index
 
@@ -377,7 +362,8 @@ def book_summaries(
     the flow concentration; see ``BookTally`` for what each state adds.
     Each column is summed over all days as an exact integer and divided by
     its summed weight, times its unit, once: every mean is the correctly
-    rounded float of the exact mean, whatever the number of days.
+    rounded float of the exact mean, whatever the number of days. A mean
+    depth past the float range raises DataError.
     """
     L = SUMMARY_LEVELS
     units = (20_000, 10_000) + (1,) * (2 * L)  # mid and spread in dollars
@@ -386,7 +372,10 @@ def book_summaries(
         weight, *totals = [sum(t.sums[k][c] for t in tallies) for c in range(1 + len(units))]
         if not weight:
             raise TooFewRows("no two-sided book states observed")
-        m = [v / (weight * u) for v, u in zip(totals, units)]
+        try:
+            m = [v / (weight * u) for v, u in zip(totals, units)]
+        except OverflowError:
+            raise DataError(f"the {weighting}-weighted mean depth is too large for a float")
         summaries.append(BookSummary(m[0], m[1], tuple(m[2:2 + L]), tuple(m[2 + L:]), weighting))
     by_duration, by_event = summaries
     counts = [sum(t.flow_counts[b] for t in tallies) for b in range(3)]
@@ -395,7 +384,7 @@ def book_summaries(
     v_flow = sum(volumes)
     concentration = FlowConcentration(
         count_pct=tuple(100.0 * c / n_flow for c in counts) if n_flow else (0.0, 0.0, 0.0),
-        volume_pct=tuple(100.0 * v / v_flow for v in volumes) if v_flow else (0.0, 0.0, 0.0),
+        volume_pct=tuple(100 * v / v_flow for v in volumes) if v_flow else (0.0, 0.0, 0.0),
         n_events=n_flow,
     )
     return by_duration, by_event, concentration
@@ -415,31 +404,29 @@ class FitTables:
 def fit_tables(problems: list[RegressionProblem], spec: FitSpec) -> FitTables:
     """Select the pooled penalty and summarize the per-window fits per method.
 
-    The fits run at the problems' depth. Per-window ridge leaves out the
-    windows with fewer than ``spec.min_window_rows`` rows, searches the rest in
-    one ``select_lambdas`` call and fits them at their own penalties in one
-    ``fit_windows`` call.
+    The fits run at the problems' depth, one ``fit_windows`` call per method,
+    less the OLS windows it leaves out. Per-window ridge leaves out the windows
+    with fewer than ``spec.min_window_rows`` rows, searches the rest in one
+    ``select_lambdas`` call and fits them at their own penalties.
     """
-    levels = problems[0].levels
     grid = np.array(spec.lambda_grid)
     search: LambdaSearch | None = None
-    lam = 0.0
     if RIDGE in spec.methods:
-        X, y = pool_rows(problems, levels)
+        X, y = pool_rows(problems, problems[0].levels)
         search = select_lambda(X, y, spec.folds, grid, spec.penalize_intercept)
-        lam = search.lambda_hat
     tables = FitTables(search, {})
     for method in spec.methods:
+        windows, lambdas = problems, None
         if method == RIDGE and spec.lambda_mode == "per-window":
             windows = [p for p in problems if p.n_rows >= spec.min_window_rows]
             searches = select_lambdas(
                 [(p.X, p.y) for p in windows], spec.folds, grid, spec.penalize_intercept
             )
-            fits = fit_windows(
-                windows, [s.lambda_hat for s in searches], spec.penalize_intercept
-            )
-        else:
-            fits, _ = fit_all_windows(problems, method, levels, lam, spec.penalize_intercept)
+            lambdas = [s.lambda_hat for s in searches]
+        elif method == RIDGE:
+            lambdas = [search.lambda_hat] * len(problems)
+        fits = fit_windows(windows, lambdas, spec.penalize_intercept)
+        fits = [fit for fit in fits if fit is not None]
         if not fits:
             raise TooFewRows(f"no usable {method} window fits")
         tables.significance[method] = significance_summary(fits)
@@ -502,11 +489,8 @@ def run_evaluation(
         seasonality[method] = seasonality_profile(coeffs[deep], window_index[deep], grid.n_windows)
         if method == OLS:
             rank_deficient = int(np.sum(~deep))
-    if levels == 1 and OLS in tables.significance:
-        ofi_sig = tables.significance[OLS]
-    else:
-        ofi_fits, _ = fit_all_windows(problems, OLS, 1)
-        ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
+    ofi_fits = [fit for fit in fit_windows([p.truncated(1) for p in problems]) if fit is not None]
+    ofi_sig = significance_summary(ofi_fits) if ofi_fits else None
     diagnostics = (
         diagnose_collinearity(pool_rows(problems, levels)[0][:, 1:]) if levels >= 2 else None
     )

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadValue, IndivisibleGrid
+from .errors import BadValue, DataError, IndivisibleGrid
 from .imbalance import IntervalColumns, MlofiSample
 from .lobster import NS, SessionConfig
 
@@ -129,7 +129,8 @@ def assemble_problems(
     ``intervals`` holds every interval of the grid in order, as the replay's
     columns or as samples (None where discarded). Discarded intervals shrink
     the window's row count; a window with fewer than levels + 2 usable rows
-    is underdetermined and is dropped. Both are counted in ``stats``.
+    is underdetermined and is dropped. Both are counted in ``stats``. An order
+    flow past the float range, kept or not, raises DataError naming the day.
     """
     if stats is None:
         stats = AssemblyStats()
@@ -141,7 +142,10 @@ def assemble_problems(
         raise ValueError(f"{len(intervals.kept)} intervals for a grid of {n}")
     # int64 and object (exact int) columns alike convert as float() rounds.
     design = np.ones((n, levels + 1))
-    design[:, 1:] = intervals.flows[:, :levels]
+    try:
+        design[:, 1:] = intervals.flows[:, :levels]
+    except OverflowError:  # an object column's int past the largest float
+        raise DataError(f"{date}: an interval's order flow is too large for a float")
     usable = intervals.kept
     y = intervals.delta_p.astype(float) / (2.0 * tick_size)  # twice the mid change, in price units
     counts = usable.reshape(grid.n_windows, K).sum(axis=1).tolist()

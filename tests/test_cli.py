@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mlofi.book import ASK_ABSENT
 from mlofi.cli import main, parse_config_file
 from mlofi.errors import ConfigError
-from mlofi.evaluation import fit_all_windows, significance_summary
+from mlofi.inference import fit_windows, significance_summary
 from mlofi.synth import PlantedParams, generate_planted_regression
 
 WORKED_EXAMPLE = (
@@ -206,8 +206,7 @@ def test_fit_tables_recover_planted_truth():
             levels=3,
         )
         problems.append(p)
-    fits, _ = fit_all_windows(problems, "ols", 3)
-    table = significance_summary(fits)
+    table = significance_summary(fit_windows(problems))
     for j, true_val in enumerate(beta):
         assert abs(table.mean_coeff[j] - true_val) <= 3.0 * table.mean_se[j]
 
@@ -472,6 +471,19 @@ SPARSE_BOOK = [
     "--synth-days", "2", "--seed", "3", "--session-end", "11:00", "--DT", "600",
     "--dt", "10", "--zi-limit-rate", "0.01", "--zi-market-rate", "0.02", "--zi-band", "3",
 ]
+
+
+def test_ofi_table_at_one_level_is_the_ols_table(tmp_path):
+    # At one level the level-1 OFI fits are the OLS table's fits.
+    out = tmp_path / "out"
+    assert run_cli("evaluate", "--synth-days", "2", "--seed", "7", "--session-end", "11:00",
+                   "--levels", "1", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ofi_significance"] == report["significance"]["ols"]
+    assert set(report["ofi_significance"]) == {
+        "mean_coeff", "mean_se", "mean_t", "mean_p", "pct_significant_95", "n_fits"}
+    assert (out / "significance_ofi_ols.csv").read_bytes() == (
+        out / "significance_ols.csv").read_bytes()
 
 
 def test_windows_left_out_of_a_table_are_reported(tmp_path, capsys):
@@ -1147,6 +1159,28 @@ def test_a_value_out_of_range_exits_1_naming_the_key(
     assert run_cli(*args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_an_order_flow_past_the_float_range_is_a_data_error_naming_the_day(tmp_path, capsys):
+    # A 401-digit size sends the file down the row loop, which keeps it exact:
+    # compute writes it as it is, and fit and evaluate stop with exit 2.
+    huge = 10**400
+    path = tmp_path / "X_2016-01-05_message_1.csv"
+    path.write_text(
+        f"36001.0,1,1,10,140000,1\n36002.0,1,2,10,140200,-1\n36013.0,1,3,{huge},140000,1\n"
+    )
+    common = ["--messages", str(path), "--levels", "2"]
+    assert run_cli("compute", *common, "--out", str(tmp_path / "samples")) == 0
+    capsys.readouterr()
+    rows = read_csv(tmp_path / "samples" / "samples.csv")
+    assert [row[3] for row in rows[1:] if row[3] != "0"] == [str(huge)]
+    for command in (["fit", "--methods", "ols"], ["evaluate"]):
+        out = tmp_path / command[0]
+        assert run_cli(*command, *common, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "data error: 2016-01-05: an interval's order flow is too large for a float\n"
+        )
+        assert not out.exists()
 
 
 def test_data_errors_name_their_file(tmp_path, capsys):

@@ -10,21 +10,20 @@ from hypothesis import strategies as hst
 from scipy import stats as st
 
 from mlofi.book import EventKind, LobEvent, Side
-from mlofi.errors import ConfigError, TooFewRows
+from mlofi.errors import ConfigError, DataError, TooFewRows
 from mlofi.evaluation import (
     OLS,
     RIDGE,
     FitSpec,
     adjusted_r2_curve,
     book_summaries,
-    fit_all_windows,
     improvement_table,
     pool_rows,
     rmse_curve,
     rmse_protocol,
     seasonality_profile,
 )
-from mlofi.imbalance import compute_day_samples
+from mlofi.imbalance import BookTally, compute_day_samples
 from mlofi.inference import (
     MIN_ROWS_PER_FOLD,
     contiguous_folds,
@@ -63,10 +62,19 @@ def assert_points_close(got, want, rtol=1e-12):
         )
 
 
+def window_fits(problems, method, levels, lam=0.0, penalize_intercept=True):
+    """The fits of one ``fit_windows`` call at one depth, without the windows it
+    leaves out, and the window index of each."""
+    lambdas = None if method == OLS else [lam] * len(problems)
+    fits = fit_windows([p.truncated(levels) for p in problems], lambdas, penalize_intercept)
+    kept = [(fit, p.window_index) for fit, p in zip(fits, problems) if fit is not None]
+    return [fit for fit, _ in kept], [i for _, i in kept]
+
+
 def per_depth_r2_curve(problems, method, lam=0.0, penalize_intercept=True):
-    """The R^2 curve from one ``fit_all_windows`` call per depth: the nested curve's oracle."""
+    """The R^2 curve from one ``fit_windows`` call per depth: the nested curve's oracle."""
     return [
-        float(np.mean([f.adj_r2 for f in fit_all_windows(
+        float(np.mean([f.adj_r2 for f in window_fits(
             problems, method, m, lam, penalize_intercept)[0]]))
         for m in range(1, problems[0].levels + 1)
     ]
@@ -274,8 +282,7 @@ def test_plain_r2_non_decreasing_in_levels_nested():
     problem = planted(77, rows=90, levels=6, beta=(0.0,) + (0.4,) * 6, noise=2.0)
     r2s = []
     for m in range(1, 7):
-        fits, _ = fit_all_windows([problem], OLS, m)
-        r2s.append(fits[0].r2)
+        r2s.append(fit_ols(problem.truncated(m)).r2)
     for a, b in zip(r2s, r2s[1:]):
         assert b >= a - 1e-12
 
@@ -305,7 +312,7 @@ def test_seasonality_single_date_equals_window_fits():
     problems = [
         planted(100 + i, rows=60, levels=3, window=i, noise=0.5) for i in range(4)
     ]
-    fits, windows = fit_all_windows(problems, OLS, 3)
+    fits, windows = window_fits(problems, OLS, 3)
     prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=4)
     for i, p in enumerate(problems):
         np.testing.assert_allclose(prof[i], fit_ols(p).coeffs, atol=1e-12)
@@ -330,7 +337,7 @@ def test_seasonality_recovers_planted_trend():
                     window=i,
                 )
             )
-    fits, windows = fit_all_windows(problems, OLS, 3)
+    fits, windows = window_fits(problems, OLS, 3)
     prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=n_windows)
     rho = st.spearmanr(np.arange(n_windows), prof[:, 1]).statistic
     assert rho < -0.8
@@ -345,11 +352,32 @@ def test_seasonality_stationary_within_noise():
                 planted(seed=7000 + d * 50 + i, rows=120, levels=2,
                         beta=(0.0, 1.0, 0.5), noise=1.0, window=i)
             )
-    fits, windows = fit_all_windows(problems, OLS, 2)
+    fits, windows = window_fits(problems, OLS, 2)
     prof = seasonality_profile(fit_coeffs(fits), windows, n_windows=n_windows)
     se = np.std([f.coeffs[1] for f in fits], ddof=1) / np.sqrt(n_dates)
     spread = prof[:, 1].max() - prof[:, 1].min()
     assert spread < 6 * se  # pairwise within ~3 SE of each other
+
+
+@given(
+    rows=hst.lists(
+        hst.tuples(hst.integers(0, 5), hst.lists(hst.floats(-1e6, 1e6), min_size=3, max_size=3)),
+        max_size=40,
+    ),
+    n_windows=hst.integers(6, 9),
+)
+def test_seasonality_profile_equals_the_row_loop(rows, n_windows):
+    # Each window's sum adds its rows in order, so the bits are the loop's.
+    windows = [i for i, _ in rows]
+    coeffs = np.array([row for _, row in rows]).reshape(len(rows), 3)
+    sums, counts = np.zeros((n_windows, 3)), np.zeros(n_windows, dtype=int)
+    for row, i in zip(coeffs, windows):
+        sums[i] += row
+        counts[i] += 1
+    with np.errstate(invalid="ignore"):
+        want = sums / counts[:, None]
+    got = seasonality_profile(coeffs, np.array(windows, dtype=int), n_windows)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def _arrival(oid, size, price, side, ts):
@@ -490,11 +518,23 @@ def test_summarize_matches_bruteforce_oracle():
     assert by_event.weighting == "event"
 
 
+def test_book_summaries_past_the_float_range():
+    # Exact-int volumes far past the float range still give their shares; a
+    # mean depth that no float holds is a data error, not an OverflowError.
+    huge = 10**400
+    row = [1, 2 * 140_000, 200] + [10] * 10  # weight, ask + bid, ask - bid, depths
+    tally = BookTally((row, row), [1, 1, 1], [huge, 10, huge])
+    _, _, concentration = book_summaries([tally])
+    assert concentration.volume_pct == (50.0, 0.0, 50.0)
+    deep = row[:3] + [huge] + row[4:]
+    with pytest.raises(DataError, match="^the duration-weighted mean depth is too large"):
+        book_summaries([BookTally((deep, row), [1, 1, 1], [1, 1, 1])])
+
+
 def test_adj_r2_recomputes_from_residuals():
     problem = planted(55, rows=90, levels=4, noise=2.0)
     for method, lam in ((OLS, 0.0), (RIDGE, 3.7)):
-        fits, _ = fit_all_windows([problem], method, 4, lam=lam)
-        fit = fits[0]
+        fit = fit_windows([problem], None if method == OLS else [lam])[0]
         resid = problem.y - problem.X @ fit.coeffs
         sse = float(resid @ resid)
         sst = float(np.sum((problem.y - problem.y.mean()) ** 2))
@@ -567,7 +607,7 @@ def test_per_window_seasonality_is_the_pooled_penalty_fits_mean():
     lam = report.lambda_search.lambda_hat
     assert report.rank_deficient_windows > 0
     for method in (OLS, RIDGE):
-        fits, windows = fit_all_windows(problems, method, 5, lam)
+        fits, windows = window_fits(problems, method, 5, lam)
         want = np.full((grid.n_windows, 6), np.nan)
         for i in set(windows):
             want[i] = np.mean([f.coeffs for f, w in zip(fits, windows) if w == i], axis=0)
@@ -591,6 +631,13 @@ def test_fit_spec_min_window_rows_only_for_per_window_ridge():
     assert FitSpec(methods=(RIDGE,), lambda_mode="per-window").min_window_rows == 50
     assert FitSpec(methods=(OLS,), lambda_mode="per-window").min_window_rows == 0
     assert FitSpec(folds=7).min_window_rows == 0
+
+
+def test_fit_spec_left_out_reason_names_the_row_rule_only_where_it_applies():
+    rows = f"with fewer than {MIN_ROWS_PER_FOLD} rows per fold"
+    per_window = FitSpec(lambda_mode="per-window")
+    assert [per_window.left_out_reason(m) for m in (OLS, RIDGE)] == ["rank-deficient", rows]
+    assert FitSpec().left_out_reason(RIDGE) == "rank-deficient"
 
 
 def test_per_window_fit_tables_equal_the_window_by_window_loop():

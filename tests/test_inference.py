@@ -873,6 +873,26 @@ def test_two_sided_p_matches_the_incomplete_beta_function(dof, t, offset):
         assert abs(p - p_scipy) <= rtol * p_scipy + 1e-300, (value, p, p_scipy)
 
 
+@pytest.mark.parametrize("dof", [20_000, 23_398, 23_400])
+def test_two_sided_p_at_the_largest_degrees_of_freedom_of_a_window(dof):
+    # The longest window the CLI can fit, 09:30-16:00 in 1 s intervals at one
+    # level, has 23,400 rows and 23,398 degrees of freedom. The property test
+    # above stops at 5,000; here each continued fraction still converges before
+    # its last coefficient, and p lies within 1e-11 relative of mpmath.
+    _, _, low, high = inference._t_terms(float(dof))
+    assert max(len(low), len(high)) < 400
+    t = np.concatenate([
+        [t_near_the_branch_point(dof, offset) for offset in np.linspace(-0.05, 0.0, 11)],
+        10.0 ** np.arange(-9.0, 15.25, 0.25),
+    ])
+    for value, p in zip(t, inference.two_sided_p(t, dof)):
+        want = mp_two_sided_p(value, dof)
+        if want >= 1e-300:
+            assert abs(p - want) <= 1e-11 * want, (value, p, want)
+        else:
+            assert 0.0 <= p <= 1e-299, (value, p, want)
+
+
 @given(values=hst.lists(hst.tuples(T_VALUES, hst.integers(1, 400)), min_size=1, max_size=40))
 def test_two_sided_p_of_a_batch_equals_its_one_element_calls(values):
     # Each value's depth comes from its dof alone, so the windows of one

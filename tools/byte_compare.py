@@ -53,12 +53,14 @@ which fails after both days have replayed; six runs that must exit 1:
 with ``--out`` naming an existing file, ``compute`` with a ``--messages``
 glob that matches a directory, ``compute --synth-days 2 --start-date
 9999-12-31``, whose second day has no date, and ``compute --tick 0``; and
-five runs that must exit 2: ``compute`` on a message file holding a byte
+six runs that must exit 2: ``compute`` on a message file holding a byte
 that is not UTF-8, ``compute --orderbooks`` on a crossed seed row and on a
 seed row that undoing message 1 crosses,
 ``compute`` on a message file whose fifth line, after two rows before the
-session and a blank line, repeats a live order id, and ``compute`` on a
-canonical message file whose timestamp decreases at line 4.
+session and a blank line, repeats a live order id, ``compute`` on a
+canonical message file whose timestamp decreases at line 4, and ``fit
+--methods ols --levels 2`` on a message file whose order of 401 digits makes
+an interval's flow too large for a float.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ OUT_IS_A_FILE = "evaluate-out-is-a-file"
 # Bad inputs written into each scratch directory's bad/: a message file with
 # a 0xff byte in row 2, a message file whose seed row (orderbook row 1) is a
 # crossed book, one whose seed row is crossed once its message 1 is undone,
-# a message file whose line 5 repeats a live order id, and a canonical message
-# file whose timestamp decreases at line 4.
+# a message file whose line 5 repeats a live order id, a canonical message
+# file whose timestamp decreases at line 4, and a message file whose third order,
+# of 10**400 shares, arrives at the best bid in the session's second interval.
 BAD_FILES = {
     "X_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.5,1,2,1\xff,140000,1\n",
     "Y_2016-01-05_message_1.csv": b"35990.0,1,1,10,140000,1\n36001.0,1,2,10,140200,-1\n",
@@ -158,6 +161,8 @@ BAD_FILES = {
     "V_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.0,1,2,10,140100,-1\n"
                                   b"36003.0,1,3,5,139900,1\n36002.5,1,4,10,140000,1\n"
                                   b"36004.0,1,5,10,140000,1\n",
+    "U_2016-01-05_message_1.csv": b"36001.0,1,1,10,140000,1\n36002.0,1,2,10,140200,-1\n"
+                                  b"36013.0,1,3,1%s,140000,1\n" % (b"0" * 400),
 }
 # Written as run.cfg into each scratch directory. messages and orderbooks are
 # left out: a run takes either them or synth_days.
@@ -265,6 +270,8 @@ def matrix() -> list[tuple[str, list[str]]]:
                    "--orderbooks", "bad/W_*_orderbook_*", "--levels", "1"]))
     runs.append(("compute-order-id-live-twice", ["compute", "--messages", "bad/Z_*_message_*"]))
     runs.append(("compute-decreasing-timestamp", ["compute", "--messages", "bad/V_*_message_*"]))
+    runs.append(("fit-order-flow-past-the-float-range",
+                  ["fit", "--messages", "bad/U_*_message_*", "--methods", "ols", "--levels", "2"]))
     return runs
 
 

@@ -15,8 +15,12 @@ It prints one JSON record in a fixed schema: per workload and end-to-end
 metric, each side's median, quartiles and IQR over the pairs, the median
 and quartiles of the paired ratio (working tree over REV) and the number of
 pairs in which the working tree is better, by the metric's direction in
-``BENCHMARK.json``. A/A (REV ``HEAD`` on a clean tree) should give ratio
-quartiles that straddle 1 on every metric.
+``BENCHMARK.json``. Per workload and side it also records the host's drift:
+each run's unscaled medians (``setup_s``, ``wall_s``, ``cpu_s``) and mean
+host ticks (``setup_tick_us``, ``call_tick_us``), which perfbench prints
+with the run's environment, in pair order and with their spread. A/A
+(REV ``HEAD`` on a clean tree) should give ratio quartiles that straddle 1 on
+every metric.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SCHEMA = "perf_ab/1"
+SCHEMA = "perf_ab/2"
+#: The unscaled fields of a perfbench run's environment, recorded per side.
+UNSCALED = ("setup_s", "wall_s", "cpu_s", "setup_tick_us", "call_tick_us")
 
 
 def git(*args: str) -> str:
@@ -43,8 +49,8 @@ def git(*args: str) -> str:
 
 
 def perfbench(tree: Path, workload: str, seconds: float) -> dict:
-    """The result line of one perfbench run in ``tree``; exits the tool on a
-    failed or incorrect run."""
+    """The result line of one perfbench run in ``tree``, with its environment's
+    ``unscaled`` medians added; exits the tool on a failed or incorrect run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", str(seconds), "--trace", "0"],
@@ -54,6 +60,8 @@ def perfbench(tree: Path, workload: str, seconds: float) -> dict:
     if result is None or not result["correct"]:
         sys.exit(f"perfbench {workload} in {tree} failed (exit {proc.returncode}):\n"
                  f"{proc.stdout[-1500:]}{proc.stderr[-1500:]}")
+    environment = next(line for line in lines if line.startswith("environment: "))
+    result["unscaled"] = json.loads(environment.removeprefix("environment: "))["unscaled"]
     return result
 
 
@@ -61,6 +69,11 @@ def spread(values: list[float]) -> dict:
     """Median, quartiles and IQR of ``values``."""
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def drift(values: list[float]) -> dict:
+    """``values`` in pair order, with their spread."""
+    return {"values": values, **spread(values)}
 
 
 def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
@@ -84,6 +97,8 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         "attempted_calls": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
         "failed_calls": sum(r["failed"] for side in runs for r in runs[side]),
         "metrics": metrics,
+        "unscaled": {side: {name: drift([r["unscaled"][name] for r in runs[side]])
+                            for name in UNSCALED} for side in runs},
     }
 
 
