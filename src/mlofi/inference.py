@@ -263,9 +263,9 @@ def two_sided_p(t, dof) -> np.ndarray:
     runs backward, f <- d_k z / (1 + f), from a fixed depth per (dof, branch), two terms
     past where modified Lentz converges at the branch point: so each p-value's bits
     depend on its own t and dof, and a batch equals its one-element calls. t = 0 gives
-    1, |t| = inf gives 0 and NaN gives NaN. For dof up to 23,400, beyond the 23,398 of
-    the longest window the CLI can fit (09:30-16:00 in 1 s intervals, one level), it
-    lies within 1e-11 relative of mpmath's incomplete beta function wherever p >= 1e-300.
+    1, |t| = inf gives 0 and NaN gives NaN. For dof up to 23,400 it lies within 1e-11
+    relative of mpmath's incomplete beta function wherever p >= 1e-300; the longest
+    window the CLI can fit, 09:30-16:00 in 1 s intervals at one level, has 23,398.
     """
     t, nu = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(dof, dtype=float))
     p = np.empty(t.shape)
